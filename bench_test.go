@@ -230,17 +230,21 @@ func benchParallelCircuit(b *testing.B) *Circuit {
 	return workloads.MatMult(3, 16).Build()
 }
 
-// BenchmarkGarble compares the sequential garbler against the parallel
-// level-scheduled engine at several pool widths on the same circuit.
-// On a multi-core host the x8 variant is expected to run >= 2x faster
-// than sequential; on a single-core host they converge (the engine adds
-// only a few percent of scheduling overhead).
+// BenchmarkGarble compares the reference garbler against the plan
+// engine at several pool widths on the same circuit. On a multi-core
+// host the x8 variant is expected to run >= 2x faster than the
+// reference; on a single-core host they converge (the engine adds only
+// a few percent of scheduling overhead).
 func BenchmarkGarble(b *testing.B) {
 	c := benchParallelCircuit(b)
 	h := gc.RekeyedHasher{}
 	and, _, _ := c.CountOps()
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		b.Fatal(err)
+	}
 
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := gc.Garble(c, h, label.NewSource(7)); err != nil {
 				b.Fatal(err)
@@ -250,9 +254,9 @@ func BenchmarkGarble(b *testing.B) {
 	})
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
-		b.Run(benchName("parallel", workers), func(b *testing.B) {
+		b.Run(benchName("plan", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gc.ParallelGarble(c, h, label.NewSource(7), workers); err != nil {
+				if _, err := gc.GarblePlan(p, h, label.NewSource(7), workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -265,6 +269,10 @@ func BenchmarkGarble(b *testing.B) {
 func BenchmarkParallelEval(b *testing.B) {
 	c := benchParallelCircuit(b)
 	h := gc.RekeyedHasher{}
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		b.Fatal(err)
+	}
 	w := workloads.MatMult(3, 16)
 	g, e := w.Inputs(5)
 	garbled, err := gc.Garble(c, h, label.NewSource(7))
@@ -279,7 +287,7 @@ func BenchmarkParallelEval(b *testing.B) {
 		workers := workers
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gc.ParallelEval(c, h, in, garbled.Tables, workers); err != nil {
+				if _, err := gc.EvalPlan(p, h, in, garbled.Tables, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,32 +295,7 @@ func BenchmarkParallelEval(b *testing.B) {
 	}
 }
 
-// Benchmark2PCPipelined compares full two-party runs: sequential
-// streaming vs the pipelined parallel engine on both sides.
-func Benchmark2PCPipelined(b *testing.B) {
-	c := benchParallelCircuit(b)
-	w := workloads.MatMult(3, 16)
-	g, e := w.Inputs(5)
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"sequential", RunOptions{}},
-		{"pipelined-x8", RunOptions{Workers: 8, Pipelined: true}},
-	}
-	for _, m := range modes {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Run2PCWith(c, g, e, m.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelGarblingTable regenerates the sequential-vs-parallel
+// BenchmarkParallelGarblingTable regenerates the reference-vs-plan-engine
 // throughput table (cmd/haacbench experiment "parallel").
 func BenchmarkParallelGarblingTable(b *testing.B) {
 	e := benchEnv(b)
@@ -338,10 +321,10 @@ func benchName(prefix string, workers int) string {
 	return fmt.Sprintf("%s-x%d", prefix, workers)
 }
 
-// BenchmarkGarblePlan compares dense garbling against a reused
-// precompiled plan on the same circuit. ReportAllocs makes the headline
-// property visible: the planned steady state is 0 allocs/op while the
-// dense path re-allocates its wire arrays every run.
+// BenchmarkGarblePlan compares the dense reference garbler against a
+// reused plan runner on the same circuit. ReportAllocs makes the
+// headline property visible: the planned steady state is 0 allocs/op
+// while the reference re-allocates its wire arrays every run.
 func BenchmarkGarblePlan(b *testing.B) {
 	c := benchParallelCircuit(b)
 	h := gc.RekeyedHasher{}
@@ -426,8 +409,8 @@ func BenchmarkPrecompile(b *testing.B) {
 	}
 }
 
-// Benchmark2PCPlanned compares full two-party runs with and without a
-// shared precompiled plan.
+// Benchmark2PCPlanned compares full two-party runs that compile a plan
+// per call against runs sharing a precompiled one, at two engine widths.
 func Benchmark2PCPlanned(b *testing.B) {
 	w := workloads.MatMult(3, 16)
 	c := w.Build()
@@ -440,9 +423,9 @@ func Benchmark2PCPlanned(b *testing.B) {
 		name string
 		opts RunOptions
 	}{
-		{"dense", RunOptions{}},
+		{"compile-per-run", RunOptions{}},
 		{"planned", RunOptions{Plan: p}},
-		{"planned-pipelined-x8", RunOptions{Plan: p, Workers: 8, Pipelined: true}},
+		{"planned-x8", RunOptions{Plan: p, Workers: 8}},
 	}
 	for _, m := range modes {
 		m := m
@@ -523,12 +506,16 @@ func Benchmark2PCTransport(b *testing.B) {
 	and, _, _ := c.CountOps()
 	g, e := w.Inputs(5)
 	h := gc.NewFixedKeyHasher([16]byte{42})
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		b.Fatal(err)
+	}
 	modes := []struct {
 		name string
 		opts proto.Options
 	}{
-		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h}},
-		{"pipelined-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Pipelined: true, Workers: 4}},
+		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Plan: p}},
+		{"plan-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: h, Plan: p, Workers: 4}},
 	}
 	for _, m := range modes {
 		m := m

@@ -1,9 +1,9 @@
 // Command haac-run executes a real two-party garbled-circuits
 // computation over TCP: one invocation plays the garbler (listening),
 // the other the evaluator (dialing). Labels for the evaluator's inputs
-// are delivered with Diffie-Hellman oblivious transfer; tables stream as
-// they are garbled — optionally level-pipelined across a worker pool
-// with -pipelined/-workers.
+// are delivered with Diffie-Hellman oblivious transfer; tables stream
+// level by level as they are garbled — across a worker pool with
+// -workers.
 //
 // Example — the millionaires' problem on two terminals:
 //
@@ -51,8 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workload := fs.String("workload", "Million-8", "workload name (micro suite or small VIP suite)")
 	value := fs.Uint64("value", 0, "this party's integer input (packed little-endian into its input bits)")
 	otName := fs.String("ot", "dh", "oblivious transfer: dh, iknp, or insecure (benchmarks only)")
-	workers := fs.Int("workers", 0, "parallel garbling/eval workers (0 = sequential engine)")
-	pipelined := fs.Bool("pipelined", false, "stream tables level-by-level, overlapping garble/transfer/eval")
+	workers := fs.Int("workers", 0, "parallel garbling/eval workers per dependence level (0 or 1 = sequential)")
 	runs := fs.Int("runs", 1, "client role: number of runs over the session")
 	retries := fs.Int("retries", 0, "client role: max attempts per dial/run (>1 enables transparent reconnect and replay)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "client role: base backoff between retries (doubles per attempt, 0 = 50ms default)")
@@ -88,11 +87,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown OT %q\n", *otName)
 		return 2
 	}
-	opts := proto.Options{OT: otp, Workers: *workers, Pipelined: *pipelined}
+	opts := proto.Options{OT: otp, Workers: *workers}
 
 	if strings.EqualFold(*role, "client") {
 		return runClient(stdout, stderr, *addr, w, *value, *runs, server.Options{
-			OT: otp, Workers: *workers, Pipelined: *pipelined,
+			OT: otp, Workers: *workers,
 			Integrity: *integrity, MaxRunBytes: *maxRunBytes,
 			Retry: server.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBackoff},
 		})
@@ -145,16 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runClient opens a session against a haacd daemon and executes the
-// requested number of runs over it, precompiling the circuit client-
-// side so every run after the first reuses the session's plan runner.
+// requested number of runs over it; the session compiles the circuit
+// once, so every run reuses its plan runner.
 func runClient(stdout, stderr io.Writer, addr string, w workloads.Workload, value uint64, runs int, opts server.Options) int {
 	c := w.Build()
-	plan, err := circuit.NewPlan(c)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	opts.Plan = plan
 	sess, err := server.Dial(addr, w.Name, c, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

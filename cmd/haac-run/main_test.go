@@ -88,10 +88,10 @@ func TestRunMillionaires(t *testing.T) {
 	}
 }
 
-func TestRunPipelined(t *testing.T) {
-	gout, _ := runMillionaires(t, "-pipelined", "-workers", "4")
+func TestRunWorkers(t *testing.T) {
+	gout, _ := runMillionaires(t, "-workers", "4")
 	if !strings.Contains(gout, "result as integer: 1") {
-		t.Fatalf("pipelined run wrong result:\n%s", gout)
+		t.Fatalf("4-worker run wrong result:\n%s", gout)
 	}
 }
 
@@ -169,6 +169,7 @@ func TestRunBadArgs(t *testing.T) {
 		{"-workload", "NoSuchThing", "-role", "garbler"},
 		{"-role", "garbler", "-ot", "quantum"},
 		{"-role", "client", "-runs", "0"},
+		{"-role", "garbler", "-pipelined"}, // removed: tables always stream per level
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

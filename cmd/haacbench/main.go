@@ -83,7 +83,7 @@ func experiments() []experiment {
 			_, _, s := bench.RekeyingOverhead()
 			return s, nil
 		}},
-		{"parallel", "parallel level-scheduled garbling and pipelined 2PC", func(env *bench.Env) (string, error) {
+		{"parallel", "plan-engine worker sweep vs the reference garbler", func(env *bench.Env) (string, error) {
 			_, s, err := env.ParallelGarbling()
 			return s, err
 		}},

@@ -105,7 +105,7 @@ func TestBenchSelectedExperiments(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	s := out.String()
-	for _, want := range []string{"scale=small", "## table1", "## parallel", "2PC pipe ms"} {
+	for _, want := range []string{"scale=small", "## table1", "## parallel", "2PC seq ms"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}

@@ -48,21 +48,26 @@ func main() {
 	}
 	fmt.Printf("is Alice richer? %v (computed without revealing either value)\n", secure[0])
 
-	// 3b. The same computation on the parallel pipelined engine: gates
-	// at the same dependence level are garbled by a worker pool and each
-	// level's tables stream to the evaluator the moment they are ready,
-	// overlapping garbling, transfer and evaluation — in software what
-	// HAAC's gate engines and table queues do in hardware. The garbled
-	// bytes are identical, so this is purely a throughput knob.
+	// 3b. The same computation over a precompiled plan with an 8-wide
+	// engine: the plan is built once and reused by every run, gates at
+	// the same dependence level are garbled by a worker pool, and each
+	// level's tables stream to the evaluator the moment they are ready —
+	// in software what HAAC's gate engines and table queues do in
+	// hardware. The garbled bytes are identical, so the worker count is
+	// purely a throughput knob.
+	plan, err := haac.Precompile(c)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fast, err := haac.Run2PCWith(c, aliceBits, bobBits,
-		haac.RunOptions{Workers: 8, Pipelined: true})
+		haac.RunOptions{Workers: 8, Plan: plan})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if fast[0] != plain[0] {
-		log.Fatal("pipelined result disagrees with plaintext evaluation")
+		log.Fatal("parallel result disagrees with plaintext evaluation")
 	}
-	fmt.Println("pipelined parallel 2PC agrees (8 workers, level-streamed tables)")
+	fmt.Println("planned parallel 2PC agrees (8 workers, level-streamed tables)")
 
 	// 4. Compile for the HAAC accelerator and estimate performance.
 	cp, err := haac.Compile(c, haac.DefaultCompilerConfig())

@@ -26,13 +26,13 @@
 //	c := b.MustBuild()
 //	out, err := haac.Run2PC(c, garblerBits, evalBits)
 //
-//	// The same computation with the parallel level-scheduled engine
-//	// and the pipelined table stream: gates at the same dependence
-//	// level are garbled by a worker pool and each level's tables go on
-//	// the wire as soon as they are ready, overlapping garbling,
-//	// transfer and evaluation like the paper's table-queue design.
+//	// The same computation over a reusable compiled plan with an
+//	// 8-wide engine: gates at the same dependence level are garbled by
+//	// a worker pool and each level's tables go on the wire as soon as
+//	// they are ready, like the paper's table-queue design.
+//	plan, err := haac.Precompile(c)
 //	out, err = haac.Run2PCWith(c, garblerBits, evalBits,
-//		haac.RunOptions{Workers: 8, Pipelined: true})
+//		haac.RunOptions{Workers: 8, Plan: plan})
 //
 //	// Compile the same circuit for the accelerator and estimate its
 //	// performance on the paper's 16-GE design.
@@ -149,9 +149,10 @@ func Eval(c *Circuit, garbler, evaluator []bool) ([]bool, error) {
 }
 
 // GarbleAndEvaluate runs the whole garbled execution locally (garble,
-// encode, evaluate, decode) with the paper's re-keyed hash. It returns
-// the plaintext outputs and is the simplest way to check a circuit
-// under real garbling.
+// encode, evaluate, decode) with the paper's re-keyed hash, on the
+// gate-by-gate reference path the plan engine is tested against. It
+// returns the plaintext outputs and is the simplest way to check a
+// circuit under real garbling.
 func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64) ([]bool, error) {
 	seed, err := defaultSeed(seed)
 	if err != nil {
@@ -172,40 +173,21 @@ func defaultSeed(seed uint64) (uint64, error) {
 	return l.Lo | 1, nil
 }
 
-// GarbleAndEvaluateWith is GarbleAndEvaluate on the parallel
-// level-scheduled engine: garbling and evaluation each run across
-// opts.Workers workers. Workers follows the RunOptions contract —
-// 0 or 1 runs the engine single-threaded. The garbled output is
-// byte-identical to the sequential path for the same seed.
+// GarbleAndEvaluateWith is GarbleAndEvaluate on the plan engine:
+// garbling and evaluation run over opts.Plan (compiled here when nil)
+// across opts.Workers workers. The garbled output is byte-identical to
+// GarbleAndEvaluate for the same seed.
 func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, opts RunOptions) ([]bool, error) {
 	seed, err := defaultSeed(seed)
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	plan, err := opts.planFor(c)
+	if err != nil {
+		return nil, err
 	}
 	h := gc.RekeyedHasher{}
-	if opts.Plan != nil {
-		if opts.Plan.Circuit() != c {
-			return nil, fmt.Errorf("haac: RunOptions.Plan was compiled from a different circuit")
-		}
-		g, err := gc.ParallelGarblePlan(opts.Plan.plan, h, label.NewSource(seed), workers)
-		if err != nil {
-			return nil, err
-		}
-		in, err := g.EncodeInputs(c, garbler, evaluator)
-		if err != nil {
-			return nil, err
-		}
-		out, err := gc.ParallelEvalPlan(opts.Plan.plan, h, in, g.Tables, workers)
-		if err != nil {
-			return nil, err
-		}
-		return g.Decode(out)
-	}
-	g, err := gc.ParallelGarble(c, h, label.NewSource(seed), workers)
+	g, err := gc.GarblePlan(plan, h, label.NewSource(seed), opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +195,7 @@ func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, o
 	if err != nil {
 		return nil, err
 	}
-	out, err := gc.ParallelEval(c, h, in, g.Tables, workers)
+	out, err := gc.EvalPlan(plan, h, in, g.Tables, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -223,13 +205,13 @@ func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, o
 // Precompiled is a reusable execution plan for one circuit: the wire
 // space renamed onto a compact slot arena of width ≈ peak-live wires
 // plus the cached level schedule — the paper's rename-and-evict memory
-// idea (§3.1.4) applied to the software garbling engines. Build it once
+// idea (§3.1.4) applied to the software garbling engine. Build it once
 // with Precompile and pass it via RunOptions.Plan to every
 // Run2PCWith/RunGarblerWith/RunEvaluatorWith/GarbleAndEvaluateWith call
-// on the same circuit; repeated runs then amortize schedule
-// construction and renaming entirely and execute over arenas sized by
-// peak-live width instead of total wires. A Precompiled is immutable
-// and safe for concurrent use.
+// on the same circuit; every run executes over a plan, so a call
+// without one compiles its own each time, and sharing one amortizes
+// schedule construction and renaming entirely. A Precompiled is
+// immutable and safe for concurrent use.
 type Precompiled struct {
 	plan *circuit.Plan
 }
@@ -256,23 +238,16 @@ func (p *Precompiled) PeakLive() int { return p.plan.PeakLive }
 // RunOptions configures the execution engine of the two-party protocol
 // and the local garbling helpers.
 type RunOptions struct {
-	// Workers is the width of the parallel level-scheduled garbling and
-	// evaluation engine. 0 or 1 keeps the classic sequential path
-	// (unless Pipelined is set, where 0 means one worker per CPU);
-	// values > 1 use gc.ParallelGarble / gc.ParallelEval.
+	// Workers is the width of the level-scheduled plan engine: 0 or 1
+	// garbles and evaluates on the calling goroutine, larger values
+	// split each dependence level's AND gates across that many workers.
+	// The wire format does not depend on it, so each party picks its
+	// own width.
 	Workers int
-	// Pipelined overlaps garbling, table transfer and evaluation: the
-	// garbler streams each dependence level's tables as the worker pool
-	// completes them while the evaluator consumes tables concurrently —
-	// the software analogue of HAAC streaming tables through its table
-	// queues. The wire format is unchanged, so a pipelined party
-	// interoperates with a sequential one.
-	Pipelined bool
 	// Plan, when non-nil, must come from Precompile on the same circuit
-	// the run executes; the engines selected by Workers/Pipelined then
-	// run over the plan's slot arena and cached schedule. The wire
-	// format is unchanged, so a planned party interoperates with an
-	// unplanned peer.
+	// the run executes. When nil, each direct-connection call compiles
+	// its own plan (about half the cost of one garble) and dialed
+	// sessions share a small process-wide cache.
 	Plan *Precompiled
 	// Retry is the self-healing policy of sessions opened with Dial or
 	// DialWith: with MaxAttempts > 1 the initial dial retries with capped
@@ -322,11 +297,24 @@ type RunOptions struct {
 }
 
 func (o RunOptions) proto() proto.Options {
-	popts := proto.Options{OT: ot.DH, Workers: o.Workers, Pipelined: o.Pipelined, Integrity: o.Integrity}
+	popts := proto.Options{OT: ot.DH, Workers: o.Workers, Integrity: o.Integrity}
 	if o.Plan != nil {
 		popts.Plan = o.Plan.plan
 	}
 	return popts
+}
+
+// planFor returns the plan a local run of c executes over: o.Plan when
+// set (it must have been compiled from c), a freshly compiled one
+// otherwise.
+func (o RunOptions) planFor(c *Circuit) (*circuit.Plan, error) {
+	if o.Plan == nil {
+		return circuit.NewPlan(c)
+	}
+	if o.Plan.Circuit() != c {
+		return nil, fmt.Errorf("haac: RunOptions.Plan was compiled from a different circuit")
+	}
+	return o.Plan.plan, nil
 }
 
 // Run2PC executes a real two-party computation over an in-memory
@@ -339,13 +327,18 @@ func Run2PC(c *Circuit, garbler, evaluator []bool) ([]bool, error) {
 }
 
 // Run2PCWith is Run2PC with explicit engine options — e.g.
-// RunOptions{Workers: 8, Pipelined: true} for the parallel pipelined
-// path.
+// RunOptions{Workers: 8} for an 8-wide engine on both sides. The two
+// roles share one plan: opts.Plan, or one compiled here.
 func Run2PCWith(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool, error) {
+	popts := opts.proto()
+	plan, err := opts.planFor(c)
+	if err != nil {
+		return nil, err
+	}
+	popts.Plan = plan
 	ga, ev := net.Pipe()
 	defer ga.Close()
 	defer ev.Close()
-	popts := opts.proto()
 	type res struct {
 		bits []bool
 		err  error
@@ -499,7 +492,6 @@ func DialWith(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, er
 	sopts := server.Options{
 		OT:          ot.DH,
 		Workers:     opts.Workers,
-		Pipelined:   opts.Pipelined,
 		Retry:       opts.Retry,
 		TLS:         opts.TLS,
 		Integrity:   opts.Integrity,

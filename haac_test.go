@@ -53,9 +53,10 @@ func TestFacadeBuildEvalGarble2PC(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelPipelined drives the parallel engine and the
-// pipelined 2PC path through the public API.
-func TestFacadeParallelPipelined(t *testing.T) {
+// TestFacadeParallel drives the 4-wide plan engine, locally and as a
+// 2PC, through the public API without a caller-supplied plan — and pins
+// that Run2PCWith then compiles one plan for both of its roles.
+func TestFacadeParallel(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
 	y := b.EvaluatorInputs(16)
@@ -73,16 +74,20 @@ func TestFacadeParallelPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := Run2PCWith(c, g, e, RunOptions{Workers: 4, Pipelined: true})
+	builds := circuit.PlanBuilds()
+	pipe, err := Run2PCWith(c, g, e, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := circuit.PlanBuilds() - builds; got != 1 {
+		t.Fatalf("Run2PCWith without a plan built %d plans, want 1 shared by both roles", got)
 	}
 	for i := range plain {
 		if par[i] != plain[i] {
 			t.Fatalf("parallel bit %d != plaintext", i)
 		}
 		if pipe[i] != plain[i] {
-			t.Fatalf("pipelined 2PC bit %d != plaintext", i)
+			t.Fatalf("parallel 2PC bit %d != plaintext", i)
 		}
 	}
 	// 321 * 123 = 39483.
@@ -136,8 +141,8 @@ func TestFacadePrecompile(t *testing.T) {
 		out, err := Run2PCWith(c, g, e, RunOptions{Plan: p})
 		check("planned 2PC", out, err)
 	}
-	out, err := Run2PCWith(c, g, e, RunOptions{Plan: p, Workers: 4, Pipelined: true})
-	check("planned pipelined 2PC", out, err)
+	out, err := Run2PCWith(c, g, e, RunOptions{Plan: p, Workers: 4})
+	check("planned parallel 2PC", out, err)
 	out, err = GarbleAndEvaluateWith(c, g, e, 99, RunOptions{Plan: p, Workers: 2})
 	check("planned local garble", out, err)
 

@@ -10,9 +10,10 @@ import (
 )
 
 // Memory experiment: the software mirror of the paper's renaming /
-// out-of-range-wire story (§3.1.4). The dense engines hold one label per
-// circuit wire per run; a precompiled plan renames the write-once wire
-// space onto ≈ peak-live slots and reuses one arena across runs. The
+// out-of-range-wire story (§3.1.4). The dense reference garbler holds
+// one label per circuit wire per run; a precompiled plan renames the
+// write-once wire space onto ≈ peak-live slots and reuses one arena
+// across runs. The
 // experiment reports, per VIP workload, how far the working set shrinks
 // (peak-live width vs total wires, resident label bytes) and what it
 // does to steady-state heap allocations per run.
@@ -24,7 +25,7 @@ type MemoryRow struct {
 	Slots    int // renamed slot-space width (== peak-live wires)
 	ANDGates int
 	// DenseLabelBytes / PlanLabelBytes are the resident label-array
-	// bytes of one execution under each engine.
+	// bytes of one execution on the reference path and the plan engine.
 	DenseLabelBytes int64
 	PlanLabelBytes  int64
 	// DenseAllocs / PlanAllocs are steady-state heap allocations for one
@@ -58,8 +59,8 @@ func allocsPerRun(reps int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(reps)
 }
 
-// Memory measures the suite under the sequential dense engines vs a
-// reused plan runner pair.
+// Memory measures the suite under the dense reference gc.Garble/
+// gc.Evaluate vs a reused plan runner pair.
 func (e *Env) Memory() ([]MemoryRow, string, error) {
 	h := gc.RekeyedHasher{}
 	const reps = 3

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/label"
 	"haac/internal/ot"
@@ -283,8 +284,9 @@ type TransportRow struct {
 }
 
 // Transport measures the slab-encoded table/label stream: a full
-// in-process 2PC run per engine, recording bytes each way, end-to-end
-// throughput and allocations per garbled table.
+// in-process 2PC run per configuration over one shared plan, recording
+// bytes each way, end-to-end throughput and allocations per garbled
+// table.
 func (e *Env) Transport() ([]TransportRow, string, error) {
 	w := workloads.DotProduct(8, 16)
 	if e.Scale == Paper {
@@ -292,6 +294,10 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 	}
 	c := e.Circuit(w)
 	and, _, _ := c.CountOps()
+	plan, err := circuit.NewPlan(c)
+	if err != nil {
+		return nil, "", err
+	}
 
 	// Both hashers are allocation-free in steady state, so every row
 	// measures the transport itself; the rekeyed row shows the paper's
@@ -303,7 +309,7 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		opts proto.Options
 	}{
 		{"sequential", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk}},
-		{"pipelined-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk, Pipelined: true, Workers: 4}},
+		{"plan-x4", proto.Options{OT: ot.Insecure, Seed: 7, Hasher: fk, Workers: 4}},
 		{"iknp-seq", proto.Options{OT: ot.IKNP, Seed: 7, Hasher: fk}},
 		{"rekeyed-seq", proto.Options{OT: ot.Insecure, Seed: 7}},
 	}
@@ -314,6 +320,7 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 			stats := &proto.Stats{}
 			opts := cfg.opts
 			opts.Stats = stats
+			opts.Plan = plan
 			d, err := time2PC(w, c, opts)
 			return stats, d, err
 		}

@@ -14,24 +14,24 @@ import (
 	"haac/internal/workloads"
 )
 
-// Parallel-garbling experiment: sequential vs level-scheduled parallel
-// garbling throughput, and sequential vs pipelined 2PC wall time. This
-// is the software counterpart of the paper's gate-engine scaling study
-// (Fig. 8): levels expose the ILP, the worker pool plays the GEs.
+// Parallel-garbling experiment: the plan engine's garbling throughput
+// at several worker counts against the gate-by-gate reference garbler,
+// plus one in-process 2PC wall time. This is the software counterpart
+// of the paper's gate-engine scaling study (Fig. 8): levels expose the
+// ILP, the worker pool plays the GEs.
 
 // ParallelRow reports one workload's garbling throughput at several
 // worker counts.
 type ParallelRow struct {
 	Name     string
 	ANDGates int
-	// SeqNs is the sequential gc.Garble wall time.
+	// SeqNs is the reference gc.Garble wall time.
 	SeqNs int64
-	// WorkerNs maps worker count to gc.ParallelGarble wall time.
+	// WorkerNs maps worker count to gc.GarblePlan wall time over a
+	// precompiled plan.
 	WorkerNs map[int]int64
-	// Pipe2PCNs and Seq2PCNs are in-process 2PC wall times with the
-	// pipelined parallel engine vs the sequential stream.
-	Seq2PCNs  int64
-	Pipe2PCNs int64
+	// Seq2PCNs is the in-process 2PC wall time at one worker per side.
+	Seq2PCNs int64
 }
 
 // Speedup returns the parallel speedup at the given worker count.
@@ -46,7 +46,7 @@ func (r ParallelRow) Speedup(workers int) float64 {
 // parallelWorkerCounts are the pool widths the experiment sweeps.
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
-// ParallelGarbling measures the parallel engine against the sequential
+// ParallelGarbling measures the plan engine against the reference
 // garbler on the widest workloads of the suite.
 func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 	names := map[string]bool{"DotProd": true, "MatMult": true, "Merse": true}
@@ -58,6 +58,10 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 		}
 		c := e.Circuit(w)
 		and, _, _ := c.CountOps()
+		plan, err := circuit.NewPlan(c)
+		if err != nil {
+			return nil, "", err
+		}
 		row := ParallelRow{Name: w.Name, ANDGates: and, WorkerNs: map[int]int64{}}
 
 		start := time.Now()
@@ -68,21 +72,17 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 
 		for _, workers := range parallelWorkerCounts {
 			start = time.Now()
-			if _, err := gc.ParallelGarble(c, h, label.NewSource(7), workers); err != nil {
+			if _, err := gc.GarblePlan(plan, h, label.NewSource(7), workers); err != nil {
 				return nil, "", err
 			}
 			row.WorkerNs[workers] = time.Since(start).Nanoseconds()
 		}
 
-		seq2, err := time2PC(w, c, proto.Options{OT: ot.Insecure, Seed: 7})
+		seq2, err := time2PC(w, c, proto.Options{OT: ot.Insecure, Seed: 7, Plan: plan})
 		if err != nil {
 			return nil, "", err
 		}
-		pipe2, err := time2PC(w, c, proto.Options{OT: ot.Insecure, Seed: 7, Pipelined: true, Workers: 8})
-		if err != nil {
-			return nil, "", err
-		}
-		row.Seq2PCNs, row.Pipe2PCNs = seq2.Nanoseconds(), pipe2.Nanoseconds()
+		row.Seq2PCNs = seq2.Nanoseconds()
 		rows = append(rows, row)
 	}
 
@@ -90,20 +90,18 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 	for _, wk := range parallelWorkerCounts {
 		header = append(header, fmt.Sprintf("x%d", wk))
 	}
-	header = append(header, "2PC seq ms", "2PC pipe ms")
+	header = append(header, "2PC seq ms")
 	var cells [][]string
 	for _, r := range rows {
 		row := []string{r.Name, fmt.Sprint(r.ANDGates), ms(time.Duration(r.SeqNs))}
 		for _, wk := range parallelWorkerCounts {
 			row = append(row, fmt.Sprintf("%.2f", r.Speedup(wk)))
 		}
-		row = append(row,
-			ms(time.Duration(r.Seq2PCNs)),
-			ms(time.Duration(r.Pipe2PCNs)))
+		row = append(row, ms(time.Duration(r.Seq2PCNs)))
 		cells = append(cells, row)
 	}
 	s := table(header, cells)
-	s += fmt.Sprintf("\n(parallel columns are speedups over sequential garbling; host has %d CPU(s) —\nspeedups track min(workers, CPUs) since the level engine is compute-bound)\n",
+	s += fmt.Sprintf("\n(xN columns are the plan engine's speedup over the reference garbler at N workers;\nhost has %d CPU(s) — speedups track min(workers, CPUs) since the engine is compute-bound)\n",
 		runtime.NumCPU())
 	return rows, s, nil
 }

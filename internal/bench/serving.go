@@ -233,7 +233,16 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 		return row, fmt.Errorf("server did not grant the pooled tier")
 	}
 	bytesBefore := srv.Stats().BytesOut
-	hitsBefore := srv.Stats().PoolHits
+	// Hits are read client-side: the server counts a run's hit only
+	// after it has read the evaluator's result, so its counter can still
+	// be absorbing the warm-up run when the window opens.
+	poolHits := func() (n uint64) {
+		for _, sess := range conns {
+			n += sess.Stats().PoolHits
+		}
+		return n
+	}
+	hitsBefore := poolHits()
 	roundsBefore := ot.BaseOTRounds()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -267,7 +276,7 @@ func (e *Env) servingLevel(w workloads.Workload, c *circuit.Circuit, garblerBits
 	row.Refused = st.SessionsRefused
 	row.PlanBuilds = circuit.PlanBuilds() - buildsBefore
 	if pooled {
-		row.PoolHits = st.PoolHits - hitsBefore
+		row.PoolHits = poolHits() - hitsBefore
 		row.BaseOTRounds = ot.BaseOTRounds() - roundsBefore
 		if row.BaseOTRounds != 0 {
 			return row, fmt.Errorf("pooled steady state spent %d base-OT rounds, want 0", row.BaseOTRounds)

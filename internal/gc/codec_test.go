@@ -46,50 +46,3 @@ func TestMaterialCodecNoAllocs(t *testing.T) {
 		t.Fatalf("material codec allocates %.1f times per run, want 0", avg)
 	}
 }
-
-func TestMaterialArenaViews(t *testing.T) {
-	a := NewMaterialArena(10)
-	v1 := a.Alloc(4)
-	v2 := a.Alloc(6)
-	if len(v1) != 4 || len(v2) != 6 {
-		t.Fatal("wrong view lengths")
-	}
-	v1[3] = Material{TG: label.L{Lo: 1}}
-	v2[0] = Material{TG: label.L{Lo: 2}}
-	all := a.Contiguous()
-	if len(all) != 10 || all[3].TG.Lo != 1 || all[4].TG.Lo != 2 {
-		t.Fatal("views are not adjacent slab windows")
-	}
-	// Appending to a capped view must not clobber its neighbour.
-	_ = append(v1, Material{TG: label.L{Lo: 9}})
-	if all[4].TG.Lo != 2 {
-		t.Fatal("append through a view overwrote the next view")
-	}
-	a.Reset()
-	if len(a.Contiguous()) != 0 {
-		t.Fatal("Reset did not recycle the slab")
-	}
-	r1 := a.Alloc(10)
-	if &r1[0] != &all[0] {
-		t.Fatal("post-Reset Alloc did not reuse the slab")
-	}
-	// Exhaustion grows once rather than failing.
-	g := a.Alloc(5)
-	g[0] = Material{TE: label.L{Hi: 7}}
-	if len(a.Contiguous()) != 15 {
-		t.Fatal("grown arena lost track of its offset")
-	}
-}
-
-func TestMaterialArenaSteadyStateNoAllocs(t *testing.T) {
-	a := NewMaterialArena(64)
-	if avg := testing.AllocsPerRun(100, func() {
-		a.Reset()
-		for i := 0; i < 8; i++ {
-			v := a.Alloc(8)
-			v[0] = Material{}
-		}
-	}); avg != 0 {
-		t.Fatalf("arena steady state allocates %.1f times per run, want 0", avg)
-	}
-}

@@ -32,9 +32,11 @@ func (g *Garbled) DecodeBits() []int {
 	return d
 }
 
-// Garble garbles the circuit with the given hasher and label source.
-// The source must be cryptographically random for real use; tests use a
-// deterministic label.Source.
+// Garble garbles the circuit gate by gate over dense per-wire arrays.
+// It is the reference oracle, not a production engine: the golden
+// vectors pin its bytes and the plan runners (PlanGarbler) are tested
+// byte-identical to it. The source must be cryptographically random for
+// real use; tests use a deterministic label.Source.
 func Garble(c *circuit.Circuit, h Hasher, src *label.Source) (*Garbled, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("gc: %w", err)
@@ -108,7 +110,8 @@ func (g *Garbled) EncodeInputs(c *circuit.Circuit, garbler, evaluator []bool) ([
 }
 
 // Evaluate runs the evaluator over the whole circuit in memory, given
-// the active input labels (one per input-like wire) and the tables.
+// the active input labels (one per input-like wire) and the tables —
+// the reference oracle PlanEvaluator is tested against.
 func Evaluate(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material) ([]label.L, error) {
 	if len(inputs) != c.NumInputs() {
 		return nil, fmt.Errorf("gc: got %d input labels, want %d", len(inputs), c.NumInputs())
@@ -165,9 +168,9 @@ func (g *Garbled) Decode(outputs []label.L) ([]bool, error) {
 	return bits, nil
 }
 
-// Run garbles, encodes, evaluates and decodes in one step — the
-// convenience entry point for tests and examples that don't need the
-// two-party split.
+// Run garbles, encodes, evaluates and decodes in one step on the
+// reference path — the convenience entry point for tests and examples
+// that don't need the two-party split.
 func Run(c *circuit.Circuit, h Hasher, seed uint64, garbler, evaluator []bool) ([]bool, error) {
 	src := label.NewSource(seed)
 	g, err := Garble(c, h, src)

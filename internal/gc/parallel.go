@@ -1,22 +1,15 @@
 package gc
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
+import "sync"
 
-	"haac/internal/circuit"
-	"haac/internal/label"
-)
-
-// Parallel level-scheduled garbling and evaluation. Gates at the same
-// dependence level are independent (every producer sits at a strictly
-// lower level), so each AND level can be partitioned across a worker
-// pool — the software analogue of HAAC's parallel gate engines. The
-// output is byte-identical to the sequential Garble/Evaluate: tweaks and
-// table positions are the gate-order stream indices regardless of which
+// Level parallelism for the plan runners. Gates at the same dependence
+// level are independent (every producer sits at a strictly lower
+// level), so each AND level can be partitioned across a worker pool —
+// the software analogue of HAAC's parallel gate engines. The output is
+// byte-identical to the reference Garble/Evaluate: tweaks and table
+// positions are the gate-order stream indices regardless of which
 // worker garbles a gate, and the label source is consumed only for the
-// input wires, exactly as in the sequential path.
+// input wires.
 
 // minParallelLevel is the smallest number of AND gates in a level worth
 // dispatching to the pool; below it the per-level synchronization costs
@@ -63,260 +56,3 @@ func (p *levelPool) run(gates []int32) {
 }
 
 func (p *levelPool) close() { close(p.tasks) }
-
-// clampWorkers resolves the worker-count option: 0 (or negative) means
-// one worker per available CPU.
-func clampWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// ParallelGarble garbles the circuit with a pool of workers, producing a
-// Garbled byte-identical to the sequential Garble for the same source.
-// workers <= 0 uses one worker per CPU; workers == 1 degenerates to a
-// level-ordered sequential pass.
-func ParallelGarble(c *circuit.Circuit, h Hasher, src *label.Source, workers int) (*Garbled, error) {
-	return ParallelGarbleStream(c, h, src, workers, nil)
-}
-
-// ParallelGarbleStream is ParallelGarble with a streaming hook: emit (if
-// non-nil) is called after each level with the next contiguous chunk of
-// the gate-order table stream that became fully garbled — the chunked
-// writer the pipelined protocol puts on the wire. Chunks never overlap
-// and concatenate to exactly Garbled.Tables. An emit error aborts the
-// run.
-func ParallelGarbleStream(c *circuit.Circuit, h Hasher, src *label.Source, workers int, emit func(tables []Material) error) (*Garbled, error) {
-	lg, err := NewLevelGarbler(c, h, src, workers)
-	if err != nil {
-		return nil, err
-	}
-	return lg.Run(emit)
-}
-
-// LevelGarbler is the resumable form of ParallelGarbleStream: input
-// labels are drawn at construction (so a protocol can send them and run
-// OT before — or concurrently with — garbling) and Run performs the
-// level-parallel garbling pass. A LevelGarbler is single-use.
-type LevelGarbler struct {
-	c          *circuit.Circuit
-	h          Hasher
-	workers    int
-	sched      *circuit.Schedule
-	r          label.L
-	wires      []label.L
-	inputZeros []label.L
-	ran        bool
-}
-
-// NewLevelGarbler validates the circuit and draws the FreeXOR offset and
-// input labels, consuming src exactly as the sequential garbler does.
-// The level schedule is built here, once — not on Run. (To skip
-// schedule construction entirely across runs, precompile the circuit
-// and use PlanGarbler instead.)
-func NewLevelGarbler(c *circuit.Circuit, h Hasher, src *label.Source, workers int) (*LevelGarbler, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("gc: %w", err)
-	}
-	for i := range c.Gates {
-		if op := c.Gates[i].Op; op != circuit.XOR && op != circuit.INV && op != circuit.AND {
-			return nil, fmt.Errorf("gc: gate %d has unknown op %d", i, op)
-		}
-	}
-	lg := &LevelGarbler{c: c, h: h, workers: clampWorkers(workers), sched: c.LevelSchedule(), r: src.NextDelta()}
-	nin := c.NumInputs()
-	lg.wires = make([]label.L, c.NumWires)
-	lg.inputZeros = make([]label.L, nin)
-	for i := 0; i < nin; i++ {
-		lg.wires[i] = src.Next()
-		lg.inputZeros[i] = lg.wires[i]
-	}
-	return lg, nil
-}
-
-// R returns the FreeXOR offset.
-func (lg *LevelGarbler) R() label.L { return lg.r }
-
-// InputZeros returns the zero-labels of all input-like wires.
-func (lg *LevelGarbler) InputZeros() []label.L { return lg.inputZeros }
-
-// Run garbles the whole circuit level by level across the worker pool,
-// invoking emit (if non-nil) with successive gate-order table chunks as
-// levels complete. It may be called once.
-func (lg *LevelGarbler) Run(emit func(tables []Material) error) (*Garbled, error) {
-	if lg.ran {
-		return nil, fmt.Errorf("gc: LevelGarbler is single-use")
-	}
-	lg.ran = true
-	c, h, r, wires := lg.c, lg.h, lg.r, lg.wires
-
-	sched := lg.sched
-	// One slab backs the whole gate-order stream; per-level emits below
-	// are adjacent views of it, so no level allocates.
-	tables := make([]Material, sched.NumAND)
-
-	garbleSpan := func(gates []int32) {
-		for _, gi := range gates {
-			g := &c.Gates[gi]
-			idx := sched.ANDIndex[gi]
-			m, c0 := garbleAND(h, wires[g.A], wires[g.B], r, uint64(idx))
-			tables[idx] = m
-			wires[g.C] = c0
-		}
-	}
-
-	var pool *levelPool
-	if lg.workers > 1 {
-		pool = newLevelPool(lg.workers, garbleSpan)
-		defer pool.close()
-	}
-
-	sent := 0
-	for k := 0; k < sched.NumLevels(); k++ {
-		// Free gates are label XORs — cheaper than the dispatch they
-		// would need, so the coordinator does them inline.
-		for _, gi := range sched.Free[k] {
-			g := &c.Gates[gi]
-			if g.Op == circuit.XOR {
-				wires[g.C] = wires[g.A].Xor(wires[g.B])
-			} else { // INV
-				wires[g.C] = wires[g.A].Xor(r)
-			}
-		}
-		if and := sched.AND[k]; len(and) > 0 {
-			if pool != nil && len(and) >= minParallelLevel {
-				pool.run(and)
-			} else {
-				garbleSpan(and)
-			}
-		}
-		if emit != nil {
-			if ready := sched.EmitReady[k]; ready > sent {
-				if err := emit(tables[sent:ready]); err != nil {
-					return nil, fmt.Errorf("gc: emitting tables: %w", err)
-				}
-				sent = ready
-			}
-		}
-	}
-
-	outs := make([]label.L, len(c.Outputs))
-	for i, o := range c.Outputs {
-		outs[i] = wires[o]
-	}
-	return &Garbled{R: r, InputZeros: lg.inputZeros, Tables: tables, OutputZeros: outs}, nil
-}
-
-// ParallelEval evaluates the circuit with a pool of workers over the
-// same level schedule, producing output labels identical to Evaluate.
-func ParallelEval(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
-	and, _, _ := c.CountOps()
-	if len(tables) != and {
-		return nil, fmt.Errorf("gc: %d tables provided, circuit has %d AND gates", len(tables), and)
-	}
-	return ParallelEvalStream(c, h, inputs, workers, func(n int) ([]Material, error) {
-		return tables, nil
-	})
-}
-
-// ParallelEvalStream evaluates with tables arriving asynchronously:
-// before each level it calls need(n), which must block until at least the
-// first n tables of the gate-order stream are available and return the
-// stream so far (the returned slice may grow between calls; entries below
-// n must be final). This lets the pipelined protocol evaluate levels
-// while later tables are still in flight.
-func ParallelEvalStream(c *circuit.Circuit, h Hasher, inputs []label.L, workers int, need func(n int) ([]Material, error)) ([]label.L, error) {
-	le, err := NewLevelEvaluator(c, h, workers)
-	if err != nil {
-		return nil, err
-	}
-	return le.Run(inputs, need)
-}
-
-// LevelEvaluator is the reusable form of ParallelEvalStream: the level
-// schedule is built once at construction and every Run evaluates a
-// fresh set of inputs over it, so a process evaluating one circuit many
-// times recomputes nothing structural per run. (For the renamed,
-// allocation-free slot-arena path see PlanEvaluator.)
-type LevelEvaluator struct {
-	c       *circuit.Circuit
-	h       Hasher
-	workers int
-	sched   *circuit.Schedule
-}
-
-// NewLevelEvaluator validates the circuit and builds the schedule once.
-// (To skip schedule construction entirely across runs, precompile the
-// circuit and use PlanEvaluator instead.)
-func NewLevelEvaluator(c *circuit.Circuit, h Hasher, workers int) (*LevelEvaluator, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("gc: %w", err)
-	}
-	for i := range c.Gates {
-		if op := c.Gates[i].Op; op != circuit.XOR && op != circuit.INV && op != circuit.AND {
-			return nil, fmt.Errorf("gc: gate %d has unknown op %d", i, op)
-		}
-	}
-	return &LevelEvaluator{c: c, h: h, workers: clampWorkers(workers), sched: c.LevelSchedule()}, nil
-}
-
-// Run evaluates one set of inputs under the ParallelEvalStream
-// contract. It may be called any number of times.
-func (le *LevelEvaluator) Run(inputs []label.L, need func(n int) ([]Material, error)) ([]label.L, error) {
-	c, h, workers, sched := le.c, le.h, le.workers, le.sched
-	if len(inputs) != c.NumInputs() {
-		return nil, fmt.Errorf("gc: got %d input labels, want %d", len(inputs), c.NumInputs())
-	}
-	wires := make([]label.L, c.NumWires)
-	copy(wires, inputs)
-
-	var tables []Material
-
-	evalSpan := func(gates []int32) {
-		for _, gi := range gates {
-			g := &c.Gates[gi]
-			idx := sched.ANDIndex[gi]
-			wires[g.C] = evalAND(h, wires[g.A], wires[g.B], tables[idx], uint64(idx))
-		}
-	}
-
-	var pool *levelPool
-	if workers > 1 {
-		pool = newLevelPool(workers, evalSpan)
-		defer pool.close()
-	}
-
-	for k := 0; k < sched.NumLevels(); k++ {
-		for _, gi := range sched.Free[k] {
-			g := &c.Gates[gi]
-			if g.Op == circuit.XOR {
-				wires[g.C] = wires[g.A].Xor(wires[g.B])
-			} else { // INV: evaluator keeps the active label
-				wires[g.C] = wires[g.A]
-			}
-		}
-		if and := sched.AND[k]; len(and) > 0 {
-			t, err := need(sched.NeedTables[k])
-			if err != nil {
-				return nil, fmt.Errorf("gc: waiting for tables: %w", err)
-			}
-			if len(t) < sched.NeedTables[k] {
-				return nil, fmt.Errorf("gc: table stream exhausted (have %d, level %d needs %d)",
-					len(t), k+1, sched.NeedTables[k])
-			}
-			tables = t
-			if pool != nil && len(and) >= minParallelLevel {
-				pool.run(and)
-			} else {
-				evalSpan(and)
-			}
-		}
-	}
-
-	out := make([]label.L, len(c.Outputs))
-	for i, o := range c.Outputs {
-		out[i] = wires[o]
-	}
-	return out, nil
-}

@@ -53,13 +53,14 @@ func equalGarbled(a, b *Garbled) error {
 	return nil
 }
 
-// TestParallelGarbleDeterminism is the tentpole invariant: for every
-// worker count the parallel engine's output is byte-identical to the
-// sequential garbler, across circuits, seeds and both hashers.
-func TestParallelGarbleDeterminism(t *testing.T) {
+// TestPlanGarbleDeterminism is the engine's core invariant: for every
+// worker count the plan garbler's output is byte-identical to the
+// reference garbler, across circuits, seeds and both hashers.
+func TestPlanGarbleDeterminism(t *testing.T) {
 	hashers := []Hasher{RekeyedHasher{}, NewFixedKeyHasher([16]byte{9, 9})}
 	for _, w := range parallelCircuits() {
 		c := w.Build()
+		p := mustPlan(t, c)
 		for _, h := range hashers {
 			for _, seed := range []uint64{1, 42, 0xfeedface} {
 				want, err := Garble(c, h, label.NewSource(seed))
@@ -67,7 +68,7 @@ func TestParallelGarbleDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4, 8} {
-					got, err := ParallelGarble(c, h, label.NewSource(seed), workers)
+					got, err := GarblePlan(p, h, label.NewSource(seed), workers)
 					if err != nil {
 						t.Fatalf("%s/%s/seed=%d/w=%d: %v", w.Name, h.Name(), seed, workers, err)
 					}
@@ -80,13 +81,14 @@ func TestParallelGarbleDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelEvalMatchesSequential checks the evaluator side: same
-// output labels as Evaluate for every worker count, and correct
-// plaintext after decoding.
-func TestParallelEvalMatchesSequential(t *testing.T) {
+// TestPlanEvalMatchesReference checks the evaluator side: same output
+// labels as Evaluate for every worker count, and correct plaintext
+// after decoding.
+func TestPlanEvalMatchesReference(t *testing.T) {
 	h := RekeyedHasher{}
 	for _, w := range parallelCircuits() {
 		c := w.Build()
+		p := mustPlan(t, c)
 		g, e := w.Inputs(7)
 		want := w.Reference(g, e)
 
@@ -103,7 +105,7 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			parOut, err := ParallelEval(c, h, in, garbled.Tables, workers)
+			parOut, err := EvalPlan(p, h, in, garbled.Tables, workers)
 			if err != nil {
 				t.Fatalf("%s/w=%d: %v", w.Name, workers, err)
 			}
@@ -122,135 +124,6 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelGarbleStreamChunks checks the streaming hook: chunks are
-// contiguous, cover the whole stream, and match the in-memory tables.
-func TestParallelGarbleStreamChunks(t *testing.T) {
-	w := workloads.Hamming(128)
-	c := w.Build()
-	h := RekeyedHasher{}
-	want, err := Garble(c, h, label.NewSource(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Material
-	chunks := 0
-	got, err := ParallelGarbleStream(c, h, label.NewSource(5), 4, func(tables []Material) error {
-		streamed = append(streamed, tables...)
-		chunks++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := equalGarbled(want, got); err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(want.Tables) {
-		t.Fatalf("streamed %d tables, want %d", len(streamed), len(want.Tables))
-	}
-	for i := range streamed {
-		if streamed[i] != want.Tables[i] {
-			t.Fatalf("streamed table %d differs", i)
-		}
-	}
-	if chunks < 2 {
-		t.Fatalf("expected level-by-level chunking, got %d chunk(s)", chunks)
-	}
-}
-
-// TestParallelGarbleStreamEmitError checks an emit failure aborts.
-func TestParallelGarbleStreamEmitError(t *testing.T) {
-	c := workloads.Hamming(128).Build()
-	boom := fmt.Errorf("pipe broke")
-	_, err := ParallelGarbleStream(c, RekeyedHasher{}, label.NewSource(5), 2, func([]Material) error {
-		return boom
-	})
-	if err == nil {
-		t.Fatal("emit error not propagated")
-	}
-}
-
-// TestParallelEvalStreamBlocking drives ParallelEvalStream through a
-// table source that releases tables incrementally from another goroutine,
-// the shape the pipelined protocol uses.
-func TestParallelEvalStreamBlocking(t *testing.T) {
-	w := workloads.Mult32()
-	c := w.Build()
-	h := RekeyedHasher{}
-	g, e := w.Inputs(3)
-	want := w.Reference(g, e)
-
-	garbled, err := Garble(c, h, label.NewSource(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := garbled.EncodeInputs(c, g, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Feeder: release tables in small batches.
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	released := 0
-	go func() {
-		for released < len(garbled.Tables) {
-			mu.Lock()
-			released += 37
-			if released > len(garbled.Tables) {
-				released = len(garbled.Tables)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}()
-	need := func(n int) ([]Material, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		for released < n {
-			cond.Wait()
-		}
-		return garbled.Tables[:released], nil
-	}
-
-	out, err := ParallelEvalStream(c, h, in, 4, need)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits, err := garbled.Decode(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Fatalf("bit %d wrong", i)
-		}
-	}
-}
-
-// TestParallelEvalTableCountMismatch mirrors the sequential engine's
-// stream-exhaustion errors.
-func TestParallelEvalTableCountMismatch(t *testing.T) {
-	w := workloads.Millionaire(8)
-	c := w.Build()
-	h := RekeyedHasher{}
-	g, e := w.Inputs(1)
-	garbled, err := Garble(c, h, label.NewSource(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := garbled.EncodeInputs(c, g, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParallelEval(c, h, in, garbled.Tables[:len(garbled.Tables)-1], 2); err == nil {
-		t.Fatal("short table stream accepted")
-	}
-	if _, err := ParallelEval(c, h, in, append(append([]Material{}, garbled.Tables...), Material{}), 2); err == nil {
-		t.Fatal("overlong table stream accepted")
 	}
 }
 

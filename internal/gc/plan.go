@@ -7,18 +7,18 @@ import (
 	"haac/internal/label"
 )
 
-// Plan-based execution: the engines in this file run a precompiled
-// circuit.Plan instead of a raw circuit. The plan's renaming maps the
-// write-once wire space onto a slot space of width == peak-live wires,
-// so a run touches a label arena of NumSlots entries instead of
-// NumWires — the paper's rename-and-evict memory idea (§3.1.4) applied
-// to the software hot path — and the cached schedule removes the
-// per-run LevelSchedule rebuild. Runners own their arenas and reuse
-// them across runs: steady-state plan execution allocates nothing.
+// Plan-based execution — the one production engine: the runners in this
+// file execute a precompiled circuit.Plan instead of a raw circuit. The
+// plan's renaming maps the write-once wire space onto a slot space of
+// width == peak-live wires, so a run touches a label arena of NumSlots
+// entries instead of NumWires — the paper's rename-and-evict memory
+// idea (§3.1.4) applied to the software hot path — and the schedule is
+// built once with the plan, never per run. Runners own their arenas and
+// reuse them across runs: steady-state plan execution allocates nothing.
 //
-// Outputs are byte-identical to the dense engines: renaming only moves
-// where labels are stored, never what is hashed, and tables keep their
-// gate-order stream positions and tweaks.
+// Outputs are byte-identical to the reference Garble/Evaluate: renaming
+// only moves where labels are stored, never what is hashed, and tables
+// keep their gate-order stream positions and tweaks.
 
 // PlanGarbler garbles a precompiled plan repeatedly with zero
 // steady-state allocations. A PlanGarbler is not safe for concurrent
@@ -31,7 +31,6 @@ import (
 type PlanGarbler struct {
 	p          *circuit.Plan
 	h          Hasher
-	workers    int
 	pool       *levelPool
 	span       func(gates []int32)
 	slots      []label.L
@@ -43,14 +42,14 @@ type PlanGarbler struct {
 	began      bool
 }
 
-// NewPlanGarbler builds a reusable garbler for the plan. workers follows
-// the engine convention: <= 0 means one worker per CPU, 1 is sequential.
-// Call Close when done with a parallel runner to release its pool.
+// NewPlanGarbler builds a reusable garbler for the plan. workers <= 1 is
+// sequential; larger values split each AND level across that many pool
+// goroutines. Call Close when done with a parallel runner to release
+// its pool.
 func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 	pg := &PlanGarbler{
 		p:          p,
 		h:          h,
-		workers:    clampWorkers(workers),
 		slots:      make([]label.L, p.NumSlots),
 		inputZeros: make([]label.L, p.Circuit.NumInputs()),
 		tables:     make([]Material, p.Schedule.NumAND),
@@ -67,8 +66,8 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 			slots[g.C] = c0
 		}
 	}
-	if pg.workers > 1 {
-		pg.pool = newLevelPool(pg.workers, pg.span)
+	if workers > 1 {
+		pg.pool = newLevelPool(workers, pg.span)
 	}
 	return pg
 }
@@ -82,7 +81,7 @@ func (pg *PlanGarbler) Close() {
 }
 
 // Begin starts a run: it draws the FreeXOR offset and the input labels,
-// consuming src exactly as the dense garblers do.
+// consuming src exactly as the reference Garble does.
 func (pg *PlanGarbler) Begin(src *label.Source) {
 	pg.r = src.NextDelta()
 	for i := range pg.inputZeros {
@@ -101,8 +100,9 @@ func (pg *PlanGarbler) R() label.L { return pg.r }
 func (pg *PlanGarbler) InputZeros() []label.L { return pg.inputZeros }
 
 // Run garbles the whole plan level by level, invoking emit (if non-nil)
-// with successive gate-order table chunks as levels complete, exactly
-// like LevelGarbler.Run. Begin must be called before each Run.
+// with successive gate-order table chunks as levels complete: chunks
+// never overlap and concatenate to exactly Garbled.Tables, and an emit
+// error aborts the run. Begin must be called before each Run.
 func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error) {
 	if !pg.began {
 		return nil, fmt.Errorf("gc: PlanGarbler.Run without Begin")
@@ -144,18 +144,9 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	return &pg.g, nil
 }
 
-// GarblePlan garbles a plan sequentially in one shot — the plan-based
-// counterpart of Garble. For steady-state reuse hold a PlanGarbler
-// instead.
-func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source) (*Garbled, error) {
-	pg := NewPlanGarbler(p, h, 1)
-	pg.Begin(src)
-	return pg.Run(nil)
-}
-
-// ParallelGarblePlan garbles a plan with a worker pool in one shot — the
-// plan-based counterpart of ParallelGarble.
-func ParallelGarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
+// GarblePlan garbles a plan in one shot with the given worker count.
+// For steady-state reuse hold a PlanGarbler instead.
+func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
 	pg := NewPlanGarbler(p, h, workers)
 	defer pg.Close()
 	pg.Begin(src)
@@ -167,25 +158,23 @@ func ParallelGarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers in
 // and give each goroutine its own runner. The output-label slice
 // returned by Eval/EvalStream is reused by the next run.
 type PlanEvaluator struct {
-	p       *circuit.Plan
-	h       Hasher
-	workers int
-	pool    *levelPool
-	span    func(gates []int32)
-	slots   []label.L
-	outs    []label.L
-	tables  []Material
+	p      *circuit.Plan
+	h      Hasher
+	pool   *levelPool
+	span   func(gates []int32)
+	slots  []label.L
+	outs   []label.L
+	tables []Material
 }
 
 // NewPlanEvaluator builds a reusable evaluator for the plan. workers
-// follows the engine convention; Close releases a parallel pool.
+// follows the NewPlanGarbler convention; Close releases a parallel pool.
 func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 	pe := &PlanEvaluator{
-		p:       p,
-		h:       h,
-		workers: clampWorkers(workers),
-		slots:   make([]label.L, p.NumSlots),
-		outs:    make([]label.L, len(p.Circuit.Outputs)),
+		p:     p,
+		h:     h,
+		slots: make([]label.L, p.NumSlots),
+		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
 	pe.span = func(gates []int32) {
 		sched, slots, tables := pe.p.Schedule, pe.slots, pe.tables
@@ -195,8 +184,8 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 			slots[g.C] = evalAND(pe.h, slots[g.A], slots[g.B], tables[idx], uint64(idx))
 		}
 	}
-	if pe.workers > 1 {
-		pe.pool = newLevelPool(pe.workers, pe.span)
+	if workers > 1 {
+		pe.pool = newLevelPool(workers, pe.span)
 	}
 	return pe
 }
@@ -210,7 +199,7 @@ func (pe *PlanEvaluator) Close() {
 }
 
 // Eval runs the evaluator over the full table stream, producing output
-// labels identical to Evaluate on the dense path.
+// labels identical to the reference Evaluate.
 func (pe *PlanEvaluator) Eval(inputs []label.L, tables []Material) ([]label.L, error) {
 	if len(tables) != pe.p.Schedule.NumAND {
 		return nil, fmt.Errorf("gc: %d tables provided, plan has %d AND gates",
@@ -219,10 +208,12 @@ func (pe *PlanEvaluator) Eval(inputs []label.L, tables []Material) ([]label.L, e
 	return pe.EvalStream(inputs, func(int) ([]Material, error) { return tables, nil })
 }
 
-// EvalStream evaluates with tables arriving asynchronously under the
-// ParallelEvalStream contract: before each AND level it calls need(n),
-// which must block until the first n tables of the gate-order stream are
-// final and return the stream so far.
+// EvalStream evaluates with tables arriving asynchronously: before each
+// AND level it calls need(n), which must block until at least the first
+// n tables of the gate-order stream are available and return the stream
+// so far (the returned slice may grow between calls; entries below n
+// must be final). This lets a protocol evaluate levels while later
+// tables are still in flight.
 func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Material, error)) ([]label.L, error) {
 	c := pe.p.Circuit
 	if len(inputs) != c.NumInputs() {
@@ -265,15 +256,9 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 	return pe.outs, nil
 }
 
-// EvalPlan evaluates a plan sequentially in one shot — the plan-based
-// counterpart of Evaluate. For steady-state reuse hold a PlanEvaluator.
-func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material) ([]label.L, error) {
-	return NewPlanEvaluator(p, h, 1).Eval(inputs, tables)
-}
-
-// ParallelEvalPlan evaluates a plan with a worker pool in one shot — the
-// plan-based counterpart of ParallelEval.
-func ParallelEvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
+// EvalPlan evaluates a plan in one shot with the given worker count.
+// For steady-state reuse hold a PlanEvaluator.
+func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
 	pe := NewPlanEvaluator(p, h, workers)
 	defer pe.Close()
 	return pe.Eval(inputs, tables)

@@ -1,7 +1,9 @@
 package gc
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"haac/internal/circuit"
@@ -19,10 +21,10 @@ func mustPlan(t *testing.T, c *circuit.Circuit) *circuit.Plan {
 	return p
 }
 
-// checkPlanByteIdentity asserts the full dense-vs-planned contract on
-// one circuit: identical Garbled (R, input zeros, tables, output zeros),
-// identical output labels from evaluation, identical decoded bits —
-// across sequential and parallel plan engines.
+// checkPlanByteIdentity asserts the full reference-vs-planned contract
+// on one circuit: identical Garbled (R, input zeros, tables, output
+// zeros), identical output labels from evaluation, identical decoded
+// bits — at plan worker counts 1, 2 and 4.
 func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garbler, evaluator []bool, seed uint64) {
 	t.Helper()
 	h := RekeyedHasher{}
@@ -32,20 +34,14 @@ func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garble
 	if err != nil {
 		t.Fatalf("%s: dense garble: %v", name, err)
 	}
-	got, err := GarblePlan(p, h, label.NewSource(seed))
-	if err != nil {
-		t.Fatalf("%s: plan garble: %v", name, err)
-	}
-	if err := equalGarbled(want, got); err != nil {
-		t.Fatalf("%s: plan garble differs from dense: %v", name, err)
-	}
-	for _, workers := range []int{2, 4} {
-		gotP, err := ParallelGarblePlan(p, h, label.NewSource(seed), workers)
+	var got *Garbled
+	for _, workers := range []int{4, 2, 1} {
+		got, err = GarblePlan(p, h, label.NewSource(seed), workers)
 		if err != nil {
-			t.Fatalf("%s/w=%d: %v", name, workers, err)
+			t.Fatalf("%s/w=%d: plan garble: %v", name, workers, err)
 		}
-		if err := equalGarbled(want, gotP); err != nil {
-			t.Fatalf("%s/w=%d: parallel plan garble differs: %v", name, workers, err)
+		if err := equalGarbled(want, got); err != nil {
+			t.Fatalf("%s/w=%d: plan garble differs from dense: %v", name, workers, err)
 		}
 	}
 
@@ -57,25 +53,19 @@ func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garble
 	if err != nil {
 		t.Fatalf("%s: dense eval: %v", name, err)
 	}
-	planOut, err := EvalPlan(p, h, in, want.Tables)
-	if err != nil {
-		t.Fatalf("%s: plan eval: %v", name, err)
-	}
-	if len(planOut) != len(seqOut) {
-		t.Fatalf("%s: plan eval returned %d labels, want %d", name, len(planOut), len(seqOut))
-	}
-	for i := range seqOut {
-		if planOut[i] != seqOut[i] {
-			t.Fatalf("%s: output label %d differs between dense and planned eval", name, i)
+	var planOut []label.L
+	for _, workers := range []int{4, 2, 1} {
+		planOut, err = EvalPlan(p, h, in, want.Tables, workers)
+		if err != nil {
+			t.Fatalf("%s/w=%d: plan eval: %v", name, workers, err)
 		}
-	}
-	parOut, err := ParallelEvalPlan(p, h, in, want.Tables, 4)
-	if err != nil {
-		t.Fatalf("%s: parallel plan eval: %v", name, err)
-	}
-	for i := range seqOut {
-		if parOut[i] != seqOut[i] {
-			t.Fatalf("%s: output label %d differs under parallel plan eval", name, i)
+		if len(planOut) != len(seqOut) {
+			t.Fatalf("%s/w=%d: plan eval returned %d labels, want %d", name, workers, len(planOut), len(seqOut))
+		}
+		for i := range seqOut {
+			if planOut[i] != seqOut[i] {
+				t.Fatalf("%s/w=%d: output label %d differs between dense and planned eval", name, workers, i)
+			}
 		}
 	}
 
@@ -177,8 +167,9 @@ func TestPlanRunnerReuse(t *testing.T) {
 	}
 }
 
-// TestPlanGarblerEmitChunks: the plan garbler's emit hook produces the
-// same contiguous gate-order chunking contract as LevelGarbler.
+// TestPlanGarblerEmitChunks: the plan garbler's emit hook hands out
+// contiguous, non-overlapping gate-order chunks, level by level, that
+// concatenate to the in-memory tables.
 func TestPlanGarblerEmitChunks(t *testing.T) {
 	c := workloads.Hamming(128).Build()
 	h := RekeyedHasher{}
@@ -216,8 +207,21 @@ func TestPlanGarblerEmitChunks(t *testing.T) {
 	}
 }
 
-// TestPlanEvalStreamBlocking drives the plan evaluator through an
-// incrementally released table stream, the pipelined-protocol shape.
+// TestPlanGarblerEmitError checks an emit failure aborts the run.
+func TestPlanGarblerEmitError(t *testing.T) {
+	p := mustPlan(t, workloads.Hamming(128).Build())
+	pg := NewPlanGarbler(p, RekeyedHasher{}, 2)
+	defer pg.Close()
+	pg.Begin(label.NewSource(5))
+	boom := errors.New("pipe broke")
+	if _, err := pg.Run(func([]Material) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("emit error not propagated: %v", err)
+	}
+}
+
+// TestPlanEvalStreamBlocking drives a 4-worker plan evaluator through a
+// table source that another goroutine releases in small batches — need
+// genuinely blocks — the shape a protocol reading tables off a wire has.
 func TestPlanEvalStreamBlocking(t *testing.T) {
 	w := workloads.Mult32()
 	c := w.Build()
@@ -235,14 +239,34 @@ func TestPlanEvalStreamBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
 	released := 0
+	go func() {
+		for {
+			mu.Lock()
+			released += 37
+			done := released >= len(garbled.Tables)
+			if done {
+				released = len(garbled.Tables)
+			}
+			cond.Broadcast()
+			mu.Unlock()
+			if done {
+				return
+			}
+		}
+	}()
 	need := func(n int) ([]Material, error) {
-		if n > released {
-			released = n // synchronous feeder: release exactly what is needed
+		mu.Lock()
+		defer mu.Unlock()
+		for released < n {
+			cond.Wait()
 		}
 		return garbled.Tables[:released], nil
 	}
-	pe := NewPlanEvaluator(p, h, 1)
+	pe := NewPlanEvaluator(p, h, 4)
+	defer pe.Close()
 	out, err := pe.EvalStream(in, need)
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +282,8 @@ func TestPlanEvalStreamBlocking(t *testing.T) {
 	}
 }
 
-// TestPlanEvalTableCountMismatch mirrors the dense engines' stream
-// exhaustion errors.
+// TestPlanEvalTableCountMismatch mirrors the reference evaluator's
+// stream-length errors.
 func TestPlanEvalTableCountMismatch(t *testing.T) {
 	w := workloads.Millionaire(8)
 	c := w.Build()
@@ -274,10 +298,10 @@ func TestPlanEvalTableCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalPlan(p, h, in, garbled.Tables[:len(garbled.Tables)-1]); err == nil {
+	if _, err := EvalPlan(p, h, in, garbled.Tables[:len(garbled.Tables)-1], 2); err == nil {
 		t.Fatal("short table stream accepted")
 	}
-	if _, err := EvalPlan(p, h, in, append(append([]Material{}, garbled.Tables...), Material{})); err == nil {
+	if _, err := EvalPlan(p, h, in, append(append([]Material{}, garbled.Tables...), Material{}), 2); err == nil {
 		t.Fatal("overlong table stream accepted")
 	}
 	if _, err := pgRunWithoutBegin(p, h); err == nil {

@@ -141,14 +141,8 @@ func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	garbleAllocs := testing.AllocsPerRun(10, func() {
-		sg, err := NewStreamGarbler(c, h, label.NewSource(7))
-		if err != nil {
+		if _, err := Garble(c, h, label.NewSource(7)); err != nil {
 			t.Fatal(err)
-		}
-		for {
-			if _, ok := sg.Next(); !ok {
-				break
-			}
 		}
 	})
 	if garbleAllocs > 50 {
@@ -156,18 +150,7 @@ func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	evalAllocs := testing.AllocsPerRun(10, func() {
-		se, err := NewStreamEvaluator(c, h, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for se.NeedTable() {
-			if err := se.Feed(garbled.Tables[i]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if _, err := se.Outputs(); err != nil {
+		if _, err := Evaluate(c, h, inputs, garbled.Tables); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/label"
 	"haac/internal/ot"
@@ -89,6 +90,10 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 	h := gc.NewFixedKeyHasher([16]byte{3})
 
+	plan, err := circuit.NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	garbled, err := gc.Garble(c, h, label.NewSource(7))
 	if err != nil {
 		t.Fatal(err)
@@ -99,16 +104,10 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Garble loop: construction allocates (wire arrays), Next must not.
+	// Garble loop: runner construction allocates (arenas), gates must not.
 	garbleAllocs := testing.AllocsPerRun(10, func() {
-		sg, err := gc.NewStreamGarbler(c, h, label.NewSource(7))
-		if err != nil {
+		if _, err := gc.GarblePlan(plan, h, label.NewSource(7), 1); err != nil {
 			t.Fatal(err)
-		}
-		for {
-			if _, ok := sg.Next(); !ok {
-				break
-			}
 		}
 	})
 	if garbleAllocs > 50 {
@@ -116,18 +115,7 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	evalAllocs := testing.AllocsPerRun(10, func() {
-		se, err := gc.NewStreamEvaluator(c, h, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for se.NeedTable() {
-			if err := se.Feed(garbled.Tables[i]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if _, err := se.Outputs(); err != nil {
+		if _, err := gc.EvalPlan(plan, h, inputs, garbled.Tables, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -136,18 +124,22 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRekeyed2PCSteadyStateAllocs: a full two-party run under the
-// paper's re-keyed hasher stays O(1) allocations per circuit now that
-// key schedules live in pooled scratch — before the schedule-reuse
-// rewrite this path paid one crypto/aes cipher allocation per hash
-// (~18 allocations per table on this workload).
+// TestRekeyed2PCSteadyStateAllocs: a full one-shot two-party run over a
+// shared plan, under the paper's re-keyed hasher, stays O(1) allocations
+// per circuit — key schedules live in pooled scratch (a per-hash
+// crypto/aes cipher was ~18 allocations per table on this workload) —
+// and never rebuilds the plan.
 func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	w := workloads.DotProduct(4, 16)
 	c := w.Build()
 	and, _, _ := c.CountOps()
+	plan, err := circuit.NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, e := w.Inputs(5)
-	opts := Options{OT: ot.Insecure, Seed: 7} // default hasher: rekeyed
+	opts := Options{OT: ot.Insecure, Seed: 7, Plan: plan} // default hasher: rekeyed
 
 	run := func() {
 		ga, ev := net.Pipe()
@@ -167,6 +159,7 @@ func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 	}
 	run() // warm pools
 
+	builds := circuit.PlanBuilds()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -175,6 +168,9 @@ func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
+	if got := circuit.PlanBuilds() - builds; got != 0 {
+		t.Fatalf("planned runs rebuilt the plan %d times; reuse must compile zero", got)
+	}
 	perTable := float64(after.Mallocs-before.Mallocs) / reps / float64(and)
 	// Per-run overhead (pipe, goroutine, wire arrays) is O(1); a
 	// per-hash allocation regression puts this at >= 2.
@@ -183,37 +179,52 @@ func TestRekeyed2PCSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEvalSequentialTableReadAllocs: the evaluator's batched table
-// reader allocates O(1) per stream, independent of table count.
-func TestEvalSequentialTableReadAllocs(t *testing.T) {
+// TestEvaluatorSessionReplayAllocs: an EvaluatorSession replaying a
+// recorded garbler stream allocates O(1) per run — the batched table
+// reader and the plan runner add nothing per table.
+func TestEvaluatorSessionReplayAllocs(t *testing.T) {
 	skipUnderRace(t)
 	w := workloads.DotProduct(4, 16)
 	c := w.Build()
-	h := gc.NewFixedKeyHasher([16]byte{3})
-	garbled, err := gc.Garble(c, h, label.NewSource(7))
+	plan, err := circuit.NewPlan(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, e := w.Inputs(5)
-	inputs, err := garbled.EncodeInputs(c, g, e)
+	opts := Options{OT: ot.Insecure, Seed: 7, Plan: plan, Hasher: gc.NewFixedKeyHasher([16]byte{3})}
+
+	var stream bytes.Buffer
+	ga, ev := net.Pipe()
+	defer ga.Close()
+	defer ev.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunGarbler(teeConn{ga, &stream}, c, g, opts)
+		errc <- err
+	}()
+	es, err := NewEvaluatorSession(ev, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := make([]byte, gc.MaterialSize*len(garbled.Tables))
-	gc.EncodeMaterials(stream, garbled.Tables)
-	opts := Options{Hasher: h}
-
-	// Warm pools.
-	if _, err := evalSequential(bufio.NewReader(bytes.NewReader(stream)), c, inputs, opts); err != nil {
+	defer es.Close()
+	if _, err := es.Run(e); err != nil {
 		t.Fatal(err)
 	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	rd := bytes.NewReader(stream.Bytes())
+	replay := readWriter{rd, io.Discard}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := evalSequential(bufio.NewReader(bytes.NewReader(stream)), c, inputs, opts); err != nil {
+		rd.Reset(stream.Bytes())
+		es.Reset(replay)
+		if _, err := es.Run(e); err != nil {
 			t.Fatal(err)
 		}
 	})
 	and, _, _ := c.CountOps()
 	if avg > 60 {
-		t.Fatalf("sequential eval allocates %.0f times for %d tables (want O(1) per stream)", avg, and)
+		t.Fatalf("replayed eval allocates %.0f times for %d tables (want O(1) per stream)", avg, and)
 	}
 }

@@ -4,6 +4,11 @@
 // delivered by oblivious transfer. This is the repository's stand-in for
 // the EMP Toolkit 2PC runtime the paper builds on.
 //
+// There is one execution engine: GarblerSession and EvaluatorSession
+// drive gc's plan runners over a compiled circuit.Plan, streaming each
+// dependence level's tables as it completes. RunGarbler and
+// RunEvaluator are one-run wrappers around a session.
+//
 // Wire format (little-endian):
 //
 //	header:  magic u32 | version u8 | otProto u8 | nGates u64 | nWires u64 |
@@ -46,24 +51,19 @@ type Options struct {
 	Seed uint64
 	// Stats, when non-nil, collects transfer metrics for the run.
 	Stats *Stats
-	// Workers sets the width of the parallel garbling/evaluation engine.
-	// 0 or 1 keeps the classic sequential path (unless Pipelined is set,
-	// where 0 means one worker per CPU); > 1 garbles and evaluates with
-	// gc.ParallelGarble / gc.ParallelEval.
+	// Workers is the width of the plan engine: <= 1 garbles and
+	// evaluates each dependence level on the calling goroutine, larger
+	// values split every AND level across that many pool workers. This
+	// is the one worker-count rule in the repository — the serving
+	// layer, the public RunOptions and the gc plan runners all follow
+	// it, so a zero-valued config is always sequential. The wire bytes
+	// do not depend on it; each party picks its own width.
 	Workers int
-	// Pipelined overlaps garbling, table transfer and evaluation: the
-	// garbler streams each dependence level's tables as the worker pool
-	// finishes them while the evaluator consumes tables concurrently
-	// with evaluation — the software analogue of HAAC's table queues.
-	// The wire format is unchanged, so a pipelined party interoperates
-	// with a sequential peer.
-	Pipelined bool
-	// Plan, when non-nil, must be a plan compiled from the same circuit
-	// passed to RunGarbler/RunEvaluator; the run then executes over the
-	// plan's compact slot arena and cached schedule (in whichever mode
-	// Workers/Pipelined select) instead of dense per-run wire arrays.
-	// Share one plan across runs to amortize schedule construction and
-	// renaming. The wire format is unchanged.
+	// Plan is the compiled plan the run executes over; it must have been
+	// compiled from the same circuit passed to RunGarbler/RunEvaluator/
+	// NewEvaluatorSession. When nil those entry points compile one per
+	// call (circuit.NewPlan, about the cost of half a garble) — share
+	// one plan across runs, or hold a session, to amortize it.
 	Plan *circuit.Plan
 	// Integrity wraps the run's entire byte stream — both directions —
 	// in length+CRC32C frames (see FramedConn), so transport corruption
@@ -86,6 +86,35 @@ func (o *Options) fill() error {
 		o.Seed = l.Lo
 	}
 	return nil
+}
+
+// planFor returns the plan a run of c executes over: Options.Plan when
+// set (it must have been compiled from c), a freshly compiled one
+// otherwise.
+func (o *Options) planFor(c *circuit.Circuit) (*circuit.Plan, error) {
+	if o.Plan == nil {
+		p, err := circuit.NewPlan(c)
+		if err != nil {
+			return nil, fmt.Errorf("proto: %w", err)
+		}
+		return p, nil
+	}
+	if o.Plan.Circuit != c {
+		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
+	}
+	return o.Plan, nil
+}
+
+// oneShot prepares a one-run wrapper's transport and session options.
+// Options.Integrity frames the whole stream here rather than in the
+// session (the serving layer negotiates framing itself); bytes are then
+// counted beneath the frames, so the session must not count them again.
+func (o Options) oneShot(conn io.ReadWriter) (io.ReadWriter, Options) {
+	if o.Integrity {
+		conn = NewFramedConn(Instrument(conn, o.Stats))
+		o.Stats = nil
+	}
+	return conn, o
 }
 
 type header struct {
@@ -140,21 +169,16 @@ func decodeHeader(b []byte) header {
 	}
 }
 
-// checkHeader validates a run header received off the wire against the
-// local circuit. Every failure is typed ErrMalformedFrame: the header
-// either is not a HAAC frame at all (magic/version/OT byte) or
-// contradicts the circuit the parties agreed on — on a digest-verified
-// session the latter can only mean stream corruption, so a retrying
-// client treats both as transport damage.
-func checkHeader(h header, c *circuit.Circuit) error {
-	return checkHeaderWant(h, headerFor(c, Options{}))
-}
-
-// checkHeaderWant is checkHeader against a precomputed expected header
-// (the session path keeps one per connection so validation stays
-// allocation- and scan-free per run). want's OTProto is ignored: the
-// garbler picks the OT protocol and the evaluator follows, as long as
-// the byte names a protocol that exists.
+// checkHeaderWant validates a run header received off the wire against
+// the expected header of the local circuit (a session keeps one per
+// connection so validation stays allocation- and scan-free per run).
+// Every failure is typed ErrMalformedFrame: the header either is not a
+// HAAC frame at all (magic/version/OT byte) or contradicts the circuit
+// the parties agreed on — on a digest-verified session the latter can
+// only mean stream corruption, so a retrying client treats both as
+// transport damage. want's OTProto is ignored: the garbler picks the OT
+// protocol and the evaluator follows, as long as the byte names a
+// protocol that exists.
 func checkHeaderWant(h, want header) error {
 	if h.Magic != magic {
 		return fmt.Errorf("proto: %w: bad header magic %#x", ErrMalformedFrame, h.Magic)
@@ -224,23 +248,6 @@ func sendActiveInputs(w *bufio.Writer, c *circuit.Circuit, zeros []label.L, r la
 	return nil
 }
 
-// sendEvalLabels runs the sender side of the OT that delivers the
-// evaluator's input labels.
-func sendEvalLabels(conn io.ReadWriter, c *circuit.Circuit, zeros []label.L, r label.L, otp ot.Protocol) error {
-	if c.EvaluatorInputs == 0 {
-		return nil
-	}
-	pairs := make([]ot.Pair, c.EvaluatorInputs)
-	off := c.GarblerInputs
-	for i := range pairs {
-		pairs[i] = ot.Pair{M0: zeros[off+i], M1: zeros[off+i].Xor(r)}
-	}
-	if err := ot.Send(conn, otp, pairs); err != nil {
-		return wrapPeer("OT", err)
-	}
-	return nil
-}
-
 // writeTables streams a chunk of the gate-order table stream,
 // slab-encoding up to slabTables tables per Write.
 func writeTables(w *bufio.Writer, tables []gc.Material) error {
@@ -260,231 +267,39 @@ func writeTables(w *bufio.Writer, tables []gc.Material) error {
 	return nil
 }
 
-// finishGarbler sends the decode bits and collects the evaluator's
-// plaintext result.
-func finishGarbler(conn io.ReadWriter, w *bufio.Writer, c *circuit.Circuit, garbled *gc.Garbled) ([]bool, error) {
-	for _, d := range garbled.DecodeBits() {
-		if err := w.WriteByte(byte(d)); err != nil {
-			return nil, wrapPeer("sending decode bits", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("sending decode bits", err)
-	}
-	res := make([]byte, len(c.Outputs))
-	if _, err := io.ReadFull(conn, res); err != nil {
-		return nil, wrapPeer("reading result", err)
-	}
-	out := make([]bool, len(res))
-	for i, b := range res {
-		out[i] = b == 1
-	}
-	return out, nil
-}
-
-// RunGarbler executes the garbler role end to end and returns the
-// plaintext outputs reported back by the evaluator. Options select the
-// engine: sequential streaming (default), offline parallel (Workers > 1)
-// or level-pipelined parallel (Pipelined).
+// RunGarbler executes the garbler role for one run and returns the
+// plaintext outputs reported back by the evaluator: it opens a
+// GarblerSession over conn (compiling a plan unless Options.Plan
+// carries one), runs it once and closes it.
 func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	if len(garblerBits) != c.GarblerInputs {
-		return nil, fmt.Errorf("proto: got %d garbler bits, want %d", len(garblerBits), c.GarblerInputs)
-	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
-	}
-	conn = instrument(conn, &opts)
-	if opts.Integrity {
-		conn = NewFramedConn(conn)
-	}
 	opts.Stats.begin()
 	defer opts.Stats.end()
-	w := bufio.NewWriterSize(conn, 1<<16)
-
-	h := headerFor(c, opts)
-	var hb [headerSize]byte
-	h.encode(hb[:])
-	if _, err := w.Write(hb[:]); err != nil {
-		return nil, wrapPeer("writing header", err)
-	}
-
-	if opts.Plan != nil {
-		return garblerPlanned(conn, w, c, garblerBits, opts)
-	}
-	if opts.Pipelined {
-		return garblerPipelined(conn, w, c, garblerBits, opts)
-	}
-	if opts.Workers > 1 {
-		return garblerOffline(conn, w, c, garblerBits, opts)
-	}
-
-	sg, err := gc.NewStreamGarbler(c, opts.Hasher, label.NewSource(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-	zeros := sg.InputZeros()
-	r := sg.R()
-
-	if err := sendActiveInputs(w, c, zeros, r, garblerBits); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("flushing stream", err)
-	}
-	if err := sendEvalLabels(conn, c, zeros, r, opts.OT); err != nil {
-		return nil, err
-	}
-
-	// Stream tables gate by gate, batching slabTables of them into one
-	// pooled slab per Write so the steady-state loop never allocates.
-	bp := getSlab(slabBytes)
-	slab := *bp
-	fill := 0
-	for {
-		m, ok := sg.Next()
-		if !ok {
-			break
-		}
-		m.TG.Put(slab[fill:])
-		m.TE.Put(slab[fill+label.Size:])
-		fill += gc.MaterialSize
-		if fill+gc.MaterialSize > slabBytes {
-			if _, err := w.Write(slab[:fill]); err != nil {
-				putSlab(bp)
-				return nil, wrapPeer("streaming tables", err)
-			}
-			fill = 0
-		}
-	}
-	if fill > 0 {
-		if _, err := w.Write(slab[:fill]); err != nil {
-			putSlab(bp)
-			return nil, wrapPeer("streaming tables", err)
-		}
-	}
-	putSlab(bp)
-	return finishGarbler(conn, w, c, sg.Finish())
-}
-
-// garblerOffline garbles the whole circuit with the parallel engine
-// before any label leaves the machine, then bulk-streams the result —
-// the paper's "offline phase to completion" baseline.
-func garblerOffline(conn io.ReadWriter, w *bufio.Writer, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
-	garbled, err := gc.ParallelGarble(c, opts.Hasher, label.NewSource(opts.Seed), opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := sendActiveInputs(w, c, garbled.InputZeros, garbled.R, garblerBits); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, wrapPeer("flushing stream", err)
-	}
-	if err := sendEvalLabels(conn, c, garbled.InputZeros, garbled.R, opts.OT); err != nil {
-		return nil, err
-	}
-	if err := writeTables(w, garbled.Tables); err != nil {
-		return nil, err
-	}
-	return finishGarbler(conn, w, c, garbled)
-}
-
-// RunEvaluator executes the evaluator role and returns the plaintext
-// outputs (also reported back to the garbler).
-func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
-	if len(evalBits) != c.EvaluatorInputs {
-		return nil, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), c.EvaluatorInputs)
-	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
-	}
-	conn = instrument(conn, &opts)
-	if opts.Integrity {
-		conn = NewFramedConn(conn)
-	}
-	opts.Stats.begin()
-	defer opts.Stats.end()
-	rd := bufio.NewReaderSize(conn, 1<<16)
-
-	var hb [headerSize]byte
-	if _, err := io.ReadFull(rd, hb[:]); err != nil {
-		return nil, wrapPeer("reading header", err)
-	}
-	h := decodeHeader(hb[:])
-	if err := checkHeader(h, c); err != nil {
-		return nil, err
-	}
-
-	// All fixed-position labels (garbler inputs, then the two constants)
-	// arrive in one slab read and decode in bulk.
-	inputs := make([]label.L, c.NumInputs())
-	nFixed := c.GarblerInputs
-	if c.HasConst {
-		nFixed += 2
-	}
-	if nFixed > 0 {
-		bp := getSlab(nFixed * label.Size)
-		slab := (*bp)[:nFixed*label.Size]
-		if _, err := io.ReadFull(rd, slab); err != nil {
-			putSlab(bp)
-			return nil, wrapPeer("reading garbler labels", err)
-		}
-		label.DecodeSlice(inputs[:c.GarblerInputs], slab)
-		if c.HasConst {
-			inputs[c.Const0] = label.FromBytes(slab[c.GarblerInputs*label.Size:])
-			inputs[c.Const1] = label.FromBytes(slab[(c.GarblerInputs+1)*label.Size:])
-		}
-		putSlab(bp)
-	}
-
-	if c.EvaluatorInputs > 0 {
-		// OT happens on the raw conn; everything buffered so far has
-		// been consumed (header + labels are fixed-size). Choices travel
-		// packed: IKNP consumes the bitset words directly.
-		got, err := ot.ReceiveBitset(readWriter{rd, conn}, ot.Protocol(h.OTProto), ot.BitsetFromBools(evalBits))
-		if err != nil {
-			return nil, wrapPeer("OT", err)
-		}
-		copy(inputs[c.GarblerInputs:], got)
-	}
-
-	var outLabels []label.L
 	var err error
-	switch {
-	case opts.Pipelined:
-		outLabels, err = evalPipelined(rd, c, inputs, int(h.NTables), opts)
-	case opts.Plan != nil:
-		outLabels, err = evalPlanned(rd, c, inputs, int(h.NTables), opts)
-	case opts.Workers > 1:
-		outLabels, err = evalOffline(rd, c, inputs, int(h.NTables), opts)
-	default:
-		outLabels, err = evalSequential(rd, c, inputs, opts)
+	if opts.Plan, err = opts.planFor(c); err != nil {
+		return nil, err
 	}
+	s, err := NewGarblerSession(opts.oneShot(conn))
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
+	return s.Run(garblerBits)
+}
 
-	decode := make([]byte, len(c.Outputs))
-	if _, err := io.ReadFull(rd, decode); err != nil {
-		return nil, wrapPeer("reading decode bits", err)
+// RunEvaluator executes the evaluator role for one run and returns the
+// plaintext outputs (also reported back to the garbler) — the one-run
+// wrapper around an EvaluatorSession, which compiles the plan unless
+// Options.Plan carries one.
+func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
+	opts.Stats.begin()
+	defer opts.Stats.end()
+	conn, opts = opts.oneShot(conn)
+	s, err := NewEvaluatorSession(conn, c, opts)
+	if err != nil {
+		return nil, err
 	}
-	result := make([]bool, len(outLabels))
-	res := make([]byte, len(outLabels))
-	for i, l := range outLabels {
-		v := l.Colour() ^ int(decode[i])
-		result[i] = v == 1
-		res[i] = byte(v)
-	}
-	if _, err := conn.Write(res); err != nil {
-		return nil, wrapPeer("sending result", err)
-	}
-	return result, nil
+	defer s.Close()
+	return s.Run(evalBits)
 }
 
 // readWriter pairs the buffered reader with the raw writer so OT can run

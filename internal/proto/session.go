@@ -11,21 +11,17 @@ import (
 	"haac/internal/ot"
 )
 
-// Protocol sessions: persistent per-connection endpoints for serving
-// many runs of one circuit. RunGarbler/RunEvaluator pay per-run setup —
-// a bufio buffer, header reflection, result slices, a fresh engine —
-// which a process answering thousands of requests cannot afford.
-// A GarblerSession/EvaluatorSession pair owns that state for the
-// lifetime of a connection: the buffered writer/reader, the packed
-// header, OT pair scratch, result buffers and a reusable plan runner
-// all persist, so a steady-state run allocates nothing on either side
-// (on-demand OT for evaluator inputs is the one inherently allocating
-// step — its cost is public-key crypto, not transport; a run served
-// from an attached ot.Pool avoids even that).
-//
-// Each Run produces a byte stream identical to the one-shot entry
-// points, so a session peer interoperates with RunGarbler/RunEvaluator
-// on the other end of the wire.
+// Protocol sessions: the per-connection endpoints every run goes
+// through. A GarblerSession/EvaluatorSession pair owns the run state
+// for the lifetime of a connection: the buffered writer/reader, the
+// packed header, OT pair scratch, result buffers and a reusable plan
+// runner all persist, so a steady-state run allocates nothing on either
+// side (on-demand OT for evaluator inputs is the one inherently
+// allocating step — its cost is public-key crypto, not transport; a run
+// served from an attached ot.Pool avoids even that). RunGarbler and
+// RunEvaluator build a session for a single run and pay that setup —
+// and, without Options.Plan, a plan compile — every call; a process
+// answering many requests holds sessions instead.
 
 // GarblerSession is a reusable garbler endpoint bound to one connection
 // and one precompiled plan. It is not safe for concurrent use; a server
@@ -61,17 +57,12 @@ type GarblerSession struct {
 
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
 // required (serving always amortizes through plans); Workers selects
-// the plan engine width. Pipelined is rejected: the plan garbler
-// already streams each level's tables through the session writer as it
-// completes them. A zero Options.Seed draws a random one; the session's
-// label source then advances across runs, so every run garbles with
-// fresh labels.
+// the plan engine width. A zero Options.Seed draws a random one; the
+// session's label source then advances across runs, so every run
+// garbles with fresh labels.
 func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("proto: GarblerSession requires Options.Plan")
-	}
-	if opts.Pipelined {
-		return nil, fmt.Errorf("proto: GarblerSession does not support Options.Pipelined (tables already stream per level)")
 	}
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -81,7 +72,7 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		opts:  opts,
 		c:     c,
 		w:     bufio.NewWriterSize(io.Discard, 1<<16),
-		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, planWorkers(opts)),
+		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, opts.Workers),
 		src:   label.NewSource(opts.Seed),
 		pairs: make([]ot.Pair, c.EvaluatorInputs),
 		res:   make([]byte, len(c.Outputs)),
@@ -236,11 +227,8 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 }
 
 // EvaluatorSession is a reusable evaluator endpoint bound to one
-// connection. With Options.Plan set it holds a persistent plan runner
-// and table arena, making steady-state runs allocation-free; without a
-// plan each Run uses the dense engine selected by Workers/Pipelined
-// (correct, but with the usual per-run allocations). Not safe for
-// concurrent use.
+// connection. It holds a persistent plan runner and table arena, making
+// steady-state runs allocation-free. Not safe for concurrent use.
 type EvaluatorSession struct {
 	opts   Options
 	c      *circuit.Circuit
@@ -266,21 +254,23 @@ type EvaluatorSession struct {
 	// always.
 	pool *ot.Pool
 
-	// Resume bookkeeping: once a plan-path run has its inputs (OT done),
-	// the run is resumable — the verified tables in the arena and the
+	// Resume bookkeeping: once a run has its inputs (OT done), the run
+	// is resumable — the verified tables in the arena and the
 	// held input labels survive a transport swap, so only tables[got:]
 	// need re-transfer.
 	resumable  bool
 	lastTables int
 }
 
-// NewEvaluatorSession builds an evaluator session for c over conn.
+// NewEvaluatorSession builds an evaluator session for c over conn,
+// compiling a plan here, once, when Options.Plan does not bring one.
 func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (*EvaluatorSession, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if opts.Plan != nil && opts.Plan.Circuit != c {
-		return nil, fmt.Errorf("proto: Options.Plan was compiled from a different circuit")
+	plan, err := opts.planFor(c)
+	if err != nil {
+		return nil, err
 	}
 	s := &EvaluatorSession{
 		opts:    opts,
@@ -292,17 +282,15 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		res:     make([]byte, len(c.Outputs)),
 		out:     make([]bool, len(c.Outputs)),
 		choices: ot.NewBitset(c.EvaluatorInputs),
+		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, opts.Workers),
+		tables:  make([]gc.Material, plan.Schedule.NumAND),
+		slab:    make([]byte, slabBytes),
 	}
-	if opts.Plan != nil {
-		s.pe = gc.NewPlanEvaluator(opts.Plan, opts.Hasher, planWorkers(opts))
-		s.tables = make([]gc.Material, opts.Plan.Schedule.NumAND)
-		s.slab = make([]byte, slabBytes)
-		s.need = func(n int) ([]gc.Material, error) {
-			if err := s.readTables(n); err != nil {
-				return nil, err
-			}
-			return s.tables[:s.got], nil
+	s.need = func(n int) ([]gc.Material, error) {
+		if err := s.readTables(n); err != nil {
+			return nil, err
 		}
+		return s.tables[:s.got], nil
 	}
 	s.Reset(conn)
 	return s, nil
@@ -328,17 +316,25 @@ func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 // connection; Reset detaches it.
 func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 
-// Close releases the plan runner's worker pool, if any.
-func (s *EvaluatorSession) Close() {
-	if s.pe != nil {
-		s.pe.Close()
-	}
-}
+// Close releases the plan runner's worker pool.
+func (s *EvaluatorSession) Close() { s.pe.Close() }
 
 // readTables pulls gate-order tables off the wire into the persistent
-// arena until upto of them have landed.
+// arena, in slab-sized bulk reads, until upto of them have landed.
+// Abrupt peer disconnects surface as ErrPeerClosed.
 func (s *EvaluatorSession) readTables(upto int) error {
-	return readTableStream(s.rd, s.slab, s.tables, &s.got, upto)
+	for s.got < upto {
+		n := upto - s.got
+		if n > slabTables {
+			n = slabTables
+		}
+		if _, err := io.ReadFull(s.rd, s.slab[:n*gc.MaterialSize]); err != nil {
+			return wrapPeer("reading tables", err)
+		}
+		gc.DecodeMaterials(s.tables[s.got:s.got+n], s.slab)
+		s.got += n
+	}
+	return nil
 }
 
 // Run plays one full evaluator run and returns the plaintext outputs
@@ -395,27 +391,14 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 		}
 	}
 
-	var outLabels []label.L
-	var err error
-	if s.pe != nil {
-		s.got = 0
-		s.lastTables = int(h.NTables)
-		s.resumable = true
-		outLabels, err = s.pe.EvalStream(s.inputs, s.need)
-		if err == nil {
-			// Keep the stream position honest even for all-linear
-			// circuits; the decode bits follow on the same connection.
-			err = s.readTables(int(h.NTables))
-		}
-	} else {
-		switch {
-		case s.opts.Pipelined:
-			outLabels, err = evalPipelined(s.rd, c, s.inputs, int(h.NTables), s.opts)
-		case s.opts.Workers > 1:
-			outLabels, err = evalOffline(s.rd, c, s.inputs, int(h.NTables), s.opts)
-		default:
-			outLabels, err = evalSequential(s.rd, c, s.inputs, s.opts)
-		}
+	s.got = 0
+	s.lastTables = int(h.NTables)
+	s.resumable = true
+	outLabels, err := s.pe.EvalStream(s.inputs, s.need)
+	if err == nil {
+		// Keep the stream position honest even for all-linear
+		// circuits; the decode bits follow on the same connection.
+		err = s.readTables(int(h.NTables))
 	}
 	if err != nil {
 		return nil, err
@@ -443,8 +426,8 @@ func (s *EvaluatorSession) finishRun(outLabels []label.L) ([]bool, error) {
 }
 
 // Progress reports how many verified tables the current broken run has
-// ingested and whether it can be resumed at all: only plan-path runs
-// that completed OT (inputs in hand) qualify. The transfer position is
+// ingested and whether it can be resumed at all: only runs that
+// completed OT (inputs in hand) qualify. The transfer position is
 // the ingest count, not the transport's read offset — bytes a failed
 // read-ahead buffered but never verified are simply re-sent.
 func (s *EvaluatorSession) Progress() (got int, ok bool) {

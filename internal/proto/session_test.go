@@ -58,7 +58,8 @@ func sessionPair(t *testing.T, w workloads.Workload, evalPlan bool, otp ot.Proto
 }
 
 // TestSessionRepeatedRuns: many runs over one session pair match the
-// plaintext oracle, with fresh labels per run, in both evaluator modes.
+// plaintext oracle, with fresh labels per run, whether the evaluator
+// session is handed a plan or compiles its own at construction.
 func TestSessionRepeatedRuns(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	for _, evalPlan := range []bool{true, false} {
@@ -96,48 +97,6 @@ func TestSessionRepeatedRuns(t *testing.T) {
 	}
 }
 
-// TestSessionInteropWithOneShotEvaluator: a GarblerSession's stream is
-// byte-identical to RunGarbler's, so the classic one-shot evaluator can
-// consume it unchanged.
-func TestSessionInteropWithOneShotEvaluator(t *testing.T) {
-	w := workloads.DotProduct(3, 8)
-	c := w.Build()
-	p, err := circuit.NewPlan(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, ev := net.Pipe()
-	defer ga.Close()
-	defer ev.Close()
-	gs, err := NewGarblerSession(ga, Options{Plan: p, OT: ot.Insecure, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gs.Close()
-	g, e := w.Inputs(3)
-	want, err := c.Eval(g, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := gs.Run(g)
-		errc <- err
-	}()
-	out, err := RunEvaluator(ev, c, e, Options{OT: ot.Insecure})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("output %d: got %v want %v", i, out[i], want[i])
-		}
-	}
-}
-
 // TestSessionRejectsBadOptions: sessions demand a plan on the garbler
 // side, matching circuits, and correct input widths.
 func TestSessionRejectsBadOptions(t *testing.T) {
@@ -152,9 +111,6 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	defer ev.Close()
 	if _, err := NewGarblerSession(ga, Options{}); err == nil {
 		t.Error("GarblerSession accepted nil plan")
-	}
-	if _, err := NewGarblerSession(ga, Options{Plan: p1, Pipelined: true}); err == nil {
-		t.Error("GarblerSession accepted Pipelined")
 	}
 	if _, err := NewEvaluatorSession(ev, c2, Options{Plan: p1}); err == nil {
 		t.Error("EvaluatorSession accepted a foreign plan")
@@ -178,8 +134,9 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 }
 
 // TestEvaluatorFailsFastOnPeerClose: an abrupt garbler disconnect
-// surfaces as ErrPeerClosed — not a raw io.ReadFull error — in every
-// evaluator mode, whether the cut lands before or after the header.
+// surfaces as ErrPeerClosed — not a raw io.ReadFull error — at either
+// engine width, with or without a caller-supplied plan, whether the cut
+// lands before or after the header.
 func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -193,8 +150,7 @@ func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{OT: ot.Insecure}},
-		{"offline", Options{OT: ot.Insecure, Workers: 2}},
-		{"pipelined", Options{OT: ot.Insecure, Pipelined: true, Workers: 2}},
+		{"parallel", Options{OT: ot.Insecure, Workers: 2}},
 		{"planned", Options{OT: ot.Insecure, Plan: p}},
 	}
 	for _, m := range modes {

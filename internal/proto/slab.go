@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"io"
 	"sync"
 
 	"haac/internal/gc"
@@ -11,9 +10,9 @@ import (
 // staged through one of these buffers — encoded in bulk with the label /
 // gc slab codecs and written in one call — instead of trickling through
 // per-label 16-byte and per-Material 32-byte writes with their own
-// short-lived buffers. The pool is shared by the sequential and
-// pipelined engines (and both roles), so steady-state transport cost is
-// O(1) allocations per flush regardless of circuit size.
+// short-lived buffers. The pool is shared by both roles, so steady-state
+// transport cost is O(1) allocations per flush regardless of circuit
+// size.
 
 // slabTables is the table capacity of one pooled slab (16 KiB): large
 // enough that slab encoding amortizes to nothing per table, small enough
@@ -43,53 +42,3 @@ func getSlab(n int) *[]byte {
 }
 
 func putSlab(bp *[]byte) { slabPool.Put(bp) }
-
-// materialScratch pools []gc.Material decode scratch used by the
-// evaluator-side batched table readers.
-var materialScratch = sync.Pool{
-	New: func() any {
-		ms := make([]gc.Material, slabTables)
-		return &ms
-	},
-}
-
-func getMaterials() *[]gc.Material { return materialScratch.Get().(*[]gc.Material) }
-
-func putMaterials(mp *[]gc.Material) { materialScratch.Put(mp) }
-
-// arenaPool recycles whole-circuit table arenas across protocol runs: a
-// serving process that executes many 2PCs reuses one slab per
-// concurrent run instead of allocating a tables slice every time.
-var arenaPool = sync.Pool{
-	New: func() any { return gc.NewMaterialArena(0) },
-}
-
-// getArena returns a pooled arena and its n-table slab view. Release
-// with putArena only once nothing references the view — the slab is
-// reused by the next run.
-func getArena(n int) (*gc.MaterialArena, []gc.Material) {
-	a := arenaPool.Get().(*gc.MaterialArena)
-	a.Reset()
-	return a, a.Alloc(n)
-}
-
-func putArena(a *gc.MaterialArena) { arenaPool.Put(a) }
-
-// readTableStream fills tables[*got:upto] from rd in slab-sized bulk
-// reads, decoding through slab (len >= slabBytes) and advancing *got.
-// It is the one table-ingest loop shared by the offline, planned and
-// session evaluators; abrupt peer disconnects surface as ErrPeerClosed.
-func readTableStream(rd io.Reader, slab []byte, tables []gc.Material, got *int, upto int) error {
-	for *got < upto {
-		n := upto - *got
-		if n > slabTables {
-			n = slabTables
-		}
-		if _, err := io.ReadFull(rd, slab[:n*gc.MaterialSize]); err != nil {
-			return wrapPeer("reading tables", err)
-		}
-		gc.DecodeMaterials(tables[*got:*got+n], slab)
-		*got += n
-	}
-	return nil
-}

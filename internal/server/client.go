@@ -151,16 +151,14 @@ type Options struct {
 	// OT selects the oblivious-transfer protocol for the session's runs
 	// (default ot.DH). The server honors the request.
 	OT ot.Protocol
-	// Workers is the evaluation engine width (0 or 1 = sequential).
+	// Workers is the evaluation engine width (see proto.Options.Workers:
+	// <= 1 is sequential).
 	Workers int
-	// Pipelined overlaps table transfer with evaluation (dense engine
-	// only; ignored when Plan is set — the plan stream already consumes
-	// tables level by level).
-	Pipelined bool
-	// Plan, when non-nil, must be compiled from the session's circuit;
-	// the client then evaluates through a persistent plan runner with
-	// zero steady-state allocations per run. Share one plan across every
-	// session of the same circuit.
+	// Plan, when non-nil, must be compiled from the session's circuit.
+	// The client always evaluates through a persistent plan runner with
+	// zero steady-state allocations per run; a session that does not
+	// bring a plan takes one from a small process-wide cache, compiling
+	// on first use. Share one plan across every session of a circuit.
 	Plan *circuit.Plan
 	// Stats, when non-nil, accumulates the session's transport bytes.
 	Stats *proto.Stats
@@ -242,17 +240,14 @@ func helloFlags(o Options) uint8 {
 	return 0
 }
 
-// clientPlans caches compiled plans for integrity sessions that did
-// not bring their own. Mid-run resume replays evaluation over the plan
-// runner's arena of verified tables, so the integrity tier implies the
-// plan path; without this an Integrity session would negotiate
-// checksummed frames but silently lose the resume half of the story.
+// clientPlans caches compiled plans for sessions that did not bring
+// their own, so dialing the same circuit repeatedly compiles it once.
 var clientPlans = NewPlanCache(8)
 
-// ensurePlan fills Options.Plan for integrity sessions, sharing
-// compiled plans across sessions of the same circuit.
+// ensurePlan fills Options.Plan, sharing compiled plans across sessions
+// of the same circuit.
 func (o *Options) ensurePlan(c *circuit.Circuit) error {
-	if !o.Integrity || o.Plan != nil {
+	if o.Plan != nil {
 		return nil
 	}
 	d := circuit.Digest(c)
@@ -355,10 +350,9 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 		if err == nil {
 			if s.es == nil {
 				es, err2 := proto.NewEvaluatorSession(s.rw, c, proto.Options{
-					OT:        opts.OT,
-					Workers:   opts.Workers,
-					Pipelined: opts.Pipelined && opts.Plan == nil,
-					Plan:      opts.Plan,
+					OT:      opts.OT,
+					Workers: opts.Workers,
+					Plan:    opts.Plan,
 				})
 				if err2 != nil {
 					conn.Close()
@@ -408,10 +402,9 @@ func NewSession(conn net.Conn, circuitID string, c *circuit.Circuit, opts Option
 	s.pooled = pooled
 	s.numSlots = int(numSlots)
 	es, err := proto.NewEvaluatorSession(s.rw, c, proto.Options{
-		OT:        opts.OT,
-		Workers:   opts.Workers,
-		Pipelined: opts.Pipelined && opts.Plan == nil,
-		Plan:      opts.Plan,
+		OT:      opts.OT,
+		Workers: opts.Workers,
+		Plan:    opts.Plan,
 	})
 	if err != nil {
 		return nil, err
