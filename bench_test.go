@@ -203,8 +203,9 @@ func BenchmarkGarblerVsEvaluator(b *testing.B) {
 }
 
 // BenchmarkRekeyingOverhead regenerates the "rekey" experiment: the
-// re-keyed vs fixed-key garbling cost on matched software AES backends
-// (the paper-comparable number) and vs crypto/aes. The per-gate
+// re-keyed vs fixed-key garbling cost on matched AES backends, T-table
+// and live tier (the reported metric; paper-comparable on an AES-NI
+// host). The per-gate
 // hashing benchmarks behind it live in internal/gc
 // (BenchmarkRekeyedHash4, BenchmarkRekeyedGarble, ...) and report B/op
 // and allocs/op directly.

@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// gatedPackages are the protocol-bearing packages — and the label,
+// gatedPackages are the protocol-bearing packages — and the AES, label,
 // circuit and garbling layers their bytes are made of — whose doc
 // comments serve as the wire-format ground truth (see
 // docs/ARCHITECTURE.md).
 // CI runs `go run ./cmd/doccheck` over the same list; this test makes
 // the gate part of plain `go test ./...` too.
 var gatedPackages = []string{
+	"internal/aes128",
 	"internal/label",
 	"internal/circuit",
 	"internal/gc",

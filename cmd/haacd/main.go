@@ -53,6 +53,7 @@ import (
 	"strings"
 	"syscall"
 
+	"haac/internal/aes128"
 	"haac/internal/circuit"
 	"haac/internal/server"
 	"haac/internal/workloads"
@@ -146,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	if tlsCfg != nil {
 		proto = "TLS"
 	}
-	fmt.Fprintf(stdout, "haacd: serving %d circuits on %s (%s)\n", len(specs), ln.Addr(), proto)
+	fmt.Fprintf(stdout, "haacd: serving %d circuits on %s (%s), aes128 backend %s\n", len(specs), ln.Addr(), proto, aes128.Backend())
 	if opsLn != nil {
 		fmt.Fprintf(stdout, "haacd: ops endpoints on http://%s (/healthz, /metrics)\n", opsLn.Addr())
 	}

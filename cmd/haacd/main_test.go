@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"haac/internal/aes128"
 	"haac/internal/server"
 	"haac/internal/workloads"
 )
@@ -132,6 +133,9 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "draining sessions") {
 		t.Errorf("no drain banner:\n%s", out)
+	}
+	if !strings.Contains(out, "aes128 backend "+aes128.Backend()) {
+		t.Errorf("start-up banner does not name the AES tier:\n%s", out)
 	}
 	if !strings.Contains(out, "served 3 runs over 1 sessions") {
 		t.Errorf("serving totals missing or wrong:\n%s", out)

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"syscall"
 
+	"haac/internal/aes128"
 	"haac/internal/fleet"
 )
 
@@ -123,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	if tlsCfg != nil {
 		proto = "TLS"
 	}
-	fmt.Fprintf(stdout, "haacfleet: fronting %d backends on %s (%s)\n", len(specs), ln.Addr(), proto)
+	fmt.Fprintf(stdout, "haacfleet: fronting %d backends on %s (%s), aes128 backend %s\n", len(specs), ln.Addr(), proto, aes128.Backend())
 	if opsLn != nil {
 		fmt.Fprintf(stdout, "haacfleet: ops endpoints on http://%s (/healthz, /readyz, /metrics)\n", opsLn.Addr())
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"haac/internal/aes128"
 	"haac/internal/ot"
 	"haac/internal/server"
 	"haac/internal/workloads"
@@ -176,6 +177,9 @@ func TestFleetDaemonProxiesAndDrains(t *testing.T) {
 	}
 	if !strings.Contains(out, "routed 1 sessions") {
 		t.Errorf("routing totals missing or wrong:\n%s", out)
+	}
+	if !strings.Contains(out, "aes128 backend "+aes128.Backend()) {
+		t.Errorf("start-up banner does not name the AES tier:\n%s", out)
 	}
 }
 

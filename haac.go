@@ -10,11 +10,11 @@
 // The default garbling hash everywhere (Run2PC, GarbleAndEvaluate, the
 // protocol options) is the paper's secure re-keyed construction: each
 // AND gate derives fresh AES keys from its gate index. Its software
-// hot path expands each key once into pooled scratch and reuses the
-// schedule across the gate's blocks, so re-keying costs two key
-// expansions per garbled gate and zero steady-state allocations —
-// the same cost model as HAAC's Half-Gate pipeline, quantified by the
-// "rekey" experiment in cmd/haacbench.
+// hot path is one AES kernel call per gate — two fresh keys, each
+// expanded once for the gate's blocks, and on AES-NI hosts expanded
+// while the blocks encrypt — with zero allocations: the same cost
+// model as HAAC's Half-Gate pipeline, quantified by the "rekey"
+// experiment in cmd/haacbench.
 //
 // Typical flows:
 //

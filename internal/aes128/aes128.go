@@ -1,14 +1,25 @@
-// Package aes128 is a from-scratch software implementation of AES-128
-// (key expansion and single-block encryption). HAAC's gate engines are
-// built around exactly these two computations: every garbled AND gate
-// performs full key expansions ("re-keying", §2.1 of the paper) followed
-// by AES block encryptions, so the accelerator's cost model — and our
-// software baseline — both hinge on this primitive.
+// Package aes128 is the repository's AES-128: key expansion and block
+// encryption, the two computations HAAC's gate engines are built around.
+// Every garbled AND gate performs full key expansions ("re-keying", §2.1
+// of the paper) followed by AES block encryptions, so the accelerator's
+// cost model — and the software garbler — both hinge on this primitive.
 //
-// The implementation favours clarity over speed: it is the reference the
-// cycle simulator's Half-Gate pipeline is validated against, and it is
-// tested for equality with the standard library's crypto/aes on random
-// inputs. The hot two-party path in internal/gc may use either.
+// Three implementations of the one function live here:
+//
+//   - a byte-oriented reference (Expand, Encrypt, EncryptBlock in this
+//     file) that favours clarity; the cycle simulator's Half-Gate
+//     pipeline and the AES-as-a-circuit workload are validated against it;
+//   - a word-oriented T-table tier (ttable.go), portable and
+//     allocation-free;
+//   - an AES-NI tier (aesni_amd64.s) that derives a fresh key's round
+//     keys in registers while it encrypts, as the paper's pipeline does.
+//
+// Callers on the hot paths (internal/gc, internal/ot) use the entry
+// points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2 and
+// Cipher — which run the AES-NI tier when CPUID offers it and the
+// T-table tier otherwise (other architectures, or -tags purego).
+// Backend reports which. All three agree with each other and with
+// crypto/aes byte for byte; the tests check that on random inputs.
 package aes128
 
 // BlockSize is the AES block size in bytes.

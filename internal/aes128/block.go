@@ -1,0 +1,148 @@
+package aes128
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// The tiered entry points of the package: "key(s) and blocks in,
+// ciphertext out" over in-place 16-byte blocks, served by the AES-NI
+// kernels in aesni_amd64.s when the CPU has them and by the T-table
+// code otherwise (non-amd64, no AES-NI, or -tags purego). The choice is
+// made once at init from CPUID and cannot be configured: both tiers
+// compute AES-128, so every output is byte-identical and only the speed
+// differs. Backend reports which one is live.
+
+// Block is one 16-byte AES block (or key) held as two little-endian
+// 64-bit words: Lo is bytes 0..7, Hi bytes 8..15. On amd64 that is the
+// block's memory image, so the kernels load and store a Block directly;
+// the portable tier reassembles the big-endian state words from it.
+// The layout is label.L's, which lets the garbler hash wire labels
+// without a byte-staging pass.
+type Block struct {
+	Lo, Hi uint64
+}
+
+// LoadBlock reads a Block from the first 16 bytes of b.
+func LoadBlock(b []byte) Block {
+	return Block{
+		Lo: binary.LittleEndian.Uint64(b[0:8]),
+		Hi: binary.LittleEndian.Uint64(b[8:16]),
+	}
+}
+
+// Backend names the AES tier the entry points in this file run on:
+// "aesni" (hardware kernels) or "ttable" (portable software). It is
+// fixed for the life of the process.
+func Backend() string {
+	if hasAESNI {
+		return "aesni"
+	}
+	return "ttable"
+}
+
+// words returns the block as the four big-endian state words of the
+// T-table tier.
+func (b *Block) words() (w0, w1, w2, w3 uint32) {
+	return bits.ReverseBytes32(uint32(b.Lo)), bits.ReverseBytes32(uint32(b.Lo >> 32)),
+		bits.ReverseBytes32(uint32(b.Hi)), bits.ReverseBytes32(uint32(b.Hi >> 32))
+}
+
+// setWords is the inverse of words.
+func (b *Block) setWords(w0, w1, w2, w3 uint32) {
+	b.Lo = uint64(bits.ReverseBytes32(w0)) | uint64(bits.ReverseBytes32(w1))<<32
+	b.Hi = uint64(bits.ReverseBytes32(w2)) | uint64(bits.ReverseBytes32(w3))<<32
+}
+
+// ExpandFromBlock is ExpandFrom for a key held as a Block.
+func (s *Schedule) ExpandFromBlock(key *Block) {
+	s.expandWords(key.words())
+}
+
+// EncryptBlockTo encrypts one Block through the T-table path; dst and src
+// may be the same block. Together with ExpandFromBlock it is the software
+// reference the hardware tier is tested against.
+func (s *Schedule) EncryptBlockTo(dst, src *Block) {
+	dst.setWords(s.encryptWords(src.words()))
+}
+
+// FreshKeyEncrypt encrypts one block under a key used once: dst =
+// AES_key(src). The hardware tier expands the key while it encrypts and
+// stores no schedule. dst and src may be the same block.
+func FreshKeyEncrypt(key, dst, src *Block) {
+	if hasAESNI {
+		freshKeyEncryptAESNI(key, dst, src)
+		return
+	}
+	var s Schedule
+	s.ExpandFromBlock(key)
+	s.EncryptBlockTo(dst, src)
+}
+
+// FreshKeyPair encrypts one block under each of two fresh keys, dst[i] =
+// AES_keys[i](src[i]) — the work of one evaluated AND gate. The
+// hardware tier interleaves the two independent key expansions. dst and
+// src may be the same array.
+func FreshKeyPair(keys, dst, src *[2]Block) {
+	if hasAESNI {
+		freshKeyPairAESNI(keys, dst, src)
+		return
+	}
+	var s Schedule
+	s.ExpandFromBlock(&keys[0])
+	s.EncryptBlockTo(&dst[0], &src[0])
+	s.ExpandFromBlock(&keys[1])
+	s.EncryptBlockTo(&dst[1], &src[1])
+}
+
+// FreshKeyPair2 encrypts two blocks under each of two fresh keys:
+// src[0], src[1] under keys[0] and src[2], src[3] under keys[1] — the
+// work of one garbled AND gate, each key expanded once for its two
+// blocks. dst and src may be the same array.
+func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
+	if hasAESNI {
+		freshKeyPair2AESNI(keys, dst, src)
+		return
+	}
+	var s Schedule
+	s.ExpandFromBlock(&keys[0])
+	s.EncryptBlockTo(&dst[0], &src[0])
+	s.EncryptBlockTo(&dst[1], &src[1])
+	s.ExpandFromBlock(&keys[1])
+	s.EncryptBlockTo(&dst[2], &src[2])
+	s.EncryptBlockTo(&dst[3], &src[3])
+}
+
+// Cipher is AES-128 under one long-lived key: the schedule is expanded
+// once by NewCipher and Encrypt runs any number of blocks through it. A
+// Cipher is immutable after construction and safe for concurrent use.
+type Cipher struct {
+	ks Schedule          // T-table tier
+	rk [Rounds + 1]Block // AES-NI tier: the same round keys in memory order
+}
+
+// NewCipher expands key into a Cipher.
+func NewCipher(key Block) *Cipher {
+	c := new(Cipher)
+	c.ks.ExpandFromBlock(&key)
+	for r := range c.rk {
+		c.rk[r].setWords(c.ks[4*r], c.ks[4*r+1], c.ks[4*r+2], c.ks[4*r+3])
+	}
+	return c
+}
+
+// Encrypt sets dst[i] = AES(src[i]) for every block of src. dst must be
+// at least as long as src and may be the same slice.
+func (c *Cipher) Encrypt(dst, src []Block) {
+	if len(src) == 0 {
+		return
+	}
+	dst = dst[:len(src)]
+	if hasAESNI {
+		encryptBlocksAESNI(&c.rk, &dst[0], &src[0], len(src))
+		return
+	}
+	for i := range src {
+		c.ks.EncryptBlockTo(&dst[i], &src[i])
+	}
+}

@@ -1,14 +1,15 @@
 package aes128
 
-// The performance tier of the package: word-oriented ("T-table") AES-128
-// beside the clarity-first byte-oriented reference. Each T-table entry
-// folds SubBytes and MixColumns for one input byte into a 32-bit word,
-// so a full round is 16 table lookups and a handful of XORs instead of
-// per-byte field arithmetic. The garbling hot path re-keys per gate, so
-// the tier is built around caller-owned storage: ExpandFrom fills an
-// existing Schedule and EncryptTo/EncryptBlocksTo write into caller
-// buffers — no call on this path allocates, which is what lets the
-// re-keyed hasher in internal/gc run with zero steady-state allocations.
+// The portable performance tier of the package: word-oriented
+// ("T-table") AES-128 beside the clarity-first byte-oriented reference.
+// Each T-table entry folds SubBytes and MixColumns for one input byte
+// into a 32-bit word, so a full round is 16 table lookups and a handful
+// of XORs instead of per-byte field arithmetic. The tier is built around
+// caller-owned storage: ExpandFrom fills an existing Schedule and
+// EncryptTo/EncryptBlocksTo write into caller buffers, so no call
+// allocates. It is what the entry points in block.go run on hosts
+// without AES-NI, and the software reference the AES-NI tier is tested
+// against.
 //
 // The tables and round structure follow FIPS-197 directly (they are the
 // same construction crypto/aes uses for its non-asm fallback); equality
@@ -39,10 +40,14 @@ func init() {
 // previous contents. It is the allocation-free form of Expand for hot
 // paths that own a Schedule and re-key it per gate.
 func (s *Schedule) ExpandFrom(key *[KeySize]byte) {
-	s[0] = binary.BigEndian.Uint32(key[0:4])
-	s[1] = binary.BigEndian.Uint32(key[4:8])
-	s[2] = binary.BigEndian.Uint32(key[8:12])
-	s[3] = binary.BigEndian.Uint32(key[12:16])
+	s.expandWords(binary.BigEndian.Uint32(key[0:4]), binary.BigEndian.Uint32(key[4:8]),
+		binary.BigEndian.Uint32(key[8:12]), binary.BigEndian.Uint32(key[12:16]))
+}
+
+// expandWords computes the schedule from the key's four big-endian
+// words.
+func (s *Schedule) expandWords(w0, w1, w2, w3 uint32) {
+	s[0], s[1], s[2], s[3] = w0, w1, w2, w3
 	for i := 4; i < ExpandedWords; i += 4 {
 		t := s[i-1]
 		t = subWord(t<<8|t>>24) ^ rcon[i/4-1]

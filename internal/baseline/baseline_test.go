@@ -16,9 +16,10 @@ func TestMeasureCPUSane(t *testing.T) {
 	if m.NsPerAND < m.NsPerXOR {
 		t.Fatalf("AND (%v ns) cheaper than XOR (%v ns)", m.NsPerAND, m.NsPerXOR)
 	}
-	// An AND gate costs four AES plus two key expansions; it must be
-	// at least 10x an XOR (two 128-bit xors).
-	if m.NsPerAND < 10*m.NsPerXOR {
+	// An AND gate costs four AES plus two key expansions. On the
+	// T-table tier that is ~100x an XOR (two 128-bit xors); on AES-NI the
+	// ratio drops to ~10-20x, so the floor is set well under both.
+	if m.NsPerAND < 4*m.NsPerXOR {
 		t.Fatalf("AND/XOR ratio %.1f implausibly small", m.NsPerAND/m.NsPerXOR)
 	}
 }

@@ -299,10 +299,9 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		return nil, "", err
 	}
 
-	// Both hashers are allocation-free in steady state, so every row
-	// measures the transport itself; the rekeyed row shows the paper's
-	// hasher, whose per-gate key expansions now run through pooled
-	// schedules and cost CPU time, not allocations.
+	// Both hashers are allocation-free, so every row measures the
+	// transport itself; the rekeyed row shows the paper's hasher, whose
+	// per-gate key expansions cost CPU time, not allocations.
 	fk := gc.NewFixedKeyHasher([16]byte{42})
 	configs := []struct {
 		name string
@@ -362,6 +361,6 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		})
 	}
 	s := table(header, cells)
-	s += "\n(tables and labels are slab-encoded through pooled buffers and both hashers\nrun allocation-free, so allocs/table is O(1/slab) and independent of circuit\nsize on every row; the rekeyed row still pays the paper's per-gate key\nexpansions, but as CPU time through pooled schedules rather than allocations)\n"
+	s += "\n(tables and labels are slab-encoded through pooled buffers and both hashers\nrun allocation-free, so allocs/table is O(1/slab) and independent of circuit\nsize on every row; the rekeyed row still pays the paper's per-gate key\nexpansions, as CPU time only — on the aesni tier overlapped with encryption)\n"
 	return rows, s, nil
 }

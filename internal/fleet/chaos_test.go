@@ -48,7 +48,7 @@ func TestChaosBackendKillByteIdentical(t *testing.T) {
 		}
 		fln := faultnet.WrapListener(ln, faultnet.Plan{
 			Seed:     uint64(7000 + i),
-			DropRate: 0.01,
+			DropRate: 0.03,
 		})
 		go srv.Serve(fln)
 		srvs[i], addrs[i], fstats[i] = srv, ln.Addr().String(), fln.Stats()

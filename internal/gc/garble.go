@@ -54,6 +54,7 @@ func Garble(c *circuit.Circuit, h Hasher, src *label.Source) (*Garbled, error) {
 	and, _, _ := c.CountOps()
 	tables := make([]Material, 0, and)
 	var gateIdx uint64
+	bh := batched(h)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		switch g.Op {
@@ -64,7 +65,7 @@ func Garble(c *circuit.Circuit, h Hasher, src *label.Source) (*Garbled, error) {
 			// one-label of the input.
 			wires[g.C] = wires[g.A].Xor(r)
 		case circuit.AND:
-			m, c0 := garbleAND(h, wires[g.A], wires[g.B], r, gateIdx)
+			m, c0 := garbleGate(bh, wires[g.A], wires[g.B], r, gateIdx)
 			tables = append(tables, m)
 			wires[g.C] = c0
 			gateIdx++
@@ -119,6 +120,7 @@ func Evaluate(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material)
 	wires := make([]label.L, c.NumWires)
 	copy(wires, inputs)
 	var gateIdx uint64
+	bh := batched(h)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		switch g.Op {
@@ -130,7 +132,7 @@ func Evaluate(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material)
 			if int(gateIdx) >= len(tables) {
 				return nil, fmt.Errorf("gc: table stream exhausted at gate %d", i)
 			}
-			wires[g.C] = evalAND(h, wires[g.A], wires[g.B], tables[gateIdx], gateIdx)
+			wires[g.C] = evalGate(bh, wires[g.A], wires[g.B], tables[gateIdx], gateIdx)
 			gateIdx++
 		default:
 			return nil, fmt.Errorf("gc: gate %d has unknown op %d", i, g.Op)

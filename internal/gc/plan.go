@@ -30,7 +30,7 @@ import (
 // runner and overwritten by the next Begin/Run cycle.
 type PlanGarbler struct {
 	p          *circuit.Plan
-	h          Hasher
+	h          gateHasher
 	pool       *levelPool
 	span       func(gates []int32)
 	slots      []label.L
@@ -49,7 +49,7 @@ type PlanGarbler struct {
 func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 	pg := &PlanGarbler{
 		p:          p,
-		h:          h,
+		h:          batched(h),
 		slots:      make([]label.L, p.NumSlots),
 		inputZeros: make([]label.L, p.Circuit.NumInputs()),
 		tables:     make([]Material, p.Schedule.NumAND),
@@ -61,7 +61,7 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 		for _, gi := range gates {
 			g := &pg.p.Gates[gi]
 			idx := sched.ANDIndex[gi]
-			m, c0 := garbleAND(pg.h, slots[g.A], slots[g.B], pg.r, uint64(idx))
+			m, c0 := garbleGate(pg.h, slots[g.A], slots[g.B], pg.r, uint64(idx))
 			tables[idx] = m
 			slots[g.C] = c0
 		}
@@ -159,7 +159,7 @@ func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Gar
 // returned by Eval/EvalStream is reused by the next run.
 type PlanEvaluator struct {
 	p      *circuit.Plan
-	h      Hasher
+	h      gateHasher
 	pool   *levelPool
 	span   func(gates []int32)
 	slots  []label.L
@@ -172,7 +172,7 @@ type PlanEvaluator struct {
 func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 	pe := &PlanEvaluator{
 		p:     p,
-		h:     h,
+		h:     batched(h),
 		slots: make([]label.L, p.NumSlots),
 		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
@@ -181,7 +181,7 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 		for _, gi := range gates {
 			g := &pe.p.Gates[gi]
 			idx := sched.ANDIndex[gi]
-			slots[g.C] = evalAND(pe.h, slots[g.A], slots[g.B], tables[idx], uint64(idx))
+			slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[idx], uint64(idx))
 		}
 	}
 	if workers > 1 {

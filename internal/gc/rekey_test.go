@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"haac/internal/circuit"
 	"haac/internal/label"
 	"haac/internal/workloads"
 )
@@ -11,18 +12,17 @@ import (
 // Equality and allocation regressions for the batched hash paths. The
 // batched Hash2/Hash4 entry points must be drop-in replacements for
 // individual Hash calls (the golden vectors pin the absolute outputs;
-// these tests pin the batching itself on random inputs), and the
-// re-keyed construction must hash with zero steady-state allocations
-// now that it expands keys into pooled schedules instead of building a
-// crypto/aes cipher per call.
+// these tests pin the batching itself on random inputs), each
+// construction must hash the same on the live aes128 tier and on the
+// pinned T-table one, and no hash entry point may allocate.
 
-// batchedHashers returns every hasher with a batched path, including
-// both fixed-key backends (which must agree with each other: same
-// construction, different AES implementation).
+// batchedHashers returns every hasher with a batched path: both
+// constructions, each on the live tier and pinned to the T-table one.
 func batchedHashers() []Hasher {
 	key := [16]byte{0x5a, 9, 8, 7}
 	return []Hasher{
 		RekeyedHasher{},
+		SoftRekeyedHasher{},
 		NewFixedKeyHasher(key),
 		NewSoftFixedKeyHasher(key),
 	}
@@ -78,46 +78,132 @@ func TestHash2MatchesHash(t *testing.T) {
 	}
 }
 
-// TestSoftFixedKeyMatchesFixedKey: the T-table and crypto/aes backends
-// of the fixed-key construction are interchangeable.
-func TestSoftFixedKeyMatchesFixedKey(t *testing.T) {
+// TestLiveTierMatchesTTable: for both constructions, every entry point
+// of the hasher on the live aes128 tier equals the T-table reference.
+// On an AES-NI host this is the hardware-vs-software check at the hash
+// level; under -tags purego it degenerates to a self-check.
+func TestLiveTierMatchesTTable(t *testing.T) {
 	key := [16]byte{3, 1, 4, 1, 5, 9, 2, 6}
-	hw := NewFixedKeyHasher(key)
-	sw := NewSoftFixedKeyHasher(key)
+	pairs := []struct{ live, soft gateHasher }{
+		{RekeyedHasher{}, SoftRekeyedHasher{}},
+		{NewFixedKeyHasher(key), NewSoftFixedKeyHasher(key)},
+	}
 	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 100; i++ {
-		l := randLabel(rng)
-		tw := rng.Uint64()
-		if hw.Hash(l, tw) != sw.Hash(l, tw) {
-			t.Fatalf("backends diverge at tweak %d", tw)
+	for _, p := range pairs {
+		for i := 0; i < 100; i++ {
+			l0, l1, l2, l3 := randLabel(rng), randLabel(rng), randLabel(rng), randLabel(rng)
+			t0, t1 := 2*rng.Uint64(), rng.Uint64()
+			if p.live.Hash(l0, t1) != p.soft.Hash(l0, t1) {
+				t.Fatalf("%s: Hash diverges from %s at tweak %d", p.live.Name(), p.soft.Name(), t1)
+			}
+			g0, g1 := p.live.Hash2(l0, l1, t0, t0+1)
+			w0, w1 := p.soft.Hash2(l0, l1, t0, t0+1)
+			if g0 != w0 || g1 != w1 {
+				t.Fatalf("%s: Hash2 diverges from %s at tweak %d", p.live.Name(), p.soft.Name(), t0)
+			}
+			a0, a1, a2, a3 := p.live.Hash4(l0, l1, l2, l3, t0, t0, t0+1, t0+1)
+			b0, b1, b2, b3 := p.soft.Hash4(l0, l1, l2, l3, t0, t0, t0+1, t0+1)
+			if a0 != b0 || a1 != b1 || a2 != b2 || a3 != b3 {
+				t.Fatalf("%s: Hash4 diverges from %s at tweak %d", p.live.Name(), p.soft.Name(), t0)
+			}
 		}
 	}
 }
 
-// TestRekeyedHashNoSteadyStateAllocs pins the tentpole property: every
-// re-keyed hash entry point runs allocation-free once the scratch pool
-// is warm.
+// TestCrossTierGarbleEval garbles a VIP-small circuit on one tier and
+// evaluates it on the other, both ways: a garbler and an evaluator on
+// different aes128 backends interoperate, in the reference walk and in
+// the plan engine.
+func TestCrossTierGarbleEval(t *testing.T) {
+	w := workloads.VIPSuiteSmall()[0]
+	c := w.Build()
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gIn, eIn := w.Inputs(3)
+	want := w.Reference(gIn, eIn)
+	for _, dir := range []struct{ garble, eval Hasher }{
+		{RekeyedHasher{}, SoftRekeyedHasher{}},
+		{SoftRekeyedHasher{}, RekeyedHasher{}},
+	} {
+		name := dir.garble.Name() + "->" + dir.eval.Name()
+		garbled, err := GarblePlan(p, dir.garble, label.NewSource(11), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Garble(c, dir.eval, label.NewSource(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.Tables {
+			if garbled.Tables[i] != ref.Tables[i] {
+				t.Fatalf("%s: table %d differs between tiers", name, i)
+			}
+		}
+		inputs, err := garbled.EncodeInputs(c, gIn, eIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := EvalPlan(p, dir.eval, inputs, garbled.Tables, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := garbled.Decode(outs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: output bit %d = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// plainHasher hides a hasher's batched methods.
+type plainHasher struct{ Hasher }
+
+// TestUnbatchedHasherGarblesIdentically: a Hasher without Hash2/Hash4
+// goes through the unbatched adapter and produces the same gate.
+func TestUnbatchedHasherGarblesIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	a0, b0, r := randLabel(rng), randLabel(rng), randLabel(rng)
+	r.Lo |= 1
+	wantM, wantC := garbleAND(RekeyedHasher{}, a0, b0, r, 9)
+	gotM, gotC := garbleAND(plainHasher{RekeyedHasher{}}, a0, b0, r, 9)
+	if gotM != wantM || gotC != wantC {
+		t.Fatal("unbatched adapter changes the garbled gate")
+	}
+	if err := checkHalfGates(plainHasher{RekeyedHasher{}}, a0, b0, r, 9); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRekeyedHashNoSteadyStateAllocs: every hash entry point of both
+// serving-path hashers runs allocation-free from the first call (there
+// is no scratch pool to warm).
 func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	h := RekeyedHasher{}
 	l0, l1, l2, l3 := label.L{Lo: 1}, label.L{Lo: 2}, label.L{Lo: 3}, label.L{Lo: 4}
-	h.Hash(l0, 1) // warm the pool
-	if avg := testing.AllocsPerRun(100, func() { h.Hash(l0, 9) }); avg != 0 {
-		t.Errorf("Hash allocates %.1f times in steady state", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { h.Hash2(l0, l1, 8, 9) }); avg != 0 {
-		t.Errorf("Hash2 allocates %.1f times in steady state", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
-		t.Errorf("Hash4 allocates %.1f times in steady state", avg)
+	for _, h := range []gateHasher{RekeyedHasher{}, NewFixedKeyHasher([16]byte{7})} {
+		if avg := testing.AllocsPerRun(100, func() { h.Hash(l0, 9) }); avg != 0 {
+			t.Errorf("%s: Hash allocates %.1f times", h.Name(), avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { h.Hash2(l0, l1, 8, 9) }); avg != 0 {
+			t.Errorf("%s: Hash2 allocates %.1f times", h.Name(), avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
+			t.Errorf("%s: Hash4 allocates %.1f times", h.Name(), avg)
+		}
 	}
 }
 
 // TestRekeyedGarbleEvalSteadyStateAllocs is the re-keyed twin of
-// proto's fixed-key stream test: with pooled schedules the whole
-// garble and eval tight loops allocate O(1) per circuit.
+// proto's fixed-key stream test: the whole garble and eval tight loops
+// allocate O(1) per circuit.
 func TestRekeyedGarbleEvalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -1,13 +1,12 @@
 package ot
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"haac/internal/aes128"
 	"haac/internal/gc"
 	"haac/internal/label"
 )
@@ -28,7 +27,8 @@ import (
 // seeds with per-column AES-CTR streams whose ciphers are built once per
 // extension, the column-major matrix is flipped with a cache-blocked
 // 64×64 bit transpose, and rows are hashed with a batched fixed-key AES
-// correlation-robust hash (same idiom as gc.FixedKeyHasher.Hash4).
+// correlation-robust hash (gc.FixedKeyHasher.Hash4). Both AES uses run
+// on whichever tier internal/aes128 selected at start-up.
 // Transfers stream in chunks of extChunk so million-OT batches run in
 // bounded memory with O(1) allocations per chunk; choice bits travel as
 // a packed Bitset end to end.
@@ -56,36 +56,39 @@ func (r *row) xor(o row) {
 // prgStream stretches a 16-byte seed with AES-128 in counter mode. The
 // cipher is expanded once at init and the counter persists across
 // expand calls, so successive chunks of one extension continue the same
-// pseudorandom stream without re-keying or reallocating. The block
-// buffers live in the struct: interface-typed cipher calls would
-// otherwise force stack scratch to escape on every call.
+// pseudorandom stream without re-keying or reallocating.
 type prgStream struct {
-	blk cipher.Block
+	c   *aes128.Cipher
 	ctr uint64
-	in  [16]byte
-	out [16]byte
 }
 
 func (p *prgStream) init(seed label.L) {
-	var key [16]byte
-	seed.Put(key[:])
-	blk, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("ot: aes.NewCipher: " + err.Error())
-	}
-	p.blk = blk
+	p.c = aes128.NewCipher(aes128.Block(seed))
 	p.ctr = 0
 }
 
-// expand fills dst with the next len(dst) words of the stream.
+// expand fills dst with the next len(dst) words of the stream, two per
+// counter block, several blocks per cipher call. An odd tail drops the
+// second word of its block.
 func (p *prgStream) expand(dst []uint64) {
-	for i := 0; i < len(dst); i += 2 {
-		binary.LittleEndian.PutUint64(p.in[:8], p.ctr)
-		p.ctr++
-		p.blk.Encrypt(p.out[:], p.in[:])
-		dst[i] = binary.LittleEndian.Uint64(p.out[0:8])
-		if i+1 < len(dst) {
-			dst[i+1] = binary.LittleEndian.Uint64(p.out[8:16])
+	var blk [8]aes128.Block
+	for len(dst) > 0 {
+		n := (len(dst) + 1) / 2
+		if n > len(blk) {
+			n = len(blk)
+		}
+		for i := range blk[:n] {
+			blk[i] = aes128.Block{Lo: p.ctr}
+			p.ctr++
+		}
+		p.c.Encrypt(blk[:n], blk[:n])
+		for _, b := range blk[:n] {
+			dst[0] = b.Lo
+			if len(dst) == 1 {
+				return
+			}
+			dst[1] = b.Hi
+			dst = dst[2:]
 		}
 	}
 }
@@ -99,8 +102,9 @@ func (p *prgStream) expand(dst []uint64) {
 // schedules and 64 rounds of SHA per transfer — with AES blocks staged
 // four at a time through one expanded cipher. The construction is
 // exactly gc's fixed-key hasher, H(r, j) = AES_K(2r ^ j) ^ (2r ^ j),
-// so the hasher is reused rather than re-implemented; its pooled
-// scratch makes it allocation-free and safe to share across extensions.
+// so the hasher is reused rather than re-implemented; it is stateless
+// after construction, allocation-free and safe to share across
+// extensions.
 var crKey = [16]byte{'H', 'A', 'A', 'C', '.', 'i', 'k', 'n', 'p', '.', 'c', 'r', 'h', '.', 'v', '1'}
 
 var crHasher = gc.NewFixedKeyHasher(crKey)

@@ -1,6 +1,8 @@
 package ot
 
 import (
+	"crypto/aes"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"testing"
@@ -171,6 +173,42 @@ func TestPRGDeterministicAndSeedSeparated(t *testing.T) {
 	}
 	if same {
 		t.Fatal("PRG ignores seed")
+	}
+}
+
+// TestPRGIsAESCTR pins the column PRG to its definition — AES-128-CTR
+// under the seed, little-endian counter in the low half of the block —
+// against crypto/aes, so both ends of an extension agree whatever tier
+// internal/aes128 runs on (including odd word counts and calls longer
+// than one cipher batch).
+func TestPRGIsAESCTR(t *testing.T) {
+	seed := label.L{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
+	var key [16]byte
+	seed.Put(key[:])
+	blk, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p prgStream
+	p.init(seed)
+	ctr := uint64(0)
+	for _, words := range []int{1, 2, 13, 16, 40} {
+		got := make([]uint64, words)
+		p.expand(got)
+		for i := 0; i < words; i += 2 {
+			var in, out [16]byte
+			binary.LittleEndian.PutUint64(in[:8], ctr)
+			ctr++
+			blk.Encrypt(out[:], in[:])
+			if w := binary.LittleEndian.Uint64(out[:8]); got[i] != w {
+				t.Fatalf("expand(%d) word %d = %#x, AES-CTR %#x", words, i, got[i], w)
+			}
+			if i+1 < words {
+				if w := binary.LittleEndian.Uint64(out[8:]); got[i+1] != w {
+					t.Fatalf("expand(%d) word %d = %#x, AES-CTR %#x", words, i+1, got[i+1], w)
+				}
+			}
+		}
 	}
 }
 

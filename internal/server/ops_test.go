@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"haac/internal/aes128"
 	"haac/internal/ot"
 	"haac/internal/workloads"
 )
@@ -70,6 +72,7 @@ func TestOpsEndpoints(t *testing.T) {
 
 	_, body := get(t, ops.URL+"/metrics")
 	for _, metric := range []string{
+		fmt.Sprintf("haac_build_info{aes=%q} 1", aes128.Backend()),
 		"haac_draining 0",
 		"haac_sessions_active 1",
 		"haac_sessions_total 1",
