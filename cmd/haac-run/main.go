@@ -2,7 +2,7 @@
 // computation over TCP: one invocation plays the garbler (listening),
 // the other the evaluator (dialing). Labels for the evaluator's inputs
 // are delivered with Diffie-Hellman oblivious transfer; tables stream
-// level by level as they are garbled — across a worker pool with
+// segment by segment as they are garbled — across a worker pool with
 // -workers.
 //
 // Example — the millionaires' problem on two terminals:
@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workload := fs.String("workload", "Million-8", "workload name (micro suite or small VIP suite)")
 	value := fs.Uint64("value", 0, "this party's integer input (packed little-endian into its input bits)")
 	otName := fs.String("ot", "dh", "oblivious transfer: dh, iknp, or insecure (benchmarks only)")
-	workers := fs.Int("workers", 0, "parallel garbling/eval workers per dependence level (0 or 1 = sequential)")
+	workers := fs.Int("workers", 0, "parallel garbling/eval workers per schedule step (0 or 1 = sequential)")
 	runs := fs.Int("runs", 1, "client role: number of runs over the session")
 	retries := fs.Int("retries", 0, "client role: max attempts per dial/run (>1 enables transparent reconnect and replay)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "client role: base backoff between retries (doubles per attempt, 0 = 50ms default)")

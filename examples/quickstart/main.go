@@ -49,9 +49,9 @@ func main() {
 	fmt.Printf("is Alice richer? %v (computed without revealing either value)\n", secure[0])
 
 	// 3b. The same computation over a precompiled plan with an 8-wide
-	// engine: the plan is built once and reused by every run, gates at
-	// the same dependence level are garbled by a worker pool, and each
-	// level's tables stream to the evaluator the moment they are ready —
+	// engine: the plan is built once and reused by every run, the
+	// independent gates of a schedule step are garbled by a worker pool,
+	// and tables stream to the evaluator the moment they are ready —
 	// in software what HAAC's gate engines and table queues do in
 	// hardware. The garbled bytes are identical, so the worker count is
 	// purely a throughput knob.
@@ -67,7 +67,7 @@ func main() {
 	if fast[0] != plain[0] {
 		log.Fatal("parallel result disagrees with plaintext evaluation")
 	}
-	fmt.Println("planned parallel 2PC agrees (8 workers, level-streamed tables)")
+	fmt.Println("planned parallel 2PC agrees (8 workers, streamed tables)")
 
 	// 4. Compile for the HAAC accelerator and estimate performance.
 	cp, err := haac.Compile(c, haac.DefaultCompilerConfig())

@@ -27,9 +27,10 @@
 //	out, err := haac.Run2PC(c, garblerBits, evalBits)
 //
 //	// The same computation over a reusable compiled plan with an
-//	// 8-wide engine: gates at the same dependence level are garbled by
-//	// a worker pool and each level's tables go on the wire as soon as
-//	// they are ready, like the paper's table-queue design.
+//	// 8-wide engine: the plan runs the circuit segment by segment,
+//	// independent gates of a step are garbled by a worker pool, and each
+//	// segment's tables go on the wire as soon as they are ready, like
+//	// the paper's table-queue design.
 //	plan, err := haac.Precompile(c)
 //	out, err = haac.Run2PCWith(c, garblerBits, evalBits,
 //		haac.RunOptions{Workers: 8, Plan: plan})
@@ -204,8 +205,9 @@ func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, o
 
 // Precompiled is a reusable execution plan for one circuit: the wire
 // space renamed onto a compact slot arena of width ≈ peak-live wires
-// plus the cached level schedule — the paper's rename-and-evict memory
-// idea (§3.1.4) applied to the software garbling engine. Build it once
+// under a segment-local schedule — the paper's segment reordering
+// (§4.2.1) and rename-and-evict memory idea (§3.1.4) applied to the
+// software garbling engine. Build it once
 // with Precompile and pass it via RunOptions.Plan to every
 // Run2PCWith/RunGarblerWith/RunEvaluatorWith/GarbleAndEvaluateWith call
 // on the same circuit; every run executes over a plan, so a call
@@ -238,15 +240,16 @@ func (p *Precompiled) PeakLive() int { return p.plan.PeakLive }
 // RunOptions configures the execution engine of the two-party protocol
 // and the local garbling helpers.
 type RunOptions struct {
-	// Workers is the width of the level-scheduled plan engine: 0 or 1
-	// garbles and evaluates on the calling goroutine, larger values
-	// split each dependence level's AND gates across that many workers.
+	// Workers is the width of the plan engine: 0 or 1 garbles and
+	// evaluates on the calling goroutine, larger values split the
+	// independent AND gates of each wide schedule step across that many
+	// workers.
 	// The wire format does not depend on it, so each party picks its
 	// own width.
 	Workers int
 	// Plan, when non-nil, must come from Precompile on the same circuit
 	// the run executes. When nil, each direct-connection call compiles
-	// its own plan (about half the cost of one garble) and dialed
+	// its own plan (about the cost of two garbles) and dialed
 	// sessions share a small process-wide cache.
 	Plan *Precompiled
 	// Retry is the self-healing policy of sessions opened with Dial or

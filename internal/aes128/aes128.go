@@ -4,7 +4,7 @@
 // of the paper) followed by AES block encryptions, so the accelerator's
 // cost model — and the software garbler — both hinge on this primitive.
 //
-// Three implementations of the one function live here:
+// Four implementations of the one function live here:
 //
 //   - a byte-oriented reference (Expand, Encrypt, EncryptBlock in this
 //     file) that favours clarity; the cycle simulator's Half-Gate
@@ -12,14 +12,17 @@
 //   - a word-oriented T-table tier (ttable.go), portable and
 //     allocation-free;
 //   - an AES-NI tier (aesni_amd64.s) that derives a fresh key's round
-//     keys in registers while it encrypts, as the paper's pipeline does.
+//     keys in registers while it encrypts, as the paper's pipeline does;
+//   - a VAES tier (same file) that does the same for two gates per call,
+//     both keys of a gate in one 256-bit register.
 //
 // Callers on the hot paths (internal/gc, internal/ot) use the entry
-// points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2 and
-// Cipher — which run the AES-NI tier when CPUID offers it and the
-// T-table tier otherwise (other architectures, or -tags purego).
-// Backend reports which. All three agree with each other and with
-// crypto/aes byte for byte; the tests check that on random inputs.
+// points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2,
+// their two-gate forms FreshKeyQuad and FreshKeyQuad2, and Cipher —
+// which run the best hardware tier CPUID offers and the T-table tier
+// otherwise (other architectures, or -tags purego). Backend reports
+// which. All agree with each other and with crypto/aes byte for byte;
+// the tests check that on random inputs, on every tier the host has.
 package aes128
 
 // BlockSize is the AES block size in bytes.

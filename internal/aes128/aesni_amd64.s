@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AES-NI tier. The fresh-key kernels never store a key schedule: each
-// round key is derived in registers from the previous one and fed to
-// AESENC straight away, the software shape of HAAC's Half-Gate pipeline
-// (key expansion overlapped with encryption).
+// The hardware tiers: the AES-NI kernels first, the VAES kernels (two
+// gates per call) at the end. The fresh-key kernels never store a key
+// schedule: each round key is derived in registers from the previous
+// one and fed to AESENC straight away, the software shape of HAAC's
+// Half-Gate pipeline (key expansion overlapped with encryption).
 //
 // Round-key step. FIPS-197 needs t = SubWord(RotWord(w3)) ^ rcon and
 // then w0' = w0^t, w1' = w1^w0', w2' = w2^w1', w3' = w3^w2'. PSHUFB
@@ -247,4 +248,135 @@ one:
 	JMP   one
 
 done:
+	RET
+
+// VAES tier: two gates per call. One YMM register carries both tweak
+// keys of a gate, one key per 128-bit lane, so a single VEX instruction
+// stream runs what the AES-NI tier needs two for; two gates are
+// interleaved per call to hide the key-step latency of each other.
+// VPSHUFB, VPSLLDQ, VPSLLD and VAESENC[LAST] all work per lane, so the
+// round-key step is the one above, verbatim, on both lanes at once. The
+// three-operand forms also drop its register copies.
+
+// VLOAD2 builds Y from two blocks — low lane at offLo, high lane at
+// offHi — reading each as 8-byte halves for the reason LOAD16 gives.
+// XY must name Y's low half; XT is scratch.
+#define VLOAD2(offLo, offHi, base, XY, Y, XT) \
+	VMOVQ       offLo(base), XY; \
+	VPINSRQ     $1, offLo+8(base), XY, XY; \
+	VMOVQ       offHi(base), XT; \
+	VPINSRQ     $1, offHi+8(base), XT, XT; \
+	VINSERTI128 $1, XT, Y, Y
+
+// VSTORE2 is the inverse of VLOAD2.
+#define VSTORE2(offLo, offHi, base, XY, Y) \
+	VMOVDQU      XY, offLo(base); \
+	VEXTRACTI128 $1, Y, offHi(base)
+
+#define YMASK Y14
+#define YRC   Y15
+
+// YKEYSTEP advances the two round keys in K to the next round in place;
+// T and U are scratch.
+#define YKEYSTEP(K, T, U) \
+	VPSHUFB     YMASK, K, T; \
+	VAESENCLAST YRC, T, T; \
+	VPSLLDQ     $4, K, U; \
+	VPXOR       U, K, K; \
+	VPSLLDQ     $8, K, U; \
+	VPXOR       U, K, K; \
+	VPXOR       T, K, K
+
+// YTEN_ROUNDS is TEN_ROUNDS over the YMM round constant.
+#define YTEN_ROUNDS(ROUND) \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENC); \
+	VBROADCASTI128 rcon1b<>(SB), YRC; \
+	ROUND(VAESENC); \
+	VPSLLD $1, YRC, YRC; \
+	ROUND(VAESENCLAST)
+
+// func xgetbv0() (eax, edx uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// Four fresh keys, one block each (two evaluated AND gates): Y0 holds
+// keys 0,1 and Y1 keys 2,3; Y2 and Y3 the matching blocks.
+#define YROUND4x1(ENC) \
+	YKEYSTEP(Y0, Y4, Y5); \
+	YKEYSTEP(Y1, Y6, Y7); \
+	ENC Y0, Y2, Y2; \
+	ENC Y1, Y3, Y3
+
+// func freshKeyQuadVAES(keys, dst, src *[4]Block)
+TEXT ·freshKeyQuadVAES(SB), NOSPLIT, $0-24
+	MOVQ keys+0(FP), AX
+	MOVQ dst+8(FP), BX
+	MOVQ src+16(FP), CX
+	VLOAD2(0, 16, AX, X0, Y0, X8)
+	VLOAD2(32, 48, AX, X1, Y1, X9)
+	VLOAD2(0, 16, CX, X2, Y2, X10)
+	VLOAD2(32, 48, CX, X3, Y3, X11)
+	VBROADCASTI128 rotMask<>(SB), YMASK
+	VBROADCASTI128 rcon01<>(SB), YRC
+	VPXOR Y0, Y2, Y2
+	VPXOR Y1, Y3, Y3
+	YTEN_ROUNDS(YROUND4x1)
+	VSTORE2(0, 16, BX, X2, Y2)
+	VSTORE2(32, 48, BX, X3, Y3)
+	VZEROUPPER
+	RET
+
+// Four fresh keys, two blocks each (two garbled AND gates): block 2i and
+// 2i+1 under key i. Y0 holds keys 0,1 with Y2 = blocks 0,2 and Y3 =
+// blocks 1,3 — each lane's block under that lane's key; Y1 holds keys
+// 2,3 with Y4 = blocks 4,6 and Y5 = blocks 5,7.
+#define YROUND4x2(ENC) \
+	YKEYSTEP(Y0, Y6, Y7); \
+	YKEYSTEP(Y1, Y8, Y9); \
+	ENC Y0, Y2, Y2; \
+	ENC Y0, Y3, Y3; \
+	ENC Y1, Y4, Y4; \
+	ENC Y1, Y5, Y5
+
+// func freshKeyQuad2VAES(keys *[4]Block, dst, src *[8]Block)
+TEXT ·freshKeyQuad2VAES(SB), NOSPLIT, $0-24
+	MOVQ keys+0(FP), AX
+	MOVQ dst+8(FP), BX
+	MOVQ src+16(FP), CX
+	VLOAD2(0, 16, AX, X0, Y0, X10)
+	VLOAD2(32, 48, AX, X1, Y1, X11)
+	VLOAD2(0, 32, CX, X2, Y2, X12)
+	VLOAD2(16, 48, CX, X3, Y3, X13)
+	VLOAD2(64, 96, CX, X4, Y4, X10)
+	VLOAD2(80, 112, CX, X5, Y5, X11)
+	VBROADCASTI128 rotMask<>(SB), YMASK
+	VBROADCASTI128 rcon01<>(SB), YRC
+	VPXOR Y0, Y2, Y2
+	VPXOR Y0, Y3, Y3
+	VPXOR Y1, Y4, Y4
+	VPXOR Y1, Y5, Y5
+	YTEN_ROUNDS(YROUND4x2)
+	VSTORE2(0, 32, BX, X2, Y2)
+	VSTORE2(16, 48, BX, X3, Y3)
+	VSTORE2(64, 96, BX, X4, Y4)
+	VSTORE2(80, 112, BX, X5, Y5)
+	VZEROUPPER
 	RET

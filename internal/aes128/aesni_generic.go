@@ -2,9 +2,9 @@
 
 package aes128
 
-// No hardware tier in this build: the entry points in block.go compile
-// down to their T-table branches and the stubs below are unreachable.
-const hasAESNI = false
+// No hardware tier in this build: the entry points in block.go only ever
+// take their T-table branches and the stubs below are unreachable.
+func detectTier() tier { return tierTTable }
 
 func freshKeyEncryptAESNI(key, dst, src *Block)             { panic("aes128: no AES-NI tier") }
 func freshKeyPairAESNI(keys, dst, src *[2]Block)            { panic("aes128: no AES-NI tier") }
@@ -12,3 +12,5 @@ func freshKeyPair2AESNI(keys *[2]Block, dst, src *[4]Block) { panic("aes128: no 
 func encryptBlocksAESNI(rk *[Rounds + 1]Block, dst, src *Block, n int) {
 	panic("aes128: no AES-NI tier")
 }
+func freshKeyQuadVAES(keys, dst, src *[4]Block)            { panic("aes128: no VAES tier") }
+func freshKeyQuad2VAES(keys *[4]Block, dst, src *[8]Block) { panic("aes128: no VAES tier") }

@@ -6,12 +6,29 @@ import (
 )
 
 // The tiered entry points of the package: "key(s) and blocks in,
-// ciphertext out" over in-place 16-byte blocks, served by the AES-NI
-// kernels in aesni_amd64.s when the CPU has them and by the T-table
-// code otherwise (non-amd64, no AES-NI, or -tags purego). The choice is
-// made once at init from CPUID and cannot be configured: both tiers
-// compute AES-128, so every output is byte-identical and only the speed
-// differs. Backend reports which one is live.
+// ciphertext out" over in-place 16-byte blocks, served by the kernels in
+// aesni_amd64.s when the CPU has them and by the T-table code otherwise
+// (non-amd64, no AES-NI, or -tags purego). There are three tiers: VAES
+// (256-bit kernels that run two gates per call, both keys of a gate in
+// one register), AES-NI (one gate per call) and T-table. A VAES host
+// still runs the AES-NI kernels for the one-gate entry points. The
+// choice is made once at init from CPUID and cannot be configured: every
+// tier computes AES-128, so every output is byte-identical and only the
+// speed differs. Backend reports which one is live.
+
+// tier orders the implementations by what they need from the CPU; a
+// host that runs one runs everything below it.
+type tier uint8
+
+const (
+	tierTTable tier = iota
+	tierAESNI
+	tierVAES
+)
+
+// liveTier is the tier the entry points dispatch on. It is written once,
+// here; the package's tests lower it to run every tier on one host.
+var liveTier = detectTier()
 
 // Block is one 16-byte AES block (or key) held as two little-endian
 // 64-bit words: Lo is bytes 0..7, Hi bytes 8..15. On amd64 that is the
@@ -32,10 +49,14 @@ func LoadBlock(b []byte) Block {
 }
 
 // Backend names the AES tier the entry points in this file run on:
-// "aesni" (hardware kernels) or "ttable" (portable software). It is
+// "vaes" (two-gate 256-bit kernels over the AES-NI ones), "aesni"
+// (one-gate hardware kernels) or "ttable" (portable software). It is
 // fixed for the life of the process.
 func Backend() string {
-	if hasAESNI {
+	switch liveTier {
+	case tierVAES:
+		return "vaes"
+	case tierAESNI:
 		return "aesni"
 	}
 	return "ttable"
@@ -70,7 +91,7 @@ func (s *Schedule) EncryptBlockTo(dst, src *Block) {
 // AES_key(src). The hardware tier expands the key while it encrypts and
 // stores no schedule. dst and src may be the same block.
 func FreshKeyEncrypt(key, dst, src *Block) {
-	if hasAESNI {
+	if liveTier >= tierAESNI {
 		freshKeyEncryptAESNI(key, dst, src)
 		return
 	}
@@ -84,7 +105,7 @@ func FreshKeyEncrypt(key, dst, src *Block) {
 // hardware tier interleaves the two independent key expansions. dst and
 // src may be the same array.
 func FreshKeyPair(keys, dst, src *[2]Block) {
-	if hasAESNI {
+	if liveTier >= tierAESNI {
 		freshKeyPairAESNI(keys, dst, src)
 		return
 	}
@@ -100,7 +121,7 @@ func FreshKeyPair(keys, dst, src *[2]Block) {
 // work of one garbled AND gate, each key expanded once for its two
 // blocks. dst and src may be the same array.
 func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
-	if hasAESNI {
+	if liveTier >= tierAESNI {
 		freshKeyPair2AESNI(keys, dst, src)
 		return
 	}
@@ -113,12 +134,37 @@ func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
 	s.EncryptBlockTo(&dst[3], &src[3])
 }
 
+// FreshKeyQuad encrypts one block under each of four fresh keys, dst[i] =
+// AES_keys[i](src[i]) — two evaluated AND gates, the work of two
+// FreshKeyPair calls. The VAES tier runs both gates in one instruction
+// stream. dst and src may be the same array.
+func FreshKeyQuad(keys, dst, src *[4]Block) {
+	if liveTier >= tierVAES {
+		freshKeyQuadVAES(keys, dst, src)
+		return
+	}
+	FreshKeyPair((*[2]Block)(keys[:2]), (*[2]Block)(dst[:2]), (*[2]Block)(src[:2]))
+	FreshKeyPair((*[2]Block)(keys[2:]), (*[2]Block)(dst[2:]), (*[2]Block)(src[2:]))
+}
+
+// FreshKeyQuad2 encrypts two blocks under each of four fresh keys,
+// src[2i] and src[2i+1] under keys[i] — two garbled AND gates, the work
+// of two FreshKeyPair2 calls. dst and src may be the same array.
+func FreshKeyQuad2(keys *[4]Block, dst, src *[8]Block) {
+	if liveTier >= tierVAES {
+		freshKeyQuad2VAES(keys, dst, src)
+		return
+	}
+	FreshKeyPair2((*[2]Block)(keys[:2]), (*[4]Block)(dst[:4]), (*[4]Block)(src[:4]))
+	FreshKeyPair2((*[2]Block)(keys[2:]), (*[4]Block)(dst[4:]), (*[4]Block)(src[4:]))
+}
+
 // Cipher is AES-128 under one long-lived key: the schedule is expanded
 // once by NewCipher and Encrypt runs any number of blocks through it. A
 // Cipher is immutable after construction and safe for concurrent use.
 type Cipher struct {
 	ks Schedule          // T-table tier
-	rk [Rounds + 1]Block // AES-NI tier: the same round keys in memory order
+	rk [Rounds + 1]Block // hardware tiers: the same round keys in memory order
 }
 
 // NewCipher expands key into a Cipher.
@@ -138,7 +184,7 @@ func (c *Cipher) Encrypt(dst, src []Block) {
 		return
 	}
 	dst = dst[:len(src)]
-	if hasAESNI {
+	if liveTier >= tierAESNI {
 		encryptBlocksAESNI(&c.rk, &dst[0], &src[0], len(src))
 		return
 	}

@@ -9,11 +9,36 @@ import (
 
 // Differential tests for the tiered entry points in block.go. Each one
 // is checked against two independent references — the package's own
-// T-table path (ExpandFromBlock/EncryptBlockTo, software on every build) and
-// crypto/aes — so the same file pins the AES-NI kernels in a default
-// amd64 build and the fallback dispatch under -tags purego.
+// T-table path (ExpandFromBlock/EncryptBlockTo, software on every build)
+// and crypto/aes — on every tier the host can run: liveTier is lowered
+// step by step from what CPUID found, so one VAES host pins the VAES
+// kernels, the AES-NI kernels and the fallback dispatch, and -tags
+// purego pins the build that has only the last.
+
+// hostTier is the tier detection picked; tests never raise liveTier
+// above it.
+var hostTier = detectTier()
+
+// eachTier runs f once per tier this host can run, with the entry points
+// dispatching on that tier, and restores the detected tier afterwards.
+func eachTier(f func()) {
+	defer func() { liveTier = hostTier }()
+	for liveTier = tierTTable; liveTier <= hostTier; liveTier++ {
+		f()
+	}
+}
 
 func randBlock(rng *rand.Rand) Block { return Block{Lo: rng.Uint64(), Hi: rng.Uint64()} }
+
+func randBlocks(rng *rand.Rand) (keys [4]Block, src [8]Block) {
+	for i := range keys {
+		keys[i] = randBlock(rng)
+	}
+	for i := range src {
+		src[i] = randBlock(rng)
+	}
+	return
+}
 
 // stdEncrypt is AES_key(src) by crypto/aes.
 func stdEncrypt(t testing.TB, key, src Block) Block {
@@ -40,63 +65,106 @@ func softEncrypt(key, src Block) Block {
 	return out
 }
 
-// checkAllEntryPoints runs every tiered entry point over the two keys
-// and four blocks, out of place and in place, against both references.
-func checkAllEntryPoints(t testing.TB, keys [2]Block, src [4]Block) {
+// checkAllEntryPoints runs every tiered entry point on every tier over
+// the four keys and eight blocks (block i under keys[i/2], the layout of
+// two garbled gates), out of place and in place, against both
+// references.
+func checkAllEntryPoints(t testing.TB, keys [4]Block, src [8]Block) {
 	t.Helper()
-	var want [4]Block // block i under keys[i/2]
+	var want [8]Block
 	for i := range src {
 		want[i] = stdEncrypt(t, keys[i/2], src[i])
 		if soft := softEncrypt(keys[i/2], src[i]); soft != want[i] {
 			t.Fatalf("T-table AES_%v(%v) = %v, crypto/aes %v", keys[i/2], src[i], soft, want[i])
 		}
 	}
+	fixedWant := src
+	for i := range src {
+		fixedWant[i] = stdEncrypt(t, keys[0], src[i])
+	}
+	eachTier(func() { checkLiveTier(t, keys, src, want, fixedWant) })
+}
 
+// checkLiveTier is checkAllEntryPoints on the tier liveTier names.
+func checkLiveTier(t testing.TB, keys [4]Block, src, want, fixedWant [8]Block) {
+	t.Helper()
 	var one Block
-	FreshKeyEncrypt(&keys[1], &one, &src[3])
-	if one != want[3] {
-		t.Fatalf("FreshKeyEncrypt = %v, want %v (backend %s)", one, want[3], Backend())
+	FreshKeyEncrypt(&keys[3], &one, &src[7])
+	if one != want[7] {
+		t.Fatalf("%s: FreshKeyEncrypt = %v, want %v", Backend(), one, want[7])
 	}
-	one = src[3]
-	FreshKeyEncrypt(&keys[1], &one, &one)
-	if one != want[3] {
-		t.Fatalf("FreshKeyEncrypt in place = %v, want %v", one, want[3])
+	one = src[7]
+	FreshKeyEncrypt(&keys[3], &one, &one)
+	if one != want[7] {
+		t.Fatalf("%s: FreshKeyEncrypt in place = %v, want %v", Backend(), one, want[7])
 	}
 
+	// An evaluated gate: two keys, one block each.
+	keys2 := [2]Block{keys[0], keys[1]}
 	pairSrc, pairWant := [2]Block{src[0], src[2]}, [2]Block{want[0], want[2]}
 	var pair [2]Block
-	FreshKeyPair(&keys, &pair, &pairSrc)
+	FreshKeyPair(&keys2, &pair, &pairSrc)
 	if pair != pairWant {
-		t.Fatalf("FreshKeyPair = %v, want %v (backend %s)", pair, pairWant, Backend())
+		t.Fatalf("%s: FreshKeyPair = %v, want %v", Backend(), pair, pairWant)
 	}
 	pair = pairSrc
-	FreshKeyPair(&keys, &pair, &pair)
+	FreshKeyPair(&keys2, &pair, &pair)
 	if pair != pairWant {
-		t.Fatalf("FreshKeyPair in place = %v, want %v", pair, pairWant)
+		t.Fatalf("%s: FreshKeyPair in place = %v, want %v", Backend(), pair, pairWant)
 	}
 
-	var quad [4]Block
-	FreshKeyPair2(&keys, &quad, &src)
-	if quad != want {
-		t.Fatalf("FreshKeyPair2 = %v, want %v (backend %s)", quad, want, Backend())
+	// A garbled gate: two keys, two blocks each.
+	pair2Src, pair2Want := [4]Block(src[:4]), [4]Block(want[:4])
+	var pair2 [4]Block
+	FreshKeyPair2(&keys2, &pair2, &pair2Src)
+	if pair2 != pair2Want {
+		t.Fatalf("%s: FreshKeyPair2 = %v, want %v", Backend(), pair2, pair2Want)
 	}
-	quad = src
-	FreshKeyPair2(&keys, &quad, &quad)
-	if quad != want {
-		t.Fatalf("FreshKeyPair2 in place = %v, want %v", quad, want)
+	pair2 = pair2Src
+	FreshKeyPair2(&keys2, &pair2, &pair2)
+	if pair2 != pair2Want {
+		t.Fatalf("%s: FreshKeyPair2 in place = %v, want %v", Backend(), pair2, pair2Want)
+	}
+
+	// Two evaluated gates: four keys, one block each.
+	quadSrc := [4]Block{src[0], src[2], src[4], src[6]}
+	quadWant := [4]Block{want[0], want[2], want[4], want[6]}
+	var quad [4]Block
+	FreshKeyQuad(&keys, &quad, &quadSrc)
+	if quad != quadWant {
+		t.Fatalf("%s: FreshKeyQuad = %v, want %v", Backend(), quad, quadWant)
+	}
+	quad = quadSrc
+	FreshKeyQuad(&keys, &quad, &quad)
+	if quad != quadWant {
+		t.Fatalf("%s: FreshKeyQuad in place = %v, want %v", Backend(), quad, quadWant)
+	}
+
+	// Two garbled gates: four keys, two blocks each.
+	var quad2 [8]Block
+	FreshKeyQuad2(&keys, &quad2, &src)
+	if quad2 != want {
+		t.Fatalf("%s: FreshKeyQuad2 = %v, want %v", Backend(), quad2, want)
+	}
+	quad2 = src
+	FreshKeyQuad2(&keys, &quad2, &quad2)
+	if quad2 != want {
+		t.Fatalf("%s: FreshKeyQuad2 in place = %v, want %v", Backend(), quad2, want)
 	}
 
 	c := NewCipher(keys[0])
 	fixed := src
 	c.Encrypt(fixed[:], fixed[:])
-	for i := range fixed {
-		if w := stdEncrypt(t, keys[0], src[i]); fixed[i] != w {
-			t.Fatalf("Cipher.Encrypt block %d = %v, want %v (backend %s)", i, fixed[i], w, Backend())
-		}
+	if fixed != fixedWant {
+		t.Fatalf("%s: Cipher.Encrypt = %v, want %v", Backend(), fixed, fixedWant)
 	}
 }
 
 func TestFreshKeyFIPS197(t *testing.T) {
+	eachTier(func() { fips197OnLiveTier(t) })
+}
+
+func fips197OnLiveTier(t *testing.T) {
 	key, pt, ct := LoadBlock(fips197Key), LoadBlock(fips197Pt), LoadBlock(fips197Ct)
 	var got Block
 	FreshKeyEncrypt(&key, &got, &pt)
@@ -115,34 +183,56 @@ func TestFreshKeyFIPS197(t *testing.T) {
 	if quad != [4]Block{ct, ct, ct, ct} {
 		t.Fatalf("FreshKeyPair2 on the FIPS-197 vector = %v", quad)
 	}
+	keys4 := [4]Block{key, key, key, key}
+	FreshKeyQuad(&keys4, &quad, &[4]Block{pt, pt, pt, pt})
+	if quad != [4]Block{ct, ct, ct, ct} {
+		t.Fatalf("%s: FreshKeyQuad on the FIPS-197 vector = %v", Backend(), quad)
+	}
+	oct := [8]Block{pt, pt, pt, pt, pt, pt, pt, pt}
+	FreshKeyQuad2(&keys4, &oct, &oct)
+	if oct != [8]Block{ct, ct, ct, ct, ct, ct, ct, ct} {
+		t.Fatalf("%s: FreshKeyQuad2 on the FIPS-197 vector = %v", Backend(), oct)
+	}
 }
 
 func TestTiersAgreeOnRandomInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 500; i++ {
-		keys := [2]Block{randBlock(rng), randBlock(rng)}
-		src := [4]Block{randBlock(rng), randBlock(rng), randBlock(rng), randBlock(rng)}
+		keys, src := randBlocks(rng)
 		checkAllEntryPoints(t, keys, src)
 	}
 }
 
-// TestTiersAgreeOnTweakKeys covers the keys the garbler actually uses:
-// K(t) = t ‖ ^t for consecutive tweaks 2j, 2j+1, including the extremes.
+// tweakKeys returns the four keys the garbler derives for gates j0 and
+// j1: K(t) = t ‖ ^t for tweaks 2j, 2j+1.
+func tweakKeys(j0, j1 uint64) (keys [4]Block) {
+	for i, t := range [4]uint64{2 * j0, 2*j0 + 1, 2 * j1, 2*j1 + 1} {
+		keys[i] = Block{Lo: t, Hi: ^t}
+	}
+	return
+}
+
+// TestTiersAgreeOnTweakKeys covers the keys the garbler actually uses,
+// for neighbouring and far-apart gate pairs, including the extremes.
 func TestTiersAgreeOnTweakKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tweaks := []uint64{0, 1, 2, 1 << 32, 1<<63 - 1, 1 << 63, ^uint64(0) - 1}
+	gates := []uint64{0, 1, 2, 1 << 31, 1<<62 - 1, 1 << 62, 1<<63 - 1}
 	for i := 0; i < 100; i++ {
-		tweaks = append(tweaks, rng.Uint64()&^1)
+		gates = append(gates, rng.Uint64()>>1)
 	}
-	for _, t0 := range tweaks {
-		keys := [2]Block{{Lo: t0, Hi: ^t0}, {Lo: t0 + 1, Hi: ^(t0 + 1)}}
-		src := [4]Block{randBlock(rng), randBlock(rng), randBlock(rng), randBlock(rng)}
-		checkAllEntryPoints(t, keys, src)
+	for i, j0 := range gates {
+		_, src := randBlocks(rng)
+		checkAllEntryPoints(t, tweakKeys(j0, j0+1), src)
+		checkAllEntryPoints(t, tweakKeys(j0, gates[len(gates)-1-i]), src)
 	}
 }
 
 // TestCipherEncryptLengths exercises the four-wide loop and its tail.
 func TestCipherEncryptLengths(t *testing.T) {
+	eachTier(func() { cipherLengthsOnLiveTier(t) })
+}
+
+func cipherLengthsOnLiveTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	key := randBlock(rng)
 	c := NewCipher(key)
@@ -174,27 +264,34 @@ func TestLoadBlockIsLittleEndian(t *testing.T) {
 }
 
 func TestBackendIsNamed(t *testing.T) {
-	if b := Backend(); b != "aesni" && b != "ttable" {
-		t.Fatalf("Backend() = %q", b)
-	}
+	want := [...]string{tierTTable: "ttable", tierAESNI: "aesni", tierVAES: "vaes"}
+	eachTier(func() {
+		if Backend() != want[liveTier] {
+			t.Fatalf("Backend() = %q on tier %d, want %q", Backend(), liveTier, want[liveTier])
+		}
+	})
 	t.Logf("aes128 backend: %s", Backend())
 }
 
 // TestFreshKeyNoAllocs: no tiered entry point may allocate — the
 // garbling engines count on zero steady-state allocations per gate.
 func TestFreshKeyNoAllocs(t *testing.T) {
-	var keys [2]Block
-	var blk [4]Block
+	var keys [4]Block
+	var blk [8]Block
 	c := NewCipher(Block{Lo: 1})
-	if avg := testing.AllocsPerRun(100, func() {
-		keys[0].Lo++
-		FreshKeyEncrypt(&keys[0], &blk[0], &blk[0])
-		FreshKeyPair(&keys, (*[2]Block)(blk[:2]), (*[2]Block)(blk[2:]))
-		FreshKeyPair2(&keys, &blk, &blk)
-		c.Encrypt(blk[:], blk[:])
-	}); avg != 0 {
-		t.Fatalf("tiered entry points allocate %.1f times per call set", avg)
-	}
+	eachTier(func() {
+		if avg := testing.AllocsPerRun(100, func() {
+			keys[0].Lo++
+			FreshKeyEncrypt(&keys[0], &blk[0], &blk[0])
+			FreshKeyPair((*[2]Block)(keys[:2]), (*[2]Block)(blk[:2]), (*[2]Block)(blk[2:]))
+			FreshKeyPair2((*[2]Block)(keys[:2]), (*[4]Block)(blk[:4]), (*[4]Block)(blk[4:]))
+			FreshKeyQuad(&keys, (*[4]Block)(blk[:4]), (*[4]Block)(blk[4:]))
+			FreshKeyQuad2(&keys, &blk, &blk)
+			c.Encrypt(blk[:], blk[:])
+		}); avg != 0 {
+			t.Fatalf("%s: tiered entry points allocate %.1f times per call set", Backend(), avg)
+		}
+	})
 }
 
 // FuzzFreshKeyEncrypt feeds arbitrary keys and blocks through every
@@ -203,13 +300,35 @@ func FuzzFreshKeyEncrypt(f *testing.F) {
 	f.Add(append(append([]byte{}, fips197Key...), fips197Key...), append(append(append(append([]byte{}, fips197Pt...), fips197Pt...), fips197Ct...), fips197Ct...))
 	f.Add(make([]byte, 32), make([]byte, 64))
 	f.Fuzz(func(t *testing.T, keyBytes, blockBytes []byte) {
-		var kb [32]byte
-		var bb [64]byte
+		var kb [64]byte
 		copy(kb[:], keyBytes)
-		copy(bb[:], blockBytes)
-		keys := [2]Block{LoadBlock(kb[0:]), LoadBlock(kb[16:])}
-		src := [4]Block{LoadBlock(bb[0:]), LoadBlock(bb[16:]), LoadBlock(bb[32:]), LoadBlock(bb[48:])}
-		checkAllEntryPoints(t, keys, src)
+		var keys [4]Block
+		for i := range keys {
+			keys[i] = LoadBlock(kb[16*i:])
+		}
+		checkAllEntryPoints(t, keys, blocksFrom(blockBytes))
+	})
+}
+
+// blocksFrom reads eight blocks from b, zero-padded or truncated.
+func blocksFrom(b []byte) (src [8]Block) {
+	var bb [128]byte
+	copy(bb[:], b)
+	for i := range src {
+		src[i] = LoadBlock(bb[16*i:])
+	}
+	return
+}
+
+// FuzzFreshKeyQuad drives the entry points with the keys the garbler
+// derives — a pair of gate indices, as a step of the schedule hands them
+// to the two-gate kernels — rather than arbitrary key bytes.
+func FuzzFreshKeyQuad(f *testing.F) {
+	f.Add(uint64(0), uint64(1), []byte{})
+	f.Add(uint64(4095), uint64(4096), append(append([]byte{}, fips197Pt...), fips197Ct...))
+	f.Add(uint64(1<<63-1), uint64(0), make([]byte, 128))
+	f.Fuzz(func(t *testing.T, j0, j1 uint64, blockBytes []byte) {
+		checkAllEntryPoints(t, tweakKeys(j0, j1), blocksFrom(blockBytes))
 	})
 }
 
@@ -243,6 +362,29 @@ func BenchmarkFreshKeyPair2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		keys[0].Lo, keys[1].Lo = uint64(2*i), uint64(2*i+1)
 		FreshKeyPair2(&keys, &dst, &src)
+	}
+}
+
+// BenchmarkFreshKeyQuad: four fresh keys, one block each (two evaluated
+// AND gates).
+func BenchmarkFreshKeyQuad(b *testing.B) {
+	var keys, src, dst [4]Block
+	b.SetBytes(4 * BlockSize)
+	for i := 0; i < b.N; i++ {
+		keys[0].Lo, keys[1].Lo, keys[2].Lo, keys[3].Lo = uint64(4*i), uint64(4*i+1), uint64(4*i+2), uint64(4*i+3)
+		FreshKeyQuad(&keys, &dst, &src)
+	}
+}
+
+// BenchmarkFreshKeyQuad2: four fresh keys, two blocks each (two garbled
+// AND gates).
+func BenchmarkFreshKeyQuad2(b *testing.B) {
+	var keys [4]Block
+	var src, dst [8]Block
+	b.SetBytes(8 * BlockSize)
+	for i := 0; i < b.N; i++ {
+		keys[0].Lo, keys[1].Lo, keys[2].Lo, keys[3].Lo = uint64(4*i), uint64(4*i+1), uint64(4*i+2), uint64(4*i+3)
+		FreshKeyQuad2(&keys, &dst, &src)
 	}
 }
 

@@ -8,8 +8,8 @@ package aes128
 // caller-owned storage: ExpandFrom fills an existing Schedule and
 // EncryptTo/EncryptBlocksTo write into caller buffers, so no call
 // allocates. It is what the entry points in block.go run on hosts
-// without AES-NI, and the software reference the AES-NI tier is tested
-// against.
+// without AES-NI, and the software reference the hardware tiers are
+// tested against.
 //
 // The tables and round structure follow FIPS-197 directly (they are the
 // same construction crypto/aes uses for its non-asm fallback); equality

@@ -3,20 +3,23 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"haac/internal/circuit"
 	"haac/internal/gc"
 	"haac/internal/label"
 )
 
-// Memory experiment: the software mirror of the paper's renaming /
-// out-of-range-wire story (§3.1.4). The dense reference garbler holds
-// one label per circuit wire per run; a precompiled plan renames the
-// write-once wire space onto ≈ peak-live slots and reuses one arena
-// across runs. The
-// experiment reports, per VIP workload, how far the working set shrinks
-// (peak-live width vs total wires, resident label bytes) and what it
-// does to steady-state heap allocations per run.
+// Memory experiment: the software mirror of the paper's segment
+// reordering (§4.2.1) and renaming / out-of-range-wire story (§3.1.4).
+// The dense reference garbler holds one label per circuit wire per run;
+// a precompiled plan schedules the circuit segment by segment, renames
+// the write-once wire space onto ≈ peak-live slots and reuses one arena
+// across runs. The experiment reports, per VIP workload, how far the
+// working set shrinks (peak-live width vs total wires and vs what a
+// whole-circuit level order would keep live, resident label bytes),
+// what the schedule costs (steps vs levels, plan build time and heap)
+// and what it does to steady-state heap allocations per run.
 
 // MemoryRow reports one workload's dense-vs-planned memory profile.
 type MemoryRow struct {
@@ -24,6 +27,14 @@ type MemoryRow struct {
 	Wires    int // total circuit wires
 	Slots    int // renamed slot-space width (== peak-live wires)
 	ANDGates int
+	// Levels and LevelPeakLive describe whole-circuit level order, the
+	// schedule plans had before they were segmented: its step count (the
+	// dependence depth) and the wires it keeps live. Steps is the
+	// segment-local schedule's step count; Slots is its peak-live.
+	Levels, LevelPeakLive, Steps int
+	// BuildMS and PlanHeapMB are circuit.NewPlan's wall time and the heap
+	// the finished plan retains.
+	BuildMS, PlanHeapMB float64
 	// DenseLabelBytes / PlanLabelBytes are the resident label-array
 	// bytes of one execution on the reference path and the plan engine.
 	DenseLabelBytes int64
@@ -59,6 +70,55 @@ func allocsPerRun(reps int, fn func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(reps)
 }
 
+// levelOrderPeakLive returns the depth of c and the peak number of live
+// wires under whole-circuit level order with the plan's liveness rule: a
+// wire dies with its last reader's level (its own, if nothing reads it;
+// never, if it is an output) and its slot is reusable one level later.
+func levelOrderPeakLive(c *circuit.Circuit) (depth, peak int) {
+	levels := c.Levels()
+	writeLevel := make([]int, c.NumWires)
+	lastUse := make([]int, c.NumWires)
+	for i := range c.Gates {
+		g, l := &c.Gates[i], levels[i]
+		depth = max(depth, l)
+		writeLevel[g.C] = l
+		lastUse[g.A] = max(lastUse[g.A], l)
+		if g.Op != circuit.INV {
+			lastUse[g.B] = max(lastUse[g.B], l)
+		}
+	}
+	for _, o := range c.Outputs {
+		lastUse[o] = depth + 1
+	}
+	born := make([]int, depth+2)
+	dies := make([]int, depth+2)
+	nin := c.NumInputs()
+	for w := 0; w < c.NumWires; w++ {
+		if w >= nin && writeLevel[w] == 0 {
+			continue // a gap wire: nothing writes it
+		}
+		born[writeLevel[w]]++
+		dies[max(lastUse[w], writeLevel[w])]++
+	}
+	live := 0
+	for l := 0; l <= depth; l++ {
+		if l > 0 {
+			live -= dies[l-1]
+		}
+		live += born[l]
+		peak = max(peak, live)
+	}
+	return depth, peak
+}
+
+// heapAlloc returns the live heap after a collection.
+func heapAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // Memory measures the suite under the dense reference gc.Garble/
 // gc.Evaluate vs a reused plan runner pair.
 func (e *Env) Memory() ([]MemoryRow, string, error) {
@@ -67,19 +127,26 @@ func (e *Env) Memory() ([]MemoryRow, string, error) {
 	var rows []MemoryRow
 	for _, w := range e.Scale.Suite() {
 		c := e.Circuit(w)
+		heap0, t0 := heapAlloc(), time.Now()
 		p, err := circuit.NewPlan(c)
 		if err != nil {
 			return nil, "", fmt.Errorf("memory: %s: %w", w.Name, err)
 		}
+		buildMS := float64(time.Since(t0).Microseconds()) / 1e3
+		planHeap := float64(heapAlloc()) - float64(heap0)
 		and, _, _ := c.CountOps()
 		row := MemoryRow{
 			Name:            w.Name,
 			Wires:           c.NumWires,
 			Slots:           p.NumSlots,
 			ANDGates:        and,
+			Steps:           p.NumSteps(),
+			BuildMS:         buildMS,
+			PlanHeapMB:      planHeap / 1e6,
 			DenseLabelBytes: int64(c.NumWires) * label.Size,
 			PlanLabelBytes:  int64(p.NumSlots) * label.Size,
 		}
+		row.Levels, row.LevelPeakLive = levelOrderPeakLive(c)
 
 		garbled, err := gc.Garble(c, h, label.NewSource(11))
 		if err != nil {
@@ -117,14 +184,19 @@ func (e *Env) Memory() ([]MemoryRow, string, error) {
 		rows = append(rows, row)
 	}
 
-	header := []string{"Bench", "wires", "peak-live", "live %", "dense KB", "plan KB", "dense allocs/run", "plan allocs/run"}
+	header := []string{"Bench", "wires", "levels", "steps", "level-order live", "peak-live", "live %", "build ms", "plan MB", "dense KB", "plan KB", "dense allocs/run", "plan allocs/run"}
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
 			r.Name,
 			fmt.Sprint(r.Wires),
+			fmt.Sprint(r.Levels),
+			fmt.Sprint(r.Steps),
+			fmt.Sprint(r.LevelPeakLive),
 			fmt.Sprint(r.Slots),
 			fmt.Sprintf("%.1f", 100*r.LiveFraction()),
+			fmt.Sprintf("%.1f", r.BuildMS),
+			fmt.Sprintf("%.1f", r.PlanHeapMB),
 			fmt.Sprintf("%.0f", float64(r.DenseLabelBytes)/1024),
 			fmt.Sprintf("%.0f", float64(r.PlanLabelBytes)/1024),
 			fmt.Sprintf("%.0f", r.DenseAllocs),
@@ -132,7 +204,10 @@ func (e *Env) Memory() ([]MemoryRow, string, error) {
 		})
 	}
 	s := table(header, cells)
-	s += "\n(peak-live is the renamed slot-space width — the label arena a planned run touches;\n" +
+	s += "\n(levels and level-order live are what whole-circuit level order would take: its step\n" +
+		"count and live wires; steps and peak-live are the plan's segment-local schedule, peak-live\n" +
+		"being the renamed slot-space width — the label arena a planned run touches; build ms and\n" +
+		"plan MB are circuit.NewPlan's time and the heap the plan retains;\n" +
 		"dense/plan KB are resident label bytes per run at 16 B per wire/slot; allocs/run is\n" +
 		"one steady-state garble+evaluate cycle — planned runs reuse one arena and the cached\n" +
 		"schedule, so they stay at zero)\n"

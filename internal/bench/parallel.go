@@ -17,8 +17,8 @@ import (
 // Parallel-garbling experiment: the plan engine's garbling throughput
 // at several worker counts against the gate-by-gate reference garbler,
 // plus one in-process 2PC wall time. This is the software counterpart
-// of the paper's gate-engine scaling study (Fig. 8): levels expose the
-// ILP, the worker pool plays the GEs.
+// of the paper's gate-engine scaling study (Fig. 8): schedule steps
+// expose the ILP, the worker pool plays the GEs.
 
 // ParallelRow reports one workload's garbling throughput at several
 // worker counts.

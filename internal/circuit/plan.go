@@ -1,17 +1,15 @@
 package circuit
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Plan is a precompiled execution plan for a circuit: the gate list
-// renamed from the write-once wire space onto a compact physical slot
-// space of width ≈ peak-live wires, together with the cached level
-// schedule. It is the software analogue of the paper's renaming pass
-// (§3.1.4): wires are mapped into a small dense space and dead wires
-// are evicted so the working set of a run is the circuit's peak-live
-// width, not its total wire count.
+// reordered into a segment-local schedule (see schedule.go) and renamed
+// from the write-once wire space onto a compact physical slot space of
+// width ≈ peak-live wires under that order. It is the software analogue
+// of the paper's compiler passes: segment reordering (§4.2.1) picks the
+// order, renaming (§3.1.4, §4.2.2) maps wires into a small dense space
+// and evicts dead ones, so the working set of a run is about one
+// segment's live wires, not the circuit's total wire count.
 //
 // A Plan is immutable after construction and safe for concurrent use by
 // any number of executions; build it once per circuit and share it.
@@ -19,17 +17,21 @@ type Plan struct {
 	// Circuit is the source circuit. The plan does not modify it.
 	Circuit *Circuit
 
-	// Gates is the renamed gate list: same length, order and ops as
-	// Circuit.Gates, with A/B/C rewritten to slot indices in
-	// [0, NumSlots). For INV gates B is set equal to A.
-	//
-	// The renamed list is only valid under level-ordered execution via
-	// Schedule (levels in order, any order inside a level): a slot whose
-	// wire dies at level j is recycled by a gate at some level k > j,
-	// and that gate may sit *earlier* in the gate list than the dead
-	// wire's last reader. Executing Gates in plain gate order would
-	// overwrite slots that are still live.
+	// Gates is the circuit's gate list in execution order, with A/B/C
+	// rewritten to slot indices in [0, NumSlots). For INV gates B is set
+	// equal to A. It is a straight-line program over the slot arena:
+	// running it front to back is always correct, and Step says which
+	// stretches of it are independent. A slot whose wire dies in step j
+	// is recycled by a gate of some later step, so no other order is
+	// valid — circuit gate order in particular is not.
 	Gates []Gate
+
+	// Tables[i] is the table-stream index of the i-th AND gate of Gates —
+	// the position of its table in the gate-order table stream and the
+	// value of its hash tweak. Tables stay in circuit gate order whatever
+	// the schedule, so the wire format does not depend on it. len(Tables)
+	// is the circuit's AND-gate count.
+	Tables []int32
 
 	// NumSlots is the width of the physical slot space — the label-arena
 	// length an executor needs. Input-like wire w occupies slot w at the
@@ -42,16 +44,13 @@ type Plan struct {
 	// whenever execution finishes.
 	OutputSlots []Wire
 
-	// Schedule is the circuit's level schedule, built once here so plan
-	// executors never recompute it. Its gate indices are valid for both
-	// Circuit.Gates and the renamed Gates (the order is identical).
-	Schedule *Schedule
-
 	// PeakLive is the maximum number of simultaneously live wires across
-	// the level-ordered execution: inputs plus every wire written so far,
+	// the scheduled execution: inputs plus every wire written so far,
 	// minus wires whose last reader has completed. The renamer achieves
 	// exactly this width (NumSlots == PeakLive).
 	PeakLive int
+
+	steps []step
 }
 
 // planBuilds counts NewPlan calls; a test hook for asserting that plan
@@ -61,114 +60,71 @@ var planBuilds atomic.Uint64
 // PlanBuilds returns the number of plans built by this process.
 func PlanBuilds() uint64 { return planBuilds.Load() }
 
-// NewPlan validates the circuit, runs the last-use liveness pass and the
-// slot-renaming pass, and returns the reusable plan. Both passes are
-// O(gates).
+// NewPlan validates the circuit, schedules it segment by segment, runs
+// the last-use liveness pass and the slot-renaming pass over that order,
+// and returns the reusable plan. Every pass is O(gates).
 //
-// Renaming respects level boundaries: a slot whose wire dies at level k
-// (its last reader runs at level k) is reused only by gates at levels
-// strictly greater than k. Level-synchronous executors — sequential
-// level-ordered loops as well as parallel worker pools with a barrier
-// per level — therefore never race a write against a read of the same
-// slot inside a level.
+// Renaming respects step boundaries: a slot whose wire dies in step k
+// (its last reader runs in step k) is reused only by gates of steps
+// strictly after k. Step-synchronous executors — sequential loops as
+// well as worker pools with a barrier per step — therefore never race a
+// write against a read of the same slot inside a step.
 func NewPlan(c *Circuit) (*Plan, error) {
+	return newPlanSegmented(c, segmentANDs)
+}
+
+// newPlanSegmented is NewPlan with the segment size as a parameter, so
+// tests can cover one-gate segments and whole-circuit segments alike.
+func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	planBuilds.Add(1)
-
-	levels := c.Levels()
-	maxLevel := 0
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
+	sched, err := scheduleSegments(c, segANDs)
+	if err != nil {
+		return nil, err
 	}
-	nin := c.NumInputs()
-
-	// Last-use liveness. lastUse[w] is the level of the last gate reading
-	// wire w; primary outputs are pinned live forever (sentinel past the
-	// deepest level); a wire nobody reads dies at its own write level, so
-	// its slot recycles one level after it is produced.
+	// Primary outputs are pinned live forever. A wire nobody reads keeps
+	// lastUse below its write step and is released as it is written.
 	const neverDies = int32(1) << 30
-	writeLevel := make([]int32, c.NumWires)
-	lastUse := make([]int32, c.NumWires)
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		if g.Op != XOR && g.Op != AND && g.Op != INV {
-			return nil, fmt.Errorf("circuit: gate %d has unknown op %d", i, g.Op)
-		}
-		l := int32(levels[i])
-		writeLevel[g.C] = l
-		if lastUse[g.A] < l {
-			lastUse[g.A] = l
-		}
-		if g.Op != INV && lastUse[g.B] < l {
-			lastUse[g.B] = l
-		}
-	}
-	for w := range lastUse {
-		if lastUse[w] < writeLevel[w] {
-			lastUse[w] = writeLevel[w]
-		}
-	}
+	lastUse := sched.lastUse
 	for _, o := range c.Outputs {
 		lastUse[o] = neverDies
 	}
 
-	// Bucket gates and wire deaths by level for the single renaming sweep.
-	// Gates keep gate order inside a level; deaths keep wire order — both
-	// choices only pin the (deterministic) slot assignment.
-	gatesAt := make([][]int32, maxLevel+1)
-	gateCount := make([]int32, maxLevel+1)
-	for i := range c.Gates {
-		gateCount[levels[i]]++
-	}
-	for k := 1; k <= maxLevel; k++ {
-		gatesAt[k] = make([]int32, 0, gateCount[k])
-	}
-	for i := range c.Gates {
-		gatesAt[levels[i]] = append(gatesAt[levels[i]], int32(i))
-	}
-	diesAt := make([][]Wire, maxLevel+1)
-	for w := 0; w < c.NumWires; w++ {
-		if w >= nin && writeLevel[w] == 0 {
-			// Gap wire: Validate permits wires nothing writes or reads.
-			// They own no slot, so they must not enter the death
-			// buckets — freeing their zero-valued slot[w] would recycle
-			// input slot 0 while it is still live.
-			continue
-		}
-		if l := lastUse[w]; l != neverDies && int(l) < len(diesAt) {
-			diesAt[l] = append(diesAt[l], Wire(w))
-		}
-	}
-
 	p := &Plan{
-		Circuit:  c,
-		Gates:    make([]Gate, len(c.Gates)),
-		Schedule: c.levelScheduleFrom(levels),
+		Circuit: c,
+		Gates:   make([]Gate, len(c.Gates)),
+		Tables:  sched.tables,
+		steps:   sched.steps,
 	}
 
-	// Renaming sweep. Inputs occupy slots [0, nin) — the identity map —
-	// so executors load input labels with a single copy. free is a LIFO
-	// stack: the most recently vacated slot is the hottest in cache.
+	// Renaming sweep over the schedule. Inputs occupy slots [0, nin) —
+	// the identity map — so executors load input labels with a single
+	// copy. free is a LIFO stack: the most recently vacated slot is the
+	// hottest in cache. Slots vacated during a step wait in vacated and
+	// join free only when the next step starts, which is the
+	// step-boundary rule; lastUse is zeroed as a wire is released so a
+	// wire read twice in its last step is released once.
+	nin := c.NumInputs()
 	slot := make([]Wire, c.NumWires)
+	var free, vacated []Wire
 	for w := 0; w < nin; w++ {
 		slot[w] = Wire(w)
+		if lastUse[w] == 0 {
+			vacated = append(vacated, Wire(w))
+		}
 	}
 	nextSlot := nin
-	free := make([]Wire, 0, nin)
 	live, peak := nin, nin
-	for k := 1; k <= maxLevel; k++ {
-		// Slots that died at level k-1 become reusable now — never
-		// earlier, preserving the level-boundary rule.
-		for _, w := range diesAt[k-1] {
-			free = append(free, slot[w])
-		}
-		live -= len(diesAt[k-1])
-		for _, gi := range gatesAt[k] {
-			g := &c.Gates[gi]
+	pos := int32(0)
+	for k := range p.steps {
+		free = append(free, vacated...)
+		live -= len(vacated)
+		vacated = vacated[:0]
+		now, start, end := int32(k)+1, pos, p.steps[k].gates
+		for ; pos < end; pos++ {
+			g := &c.Gates[sched.order[pos]]
 			var s Wire
 			if n := len(free); n > 0 {
 				s = free[n-1]
@@ -178,15 +134,25 @@ func NewPlan(c *Circuit) (*Plan, error) {
 				nextSlot++
 			}
 			slot[g.C] = s
-			rg := Gate{Op: g.Op, A: slot[g.A], C: s}
+			rg := Gate{Op: g.Op, A: slot[g.A], B: slot[g.A], C: s}
 			if g.Op != INV {
 				rg.B = slot[g.B]
-			} else {
-				rg.B = rg.A
 			}
-			p.Gates[gi] = rg
+			p.Gates[pos] = rg
+
+			if lastUse[g.A] == now {
+				lastUse[g.A] = 0
+				vacated = append(vacated, rg.A)
+			}
+			if g.Op != INV && lastUse[g.B] == now {
+				lastUse[g.B] = 0
+				vacated = append(vacated, rg.B)
+			}
+			if lastUse[g.C] < now {
+				vacated = append(vacated, s)
+			}
 		}
-		live += len(gatesAt[k])
+		live += int(end - start)
 		if live > peak {
 			peak = live
 		}

@@ -54,47 +54,69 @@ func checkPlan(t *testing.T, c *Circuit, p *Plan) {
 	if len(p.OutputSlots) != len(c.Outputs) {
 		t.Fatalf("OutputSlots length %d != %d outputs", len(p.OutputSlots), len(c.Outputs))
 	}
-	levels := c.Levels()
-	// Per-level write/read disjointness: the level-boundary rule means no
-	// gate's output slot is read or written by any other gate of the same
-	// level — the no-intra-level-race guarantee the parallel engines need.
-	writesAt := map[int]map[Wire]bool{}
-	readsAt := map[int]map[Wire]bool{}
-	for i := range p.Gates {
-		g := &p.Gates[i]
-		if int(g.A) >= p.NumSlots || int(g.B) >= p.NumSlots || int(g.C) >= p.NumSlots {
-			t.Fatalf("gate %d references slot out of range [0,%d)", i, p.NumSlots)
-		}
-		if g.Op != c.Gates[i].Op {
-			t.Fatalf("gate %d op changed by renaming", i)
-		}
-		k := levels[i]
-		if writesAt[k] == nil {
-			writesAt[k] = map[Wire]bool{}
-			readsAt[k] = map[Wire]bool{}
-		}
-		if writesAt[k][g.C] {
-			t.Fatalf("slot %d written twice at level %d", g.C, k)
-		}
-		writesAt[k][g.C] = true
-		readsAt[k][g.A] = true
-		if g.Op != INV {
-			readsAt[k][g.B] = true
-		}
+	and, xor, inv := c.CountOps()
+	if len(p.Tables) != and {
+		t.Fatalf("%d table indices for %d AND gates", len(p.Tables), and)
 	}
-	for k, ws := range writesAt {
-		for s := range ws {
-			if readsAt[k][s] {
-				t.Fatalf("slot %d both written and read at level %d", s, k)
+	// Steps tile Gates and Tables in order. Per-step write/read
+	// disjointness: the step-boundary rule means no gate's output slot is
+	// read or written by any other gate of the same step — the
+	// no-intra-step-race guarantee the parallel engines need.
+	gates, tables := 0, 0
+	for k := 0; k < p.NumSteps(); k++ {
+		free, ands, index := p.Step(k)
+		if len(index) != len(ands) {
+			t.Fatalf("step %d: %d table indices for %d AND gates", k, len(index), len(ands))
+		}
+		if len(free) > 0 && &free[0] != &p.Gates[gates] || len(ands) > 0 && &ands[0] != &p.Gates[gates+len(free)] ||
+			len(index) > 0 && &index[0] != &p.Tables[tables] {
+			t.Fatalf("step %d does not start where step %d ended", k, k-1)
+		}
+		gates += len(free) + len(ands)
+		tables += len(index)
+		writes, reads := map[Wire]bool{}, map[Wire]bool{}
+		for r, run := range [][]Gate{free, ands} {
+			for i := range run {
+				g := &run[i]
+				if int(g.A) >= p.NumSlots || int(g.B) >= p.NumSlots || int(g.C) >= p.NumSlots {
+					t.Fatalf("step %d references a slot out of range [0,%d)", k, p.NumSlots)
+				}
+				if (g.Op == AND) != (r == 1) {
+					t.Fatalf("step %d has a %v gate in the wrong run", k, g.Op)
+				}
+				switch g.Op {
+				case AND:
+					and--
+				case XOR:
+					xor--
+				case INV:
+					inv--
+				}
+				if writes[g.C] {
+					t.Fatalf("slot %d written twice in step %d", g.C, k)
+				}
+				writes[g.C] = true
+				reads[g.A] = true
+				reads[g.B] = true
+			}
+		}
+		for s := range writes {
+			if reads[s] {
+				t.Fatalf("slot %d both written and read in step %d", s, k)
 			}
 		}
 	}
+	if gates != len(p.Gates) || tables != len(p.Tables) {
+		t.Fatalf("steps cover %d of %d gates and %d of %d tables", gates, len(p.Gates), tables, len(p.Tables))
+	}
+	if and != 0 || xor != 0 || inv != 0 {
+		t.Fatal("renaming changed the gate ops")
+	}
 }
 
-// evalPlanPlain executes the renamed gate list over a plaintext slot
-// arena — proving the plan is a faithful renaming of the circuit. It
-// runs in level order via the cached schedule, the only execution order
-// the renaming contract supports.
+// evalPlanPlain executes the renamed gate list, front to back, over a
+// plaintext slot arena — proving the plan is a faithful reordering and
+// renaming of the circuit.
 func evalPlanPlain(c *Circuit, p *Plan, garbler, evaluator []bool) []bool {
 	slots := make([]bool, p.NumSlots)
 	copy(slots, garbler)
@@ -103,8 +125,8 @@ func evalPlanPlain(c *Circuit, p *Plan, garbler, evaluator []bool) []bool {
 		slots[c.Const0] = false
 		slots[c.Const1] = true
 	}
-	do := func(gi int32) {
-		g := &p.Gates[gi]
+	for i := range p.Gates {
+		g := &p.Gates[i]
 		switch g.Op {
 		case XOR:
 			slots[g.C] = slots[g.A] != slots[g.B]
@@ -112,14 +134,6 @@ func evalPlanPlain(c *Circuit, p *Plan, garbler, evaluator []bool) []bool {
 			slots[g.C] = slots[g.A] && slots[g.B]
 		case INV:
 			slots[g.C] = !slots[g.A]
-		}
-	}
-	for k := 0; k < p.Schedule.NumLevels(); k++ {
-		for _, gi := range p.Schedule.Free[k] {
-			do(gi)
-		}
-		for _, gi := range p.Schedule.AND[k] {
-			do(gi)
 		}
 	}
 	out := make([]bool, len(p.OutputSlots))
@@ -131,24 +145,23 @@ func evalPlanPlain(c *Circuit, p *Plan, garbler, evaluator []bool) []bool {
 
 func TestPlanInvariantsSmall(t *testing.T) {
 	c := planTestCircuit(t)
-	p, err := NewPlan(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPlan(t, c, p)
+	for _, segANDs := range testSegmentSizes {
+		p := mustPlanSegmented(t, c, segANDs)
+		checkPlan(t, c, p)
 
-	// All 16 input combinations match the dense functional model.
-	for v := 0; v < 16; v++ {
-		g := []bool{v&1 == 1, v&2 == 2}
-		e := []bool{v&4 == 4, v&8 == 8}
-		want, err := c.Eval(g, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := evalPlanPlain(c, p, g, e)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("v=%d: output %d = %v, want %v", v, i, got[i], want[i])
+		// All 16 input combinations match the dense functional model.
+		for v := 0; v < 16; v++ {
+			g := []bool{v&1 == 1, v&2 == 2}
+			e := []bool{v&4 == 4, v&8 == 8}
+			want, err := c.Eval(g, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := evalPlanPlain(c, p, g, e)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("segment %d, v=%d: output %d = %v, want %v", segANDs, v, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -156,15 +169,12 @@ func TestPlanInvariantsSmall(t *testing.T) {
 
 // TestPlanRandomCircuits: randomized mixed circuits (shared fan-out,
 // constants, random output subsets) keep every plan invariant and the
-// plaintext semantics.
+// plaintext semantics, at every segment size.
 func TestPlanRandomCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	for trial := 0; trial < 200; trial++ {
 		c := RandomCircuit(rng)
-		p, err := NewPlan(c)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		p := mustPlanSegmented(t, c, testSegmentSizes[trial%len(testSegmentSizes)])
 		checkPlan(t, c, p)
 		g := randomBits(rng, c.GarblerInputs)
 		e := randomBits(rng, c.EvaluatorInputs)
@@ -191,7 +201,7 @@ func randomBits(rng *rand.Rand, n int) []bool {
 
 func TestPlanCompaction(t *testing.T) {
 	// A long chain of single-use wires must compact to O(1) extra slots:
-	// each level frees the previous value one level later, so the chain
+	// each step frees the previous value one step later, so the chain
 	// needs inputs + 2 slots, not one slot per wire.
 	const n = 1000
 	c := &Circuit{

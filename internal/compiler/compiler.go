@@ -33,7 +33,10 @@ const (
 	// FullReorder schedules the whole program in dependence-level order.
 	FullReorder
 	// SegmentReorder level-orders within contiguous segments of half the
-	// SWW capacity, balancing ILP against wire locality (§4.2.1).
+	// SWW capacity, balancing ILP against wire locality (§4.2.1). The
+	// software engine schedules the same way: circuit.NewPlan cuts the
+	// gate list into segments (of a fixed number of AND gates rather
+	// than wires) and level-orders inside each.
 	SegmentReorder
 )
 

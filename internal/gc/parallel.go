@@ -1,36 +1,58 @@
 package gc
 
-import "sync"
+import (
+	"sync"
 
-// Level parallelism for the plan runners. Gates at the same dependence
-// level are independent (every producer sits at a strictly lower
-// level), so each AND level can be partitioned across a worker pool —
-// the software analogue of HAAC's parallel gate engines. The output is
-// byte-identical to the reference Garble/Evaluate: tweaks and table
-// positions are the gate-order stream indices regardless of which
-// worker garbles a gate, and the label source is consumed only for the
-// input wires.
+	"haac/internal/circuit"
+)
 
-// minParallelLevel is the smallest number of AND gates in a level worth
-// dispatching to the pool; below it the per-level synchronization costs
-// more than the hashing.
-const minParallelLevel = 16
+// Step parallelism for the plan runners. The AND gates of one schedule
+// step are independent (every producer ran in an earlier step), so each
+// step can be partitioned across a worker pool — the software analogue
+// of HAAC's parallel gate engines. The output is byte-identical to the
+// reference Garble/Evaluate: tweaks and table positions are the
+// gate-order stream indices regardless of which worker garbles a gate,
+// and the label source is consumed only for the input wires.
 
-// levelPool is a fixed set of workers processing contiguous spans of a
-// level's AND-gate list. The per-gate work function is fixed at
-// construction; run dispatches one level and blocks until it completes.
-type levelPool struct {
+// minParallelStep is the smallest number of AND gates in a step worth
+// dispatching to the pool; below it the per-step synchronization costs
+// more than the hashing. At ~40 ns per garbled gate on the hardware AES
+// tiers, 64 gates are about 2.5 µs of work — one dispatch (channel sends,
+// wake-ups, the barrier) costs about as much. Segment-local steps are
+// narrower than whole-circuit levels were: on the paper-scale VIP suite
+// most steps hold 16..63 AND gates, and dispatching those made a
+// 4-worker run two thirds slower than a sequential one on a host without
+// idle cores; from 64 up the loss there is ~15%, the price of a pool that
+// has nothing to run on.
+const minParallelStep = 64
+
+// spanFunc garbles or evaluates a run of one step's AND gates; index[i]
+// is the table-stream index of and[i].
+type spanFunc func(and []circuit.Gate, index []int32)
+
+// span is one worker's share of a step.
+type span struct {
+	and   []circuit.Gate
+	index []int32
+}
+
+// stepPool is a fixed set of workers processing contiguous spans of a
+// step's AND gates. Each worker's span function is made once, at
+// construction; run dispatches one step and blocks until it completes.
+type stepPool struct {
 	workers int
-	tasks   chan []int32
+	tasks   chan span
 	wg      sync.WaitGroup
 }
 
-func newLevelPool(workers int, do func(gates []int32)) *levelPool {
-	p := &levelPool{workers: workers, tasks: make(chan []int32, workers)}
+// newStepPool starts the workers, each running its own newSpan().
+func newStepPool(workers int, newSpan func() spanFunc) *stepPool {
+	p := &stepPool{workers: workers, tasks: make(chan span, workers)}
 	for i := 0; i < workers; i++ {
+		do := newSpan()
 		go func() {
-			for gates := range p.tasks {
-				do(gates)
+			for s := range p.tasks {
+				do(s.and, s.index)
 				p.wg.Done()
 			}
 		}()
@@ -38,21 +60,22 @@ func newLevelPool(workers int, do func(gates []int32)) *levelPool {
 	return p
 }
 
-// run partitions gates into at most p.workers contiguous chunks and
-// waits for all of them. Chunks preserve gate order within each span, so
-// workers touch disjoint table and wire slots.
-func (p *levelPool) run(gates []int32) {
-	n := len(gates)
+// run partitions a step's AND gates into at most p.workers contiguous
+// chunks and waits for all of them. Workers touch disjoint table and
+// wire slots: the gates of a step are independent.
+func (p *stepPool) run(and []circuit.Gate, index []int32) {
+	n := len(and)
+	if n == 0 {
+		return
+	}
 	chunk := (n + p.workers - 1) / p.workers
+	chunk += chunk & 1 // even, so only the last chunk ends in a one-gate tail
 	p.wg.Add((n + chunk - 1) / chunk)
 	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
-		p.tasks <- gates[off:end]
+		end := min(off+chunk, n)
+		p.tasks <- span{and[off:end], index[off:end]}
 	}
 	p.wg.Wait()
 }
 
-func (p *levelPool) close() { close(p.tasks) }
+func (p *stepPool) close() { close(p.tasks) }

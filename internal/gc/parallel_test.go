@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"haac/internal/circuit"
 	"haac/internal/label"
 	"haac/internal/workloads"
 )
@@ -146,4 +147,71 @@ func TestFixedKeyHasherConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStepPoolRunEmpty: an empty gate list is nothing to do, not a
+// division by zero. The runners never dispatch one (minParallelStep),
+// but the pool must not depend on its callers for that.
+func TestStepPoolRunEmpty(t *testing.T) {
+	calls := 0
+	p := newStepPool(4, func() spanFunc { return func([]circuit.Gate, []int32) { calls++ } })
+	defer p.close()
+	p.run(nil, nil)
+	p.run([]circuit.Gate{}, []int32{})
+	if calls != 0 {
+		t.Fatalf("empty run dispatched %d spans", calls)
+	}
+}
+
+// TestPlanStepTails: a step of n independent AND gates goes to the hasher
+// two at a time with a one-gate tail — n = 0..5 covers no gate, the
+// tail alone, whole pairs, and pairs plus a tail; the sizes around
+// minParallelStep cover the same through the pool's chunking, at both
+// engine widths.
+func TestPlanStepTails(t *testing.T) {
+	h := RekeyedHasher{}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, minParallelStep - 1, minParallelStep, minParallelStep + 1, 2*minParallelStep + 3} {
+		c := &circuit.Circuit{NumWires: 2 + n + 1, GarblerInputs: 1, EvaluatorInputs: 1}
+		for i := 0; i < n; i++ {
+			c.Gates = append(c.Gates, circuit.Gate{Op: circuit.AND, A: 0, B: 1, C: circuit.Wire(2 + i)})
+			c.Outputs = append(c.Outputs, circuit.Wire(2+i))
+		}
+		// One free gate, so the n = 0 circuit still has a step.
+		c.Gates = append(c.Gates, circuit.Gate{Op: circuit.XOR, A: 0, B: 1, C: circuit.Wire(2 + n)})
+		c.Outputs = append(c.Outputs, circuit.Wire(2+n))
+		p := mustPlan(t, c)
+		if _, and, _ := p.Step(0); p.NumSteps() != 1 || len(and) != n {
+			t.Fatalf("n=%d: want one step of %d AND gates", n, n)
+		}
+		want, err := Garble(c, h, label.NewSource(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := want.EncodeInputs(c, []bool{true}, []bool{true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut, err := Evaluate(c, h, in, want.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := GarblePlan(p, h, label.NewSource(9), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := equalGarbled(want, got); err != nil {
+				t.Fatalf("n=%d w=%d: %v", n, workers, err)
+			}
+			out, err := EvalPlan(p, h, in, want.Tables, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantOut {
+				if out[i] != wantOut[i] {
+					t.Fatalf("n=%d w=%d: output label %d differs from the reference", n, workers, i)
+				}
+			}
+		}
+	}
 }

@@ -3,18 +3,22 @@ package gc
 import (
 	"fmt"
 
+	"haac/internal/aes128"
 	"haac/internal/circuit"
 	"haac/internal/label"
 )
 
 // Plan-based execution — the one production engine: the runners in this
 // file execute a precompiled circuit.Plan instead of a raw circuit. The
-// plan's renaming maps the write-once wire space onto a slot space of
-// width == peak-live wires, so a run touches a label arena of NumSlots
-// entries instead of NumWires — the paper's rename-and-evict memory
-// idea (§3.1.4) applied to the software hot path — and the schedule is
-// built once with the plan, never per run. Runners own their arenas and
-// reuse them across runs: steady-state plan execution allocates nothing.
+// plan orders the gates segment by segment (§4.2.1) and its renaming
+// maps the write-once wire space onto a slot space of width == peak-live
+// wires, so a run touches a label arena of NumSlots entries — about one
+// segment's live wires — instead of NumWires: the paper's
+// rename-and-evict memory idea (§3.1.4) applied to the software hot
+// path. Each step's independent AND gates go to the hasher two at a
+// time. The schedule is built once with the plan, never per run.
+// Runners own their arenas and reuse them across runs: steady-state
+// plan execution allocates nothing.
 //
 // Outputs are byte-identical to the reference Garble/Evaluate: renaming
 // only moves where labels are stored, never what is hashed, and tables
@@ -31,8 +35,8 @@ import (
 type PlanGarbler struct {
 	p          *circuit.Plan
 	h          gateHasher
-	pool       *levelPool
-	span       func(gates []int32)
+	pool       *stepPool
+	span       spanFunc
 	slots      []label.L
 	inputZeros []label.L
 	tables     []Material
@@ -43,33 +47,52 @@ type PlanGarbler struct {
 }
 
 // NewPlanGarbler builds a reusable garbler for the plan. workers <= 1 is
-// sequential; larger values split each AND level across that many pool
-// goroutines. Call Close when done with a parallel runner to release
-// its pool.
+// sequential; larger values split the AND gates of each wide enough
+// schedule step across that many pool goroutines. Call Close when done
+// with a parallel runner to release its pool.
 func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 	pg := &PlanGarbler{
 		p:          p,
 		h:          batched(h),
 		slots:      make([]label.L, p.NumSlots),
 		inputZeros: make([]label.L, p.Circuit.NumInputs()),
-		tables:     make([]Material, p.Schedule.NumAND),
+		tables:     make([]Material, len(p.Tables)),
 		outs:       make([]label.L, len(p.Circuit.Outputs)),
 	}
-	// The span worker is fixed here so Run never allocates a closure.
-	pg.span = func(gates []int32) {
-		sched, slots, tables := pg.p.Schedule, pg.slots, pg.tables
-		for _, gi := range gates {
-			g := &pg.p.Gates[gi]
-			idx := sched.ANDIndex[gi]
-			m, c0 := garbleGate(pg.h, slots[g.A], slots[g.B], pg.r, uint64(idx))
-			tables[idx] = m
-			slots[g.C] = c0
-		}
-	}
+	// The span workers are fixed here so Run never allocates a closure.
+	pg.span = pg.newSpan()
 	if workers > 1 {
-		pg.pool = newLevelPool(workers, pg.span)
+		pg.pool = newStepPool(workers, pg.newSpan)
 	}
 	return pg
+}
+
+// newSpan returns a function that garbles a run of one step's AND gates
+// (index[i] is and[i]'s table index), with its own staging area: one per
+// goroutine that garbles.
+func (pg *PlanGarbler) newSpan() spanFunc {
+	s := new(pairScratch)
+	return func(and []circuit.Gate, index []int32) {
+		slots, tables := pg.slots, pg.tables
+		// The gates of a step are independent, so they go to the hasher
+		// two at a time; an odd one is left for the one-gate form.
+		l, t, r := &s.l, &s.t, pg.r
+		for ; len(and) >= 2; and, index = and[2:], index[2:] {
+			x, y := &and[0], &and[1]
+			jx, jy := uint64(index[0]), uint64(index[1])
+			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
+			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xa.Xor(r)), aes128.Block(xb), aes128.Block(xb.Xor(r))
+			l[4], l[5], l[6], l[7] = aes128.Block(ya), aes128.Block(ya.Xor(r)), aes128.Block(yb), aes128.Block(yb.Xor(r))
+			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
+			pg.h.Hash4x2(s)
+			tables[jx], slots[x.C] = garbleRows(label.L(l[0]), label.L(l[1]), label.L(l[2]), label.L(l[3]), xa, xb, r)
+			tables[jy], slots[y.C] = garbleRows(label.L(l[4]), label.L(l[5]), label.L(l[6]), label.L(l[7]), ya, yb, r)
+		}
+		for i := range and {
+			g, j := &and[i], index[i]
+			tables[j], slots[g.C] = garbleGate(pg.h, slots[g.A], slots[g.B], r, uint64(j))
+		}
+	}
 }
 
 // Close releases the worker pool (a no-op for sequential runners).
@@ -99,36 +122,31 @@ func (pg *PlanGarbler) R() label.L { return pg.r }
 // current run. The slice is reused by the next Begin.
 func (pg *PlanGarbler) InputZeros() []label.L { return pg.inputZeros }
 
-// Run garbles the whole plan level by level, invoking emit (if non-nil)
-// with successive gate-order table chunks as levels complete: chunks
-// never overlap and concatenate to exactly Garbled.Tables, and an emit
-// error aborts the run. Begin must be called before each Run.
+// Run garbles the whole plan step by step, invoking emit (if non-nil)
+// with successive gate-order table chunks as they complete — at the
+// latest when a segment ends: chunks never overlap and concatenate to
+// exactly Garbled.Tables, and an emit error aborts the run. Begin must
+// be called before each Run.
 func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error) {
 	if !pg.began {
 		return nil, fmt.Errorf("gc: PlanGarbler.Run without Begin")
 	}
 	pg.began = false
-	sched, gates, slots, r := pg.p.Schedule, pg.p.Gates, pg.slots, pg.r
+	p, slots, r := pg.p, pg.slots, pg.r
 
 	sent := 0
-	for k := 0; k < sched.NumLevels(); k++ {
-		for _, gi := range sched.Free[k] {
-			g := &gates[gi]
-			if g.Op == circuit.XOR {
-				slots[g.C] = slots[g.A].Xor(slots[g.B])
-			} else { // INV
-				slots[g.C] = slots[g.A].Xor(r)
-			}
-		}
-		if and := sched.AND[k]; len(and) > 0 {
-			if pg.pool != nil && len(and) >= minParallelLevel {
-				pg.pool.run(and)
+	for k := 0; k < p.NumSteps(); k++ {
+		free, and, index := p.Step(k)
+		garbleFree(free, slots, r)
+		if len(and) > 0 {
+			if pg.pool != nil && len(and) >= minParallelStep {
+				pg.pool.run(and, index)
 			} else {
-				pg.span(and)
+				pg.span(and, index)
 			}
 		}
 		if emit != nil {
-			if ready := sched.EmitReady[k]; ready > sent {
+			if ready := p.EmitReady(k); ready > sent {
 				if err := emit(pg.tables[sent:ready]); err != nil {
 					return nil, fmt.Errorf("gc: emitting tables: %w", err)
 				}
@@ -142,6 +160,23 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	}
 	pg.g = Garbled{R: r, InputZeros: pg.inputZeros, Tables: pg.tables, OutputZeros: pg.outs}
 	return &pg.g, nil
+}
+
+// garbleFree garbles a step's XOR and INV gates. It is a function of its
+// own and kept out of line, like evalFree, so that the loop keeps its
+// state in registers: in the middle of Run it spills its counter to the
+// stack on every gate.
+//
+//go:noinline
+func garbleFree(free []circuit.Gate, slots []label.L, r label.L) {
+	for i := range free {
+		g := &free[i]
+		if g.Op == circuit.XOR {
+			slots[g.C] = slots[g.A].Xor(slots[g.B])
+		} else { // INV
+			slots[g.C] = slots[g.A].Xor(r)
+		}
+	}
 }
 
 // GarblePlan garbles a plan in one shot with the given worker count.
@@ -160,8 +195,8 @@ func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Gar
 type PlanEvaluator struct {
 	p      *circuit.Plan
 	h      gateHasher
-	pool   *levelPool
-	span   func(gates []int32)
+	pool   *stepPool
+	span   spanFunc
 	slots  []label.L
 	outs   []label.L
 	tables []Material
@@ -176,18 +211,34 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 		slots: make([]label.L, p.NumSlots),
 		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
-	pe.span = func(gates []int32) {
-		sched, slots, tables := pe.p.Schedule, pe.slots, pe.tables
-		for _, gi := range gates {
-			g := &pe.p.Gates[gi]
-			idx := sched.ANDIndex[gi]
-			slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[idx], uint64(idx))
-		}
-	}
+	pe.span = pe.newSpan()
 	if workers > 1 {
-		pe.pool = newLevelPool(workers, pe.span)
+		pe.pool = newStepPool(workers, pe.newSpan)
 	}
 	return pe
+}
+
+// newSpan is the evaluator's counterpart of PlanGarbler.newSpan.
+func (pe *PlanEvaluator) newSpan() spanFunc {
+	s := new(pairScratch)
+	return func(and []circuit.Gate, index []int32) {
+		slots, tables := pe.slots, pe.tables
+		l, t := &s.l, &s.t
+		for ; len(and) >= 2; and, index = and[2:], index[2:] {
+			x, y := &and[0], &and[1]
+			jx, jy := uint64(index[0]), uint64(index[1])
+			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
+			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xb), aes128.Block(ya), aes128.Block(yb)
+			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
+			pe.h.Hash2x2(s)
+			slots[x.C] = evalRows(label.L(l[0]), label.L(l[1]), xa, xb, tables[jx])
+			slots[y.C] = evalRows(label.L(l[2]), label.L(l[3]), ya, yb, tables[jy])
+		}
+		for i := range and {
+			g, j := &and[i], index[i]
+			slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[j], uint64(j))
+		}
+	}
 }
 
 // Close releases the worker pool (a no-op for sequential runners).
@@ -201,50 +252,46 @@ func (pe *PlanEvaluator) Close() {
 // Eval runs the evaluator over the full table stream, producing output
 // labels identical to the reference Evaluate.
 func (pe *PlanEvaluator) Eval(inputs []label.L, tables []Material) ([]label.L, error) {
-	if len(tables) != pe.p.Schedule.NumAND {
+	if len(tables) != len(pe.p.Tables) {
 		return nil, fmt.Errorf("gc: %d tables provided, plan has %d AND gates",
-			len(tables), pe.p.Schedule.NumAND)
+			len(tables), len(pe.p.Tables))
 	}
 	return pe.EvalStream(inputs, func(int) ([]Material, error) { return tables, nil })
 }
 
 // EvalStream evaluates with tables arriving asynchronously: before each
-// AND level it calls need(n), which must block until at least the first
-// n tables of the gate-order stream are available and return the stream
-// so far (the returned slice may grow between calls; entries below n
-// must be final). This lets a protocol evaluate levels while later
-// tables are still in flight.
+// step with AND gates it calls need(n), which must block until at least
+// the first n tables of the gate-order stream are available and return
+// the stream so far (the returned slice may grow between calls; entries
+// below n must be final). n never reaches past the segment being
+// evaluated, so a protocol evaluates one segment while later ones are
+// still being garbled or in flight.
 func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Material, error)) ([]label.L, error) {
 	c := pe.p.Circuit
 	if len(inputs) != c.NumInputs() {
 		return nil, fmt.Errorf("gc: got %d input labels, want %d", len(inputs), c.NumInputs())
 	}
-	sched, gates, slots := pe.p.Schedule, pe.p.Gates, pe.slots
+	p, slots := pe.p, pe.slots
 	copy(slots, inputs) // inputs are renamed to themselves
 
-	for k := 0; k < sched.NumLevels(); k++ {
-		for _, gi := range sched.Free[k] {
-			g := &gates[gi]
-			if g.Op == circuit.XOR {
-				slots[g.C] = slots[g.A].Xor(slots[g.B])
-			} else { // INV: evaluator keeps the active label
-				slots[g.C] = slots[g.A]
-			}
-		}
-		if and := sched.AND[k]; len(and) > 0 {
-			t, err := need(sched.NeedTables[k])
+	for k := 0; k < p.NumSteps(); k++ {
+		free, and, index := p.Step(k)
+		evalFree(free, slots)
+		if len(and) > 0 {
+			n := p.NeedTables(k)
+			t, err := need(n)
 			if err != nil {
 				return nil, fmt.Errorf("gc: waiting for tables: %w", err)
 			}
-			if len(t) < sched.NeedTables[k] {
-				return nil, fmt.Errorf("gc: table stream exhausted (have %d, level %d needs %d)",
-					len(t), k+1, sched.NeedTables[k])
+			if len(t) < n {
+				return nil, fmt.Errorf("gc: table stream exhausted (have %d, step %d needs %d)",
+					len(t), k, n)
 			}
 			pe.tables = t
-			if pe.pool != nil && len(and) >= minParallelLevel {
-				pe.pool.run(and)
+			if pe.pool != nil && len(and) >= minParallelStep {
+				pe.pool.run(and, index)
 			} else {
-				pe.span(and)
+				pe.span(and, index)
 			}
 		}
 	}
@@ -254,6 +301,20 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 		pe.outs[i] = slots[s]
 	}
 	return pe.outs, nil
+}
+
+// evalFree evaluates a step's XOR and INV gates.
+//
+//go:noinline
+func evalFree(free []circuit.Gate, slots []label.L) {
+	for i := range free {
+		g := &free[i]
+		if g.Op == circuit.XOR {
+			slots[g.C] = slots[g.A].Xor(slots[g.B])
+		} else { // INV: evaluator keeps the active label
+			slots[g.C] = slots[g.A]
+		}
+	}
 }
 
 // EvalPlan evaluates a plan in one shot with the given worker count.

@@ -168,7 +168,7 @@ func TestPlanRunnerReuse(t *testing.T) {
 }
 
 // TestPlanGarblerEmitChunks: the plan garbler's emit hook hands out
-// contiguous, non-overlapping gate-order chunks, level by level, that
+// contiguous, non-overlapping gate-order chunks, step by step, that
 // concatenate to the in-memory tables.
 func TestPlanGarblerEmitChunks(t *testing.T) {
 	c := workloads.Hamming(128).Build()
@@ -203,7 +203,7 @@ func TestPlanGarblerEmitChunks(t *testing.T) {
 		}
 	}
 	if chunks < 2 {
-		t.Fatalf("expected level-by-level chunking, got %d chunk(s)", chunks)
+		t.Fatalf("expected step-by-step chunking, got %d chunk(s)", chunks)
 	}
 }
 

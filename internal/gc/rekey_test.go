@@ -4,17 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"haac/internal/aes128"
 	"haac/internal/circuit"
 	"haac/internal/label"
 	"haac/internal/workloads"
 )
 
 // Equality and allocation regressions for the batched hash paths. The
-// batched Hash2/Hash4 entry points must be drop-in replacements for
-// individual Hash calls (the golden vectors pin the absolute outputs;
-// these tests pin the batching itself on random inputs), each
-// construction must hash the same on the live aes128 tier and on the
-// pinned T-table one, and no hash entry point may allocate.
+// batched Hash2/Hash4 entry points and their two-gate forms must be
+// drop-in replacements for individual Hash calls (the golden vectors pin
+// the absolute outputs; these tests pin the batching itself on random
+// inputs), each construction must hash the same on the live aes128 tier
+// and on the pinned T-table one, and no hash entry point may allocate.
 
 // batchedHashers returns every hasher with a batched path: both
 // constructions, each on the live tier and pinned to the T-table one.
@@ -78,6 +79,45 @@ func TestHash2MatchesHash(t *testing.T) {
 	}
 }
 
+// TestHashPairsMatchHash: the two-gate forms equal individual Hash calls
+// for every hasher, the adapter for plain Hashers included.
+func TestHashPairsMatchHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, h := range append(batchedHashers(), plainHasher{RekeyedHasher{}}) {
+		bh := batched(h)
+		for i := 0; i < 50; i++ {
+			var l [8]aes128.Block
+			for j := range l {
+				l[j] = aes128.Block(randLabel(rng))
+			}
+			// Neighbouring gates, as a step usually pairs them, and
+			// unrelated ones.
+			jx := rng.Uint64() >> 2
+			for _, jy := range []uint64{jx + 1, rng.Uint64() >> 2} {
+				tw := [4]uint64{2 * jx, 2*jx + 1, 2 * jy, 2*jy + 1}
+				s := &pairScratch{l: l, t: tw}
+				bh.Hash2x2(s)
+				for j, got := range s.l {
+					want := l[j] // labels 4..7 are not Hash2x2's to touch
+					if j < 4 {
+						want = aes128.Block(h.Hash(label.L(l[j]), tw[j]))
+					}
+					if got != want {
+						t.Fatalf("%s: Hash2x2 label %d diverges from Hash", h.Name(), j)
+					}
+				}
+				s = &pairScratch{l: l, t: tw}
+				bh.Hash4x2(s)
+				for j, got := range s.l {
+					if want := h.Hash(label.L(l[j]), tw[j/2]); label.L(got) != want {
+						t.Fatalf("%s: Hash4x2 label %d diverges from Hash", h.Name(), j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLiveTierMatchesTTable: for both constructions, every entry point
 // of the hasher on the live aes128 tier equals the T-table reference.
 // On an AES-NI host this is the hardware-vs-software check at the hash
@@ -106,14 +146,33 @@ func TestLiveTierMatchesTTable(t *testing.T) {
 			if a0 != b0 || a1 != b1 || a2 != b2 || a3 != b3 {
 				t.Fatalf("%s: Hash4 diverges from %s at tweak %d", p.live.Name(), p.soft.Name(), t0)
 			}
+			tw := [4]uint64{t0, t0 + 1, t1 &^ 1, t1 | 1}
+			l8 := [8]aes128.Block{aes128.Block(l0), aes128.Block(l1), aes128.Block(l2), aes128.Block(l3),
+				aes128.Block(l3), aes128.Block(l2), aes128.Block(l1), aes128.Block(l0)}
+			live, soft := &pairScratch{l: l8, t: tw}, &pairScratch{l: l8, t: tw}
+			p.live.Hash2x2(live)
+			p.soft.Hash2x2(soft)
+			if live.l != soft.l {
+				t.Fatalf("%s: Hash2x2 diverges from %s at tweaks %v", p.live.Name(), p.soft.Name(), tw)
+			}
+			live.l, soft.l = l8, l8
+			p.live.Hash4x2(live)
+			p.soft.Hash4x2(soft)
+			if live.l != soft.l {
+				t.Fatalf("%s: Hash4x2 diverges from %s at tweaks %v", p.live.Name(), p.soft.Name(), tw)
+			}
 		}
 	}
 }
 
-// TestCrossTierGarbleEval garbles a VIP-small circuit on one tier and
-// evaluates it on the other, both ways: a garbler and an evaluator on
-// different aes128 backends interoperate, in the reference walk and in
-// the plan engine.
+// TestCrossTierGarbleEval garbles a VIP-small circuit on one aes128 tier
+// and evaluates it on another, all nine ways over the three kernel sets
+// a VAES host has: the two-gate kernels (RekeyedHasher through the plan
+// engine, one-gate kernels on odd tails), the one-gate AES-NI kernels
+// alone (a plain Hasher, hashed call by call) and the T-table code. A
+// garbler and an evaluator on different backends interoperate, in the
+// reference walk and in the plan engine. On lesser hosts some of the
+// three coincide and the test checks less, never something else.
 func TestCrossTierGarbleEval(t *testing.T) {
 	w := workloads.VIPSuiteSmall()[0]
 	c := w.Build()
@@ -123,11 +182,26 @@ func TestCrossTierGarbleEval(t *testing.T) {
 	}
 	gIn, eIn := w.Inputs(3)
 	want := w.Reference(gIn, eIn)
-	for _, dir := range []struct{ garble, eval Hasher }{
-		{RekeyedHasher{}, SoftRekeyedHasher{}},
-		{SoftRekeyedHasher{}, RekeyedHasher{}},
-	} {
-		name := dir.garble.Name() + "->" + dir.eval.Name()
+	tiers := []struct {
+		name string
+		h    Hasher
+	}{
+		{"two-gate", RekeyedHasher{}},
+		{"one-gate", plainHasher{RekeyedHasher{}}},
+		{"ttable", SoftRekeyedHasher{}},
+	}
+	type direction struct {
+		name         string
+		garble, eval Hasher
+	}
+	var dirs []direction
+	for _, g := range tiers {
+		for _, e := range tiers {
+			dirs = append(dirs, direction{g.name + "->" + e.name, g.h, e.h})
+		}
+	}
+	for _, dir := range dirs {
+		name := dir.name
 		garbled, err := GarblePlan(p, dir.garble, label.NewSource(11), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +235,8 @@ func TestCrossTierGarbleEval(t *testing.T) {
 	}
 }
 
-// plainHasher hides a hasher's batched methods.
+// plainHasher hides a hasher's batched methods, so every hash is its own
+// one-block kernel call.
 type plainHasher struct{ Hasher }
 
 // TestUnbatchedHasherGarblesIdentically: a Hasher without Hash2/Hash4
@@ -197,6 +272,13 @@ func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
 			t.Errorf("%s: Hash4 allocates %.1f times", h.Name(), avg)
+		}
+		s := new(pairScratch)
+		if avg := testing.AllocsPerRun(100, func() {
+			h.Hash2x2(s)
+			h.Hash4x2(s)
+		}); avg != 0 {
+			t.Errorf("%s: the two-gate forms allocate %.1f times", h.Name(), avg)
 		}
 	}
 }

@@ -6,16 +6,17 @@
 // exactly as HAAC's Half-Gate pipeline does.
 //
 // The package has one production engine and one oracle. PlanGarbler and
-// PlanEvaluator execute a precompiled circuit.Plan (level-scheduled,
-// slot-renamed, optionally level-parallel) and are what internal/proto
+// PlanEvaluator execute a precompiled circuit.Plan (segment-scheduled,
+// slot-renamed, optionally step-parallel) and are what internal/proto
 // and everything above it run. Garble, Evaluate and Run walk the raw
 // circuit in gate order; they are the reference the engine, the
 // compiler and the simulator are checked against.
 //
 // All AES goes through internal/aes128, which picks its backend once at
-// start-up: AES-NI kernels that expand a gate's fresh keys while they
-// encrypt, or portable T-table code. The hashers here are the same on
-// both and their outputs are byte-identical (golden_test.go pins them).
+// start-up: VAES kernels that run two gates per call, AES-NI kernels
+// that run one — both expand a gate's fresh keys while they encrypt —
+// or portable T-table code. The hashers here are the same on all three
+// and their outputs are byte-identical (golden_test.go pins them).
 package gc
 
 import (
@@ -53,7 +54,7 @@ func MaterialFromBytes(b []byte) Material {
 
 // EncodeMaterials serializes src into dst at MaterialSize stride and
 // returns the number of bytes written — the bulk form of Bytes used by
-// the batched transport, which slab-encodes a whole level per Write
+// the batched transport, which slab-encodes a whole chunk per Write
 // instead of copying each table through a stack array. dst must hold at
 // least MaterialSize*len(src) bytes.
 func EncodeMaterials(dst []byte, src []Material) int {
@@ -105,15 +106,43 @@ type Hasher2 interface {
 	Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L)
 }
 
-// gateHasher is the batched form the garbling loops run on. Runners
-// resolve it once with batched, not per gate.
+// gateHasher is the batched form the garbling loops run on: the
+// one-gate forms Hash2 and Hash4 plus their two-gate forms, which the
+// plan runners call on pairs of independent AND gates of a schedule
+// step (the one-gate forms serve odd tails). Runners resolve it once
+// with batched, not per gate.
 type gateHasher interface {
 	Hasher2
 	Hasher4
+	// Hash2x2 is Hash2 for two evaluated gates, in place in s:
+	// l[i] = H(l[i], t[i]) for i < 4.
+	Hash2x2(s *pairScratch)
+	// Hash4x2 is Hash4 for two garbled gates in the half-gate tweak
+	// pattern, each tweak keying two labels, in place in s:
+	// l[i] = H(l[i], t[i/2]) for i < 8.
+	Hash4x2(s *pairScratch)
 }
 
-// batched returns h's batched form, adapting a plain Hasher (or one
-// with only half the batched methods) through individual Hash calls.
+// pairScratch is where a runner stages the labels l and tweaks t of a
+// pair of gates for the two-gate hash forms; keys and out belong to the
+// hasher, which would otherwise zero as much stack on every call. The
+// labels are held as aes128.Blocks (the same two words) so the re-keyed
+// hasher can hand the array to the kernels as it is. A pairScratch lives
+// on the heap, one per goroutine that garbles or evaluates: arrays
+// handed to an interface method from the stack would be moved there on
+// every call. Its fields are always written word by word — the kernels
+// and the Go code read them back as 8-byte halves, which the store
+// buffer can forward, where a 16-byte copy of freshly written words
+// would stall until they retire.
+type pairScratch struct {
+	l    [8]aes128.Block
+	t    [4]uint64
+	keys [4]aes128.Block
+	out  [8]aes128.Block
+}
+
+// batched returns h's batched form, adapting a Hasher without the full
+// set of batched methods through individual Hash calls.
 func batched(h Hasher) gateHasher {
 	if b, ok := h.(gateHasher); ok {
 		return b
@@ -131,6 +160,28 @@ func (u unbatched) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1,
 	return u.Hash(l0, t0), u.Hash(l1, t1), u.Hash(l2, t2), u.Hash(l3, t3)
 }
 
+func (u unbatched) Hash2x2(s *pairScratch) {
+	for i := range s.t {
+		s.l[i] = aes128.Block(u.Hash(label.L(s.l[i]), s.t[i]))
+	}
+}
+
+func (u unbatched) Hash4x2(s *pairScratch) {
+	for i := range s.l {
+		s.l[i] = aes128.Block(u.Hash(label.L(s.l[i]), s.t[i/2]))
+	}
+}
+
+// feedForward finishes the two-gate forms' hashes, H(l) = AES(l) XOR l:
+// l[i] ^= out[i], word by word (see pairScratch).
+func feedForward(l, out []aes128.Block) {
+	out = out[:len(l)]
+	for i := range l {
+		l[i].Lo ^= out[i].Lo
+		l[i].Hi ^= out[i].Hi
+	}
+}
+
 // tweakKey derives the per-tweak AES key K(t) = t ‖ ^t (two
 // little-endian words) of the re-keyed constructions.
 func tweakKey(t uint64) aes128.Block { return aes128.Block{Lo: t, Hi: ^t} }
@@ -141,12 +192,14 @@ func tweakKey(t uint64) aes128.Block { return aes128.Block{Lo: t, Hi: ^t} }
 // implements (key expansion + AES per hash).
 //
 // It runs on aes128's fresh-key entry points: a garbled gate is one
-// FreshKeyPair2 call (two keys, two blocks each) and an evaluated gate
-// one FreshKeyPair call. On the AES-NI tier each round key is consumed
-// as it is produced and never stored; on the T-table tier the schedule
-// lives on the callee's stack. Either way the hasher holds no state,
-// its zero value is ready to use from any number of goroutines, and no
-// call allocates. Labels are passed as they lie in memory (label.L and
+// FreshKeyPair2 call (two keys, two blocks each), an evaluated gate one
+// FreshKeyPair call, and a pair of either one FreshKeyQuad2 or
+// FreshKeyQuad call, which the VAES tier serves with one instruction
+// stream for both gates. On the hardware tiers each round key is
+// consumed as it is produced and never stored; on the T-table tier the
+// schedule lives on the callee's stack. Either way the hasher holds no
+// state, its zero value is ready to use from any number of goroutines,
+// and no call allocates. Labels are passed as they lie in memory (label.L and
 // aes128.Block share a layout). Outputs are byte-identical across
 // tiers and to crypto/aes — the wire format and golden vectors do not
 // depend on the backend.
@@ -181,6 +234,25 @@ func (h RekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0,
 	blk := [4]aes128.Block{aes128.Block(l0), aes128.Block(l1), aes128.Block(l2), aes128.Block(l3)}
 	aes128.FreshKeyPair2(&keys, &blk, &blk)
 	return label.L(blk[0]).Xor(l0), label.L(blk[1]).Xor(l1), label.L(blk[2]).Xor(l2), label.L(blk[3]).Xor(l3)
+}
+
+// Hash2x2 implements the two-gate form of Hash2.
+func (RekeyedHasher) Hash2x2(s *pairScratch) {
+	l, out := (*[4]aes128.Block)(s.l[:4]), (*[4]aes128.Block)(s.out[:4])
+	for i := range s.keys {
+		s.keys[i] = tweakKey(s.t[i])
+	}
+	aes128.FreshKeyQuad(&s.keys, out, l)
+	feedForward(l[:], out[:])
+}
+
+// Hash4x2 implements the two-gate form of Hash4.
+func (RekeyedHasher) Hash4x2(s *pairScratch) {
+	for i := range s.keys {
+		s.keys[i] = tweakKey(s.t[i])
+	}
+	aes128.FreshKeyQuad2(&s.keys, &s.out, &s.l)
+	feedForward(s.l[:], s.out[:])
 }
 
 // Name implements Hasher.
@@ -228,6 +300,17 @@ func (SoftRekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h
 	h0, h1 = softPair(l0, l1, t0, t1)
 	h2, h3 = softPair(l2, l3, t2, t3)
 	return
+}
+
+// Hash2x2 implements the two-gate form of Hash2.
+func (h SoftRekeyedHasher) Hash2x2(s *pairScratch) { unbatched{h}.Hash2x2(s) }
+
+// Hash4x2 implements the two-gate form of Hash4.
+func (SoftRekeyedHasher) Hash4x2(s *pairScratch) {
+	for i, t := range s.t {
+		h0, h1 := softPair(label.L(s.l[2*i]), label.L(s.l[2*i+1]), t, t)
+		s.l[2*i], s.l[2*i+1] = aes128.Block(h0), aes128.Block(h1)
+	}
 }
 
 // Name implements Hasher.
@@ -279,6 +362,25 @@ func (h *FixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h
 	return label.L(blk[0]).Xor(d0), label.L(blk[1]).Xor(d1), label.L(blk[2]).Xor(d2), label.L(blk[3]).Xor(d3)
 }
 
+// Hash2x2 implements the two-gate form of Hash2: one four-block call.
+func (h *FixedKeyHasher) Hash2x2(s *pairScratch) {
+	l, out := s.l[:4], s.out[:4]
+	for i := range l {
+		l[i] = aes128.Block(double(label.L(l[i]), s.t[i]))
+	}
+	h.c.Encrypt(out, l)
+	feedForward(l, out)
+}
+
+// Hash4x2 implements the two-gate form of Hash4: one eight-block call.
+func (h *FixedKeyHasher) Hash4x2(s *pairScratch) {
+	for i := range s.l {
+		s.l[i] = aes128.Block(double(label.L(s.l[i]), s.t[i/2]))
+	}
+	h.c.Encrypt(s.out[:], s.l[:])
+	feedForward(s.l[:], s.out[:])
+}
+
 // Name implements Hasher.
 func (h *FixedKeyHasher) Name() string { return "fixed-key" }
 
@@ -320,6 +422,12 @@ func (h *SoftFixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64
 	return h.Hash(l0, t0), h.Hash(l1, t1), h.Hash(l2, t2), h.Hash(l3, t3)
 }
 
+// Hash2x2 implements the two-gate form of Hash2.
+func (h *SoftFixedKeyHasher) Hash2x2(s *pairScratch) { unbatched{h}.Hash2x2(s) }
+
+// Hash4x2 implements the two-gate form of Hash4.
+func (h *SoftFixedKeyHasher) Hash4x2(s *pairScratch) { unbatched{h}.Hash4x2(s) }
+
 // Name implements Hasher.
 func (h *SoftFixedKeyHasher) Name() string { return "fixed-key-soft" }
 
@@ -353,48 +461,49 @@ func evalAND(h Hasher, a, b label.L, m Material, j uint64) label.L {
 // for an AND gate with input zero-labels a0, b0 under offset r.
 // Gate index j provides the two hash tweaks 2j and 2j+1.
 func garbleGate(h gateHasher, a0, b0, r label.L, j uint64) (Material, label.L) {
-	pa := a0.Colour()
-	pb := b0.Colour()
-	a1 := a0.Xor(r)
-	b1 := b0.Xor(r)
-	t0, t1 := 2*j, 2*j+1
+	ha0, ha1, hb0, hb1 := h.Hash4(a0, a0.Xor(r), b0, b0.Xor(r), 2*j, 2*j, 2*j+1, 2*j+1)
+	return garbleRows(ha0, ha1, hb0, hb1, a0, b0, r)
+}
 
-	ha0, ha1, hb0, hb1 := h.Hash4(a0, a1, b0, b1, t0, t0, t1, t1)
+// garbleRows combines the four hashes of a gate — H(a0), H(a1), H(b0),
+// H(b1) — into its table and output zero-label. Rows are selected by
+// masking, not branching: colour bits are uniformly random, so a branch
+// on one is mispredicted every other gate.
+func garbleRows(ha0, ha1, hb0, hb1, a0, b0, r label.L) (Material, label.L) {
+	pa, pb := colourMask(a0), colourMask(b0)
 
 	// Garbler half: handles the evaluator-known colour of wire A.
-	tg := ha0.Xor(ha1)
-	if pb == 1 {
-		tg = tg.Xor(r)
-	}
-	wg := ha0
-	if pa == 1 {
-		wg = wg.Xor(tg)
-	}
+	tg := ha0.Xor(ha1).Xor(masked(r, pb))
+	wg := ha0.Xor(masked(tg, pa))
 
 	// Evaluator half.
 	te := hb0.Xor(hb1).Xor(a0)
-	we := hb0
-	if pb == 1 {
-		we = we.Xor(te.Xor(a0))
-	}
+	we := hb0.Xor(masked(te.Xor(a0), pb))
 
 	return Material{TG: tg, TE: te}, wg.Xor(we)
+}
+
+// colourMask is all ones when l's colour bit is set and zero otherwise.
+func colourMask(l label.L) uint64 { return -(l.Lo & 1) }
+
+// masked returns l when mask is all ones and the zero label when it is
+// zero.
+func masked(l label.L, mask uint64) label.L {
+	return label.L{Lo: l.Lo & mask, Hi: l.Hi & mask}
 }
 
 // evalGate computes the output label from the two input labels and the
 // gate's table, using the labels' colour bits to select rows.
 func evalGate(h gateHasher, a, b label.L, m Material, j uint64) label.L {
-	sa := a.Colour()
-	sb := b.Colour()
-	t0, t1 := 2*j, 2*j+1
+	wg, we := h.Hash2(a, b, 2*j, 2*j+1)
+	return evalRows(wg, we, a, b, m)
+}
 
-	wg, we := h.Hash2(a, b, t0, t1)
-	if sa == 1 {
-		wg = wg.Xor(m.TG)
-	}
-	if sb == 1 {
-		we = we.Xor(m.TE.Xor(a))
-	}
+// evalRows combines the two hashes of a gate — H(a), H(b) — with the
+// table rows the colour bits select.
+func evalRows(wg, we, a, b label.L, m Material) label.L {
+	wg = wg.Xor(masked(m.TG, colourMask(a)))
+	we = we.Xor(masked(m.TE.Xor(a), colourMask(b)))
 	return wg.Xor(we)
 }
 

@@ -71,7 +71,7 @@ func FromBytes(b []byte) L {
 // EncodeSlice serializes src into dst at 16-byte stride and returns the
 // number of bytes written. dst must hold at least Size*len(src) bytes.
 // This is the bulk form of Put used by the batched transport: one call
-// encodes a whole level's labels into a single wire slab.
+// encodes a whole batch of labels into a single wire slab.
 func EncodeSlice(dst []byte, src []L) int {
 	_ = dst[:Size*len(src)] // one bounds check for the whole batch
 	for i, l := range src {

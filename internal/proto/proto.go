@@ -6,7 +6,7 @@
 //
 // There is one execution engine: GarblerSession and EvaluatorSession
 // drive gc's plan runners over a compiled circuit.Plan, streaming each
-// dependence level's tables as it completes. RunGarbler and
+// segment's tables as it completes. RunGarbler and
 // RunEvaluator are one-run wrappers around a session.
 //
 // Wire format (little-endian):
@@ -52,8 +52,9 @@ type Options struct {
 	// Stats, when non-nil, collects transfer metrics for the run.
 	Stats *Stats
 	// Workers is the width of the plan engine: <= 1 garbles and
-	// evaluates each dependence level on the calling goroutine, larger
-	// values split every AND level across that many pool workers. This
+	// evaluates every schedule step on the calling goroutine, larger
+	// values split the AND gates of each step that is wide enough to
+	// pay for it across that many pool workers. This
 	// is the one worker-count rule in the repository — the serving
 	// layer, the public RunOptions and the gc plan runners all follow
 	// it, so a zero-valued config is always sequential. The wire bytes
@@ -62,7 +63,7 @@ type Options struct {
 	// Plan is the compiled plan the run executes over; it must have been
 	// compiled from the same circuit passed to RunGarbler/RunEvaluator/
 	// NewEvaluatorSession. When nil those entry points compile one per
-	// call (circuit.NewPlan, about the cost of half a garble) — share
+	// call (circuit.NewPlan, about the cost of two garbles) — share
 	// one plan across runs, or hold a session, to amortize it.
 	Plan *circuit.Plan
 	// Integrity wraps the run's entire byte stream — both directions —

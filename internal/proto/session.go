@@ -55,6 +55,11 @@ type GarblerSession struct {
 	skip      int
 }
 
+// emitFlushTables is the emit size, in tables, from which a
+// GarblerSession pushes the emitted tables to the transport at once
+// instead of leaving the tail in its write buffer: 32 KiB of tables.
+const emitFlushTables = 32 << 10 / gc.MaterialSize
+
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
 // required (serving always amortizes through plans); Workers selects
 // the plan engine width. A zero Options.Seed draws a random one; the
@@ -78,7 +83,21 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		res:   make([]byte, len(c.Outputs)),
 		out:   make([]bool, len(c.Outputs)),
 	}
-	s.emit = func(tables []gc.Material) error { return writeTables(s.w, tables) }
+	s.emit = func(tables []gc.Material) error {
+		if err := writeTables(s.w, tables); err != nil {
+			return err
+		}
+		// A finished segment goes to the socket now, so the evaluator
+		// works on it while the next one is garbled: left to bufio, up
+		// to a buffer's worth of it would wait for the next emit. Small
+		// emits (the steps of a short circuit) stay batched.
+		if len(tables) >= emitFlushTables {
+			if err := s.w.Flush(); err != nil {
+				return wrapPeer("streaming tables", err)
+			}
+		}
+		return nil
+	}
 	s.emitSkip = func(tables []gc.Material) error {
 		if s.skip >= len(tables) {
 			s.skip -= len(tables)
@@ -86,7 +105,7 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		}
 		t := tables[s.skip:]
 		s.skip = 0
-		return writeTables(s.w, t)
+		return s.emit(t)
 	}
 	s.Reset(conn, opts.OT)
 	return s, nil
@@ -129,7 +148,7 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 func (s *GarblerSession) Close() { s.pg.Close() }
 
 // Run plays one full garbler run: header, active input labels, OT,
-// level-streamed tables, decode bits, and the evaluator's reported
+// segment-streamed tables, decode bits, and the evaluator's reported
 // result. The returned slice is reused by the next Run.
 func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	c := s.c
@@ -238,7 +257,6 @@ type EvaluatorSession struct {
 	need   func(n int) ([]gc.Material, error)
 	tables []gc.Material
 	got    int
-	slab   []byte
 	want   header
 	hdrBuf [headerSize]byte
 	inputs []label.L
@@ -283,8 +301,7 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		out:     make([]bool, len(c.Outputs)),
 		choices: ot.NewBitset(c.EvaluatorInputs),
 		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, opts.Workers),
-		tables:  make([]gc.Material, plan.Schedule.NumAND),
-		slab:    make([]byte, slabBytes),
+		tables:  make([]gc.Material, len(plan.Tables)),
 	}
 	s.need = func(n int) ([]gc.Material, error) {
 		if err := s.readTables(n); err != nil {
@@ -320,18 +337,20 @@ func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 func (s *EvaluatorSession) Close() { s.pe.Close() }
 
 // readTables pulls gate-order tables off the wire into the persistent
-// arena, in slab-sized bulk reads, until upto of them have landed.
-// Abrupt peer disconnects surface as ErrPeerClosed.
+// arena until upto of them have landed, decoding straight out of the
+// read buffer a slab's worth at a time. Abrupt peer disconnects surface
+// as ErrPeerClosed.
 func (s *EvaluatorSession) readTables(upto int) error {
 	for s.got < upto {
-		n := upto - s.got
-		if n > slabTables {
-			n = slabTables
-		}
-		if _, err := io.ReadFull(s.rd, s.slab[:n*gc.MaterialSize]); err != nil {
+		n := min(upto-s.got, slabTables)
+		buf, err := s.rd.Peek(n * gc.MaterialSize)
+		if err != nil {
 			return wrapPeer("reading tables", err)
 		}
-		gc.DecodeMaterials(s.tables[s.got:s.got+n], s.slab)
+		gc.DecodeMaterials(s.tables[s.got:s.got+n], buf)
+		if _, err := s.rd.Discard(len(buf)); err != nil {
+			return wrapPeer("reading tables", err)
+		}
 		s.got += n
 	}
 	return nil
