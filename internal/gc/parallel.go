@@ -16,15 +16,13 @@ import (
 
 // minParallelStep is the smallest number of AND gates in a step worth
 // dispatching to the pool; below it the per-step synchronization costs
-// more than the hashing. At ~40 ns per garbled gate on the hardware AES
-// tiers, 64 gates are about 2.5 µs of work — one dispatch (channel sends,
-// wake-ups, the barrier) costs about as much. Segment-local steps are
-// narrower than whole-circuit levels were: on the paper-scale VIP suite
-// most steps hold 16..63 AND gates, and dispatching those made a
-// 4-worker run two thirds slower than a sequential one on a host without
-// idle cores; from 64 up the loss there is ~15%, the price of a pool that
-// has nothing to run on.
-const minParallelStep = 64
+// more than the hashing. Segment-local steps are narrower than
+// whole-circuit levels were (on the paper-scale VIP suite most hold
+// 16..63 AND gates), so this threshold decides whether the pool sees
+// most steps or few. It has not been retuned for them: the only host it
+// was re-checked on has two busy vCPUs, where a pool loses at every
+// threshold and nothing can show what idle cores would win.
+const minParallelStep = 16
 
 // spanFunc garbles or evaluates a run of one step's AND gates; index[i]
 // is the table-stream index of and[i].

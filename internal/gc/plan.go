@@ -35,6 +35,7 @@ import (
 type PlanGarbler struct {
 	p          *circuit.Plan
 	h          gateHasher
+	pair       pairHasher // nil unless the hasher has the two-gate forms
 	pool       *stepPool
 	span       spanFunc
 	slots      []label.L
@@ -59,6 +60,7 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 		tables:     make([]Material, len(p.Tables)),
 		outs:       make([]label.L, len(p.Circuit.Outputs)),
 	}
+	pg.pair, _ = h.(pairHasher)
 	// The span workers are fixed here so Run never allocates a closure.
 	pg.span = pg.newSpan()
 	if workers > 1 {
@@ -74,17 +76,18 @@ func (pg *PlanGarbler) newSpan() spanFunc {
 	s := new(pairScratch)
 	return func(and []circuit.Gate, index []int32) {
 		slots, tables := pg.slots, pg.tables
-		// The gates of a step are independent, so they go to the hasher
-		// two at a time; an odd one is left for the one-gate form.
+		// The gates of a step are independent, so they go to a hasher
+		// with the two-gate forms two at a time; an odd one, or all of
+		// them, are left for the one-gate form.
 		l, t, r := &s.l, &s.t, pg.r
-		for ; len(and) >= 2; and, index = and[2:], index[2:] {
+		for ; pg.pair != nil && len(and) >= 2; and, index = and[2:], index[2:] {
 			x, y := &and[0], &and[1]
 			jx, jy := uint64(index[0]), uint64(index[1])
 			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
 			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xa.Xor(r)), aes128.Block(xb), aes128.Block(xb.Xor(r))
 			l[4], l[5], l[6], l[7] = aes128.Block(ya), aes128.Block(ya.Xor(r)), aes128.Block(yb), aes128.Block(yb.Xor(r))
 			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
-			pg.h.Hash4x2(s)
+			pg.pair.Hash4x2(s)
 			tables[jx], slots[x.C] = garbleRows(label.L(l[0]), label.L(l[1]), label.L(l[2]), label.L(l[3]), xa, xb, r)
 			tables[jy], slots[y.C] = garbleRows(label.L(l[4]), label.L(l[5]), label.L(l[6]), label.L(l[7]), ya, yb, r)
 		}
@@ -137,7 +140,14 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	sent := 0
 	for k := 0; k < p.NumSteps(); k++ {
 		free, and, index := p.Step(k)
-		garbleFree(free, slots, r)
+		for i := range free {
+			g := &free[i]
+			if g.Op == circuit.XOR {
+				slots[g.C] = slots[g.A].Xor(slots[g.B])
+			} else { // INV
+				slots[g.C] = slots[g.A].Xor(r)
+			}
+		}
 		if len(and) > 0 {
 			if pg.pool != nil && len(and) >= minParallelStep {
 				pg.pool.run(and, index)
@@ -162,23 +172,6 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	return &pg.g, nil
 }
 
-// garbleFree garbles a step's XOR and INV gates. It is a function of its
-// own and kept out of line, like evalFree, so that the loop keeps its
-// state in registers: in the middle of Run it spills its counter to the
-// stack on every gate.
-//
-//go:noinline
-func garbleFree(free []circuit.Gate, slots []label.L, r label.L) {
-	for i := range free {
-		g := &free[i]
-		if g.Op == circuit.XOR {
-			slots[g.C] = slots[g.A].Xor(slots[g.B])
-		} else { // INV
-			slots[g.C] = slots[g.A].Xor(r)
-		}
-	}
-}
-
 // GarblePlan garbles a plan in one shot with the given worker count.
 // For steady-state reuse hold a PlanGarbler instead.
 func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
@@ -195,6 +188,7 @@ func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Gar
 type PlanEvaluator struct {
 	p      *circuit.Plan
 	h      gateHasher
+	pair   pairHasher // nil unless the hasher has the two-gate forms
 	pool   *stepPool
 	span   spanFunc
 	slots  []label.L
@@ -211,6 +205,7 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 		slots: make([]label.L, p.NumSlots),
 		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
+	pe.pair, _ = h.(pairHasher)
 	pe.span = pe.newSpan()
 	if workers > 1 {
 		pe.pool = newStepPool(workers, pe.newSpan)
@@ -224,13 +219,13 @@ func (pe *PlanEvaluator) newSpan() spanFunc {
 	return func(and []circuit.Gate, index []int32) {
 		slots, tables := pe.slots, pe.tables
 		l, t := &s.l, &s.t
-		for ; len(and) >= 2; and, index = and[2:], index[2:] {
+		for ; pe.pair != nil && len(and) >= 2; and, index = and[2:], index[2:] {
 			x, y := &and[0], &and[1]
 			jx, jy := uint64(index[0]), uint64(index[1])
 			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
 			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xb), aes128.Block(ya), aes128.Block(yb)
 			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
-			pe.h.Hash2x2(s)
+			pe.pair.Hash2x2(s)
 			slots[x.C] = evalRows(label.L(l[0]), label.L(l[1]), xa, xb, tables[jx])
 			slots[y.C] = evalRows(label.L(l[2]), label.L(l[3]), ya, yb, tables[jy])
 		}
@@ -276,7 +271,14 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 
 	for k := 0; k < p.NumSteps(); k++ {
 		free, and, index := p.Step(k)
-		evalFree(free, slots)
+		for i := range free {
+			g := &free[i]
+			if g.Op == circuit.XOR {
+				slots[g.C] = slots[g.A].Xor(slots[g.B])
+			} else { // INV: evaluator keeps the active label
+				slots[g.C] = slots[g.A]
+			}
+		}
 		if len(and) > 0 {
 			n := p.NeedTables(k)
 			t, err := need(n)
@@ -301,20 +303,6 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 		pe.outs[i] = slots[s]
 	}
 	return pe.outs, nil
-}
-
-// evalFree evaluates a step's XOR and INV gates.
-//
-//go:noinline
-func evalFree(free []circuit.Gate, slots []label.L) {
-	for i := range free {
-		g := &free[i]
-		if g.Op == circuit.XOR {
-			slots[g.C] = slots[g.A].Xor(slots[g.B])
-		} else { // INV: evaluator keeps the active label
-			slots[g.C] = slots[g.A]
-		}
-	}
 }
 
 // EvalPlan evaluates a plan in one shot with the given worker count.

@@ -79,12 +79,12 @@ func TestHash2MatchesHash(t *testing.T) {
 	}
 }
 
-// TestHashPairsMatchHash: the two-gate forms equal individual Hash calls
-// for every hasher, the adapter for plain Hashers included.
+// TestHashPairsMatchHash: the two-gate forms equal individual Hash
+// calls, on the live tier and on the T-table reference.
 func TestHashPairsMatchHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, h := range append(batchedHashers(), plainHasher{RekeyedHasher{}}) {
-		bh := batched(h)
+	var bh pairHasher = RekeyedHasher{}
+	for _, h := range []Hasher{RekeyedHasher{}, SoftRekeyedHasher{}} {
 		for i := 0; i < 50; i++ {
 			var l [8]aes128.Block
 			for j := range l {
@@ -118,8 +118,9 @@ func TestHashPairsMatchHash(t *testing.T) {
 	}
 }
 
-// TestLiveTierMatchesTTable: for both constructions, every entry point
-// of the hasher on the live aes128 tier equals the T-table reference.
+// TestLiveTierMatchesTTable: for both constructions, every one-gate
+// entry point of the hasher on the live aes128 tier equals the T-table
+// reference (TestHashPairsMatchHash does the same for the two-gate forms).
 // On an AES-NI host this is the hardware-vs-software check at the hash
 // level; under -tags purego it degenerates to a self-check.
 func TestLiveTierMatchesTTable(t *testing.T) {
@@ -145,21 +146,6 @@ func TestLiveTierMatchesTTable(t *testing.T) {
 			b0, b1, b2, b3 := p.soft.Hash4(l0, l1, l2, l3, t0, t0, t0+1, t0+1)
 			if a0 != b0 || a1 != b1 || a2 != b2 || a3 != b3 {
 				t.Fatalf("%s: Hash4 diverges from %s at tweak %d", p.live.Name(), p.soft.Name(), t0)
-			}
-			tw := [4]uint64{t0, t0 + 1, t1 &^ 1, t1 | 1}
-			l8 := [8]aes128.Block{aes128.Block(l0), aes128.Block(l1), aes128.Block(l2), aes128.Block(l3),
-				aes128.Block(l3), aes128.Block(l2), aes128.Block(l1), aes128.Block(l0)}
-			live, soft := &pairScratch{l: l8, t: tw}, &pairScratch{l: l8, t: tw}
-			p.live.Hash2x2(live)
-			p.soft.Hash2x2(soft)
-			if live.l != soft.l {
-				t.Fatalf("%s: Hash2x2 diverges from %s at tweaks %v", p.live.Name(), p.soft.Name(), tw)
-			}
-			live.l, soft.l = l8, l8
-			p.live.Hash4x2(live)
-			p.soft.Hash4x2(soft)
-			if live.l != soft.l {
-				t.Fatalf("%s: Hash4x2 diverges from %s at tweaks %v", p.live.Name(), p.soft.Name(), tw)
 			}
 		}
 	}
@@ -273,13 +259,13 @@ func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
 			t.Errorf("%s: Hash4 allocates %.1f times", h.Name(), avg)
 		}
-		s := new(pairScratch)
-		if avg := testing.AllocsPerRun(100, func() {
-			h.Hash2x2(s)
-			h.Hash4x2(s)
-		}); avg != 0 {
-			t.Errorf("%s: the two-gate forms allocate %.1f times", h.Name(), avg)
-		}
+	}
+	s := new(pairScratch)
+	if avg := testing.AllocsPerRun(100, func() {
+		RekeyedHasher{}.Hash2x2(s)
+		RekeyedHasher{}.Hash4x2(s)
+	}); avg != 0 {
+		t.Errorf("rekeyed: the two-gate forms allocate %.1f times", avg)
 	}
 }
 

@@ -106,14 +106,19 @@ type Hasher2 interface {
 	Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L)
 }
 
-// gateHasher is the batched form the garbling loops run on: the
-// one-gate forms Hash2 and Hash4 plus their two-gate forms, which the
-// plan runners call on pairs of independent AND gates of a schedule
-// step (the one-gate forms serve odd tails). Runners resolve it once
-// with batched, not per gate.
+// gateHasher is the batched form the garbling loops run on. Runners
+// resolve it once with batched, not per gate.
 type gateHasher interface {
 	Hasher2
 	Hasher4
+}
+
+// pairHasher is a further optional extension: Hash2 and Hash4 for two
+// gates at once, which the plan runners call on pairs of independent AND
+// gates of a schedule step. Only RekeyedHasher has it — aes128's VAES
+// tier runs both gates in one instruction stream; for every other hasher
+// the runners take a step's gates one at a time, as they do odd tails.
+type pairHasher interface {
 	// Hash2x2 is Hash2 for two evaluated gates, in place in s:
 	// l[i] = H(l[i], t[i]) for i < 4.
 	Hash2x2(s *pairScratch)
@@ -141,8 +146,8 @@ type pairScratch struct {
 	out  [8]aes128.Block
 }
 
-// batched returns h's batched form, adapting a Hasher without the full
-// set of batched methods through individual Hash calls.
+// batched returns h's batched form, adapting a plain Hasher (or one
+// with only half the batched methods) through individual Hash calls.
 func batched(h Hasher) gateHasher {
 	if b, ok := h.(gateHasher); ok {
 		return b
@@ -158,18 +163,6 @@ func (u unbatched) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 
 func (u unbatched) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
 	return u.Hash(l0, t0), u.Hash(l1, t1), u.Hash(l2, t2), u.Hash(l3, t3)
-}
-
-func (u unbatched) Hash2x2(s *pairScratch) {
-	for i := range s.t {
-		s.l[i] = aes128.Block(u.Hash(label.L(s.l[i]), s.t[i]))
-	}
-}
-
-func (u unbatched) Hash4x2(s *pairScratch) {
-	for i := range s.l {
-		s.l[i] = aes128.Block(u.Hash(label.L(s.l[i]), s.t[i/2]))
-	}
 }
 
 // feedForward finishes the two-gate forms' hashes, H(l) = AES(l) XOR l:
@@ -236,7 +229,7 @@ func (h RekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0,
 	return label.L(blk[0]).Xor(l0), label.L(blk[1]).Xor(l1), label.L(blk[2]).Xor(l2), label.L(blk[3]).Xor(l3)
 }
 
-// Hash2x2 implements the two-gate form of Hash2.
+// Hash2x2 implements pairHasher.
 func (RekeyedHasher) Hash2x2(s *pairScratch) {
 	l, out := (*[4]aes128.Block)(s.l[:4]), (*[4]aes128.Block)(s.out[:4])
 	for i := range s.keys {
@@ -246,7 +239,7 @@ func (RekeyedHasher) Hash2x2(s *pairScratch) {
 	feedForward(l[:], out[:])
 }
 
-// Hash4x2 implements the two-gate form of Hash4.
+// Hash4x2 implements pairHasher.
 func (RekeyedHasher) Hash4x2(s *pairScratch) {
 	for i := range s.keys {
 		s.keys[i] = tweakKey(s.t[i])
@@ -302,17 +295,6 @@ func (SoftRekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h
 	return
 }
 
-// Hash2x2 implements the two-gate form of Hash2.
-func (h SoftRekeyedHasher) Hash2x2(s *pairScratch) { unbatched{h}.Hash2x2(s) }
-
-// Hash4x2 implements the two-gate form of Hash4.
-func (SoftRekeyedHasher) Hash4x2(s *pairScratch) {
-	for i, t := range s.t {
-		h0, h1 := softPair(label.L(s.l[2*i]), label.L(s.l[2*i+1]), t, t)
-		s.l[2*i], s.l[2*i+1] = aes128.Block(h0), aes128.Block(h1)
-	}
-}
-
 // Name implements Hasher.
 func (SoftRekeyedHasher) Name() string { return "rekeyed-soft" }
 
@@ -362,25 +344,6 @@ func (h *FixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h
 	return label.L(blk[0]).Xor(d0), label.L(blk[1]).Xor(d1), label.L(blk[2]).Xor(d2), label.L(blk[3]).Xor(d3)
 }
 
-// Hash2x2 implements the two-gate form of Hash2: one four-block call.
-func (h *FixedKeyHasher) Hash2x2(s *pairScratch) {
-	l, out := s.l[:4], s.out[:4]
-	for i := range l {
-		l[i] = aes128.Block(double(label.L(l[i]), s.t[i]))
-	}
-	h.c.Encrypt(out, l)
-	feedForward(l, out)
-}
-
-// Hash4x2 implements the two-gate form of Hash4: one eight-block call.
-func (h *FixedKeyHasher) Hash4x2(s *pairScratch) {
-	for i := range s.l {
-		s.l[i] = aes128.Block(double(label.L(s.l[i]), s.t[i/2]))
-	}
-	h.c.Encrypt(s.out[:], s.l[:])
-	feedForward(s.l[:], s.out[:])
-}
-
 // Name implements Hasher.
 func (h *FixedKeyHasher) Name() string { return "fixed-key" }
 
@@ -422,12 +385,6 @@ func (h *SoftFixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64
 	return h.Hash(l0, t0), h.Hash(l1, t1), h.Hash(l2, t2), h.Hash(l3, t3)
 }
 
-// Hash2x2 implements the two-gate form of Hash2.
-func (h *SoftFixedKeyHasher) Hash2x2(s *pairScratch) { unbatched{h}.Hash2x2(s) }
-
-// Hash4x2 implements the two-gate form of Hash4.
-func (h *SoftFixedKeyHasher) Hash4x2(s *pairScratch) { unbatched{h}.Hash4x2(s) }
-
 // Name implements Hasher.
 func (h *SoftFixedKeyHasher) Name() string { return "fixed-key-soft" }
 
@@ -466,30 +423,29 @@ func garbleGate(h gateHasher, a0, b0, r label.L, j uint64) (Material, label.L) {
 }
 
 // garbleRows combines the four hashes of a gate — H(a0), H(a1), H(b0),
-// H(b1) — into its table and output zero-label. Rows are selected by
-// masking, not branching: colour bits are uniformly random, so a branch
-// on one is mispredicted every other gate.
+// H(b1) — into its table and output zero-label.
 func garbleRows(ha0, ha1, hb0, hb1, a0, b0, r label.L) (Material, label.L) {
-	pa, pb := colourMask(a0), colourMask(b0)
+	pa := a0.Colour()
+	pb := b0.Colour()
 
 	// Garbler half: handles the evaluator-known colour of wire A.
-	tg := ha0.Xor(ha1).Xor(masked(r, pb))
-	wg := ha0.Xor(masked(tg, pa))
+	tg := ha0.Xor(ha1)
+	if pb == 1 {
+		tg = tg.Xor(r)
+	}
+	wg := ha0
+	if pa == 1 {
+		wg = wg.Xor(tg)
+	}
 
 	// Evaluator half.
 	te := hb0.Xor(hb1).Xor(a0)
-	we := hb0.Xor(masked(te.Xor(a0), pb))
+	we := hb0
+	if pb == 1 {
+		we = we.Xor(te.Xor(a0))
+	}
 
 	return Material{TG: tg, TE: te}, wg.Xor(we)
-}
-
-// colourMask is all ones when l's colour bit is set and zero otherwise.
-func colourMask(l label.L) uint64 { return -(l.Lo & 1) }
-
-// masked returns l when mask is all ones and the zero label when it is
-// zero.
-func masked(l label.L, mask uint64) label.L {
-	return label.L{Lo: l.Lo & mask, Hi: l.Hi & mask}
 }
 
 // evalGate computes the output label from the two input labels and the
@@ -502,8 +458,12 @@ func evalGate(h gateHasher, a, b label.L, m Material, j uint64) label.L {
 // evalRows combines the two hashes of a gate — H(a), H(b) — with the
 // table rows the colour bits select.
 func evalRows(wg, we, a, b label.L, m Material) label.L {
-	wg = wg.Xor(masked(m.TG, colourMask(a)))
-	we = we.Xor(masked(m.TE.Xor(a), colourMask(b)))
+	if a.Colour() == 1 {
+		wg = wg.Xor(m.TG)
+	}
+	if b.Colour() == 1 {
+		we = we.Xor(m.TE.Xor(a))
+	}
 	return wg.Xor(we)
 }
 

@@ -257,6 +257,7 @@ type EvaluatorSession struct {
 	need   func(n int) ([]gc.Material, error)
 	tables []gc.Material
 	got    int
+	slab   []byte
 	want   header
 	hdrBuf [headerSize]byte
 	inputs []label.L
@@ -302,6 +303,7 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		choices: ot.NewBitset(c.EvaluatorInputs),
 		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, opts.Workers),
 		tables:  make([]gc.Material, len(plan.Tables)),
+		slab:    make([]byte, slabBytes),
 	}
 	s.need = func(n int) ([]gc.Material, error) {
 		if err := s.readTables(n); err != nil {
@@ -337,20 +339,18 @@ func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 func (s *EvaluatorSession) Close() { s.pe.Close() }
 
 // readTables pulls gate-order tables off the wire into the persistent
-// arena until upto of them have landed, decoding straight out of the
-// read buffer a slab's worth at a time. Abrupt peer disconnects surface
-// as ErrPeerClosed.
+// arena, in slab-sized bulk reads, until upto of them have landed.
+// Abrupt peer disconnects surface as ErrPeerClosed.
 func (s *EvaluatorSession) readTables(upto int) error {
 	for s.got < upto {
-		n := min(upto-s.got, slabTables)
-		buf, err := s.rd.Peek(n * gc.MaterialSize)
-		if err != nil {
+		n := upto - s.got
+		if n > slabTables {
+			n = slabTables
+		}
+		if _, err := io.ReadFull(s.rd, s.slab[:n*gc.MaterialSize]); err != nil {
 			return wrapPeer("reading tables", err)
 		}
-		gc.DecodeMaterials(s.tables[s.got:s.got+n], buf)
-		if _, err := s.rd.Discard(len(buf)); err != nil {
-			return wrapPeer("reading tables", err)
-		}
+		gc.DecodeMaterials(s.tables[s.got:s.got+n], s.slab)
 		s.got += n
 	}
 	return nil
