@@ -322,6 +322,12 @@ func TestFacadeServing(t *testing.T) {
 	if d := CircuitDigest(c); d == [32]byte{} {
 		t.Fatal("zero digest")
 	}
+	// A client's Run returns once it has sent its result; the server
+	// counts the run when it has read it. Let the sessions drain first.
+	deadline := time.Now().Add(15 * time.Second)
+	for srv.Stats().ActiveSessions != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	st := srv.Stats()
 	if st.RunsServed != 4 || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want 4 runs / 1 miss", st)

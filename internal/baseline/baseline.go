@@ -59,6 +59,10 @@ func calibrationCircuit() *circuit.Circuit {
 	return b.MustBuild()
 }
 
+// measurePasses is how many timing passes MeasureCPU keeps the fastest
+// of, per circuit.
+const measurePasses = 12
+
 // MeasureCPU times the software garbler (and optionally evaluator) on
 // the host and solves for per-gate costs. The XOR cost is obtained from
 // a second, XOR-only circuit. The hashers are stateless and
@@ -108,24 +112,19 @@ func MeasureCPU(h gc.Hasher, evaluator bool) CPUModel {
 		return time.Since(start)
 	}
 
-	// Each timing is one pass of a few milliseconds; keep the fastest of
-	// several so a page fault or a scheduler hiccup in one pass does not
-	// become the per-gate cost (an AND on AES-NI is tens of nanoseconds,
-	// small against either).
-	best := func(c *circuit.Circuit) time.Duration {
-		d := timeGarble(c)
-		for i := 0; i < 4; i++ {
-			if t := timeGarble(c); t < d {
-				d = t
-			}
-		}
-		return d
+	// Each timing is one pass of a millisecond or less; keep the fastest
+	// of several so a page fault, a collection or a scheduler hiccup in
+	// one pass does not become the per-gate cost (an AND on AES-NI is
+	// tens of nanoseconds, small against any of them). The two circuits
+	// take turns, so a slow phase of the host lands on both figures
+	// rather than on one side of their ratio.
+	xorTime, mixedTime := timeGarble(xorOnly), timeGarble(mixed)
+	for i := 1; i < measurePasses; i++ {
+		xorTime = min(xorTime, timeGarble(xorOnly))
+		mixedTime = min(mixedTime, timeGarble(mixed))
 	}
-
-	xorTime := best(xorOnly)
 	nsXOR := float64(xorTime.Nanoseconds()) / float64(xorStats.Gates)
 
-	mixedTime := best(mixed)
 	nonAND := float64(stats.Gates - stats.ANDGates)
 	nsAND := (float64(mixedTime.Nanoseconds()) - nonAND*nsXOR) / float64(stats.ANDGates)
 	if nsAND < nsXOR {
