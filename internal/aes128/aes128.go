@@ -13,15 +13,16 @@
 //     allocation-free;
 //   - an AES-NI tier (aesni_amd64.s) that derives a fresh key's round
 //     keys in registers while it encrypts, as the paper's pipeline does;
-//   - a VAES tier (same file) that does the same for two gates per call,
-//     both keys of a gate in one 256-bit register.
+//   - a VAES tier (same file) whose step kernels run whole half-gate AND
+//     gates two at a time — label gather, both keys of a gate in one
+//     256-bit register, AES, row selection, table and label stores — over
+//     a run of a schedule step in one call.
 //
 // Callers on the hot paths (internal/gc, internal/ot) use the entry
 // points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2,
-// their two-gate forms FreshKeyQuad and FreshKeyQuad2, and Cipher —
-// which run the best hardware tier CPUID offers and the T-table tier
-// otherwise (other architectures, or -tags purego). Backend reports
-// which. All agree with each other and with crypto/aes byte for byte;
+// Cipher, and the step kernels GarbleStep and EvalStep — which run the
+// best hardware tier CPUID offers and the T-table tier otherwise (other
+// architectures, or -tags purego). Backend reports which. All agree with each other and with crypto/aes byte for byte;
 // the tests check that on random inputs, on every tier the host has.
 package aes128
 

@@ -43,7 +43,7 @@ func freshKeyPair2AESNI(keys *[2]Block, dst, src *[4]Block)
 func encryptBlocksAESNI(rk *[Rounds + 1]Block, dst, src *Block, n int)
 
 //go:noescape
-func freshKeyQuadVAES(keys, dst, src *[4]Block)
+func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, gates *Gate, index *int32, pairs int)
 
 //go:noescape
-func freshKeyQuad2VAES(keys *[4]Block, dst, src *[8]Block)
+func evalStepVAES(slots *Block, tables *[2]Block, gates *Gate, index *int32, pairs int)

@@ -250,28 +250,29 @@ one:
 done:
 	RET
 
-// VAES tier: two gates per call. One YMM register carries both tweak
-// keys of a gate, one key per 128-bit lane, so a single VEX instruction
-// stream runs what the AES-NI tier needs two for; two gates are
-// interleaved per call to hide the key-step latency of each other.
-// VPSHUFB, VPSLLDQ, VPSLLD and VAESENC[LAST] all work per lane, so the
-// round-key step is the one above, verbatim, on both lanes at once. The
-// three-operand forms also drop its register copies.
-
-// VLOAD2 builds Y from two blocks — low lane at offLo, high lane at
-// offHi — reading each as 8-byte halves for the reason LOAD16 gives.
-// XY must name Y's low half; XT is scratch.
-#define VLOAD2(offLo, offHi, base, XY, Y, XT) \
-	VMOVQ       offLo(base), XY; \
-	VPINSRQ     $1, offLo+8(base), XY, XY; \
-	VMOVQ       offHi(base), XT; \
-	VPINSRQ     $1, offHi+8(base), XT, XT; \
-	VINSERTI128 $1, XT, Y, Y
-
-// VSTORE2 is the inverse of VLOAD2.
-#define VSTORE2(offLo, offHi, base, XY, Y) \
-	VMOVDQU      XY, offLo(base); \
-	VEXTRACTI128 $1, Y, offHi(base)
+// VAES tier: the half-gate step kernels. One call garbles (or evaluates)
+// a run of a schedule step's AND gates two at a time, start to finish:
+// it reads the plan's gate records and table indices as they lie in
+// memory, gathers the input labels from the slot arena, builds the
+// tweak keys in registers, runs the fresh-key rounds, feeds forward,
+// selects the half-gate rows with colour-bit masks and stores the table
+// and the output label — the software shape of HAAC's Half-Gate unit,
+// which takes an instruction and writes a wire and a table with nothing
+// dispatched in between. No instruction branches on, or addresses memory
+// by, a label: control flow and addresses depend only on the plan.
+//
+// One YMM register carries both tweak keys of a gate, one key per
+// 128-bit lane, and the gate's labels ride in the matching lanes: the A
+// side under tweak 2j in the low lane, the B side under 2j+1 in the high
+// one. VPSHUFB, VPSLLDQ, VPSLLD and VAESENC[LAST] all work per lane, so
+// the round-key step is the one above, verbatim, on both lanes at once;
+// the three-operand forms also drop its register copies. Two gates are
+// interleaved per iteration to hide each other's key-step latency, and
+// because the loop is inside the call the out-of-order core also overlaps
+// the tail of one pair with the head of the next.
+//
+// Nothing here is bounds-checked. The Go wrappers state what the caller
+// must have verified about every index the kernels follow.
 
 #define YMASK Y14
 #define YRC   Y15
@@ -317,37 +318,59 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// Four fresh keys, one block each (two evaluated AND gates): Y0 holds
-// keys 0,1 and Y1 keys 2,3; Y2 and Y3 the matching blocks.
-#define YROUND4x1(ENC) \
-	YKEYSTEP(Y0, Y4, Y5); \
-	YKEYSTEP(Y1, Y6, Y7); \
-	ENC Y0, Y2, Y2; \
-	ENC Y1, Y3, Y3
+// tweakKeys turns four copies of the even tweak t = 2j into the gate's
+// two keys K(t) ‖ K(t+1), K(t) = t ‖ ^t: t+1 is t^1 and ^(t+1) is ^t^1.
+DATA tweakKeys<>+0(SB)/8, $0x0000000000000000
+DATA tweakKeys<>+8(SB)/8, $0xffffffffffffffff
+DATA tweakKeys<>+16(SB)/8, $0x0000000000000001
+DATA tweakKeys<>+24(SB)/8, $0xfffffffffffffffe
+GLOBL tweakKeys<>(SB), (NOPTR+RODATA), $32
 
-// func freshKeyQuadVAES(keys, dst, src *[4]Block)
-TEXT ·freshKeyQuadVAES(SB), NOSPLIT, $0-24
-	MOVQ keys+0(FP), AX
-	MOVQ dst+8(FP), BX
-	MOVQ src+16(FP), CX
-	VLOAD2(0, 16, AX, X0, Y0, X8)
-	VLOAD2(32, 48, AX, X1, Y1, X9)
-	VLOAD2(0, 16, CX, X2, Y2, X10)
-	VLOAD2(32, 48, CX, X3, Y3, X11)
-	VBROADCASTI128 rotMask<>(SB), YMASK
-	VBROADCASTI128 rcon01<>(SB), YRC
-	VPXOR Y0, Y2, Y2
-	VPXOR Y1, Y3, Y3
-	YTEN_ROUNDS(YROUND4x1)
-	VSTORE2(0, 16, BX, X2, Y2)
-	VSTORE2(32, 48, BX, X3, Y3)
-	VZEROUPPER
-	RET
+// Register roles shared by both step kernels: SI the slot arena, DI the
+// tables, BX the next gate record (16 bytes: A at 4, B at 8, C at 12), CX
+// the next table index, DX the pairs left.
 
-// Four fresh keys, two blocks each (two garbled AND gates): block 2i and
-// 2i+1 under key i. Y0 holds keys 0,1 with Y2 = blocks 0,2 and Y3 =
-// blocks 1,3 — each lane's block under that lane's key; Y1 holds keys
-// 2,3 with Y4 = blocks 4,6 and Y5 = blocks 5,7.
+// STEPKEYS reads the table index at off(CX) and builds that gate's keys
+// in YK (XK its low half); J is left holding the byte offset of the
+// gate's table, 32j.
+#define STEPKEYS(off, J, XK, YK) \
+	MOVL         off(CX), J; \
+	ADDQ         J, J; \
+	VMOVQ        J, XK; \
+	VPBROADCASTQ XK, YK; \
+	VPXOR        tweakKeys<>(SB), YK, YK; \
+	SHLQ         $4, J
+
+// GATHER loads the input labels of the gate record at off(BX) into YL
+// (XL its low half), slots[A] ‖ slots[B], and leaves the byte offset of
+// slots[C] in C. RT is scratch.
+#define GATHER(off, C, RT, XL, YL) \
+	MOVL        off+4(BX), C; \
+	MOVL        off+8(BX), RT; \
+	SHLQ        $4, C; \
+	SHLQ        $4, RT; \
+	VMOVDQU     (SI)(C*1), XL; \
+	VINSERTI128 $1, (SI)(RT*1), YL, YL; \
+	MOVL        off+12(BX), C; \
+	SHLQ        $4, C
+
+// COLOURS spreads the colour bit (bit 0) of each lane of L over the
+// whole lane of M: all ones where the label's colour is 1.
+#define COLOURS(L, M) \
+	VPSLLQ  $63, L, M; \
+	VPSRAD  $31, M, M; \
+	VPSHUFD $0x55, M, M
+
+// FOLD stores lane 0 ^ lane 1 of W, the gate's output label, to the slot
+// at byte offset C. XW must name W's low half; XT is scratch.
+#define FOLD(W, XW, XT, C) \
+	VEXTRACTI128 $1, W, XT; \
+	VPXOR        XT, XW, XW; \
+	VMOVDQU      XW, (SI)(C*1)
+
+// Two garbled gates: Y0 and Y1 hold their keys; Y2 = a0 ‖ b0 and Y3 =
+// a1 ‖ b1 are the first gate's blocks, each lane's block under that
+// lane's key, Y4 and Y5 the second gate's.
 #define YROUND4x2(ENC) \
 	YKEYSTEP(Y0, Y6, Y7); \
 	YKEYSTEP(Y1, Y8, Y9); \
@@ -356,27 +379,105 @@ TEXT ·freshKeyQuadVAES(SB), NOSPLIT, $0-24
 	ENC Y1, Y4, Y4; \
 	ENC Y1, Y5, Y5
 
-// func freshKeyQuad2VAES(keys *[4]Block, dst, src *[8]Block)
-TEXT ·freshKeyQuad2VAES(SB), NOSPLIT, $0-24
-	MOVQ keys+0(FP), AX
-	MOVQ dst+8(FP), BX
-	MOVQ src+16(FP), CX
-	VLOAD2(0, 16, AX, X0, Y0, X10)
-	VLOAD2(32, 48, AX, X1, Y1, X11)
-	VLOAD2(0, 32, CX, X2, Y2, X12)
-	VLOAD2(16, 48, CX, X3, Y3, X13)
-	VLOAD2(64, 96, CX, X4, Y4, X10)
-	VLOAD2(80, 112, CX, X5, Y5, X11)
+// GARBLEROWS finishes one garbled gate. E0 = AES(a0) ‖ AES(b0), E1 =
+// AES(a1) ‖ AES(b1), L = a0 ‖ b0, Y13 = r ‖ r; J and C are the byte
+// offsets of the gate's table and output slot. With H = E ^ label and
+// masks pa, pb from the colours of a0, b0 (garbleRows in internal/gc):
+//	S  = H(a0)^H(a1)^(pb&r) ‖ H(b0)^H(b1)
+//	T  = S ^ (0 ‖ a0)                       = TG ‖ TE, stored as it is
+//	W  = H(a0)^(pa&TG) ‖ H(b0)^(pb&(TE^a0)) = wg ‖ we, folded to slots[C]
+// Y0 and Y6..Y9 are scratch; E0 and E1 are consumed.
+#define GARBLEROWS(E0, XE0, E1, L, J, C) \
+	COLOURS(L, Y6); \
+	VEXTRACTI128 $1, Y6, X7; \
+	VPAND        Y13, Y7, Y7; \
+	VPXOR        E0, E1, E1; \
+	VPXOR        Y13, E1, E1; \
+	VPXOR        Y7, E1, E1; \
+	VPERM2I128   $0x08, L, L, Y8; \
+	VPXOR        Y8, E1, Y8; \
+	VMOVDQU      Y8, (DI)(J*1); \
+	VPXOR        L, E0, E0; \
+	VPAND        Y6, E1, E1; \
+	VPXOR        E1, E0, E0; \
+	FOLD(E0, XE0, X9, C)
+
+// func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, gates *Gate, index *int32, pairs int)
+TEXT ·garbleStepVAES(SB), NOSPLIT, $0-48
+	MOVQ slots+0(FP), SI
+	MOVQ tables+8(FP), DI
+	MOVQ r+16(FP), AX
+	MOVQ gates+24(FP), BX
+	MOVQ index+32(FP), CX
+	MOVQ pairs+40(FP), DX
+	VBROADCASTI128 (AX), Y13
 	VBROADCASTI128 rotMask<>(SB), YMASK
+
+garblePair:
+	STEPKEYS(0, R8, X0, Y0)
+	STEPKEYS(4, R9, X1, Y1)
+	GATHER(0, R10, R12, X10, Y10)
+	GATHER(16, R11, R12, X11, Y11)
 	VBROADCASTI128 rcon01<>(SB), YRC
-	VPXOR Y0, Y2, Y2
-	VPXOR Y0, Y3, Y3
-	VPXOR Y1, Y4, Y4
-	VPXOR Y1, Y5, Y5
+	VPXOR Y0, Y10, Y2
+	VPXOR Y13, Y2, Y3
+	VPXOR Y1, Y11, Y4
+	VPXOR Y13, Y4, Y5
 	YTEN_ROUNDS(YROUND4x2)
-	VSTORE2(0, 32, BX, X2, Y2)
-	VSTORE2(16, 48, BX, X3, Y3)
-	VSTORE2(64, 96, BX, X4, Y4)
-	VSTORE2(80, 112, BX, X5, Y5)
+	GARBLEROWS(Y2, X2, Y3, Y10, R8, R10)
+	GARBLEROWS(Y4, X4, Y5, Y11, R9, R11)
+	ADDQ $32, BX
+	ADDQ $8, CX
+	DECQ DX
+	JNZ  garblePair
+	VZEROUPPER
+	RET
+
+// Two evaluated gates: Y0 and Y1 hold their keys, Y2 = a ‖ b the first
+// gate's block pair and Y3 the second's.
+#define YROUND4x1(ENC) \
+	YKEYSTEP(Y0, Y4, Y5); \
+	YKEYSTEP(Y1, Y6, Y7); \
+	ENC Y0, Y2, Y2; \
+	ENC Y1, Y3, Y3
+
+// EVALROWS finishes one evaluated gate. E = AES(a) ‖ AES(b), L = a ‖ b;
+// J and C as in GARBLEROWS. With masks pa, pb from the colours of a, b
+// (evalRows in internal/gc):
+//	W = H(a)^(pa&TG) ‖ H(b)^(pb&(TE^a)), folded to slots[C]
+// Y4..Y6 are scratch; E is consumed.
+#define EVALROWS(E, XE, L, J, C) \
+	COLOURS(L, Y4); \
+	VPERM2I128 $0x08, L, L, Y5; \
+	VPXOR      (DI)(J*1), Y5, Y5; \
+	VPAND      Y4, Y5, Y5; \
+	VPXOR      L, E, E; \
+	VPXOR      Y5, E, E; \
+	FOLD(E, XE, X6, C)
+
+// func evalStepVAES(slots *Block, tables *[2]Block, gates *Gate, index *int32, pairs int)
+TEXT ·evalStepVAES(SB), NOSPLIT, $0-40
+	MOVQ slots+0(FP), SI
+	MOVQ tables+8(FP), DI
+	MOVQ gates+16(FP), BX
+	MOVQ index+24(FP), CX
+	MOVQ pairs+32(FP), DX
+	VBROADCASTI128 rotMask<>(SB), YMASK
+
+evalPair:
+	STEPKEYS(0, R8, X0, Y0)
+	STEPKEYS(4, R9, X1, Y1)
+	GATHER(0, R10, R12, X8, Y8)
+	GATHER(16, R11, R12, X9, Y9)
+	VBROADCASTI128 rcon01<>(SB), YRC
+	VPXOR Y0, Y8, Y2
+	VPXOR Y1, Y9, Y3
+	YTEN_ROUNDS(YROUND4x1)
+	EVALROWS(Y2, X2, Y8, R8, R10)
+	EVALROWS(Y3, X3, Y9, R9, R11)
+	ADDQ $32, BX
+	ADDQ $8, CX
+	DECQ DX
+	JNZ  evalPair
 	VZEROUPPER
 	RET

@@ -8,13 +8,15 @@ import (
 // The tiered entry points of the package: "key(s) and blocks in,
 // ciphertext out" over in-place 16-byte blocks, served by the kernels in
 // aesni_amd64.s when the CPU has them and by the T-table code otherwise
-// (non-amd64, no AES-NI, or -tags purego). There are three tiers: VAES
-// (256-bit kernels that run two gates per call, both keys of a gate in
-// one register), AES-NI (one gate per call) and T-table. A VAES host
-// still runs the AES-NI kernels for the one-gate entry points. The
-// choice is made once at init from CPUID and cannot be configured: every
-// tier computes AES-128, so every output is byte-identical and only the
-// speed differs. Backend reports which one is live.
+// (non-amd64, no AES-NI, or -tags purego). There are three tiers: VAES,
+// AES-NI and T-table. The AES-NI tier runs one gate's AES per call. The
+// VAES tier adds the half-gate step kernels (GarbleStep, EvalStep), which
+// run whole gates — gather, keys, AES, row selection, stores — two at a
+// time over a run of a schedule step, and still takes the AES-NI kernels
+// for the one-gate entry points. The choice is made once at init from
+// CPUID and cannot be configured: every tier computes AES-128, so every
+// output is byte-identical and only the speed differs. Backend reports
+// which one is live.
 
 // tier orders the implementations by what they need from the CPU; a
 // host that runs one runs everything below it.
@@ -49,7 +51,7 @@ func LoadBlock(b []byte) Block {
 }
 
 // Backend names the AES tier the entry points in this file run on:
-// "vaes" (two-gate 256-bit kernels over the AES-NI ones), "aesni"
+// "vaes" (the half-gate step kernels over the AES-NI ones), "aesni"
 // (one-gate hardware kernels) or "ttable" (portable software). It is
 // fixed for the life of the process.
 func Backend() string {
@@ -134,29 +136,53 @@ func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
 	s.EncryptBlockTo(&dst[3], &src[3])
 }
 
-// FreshKeyQuad encrypts one block under each of four fresh keys, dst[i] =
-// AES_keys[i](src[i]) — two evaluated AND gates, the work of two
-// FreshKeyPair calls. The VAES tier runs both gates in one instruction
-// stream. dst and src may be the same array.
-func FreshKeyQuad(keys, dst, src *[4]Block) {
-	if liveTier >= tierVAES {
-		freshKeyQuadVAES(keys, dst, src)
-		return
-	}
-	FreshKeyPair((*[2]Block)(keys[:2]), (*[2]Block)(dst[:2]), (*[2]Block)(src[:2]))
-	FreshKeyPair((*[2]Block)(keys[2:]), (*[2]Block)(dst[2:]), (*[2]Block)(src[2:]))
+// Gate is one AND gate as the step kernels read it: a 16-byte record
+// with the slot indices of the two input labels and of the output label
+// at byte offsets 4, 8 and 12. The first four bytes (the caller's opcode)
+// are not read. It is circuit.Gate's memory layout, so a plan's gate
+// stream is handed over as it lies.
+type Gate struct {
+	_       uint32
+	A, B, C uint32
 }
 
-// FreshKeyQuad2 encrypts two blocks under each of four fresh keys,
-// src[2i] and src[2i+1] under keys[i] — two garbled AND gates, the work
-// of two FreshKeyPair2 calls. dst and src may be the same array.
-func FreshKeyQuad2(keys *[4]Block, dst, src *[8]Block) {
-	if liveTier >= tierVAES {
-		freshKeyQuad2VAES(keys, dst, src)
-		return
+// GarbleStep garbles a run of independent half-gate AND gates, as many
+// leading gates as the live tier has a step kernel for, and returns that
+// count: an even number on the VAES tier — the caller's one-gate path
+// takes an odd last gate — and 0 on every other, where the call does
+// nothing. For gate i with j = index[i], labels a0 = slots[A], b0 =
+// slots[B] and FreeXOR offset r it hashes H(x) = AES_K(x)^x under the
+// fresh keys K(2j) for a0, a0^r and K(2j+1) for b0, b0^r (K(t) = t ‖ ^t),
+// selects the half-gate rows by the colour bits of a0 and b0 with masks,
+// not branches, and stores the rows TG ‖ TE to tables[j] and the output
+// zero-label to slots[C].
+//
+// slots and tables point at the first element of the label arena and of
+// the table stream. The kernel checks no bounds: the caller must have
+// verified that every gate's A, B and C index the arena, that every
+// index[i] is non-negative and indexes the tables, and that no gate of
+// the run reads a slot another one writes.
+func GarbleStep(slots *Block, tables *[2]Block, r *Block, gates []Gate, index []int32) int {
+	n := min(len(gates), len(index)) &^ 1
+	if liveTier < tierVAES || n == 0 {
+		return 0
 	}
-	FreshKeyPair2((*[2]Block)(keys[:2]), (*[4]Block)(dst[:4]), (*[4]Block)(src[:4]))
-	FreshKeyPair2((*[2]Block)(keys[2:]), (*[4]Block)(dst[4:]), (*[4]Block)(src[4:]))
+	garbleStepVAES(slots, tables, r, &gates[0], &index[0], n/2)
+	return n
+}
+
+// EvalStep is GarbleStep for the evaluator: with the active labels a =
+// slots[A], b = slots[B] it hashes a under K(2j) and b under K(2j+1),
+// reads the rows from tables[j], selects them by the colour bits of a
+// and b with masks, and stores the output label to slots[C]. The same
+// preconditions hold.
+func EvalStep(slots *Block, tables *[2]Block, gates []Gate, index []int32) int {
+	n := min(len(gates), len(index)) &^ 1
+	if liveTier < tierVAES || n == 0 {
+		return 0
+	}
+	evalStepVAES(slots, tables, &gates[0], &index[0], n/2)
+	return n
 }
 
 // Cipher is AES-128 under one long-lived key: the schedule is expanded

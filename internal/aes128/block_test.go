@@ -126,32 +126,6 @@ func checkLiveTier(t testing.TB, keys [4]Block, src, want, fixedWant [8]Block) {
 		t.Fatalf("%s: FreshKeyPair2 in place = %v, want %v", Backend(), pair2, pair2Want)
 	}
 
-	// Two evaluated gates: four keys, one block each.
-	quadSrc := [4]Block{src[0], src[2], src[4], src[6]}
-	quadWant := [4]Block{want[0], want[2], want[4], want[6]}
-	var quad [4]Block
-	FreshKeyQuad(&keys, &quad, &quadSrc)
-	if quad != quadWant {
-		t.Fatalf("%s: FreshKeyQuad = %v, want %v", Backend(), quad, quadWant)
-	}
-	quad = quadSrc
-	FreshKeyQuad(&keys, &quad, &quad)
-	if quad != quadWant {
-		t.Fatalf("%s: FreshKeyQuad in place = %v, want %v", Backend(), quad, quadWant)
-	}
-
-	// Two garbled gates: four keys, two blocks each.
-	var quad2 [8]Block
-	FreshKeyQuad2(&keys, &quad2, &src)
-	if quad2 != want {
-		t.Fatalf("%s: FreshKeyQuad2 = %v, want %v", Backend(), quad2, want)
-	}
-	quad2 = src
-	FreshKeyQuad2(&keys, &quad2, &quad2)
-	if quad2 != want {
-		t.Fatalf("%s: FreshKeyQuad2 in place = %v, want %v", Backend(), quad2, want)
-	}
-
 	c := NewCipher(keys[0])
 	fixed := src
 	c.Encrypt(fixed[:], fixed[:])
@@ -182,16 +156,6 @@ func fips197OnLiveTier(t *testing.T) {
 	FreshKeyPair2(&keys, &quad, &quad)
 	if quad != [4]Block{ct, ct, ct, ct} {
 		t.Fatalf("FreshKeyPair2 on the FIPS-197 vector = %v", quad)
-	}
-	keys4 := [4]Block{key, key, key, key}
-	FreshKeyQuad(&keys4, &quad, &[4]Block{pt, pt, pt, pt})
-	if quad != [4]Block{ct, ct, ct, ct} {
-		t.Fatalf("%s: FreshKeyQuad on the FIPS-197 vector = %v", Backend(), quad)
-	}
-	oct := [8]Block{pt, pt, pt, pt, pt, pt, pt, pt}
-	FreshKeyQuad2(&keys4, &oct, &oct)
-	if oct != [8]Block{ct, ct, ct, ct, ct, ct, ct, ct} {
-		t.Fatalf("%s: FreshKeyQuad2 on the FIPS-197 vector = %v", Backend(), oct)
 	}
 }
 
@@ -285,8 +249,6 @@ func TestFreshKeyNoAllocs(t *testing.T) {
 			FreshKeyEncrypt(&keys[0], &blk[0], &blk[0])
 			FreshKeyPair((*[2]Block)(keys[:2]), (*[2]Block)(blk[:2]), (*[2]Block)(blk[2:]))
 			FreshKeyPair2((*[2]Block)(keys[:2]), (*[4]Block)(blk[:4]), (*[4]Block)(blk[4:]))
-			FreshKeyQuad(&keys, (*[4]Block)(blk[:4]), (*[4]Block)(blk[4:]))
-			FreshKeyQuad2(&keys, &blk, &blk)
 			c.Encrypt(blk[:], blk[:])
 		}); avg != 0 {
 			t.Fatalf("%s: tiered entry points allocate %.1f times per call set", Backend(), avg)
@@ -320,18 +282,6 @@ func blocksFrom(b []byte) (src [8]Block) {
 	return
 }
 
-// FuzzFreshKeyQuad drives the entry points with the keys the garbler
-// derives — a pair of gate indices, as a step of the schedule hands them
-// to the two-gate kernels — rather than arbitrary key bytes.
-func FuzzFreshKeyQuad(f *testing.F) {
-	f.Add(uint64(0), uint64(1), []byte{})
-	f.Add(uint64(4095), uint64(4096), append(append([]byte{}, fips197Pt...), fips197Ct...))
-	f.Add(uint64(1<<63-1), uint64(0), make([]byte, 128))
-	f.Fuzz(func(t *testing.T, j0, j1 uint64, blockBytes []byte) {
-		checkAllEntryPoints(t, tweakKeys(j0, j1), blocksFrom(blockBytes))
-	})
-}
-
 // BenchmarkFreshKeyEncrypt: one fresh key, one block (Hasher.Hash).
 func BenchmarkFreshKeyEncrypt(b *testing.B) {
 	var key, src, dst Block
@@ -362,29 +312,6 @@ func BenchmarkFreshKeyPair2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		keys[0].Lo, keys[1].Lo = uint64(2*i), uint64(2*i+1)
 		FreshKeyPair2(&keys, &dst, &src)
-	}
-}
-
-// BenchmarkFreshKeyQuad: four fresh keys, one block each (two evaluated
-// AND gates).
-func BenchmarkFreshKeyQuad(b *testing.B) {
-	var keys, src, dst [4]Block
-	b.SetBytes(4 * BlockSize)
-	for i := 0; i < b.N; i++ {
-		keys[0].Lo, keys[1].Lo, keys[2].Lo, keys[3].Lo = uint64(4*i), uint64(4*i+1), uint64(4*i+2), uint64(4*i+3)
-		FreshKeyQuad(&keys, &dst, &src)
-	}
-}
-
-// BenchmarkFreshKeyQuad2: four fresh keys, two blocks each (two garbled
-// AND gates).
-func BenchmarkFreshKeyQuad2(b *testing.B) {
-	var keys [4]Block
-	var src, dst [8]Block
-	b.SetBytes(8 * BlockSize)
-	for i := 0; i < b.N; i++ {
-		keys[0].Lo, keys[1].Lo, keys[2].Lo, keys[3].Lo = uint64(4*i), uint64(4*i+1), uint64(4*i+2), uint64(4*i+3)
-		FreshKeyQuad2(&keys, &dst, &src)
 	}
 }
 

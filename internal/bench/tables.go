@@ -278,7 +278,7 @@ type RekeyRow struct {
 }
 
 // hash4Allocs measures steady-state allocations of one Hash4 call.
-func hash4Allocs(h gc.Hasher4) float64 {
+func hash4Allocs(h gc.BatchHasher) float64 {
 	l := label.L{Lo: 1, Hi: 2}
 	const n = 500
 	var before, after runtime.MemStats
@@ -307,35 +307,51 @@ func kernelNs(call func(i uint64)) float64 {
 	return float64(best.Nanoseconds()) / n
 }
 
-// pairKernels prices the AES of two gates on the live tier, as two
-// one-gate kernel calls and as one two-gate call — the same thing below
-// the VAES tier, where the two-gate entry points make the two calls.
-func pairKernels() string {
-	var keys [4]aes128.Block
-	var blk [8]aes128.Block
-	rekey := func(i uint64) {
-		for j := range keys {
-			keys[j].Lo = 4*i + uint64(j)
+// stepKernels prices one AND gate of each role on the live tier three
+// ways: its AES alone (one one-gate kernel call), the whole gate on the Go
+// one-gate path (GarbleAND/EvalAND: that call plus feed-forward and row
+// selection) and the whole gate in aes128's step kernel, which also does
+// the label gather and the table and label stores. The last is a run of
+// 1024 gates over an arena the size of a segment's live set; hosts
+// without the kernel print n/a.
+func stepKernels() string {
+	const n = 1024
+	slots := make([]aes128.Block, 3*n)
+	for i := range slots {
+		slots[i] = aes128.Block{Lo: uint64(i)*0x9e3779b97f4a7c15 + 1, Hi: uint64(i)}
+	}
+	tables := make([][2]aes128.Block, n)
+	gates := make([]aes128.Gate, n)
+	index := make([]int32, n)
+	for i := range gates {
+		gates[i] = aes128.Gate{A: uint32(i), B: uint32(n + (i*7)%n), C: uint32(2*n + i)}
+		index[i] = int32(i)
+	}
+	r := aes128.Block{Lo: 0xdeadbeef | 1, Hi: 42}
+	step := func(run func() int) string {
+		if run() == 0 {
+			return "n/a"
 		}
+		return fmt.Sprintf("%.1f", kernelNs(func(uint64) { run() })/n)
 	}
-	keys2, blk4, blk2 := (*[2]aes128.Block)(keys[:2]), (*[4]aes128.Block)(blk[:4]), (*[2]aes128.Block)(blk[:2])
+	var keys [2]aes128.Block
+	var blk [4]aes128.Block
+	blk2 := (*[2]aes128.Block)(blk[:2])
+	rekey := func(i uint64) { keys[0].Lo, keys[1].Lo = 2*i, 2*i+1 }
+	h := gc.RekeyedHasher{}
+	a, b, lr := label.L(slots[1]), label.L(slots[2]), label.L(r)
+	var m gc.Material
 	cells := [][]string{
-		{"garbled (FreshKeyPair2 x2 | FreshKeyQuad2)",
-			fmt.Sprintf("%.1f", kernelNs(func(i uint64) {
-				rekey(i)
-				aes128.FreshKeyPair2(keys2, blk4, blk4)
-				aes128.FreshKeyPair2(keys2, blk4, blk4)
-			})),
-			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyQuad2(&keys, &blk, &blk) }))},
-		{"evaluated (FreshKeyPair x2 | FreshKeyQuad)",
-			fmt.Sprintf("%.1f", kernelNs(func(i uint64) {
-				rekey(i)
-				aes128.FreshKeyPair(keys2, blk2, blk2)
-				aes128.FreshKeyPair(keys2, blk2, blk2)
-			})),
-			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyQuad(&keys, blk4, blk4) }))},
+		{"garbled",
+			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyPair2(&keys, &blk, &blk) })),
+			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { m, a = gc.GarbleAND(h, a, b, lr, i) })),
+			step(func() int { return aes128.GarbleStep(&slots[0], &tables[0], &r, gates, index) })},
+		{"evaluated",
+			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyPair(&keys, blk2, blk2) })),
+			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { a = gc.EvalAND(h, a, b, m, i) })),
+			step(func() int { return aes128.EvalStep(&slots[0], &tables[0], gates, index) })},
 	}
-	return table([]string{"AES of two gates, ns", "one-gate calls", "two-gate call"}, cells)
+	return table([]string{"one AND gate, ns", "AES only", "whole gate, Go", "whole gate, step kernel"}, cells)
 }
 
 // RekeyingOverhead measures the §2.1 claim: re-keying vs fixed-key
@@ -356,7 +372,7 @@ func RekeyingOverhead() ([]RekeyRow, float64, string) {
 		live = "aesni"
 	}
 	hashers := []struct {
-		h       gc.Hasher4
+		h       gc.BatchHasher
 		backend string
 	}{
 		{gc.SoftRekeyedHasher{}, "ttable"},
@@ -394,7 +410,7 @@ func RekeyingOverhead() ([]RekeyRow, float64, string) {
 	s += fmt.Sprintf("\nRe-keying overhead, T-table vs T-table:  %+.1f%% per AND gate\n", overSoft)
 	s += fmt.Sprintf("Re-keying overhead, %-6s vs %-6s:    %+.1f%% per AND gate (paper: +27.5%% on AES-NI)\n", live, live, overLive)
 	s += "(every hasher expands two keys per garbled gate; the hardware tiers consume each\nround key as it is produced, so expansion overlaps encryption as in HAAC's\nHalf-Gate pipeline, while the ttable tier finishes a schedule before it encrypts)\n\n"
-	s += pairKernels()
-	s += "(the plan engine hands the independent AND gates of a schedule step to the hasher\ntwo at a time; the vaes tier runs such a pair in one instruction stream, both keys\nof a gate in one 256-bit register)\n"
+	s += stepKernels()
+	s += "(on the vaes tier the plan engine hands each run of a schedule step's AND gates to the\nstep kernel, which takes them two at a time from label gather to table and label stores;\nthe other tiers, the reference walk and every hasher but rekeyed run the Go path)\n"
 	return rows, overLive, s
 }

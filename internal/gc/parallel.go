@@ -35,19 +35,18 @@ type span struct {
 }
 
 // stepPool is a fixed set of workers processing contiguous spans of a
-// step's AND gates. Each worker's span function is made once, at
-// construction; run dispatches one step and blocks until it completes.
+// step's AND gates, all through the runner's one span function; run
+// dispatches one step and blocks until it completes.
 type stepPool struct {
 	workers int
 	tasks   chan span
 	wg      sync.WaitGroup
 }
 
-// newStepPool starts the workers, each running its own newSpan().
-func newStepPool(workers int, newSpan func() spanFunc) *stepPool {
+// newStepPool starts the workers.
+func newStepPool(workers int, do spanFunc) *stepPool {
 	p := &stepPool{workers: workers, tasks: make(chan span, workers)}
 	for i := 0; i < workers; i++ {
-		do := newSpan()
 		go func() {
 			for s := range p.tasks {
 				do(s.and, s.index)

@@ -154,7 +154,7 @@ func TestFixedKeyHasherConcurrent(t *testing.T) {
 // but the pool must not depend on its callers for that.
 func TestStepPoolRunEmpty(t *testing.T) {
 	calls := 0
-	p := newStepPool(4, func() spanFunc { return func([]circuit.Gate, []int32) { calls++ } })
+	p := newStepPool(4, func([]circuit.Gate, []int32) { calls++ })
 	defer p.close()
 	p.run(nil, nil)
 	p.run([]circuit.Gate{}, []int32{})
@@ -163,8 +163,8 @@ func TestStepPoolRunEmpty(t *testing.T) {
 	}
 }
 
-// TestPlanStepTails: a step of n independent AND gates goes to the hasher
-// two at a time with a one-gate tail — n = 0..5 covers no gate, the
+// TestPlanStepTails: a step of n independent AND gates goes to the step
+// kernel two at a time with a one-gate tail — n = 0..5 covers no gate, the
 // tail alone, whole pairs, and pairs plus a tail; the sizes around
 // minParallelStep cover the same through the pool's chunking, at both
 // engine widths.

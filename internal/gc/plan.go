@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 
-	"haac/internal/aes128"
 	"haac/internal/circuit"
 	"haac/internal/label"
 )
@@ -15,10 +14,15 @@ import (
 // wires, so a run touches a label arena of NumSlots entries — about one
 // segment's live wires — instead of NumWires: the paper's
 // rename-and-evict memory idea (§3.1.4) applied to the software hot
-// path. Each step's independent AND gates go to the hasher two at a
-// time. The schedule is built once with the plan, never per run.
-// Runners own their arenas and reuse them across runs: steady-state
-// plan execution allocates nothing.
+// path. The runners walk the plan's steps; per step the free gates are a
+// Go loop and the AND gates are one span (or one per pool worker). A
+// span goes first to the hasher's whole-step form if it has one (step.go:
+// RekeyedHasher on a VAES host, where one kernel call does the gates two
+// at a time from gather to stores), and whatever that leaves — an odd
+// last gate, or everything — to the one-gate path garbleGate/evalGate.
+// The schedule is built once with the plan, never per run. Runners own
+// their arenas and reuse them across runs: steady-state plan execution
+// allocates nothing.
 //
 // Outputs are byte-identical to the reference Garble/Evaluate: renaming
 // only moves where labels are stored, never what is hashed, and tables
@@ -34,10 +38,9 @@ import (
 // runner and overwritten by the next Begin/Run cycle.
 type PlanGarbler struct {
 	p          *circuit.Plan
-	h          gateHasher
-	pair       pairHasher // nil unless the hasher has the two-gate forms
+	h          BatchHasher
+	step       stepHasher // nil unless the hasher has the whole-step form and the plan passed stepSafe
 	pool       *stepPool
-	span       spanFunc
 	slots      []label.L
 	inputZeros []label.L
 	tables     []Material
@@ -60,41 +63,25 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 		tables:     make([]Material, len(p.Tables)),
 		outs:       make([]label.L, len(p.Circuit.Outputs)),
 	}
-	pg.pair, _ = h.(pairHasher)
-	// The span workers are fixed here so Run never allocates a closure.
-	pg.span = pg.newSpan()
+	pg.step = stepFor(p, h)
 	if workers > 1 {
-		pg.pool = newStepPool(workers, pg.newSpan)
+		pg.pool = newStepPool(workers, pg.span)
 	}
 	return pg
 }
 
-// newSpan returns a function that garbles a run of one step's AND gates
-// (index[i] is and[i]'s table index), with its own staging area: one per
-// goroutine that garbles.
-func (pg *PlanGarbler) newSpan() spanFunc {
-	s := new(pairScratch)
-	return func(and []circuit.Gate, index []int32) {
-		slots, tables := pg.slots, pg.tables
-		// The gates of a step are independent, so they go to a hasher
-		// with the two-gate forms two at a time; an odd one, or all of
-		// them, are left for the one-gate form.
-		l, t, r := &s.l, &s.t, pg.r
-		for ; pg.pair != nil && len(and) >= 2; and, index = and[2:], index[2:] {
-			x, y := &and[0], &and[1]
-			jx, jy := uint64(index[0]), uint64(index[1])
-			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
-			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xa.Xor(r)), aes128.Block(xb), aes128.Block(xb.Xor(r))
-			l[4], l[5], l[6], l[7] = aes128.Block(ya), aes128.Block(ya.Xor(r)), aes128.Block(yb), aes128.Block(yb.Xor(r))
-			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
-			pg.pair.Hash4x2(s)
-			tables[jx], slots[x.C] = garbleRows(label.L(l[0]), label.L(l[1]), label.L(l[2]), label.L(l[3]), xa, xb, r)
-			tables[jy], slots[y.C] = garbleRows(label.L(l[4]), label.L(l[5]), label.L(l[6]), label.L(l[7]), ya, yb, r)
-		}
-		for i := range and {
-			g, j := &and[i], index[i]
-			tables[j], slots[g.C] = garbleGate(pg.h, slots[g.A], slots[g.B], r, uint64(j))
-		}
+// span garbles a run of one step's AND gates (index[i] is and[i]'s table
+// index): the whole-step form on the prefix it takes, the one-gate form
+// on the rest.
+func (pg *PlanGarbler) span(and []circuit.Gate, index []int32) {
+	slots, tables := pg.slots, pg.tables
+	done := 0
+	if pg.step != nil {
+		done = pg.step.garbleStep(slots, tables, &pg.r, and, index)
+	}
+	for i := done; i < len(and); i++ {
+		g, j := &and[i], index[i]
+		tables[j], slots[g.C] = garbleGate(pg.h, slots[g.A], slots[g.B], pg.r, uint64(j))
 	}
 }
 
@@ -187,10 +174,9 @@ func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Gar
 // returned by Eval/EvalStream is reused by the next run.
 type PlanEvaluator struct {
 	p      *circuit.Plan
-	h      gateHasher
-	pair   pairHasher // nil unless the hasher has the two-gate forms
+	h      BatchHasher
+	step   stepHasher // as PlanGarbler.step
 	pool   *stepPool
-	span   spanFunc
 	slots  []label.L
 	outs   []label.L
 	tables []Material
@@ -205,34 +191,24 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 		slots: make([]label.L, p.NumSlots),
 		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
-	pe.pair, _ = h.(pairHasher)
-	pe.span = pe.newSpan()
+	pe.step = stepFor(p, h)
 	if workers > 1 {
-		pe.pool = newStepPool(workers, pe.newSpan)
+		pe.pool = newStepPool(workers, pe.span)
 	}
 	return pe
 }
 
-// newSpan is the evaluator's counterpart of PlanGarbler.newSpan.
-func (pe *PlanEvaluator) newSpan() spanFunc {
-	s := new(pairScratch)
-	return func(and []circuit.Gate, index []int32) {
-		slots, tables := pe.slots, pe.tables
-		l, t := &s.l, &s.t
-		for ; pe.pair != nil && len(and) >= 2; and, index = and[2:], index[2:] {
-			x, y := &and[0], &and[1]
-			jx, jy := uint64(index[0]), uint64(index[1])
-			xa, xb, ya, yb := slots[x.A], slots[x.B], slots[y.A], slots[y.B]
-			l[0], l[1], l[2], l[3] = aes128.Block(xa), aes128.Block(xb), aes128.Block(ya), aes128.Block(yb)
-			t[0], t[1], t[2], t[3] = 2*jx, 2*jx+1, 2*jy, 2*jy+1
-			pe.pair.Hash2x2(s)
-			slots[x.C] = evalRows(label.L(l[0]), label.L(l[1]), xa, xb, tables[jx])
-			slots[y.C] = evalRows(label.L(l[2]), label.L(l[3]), ya, yb, tables[jy])
-		}
-		for i := range and {
-			g, j := &and[i], index[i]
-			slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[j], uint64(j))
-		}
+// span is the evaluator's counterpart of PlanGarbler.span, over the
+// tables EvalStream checked for this step.
+func (pe *PlanEvaluator) span(and []circuit.Gate, index []int32) {
+	slots, tables := pe.slots, pe.tables
+	done := 0
+	if pe.step != nil {
+		done = pe.step.evalStep(slots, tables, and, index)
+	}
+	for i := done; i < len(and); i++ {
+		g, j := &and[i], index[i]
+		slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[j], uint64(j))
 	}
 }
 

@@ -4,18 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"haac/internal/aes128"
 	"haac/internal/circuit"
 	"haac/internal/label"
 	"haac/internal/workloads"
 )
 
 // Equality and allocation regressions for the batched hash paths. The
-// batched Hash2/Hash4 entry points and their two-gate forms must be
-// drop-in replacements for individual Hash calls (the golden vectors pin
-// the absolute outputs; these tests pin the batching itself on random
-// inputs), each construction must hash the same on the live aes128 tier
-// and on the pinned T-table one, and no hash entry point may allocate.
+// batched Hash2/Hash4 entry points must be drop-in replacements for
+// individual Hash calls (the golden vectors pin the absolute outputs;
+// these tests pin the batching itself on random inputs), each
+// construction must hash the same on the live aes128 tier and on the
+// pinned T-table one, and no hash entry point may allocate. The
+// whole-step form has its own tests in step_test.go.
 
 // batchedHashers returns every hasher with a batched path: both
 // constructions, each on the live tier and pinned to the T-table one.
@@ -36,9 +36,9 @@ func randLabel(rng *rand.Rand) label.L {
 func TestHash4MatchesHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, h := range batchedHashers() {
-		h4, ok := h.(Hasher4)
+		h4, ok := h.(BatchHasher)
 		if !ok {
-			t.Fatalf("%s does not implement Hasher4", h.Name())
+			t.Fatalf("%s does not implement BatchHasher", h.Name())
 		}
 		for i := 0; i < 50; i++ {
 			l0, l1, l2, l3 := randLabel(rng), randLabel(rng), randLabel(rng), randLabel(rng)
@@ -62,9 +62,9 @@ func TestHash4MatchesHash(t *testing.T) {
 func TestHash2MatchesHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, h := range batchedHashers() {
-		h2, ok := h.(Hasher2)
+		h2, ok := h.(BatchHasher)
 		if !ok {
-			t.Fatalf("%s does not implement Hasher2", h.Name())
+			t.Fatalf("%s does not implement BatchHasher", h.Name())
 		}
 		for i := 0; i < 50; i++ {
 			l0, l1 := randLabel(rng), randLabel(rng)
@@ -79,53 +79,14 @@ func TestHash2MatchesHash(t *testing.T) {
 	}
 }
 
-// TestHashPairsMatchHash: the two-gate forms equal individual Hash
-// calls, on the live tier and on the T-table reference.
-func TestHashPairsMatchHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	var bh pairHasher = RekeyedHasher{}
-	for _, h := range []Hasher{RekeyedHasher{}, SoftRekeyedHasher{}} {
-		for i := 0; i < 50; i++ {
-			var l [8]aes128.Block
-			for j := range l {
-				l[j] = aes128.Block(randLabel(rng))
-			}
-			// Neighbouring gates, as a step usually pairs them, and
-			// unrelated ones.
-			jx := rng.Uint64() >> 2
-			for _, jy := range []uint64{jx + 1, rng.Uint64() >> 2} {
-				tw := [4]uint64{2 * jx, 2*jx + 1, 2 * jy, 2*jy + 1}
-				s := &pairScratch{l: l, t: tw}
-				bh.Hash2x2(s)
-				for j, got := range s.l {
-					want := l[j] // labels 4..7 are not Hash2x2's to touch
-					if j < 4 {
-						want = aes128.Block(h.Hash(label.L(l[j]), tw[j]))
-					}
-					if got != want {
-						t.Fatalf("%s: Hash2x2 label %d diverges from Hash", h.Name(), j)
-					}
-				}
-				s = &pairScratch{l: l, t: tw}
-				bh.Hash4x2(s)
-				for j, got := range s.l {
-					if want := h.Hash(label.L(l[j]), tw[j/2]); label.L(got) != want {
-						t.Fatalf("%s: Hash4x2 label %d diverges from Hash", h.Name(), j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestLiveTierMatchesTTable: for both constructions, every one-gate
 // entry point of the hasher on the live aes128 tier equals the T-table
-// reference (TestHashPairsMatchHash does the same for the two-gate forms).
+// reference (TestStepMatchesOneGatePath does the same for the step form).
 // On an AES-NI host this is the hardware-vs-software check at the hash
 // level; under -tags purego it degenerates to a self-check.
 func TestLiveTierMatchesTTable(t *testing.T) {
 	key := [16]byte{3, 1, 4, 1, 5, 9, 2, 6}
-	pairs := []struct{ live, soft gateHasher }{
+	pairs := []struct{ live, soft BatchHasher }{
 		{RekeyedHasher{}, SoftRekeyedHasher{}},
 		{NewFixedKeyHasher(key), NewSoftFixedKeyHasher(key)},
 	}
@@ -249,7 +210,7 @@ func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	l0, l1, l2, l3 := label.L{Lo: 1}, label.L{Lo: 2}, label.L{Lo: 3}, label.L{Lo: 4}
-	for _, h := range []gateHasher{RekeyedHasher{}, NewFixedKeyHasher([16]byte{7})} {
+	for _, h := range []BatchHasher{RekeyedHasher{}, NewFixedKeyHasher([16]byte{7})} {
 		if avg := testing.AllocsPerRun(100, func() { h.Hash(l0, 9) }); avg != 0 {
 			t.Errorf("%s: Hash allocates %.1f times", h.Name(), avg)
 		}
@@ -259,13 +220,6 @@ func TestRekeyedHashNoSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { h.Hash4(l0, l1, l2, l3, 8, 8, 9, 9) }); avg != 0 {
 			t.Errorf("%s: Hash4 allocates %.1f times", h.Name(), avg)
 		}
-	}
-	s := new(pairScratch)
-	if avg := testing.AllocsPerRun(100, func() {
-		RekeyedHasher{}.Hash2x2(s)
-		RekeyedHasher{}.Hash4x2(s)
-	}); avg != 0 {
-		t.Errorf("rekeyed: the two-gate forms allocate %.1f times", avg)
 	}
 }
 

@@ -13,10 +13,23 @@
 // compiler and the simulator are checked against.
 //
 // All AES goes through internal/aes128, which picks its backend once at
-// start-up: VAES kernels that run two gates per call, AES-NI kernels
-// that run one — both expand a gate's fresh keys while they encrypt —
-// or portable T-table code. The hashers here are the same on all three
-// and their outputs are byte-identical (golden_test.go pins them).
+// start-up: VAES, AES-NI — both expand a gate's fresh keys while they
+// encrypt — or portable T-table code. The hashers here are the same on
+// all three and their outputs are byte-identical (golden_test.go pins
+// them). On a VAES host the plan runners hand each run of a schedule
+// step's AND gates to aes128's step kernels (step.go), which do the
+// whole gate — label gather, keys, AES, row selection, table and label
+// stores — two gates at a time in one call; what stays in Go there is
+// the free gates, an odd last gate, and the table transport. Everywhere
+// else, and for every hasher but RekeyedHasher, the runners garble one
+// gate at a time through garbleGate/evalGate, the code the oracle runs.
+//
+// Row selection and the permute bit: garbleRows and evalRows choose rows
+// with branches on colour bits, and on the garbler that bit is the
+// secret permute bit. The step kernels select with masks and have no
+// label-dependent branch or address, so the serving path on VAES hosts
+// is constant-time in the labels; on AES-NI-only and portable hosts the
+// serving path is the branching Go code.
 package gc
 
 import (
@@ -87,69 +100,26 @@ type Hasher interface {
 	Name() string
 }
 
-// Hasher4 is an optional batched extension of Hasher: all four hashes of
-// one garbled AND gate in a single call, so the four blocks go through
-// one AES kernel call (and, re-keyed, share two key expansions).
-// Results must equal four individual Hash calls.
-type Hasher4 interface {
+// BatchHasher is the optional batched extension of Hasher the garbling
+// loops run on: every hash of one AND gate in a single call, so the
+// blocks go through one AES kernel call. Runners resolve it once with
+// batched, not per gate; a plain Hasher is adapted through individual
+// Hash calls. Results must equal individual Hash calls.
+type BatchHasher interface {
 	Hasher
+	// Hash2 is both hashes of an evaluated gate. The two tweaks are
+	// distinct (2j and 2j+1): the win is one kernel call with the two
+	// key expansions interleaved.
+	Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L)
+	// Hash4 is all four hashes of a garbled gate; re-keyed, they share
+	// two key expansions.
 	Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L)
 }
 
-// Hasher2 is the evaluator-side batched extension of Hasher: both
-// hashes of one evaluated AND gate in a single call. The two tweaks are
-// distinct (2j and 2j+1), so unlike Hash4 there is no key sharing to
-// exploit — the win is one kernel call with the two key expansions
-// interleaved. Results must equal two individual Hash calls.
-type Hasher2 interface {
-	Hasher
-	Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L)
-}
-
-// gateHasher is the batched form the garbling loops run on. Runners
-// resolve it once with batched, not per gate.
-type gateHasher interface {
-	Hasher2
-	Hasher4
-}
-
-// pairHasher is a further optional extension: Hash2 and Hash4 for two
-// gates at once, which the plan runners call on pairs of independent AND
-// gates of a schedule step. Only RekeyedHasher has it — aes128's VAES
-// tier runs both gates in one instruction stream; for every other hasher
-// the runners take a step's gates one at a time, as they do odd tails.
-type pairHasher interface {
-	// Hash2x2 is Hash2 for two evaluated gates, in place in s:
-	// l[i] = H(l[i], t[i]) for i < 4.
-	Hash2x2(s *pairScratch)
-	// Hash4x2 is Hash4 for two garbled gates in the half-gate tweak
-	// pattern, each tweak keying two labels, in place in s:
-	// l[i] = H(l[i], t[i/2]) for i < 8.
-	Hash4x2(s *pairScratch)
-}
-
-// pairScratch is where a runner stages the labels l and tweaks t of a
-// pair of gates for the two-gate hash forms; keys and out belong to the
-// hasher, which would otherwise zero as much stack on every call. The
-// labels are held as aes128.Blocks (the same two words) so the re-keyed
-// hasher can hand the array to the kernels as it is. A pairScratch lives
-// on the heap, one per goroutine that garbles or evaluates: arrays
-// handed to an interface method from the stack would be moved there on
-// every call. Its fields are always written word by word — the kernels
-// and the Go code read them back as 8-byte halves, which the store
-// buffer can forward, where a 16-byte copy of freshly written words
-// would stall until they retire.
-type pairScratch struct {
-	l    [8]aes128.Block
-	t    [4]uint64
-	keys [4]aes128.Block
-	out  [8]aes128.Block
-}
-
-// batched returns h's batched form, adapting a plain Hasher (or one
-// with only half the batched methods) through individual Hash calls.
-func batched(h Hasher) gateHasher {
-	if b, ok := h.(gateHasher); ok {
+// batched returns h's batched form, adapting a plain Hasher through
+// individual Hash calls.
+func batched(h Hasher) BatchHasher {
+	if b, ok := h.(BatchHasher); ok {
 		return b
 	}
 	return unbatched{h}
@@ -165,16 +135,6 @@ func (u unbatched) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1,
 	return u.Hash(l0, t0), u.Hash(l1, t1), u.Hash(l2, t2), u.Hash(l3, t3)
 }
 
-// feedForward finishes the two-gate forms' hashes, H(l) = AES(l) XOR l:
-// l[i] ^= out[i], word by word (see pairScratch).
-func feedForward(l, out []aes128.Block) {
-	out = out[:len(l)]
-	for i := range l {
-		l[i].Lo ^= out[i].Lo
-		l[i].Hi ^= out[i].Hi
-	}
-}
-
 // tweakKey derives the per-tweak AES key K(t) = t ‖ ^t (two
 // little-endian words) of the re-keyed constructions.
 func tweakKey(t uint64) aes128.Block { return aes128.Block{Lo: t, Hi: ^t} }
@@ -186,11 +146,11 @@ func tweakKey(t uint64) aes128.Block { return aes128.Block{Lo: t, Hi: ^t} }
 //
 // It runs on aes128's fresh-key entry points: a garbled gate is one
 // FreshKeyPair2 call (two keys, two blocks each), an evaluated gate one
-// FreshKeyPair call, and a pair of either one FreshKeyQuad2 or
-// FreshKeyQuad call, which the VAES tier serves with one instruction
-// stream for both gates. On the hardware tiers each round key is
-// consumed as it is produced and never stored; on the T-table tier the
-// schedule lives on the callee's stack. Either way the hasher holds no
+// FreshKeyPair call. It is also the one hasher with the whole-step form
+// (step.go), which the VAES tier serves. On the hardware tiers each
+// round key is consumed as it is produced and never stored; on the
+// T-table tier the schedule lives on the callee's stack. Either way the
+// hasher holds no
 // state, its zero value is ready to use from any number of goroutines,
 // and no call allocates. Labels are passed as they lie in memory (label.L and
 // aes128.Block share a layout). Outputs are byte-identical across
@@ -205,7 +165,7 @@ func (RekeyedHasher) Hash(l label.L, tweak uint64) label.L {
 	return label.L(blk).Xor(l)
 }
 
-// Hash2 implements Hasher2.
+// Hash2 implements BatchHasher.
 func (RekeyedHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	keys := [2]aes128.Block{tweakKey(t0), tweakKey(t1)}
 	blk := [2]aes128.Block{aes128.Block(l0), aes128.Block(l1)}
@@ -213,7 +173,7 @@ func (RekeyedHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	return label.L(blk[0]).Xor(l0), label.L(blk[1]).Xor(l1)
 }
 
-// Hash4 implements Hasher4. The garbler's four hashes use only two
+// Hash4 implements BatchHasher. The garbler's four hashes use only two
 // distinct keys (t0==t1 and t2==t3 in the half-gate tweak schedule), so
 // each key is expanded once for its two blocks; any other tweak pattern
 // is hashed as two independent pairs.
@@ -227,25 +187,6 @@ func (h RekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0,
 	blk := [4]aes128.Block{aes128.Block(l0), aes128.Block(l1), aes128.Block(l2), aes128.Block(l3)}
 	aes128.FreshKeyPair2(&keys, &blk, &blk)
 	return label.L(blk[0]).Xor(l0), label.L(blk[1]).Xor(l1), label.L(blk[2]).Xor(l2), label.L(blk[3]).Xor(l3)
-}
-
-// Hash2x2 implements pairHasher.
-func (RekeyedHasher) Hash2x2(s *pairScratch) {
-	l, out := (*[4]aes128.Block)(s.l[:4]), (*[4]aes128.Block)(s.out[:4])
-	for i := range s.keys {
-		s.keys[i] = tweakKey(s.t[i])
-	}
-	aes128.FreshKeyQuad(&s.keys, out, l)
-	feedForward(l[:], out[:])
-}
-
-// Hash4x2 implements pairHasher.
-func (RekeyedHasher) Hash4x2(s *pairScratch) {
-	for i := range s.keys {
-		s.keys[i] = tweakKey(s.t[i])
-	}
-	aes128.FreshKeyQuad2(&s.keys, &s.out, &s.l)
-	feedForward(s.l[:], s.out[:])
 }
 
 // Name implements Hasher.
@@ -282,12 +223,12 @@ func (SoftRekeyedHasher) Hash(l label.L, tweak uint64) label.L {
 	return label.L(blk).Xor(l)
 }
 
-// Hash2 implements Hasher2.
+// Hash2 implements BatchHasher.
 func (SoftRekeyedHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	return softPair(l0, l1, t0, t1)
 }
 
-// Hash4 implements Hasher4: two expansions for the garbler's four
+// Hash4 implements BatchHasher: two expansions for the garbler's four
 // hashes, the schedule reuse RekeyedHasher gets from FreshKeyPair2.
 func (SoftRekeyedHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
 	h0, h1 = softPair(l0, l1, t0, t1)
@@ -327,7 +268,7 @@ func (h *FixedKeyHasher) Hash(l label.L, tweak uint64) label.L {
 	return label.L(blk[0]).Xor(d)
 }
 
-// Hash2 implements Hasher2: both blocks in one multi-block call.
+// Hash2 implements BatchHasher: both blocks in one multi-block call.
 func (h *FixedKeyHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	d0, d1 := double(l0, t0), double(l1, t1)
 	blk := [2]aes128.Block{aes128.Block(d0), aes128.Block(d1)}
@@ -335,7 +276,7 @@ func (h *FixedKeyHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	return label.L(blk[0]).Xor(d0), label.L(blk[1]).Xor(d1)
 }
 
-// Hash4 implements Hasher4: the four blocks of one AND gate in one
+// Hash4 implements BatchHasher: the four blocks of one AND gate in one
 // multi-block call, pipelined through the cipher on the AES-NI tier.
 func (h *FixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
 	d0, d1, d2, d3 := double(l0, t0), double(l1, t1), double(l2, t2), double(l3, t3)
@@ -375,12 +316,12 @@ func (h *SoftFixedKeyHasher) Hash(l label.L, tweak uint64) label.L {
 	return label.L(blk).Xor(d)
 }
 
-// Hash2 implements Hasher2.
+// Hash2 implements BatchHasher.
 func (h *SoftFixedKeyHasher) Hash2(l0, l1 label.L, t0, t1 uint64) (h0, h1 label.L) {
 	return h.Hash(l0, t0), h.Hash(l1, t1)
 }
 
-// Hash4 implements Hasher4.
+// Hash4 implements BatchHasher.
 func (h *SoftFixedKeyHasher) Hash4(l0, l1, l2, l3 label.L, t0, t1, t2, t3 uint64) (h0, h1, h2, h3 label.L) {
 	return h.Hash(l0, t0), h.Hash(l1, t1), h.Hash(l2, t2), h.Hash(l3, t3)
 }
@@ -417,7 +358,7 @@ func evalAND(h Hasher, a, b label.L, m Material, j uint64) label.L {
 // garbleGate produces the two half-gate rows and the output zero-label
 // for an AND gate with input zero-labels a0, b0 under offset r.
 // Gate index j provides the two hash tweaks 2j and 2j+1.
-func garbleGate(h gateHasher, a0, b0, r label.L, j uint64) (Material, label.L) {
+func garbleGate(h BatchHasher, a0, b0, r label.L, j uint64) (Material, label.L) {
 	ha0, ha1, hb0, hb1 := h.Hash4(a0, a0.Xor(r), b0, b0.Xor(r), 2*j, 2*j, 2*j+1, 2*j+1)
 	return garbleRows(ha0, ha1, hb0, hb1, a0, b0, r)
 }
@@ -450,7 +391,7 @@ func garbleRows(ha0, ha1, hb0, hb1, a0, b0, r label.L) (Material, label.L) {
 
 // evalGate computes the output label from the two input labels and the
 // gate's table, using the labels' colour bits to select rows.
-func evalGate(h gateHasher, a, b label.L, m Material, j uint64) label.L {
+func evalGate(h BatchHasher, a, b label.L, m Material, j uint64) label.L {
 	wg, we := h.Hash2(a, b, 2*j, 2*j+1)
 	return evalRows(wg, we, a, b, m)
 }
