@@ -91,7 +91,7 @@ func experiments() []experiment {
 			_, s, err := env.OTExtension()
 			return s, err
 		}},
-		{"transport", "slab-encoded 2PC transport: bytes, allocations, throughput", func(env *bench.Env) (string, error) {
+		{"transport", "2PC transport: bytes, allocations, throughput", func(env *bench.Env) (string, error) {
 			_, s, err := env.Transport()
 			return s, err
 		}},

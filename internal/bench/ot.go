@@ -17,7 +17,7 @@ import (
 // Input-phase and transport experiments: the 2PC costs that sit outside
 // garbling itself. OTExtension measures the batched IKNP pipeline (the
 // evaluator-input phase) across batch sizes; Transport measures the
-// slab-encoded table/label stream of a full 2PC run. Both record bytes
+// table/label stream of a full 2PC run. Both record bytes
 // moved and heap allocations alongside throughput — on this repository's
 // "wires are the bottleneck" thesis, allocations and copies per item are
 // the software analogue of the paper's per-wire DRAM traffic, so the
@@ -283,7 +283,7 @@ type TransportRow struct {
 	MBps           float64
 }
 
-// Transport measures the slab-encoded table/label stream: a full
+// Transport measures the table/label stream: a full
 // in-process 2PC run per configuration over one shared plan, recording
 // bytes each way, end-to-end throughput and allocations per garbled
 // table.
@@ -361,6 +361,6 @@ func (e *Env) Transport() ([]TransportRow, string, error) {
 		})
 	}
 	s := table(header, cells)
-	s += "\n(tables and labels are slab-encoded through pooled buffers and both hashers\nrun allocation-free, so allocs/table is O(1/slab) and independent of circuit\nsize on every row; the rekeyed row still pays the paper's per-gate key\nexpansions, as CPU time only — on the aesni tier overlapped with encryption)\n"
+	s += "\n(tables leave as the bytes of the garbler's arena through the session's sender,\nlabels through pooled slabs, and both hashers run allocation-free, so\nallocs/table is independent of circuit size on every row; the rekeyed row\nstill pays the paper's per-gate key expansions, as CPU time only — on the aesni tier overlapped with encryption)\n"
 	return rows, s, nil
 }

@@ -1,0 +1,12 @@
+//go:build armbe || arm64be || m68k || mips || mips64 || mips64p32 || ppc || ppc64 || s390 || s390x || shbe || sparc || sparc64
+
+package gc
+
+// MaterialsToWire puts tables into wire byte order in place, after which
+// MaterialBytes(tables) is their encoding and their Material values are
+// spent. The codec reads each table before it writes the same 32 bytes.
+func MaterialsToWire(tables []Material) { EncodeMaterials(MaterialBytes(tables), tables) }
+
+// MaterialsFromWire turns tables whose memory (MaterialBytes) was filled
+// with wire bytes into Material values, in place.
+func MaterialsFromWire(tables []Material) { DecodeMaterials(tables, MaterialBytes(tables)) }

@@ -112,6 +112,12 @@ func (pg *PlanGarbler) R() label.L { return pg.r }
 // current run. The slice is reused by the next Begin.
 func (pg *PlanGarbler) InputZeros() []label.L { return pg.inputZeros }
 
+// Tables returns the runner's table arena, the same memory every run:
+// Run fills it, the chunks it hands emit are consecutive pieces of it
+// from index 0, and an emitted piece stays as it is until the next Run.
+// A transport streams tables from here without a copy.
+func (pg *PlanGarbler) Tables() []Material { return pg.tables }
+
 // Run garbles the whole plan step by step, invoking emit (if non-nil)
 // with successive gate-order table chunks as they complete — at the
 // latest when a segment ends: chunks never overlap and concatenate to

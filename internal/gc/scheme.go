@@ -66,10 +66,11 @@ func MaterialFromBytes(b []byte) Material {
 }
 
 // EncodeMaterials serializes src into dst at MaterialSize stride and
-// returns the number of bytes written — the bulk form of Bytes used by
-// the batched transport, which slab-encodes a whole chunk per Write
-// instead of copying each table through a stack array. dst must hold at
-// least MaterialSize*len(src) bytes.
+// returns the number of bytes written — the bulk form of Bytes, and the
+// definition of the table stream's wire format. The transport moves
+// tables as MaterialBytes of the runners' arenas instead; this is what
+// that view is tested against, and what puts it into wire order on a
+// big-endian host. dst must hold at least MaterialSize*len(src) bytes.
 func EncodeMaterials(dst []byte, src []Material) int {
 	_ = dst[:MaterialSize*len(src)]
 	for i, m := range src {

@@ -22,7 +22,8 @@ type stepHasher interface {
 
 // The step kernels read the runners' memory as it lies: the gate stream
 // as aes128.Gate records, the slot arena as aes128.Blocks and the tables
-// as pairs of them. These fail to compile if a layout moves.
+// as pairs of them; the transport reads the tables as bytes
+// (MaterialBytes). These fail to compile if a layout moves.
 var (
 	_ [16]byte                               = [unsafe.Sizeof(circuit.Gate{})]byte{}
 	_ [4]byte                                = [unsafe.Offsetof(circuit.Gate{}.A)]byte{}
@@ -32,7 +33,20 @@ var (
 	_ aes128.Block                           = aes128.Block(label.L{})
 	_ [unsafe.Sizeof([2]aes128.Block{})]byte = [unsafe.Sizeof(Material{})]byte{}
 	_ [unsafe.Sizeof(aes128.Block{})]byte    = [unsafe.Offsetof(Material{}.TE)]byte{}
+	_ [MaterialSize]byte                     = [unsafe.Sizeof(Material{})]byte{}
+	_ [label.Size / 2]byte                   = [unsafe.Offsetof(label.L{}.Hi)]byte{}
 )
+
+// MaterialBytes views tables as the memory they occupy, MaterialSize
+// bytes each and no copy: what a transport writes a garbler's arena from
+// and reads an evaluator's arena into. On a little-endian host these are
+// the wire bytes, exactly what EncodeMaterials writes; on a big-endian
+// one the label halves lie reversed, so a sender calls MaterialsToWire
+// on the tables first and a receiver MaterialsFromWire on them after
+// (endian_*.go; both compile to nothing on little-endian hosts).
+func MaterialBytes(tables []Material) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tables))), len(tables)*MaterialSize)
+}
 
 // stepGates views a run of plan gates as the kernels' records.
 func stepGates(and []circuit.Gate) []aes128.Gate {

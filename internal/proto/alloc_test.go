@@ -30,28 +30,30 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestWriteTablesNoSteadyStateAllocs: slab-encoded table streaming must
-// not allocate per table — and the count must not grow with the batch.
-func TestWriteTablesNoSteadyStateAllocs(t *testing.T) {
+// TestTableSenderNoSteadyStateAllocs: the hand-off between a run and the
+// session's sender goroutine — begin, a call per emit, the writes of
+// the arena's own bytes, the drain — allocates nothing, whatever the
+// number of tables.
+func TestTableSenderNoSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
-	w := bufio.NewWriterSize(io.Discard, 1<<16)
+	tx := newTableSender(&Stats{})
+	defer tx.close()
 	measure := func(n int) float64 {
-		tables := make([]gc.Material, n)
-		// Warm the pool so the first Get is not counted.
-		if err := writeTables(w, tables[:1]); err != nil {
-			t.Fatal(err)
-		}
+		arena := make([]gc.Material, n)
 		return testing.AllocsPerRun(50, func() {
-			if err := writeTables(w, tables); err != nil {
+			tx.begin(io.Discard, arena, 0)
+			for ready := 0; ready < n; ready += 100 {
+				if err := tx.emitted(100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.drain(); err != nil {
 				t.Fatal(err)
 			}
-			w.Flush()
 		})
 	}
-	small := measure(1000)
-	large := measure(4000)
-	if small > 0.5 || large > 0.5 {
-		t.Fatalf("writeTables allocates in steady state: %.1f (1000 tables), %.1f (4000 tables)", small, large)
+	if small, large := measure(1000), measure(40000); small > 0 || large > 0 {
+		t.Fatalf("table sender allocates in steady state: %.1f (1000 tables), %.1f (40000 tables)", small, large)
 	}
 }
 

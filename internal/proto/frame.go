@@ -10,7 +10,7 @@ import (
 // Checksummed chunk framing: the wire's integrity tier. When both peers
 // negotiate it (the serving handshake carries the request in its flags
 // byte), every byte after the handshake — op/ack frames, the run
-// header, label blocks, OT traffic, table slabs, decode bits, results —
+// header, label blocks, OT traffic, tables, decode bits, results —
 // travels inside length+CRC32C frames:
 //
 //	frame: len u32 LE | crc32c u32 LE | payload[len]   (len in 1..16384)
@@ -21,12 +21,13 @@ import (
 // the stream. Legacy peers never request the tier and keep the
 // byte-identical unframed wire.
 //
-// Frames are capped at maxFramePayload bytes, aligned to the table-slab
-// size, so one table slab rides in one frame: the finer the verified
-// granularity, the less a mid-run resume has to re-transfer.
+// Frames are capped at maxFramePayload bytes — a whole number of tables,
+// so a table write of any length splits into frames on table boundaries:
+// the finer the verified granularity, the less a mid-run resume has to
+// re-transfer.
 
-// maxFramePayload bounds one frame's payload. It matches slabBytes so a
-// full 16 KiB table slab is exactly one verified unit.
+// maxFramePayload bounds one frame's payload: 16 KiB, 512 tables, the
+// size of a pooled slab.
 const maxFramePayload = slabBytes
 
 // frameHeaderSize is the fixed per-frame overhead: len u32 | crc u32.

@@ -5,9 +5,12 @@
 // the EMP Toolkit 2PC runtime the paper builds on.
 //
 // There is one execution engine: GarblerSession and EvaluatorSession
-// drive gc's plan runners over a compiled circuit.Plan, streaming each
-// segment's tables as it completes. RunGarbler and
-// RunEvaluator are one-run wrappers around a session.
+// drive gc's plan runners over a compiled circuit.Plan. The garbler's
+// tables leave through the session's sender goroutine, as the bytes of
+// the runner's table arena, while later segments are still being
+// garbled (sender.go); the evaluator reads them straight into its own
+// arena. RunGarbler and RunEvaluator are one-run wrappers around a
+// session.
 //
 // Wire format (little-endian):
 //
@@ -49,7 +52,9 @@ type Options struct {
 	// Seed seeds the garbler's deterministic label source when nonzero;
 	// zero draws a random seed. Tests use fixed seeds.
 	Seed uint64
-	// Stats, when non-nil, collects transfer metrics for the run.
+	// Stats, when non-nil, collects transfer metrics for the run: the
+	// bytes through the session's transport and, on the garbler, where
+	// the table stream's time went.
 	Stats *Stats
 	// Workers is the width of the plan engine: <= 1 garbles and
 	// evaluates every schedule step on the calling goroutine, larger
@@ -245,25 +250,6 @@ func sendActiveInputs(w *bufio.Writer, c *circuit.Circuit, zeros []label.L, r la
 	}
 	if _, err := w.Write(slab); err != nil {
 		return wrapPeer("sending garbler labels", err)
-	}
-	return nil
-}
-
-// writeTables streams a chunk of the gate-order table stream,
-// slab-encoding up to slabTables tables per Write.
-func writeTables(w *bufio.Writer, tables []gc.Material) error {
-	bp := getSlab(slabBytes)
-	defer putSlab(bp)
-	slab := *bp
-	for off := 0; off < len(tables); off += slabTables {
-		end := off + slabTables
-		if end > len(tables) {
-			end = len(tables)
-		}
-		n := gc.EncodeMaterials(slab, tables[off:end])
-		if _, err := w.Write(slab[:n]); err != nil {
-			return wrapPeer("streaming tables", err)
-		}
 	}
 	return nil
 }

@@ -14,31 +14,33 @@ import (
 // Protocol sessions: the per-connection endpoints every run goes
 // through. A GarblerSession/EvaluatorSession pair owns the run state
 // for the lifetime of a connection: the buffered writer/reader, the
-// packed header, OT pair scratch, result buffers and a reusable plan
-// runner all persist, so a steady-state run allocates nothing on either
-// side (on-demand OT for evaluator inputs is the one inherently
-// allocating step — its cost is public-key crypto, not transport; a run
-// served from an attached ot.Pool avoids even that). RunGarbler and
-// RunEvaluator build a session for a single run and pay that setup —
-// and, without Options.Plan, a plan compile — every call; a process
-// answering many requests holds sessions instead.
+// garbler's table-sender goroutine, the packed header, OT pair scratch,
+// result buffers and a reusable plan runner all persist, so a
+// steady-state run allocates nothing on either side (on-demand OT for
+// evaluator inputs is the one inherently allocating step — its cost is
+// public-key crypto, not transport; a run served from an attached
+// ot.Pool avoids even that). RunGarbler and RunEvaluator build a session
+// for a single run and pay that setup — and, without Options.Plan, a
+// plan compile — every call; a process answering many requests holds
+// sessions instead.
 
 // GarblerSession is a reusable garbler endpoint bound to one connection
 // and one precompiled plan. It is not safe for concurrent use; a server
-// pools sessions and gives each connection its own.
+// pools sessions and gives each connection its own. It owns a goroutine
+// (its table sender), so it must be Closed.
 type GarblerSession struct {
-	opts     Options
-	c        *circuit.Circuit
-	rw       io.ReadWriter
-	w        *bufio.Writer
-	pg       *gc.PlanGarbler
-	src      *label.Source
-	emit     func(tables []gc.Material) error
-	emitSkip func(tables []gc.Material) error
-	hdr      [headerSize]byte
-	pairs    []ot.Pair
-	res      []byte
-	out      []bool
+	opts  Options
+	c     *circuit.Circuit
+	rw    io.ReadWriter
+	w     *bufio.Writer
+	pg    *gc.PlanGarbler
+	src   *label.Source
+	tx    *tableSender
+	emit  func(tables []gc.Material) error
+	hdr   [headerSize]byte
+	pairs []ot.Pair
+	res   []byte
+	out   []bool
 
 	// Pooled OT: when a pool is attached and holds enough correlations,
 	// Run marks the per-run header ot.Pooled and derandomizes instead of
@@ -52,13 +54,7 @@ type GarblerSession struct {
 	// from a recorded seed without disturbing s.src (whose draws define
 	// the live runs).
 	resumeSrc *label.Source
-	skip      int
 }
-
-// emitFlushTables is the emit size, in tables, from which a
-// GarblerSession pushes the emitted tables to the transport at once
-// instead of leaving the tail in its write buffer: 32 KiB of tables.
-const emitFlushTables = 32 << 10 / gc.MaterialSize
 
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
 // required (serving always amortizes through plans); Workers selects
@@ -83,31 +79,11 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		res:   make([]byte, len(c.Outputs)),
 		out:   make([]bool, len(c.Outputs)),
 	}
-	s.emit = func(tables []gc.Material) error {
-		if err := writeTables(s.w, tables); err != nil {
-			return err
-		}
-		// A finished segment goes to the socket now, so the evaluator
-		// works on it while the next one is garbled: left to bufio, up
-		// to a buffer's worth of it would wait for the next emit. Small
-		// emits (the steps of a short circuit) stay batched.
-		if len(tables) >= emitFlushTables {
-			if err := s.w.Flush(); err != nil {
-				return wrapPeer("streaming tables", err)
-			}
-		}
-		return nil
-	}
-	s.emitSkip = func(tables []gc.Material) error {
-		if s.skip >= len(tables) {
-			s.skip -= len(tables)
-			return nil
-		}
-		t := tables[s.skip:]
-		s.skip = 0
-		return s.emit(t)
-	}
+	// The run only says how far its table arena is final; the sender
+	// does the writing (sender.go).
+	s.emit = func(tables []gc.Material) error { return s.tx.emitted(len(tables)) }
 	s.Reset(conn, opts.OT)
+	s.tx = newTableSender(opts.Stats)
 	return s, nil
 }
 
@@ -144,8 +120,12 @@ func (s *GarblerSession) SetPool(p *ot.Pool) { s.pool = p }
 // hook.
 func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 
-// Close releases the plan runner's worker pool.
-func (s *GarblerSession) Close() { s.pg.Close() }
+// Close stops the sender goroutine and releases the plan runner's
+// worker pool. No Run may be in progress.
+func (s *GarblerSession) Close() {
+	s.tx.close()
+	s.pg.Close()
+}
 
 // Run plays one full garbler run: header, active input labels, OT,
 // segment-streamed tables, decode bits, and the evaluator's reported
@@ -192,16 +172,26 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 			return nil, wrapPeer("OT", err)
 		}
 	}
+	return s.streamRun(0)
+}
+
+// streamRun garbles the run Begin opened, streaming its tables from
+// offset from, then sends the decode bits and collects the evaluator's
+// reported result — the shared body of Run and ResumeRun. Nothing is
+// buffered in s.w on entry, and between begin and drain only the sender
+// writes to the transport, so the wire order is tables then decode bits;
+// the drain also runs when garbling stops on an error, so no Write is in
+// flight once this returns. (On a big-endian host the sender leaves the
+// arena, and with it garbled.Tables, in wire byte order.)
+func (s *GarblerSession) streamRun(from int) ([]bool, error) {
+	s.tx.begin(s.rw, s.pg.Tables(), from)
 	garbled, err := s.pg.Run(s.emit)
+	if derr := s.tx.drain(); err == nil {
+		err = derr
+	}
 	if err != nil {
 		return nil, err
 	}
-	return s.finishRun(garbled)
-}
-
-// finishRun sends the decode bits and collects the evaluator's reported
-// result — the shared tail of Run and ResumeRun.
-func (s *GarblerSession) finishRun(garbled *gc.Garbled) ([]bool, error) {
 	for _, z := range garbled.OutputZeros {
 		if err := s.w.WriteByte(byte(z.Colour())); err != nil {
 			return nil, wrapPeer("sending decode bits", err)
@@ -236,13 +226,8 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 	} else {
 		s.resumeSrc.Reseed(seed)
 	}
-	s.skip = skip
 	s.pg.Begin(s.resumeSrc)
-	garbled, err := s.pg.Run(s.emitSkip)
-	if err != nil {
-		return nil, err
-	}
-	return s.finishRun(garbled)
+	return s.streamRun(skip)
 }
 
 // EvaluatorSession is a reusable evaluator endpoint bound to one
@@ -257,7 +242,6 @@ type EvaluatorSession struct {
 	need   func(n int) ([]gc.Material, error)
 	tables []gc.Material
 	got    int
-	slab   []byte
 	want   header
 	hdrBuf [headerSize]byte
 	inputs []label.L
@@ -303,7 +287,6 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		choices: ot.NewBitset(c.EvaluatorInputs),
 		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, opts.Workers),
 		tables:  make([]gc.Material, len(plan.Tables)),
-		slab:    make([]byte, slabBytes),
 	}
 	s.need = func(n int) ([]gc.Material, error) {
 		if err := s.readTables(n); err != nil {
@@ -338,20 +321,22 @@ func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 // Close releases the plan runner's worker pool.
 func (s *EvaluatorSession) Close() { s.pe.Close() }
 
-// readTables pulls gate-order tables off the wire into the persistent
-// arena, in slab-sized bulk reads, until upto of them have landed.
-// Abrupt peer disconnects surface as ErrPeerClosed.
+// readTables pulls gate-order tables off the wire until upto of them
+// have landed, reading straight into the persistent arena's own memory.
+// A read that fails part-way still counts the whole tables it delivered,
+// so Progress stays exact. Abrupt peer disconnects surface as
+// ErrPeerClosed.
 func (s *EvaluatorSession) readTables(upto int) error {
-	for s.got < upto {
-		n := upto - s.got
-		if n > slabTables {
-			n = slabTables
-		}
-		if _, err := io.ReadFull(s.rd, s.slab[:n*gc.MaterialSize]); err != nil {
-			return wrapPeer("reading tables", err)
-		}
-		gc.DecodeMaterials(s.tables[s.got:s.got+n], s.slab)
-		s.got += n
+	if s.got >= upto {
+		return nil
+	}
+	t := s.tables[s.got:upto]
+	n, err := io.ReadFull(s.rd, gc.MaterialBytes(t))
+	whole := n / gc.MaterialSize
+	gc.MaterialsFromWire(t[:whole])
+	s.got += whole
+	if err != nil {
+		return wrapPeer("reading tables", err)
 	}
 	return nil
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"haac/internal/circuit"
-	"haac/internal/gc"
-	"haac/internal/label"
 	"haac/internal/ot"
 	"haac/internal/workloads"
 )
@@ -238,79 +236,4 @@ func TestGarblerFailsFastOnPeerClose(t *testing.T) {
 			t.Fatalf("error not typed as ErrPeerClosed: %v", err)
 		}
 	})
-}
-
-// watermarkHasher is a plain Hasher (so the runner hashes through
-// individual Hash calls, four per garbled AND gate, in schedule order)
-// that records how many bytes had reached the connection at each call.
-type watermarkHasher struct {
-	inner  gc.RekeyedHasher
-	sent   *Stats
-	atCall []int64
-}
-
-func (h *watermarkHasher) Name() string { return "watermark" }
-
-func (h *watermarkHasher) Hash(l label.L, tweak uint64) label.L {
-	h.atCall = append(h.atCall, h.sent.BytesSent.Load())
-	return h.inner.Hash(l, tweak)
-}
-
-// TestGarblerPushesEachSegment: once a segment's tables are emitted they
-// are on the wire before the next gate is garbled — not parked in the
-// session's write buffer until a later emit pushes them out. The
-// evaluator depends on it to work on segment s while s+1 is garbled.
-func TestGarblerPushesEachSegment(t *testing.T) {
-	w := workloads.DotProduct(12, 32)
-	c := w.Build()
-	p, err := circuit.NewPlan(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	numAND := len(p.Tables)
-
-	ga, ev := connPair(t, true)
-	var stats Stats
-	h := &watermarkHasher{sent: &stats}
-	gs, err := NewGarblerSession(ga, Options{Plan: p, OT: ot.Insecure, Seed: 7, Hasher: h, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gs.Close()
-	g, e := w.Inputs(1)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := RunEvaluator(ev, c, e, Options{Plan: p, OT: ot.Insecure})
-		errc <- err
-	}()
-	if _, err := gs.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything but tables and decode bits precedes the first table.
-	base := stats.BytesSent.Load() - int64(numAND*gc.MaterialSize+len(c.Outputs))
-	if len(h.atCall) != 4*numAND {
-		t.Fatalf("%d hash calls, want 4 per AND gate = %d", len(h.atCall), 4*numAND)
-	}
-	sent, garbled, pushes := 0, 0, 0
-	for k := 0; k < p.NumSteps(); k++ {
-		_, and, _ := p.Step(k)
-		garbled += len(and)
-		ready := p.EmitReady(k)
-		if ready-sent >= emitFlushTables && garbled < numAND {
-			pushes++
-			want := base + int64(ready*gc.MaterialSize)
-			if got := h.atCall[4*garbled]; got < want {
-				t.Fatalf("step %d emitted tables [%d,%d) but only %d of %d bytes had left when the next gate was garbled",
-					k, sent, ready, got, want)
-			}
-		}
-		sent = ready
-	}
-	if pushes < 2 {
-		t.Fatalf("circuit has %d mid-run segment emits; the test needs at least 2", pushes)
-	}
 }

@@ -1,26 +1,18 @@
 package proto
 
-import (
-	"sync"
+import "sync"
 
-	"haac/internal/gc"
-)
+// Pooled wire slabs: the label blocks that cross the transport — the
+// garbler's active inputs, the evaluator's copy of them — are staged
+// through one of these buffers, encoded in bulk with the label slab codec
+// and moved in one call, instead of trickling through per-label 16-byte
+// writes with their own short-lived buffers. Tables do not come through
+// here: they travel as the bytes of the runners' own arenas (sender.go,
+// EvaluatorSession.readTables).
 
-// Pooled wire slabs: every label and table that crosses the transport is
-// staged through one of these buffers — encoded in bulk with the label /
-// gc slab codecs and written in one call — instead of trickling through
-// per-label 16-byte and per-Material 32-byte writes with their own
-// short-lived buffers. The pool is shared by both roles, so steady-state
-// transport cost is O(1) allocations per flush regardless of circuit
-// size.
-
-// slabTables is the table capacity of one pooled slab (16 KiB): large
-// enough that slab encoding amortizes to nothing per table, small enough
-// to stay cache-resident while it is filled and drained.
-const slabTables = 512
-
-// slabBytes is the byte size of a pooled slab.
-const slabBytes = slabTables * gc.MaterialSize
+// slabBytes is the byte size of a pooled slab, and of one integrity
+// frame's payload (frame.go): 512 tables' worth.
+const slabBytes = 16 << 10
 
 var slabPool = sync.Pool{
 	New: func() any {

@@ -13,6 +13,13 @@ import (
 type Stats struct {
 	BytesSent     atomic.Int64
 	BytesReceived atomic.Int64
+	// TableSendNanos is the time a garbler session's sender goroutine
+	// spent inside the transport's Write pushing tables;
+	// TableDrainWaitNanos is the time its runs then waited, garbling
+	// done, for the last of them to leave. Send time the drain wait does
+	// not cover was overlapped with garbling.
+	TableSendNanos      atomic.Int64
+	TableDrainWaitNanos atomic.Int64
 	// start holds the earliest begin() as UnixNano; one Stats may be
 	// shared by both roles of an in-process run, so begin/end race-free
 	// via atomics: the first begin and the last end win.

@@ -123,6 +123,11 @@ type ClientStats struct {
 	// that fell back to an on-demand OT; PoolRefills counts completed
 	// refill exchanges (initial fills included).
 	PoolHits, PoolMisses, PoolRefills uint64
+	// TableSendNanos and TableDrainWaitNanos are the garbler's
+	// table-stream timing as Options.Stats holds it (see proto.Stats).
+	// A session only evaluates, so they stay zero unless that Stats is
+	// shared with a garbler in the same process.
+	TableSendNanos, TableDrainWaitNanos uint64
 }
 
 // MetricsText renders the counters in Prometheus text exposition
@@ -143,6 +148,11 @@ func (cs ClientStats) MetricsText() string {
 	counter("haac_client_pool_hits_total", "Runs served from the precomputed OT pool.", cs.PoolHits)
 	counter("haac_client_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", cs.PoolMisses)
 	counter("haac_client_pool_refills_total", "Completed OT-pool refill exchanges.", cs.PoolRefills)
+	seconds := func(name, help string, nanos uint64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, time.Duration(nanos).Seconds())
+	}
+	seconds("haac_client_table_send_seconds_total", "Seconds a garbler sharing this session's Stats spent inside Write pushing tables.", cs.TableSendNanos)
+	seconds("haac_client_table_drain_wait_seconds_total", "Seconds such a garbler's runs waited, garbling done, for the last of their tables to leave.", cs.TableDrainWaitNanos)
 	return b.String()
 }
 
@@ -636,7 +646,12 @@ func (s *Session) NumSlots() int { return s.numSlots }
 func (s *Session) Stats() ClientStats {
 	s.wireMu.Lock()
 	defer s.wireMu.Unlock()
-	return s.stats
+	cs := s.stats
+	if st := s.opts.Stats; st != nil {
+		cs.TableSendNanos = uint64(st.TableSendNanos.Load())
+		cs.TableDrainWaitNanos = uint64(st.TableDrainWaitNanos.Load())
+	}
+	return cs
 }
 
 // Pooled reports whether the current connection negotiated the

@@ -92,13 +92,23 @@ func TestOpsEndpoints(t *testing.T) {
 		"haac_sessions_panicked_total 0",
 		"haac_sessions_over_budget_total 0",
 		"haac_runs_over_budget_total 0",
+		"haac_table_send_seconds_total",
+		"haac_table_drain_wait_seconds_total",
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics exposition missing %q:\n%s", metric, body)
 		}
 	}
-	if strings.Contains(body, "haac_run_seconds_total 0\n") {
-		t.Errorf("run latency counter still zero after a served run:\n%s", body)
+	for _, metric := range []string{"haac_run_seconds_total", "haac_table_send_seconds_total", "haac_table_drain_wait_seconds_total"} {
+		if strings.Contains(body, metric+" 0\n") {
+			t.Errorf("%s still zero after a served run:\n%s", metric, body)
+		}
+	}
+	// The client renders the same two from its Options.Stats, where they
+	// stay zero: a session only evaluates.
+	if cm := sess.Stats().MetricsText(); !strings.Contains(cm, "haac_client_table_send_seconds_total 0\n") ||
+		!strings.Contains(cm, "haac_client_table_drain_wait_seconds_total 0\n") {
+		t.Errorf("client metrics missing the table-stream timing:\n%s", cm)
 	}
 
 	sess.Close()

@@ -167,6 +167,12 @@ type Stats struct {
 	// on-demand OT (pool empty or below the run's demand); PoolRefills
 	// counts completed opRefill fills.
 	PoolHits, PoolMisses, PoolRefills uint64
+	// TableSendNanos is the time the runners' sender goroutines spent
+	// inside the transport's Write pushing tables; TableDrainWaitNanos
+	// is the time runs waited, garbling done, for the last of their
+	// tables to leave. Send time the drain wait does not cover was
+	// overlapped with garbling.
+	TableSendNanos, TableDrainWaitNanos uint64
 }
 
 // registered is a servable circuit plus its per-circuit runner pool.
@@ -210,7 +216,8 @@ func (r *registered) putRunner(gs *proto.GarblerSession) {
 	r.mu.Unlock()
 }
 
-// closeRunners releases every pooled runner's worker pool.
+// closeRunners stops every pooled runner's sender goroutine and worker
+// pool, returning once they have exited.
 func (r *registered) closeRunners() {
 	r.mu.Lock()
 	free := r.free
@@ -237,6 +244,11 @@ type Server struct {
 	cache *PlanCache
 
 	net proto.Stats // byte counters shared by every session transport
+	// tables collects every garbler runner's table-stream timing. Runners
+	// take it as their Options.Stats, so its byte counters repeat, for
+	// the run streams, what net already counts beneath them; only the
+	// timing is read.
+	tables proto.Stats
 
 	mu        sync.Mutex
 	draining  bool
@@ -371,6 +383,9 @@ func (s *Server) Stats() Stats {
 		PoolHits:           s.poolHits.Load(),
 		PoolMisses:         s.poolMisses.Load(),
 		PoolRefills:        s.poolRefills.Load(),
+
+		TableSendNanos:      uint64(s.tables.TableSendNanos.Load()),
+		TableDrainWaitNanos: uint64(s.tables.TableDrainWaitNanos.Load()),
 	}
 }
 
@@ -940,5 +955,6 @@ func (s *Server) garblerFor(reg *registered, plan *circuit.Plan, rw io.ReadWrite
 		Workers: s.cfg.Workers,
 		OT:      otp,
 		Seed:    seed,
+		Stats:   &s.tables,
 	})
 }

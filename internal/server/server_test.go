@@ -534,6 +534,66 @@ func TestParallelRunnersReleasedOnClose(t *testing.T) {
 	}
 }
 
+// TestSenderGoroutinesReleasedOnClose: every garbler runner owns a
+// table-sender goroutine even at Workers 1, whether it sits in the
+// runner pool or a live session still holds it when the drain starts;
+// Close returns them all, and the process is back at its goroutine
+// baseline.
+func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
+	w := workloads.DotProduct(3, 8)
+	c := w.Build()
+	g, _ := w.Inputs(1)
+	baseline := runtime.NumGoroutine()
+
+	srv, err := New(Config{
+		Circuits:        []CircuitSpec{{ID: "dp", Circuit: c, Inputs: func() []bool { return g }}},
+		Seed:            13,
+		AllowInsecureOT: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	// Two concurrent sessions make two runners; one stays open across
+	// Close.
+	var open []*Session
+	for i := 0; i < 2; i++ {
+		sess, err := Dial(ln.Addr().String(), "dp", c, Options{OT: ot.Insecure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, sess)
+		_, e := w.Inputs(int64(i))
+		if _, err := sess.Run(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open[0].Close()
+	srv.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve returned %v", err)
+	}
+	open[1].Close()
+
+	// Close has waited for each goroutine's last statement; poll for the
+	// moment they need to leave the scheduler (liveness only — no timing
+	// asserted).
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestServerEvictionUnderSessions: a cache smaller than the circuit set
 // still serves correctly, counting evictions.
 func TestServerEvictionUnderSessions(t *testing.T) {
