@@ -1,17 +1,19 @@
 // Command haacbench regenerates every table and figure of the HAAC
 // paper's evaluation (§6). By default it runs everything at the paper's
 // workload sizes; use -scale small for a quick pass and the per-
-// experiment flags to select subsets.
+// experiment flags to select subsets. Host timing of the 2PC stack
+// (sessions, OT, transport, fleet) is not here: `go run ./benchmark`
+// measures it.
 //
 // Usage:
 //
 //	haacbench [-scale paper|small] [-experiments table2,fig6,...]
 //
 // Experiments: table1 table2 table3 table4 table5 fig6 fig7 fig8 fig9
-// fig10 garbler rekey parallel ot transport memory serving chaos
-// integrity fleet ablation multicore segsweep coupling (or "all"). The list is defined once in experiments();
-// main_test.go checks this comment and the flag help against it, so
-// the three cannot drift apart.
+// fig10 garbler rekey parallel memory ablation multicore segsweep
+// coupling (or "all"). The list is defined once in experiments();
+// main_test.go checks this comment, the flag help and the section
+// headings of EXPERIMENTS.md against it, so they cannot drift apart.
 package main
 
 import (
@@ -87,32 +89,8 @@ func experiments() []experiment {
 			_, s, err := env.ParallelGarbling()
 			return s, err
 		}},
-		{"ot", "IKNP OT extension: batched input phase vs DH baseline", func(env *bench.Env) (string, error) {
-			_, s, err := env.OTExtension()
-			return s, err
-		}},
-		{"transport", "2PC transport: bytes, allocations, throughput", func(env *bench.Env) (string, error) {
-			_, s, err := env.Transport()
-			return s, err
-		}},
 		{"memory", "precompiled plans: peak-live renaming vs dense wire arrays", func(env *bench.Env) (string, error) {
 			_, s, err := env.Memory()
-			return s, err
-		}},
-		{"serving", "concurrent 2PC serving: shared plan cache, sessions and allocs/run", func(env *bench.Env) (string, error) {
-			_, s, err := env.Serving()
-			return s, err
-		}},
-		{"chaos", "serving under injected faults: drop rate vs runs/s, reconnects, failed runs", func(env *bench.Env) (string, error) {
-			_, s, err := env.Chaos()
-			return s, err
-		}},
-		{"integrity", "checksummed wire tier: overhead vs legacy, corruption detect/resume", func(env *bench.Env) (string, error) {
-			_, s, err := env.Integrity()
-			return s, err
-		}},
-		{"fleet", "digest-sharded front proxy: backends vs runs/s, failover, plan locality", func(env *bench.Env) (string, error) {
-			_, s, err := env.Fleet()
 			return s, err
 		}},
 		{"ablation", "design-choice ablations (forwarding, push OoR, SWW, banking)", func(env *bench.Env) (string, error) {

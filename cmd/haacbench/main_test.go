@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// TestExperimentListConsistent reconciles the three places the
-// experiment list appears: the experiments() table (source of truth),
-// the package doc comment, and the -experiments flag help (generated
-// from the table, checked here anyway via the rendered usage).
+// TestExperimentListConsistent reconciles the places the experiment
+// list appears: the experiments() table (source of truth), the package
+// doc comment, the -experiments flag help (generated from the table,
+// checked here anyway via the rendered usage) and the per-experiment
+// section headings of EXPERIMENTS.md.
 func TestExperimentListConsistent(t *testing.T) {
 	names := experimentNames()
 	seen := map[string]bool{}
@@ -53,6 +54,22 @@ func TestExperimentListConsistent(t *testing.T) {
 			t.Errorf("flag help does not mention experiment %q", n)
 		}
 	}
+
+	// Every "## <name> — ..." section of EXPERIMENTS.md documents an
+	// experiment this command can still run.
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := regexp.MustCompile(`(?m)^## (\S+) —`).FindAllSubmatch(md, -1)
+	if len(headings) == 0 {
+		t.Fatal("EXPERIMENTS.md has no per-experiment sections")
+	}
+	for _, h := range headings {
+		if n := string(h[1]); !seen[n] {
+			t.Errorf("EXPERIMENTS.md has a section for %q, which is not in experiments()", n)
+		}
+	}
 }
 
 // TestAllExperimentNamesSelectable: every listed name must be accepted
@@ -76,15 +93,15 @@ func TestAllExperimentNamesSelectable(t *testing.T) {
 	for _, n := range []string{
 		"table1", "table2", "table3", "table4", "table5",
 		"fig6", "fig7", "fig8", "fig9", "fig10",
-		"garbler", "rekey", "parallel", "ot", "transport",
-		"memory", "serving", "chaos", "integrity", "fleet", "ablation", "multicore", "segsweep", "coupling",
+		"garbler", "rekey", "parallel", "memory",
+		"ablation", "multicore", "segsweep", "coupling",
 	} {
 		if !known[n] {
 			t.Errorf("documented experiment %q is not in experiments()", n)
 		}
 	}
-	if len(known) != 24 {
-		t.Errorf("experiments() has %d entries, docs list 24 — update both", len(known))
+	if len(known) != 18 {
+		t.Errorf("experiments() has %d entries, docs list 18 — update both", len(known))
 	}
 }
 
@@ -112,20 +129,6 @@ func TestBenchSelectedExperiments(t *testing.T) {
 	}
 	if strings.Contains(s, "## table2") {
 		t.Fatal("unselected experiment ran")
-	}
-}
-
-func TestBenchOTAndTransportExperiments(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := realMain([]string{"-scale", "small", "-experiments", "ot,transport"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
-	}
-	s := out.String()
-	for _, want := range []string{"## ot", "allocs/OT", "## transport", "allocs/table"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("output missing %q:\n%s", want, s)
-		}
 	}
 }
 

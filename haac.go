@@ -14,7 +14,8 @@
 // expanded once for the gate's blocks, and on AES-NI hosts expanded
 // while the blocks encrypt — with zero allocations: the same cost
 // model as HAAC's Half-Gate pipeline, quantified by the "rekey"
-// experiment in cmd/haacbench.
+// experiment in cmd/haacbench and timed end to end as
+// gc.garble_ns_per_and by the benchmark/ program.
 //
 // Typical flows:
 //
@@ -41,8 +42,9 @@
 //	res, err := haac.Simulate(cp, haac.DefaultHW())
 //	fmt.Println(res.Time())
 //
-// The examples/ directory contains runnable programs for both paths and
-// cmd/haacbench regenerates every table and figure of the paper.
+// The examples/ directory contains runnable programs for both paths,
+// cmd/haacbench regenerates every table and figure of the paper, and
+// `go run ./benchmark` times the 2PC stack.
 package haac
 
 import (

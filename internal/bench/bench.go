@@ -1,11 +1,12 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment returns structured rows plus a
 // formatted text rendering; cmd/haacbench drives them from the command
-// line and the repository's root bench_test.go exposes each as a Go
-// benchmark.
+// line and this package's tests check their shapes. Host timing of the
+// 2PC stack — sessions, OT, transport, the fleet proxy — is measured by
+// the benchmark/ program, not here.
 //
 // Experiments run at one of two scales: Small (reduced workloads, for
-// CI and `go test -bench`) and Paper (the §5 input sizes). Shapes —
+// CI and tests) and Paper (the §5 input sizes). Shapes —
 // who wins, scaling trends, crossovers — are expected to match the
 // paper at either scale; absolute numbers are recorded against the
 // paper's in EXPERIMENTS.md.

@@ -3,8 +3,8 @@
 // stalls, partial (chunked) writes, byte corruption and delayed FINs,
 // each at a configurable rate or byte offset. It exists so the serving
 // layer's recovery story — client redial/re-handshake/replay against a
-// restarting fleet — is proved by tests and the haacbench "chaos"
-// experiment instead of asserted.
+// restarting fleet — is proved by the chaos tests of internal/server
+// and internal/fleet instead of asserted.
 //
 // Faults are rolled per I/O operation from a per-connection PRNG seeded
 // off Plan.Seed, so a failing schedule replays from its seed. The roll

@@ -208,6 +208,76 @@ func TestFleetShardsByDigestByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFleetPlanBuildsPinnedAcrossWidths: widening the fleet never cools
+// a cache. At 1, 2 and 4 backends the same circuit mix compiles exactly
+// once per circuit fleet-wide — rendezvous hashing pins each digest to
+// one backend — and every run matches the oracle. Clients bring their
+// own plans, so every build counted is a backend's.
+func TestFleetPlanBuildsPinnedAcrossWidths(t *testing.T) {
+	ws := []workloads.Workload{
+		workloads.AddN(8), workloads.AddN(12), workloads.AddN(16), workloads.DotProduct(2, 8),
+	}
+	specs := specsFor(ws...)
+	circs := make([]*circuit.Circuit, len(ws))
+	plans := make([]*circuit.Plan, len(ws))
+	for i, w := range ws {
+		circs[i] = w.Build()
+		p, err := circuit.NewPlan(circs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = p
+	}
+
+	for _, backends := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("backends=%d", backends), func(t *testing.T) {
+			buildsBefore := circuit.PlanBuilds()
+			bs := make([]Backend, backends)
+			for i := range bs {
+				srv, addr := launchServer(t, "127.0.0.1:0", specs)
+				defer srv.Close()
+				bs[i] = Backend{Addr: addr}
+			}
+			_, fleetAddr := startFleet(t, Config{Backends: bs, ProbeInterval: -1})
+
+			const sessionsPerCircuit = 2
+			var wg sync.WaitGroup
+			errc := make(chan error, len(ws)*sessionsPerCircuit)
+			for wi, w := range ws {
+				for i := 0; i < sessionsPerCircuit; i++ {
+					evalBits, want := oracle(t, w, circs[wi], int64(wi*10+i))
+					wg.Add(1)
+					go func(w workloads.Workload, c *circuit.Circuit, p *circuit.Plan) {
+						defer wg.Done()
+						sess, err := server.Dial(fleetAddr, w.Name, c, server.Options{OT: ot.Insecure, Plan: p})
+						if err != nil {
+							errc <- fmt.Errorf("%s: dial: %w", w.Name, err)
+							return
+						}
+						defer sess.Close()
+						got, err := sess.Run(evalBits)
+						if err != nil {
+							errc <- fmt.Errorf("%s: run: %w", w.Name, err)
+							return
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							errc <- fmt.Errorf("%s: output diverged from the oracle", w.Name)
+						}
+					}(w, circs[wi], plans[wi])
+				}
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Error(err)
+			}
+			if got := circuit.PlanBuilds() - buildsBefore; got != uint64(len(ws)) {
+				t.Errorf("plans built = %d at %d backends, want exactly %d (one per circuit fleet-wide)", got, backends, len(ws))
+			}
+		})
+	}
+}
+
 // TestRendezvousRanking pins the routing function's properties: the
 // order is deterministic, a permutation of the input, and removing the
 // top-ranked backend leaves the relative order of the rest unchanged —

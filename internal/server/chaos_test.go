@@ -39,7 +39,8 @@ func chaosRetry(seed uint64) RetryPolicy {
 // fault plans — random connection drops, stalls with chunked writes,
 // drops and stalls together, bit corruption aimed at the handshake and
 // run-header window — all complete with outputs identical to the
-// fault-free oracle.
+// fault-free oracle. The same clients and retry policy through a
+// fault-free plan are the baseline: no repair work at all.
 func TestChaosRunsHealByteIdentical(t *testing.T) {
 	// corruptWindow bounds corruption to the client-inbound prefix that
 	// the legacy wire's parsers actually validate: handshake reply (5) +
@@ -57,7 +58,13 @@ func TestChaosRunsHealByteIdentical(t *testing.T) {
 		wantDrops      bool
 		wantStalls     bool
 		wantCorruption bool
+		clean          bool
 	}{
+		{
+			name:  "clean",
+			plan:  faultnet.Plan{Seed: 1},
+			clean: true,
+		},
 		{
 			name:      "drops",
 			plan:      faultnet.Plan{Seed: 0xC0FFEE, DropRate: 0.05},
@@ -85,7 +92,7 @@ func TestChaosRunsHealByteIdentical(t *testing.T) {
 			w := workloads.AddN(16)
 			c := w.Build()
 			garblerBits, _ := w.Inputs(1)
-			_, addr := startServer(t, Config{
+			srv, addr := startServer(t, Config{
 				Circuits: []CircuitSpec{{
 					ID:      w.Name,
 					Circuit: c,
@@ -181,6 +188,18 @@ func TestChaosRunsHealByteIdentical(t *testing.T) {
 			}
 			if sc.wantCorruption && faults.Corruptions.Load() == 0 {
 				t.Error("no corruption injected")
+			}
+			if sc.clean {
+				if n := faults.Drops.Load() + faults.Stalls.Load() + faults.Corruptions.Load(); n != 0 {
+					t.Errorf("fault-free plan injected %d faults", n)
+				}
+				if agg.Reconnects != 0 || agg.Retries != 0 || agg.DialFailures != 0 {
+					t.Errorf("fault-free baseline shows repair work: reconnects=%d retries=%d dialFailures=%d",
+						agg.Reconnects, agg.Retries, agg.DialFailures)
+				}
+				if failed := srv.Stats().RunsFailed; failed != 0 {
+					t.Errorf("fault-free baseline: server counted %d failed runs", failed)
+				}
 			}
 		})
 	}

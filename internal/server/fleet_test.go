@@ -107,13 +107,13 @@ func TestRunTimeoutUnsticksStalledClient(t *testing.T) {
 }
 
 // TestMaxSessionsShedsExactlyExcess: with N sessions held open against
-// a cap of N, the next connection is refused typed; freeing one slot
-// re-admits.
+// a cap of N, every further connection is refused typed and counted
+// once; freeing one slot re-admits.
 func TestMaxSessionsShedsExactlyExcess(t *testing.T) {
 	w := workloads.AddN(8)
 	c := w.Build()
 	g, _ := w.Inputs(1)
-	const maxSess = 2
+	const maxSess, excess = 2, 2
 	srv, addr := startServer(t, Config{
 		Circuits:        []CircuitSpec{{ID: "add", Circuit: c, Inputs: func() []bool { return g }}},
 		Seed:            5,
@@ -130,11 +130,13 @@ func TestMaxSessionsShedsExactlyExcess(t *testing.T) {
 		defer sess.Close()
 		held = append(held, sess)
 	}
-	if _, err := Dial(addr, "add", c, Options{OT: ot.Insecure}); !errors.Is(err, ErrBusy) {
-		t.Fatalf("over-cap dial: got %v, want ErrBusy", err)
+	for i := 0; i < excess; i++ {
+		if _, err := Dial(addr, "add", c, Options{OT: ot.Insecure}); !errors.Is(err, ErrBusy) {
+			t.Fatalf("over-cap dial %d: got %v, want ErrBusy", i, err)
+		}
 	}
-	if st := srv.Stats(); st.SessionsRefused != 1 {
-		t.Fatalf("SessionsRefused = %d, want 1", st.SessionsRefused)
+	if st := srv.Stats(); st.SessionsRefused != excess {
+		t.Fatalf("SessionsRefused = %d, want %d", st.SessionsRefused, excess)
 	}
 
 	// Freeing a slot re-admits: close one session, wait for the server
@@ -153,8 +155,8 @@ func TestMaxSessionsShedsExactlyExcess(t *testing.T) {
 	if _, err := sess.Run(e); err != nil {
 		t.Fatalf("run on re-admitted session: %v", err)
 	}
-	if st := srv.Stats(); st.SessionsRefused != 1 {
-		t.Errorf("SessionsRefused = %d after re-admission, want still 1", st.SessionsRefused)
+	if st := srv.Stats(); st.SessionsRefused != excess {
+		t.Errorf("SessionsRefused = %d after re-admission, want still %d", st.SessionsRefused, excess)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 )
 
 // Robustness suite for the integrity wire tier: negotiation and legacy
-// fallback, whole-stream corruption healed by detect->resume, resume
-// byte accounting (verified chunks never re-cross the wire), panic
-// containment, and the static/dynamic resource budgets.
+// fallback, the framing's byte overhead, whole-stream corruption healed
+// by detect->resume, resume byte accounting (verified chunks never
+// re-cross the wire), panic containment, and the static/dynamic
+// resource budgets.
 
 // robustRetry is chaosRetry plus a per-attempt run deadline: whole-
 // stream corruption can land in a frame-length field and leave both
@@ -76,7 +77,47 @@ func TestIntegrityNegotiation(t *testing.T) {
 					t.Fatalf("run %d: outputs diverge from oracle", run)
 				}
 			}
+			// A clean transport needs no repair on either tier.
+			if cs := sess.Stats(); cs.Resumes != 0 || cs.IntegrityFailures != 0 || cs.Reconnects != 0 {
+				t.Fatalf("clean transport shows repair work: %+v", cs)
+			}
 		})
+	}
+}
+
+// TestIntegrityByteOverhead: on a clean transport the checksummed frames
+// cost more bytes than the legacy wire, but less than 2% more. The same
+// circuit, seed and inputs run once per tier against identically
+// configured servers; each server's BytesOut is read once it has
+// drained.
+func TestIntegrityByteOverhead(t *testing.T) {
+	w := workloads.AES128()
+	c := w.Build()
+	garblerBits, _ := w.Inputs(3)
+	bytesOut := func(integrity bool) uint64 {
+		srv, addr := startServer(t, Config{
+			Circuits:        []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+			Seed:            23,
+			AllowInsecureOT: true,
+		})
+		sess, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, Integrity: integrity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Integrity() != integrity {
+			t.Fatalf("Integrity() = %v, want %v", sess.Integrity(), integrity)
+		}
+		oracleRuns(t, sess, w, c, garblerBits, 2)
+		sess.Close()
+		srv.Close()
+		return srv.Stats().BytesOut
+	}
+	legacy, framed := bytesOut(false), bytesOut(true)
+	if framed <= legacy {
+		t.Fatalf("integrity wire sent %d bytes, legacy %d: the frame headers are not counted", framed, legacy)
+	}
+	if pct := float64(framed-legacy) / float64(legacy) * 100; pct >= 2 {
+		t.Fatalf("integrity wire overhead %.3f%% (%d vs %d bytes) breaches the 2%% budget", pct, framed, legacy)
 	}
 }
 

@@ -127,6 +127,9 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	if st.SessionsTotal != sessions {
 		t.Errorf("sessions total = %d, want %d", st.SessionsTotal, sessions)
 	}
+	if st.SessionsRefused != 0 {
+		t.Errorf("sessions refused = %d, want 0 without an admission cap", st.SessionsRefused)
+	}
 	if st.BytesOut == 0 || st.BytesIn == 0 {
 		t.Errorf("byte counters not accumulating: out=%d in=%d", st.BytesOut, st.BytesIn)
 	}
@@ -179,8 +182,10 @@ func TestMultipleCircuitsAndOTProtocols(t *testing.T) {
 		}
 		sess.Close()
 	}
-	if st := srv.Stats(); st.CacheMisses != 2 {
-		t.Errorf("cache misses = %d, want 2 (one per circuit)", st.CacheMisses)
+	// Sessions dial one after another, so each finds any earlier build of
+	// its circuit completed: the split is exact.
+	if st := srv.Stats(); st.CacheMisses != 2 || st.CacheHits != 1 {
+		t.Errorf("cache hit/miss = %d/%d, want 1/2 (one miss per circuit, a hit for the repeat)", st.CacheHits, st.CacheMisses)
 	}
 }
 
