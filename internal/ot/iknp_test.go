@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -101,26 +102,14 @@ func TestBitsetRoundTrip(t *testing.T) {
 func runOTBitset(t *testing.T, proto Protocol, n int, seed int64) ([]Pair, Bitset, []label.L) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	src := label.NewSource(uint64(seed))
-	pairs := make([]Pair, n)
+	pairs := testPairs(n, uint64(seed))
 	choices := NewBitset(n)
 	for i := range pairs {
-		pairs[i] = Pair{M0: src.Next(), M1: src.Next()}
 		choices.Set(i, rng.Intn(2) == 1)
 	}
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errc := make(chan error, 1)
-	go func() { errc <- Send(a, proto, pairs) }()
-	got, err := ReceiveBitset(b, proto, choices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	return pairs, choices, got
+	send := func(c io.ReadWriter, p []Pair) error { return Send(c, proto, p) }
+	recv := func(c io.ReadWriter, ch Bitset) ([]label.L, error) { return ReceiveBitset(c, proto, ch) }
+	return pairs, choices, pipeTransfer(t, send, recv, pairs, choices)
 }
 
 func checkTransfers(t *testing.T, pairs []Pair, choices Bitset, got []label.L) {

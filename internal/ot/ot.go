@@ -27,6 +27,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
@@ -62,7 +63,10 @@ const (
 	Pooled
 )
 
-const pointSize = 65 // uncompressed P-256 point
+const (
+	coordSize = 32              // P-256 coordinate or scalar, big-endian
+	pointSize = 1 + 2*coordSize // uncompressed P-256 point
+)
 
 // baseOTRounds counts base-OT establishment rounds: one per DH batch on
 // either side (dhSend/dhReceive). IKNP pays one round per extension,
@@ -171,20 +175,36 @@ func insecureReceive(conn io.ReadWriter, choices Bitset) ([]label.L, error) {
 // B = bG + c·A. Sender derives k0 = H(aB), k1 = H(a(B−A)) and sends
 // m0⊕k0, m1⊕k1; the receiver knows k_c = H(bA) and nothing about the
 // other key (CDH).
+//
+// The scalar multiplications are scheduled around the one round trip
+// instead of in series. The sender computes k1 as aB − aA, which is the
+// same point as a(B−A): it takes −aA once, right after writing A and
+// while the receiver is still building its B points, so a transfer costs
+// one multiplication (aB) and one point addition instead of two
+// multiplications. The receiver derives every bA as soon as its B points
+// are written — they depend on nothing the sender sends after A — so that
+// work overlaps the sender's instead of following its ciphertexts. Points,
+// keys and ciphertexts are byte for byte those of the textbook schedule,
+// and a peer running that schedule interoperates.
 
 func dhSend(conn io.ReadWriter, pairs []Pair) error {
 	baseOTRounds.Add(1)
 	curve := elliptic.P256()
-	a, err := rand.Int(rand.Reader, curve.Params().N)
+	params := curve.Params()
+	a, err := rand.Int(rand.Reader, params.N)
 	if err != nil {
 		return fmt.Errorf("ot: sampling scalar: %w", err)
 	}
-	ax, ay := curve.ScalarBaseMult(a.Bytes())
-	if _, err := conn.Write(elliptic.Marshal(curve, ax, ay)); err != nil {
+	aBytes := a.Bytes()
+	ax, ay := curve.ScalarBaseMult(aBytes)
+	var aPoint [pointSize]byte
+	putPoint(aPoint[:], ax, ay)
+	if _, err := conn.Write(aPoint[:]); err != nil {
 		return fmt.Errorf("ot: sending A: %w", err)
 	}
-	// Negated A for computing B − A.
-	nay := new(big.Int).Sub(curve.Params().P, ay)
+	// −aA, so that k1 = aB + (−aA) costs one addition per transfer.
+	aax, aay := curve.ScalarMult(ax, ay, aBytes)
+	aay.Sub(params.P, aay)
 
 	// Phase 1: read every B point. Keeping the phases strictly ordered
 	// (all B, then all ciphertexts) avoids lockstep deadlock over
@@ -196,17 +216,15 @@ func dhSend(conn io.ReadWriter, pairs []Pair) error {
 	// Phase 2: derive keys and send all ciphertext pairs.
 	out := make([]byte, 2*label.Size*len(pairs))
 	for i, p := range pairs {
-		ptBuf := all[i*pointSize : (i+1)*pointSize]
-		bx, by := elliptic.Unmarshal(curve, ptBuf)
+		bx, by := elliptic.Unmarshal(curve, all[i*pointSize:(i+1)*pointSize])
 		if bx == nil {
 			return fmt.Errorf("ot: invalid point B[%d]", i)
 		}
-		k0x, k0y := curve.ScalarMult(bx, by, a.Bytes())
-		dx, dy := curve.Add(bx, by, ax, nay) // B − A
-		k1x, k1y := curve.ScalarMult(dx, dy, a.Bytes())
+		k0x, k0y := curve.ScalarMult(bx, by, aBytes)
+		k1x, k1y := curve.Add(k0x, k0y, aax, aay) // aB − aA = a(B − A)
 
-		e0 := p.M0.Xor(kdf(curve, k0x, k0y, uint64(i)))
-		e1 := p.M1.Xor(kdf(curve, k1x, k1y, uint64(i)))
+		e0 := p.M0.Xor(kdf(k0x, k0y, uint64(i)))
+		e1 := p.M1.Xor(kdf(k1x, k1y, uint64(i)))
 		msg := out[i*2*label.Size : (i+1)*2*label.Size]
 		e0.Put(msg[0:16])
 		e1.Put(msg[16:32])
@@ -230,54 +248,62 @@ func dhReceive(conn io.ReadWriter, choices Bitset) ([]label.L, error) {
 	}
 
 	n := choices.Len()
-	type state struct{ b *big.Int }
-	states := make([]state, n)
+	// The b scalars, zero-padded to coordSize bytes each.
+	scalars := make([]byte, coordSize*n)
 	// One batched write for the B points, mirroring the sender's
 	// batched ciphertext phase: identical bytes, far fewer frames on a
 	// framed transport.
 	bPoints := make([]byte, pointSize*n)
-	for i := range states {
+	for i := 0; i < n; i++ {
 		b, err := rand.Int(rand.Reader, curve.Params().N)
 		if err != nil {
 			return nil, fmt.Errorf("ot: sampling scalar: %w", err)
 		}
-		states[i].b = b
-		bx, by := curve.ScalarBaseMult(b.Bytes())
+		bBytes := b.FillBytes(scalars[i*coordSize : (i+1)*coordSize])
+		bx, by := curve.ScalarBaseMult(bBytes)
 		if choices.Bit(i) == 1 {
 			bx, by = curve.Add(bx, by, ax, ay)
 		}
-		copy(bPoints[i*pointSize:], elliptic.Marshal(curve, bx, by))
+		putPoint(bPoints[i*pointSize:], bx, by)
 	}
 	if _, err := conn.Write(bPoints); err != nil {
 		return nil, fmt.Errorf("ot: sending B points: %w", err)
 	}
 
+	// k_c = H(bA) needs nothing more from the sender: derive every key
+	// while the sender computes its ciphertexts.
 	out := make([]label.L, n)
-	msg := make([]byte, 2*label.Size)
 	for i := range out {
-		if _, err := io.ReadFull(conn, msg); err != nil {
-			return nil, fmt.Errorf("ot: reading ciphertexts %d: %w", i, err)
-		}
-		kx, ky := curve.ScalarMult(ax, ay, states[i].b.Bytes())
-		k := kdf(curve, kx, ky, uint64(i))
-		if choices.Bit(i) == 1 {
-			out[i] = label.FromBytes(msg[16:32]).Xor(k)
-		} else {
-			out[i] = label.FromBytes(msg[0:16]).Xor(k)
-		}
+		kx, ky := curve.ScalarMult(ax, ay, scalars[i*coordSize:(i+1)*coordSize])
+		out[i] = kdf(kx, ky, uint64(i))
+	}
+	cts := make([]byte, 2*label.Size*n)
+	if _, err := io.ReadFull(conn, cts); err != nil {
+		return nil, fmt.Errorf("ot: reading ciphertexts: %w", err)
+	}
+	for i := range out {
+		off := (2*i + choices.Bit(i)) * label.Size
+		out[i] = out[i].Xor(label.FromBytes(cts[off : off+label.Size]))
 	}
 	return out, nil
 }
 
-// kdf hashes a curve point and transfer index into a label-sized key.
-func kdf(curve elliptic.Curve, x, y *big.Int, idx uint64) label.L {
-	h := sha256.New()
-	h.Write(elliptic.Marshal(curve, x, y))
-	var ib [8]byte
-	for i := 0; i < 8; i++ {
-		ib[i] = byte(idx >> uint(8*i))
-	}
-	h.Write(ib[:])
-	sum := h.Sum(nil)
+// putPoint writes (x, y) into dst in the uncompressed encoding
+// elliptic.Marshal produces: 0x04 ‖ x ‖ y, each coordinate big-endian
+// and zero-padded to coordSize bytes.
+func putPoint(dst []byte, x, y *big.Int) {
+	dst[0] = 4
+	x.FillBytes(dst[1 : 1+coordSize])
+	y.FillBytes(dst[1+coordSize : pointSize])
+}
+
+// kdf hashes a curve point and transfer index into a label-sized key:
+// the first 16 bytes of SHA-256(0x04 ‖ x ‖ y ‖ LE64(idx)). The input is
+// built on the stack, so a call allocates nothing.
+func kdf(x, y *big.Int, idx uint64) label.L {
+	var buf [pointSize + 8]byte
+	putPoint(buf[:], x, y)
+	binary.LittleEndian.PutUint64(buf[pointSize:], idx)
+	sum := sha256.Sum256(buf[:])
 	return label.FromBytes(sum[:16])
 }
