@@ -244,7 +244,8 @@ func (SoftRekeyedHasher) Name() string { return "rekeyed-soft" }
 // style): H(L, t) = AES_K(2L xor t) xor 2L xor t with one global key.
 // It is faster but, as the paper notes, offers weaker concrete security;
 // it exists here to reproduce the §2.1 "+27.5%" re-keying overhead
-// comparison, and as the correlation-robust row hash of internal/ot.
+// comparison, and as the reference internal/ot's chunk-wide
+// correlation-robust row hash is pinned to.
 // The key is expanded once into an aes128.Cipher, which runs on the
 // same tier as RekeyedHasher and is safe to share across a worker pool.
 type FixedKeyHasher struct {

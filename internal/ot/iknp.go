@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"haac/internal/aes128"
 	"haac/internal/gc"
@@ -23,15 +24,19 @@ import (
 // plays the *receiver* of the k base OTs with a random choice vector s.
 // The extension receiver plays the base sender with random seed pairs.
 //
-// The hot path is fully batched: columns are expanded from the base-OT
-// seeds with per-column AES-CTR streams whose ciphers are built once per
-// extension, the column-major matrix is flipped with a cache-blocked
-// 64×64 bit transpose, and rows are hashed with a batched fixed-key AES
-// correlation-robust hash (gc.FixedKeyHasher.Hash4). Both AES uses run
-// on whichever tier internal/aes128 selected at start-up.
-// Transfers stream in chunks of extChunk so million-OT batches run in
-// bounded memory with O(1) allocations per chunk; choice bits travel as
-// a packed Bitset end to end.
+// One core per role (extSender.extend, extReceiver.extend) runs a chunk
+// of up to extChunk transfers, and both the on-demand extension below and
+// Pool.Fill call it. A chunk is staged as whole streams, not per
+// transfer: each column is one AES-CTR expansion of its base-OT seed
+// written in place (one cipher call per column, the key expanded once
+// per extension), the receiver's 128 masked columns leave in one write
+// and arrive in one read, the column-major matrix is flipped with a
+// cache-blocked 64×64 bit transpose, and every row of the chunk is hashed
+// in one cipher call with the fixed-key correlation-robust hash of
+// gc.FixedKeyHasher. Both AES uses run on whichever tier internal/aes128
+// selected at start-up. The scratch is sized once per extension, so
+// million-OT batches run in bounded memory with O(1) allocations per
+// chunk; choice bits travel as a packed Bitset end to end.
 
 const (
 	kappa    = 128 // security parameter / base-OT count
@@ -45,11 +50,13 @@ const (
 
 type row [rowWords]uint64
 
-func (r *row) xor(o row) {
-	for i := range r {
-		r[i] ^= o[i]
-	}
-}
+// The hash reads a Pair as the two AES blocks it occupies and the wire
+// as a gc.Material. These fail to compile if a layout moves.
+var (
+	_ [gc.MaterialSize]byte                   = [unsafe.Sizeof(Pair{})]byte{}
+	_ [unsafe.Offsetof(gc.Material{}.TE)]byte = [unsafe.Offsetof(Pair{}.M1)]byte{}
+	_ [label.Size]byte                        = [unsafe.Offsetof(Pair{}.M1)]byte{}
+)
 
 // --- per-column PRG ---
 
@@ -68,222 +75,217 @@ func (p *prgStream) init(seed label.L) {
 }
 
 // expand fills dst with the next len(dst) words of the stream, two per
-// counter block, several blocks per cipher call. An odd tail drops the
-// second word of its block.
+// counter block: the counter blocks are written into dst's own memory
+// and encrypted there in one cipher call. An odd last word is the low
+// half of one more block whose high half is dropped (its counter is
+// still consumed).
 func (p *prgStream) expand(dst []uint64) {
-	var blk [8]aes128.Block
-	for len(dst) > 0 {
-		n := (len(dst) + 1) / 2
-		if n > len(blk) {
-			n = len(blk)
-		}
-		for i := range blk[:n] {
-			blk[i] = aes128.Block{Lo: p.ctr}
-			p.ctr++
-		}
-		p.c.Encrypt(blk[:n], blk[:n])
-		for _, b := range blk[:n] {
-			dst[0] = b.Lo
-			if len(dst) == 1 {
-				return
-			}
-			dst[1] = b.Hi
-			dst = dst[2:]
-		}
+	blks := wordBlocks(dst)
+	for i := range blks {
+		blks[i] = aes128.Block{Lo: p.ctr}
+		p.ctr++
+	}
+	p.c.Encrypt(blks, blks)
+	if len(dst)&1 == 1 {
+		last := [1]aes128.Block{{Lo: p.ctr}}
+		p.ctr++
+		p.c.Encrypt(last[:], last[:])
+		dst[len(dst)-1] = last[0].Lo
 	}
 }
 
-// --- batched correlation-robust row hash ---
+// wordBlocks views the leading even number of words of w as AES blocks:
+// word 2i is block i's Lo, word 2i+1 its Hi.
+func wordBlocks(w []uint64) []aes128.Block {
+	if len(w) < 2 {
+		return nil // a lone word is no block; the pointer may not cover one
+	}
+	return unsafe.Slice((*aes128.Block)(unsafe.Pointer(unsafe.SliceData(w))), len(w)/2)
+}
+
+// --- chunk-wide correlation-robust row hash ---
 
 // crKey is the fixed public AES key of the row hash. Fixed-key AES is
 // the standard correlation-robust hash of OT extension (it only has to
 // break the row correlations induced by s, not act as a PRF under
-// adversarial keys), and it replaces the old per-row SHA-256 — two key
-// schedules and 64 rounds of SHA per transfer — with AES blocks staged
-// four at a time through one expanded cipher. The construction is
-// exactly gc's fixed-key hasher, H(r, j) = AES_K(2r ^ j) ^ (2r ^ j),
-// so the hasher is reused rather than re-implemented; it is stateless
-// after construction, allocation-free and safe to share across
-// extensions.
+// adversarial keys). The construction is exactly gc's fixed-key hasher
+// under this key, H(r, j) = AES_K(2r ^ j) ^ (2r ^ j) — the tests pin the
+// two together — run here over a whole chunk in one cipher call.
 var crKey = [16]byte{'H', 'A', 'A', 'C', '.', 'i', 'k', 'n', 'p', '.', 'c', 'r', 'h', '.', 'v', '1'}
 
-var crHasher = gc.NewFixedKeyHasher(crKey)
+// crCipher is AES under crKey; it is immutable and safe to share.
+var crCipher = aes128.NewCipher(aes128.LoadBlock(crKey[:]))
 
-// rowLabel views a transpose row as a label for hashing: word w of the
-// row is the w-th 64-column band, matching label.L's Lo/Hi layout.
-func rowLabel(r row) label.L { return label.L{Lo: r[0], Hi: r[1]} }
+// doubled returns the hash input 2r ^ j of row r at transfer index j,
+// reading word w of the row as the w-th 64-column band (label.L's Lo/Hi
+// layout).
+func doubled(r row, j uint64) label.L {
+	return label.L{Lo: r[0]<<1 ^ j, Hi: r[1]<<1 | r[0]>>63}
+}
 
-// rowHash computes H(j, r) for one row (odd tails and tests; the hot
-// loops batch four rows through crHasher.Hash4 directly).
-func rowHash(j uint64, r row) label.L {
-	return crHasher.Hash(rowLabel(r), j)
+// hashRows sets dst[j] = H(rows[j], t+j) for every j < len(dst): it
+// writes the inputs into dst, encrypts dst in place in one call and XORs
+// the inputs back in.
+func hashRows(dst []label.L, rows []row, t uint64) {
+	rows = rows[:len(dst)]
+	for j, r := range rows {
+		dst[j] = doubled(r, t+uint64(j))
+	}
+	blks := unsafe.Slice((*aes128.Block)(unsafe.SliceData(dst)), len(dst))
+	crCipher.Encrypt(blks, blks)
+	for j, r := range rows {
+		dst[j] = dst[j].Xor(doubled(r, t+uint64(j)))
+	}
+}
+
+// hashRowPairs sets dst[j] = (H(q_j, t+j), H(q_j ^ s, t+j)) for the rows
+// q_j and every j < len(dst), staged like hashRows with both inputs of
+// a transfer side by side.
+func hashRowPairs(dst []Pair, rows []row, s row, t uint64) {
+	rows = rows[:len(dst)]
+	ds := doubled(s, 0) // 2(q ^ s) ^ j = (2q ^ j) ^ 2s
+	for j, q := range rows {
+		d := doubled(q, t+uint64(j))
+		dst[j] = Pair{M0: d, M1: d.Xor(ds)}
+	}
+	blks := pairBlocks(dst)
+	crCipher.Encrypt(blks, blks)
+	for j, q := range rows {
+		d := doubled(q, t+uint64(j))
+		dst[j] = Pair{M0: dst[j].M0.Xor(d), M1: dst[j].M1.Xor(d.Xor(ds))}
+	}
+}
+
+// pairBlocks views ps as its 2·len(ps) labels' AES blocks.
+func pairBlocks(ps []Pair) []aes128.Block {
+	return unsafe.Slice((*aes128.Block)(unsafe.Pointer(unsafe.SliceData(ps))), 2*len(ps))
+}
+
+// pairTables views ps as garbled-table records. A transfer's ciphertext
+// pair y0 | y1 has a table's layout TG | TE, so the ciphertext slab
+// travels through gc's wire view (MaterialBytes) and byte-order helpers
+// (MaterialsToWire, MaterialsFromWire) with no copy.
+func pairTables(ps []Pair) []gc.Material {
+	return unsafe.Slice((*gc.Material)(unsafe.Pointer(unsafe.SliceData(ps))), len(ps))
 }
 
 // xorBytesIntoWords XORs src (little-endian bytes) into dst words; a
 // ragged tail shorter than 8 bytes is zero-extended.
 func xorBytesIntoWords(dst []uint64, src []byte) {
-	n := len(src)
 	w := 0
-	for ; (w+1)*8 <= n; w++ {
-		dst[w] ^= binary.LittleEndian.Uint64(src[w*8:])
+	for ; 8*(w+1) <= len(src); w++ {
+		dst[w] ^= binary.LittleEndian.Uint64(src[8*w:])
 	}
-	if rem := n - w*8; rem > 0 {
-		var last [8]byte
-		copy(last[:], src[w*8:])
-		dst[w] ^= binary.LittleEndian.Uint64(last[:])
+	for i := 8 * w; i < len(src); i++ {
+		dst[w] ^= uint64(src[i]) << (8 * uint(i-8*w))
 	}
 }
 
-// extScratch is the reusable per-extension working set: one chunk's
-// column slab, transposed rows, wire buffers. Allocated once per
-// Send/Receive call — sized for the largest chunk the batch actually
-// needs, so a small extension does not pay the full-chunk megabyte —
-// and recycled across every chunk.
+// putWords writes src as little-endian bytes into dst, which may end up
+// to 7 bytes short of the last word.
+func putWords(dst []byte, src []uint64) {
+	w := 0
+	for ; 8*(w+1) <= len(dst); w++ {
+		binary.LittleEndian.PutUint64(dst[8*w:], src[w])
+	}
+	for i := 8 * w; i < len(dst); i++ {
+		dst[i] = byte(src[w] >> (8 * uint(i-8*w)))
+	}
+}
+
+// --- the chunk cores ---
+
+// extScratch is one end's reusable chunk working set. It is sized for
+// the largest chunk asked of it so far and recycled across chunks and,
+// in a Pool, across fills.
 type extScratch struct {
 	cols []uint64 // kappa columns at the current chunk's word stride
-	aux  []uint64 // receiver: second PRG expansion + u assembly
-	rows []row    // transposed chunk
-	ubuf []byte   // one column on the wire
-	ct   []byte   // ciphertext slab for a whole chunk
+	rows []row    // the transposed chunk
+	wire []byte   // the chunk's kappa masked columns as they travel
+	ucol []uint64 // receiver: one column of the second PRG stream
 }
 
-func newExtScratch(m int) *extScratch {
-	chunk := m
-	if chunk > extChunk {
-		chunk = extChunk
+// fit sizes sc for a chunk of mc transfers.
+func (sc *extScratch) fit(mc int) {
+	words := (mc + 63) / 64
+	if len(sc.rows) >= 64*words {
+		return
 	}
-	words := (chunk + 63) / 64
-	return &extScratch{
-		cols: make([]uint64, kappa*words),
-		aux:  make([]uint64, 2*words),
-		rows: make([]row, words*64),
-		ubuf: make([]byte, words*8),
-		ct:   make([]byte, 2*label.Size*chunk),
-	}
+	sc.cols = make([]uint64, kappa*words)
+	sc.rows = make([]row, 64*words)
+	sc.wire = make([]byte, kappa*8*words)
+	sc.ucol = make([]uint64, words)
 }
 
-// iknpSend runs the extension sender for a batch of pairs. base selects
-// the protocol used for the k base OTs.
-func iknpSend(conn io.ReadWriter, base Protocol, pairs []Pair) error {
-	m := len(pairs)
-	if m == 0 {
-		return nil
-	}
+// extSender is the extension sender's persistent state: the secret
+// choice vector s it received the base OTs with (bit i of word i/64 is
+// s_i), one PRG stream per received seed, and the next transfer index.
+type extSender struct {
+	s     row
+	prgs  [kappa]prgStream
+	tweak uint64
+	sc    extScratch
+}
 
-	// 1. Base OTs, reversed: we receive with random choices s.
-	sBits, sRow, err := sampleS()
+// newExtSender runs the reversed base OTs over conn as their receiver,
+// with a random choice vector s.
+func newExtSender(conn io.ReadWriter, base Protocol) (*extSender, error) {
+	e := new(extSender)
+	var sb [kappa / 8]byte
+	if _, err := rand.Read(sb[:]); err != nil {
+		return nil, fmt.Errorf("ot: sampling s: %w", err)
+	}
+	e.s = row{binary.LittleEndian.Uint64(sb[:8]), binary.LittleEndian.Uint64(sb[8:])}
+	seeds, err := ReceiveBitset(conn, base, Bitset{words: []uint64{e.s[0], e.s[1]}, n: kappa})
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("ot: base OTs: %w", err)
 	}
-	seeds, err := ReceiveBitset(conn, base, BitsetFromBools(sBits))
-	if err != nil {
-		return fmt.Errorf("ot: base OTs: %w", err)
+	for i := range e.prgs {
+		e.prgs[i].init(seeds[i])
 	}
-
-	// Hoisted steady-state scratch: per-column PRG streams (one key
-	// schedule each for the whole extension), the row hash, and the
-	// chunk slabs.
-	prgs := make([]prgStream, kappa)
-	for i := range prgs {
-		prgs[i].init(seeds[i])
-	}
-	sc := newExtScratch(m)
-
-	for off := 0; off < m; off += extChunk {
-		mc := m - off
-		if mc > extChunk {
-			mc = extChunk
-		}
-		if err := sendChunk(conn, pairs[off:off+mc], uint64(off), sBits, sRow, prgs, sc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e, nil
 }
 
-// sampleS draws the extension sender's random base-OT choice vector s,
-// returned both per-bit (for the column masks) and packed as a row (for
-// the q ^ s hash inputs).
-func sampleS() ([]bool, row, error) {
-	var rb [kappa / 8]byte
-	var sRow row
-	if _, err := rand.Read(rb[:]); err != nil {
-		return nil, sRow, fmt.Errorf("ot: sampling s: %w", err)
+// extend runs the sender side of one chunk of len(dst) ≤ extChunk
+// transfers and sets dst[j] = (H(q_j), H(q_j ^ s)) under the chunk's
+// transfer indices. It expands all kappa PRG columns first, then reads
+// the receiver's masked columns u_i in one call, adds u_i into column i
+// where s_i is set (Q = PRG ^ s·u), transposes Q and hashes its rows.
+func (e *extSender) extend(r io.Reader, dst []Pair) error {
+	mc := len(dst)
+	colWords, colBytes := (mc+63)/64, (mc+7)/8
+	e.sc.fit(mc)
+	cols := e.sc.cols[:kappa*colWords]
+	for i := range e.prgs {
+		e.prgs[i].expand(cols[i*colWords : (i+1)*colWords])
 	}
-	sBits := make([]bool, kappa)
-	for i := range sBits {
-		sBits[i] = rb[i/8]>>(uint(i)%8)&1 == 1
-		if sBits[i] {
-			sRow[i/64] |= 1 << (uint(i) % 64)
-		}
+	wire := e.sc.wire[:kappa*colBytes]
+	if _, err := io.ReadFull(r, wire); err != nil {
+		return fmt.Errorf("ot: reading masked columns: %w", err)
 	}
-	return sBits, sRow, nil
-}
-
-// sendChunk runs the sender side for one chunk of transfers: receive the
-// masked columns u_i, build Q = PRG ^ (s_i ? u_i : 0) column-wise,
-// transpose, and send both encrypted messages per transfer.
-func sendChunk(conn io.ReadWriter, pairs []Pair, tweakOff uint64, sBits []bool, sRow row, prgs []prgStream, sc *extScratch) error {
-	mc := len(pairs)
-	colWords := (mc + 63) / 64
-	colBytes := (mc + 7) / 8
-
 	for i := 0; i < kappa; i++ {
-		col := sc.cols[i*colWords : (i+1)*colWords]
-		prgs[i].expand(col)
-		u := sc.ubuf[:colBytes]
-		if _, err := io.ReadFull(conn, u); err != nil {
-			return fmt.Errorf("ot: reading column %d: %w", i, err)
-		}
-		if sBits[i] {
-			xorBytesIntoWords(col, u)
+		if e.s[i/64]>>(i%64)&1 == 1 {
+			xorBytesIntoWords(cols[i*colWords:(i+1)*colWords], wire[i*colBytes:(i+1)*colBytes])
 		}
 	}
-
-	rows := sc.rows[:colWords*64]
-	transposeColumns(rows, sc.cols[:kappa*colWords], colWords)
-
-	// Encrypt both messages per transfer: y0 = m0 ^ H(j, q_j),
-	// y1 = m1 ^ H(j, q_j ^ s) — two transfers per batched hash call.
-	out := sc.ct[:2*label.Size*mc]
-	j := 0
-	for ; j+1 < mc; j += 2 {
-		q0 := rows[j]
-		q0s := q0
-		q0s.xor(sRow)
-		q1 := rows[j+1]
-		q1s := q1
-		q1s.xor(sRow)
-		t0, t1 := tweakOff+uint64(j), tweakOff+uint64(j)+1
-		k00, k01, k10, k11 := crHasher.Hash4(rowLabel(q0), rowLabel(q0s), rowLabel(q1), rowLabel(q1s), t0, t0, t1, t1)
-		pairs[j].M0.Xor(k00).Put(out[j*32:])
-		pairs[j].M1.Xor(k01).Put(out[j*32+16:])
-		pairs[j+1].M0.Xor(k10).Put(out[j*32+32:])
-		pairs[j+1].M1.Xor(k11).Put(out[j*32+48:])
-	}
-	if j < mc {
-		q := rows[j]
-		qs := q
-		qs.xor(sRow)
-		t := tweakOff + uint64(j)
-		k0, k1 := rowHash(t, q), rowHash(t, qs)
-		pairs[j].M0.Xor(k0).Put(out[j*32:])
-		pairs[j].M1.Xor(k1).Put(out[j*32+16:])
-	}
-	if _, err := conn.Write(out); err != nil {
-		return fmt.Errorf("ot: sending ciphertexts: %w", err)
-	}
+	rows := e.sc.rows[:64*colWords]
+	transposeColumns(rows, cols, colWords)
+	hashRowPairs(dst, rows, e.s, e.tweak)
+	e.tweak += uint64(mc)
 	return nil
 }
 
-// iknpReceive runs the extension receiver for a packed choice vector.
-func iknpReceive(conn io.ReadWriter, base Protocol, choices Bitset) ([]label.L, error) {
-	m := choices.Len()
-	if m == 0 {
-		return nil, nil
-	}
+// extReceiver is the extension receiver's persistent state: both PRG
+// streams per base-OT seed pair and the next transfer index.
+type extReceiver struct {
+	prg0, prg1 [kappa]prgStream
+	tweak      uint64
+	sc         extScratch
+}
 
-	// 1. Base OTs, reversed: we send seed pairs.
+// newExtReceiver runs the reversed base OTs over conn as their sender,
+// with random seed pairs.
+func newExtReceiver(conn io.ReadWriter, base Protocol) (*extReceiver, error) {
 	basePairs, err := baseSeedPairs()
 	if err != nil {
 		return nil, err
@@ -291,26 +293,12 @@ func iknpReceive(conn io.ReadWriter, base Protocol, choices Bitset) ([]label.L, 
 	if err := Send(conn, base, basePairs); err != nil {
 		return nil, fmt.Errorf("ot: base OTs: %w", err)
 	}
-
-	prg0 := make([]prgStream, kappa)
-	prg1 := make([]prgStream, kappa)
-	for i := range prg0 {
-		prg0[i].init(basePairs[i].M0)
-		prg1[i].init(basePairs[i].M1)
+	e := new(extReceiver)
+	for i := range e.prg0 {
+		e.prg0[i].init(basePairs[i].M0)
+		e.prg1[i].init(basePairs[i].M1)
 	}
-	sc := newExtScratch(m)
-
-	out := make([]label.L, m)
-	for off := 0; off < m; off += extChunk {
-		mc := m - off
-		if mc > extChunk {
-			mc = extChunk
-		}
-		if err := receiveChunk(conn, out[off:off+mc], uint64(off), choices, off, prg0, prg1, sc); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return e, nil
 }
 
 // baseSeedPairs samples the kappa random seed pairs the extension
@@ -331,68 +319,103 @@ func baseSeedPairs() ([]Pair, error) {
 	return basePairs, nil
 }
 
-// receiveChunk runs the receiver side for one chunk: build T column-wise
-// from PRG(seed0), send the masked columns u_i = PRG0_i ^ PRG1_i ^ r,
-// transpose, and decrypt the chosen message per transfer with H(j, t_j).
-func receiveChunk(conn io.ReadWriter, out []label.L, tweakOff uint64, choices Bitset, choiceOff int, prg0, prg1 []prgStream, sc *extScratch) error {
-	mc := len(out)
-	colWords := (mc + 63) / 64
-	colBytes := (mc + 7) / 8
-	wordOff := choiceOff / 64 // choiceOff is a multiple of extChunk, so word-aligned
-
-	half := len(sc.aux) / 2
-	ucol := sc.aux[:colWords]
-	rcol := sc.aux[half : half+colWords]
-	for w := 0; w < colWords; w++ {
-		rcol[w] = choices.word(wordOff + w)
-	}
+// extend runs the receiver side of one chunk of len(dst) ≤ extChunk
+// transfers with the packed choices r (bit j of r[j/64] is choice j)
+// and sets dst[j] = H(t_j) under the chunk's transfer indices. It
+// expands T = PRG0 column by column, assembles every masked column
+// u_i = T_i ^ PRG1_i ^ r into one slab and writes it in one call, then
+// transposes T and hashes its rows.
+func (e *extReceiver) extend(w io.Writer, dst []label.L, r []uint64) error {
+	mc := len(dst)
+	colWords, colBytes := (mc+63)/64, (mc+7)/8
+	e.sc.fit(mc)
+	cols := e.sc.cols[:kappa*colWords]
+	u := e.sc.ucol[:colWords]
+	r = r[:colWords]
+	wire := e.sc.wire[:kappa*colBytes]
 	for i := 0; i < kappa; i++ {
-		col0 := sc.cols[i*colWords : (i+1)*colWords]
-		prg0[i].expand(col0)
-		prg1[i].expand(ucol)
-		for w := range ucol {
-			ucol[w] ^= col0[w] ^ rcol[w]
+		t := cols[i*colWords : (i+1)*colWords]
+		e.prg0[i].expand(t)
+		e.prg1[i].expand(u)
+		for k := range u {
+			u[k] ^= t[k] ^ r[k]
 		}
-		u := sc.ubuf[:colBytes]
-		for w := 0; w < colWords; w++ {
-			if (w+1)*8 <= colBytes {
-				binary.LittleEndian.PutUint64(u[w*8:], ucol[w])
-			} else {
-				var last [8]byte
-				binary.LittleEndian.PutUint64(last[:], ucol[w])
-				copy(u[w*8:], last[:])
-			}
-		}
-		if _, err := conn.Write(u); err != nil {
-			return fmt.Errorf("ot: sending column %d: %w", i, err)
-		}
+		putWords(wire[i*colBytes:(i+1)*colBytes], u)
 	}
+	if _, err := w.Write(wire); err != nil {
+		return fmt.Errorf("ot: sending masked columns: %w", err)
+	}
+	rows := e.sc.rows[:64*colWords]
+	transposeColumns(rows, cols, colWords)
+	hashRows(dst, rows, e.tweak)
+	e.tweak += uint64(mc)
+	return nil
+}
 
-	rows := sc.rows[:colWords*64]
-	transposeColumns(rows, sc.cols[:kappa*colWords], colWords)
+// --- on-demand extension ---
 
-	enc := sc.ct[:2*label.Size*mc]
-	if _, err := io.ReadFull(conn, enc); err != nil {
-		return fmt.Errorf("ot: reading ciphertexts: %w", err)
+// iknpSend runs the extension sender for a batch of pairs. base selects
+// the protocol used for the k base OTs. Per chunk it answers the masked
+// columns with both encrypted messages per transfer,
+// y0 = m0 ^ H(j, q_j) and y1 = m1 ^ H(j, q_j ^ s), in one write.
+func iknpSend(conn io.ReadWriter, base Protocol, pairs []Pair) error {
+	m := len(pairs)
+	if m == 0 {
+		return nil
 	}
-	j := 0
-	for ; j+3 < mc; j += 4 {
-		t := tweakOff + uint64(j)
-		k0, k1, k2, k3 := crHasher.Hash4(rowLabel(rows[j]), rowLabel(rows[j+1]), rowLabel(rows[j+2]), rowLabel(rows[j+3]), t, t+1, t+2, t+3)
-		out[j] = pick(enc, j, choices.Bit(choiceOff+j)).Xor(k0)
-		out[j+1] = pick(enc, j+1, choices.Bit(choiceOff+j+1)).Xor(k1)
-		out[j+2] = pick(enc, j+2, choices.Bit(choiceOff+j+2)).Xor(k2)
-		out[j+3] = pick(enc, j+3, choices.Bit(choiceOff+j+3)).Xor(k3)
+	e, err := newExtSender(conn, base)
+	if err != nil {
+		return err
 	}
-	for ; j < mc; j++ {
-		k := rowHash(tweakOff+uint64(j), rows[j])
-		out[j] = pick(enc, j, choices.Bit(choiceOff+j)).Xor(k)
+	ct := make([]Pair, min(m, extChunk))
+	for off := 0; off < m; off += extChunk {
+		msgs := pairs[off:min(off+extChunk, m)]
+		y := ct[:len(msgs)]
+		if err := e.extend(conn, y); err != nil {
+			return err
+		}
+		for j := range y {
+			y[j] = Pair{M0: y[j].M0.Xor(msgs[j].M0), M1: y[j].M1.Xor(msgs[j].M1)}
+		}
+		wire := pairTables(y)
+		gc.MaterialsToWire(wire)
+		if _, err := conn.Write(gc.MaterialBytes(wire)); err != nil {
+			return fmt.Errorf("ot: sending ciphertexts: %w", err)
+		}
 	}
 	return nil
 }
 
-// pick selects the c-th ciphertext of transfer j from the chunk slab.
-func pick(enc []byte, j, c int) label.L {
-	off := j*2*label.Size + c*label.Size
-	return label.FromBytes(enc[off : off+label.Size])
+// iknpReceive runs the extension receiver for a packed choice vector.
+func iknpReceive(conn io.ReadWriter, base Protocol, choices Bitset) ([]label.L, error) {
+	m := choices.Len()
+	if m == 0 {
+		return nil, nil
+	}
+	e, err := newExtReceiver(conn, base)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]label.L, m)
+	ct := make([]Pair, min(m, extChunk))
+	for off := 0; off < m; off += extChunk {
+		dst := out[off:min(off+extChunk, m)]
+		if err := e.extend(conn, dst, choices.words[off/64:]); err != nil {
+			return nil, err
+		}
+		y := ct[:len(dst)]
+		wire := pairTables(y)
+		if _, err := io.ReadFull(conn, gc.MaterialBytes(wire)); err != nil {
+			return nil, fmt.Errorf("ot: reading ciphertexts: %w", err)
+		}
+		gc.MaterialsFromWire(wire)
+		for j := range dst {
+			c := y[j].M0
+			if choices.Bit(off+j) == 1 {
+				c = y[j].M1
+			}
+			dst[j] = dst[j].Xor(c)
+		}
+	}
+	return out, nil
 }

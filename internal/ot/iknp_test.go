@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -44,24 +45,26 @@ func TestTranspose64Involution(t *testing.T) {
 }
 
 // TestTransposeColumnsMatchesBitLoop compares the blocked transpose to a
-// naive per-bit flip over a multi-word chunk.
+// naive per-bit flip over multi-word chunks: a few words, a whole
+// extChunk (256 words) and an odd 129.
 func TestTransposeColumnsMatchesBitLoop(t *testing.T) {
-	const colWords = 3 // 192 transfers
 	rng := rand.New(rand.NewSource(2))
-	cols := make([]uint64, kappa*colWords)
-	for i := range cols {
-		cols[i] = rng.Uint64()
-	}
-	rows := make([]row, colWords*64)
-	transposeColumns(rows, cols, colWords)
-	for j := range rows {
-		var want row
-		for i := 0; i < kappa; i++ {
-			bit := cols[i*colWords+j/64] >> (uint(j) % 64) & 1
-			want[i/64] |= bit << (uint(i) % 64)
+	for _, colWords := range []int{3, extChunk / 64, 129} {
+		cols := make([]uint64, kappa*colWords)
+		for i := range cols {
+			cols[i] = rng.Uint64()
 		}
-		if rows[j] != want {
-			t.Fatalf("row %d: got %x, want %x", j, rows[j], want)
+		rows := make([]row, colWords*64)
+		transposeColumns(rows, cols, colWords)
+		for j := range rows {
+			var want row
+			for i := 0; i < kappa; i++ {
+				bit := cols[i*colWords+j/64] >> (uint(j) % 64) & 1
+				want[i/64] |= bit << (uint(i) % 64)
+			}
+			if rows[j] != want {
+				t.Fatalf("colWords %d, row %d: got %x, want %x", colWords, j, rows[j], want)
+			}
 		}
 	}
 }
@@ -207,4 +210,188 @@ func TestIKNPAllocsIndependentOfBatch(t *testing.T) {
 		t.Fatalf("allocations scale with batch size: %d OTs -> %.0f allocs, %d OTs -> %.0f allocs",
 			extChunk, small, 4*extChunk, large)
 	}
+}
+
+// TestChunkHashMatchesFixedKeyHasher pins the chunk-wide row hash to
+// gc.FixedKeyHasher under crKey, row by row and at tweaks that carry
+// into the high bits.
+func TestChunkHashMatchesFixedKeyHasher(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]row, 67)
+	for j := range rows {
+		rows[j] = row{rng.Uint64(), rng.Uint64()}
+	}
+	rows[0] = row{}
+	rows[1] = row{1 << 63, 1 << 63}
+	s := row{rng.Uint64(), rng.Uint64()}
+	for _, t0 := range []uint64{0, 5, 1<<63 - 3} {
+		got := make([]label.L, len(rows))
+		hashRows(got, rows, t0)
+		pairs := make([]Pair, len(rows))
+		hashRowPairs(pairs, rows, s, t0)
+		for j, r := range rows {
+			rs := r
+			rs.xor(s)
+			tj := t0 + uint64(j)
+			if want := rowHash(tj, r); got[j] != want || pairs[j].M0 != want {
+				t.Fatalf("tweak %d, row %d: H(q) differs from the fixed-key hasher", t0, j)
+			}
+			if want := rowHash(tj, rs); pairs[j].M1 != want {
+				t.Fatalf("tweak %d, row %d: H(q^s) differs from the fixed-key hasher", t0, j)
+			}
+		}
+	}
+}
+
+// extendSizes straddle the word, chunk and multi-chunk boundaries of the
+// chunk cores.
+var extendSizes = []int{1, 63, 64, 65, extChunk - 1, extChunk, extChunk + 1, 3*extChunk + 5}
+
+// TestExtendLegacyPeerInterop is the byte-identity proof of the chunk
+// cores: each end of an on-demand extension and of a pool fill
+// interoperates with the per-column reference peer in legacy_test.go.
+// A core that hashed the wrong buffer, skipped the XOR-back or took the
+// wrong stream would bank correlations the reference does not share,
+// and the derandomized transfers would come out wrong.
+func TestExtendLegacyPeerInterop(t *testing.T) {
+	iknp := []struct {
+		name string
+		send dhSendFunc
+		recv dhReceiveFunc
+	}{
+		{"legacy-receiver", func(c io.ReadWriter, p []Pair) error { return iknpSend(c, Insecure, p) },
+			func(c io.ReadWriter, ch Bitset) ([]label.L, error) { return legacyIKNPReceive(c, Insecure, ch) }},
+		{"legacy-sender", func(c io.ReadWriter, p []Pair) error { return legacyIKNPSend(c, Insecure, p) },
+			func(c io.ReadWriter, ch Bitset) ([]label.L, error) { return iknpReceive(c, Insecure, ch) }},
+	}
+	for _, n := range extendSizes {
+		for _, p := range iknp {
+			t.Run(fmt.Sprintf("iknp/%s/n=%d", p.name, n), func(t *testing.T) {
+				pairs := testPairs(n, uint64(n))
+				choices := NewBitset(n)
+				rng := rand.New(rand.NewSource(int64(n)))
+				for i := 0; i < n; i++ {
+					choices.Set(i, rng.Intn(2) == 1)
+				}
+				checkTransfers(t, pairs, choices, pipeTransfer(t, p.send, p.recv, pairs, choices))
+			})
+		}
+		for _, legacySender := range []bool{false, true} {
+			name := "legacy-receiver"
+			if legacySender {
+				name = "legacy-sender"
+			}
+			t.Run(fmt.Sprintf("pool/%s/n=%d", name, n), func(t *testing.T) {
+				sp, rp, cs, cr := legacyPoolPair(t, legacySender, n)
+				checkMasks(t, sp.masks)
+				derandBoth(t, sp, rp, cs, cr, sp.Level())
+			})
+		}
+	}
+}
+
+// legacyPoolPair sets up a pool pair with one end played by the legacy
+// reference, fills n and then 7 more correlations (so the transfer index
+// and the PRG streams run on across fills), and returns both banks as
+// Pools ready to derandomize.
+func legacyPoolPair(t *testing.T, legacySender bool, n int) (*Pool, *Pool, net.Conn, net.Conn) {
+	t.Helper()
+	cs, cr := net.Pipe()
+	t.Cleanup(func() { cs.Close(); cr.Close() })
+	type end struct {
+		pool   *Pool
+		legacy *legacyPool
+	}
+	run := func(c net.Conn, sender, legacy bool) (end, error) {
+		var e end
+		var err error
+		switch {
+		case legacy && sender:
+			e.legacy, err = newLegacySenderPool(c, Insecure)
+		case legacy:
+			e.legacy, err = newLegacyReceiverPool(c, Insecure)
+		case sender:
+			e.pool, err = NewSenderPool(c, Insecure)
+		default:
+			e.pool, err = NewReceiverPool(c, Insecure)
+		}
+		for _, k := range []int{n, 7} {
+			if err != nil {
+				break
+			}
+			if legacy {
+				err = e.legacy.fill(c, k)
+			} else {
+				err = e.pool.Fill(c, k)
+			}
+		}
+		if err == nil && legacy {
+			e.pool = e.legacy.bank()
+		}
+		return e, err
+	}
+	type result struct {
+		e   end
+		err error
+	}
+	sres := make(chan result, 1)
+	go func() {
+		e, err := run(cs, true, legacySender)
+		sres <- result{e, err}
+	}()
+	r, err := run(cr, false, !legacySender)
+	if err != nil {
+		t.Fatalf("receiver: %v", err)
+	}
+	s := <-sres
+	if s.err != nil {
+		t.Fatalf("sender: %v", s.err)
+	}
+	if s.e.pool.Level() != n+7 || r.pool.Level() != n+7 {
+		t.Fatalf("levels %d/%d, want %d", s.e.pool.Level(), r.pool.Level(), n+7)
+	}
+	return s.e.pool, r.pool, cs, cr
+}
+
+// checkMasks asserts a sender bank holds two distinct masks per transfer
+// whose difference is not one constant: a hash that encrypted the wrong
+// buffer banks r0 ^ r1 = const for every transfer, which a pair of equally
+// broken ends would still agree on.
+func checkMasks(t *testing.T, masks []Pair) {
+	t.Helper()
+	diffs := make(map[label.L]bool)
+	for j, m := range masks {
+		if m.M0 == m.M1 {
+			t.Fatalf("transfer %d: r0 == r1", j)
+		}
+		diffs[m.M0.Xor(m.M1)] = true
+	}
+	if len(masks) > 1 && len(diffs) == 1 {
+		t.Fatalf("r0 ^ r1 is the same for all %d transfers", len(masks))
+	}
+}
+
+// FuzzExtendChunk runs the on-demand extension between the chunk cores
+// and the legacy reference, both ways, at fuzzer-chosen sizes up to two
+// chunks and a ragged tail and at fuzzer-chosen choices.
+func FuzzExtendChunk(f *testing.F) {
+	f.Add(uint16(1), int64(1))
+	f.Add(uint16(64), int64(2))
+	f.Add(uint16(extChunk), int64(3))
+	f.Add(uint16(2*extChunk+69), int64(4))
+	f.Fuzz(func(t *testing.T, size uint16, seed int64) {
+		n := int(size)%(2*extChunk+70) + 1
+		rng := rand.New(rand.NewSource(seed))
+		pairs := testPairs(n, uint64(seed))
+		choices := NewBitset(n)
+		for i := 0; i < n; i++ {
+			choices.Set(i, rng.Intn(2) == 1)
+		}
+		send := func(c io.ReadWriter, p []Pair) error { return iknpSend(c, Insecure, p) }
+		recv := func(c io.ReadWriter, ch Bitset) ([]label.L, error) { return iknpReceive(c, Insecure, ch) }
+		legacySend := func(c io.ReadWriter, p []Pair) error { return legacyIKNPSend(c, Insecure, p) }
+		legacyRecv := func(c io.ReadWriter, ch Bitset) ([]label.L, error) { return legacyIKNPReceive(c, Insecure, ch) }
+		checkTransfers(t, pairs, choices, pipeTransfer(t, send, legacyRecv, pairs, choices))
+		checkTransfers(t, pairs, choices, pipeTransfer(t, legacySend, recv, pairs, choices))
+	})
 }

@@ -186,8 +186,8 @@ func TestPRGDeterministicAndSeedSeparated(t *testing.T) {
 // TestPRGIsAESCTR pins the column PRG to its definition — AES-128-CTR
 // under the seed, little-endian counter in the low half of the block —
 // against crypto/aes, so both ends of an extension agree whatever tier
-// internal/aes128 runs on (including odd word counts and calls longer
-// than one cipher batch).
+// internal/aes128 runs on (including odd word counts, and whole-column
+// calls of a chunk's 256 words and either side of it).
 func TestPRGIsAESCTR(t *testing.T) {
 	seed := label.L{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
 	var key [16]byte
@@ -199,7 +199,7 @@ func TestPRGIsAESCTR(t *testing.T) {
 	var p prgStream
 	p.init(seed)
 	ctr := uint64(0)
-	for _, words := range []int{1, 2, 13, 16, 40} {
+	for _, words := range []int{1, 2, 13, 16, 40, 255, 256, 257} {
 		got := make([]uint64, words)
 		p.expand(got)
 		for i := 0; i < words; i += 2 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"haac/internal/label"
 )
@@ -30,11 +31,14 @@ import (
 //	128 masked columns u_i, ceil(n/8) bytes each (identical layout to
 //	an IKNP extension chunk; no ciphertext phase follows)
 //
-// Both sides must agree on the fill size n out of band — the session
-// layer's refill op carries it. The base-OT state (the sender's secret
-// s and both sides' per-column PRG streams) persists across fills, so a
-// connection pays its base OTs exactly once no matter how many refills
-// follow.
+// The receiver writes a chunk's 128 columns as one write and the sender
+// reads them with one read; the bytes are the same as when each column
+// travelled on its own. Both ends run the IKNP chunk cores of iknp.go,
+// hashing straight into the banks below. Both sides must agree on the
+// fill size n out of band — the session layer's refill op carries it.
+// The base-OT state (the sender's secret s and both sides' per-column PRG
+// streams) persists across fills, so a connection pays its base OTs
+// exactly once no matter how many refills follow.
 //
 // Derandomization wire format, for a batch of n real transfers:
 //
@@ -69,27 +73,19 @@ const (
 // single-connection serialization provides that for free). A Pool is
 // not safe for concurrent use.
 type Pool struct {
-	sender bool
-
-	// Persistent extension state, sender role: the secret choice
-	// vector s and one PRG stream per base OT.
-	sBits []bool
-	sRow  row
-	prgs  []prgStream
-
-	// Persistent extension state, receiver role: both PRG streams per
-	// base OT.
-	prg0, prg1 []prgStream
-
-	tweak uint64 // next transfer index, monotone across fills
-	sc    *extScratch
-	rnd   []byte // receiver: per-chunk random choice bytes
+	// Persistent extension state: exactly one is set. Its transfer
+	// index runs on monotonically across fills.
+	send *extSender
+	recv *extReceiver
 
 	// Stored correlations, consumed front to back from head.
-	r0, r1 []label.L // sender: both random masks per transfer
-	rl     []label.L // receiver: the learned mask r_d per transfer
-	d      []byte    // receiver: the random choice bit per transfer
-	head   int
+	masks []Pair    // sender: both random masks (r0, r1) per transfer
+	rl    []label.L // receiver: the learned mask r_d per transfer
+	d     []byte    // receiver: the random choice bit per transfer
+	head  int
+
+	rnd   []byte   // receiver: one chunk's random choice bytes
+	rbits []uint64 // receiver: the same choices packed for the core
 
 	ein  []byte // online scratch: correction frame
 	mout []byte // online scratch: masked-pair slab
@@ -104,19 +100,11 @@ func NewSenderPool(conn io.ReadWriter, base Protocol) (*Pool, error) {
 	if base != DH && base != Insecure {
 		return nil, fmt.Errorf("ot: pool base protocol must be DH or Insecure, got %d", base)
 	}
-	sBits, sRow, err := sampleS()
+	e, err := newExtSender(conn, base)
 	if err != nil {
 		return nil, err
 	}
-	seeds, err := ReceiveBitset(conn, base, BitsetFromBools(sBits))
-	if err != nil {
-		return nil, fmt.Errorf("ot: pool base OTs: %w", err)
-	}
-	p := &Pool{sender: true, sBits: sBits, sRow: sRow, prgs: make([]prgStream, kappa)}
-	for i := range p.prgs {
-		p.prgs[i].init(seeds[i])
-	}
-	return p, nil
+	return &Pool{send: e}, nil
 }
 
 // NewReceiverPool runs the one-time base-OT setup for the choice-maker
@@ -125,28 +113,20 @@ func NewReceiverPool(conn io.ReadWriter, base Protocol) (*Pool, error) {
 	if base != DH && base != Insecure {
 		return nil, fmt.Errorf("ot: pool base protocol must be DH or Insecure, got %d", base)
 	}
-	basePairs, err := baseSeedPairs()
+	e, err := newExtReceiver(conn, base)
 	if err != nil {
 		return nil, err
 	}
-	if err := Send(conn, base, basePairs); err != nil {
-		return nil, fmt.Errorf("ot: pool base OTs: %w", err)
-	}
-	p := &Pool{prg0: make([]prgStream, kappa), prg1: make([]prgStream, kappa)}
-	for i := range p.prg0 {
-		p.prg0[i].init(basePairs[i].M0)
-		p.prg1[i].init(basePairs[i].M1)
-	}
-	return p, nil
+	return &Pool{recv: e}, nil
 }
 
 // Sender reports whether this is the message-sender side of the pool.
-func (p *Pool) Sender() bool { return p.sender }
+func (p *Pool) Sender() bool { return p.send != nil }
 
 // Level returns the number of unconsumed correlations.
 func (p *Pool) Level() int {
-	if p.sender {
-		return len(p.r0) - p.head
+	if p.send != nil {
+		return len(p.masks) - p.head
 	}
 	return len(p.rl) - p.head
 }
@@ -159,22 +139,65 @@ func (p *Pool) Fill(conn io.ReadWriter, n int) error {
 		return nil
 	}
 	p.compact()
-	p.ensureScratch(n)
+	// Grow the banks once for the whole fill; the chunks extend into the
+	// capacity.
+	if p.send != nil {
+		p.masks = slices.Grow(p.masks, n)
+	} else {
+		p.rl, p.d = slices.Grow(p.rl, n), slices.Grow(p.d, n)
+	}
 	for off := 0; off < n; off += extChunk {
-		mc := n - off
-		if mc > extChunk {
-			mc = extChunk
-		}
+		mc := min(n-off, extChunk)
 		var err error
-		if p.sender {
-			err = p.fillSendChunk(conn, mc)
+		if p.send != nil {
+			err = p.fillSend(conn, mc)
 		} else {
-			err = p.fillRecvChunk(conn, mc)
+			err = p.fillRecv(conn, mc)
 		}
 		if err != nil {
 			return err
 		}
-		p.tweak += uint64(mc)
+	}
+	return nil
+}
+
+// fillSend runs the sender side of one fill chunk, banking
+// (r0, r1) = (H(j, q_j), H(j, q_j ^ s)) per transfer.
+func (p *Pool) fillSend(r io.Reader, mc int) error {
+	k := len(p.masks)
+	p.masks = p.masks[:k+mc]
+	if err := p.send.extend(r, p.masks[k:]); err != nil {
+		p.masks = p.masks[:k]
+		return err
+	}
+	return nil
+}
+
+// fillRecv runs the receiver side of one fill chunk: draw random choice
+// bits d and bank (d_j, H(j, t_j)) per transfer.
+func (p *Pool) fillRecv(w io.Writer, mc int) error {
+	words := (mc + 63) / 64
+	p.rnd = growBytes(p.rnd, 8*words)
+	if _, err := rand.Read(p.rnd); err != nil {
+		return fmt.Errorf("ot: sampling pool choices: %w", err)
+	}
+	p.rbits = slices.Grow(p.rbits[:0], words)[:words]
+	for i := range p.rbits {
+		p.rbits[i] = binary.LittleEndian.Uint64(p.rnd[8*i:])
+	}
+	if tail := uint(mc % 64); tail != 0 {
+		p.rbits[words-1] &= 1<<tail - 1
+	}
+	k := len(p.rl)
+	p.rl = p.rl[:k+mc]
+	if err := p.recv.extend(w, p.rl[k:], p.rbits); err != nil {
+		p.rl = p.rl[:k]
+		return err
+	}
+	p.d = p.d[:k+mc]
+	d := p.d[k:]
+	for j := range d {
+		d[j] = byte(p.rbits[j>>6] >> (uint(j) & 63) & 1)
 	}
 	return nil
 }
@@ -188,7 +211,7 @@ func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
 	if n == 0 {
 		return nil
 	}
-	if !p.sender {
+	if p.send == nil {
 		return errors.New("ot: SendDerand on a receiver pool")
 	}
 	if p.Level() < n {
@@ -204,7 +227,7 @@ func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
 	p.mout = growBytes(p.mout, maskedPairBytes*n)
 	out := p.mout[:maskedPairBytes*n]
 	for j := 0; j < n; j++ {
-		r0, r1 := p.r0[p.head+j], p.r1[p.head+j]
+		r0, r1 := p.masks[p.head+j].M0, p.masks[p.head+j].M1
 		if e[j>>3]>>(uint(j)&7)&1 == 1 {
 			r0, r1 = r1, r0
 		}
@@ -229,7 +252,7 @@ func (p *Pool) ReceiveDerand(conn io.ReadWriter, choices Bitset, out []label.L) 
 	if n == 0 {
 		return nil
 	}
-	if p.sender {
+	if p.send != nil {
 		return errors.New("ot: ReceiveDerand on a sender pool")
 	}
 	if p.Level() < n {
@@ -291,148 +314,13 @@ func (p *Pool) compact() {
 	if p.head == 0 {
 		return
 	}
-	if p.sender {
-		p.r0 = p.r0[:copy(p.r0, p.r0[p.head:])]
-		p.r1 = p.r1[:copy(p.r1, p.r1[p.head:])]
+	if p.send != nil {
+		p.masks = p.masks[:copy(p.masks, p.masks[p.head:])]
 	} else {
 		p.rl = p.rl[:copy(p.rl, p.rl[p.head:])]
 		p.d = p.d[:copy(p.d, p.d[p.head:])]
 	}
 	p.head = 0
-}
-
-// ensureScratch sizes the chunk working set for a fill of n transfers;
-// it grows monotonically and is reused across fills. The ciphertext
-// slab of a plain extension is never allocated — fills have no
-// ciphertext phase.
-func (p *Pool) ensureScratch(n int) {
-	chunk := n
-	if chunk > extChunk {
-		chunk = extChunk
-	}
-	words := (chunk + 63) / 64
-	if p.sc != nil && len(p.sc.rows) >= words*64 {
-		return
-	}
-	p.sc = &extScratch{
-		cols: make([]uint64, kappa*words),
-		aux:  make([]uint64, 2*words),
-		rows: make([]row, words*64),
-		ubuf: make([]byte, words*8),
-	}
-	if !p.sender {
-		p.rnd = make([]byte, words*8)
-	}
-}
-
-// fillSendChunk runs the sender side of one fill chunk: read the masked
-// columns, build Q, transpose, and bank (H(j, q), H(j, q^s)) per row.
-func (p *Pool) fillSendChunk(conn io.ReadWriter, mc int) error {
-	colWords := (mc + 63) / 64
-	colBytes := (mc + 7) / 8
-	sc := p.sc
-
-	for i := 0; i < kappa; i++ {
-		col := sc.cols[i*colWords : (i+1)*colWords]
-		p.prgs[i].expand(col)
-		u := sc.ubuf[:colBytes]
-		if _, err := io.ReadFull(conn, u); err != nil {
-			return fmt.Errorf("ot: reading fill column %d: %w", i, err)
-		}
-		if p.sBits[i] {
-			xorBytesIntoWords(col, u)
-		}
-	}
-
-	rows := sc.rows[:colWords*64]
-	transposeColumns(rows, sc.cols[:kappa*colWords], colWords)
-
-	j := 0
-	for ; j+1 < mc; j += 2 {
-		q0 := rows[j]
-		q0s := q0
-		q0s.xor(p.sRow)
-		q1 := rows[j+1]
-		q1s := q1
-		q1s.xor(p.sRow)
-		t0, t1 := p.tweak+uint64(j), p.tweak+uint64(j)+1
-		k00, k01, k10, k11 := crHasher.Hash4(rowLabel(q0), rowLabel(q0s), rowLabel(q1), rowLabel(q1s), t0, t0, t1, t1)
-		p.r0 = append(p.r0, k00, k10)
-		p.r1 = append(p.r1, k01, k11)
-	}
-	if j < mc {
-		q := rows[j]
-		qs := q
-		qs.xor(p.sRow)
-		t := p.tweak + uint64(j)
-		p.r0 = append(p.r0, rowHash(t, q))
-		p.r1 = append(p.r1, rowHash(t, qs))
-	}
-	return nil
-}
-
-// fillRecvChunk runs the receiver side of one fill chunk: draw random
-// choice bits, send the masked columns, transpose, and bank
-// (d, H(j, t_j)) per row.
-func (p *Pool) fillRecvChunk(conn io.ReadWriter, mc int) error {
-	colWords := (mc + 63) / 64
-	colBytes := (mc + 7) / 8
-	sc := p.sc
-
-	half := len(sc.aux) / 2
-	ucol := sc.aux[:colWords]
-	rcol := sc.aux[half : half+colWords]
-	if _, err := rand.Read(p.rnd[:colWords*8]); err != nil {
-		return fmt.Errorf("ot: sampling pool choices: %w", err)
-	}
-	for w := 0; w < colWords; w++ {
-		rcol[w] = binary.LittleEndian.Uint64(p.rnd[w*8:])
-	}
-	if tail := uint(mc % 64); tail != 0 {
-		rcol[colWords-1] &= 1<<tail - 1
-	}
-
-	for i := 0; i < kappa; i++ {
-		col0 := sc.cols[i*colWords : (i+1)*colWords]
-		p.prg0[i].expand(col0)
-		p.prg1[i].expand(ucol)
-		for w := range ucol {
-			ucol[w] ^= col0[w] ^ rcol[w]
-		}
-		u := sc.ubuf[:colBytes]
-		for w := 0; w < colWords; w++ {
-			if (w+1)*8 <= colBytes {
-				binary.LittleEndian.PutUint64(u[w*8:], ucol[w])
-			} else {
-				var last [8]byte
-				binary.LittleEndian.PutUint64(last[:], ucol[w])
-				copy(u[w*8:], last[:])
-			}
-		}
-		if _, err := conn.Write(u); err != nil {
-			return fmt.Errorf("ot: sending fill column %d: %w", i, err)
-		}
-	}
-
-	rows := sc.rows[:colWords*64]
-	transposeColumns(rows, sc.cols[:kappa*colWords], colWords)
-
-	j := 0
-	for ; j+3 < mc; j += 4 {
-		t := p.tweak + uint64(j)
-		k0, k1, k2, k3 := crHasher.Hash4(rowLabel(rows[j]), rowLabel(rows[j+1]), rowLabel(rows[j+2]), rowLabel(rows[j+3]), t, t+1, t+2, t+3)
-		p.rl = append(p.rl, k0, k1, k2, k3)
-		p.d = append(p.d,
-			byte(rcol[j>>6]>>(uint(j)&63)&1),
-			byte(rcol[(j+1)>>6]>>(uint(j+1)&63)&1),
-			byte(rcol[(j+2)>>6]>>(uint(j+2)&63)&1),
-			byte(rcol[(j+3)>>6]>>(uint(j+3)&63)&1))
-	}
-	for ; j < mc; j++ {
-		p.rl = append(p.rl, rowHash(p.tweak+uint64(j), rows[j]))
-		p.d = append(p.d, byte(rcol[j>>6]>>(uint(j)&63)&1))
-	}
-	return nil
 }
 
 // growBytes returns b resized to n bytes, reallocating only when the

@@ -224,6 +224,116 @@ func FuzzDerandFrame(f *testing.F) {
 	})
 }
 
+// TestPoolFillAllocFree gates the refill path the way
+// TestPoolOnlineAllocFree gates the online one: once a warm-up fill has
+// sized the chunk scratch and the banks, and a derandomization has
+// opened the slack, a fill of the same size allocates nothing on either
+// role — no per-fill scratch, no bank growth.
+func TestPoolFillAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	sp, rp, cs, cr := newPoolPair(t, Insecure)
+	const n, rounds = extChunk + 100, 3
+	pairs := make([]Pair, n)
+	choices := NewBitset(n)
+	out := make([]label.L, n)
+	// A persistent sender goroutine keeps goroutine startup out of the
+	// measured rounds; AllocsPerRun counts allocations on all goroutines.
+	reqs := make(chan struct{}, rounds+2)
+	defer close(reqs)
+	errs := make(chan error, rounds+2)
+	go func() {
+		for range reqs {
+			err := sp.Fill(cs, n)
+			if err == nil {
+				err = sp.SendDerand(cs, pairs)
+			}
+			errs <- err
+		}
+	}()
+	round := func() {
+		reqs <- struct{}{}
+		if err := rp.Fill(cr, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.ReceiveDerand(cr, choices, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm-up: sizes the scratch and banks, then opens the slack
+	if allocs := testing.AllocsPerRun(rounds, round); allocs > 0 {
+		t.Fatalf("steady-state fill allocates %.1f times per fill, want 0", allocs)
+	}
+}
+
+// BenchmarkPoolFill: one 65 536-correlation refill — the size a
+// serve.inputs run consumes — over loopback TCP, both pools in process on
+// an Insecure base. ns/op is the wall time of the lockstep fill on both
+// ends.
+func BenchmarkPoolFill(b *testing.B) {
+	const n = 1 << 16
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c
+	}()
+	cr, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cr.Close()
+	cs, ok := <-accepted
+	if !ok {
+		b.Fatal("accept failed")
+	}
+	defer cs.Close()
+
+	var sp *Pool
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		sp, err = NewSenderPool(cs, Insecure)
+		errc <- err
+	}()
+	rp, err := NewReceiverPool(cr, Insecure)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		b.Fatal(err)
+	}
+	// Consuming whole fills keeps the banks at one fill's worth: every
+	// iteration after the first appends into the slack the last opened.
+	drain := func(p *Pool) { p.head = p.Level() }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		go func() { errc <- sp.Fill(cs, n) }()
+		if err := rp.Fill(cr, n); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			b.Fatal(err)
+		}
+		drain(sp)
+		drain(rp)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/ot")
+}
+
 // TestPoolNoReuseAcrossRefills drains and refills across compaction and
 // verifies every batch still decodes correctly — a stale or duplicated
 // correlation would desynchronize the masks and corrupt the output.
