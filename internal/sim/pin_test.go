@@ -1,0 +1,229 @@
+package sim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"haac/internal/compiler"
+	"haac/internal/workloads"
+)
+
+// Byte-identity pin for the accelerator tool chain: a digest of every
+// exported field of compiler.Compiled and sim.Result over a matrix of
+// workloads, schedules, ESW settings, GE counts and hardware variants.
+// A compiler or simulator change that is meant to be a pure speed-up
+// must leave every digest below unchanged.
+
+// digest folds fixed-width little-endian values into a 64-bit FNV-1a.
+type digest struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newDigest() *digest { return &digest{h: fnv.New64a()} }
+
+func (d *digest) u64(v uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], v)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digest) i64(v int64) { d.u64(uint64(v)) }
+
+func (d *digest) bool(v bool) {
+	if v {
+		d.u64(1)
+	} else {
+		d.u64(0)
+	}
+}
+
+func (d *digest) u32s(vs []uint32) {
+	d.u64(uint64(len(vs)))
+	for _, v := range vs {
+		d.u64(uint64(v))
+	}
+}
+
+func (d *digest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
+
+func (d *digest) compiled(cp *compiler.Compiled) {
+	p := &cp.Program
+	d.u64(uint64(len(p.Instrs)))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		d.u64(uint64(in.Op))
+		d.u64(uint64(in.A))
+		d.u64(uint64(in.B))
+		d.bool(in.Live)
+	}
+	d.u64(uint64(p.NumInputs))
+	d.u32s(p.InputAddrs)
+	d.u32s(p.OutAddrs)
+	d.u32s(p.OutputAddrs)
+	d.u64(uint64(p.MaxAddr))
+
+	d.u64(uint64(len(cp.GEOf)))
+	for _, g := range cp.GEOf {
+		d.u64(uint64(g))
+	}
+	d.u64(uint64(len(cp.Streams)))
+	for _, st := range cp.Streams {
+		d.u64(uint64(len(st)))
+		for _, j := range st {
+			d.u64(uint64(j))
+		}
+	}
+	d.u64(uint64(len(cp.OoRW)))
+	for _, q := range cp.OoRW {
+		d.u32s(q)
+	}
+	d.u64(uint64(len(cp.TablesPerGE)))
+	for _, n := range cp.TablesPerGE {
+		d.u64(uint64(n))
+	}
+	d.u64(uint64(cp.Traffic.LiveWires))
+	d.u64(uint64(cp.Traffic.OoRWires))
+	d.u64(uint64(cp.Traffic.Outputs))
+	d.bool(cp.SynthConstOne)
+}
+
+func (d *digest) result(r Result) {
+	for _, v := range []int64{
+		r.ComputeCycles, r.TrafficCycles, r.WireTrafficCycles, r.TotalCycles,
+		r.DataStallCycles, r.BankConflicts,
+		r.Events.ANDs, r.Events.XORs, r.Events.SWWReads, r.Events.SWWWrites,
+		r.Events.OoRReads, r.Events.LiveWrites, r.Events.InputLoads,
+		r.Events.TableCount, r.Events.InstrCount,
+		r.Traffic.InstrBytes, r.Traffic.TableBytes, r.Traffic.OoRBytes,
+		r.Traffic.LiveBytes, r.Traffic.InputBytes,
+	} {
+		d.i64(v)
+	}
+	d.u64(uint64(len(r.IssuedPerGE)))
+	for _, n := range r.IssuedPerGE {
+		d.i64(n)
+	}
+}
+
+// pinSWW is small enough that every VIPSuiteSmall program slides the
+// window and reads out of range.
+const pinSWW = 256
+
+var pinHW = []struct {
+	name string
+	set  func(*HW)
+}{
+	{"default", func(*HW) {}},
+	{"no-forwarding", func(h *HW) { h.Forwarding = false }},
+	{"oor-pull", func(h *HW) { h.OoRPull = true }},
+	{"garbler", func(h *HW) { h.Garbler = true }},
+	{"banks-3", func(h *HW) { h.BanksPerGE = 3 }}, // non-power-of-two bank count
+}
+
+// pinned holds, per VIPSuiteSmall program, the digests of every
+// Compiled and every Result of the matrix in TestCompileSimulatePinned.
+var pinned = map[string][2]string{
+	"BubbSt":   {"bd2766843f41aa4f", "32124467a4e8ded4"},
+	"DotProd":  {"1710c8dc1219a8dc", "8d619a98a946878b"},
+	"Merse":    {"64f47365cebfd62c", "9834c4787958efdb"},
+	"Triangle": {"1ede42109b4471df", "d91563db569cd4fc"},
+	"Hamm":     {"a74deda1af239685", "ea38b120ae9b6527"},
+	"MatMult":  {"fb548befa77925ba", "49dae9bd8de814e9"},
+	"ReLU":     {"079f1f68ea94de51", "8ed4b07cb953e1da"},
+	"GradDesc": {"7b97297f2852a0fd", "a0269c7b576cf656"},
+}
+
+func TestCompileSimulatePinned(t *testing.T) {
+	eswModes := []struct{ esw, noSWW bool }{{true, false}, {false, false}, {false, true}}
+	for _, w := range workloads.VIPSuiteSmall() {
+		c := w.Build()
+		dc, dr := newDigest(), newDigest()
+		oor := 0
+		for _, mode := range []compiler.ReorderMode{compiler.Baseline, compiler.FullReorder, compiler.SegmentReorder} {
+			for _, em := range eswModes {
+				for _, nge := range []int{1, 4, 16} {
+					for _, garbler := range []bool{false, true} {
+						cp, err := compiler.Compile(c, compiler.Config{
+							Reorder: mode, ESW: em.esw, NoSWW: em.noSWW,
+							SWWWires: pinSWW, NumGEs: nge, GarblerPipeline: garbler,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", w.Name, err)
+						}
+						dc.compiled(cp)
+						if !em.noSWW {
+							oor += cp.Traffic.OoRWires
+						}
+						for _, v := range pinHW {
+							hw := DefaultHW()
+							hw.NumGEs, hw.SWWWires = nge, pinSWW
+							v.set(&hw)
+							if hw.Garbler != garbler {
+								continue
+							}
+							r, err := Simulate(cp, hw)
+							if err != nil {
+								t.Fatalf("%s/%v/%s: %v", w.Name, mode, v.name, err)
+							}
+							dr.result(r)
+						}
+					}
+				}
+			}
+		}
+		if oor == 0 {
+			t.Errorf("%s: no out-of-range reads at a %d-wire SWW; the pin misses the OoRW path", w.Name, pinSWW)
+		}
+		got := [2]string{dc.sum(), dr.sum()}
+		if got != pinned[w.Name] {
+			t.Errorf("%s: digests (Compiled, Result) = %q, pinned %q", w.Name, got, pinned[w.Name])
+		}
+	}
+}
+
+// pinnedTraced and pinnedCoupled are the digests of one SimulateTraced
+// and one SimulateCoupled run.
+const (
+	pinnedTraced  = "f7b66fc3c7b31cd6"
+	pinnedCoupled = "fceb03f14ccd73bf"
+)
+
+func TestTracedAndCoupledPinned(t *testing.T) {
+	hw := DefaultHW()
+	hw.NumGEs, hw.SWWWires = 4, pinSWW
+	cp := compileFor(t, workloads.MatMult(3, 16), hw, compiler.FullReorder)
+
+	res, tr, err := SimulateTraced(cp, hw, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDigest()
+	d.result(res)
+	d.i64(tr.CyclesPerBucket)
+	for _, row := range tr.Occupancy {
+		d.u64(uint64(len(row)))
+		for _, v := range row {
+			d.u64(uint64(math.Float32bits(v)))
+		}
+	}
+	if got := d.sum(); got != pinnedTraced {
+		t.Errorf("SimulateTraced digest %s, pinned %s", got, pinnedTraced)
+	}
+
+	cr, err := SimulateCoupled(cp, hw, DefaultQueues())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = newDigest()
+	for _, v := range []int64{cr.TotalCycles, cr.InstrStalls, cr.TableStalls, cr.OoRWStalls,
+		cr.WriteStalls, cr.DataStalls, cr.DecoupledCycles} {
+		d.i64(v)
+	}
+	if got := d.sum(); got != pinnedCoupled {
+		t.Errorf("SimulateCoupled digest %s, pinned %s", got, pinnedCoupled)
+	}
+}
