@@ -75,7 +75,8 @@ type Config struct {
 	// derives them from the PC) but the window filters nothing. Used
 	// for Fig. 6's green "Baseline" bars.
 	NoSWW bool
-	// NumGEs is the gate-engine count used for stream partitioning.
+	// NumGEs is the gate-engine count used for stream partitioning,
+	// 1..MaxGEs.
 	NumGEs int
 	// GarblerPipeline selects the 21-stage Garbler AND latency for the
 	// partitioning scheduler instead of the 18-stage Evaluator one.
@@ -92,6 +93,10 @@ func DefaultConfig() Config {
 		NumGEs:   16,
 	}
 }
+
+// MaxGEs is the largest gate-engine count a program can be compiled
+// for: Compiled.GEOf holds a GE index in one byte.
+const MaxGEs = 256
 
 // Pipeline depths (§3.2): the Half-Gate units are 21-stage (Garbler) and
 // 18-stage (Evaluator); FreeXOR completes in a single cycle.
@@ -150,9 +155,12 @@ type Compiled struct {
 	GEOf []uint8
 	// Streams holds per-GE instruction indices (into Program.Instrs) in
 	// issue order; hardware fetches these via the instruction queues.
+	// The streams are capped sub-slices of one slab, GE after GE:
+	// appending to one reallocates it rather than overwriting the next.
 	Streams [][]int32
 	// OoRW holds, per GE, the logical wire addresses its OoRW queue
-	// delivers, in consumption order.
+	// delivers, in consumption order. Like Streams, the queues are
+	// capped sub-slices of one slab.
 	OoRW [][]uint32
 	// TablesPerGE counts AND instructions per GE (table queue depths).
 	TablesPerGE []int
@@ -172,8 +180,8 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	if cfg.SWWWires < 4 {
 		return nil, fmt.Errorf("compiler: SWW capacity %d too small", cfg.SWWWires)
 	}
-	if cfg.NumGEs < 1 {
-		return nil, fmt.Errorf("compiler: need at least one GE")
+	if cfg.NumGEs < 1 || cfg.NumGEs > MaxGEs {
+		return nil, fmt.Errorf("compiler: %d GEs, need 1..%d", cfg.NumGEs, MaxGEs)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)

@@ -142,6 +142,9 @@ func TestRenamingSequentialAndSkipsSentinel(t *testing.T) {
 		if v%(1<<isa.AddrBits) == 0 {
 			t.Fatalf("allocator produced sentinel-colliding address %d", v)
 		}
+		if r := allocRank(v); r != i {
+			t.Fatalf("allocRank(%d) = %d, want %d", v, r, i)
+		}
 		prev = v
 	}
 }
@@ -286,6 +289,26 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	if _, err := Compile(c, Config{SWWWires: 64, NumGEs: 1, Reorder: ReorderMode(9)}); err == nil {
 		t.Fatal("unknown reorder mode accepted")
 	}
+	// GEOf holds a GE index in one byte.
+	if _, err := Compile(c, Config{SWWWires: 64, NumGEs: MaxGEs + 1, Reorder: Baseline}); err == nil {
+		t.Fatal("more than MaxGEs GEs accepted")
+	}
+}
+
+func TestMaxGEsProgramExecutes(t *testing.T) {
+	// At MaxGEs every GE index still fits GEOf, so the OoRW queues the
+	// replay pops are the ones partition filled.
+	cfg := Config{Reorder: FullReorder, ESW: true, SWWWires: 64, NumGEs: MaxGEs}
+	cp := checkWorkload(t, workloads.Hamming(4096), cfg, 5)
+	used := 0
+	for _, q := range cp.OoRW {
+		if len(q) > 0 {
+			used++
+		}
+	}
+	if used <= MaxGEs/2 {
+		t.Fatalf("only %d of %d GEs have OoRW entries; the test should reach the high GE indices", used, MaxGEs)
+	}
 }
 
 // randomCircuit mirrors the gc package's generator.
@@ -351,4 +374,22 @@ func TestAnalyzeReuse(t *testing.T) {
 	if st.String() == "" {
 		t.Fatal("empty rendering")
 	}
+}
+
+func BenchmarkCompile(b *testing.B) {
+	// The full suite's MatMult(8, 32), about 1.6M instructions, at the
+	// paper's design point.
+	c := workloads.MatMult(8, 32).Build()
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		cp, err := Compile(c, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(cp.Program.Instrs)
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }

@@ -5,6 +5,12 @@ import (
 	"haac/internal/isa"
 )
 
+// The compile pipeline is flat. assemble writes the instruction list
+// once, in gate order; the scheduling passes (depth-first baseline,
+// level reordering) only permute one []int32 of indices into it; rename
+// gathers the final program through that permutation in one pass; and
+// partition writes every per-GE stream and queue into one slab each.
+
 // aInstr is an assembled instruction still carrying circuit wire ids.
 type aInstr struct {
 	op   isa.Op
@@ -14,7 +20,11 @@ type aInstr struct {
 
 // asmState carries the program between passes.
 type asmState struct {
+	// instrs is the assembled instruction list, in gate order.
 	instrs []aInstr
+	// order is the schedule: every index of instrs exactly once, in
+	// program order.
+	order []int32
 	// inputWires lists the circuit's input-like wires, in order, plus a
 	// synthetic constant-one wire if INV lowering required one.
 	inputWires []uint32
@@ -25,7 +35,7 @@ type asmState struct {
 
 // assemble lowers the circuit into HAAC's two-opcode form (§3.1.3) —
 // XOR and AND survive, INV becomes XOR with a constant-one wire — and
-// then rewrites the gate list into the depth-first schedule EMP-produced
+// then schedules the gate list in the depth-first order EMP-produced
 // netlists have (§4.2.1: "instructions are scheduled following a
 // depth-first circuit traversal, i.e., in tight producer-consumer
 // relationships"). That order is the paper's Baseline; the reordering
@@ -39,8 +49,9 @@ func assemble(c *circuit.Circuit) *asmState {
 func assembleRaw(c *circuit.Circuit) *asmState {
 	s := &asmState{numCircuitWires: c.NumWires}
 	nin := c.NumInputs()
-	for w := 0; w < nin; w++ {
-		s.inputWires = append(s.inputWires, uint32(w))
+	s.inputWires = make([]uint32, nin, nin+1)
+	for w := range s.inputWires {
+		s.inputWires[w] = uint32(w)
 	}
 
 	constOne := uint32(0)
@@ -49,14 +60,14 @@ func assembleRaw(c *circuit.Circuit) *asmState {
 		constOne = c.Const1
 		haveConst = true
 	}
-	s.instrs = make([]aInstr, 0, len(c.Gates))
+	s.instrs = make([]aInstr, len(c.Gates))
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		switch g.Op {
 		case circuit.XOR:
-			s.instrs = append(s.instrs, aInstr{op: isa.XOR, a: g.A, b: g.B, out: g.C})
+			s.instrs[i] = aInstr{op: isa.XOR, a: g.A, b: g.B, out: g.C}
 		case circuit.AND:
-			s.instrs = append(s.instrs, aInstr{op: isa.AND, a: g.A, b: g.B, out: g.C})
+			s.instrs[i] = aInstr{op: isa.AND, a: g.A, b: g.B, out: g.C}
 		case circuit.INV:
 			if !haveConst {
 				// Append a synthetic constant-one input wire.
@@ -66,20 +77,21 @@ func assembleRaw(c *circuit.Circuit) *asmState {
 				s.synthConstOne = true
 				haveConst = true
 			}
-			s.instrs = append(s.instrs, aInstr{op: isa.XOR, a: g.A, b: constOne, out: g.C})
+			s.instrs[i] = aInstr{op: isa.XOR, a: g.A, b: constOne, out: g.C}
 		}
 	}
 	return s
 }
 
-// depthFirst rewrites the instruction list into a depth-first traversal
-// from the circuit outputs: each gate is emitted immediately after the
-// subtrees producing its operands, yielding the tight producer-consumer
-// chains characteristic of EMP netlists. Gates that feed no output
-// (dead code kept for fidelity) are traversed afterwards in original
-// order. The result is a valid execution order.
+// depthFirst sets the schedule to a depth-first traversal from the
+// circuit outputs: each gate is emitted immediately after the subtrees
+// producing its operands, yielding the tight producer-consumer chains
+// characteristic of EMP netlists. Gates that feed no output (dead code
+// kept for fidelity) are traversed afterwards in original order. The
+// result is a valid execution order.
 func (s *asmState) depthFirst(c *circuit.Circuit) {
 	n := len(s.instrs)
+	s.order = make([]int32, 0, n)
 	if n == 0 {
 		return
 	}
@@ -92,9 +104,10 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 		prod[s.instrs[i].out] = int32(i)
 	}
 
-	order := make([]aInstr, 0, n)
 	state := make([]uint8, n) // 0 unvisited, 1 expanded, 2 emitted
-	var stack []int32
+	// The stack holds at most two entries per gate on the current path,
+	// so it grows with the circuit's depth, not its size.
+	stack := make([]int32, 0, 1024)
 
 	visit := func(root int32) {
 		if root < 0 || state[root] == 2 {
@@ -109,7 +122,7 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 			}
 			if state[g] == 1 {
 				state[g] = 2
-				order = append(order, s.instrs[g])
+				s.order = append(s.order, g)
 				stack = stack[:len(stack)-1]
 				continue
 			}
@@ -133,71 +146,61 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 			visit(int32(i))
 		}
 	}
-	s.instrs = order
 }
 
-// reorder rewrites the instruction list in dependence-level order within
-// consecutive segments of segSize instructions (§4.2.1). segSize >= the
-// program length gives Full Reorder. The sort is stable within a level,
-// preserving the baseline's locality as a tiebreak.
+// reorder level-orders the schedule within consecutive segments of
+// segSize instructions (§4.2.1); segSize >= the program length gives
+// Full Reorder. Levels are numbered across the whole program with a
+// running base, the way circuit.scheduleSegments numbers its steps: an
+// instruction sits one level above its latest producer but never below
+// the first level of its own segment, so each segment's levels lie above
+// every level of the segments before it. One stable counting sort of the
+// whole schedule by level is therefore a stable level sort inside every
+// segment, keeping the baseline's order as the tiebreak within a level.
 func (s *asmState) reorder(segSize int) {
 	if segSize < 1 {
 		segSize = 1
 	}
-	wlvl := make([]int32, s.numCircuitWires)
-	wseg := make([]int32, s.numCircuitWires)
-	for i := range wseg {
-		wseg[i] = -1
-	}
-	out := make([]aInstr, 0, len(s.instrs))
-	var levels []int32
-	var buckets [][]int32
-
-	for segStart := 0; segStart < len(s.instrs); segStart += segSize {
-		end := segStart + segSize
-		if end > len(s.instrs) {
-			end = len(s.instrs)
+	wireLvl := make([]int32, s.numCircuitWires)
+	lvl := make([]int32, len(s.order)) // level per schedule position
+	var base, top int32
+	left := 0 // instructions left in the current segment
+	for pos, i := range s.order {
+		if left == 0 {
+			base, left = top, segSize
 		}
-		seg := s.instrs[segStart:end]
-		segID := int32(segStart)
-
-		levels = levels[:0]
-		maxLvl := int32(0)
-		for i := range seg {
-			in := &seg[i]
-			var l int32
-			if wseg[in.a] == segID {
-				l = wlvl[in.a]
-			}
-			if wseg[in.b] == segID && wlvl[in.b] > l {
-				l = wlvl[in.b]
-			}
-			l++
-			wlvl[in.out] = l
-			wseg[in.out] = segID
-			levels = append(levels, l)
-			if l > maxLvl {
-				maxLvl = l
-			}
+		left--
+		in := &s.instrs[i]
+		k := base
+		if l := wireLvl[in.a]; l > k {
+			k = l
 		}
-		// Bucket the segment's instructions by level, preserving order.
-		if cap(buckets) < int(maxLvl)+1 {
-			buckets = make([][]int32, maxLvl+1)
+		if l := wireLvl[in.b]; l > k {
+			k = l
 		}
-		buckets = buckets[:maxLvl+1]
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-		for i, l := range levels {
-			buckets[l] = append(buckets[l], int32(i))
-		}
-		for l := int32(1); l <= maxLvl; l++ {
-			for _, i := range buckets[l] {
-				out = append(out, seg[i])
-			}
+		k++
+		wireLvl[in.out] = k
+		lvl[pos] = k
+		if k > top {
+			top = k
 		}
 	}
-	s.instrs = out
+	// next[k] is the write cursor of level k in the sorted schedule.
+	next := make([]int32, top+1)
+	for _, k := range lvl {
+		next[k]++
+	}
+	sum := int32(0)
+	for k, n := range next {
+		next[k] = sum
+		sum += n
+	}
+	out := make([]int32, len(s.order))
+	for pos, k := range lvl {
+		out[next[k]] = s.order[pos]
+		next[k]++
+	}
+	s.order = out
 }
 
 // addrAllocator hands out logical wire addresses, starting at 1 and
@@ -216,6 +219,12 @@ func (a *addrAllocator) alloc() uint32 {
 	return v
 }
 
+// allocRank inverts the allocator: the 0-based position of addr in its
+// sequence 1, 2, 3, ..., which skips multiples of 2^17.
+func allocRank(addr uint32) int {
+	return int(addr) - 1 - int(addr>>isa.AddrBits)
+}
+
 // rename performs the §4.2.2 pass: every input wire and then every
 // instruction output, in (post-reorder) program order, receives the next
 // sequential logical address; instruction inputs are rewritten through
@@ -228,24 +237,24 @@ func (s *asmState) rename(c *circuit.Circuit) isa.Program {
 	p := isa.Program{
 		NumInputs:  len(s.inputWires),
 		InputAddrs: make([]uint32, len(s.inputWires)),
-		Instrs:     make([]isa.Instr, len(s.instrs)),
-		OutAddrs:   make([]uint32, len(s.instrs)),
+		Instrs:     make([]isa.Instr, len(s.order)),
+		OutAddrs:   make([]uint32, len(s.order)),
 	}
 	for i, w := range s.inputWires {
 		a := alloc.alloc()
 		addrOf[w] = a
 		p.InputAddrs[i] = a
 	}
-	for i := range s.instrs {
+	for pos, i := range s.order {
 		in := &s.instrs[i]
-		p.Instrs[i] = isa.Instr{
+		p.Instrs[pos] = isa.Instr{
 			Op: in.op,
 			A:  addrOf[in.a],
 			B:  addrOf[in.b],
 		}
 		o := alloc.alloc()
 		addrOf[in.out] = o
-		p.OutAddrs[i] = o
+		p.OutAddrs[pos] = o
 	}
 	p.OutputAddrs = make([]uint32, len(c.Outputs))
 	for i, o := range c.Outputs {
@@ -261,24 +270,25 @@ func (s *asmState) rename(c *circuit.Circuit) isa.Program {
 // instruction reads it as OoR, or when it is a program output. The
 // instruction fields of OoR inputs are replaced by the reserved address
 // 0; the original addresses are kept aside to fill the OoRW queues.
+//
+// Renaming allocated the inputs first and then one address per
+// instruction in program order, so the producer of an address is its
+// allocation rank minus the input count (negative for an input).
 func (cp *Compiled) markOoRAndLive(cfg Config) {
 	p := &cp.Program
 	n := cfg.SWWWires
-
-	// addr -> producing instruction (or -1 for inputs).
-	prodOf := make([]int32, p.MaxAddr+1)
-	for i := range prodOf {
-		prodOf[i] = -1
-	}
-	for i, o := range p.OutAddrs {
-		prodOf[o] = int32(i)
-	}
+	nin := p.NumInputs
 
 	cp.oorA = make([]uint32, len(p.Instrs))
 	cp.oorB = make([]uint32, len(p.Instrs))
-	live := make([]bool, len(p.Instrs))
 
-	oorReads := 0
+	oorReads, liveCount := 0, 0
+	markLive := func(addr uint32) {
+		if pr := allocRank(addr) - nin; pr >= 0 && !p.Instrs[pr].Live {
+			p.Instrs[pr].Live = true
+			liveCount++
+		}
+	}
 	for j := range p.Instrs {
 		in := &p.Instrs[j]
 		if in.Op == isa.NOP {
@@ -290,32 +300,19 @@ func (cp *Compiled) markOoRAndLive(cfg Config) {
 		}
 		if in.A < lo {
 			cp.oorA[j] = in.A
-			if pr := prodOf[in.A]; pr >= 0 {
-				live[pr] = true
-			}
+			markLive(in.A)
 			in.A = isa.OoR
 			oorReads++
 		}
 		if in.B < lo {
 			cp.oorB[j] = in.B
-			if pr := prodOf[in.B]; pr >= 0 {
-				live[pr] = true
-			}
+			markLive(in.B)
 			in.B = isa.OoR
 			oorReads++
 		}
 	}
 	for _, o := range p.OutputAddrs {
-		if pr := prodOf[o]; pr >= 0 {
-			live[pr] = true
-		}
-	}
-	liveCount := 0
-	for j := range p.Instrs {
-		if live[j] {
-			p.Instrs[j].Live = true
-			liveCount++
-		}
+		markLive(o)
 	}
 	cp.Traffic = Traffic{
 		LiveWires: liveCount,
@@ -329,31 +326,35 @@ func (cp *Compiled) markOoRAndLive(cfg Config) {
 // the gate engine that can issue it earliest (matching "mapping
 // instructions ... to non-stalled GEs each cycle"). The resulting per-GE
 // streams, table queues and OoRW queues are exactly what the hardware
-// replays; the cycle simulator re-derives timing from them.
+// replays; the cycle simulator re-derives timing from them. The
+// scheduling loop counts each GE's instructions and queue entries, so
+// the streams and queues are then filled into one slab each.
 func (cp *Compiled) partition() {
 	p := &cp.Program
-	cfg := cp.Cfg
-	nge := cfg.NumGEs
-	andLat := int64(cfg.ANDLatency())
+	nge := cp.Cfg.NumGEs
+	andLat := int64(cp.Cfg.ANDLatency())
 
 	ready := make([]int64, p.MaxAddr+1) // cycle the wire's value is usable
 	geFree := make([]int64, nge)
+	// Per GE: instructions and OoRW entries, counted and then turned
+	// into the slab offsets of its stream and queue.
+	nInstr := make([]int, nge)
+	nOoR := make([]int, nge)
 	cp.GEOf = make([]uint8, len(p.Instrs))
-	cp.Streams = make([][]int32, nge)
-	cp.OoRW = make([][]uint32, nge)
 	cp.TablesPerGE = make([]int, nge)
 
 	for j := range p.Instrs {
 		in := &p.Instrs[j]
+		oa, ob := cp.oorA[j], cp.oorB[j]
 		var t0 int64
 		if in.Op != isa.NOP {
 			a := in.A
 			if a == isa.OoR {
-				a = cp.oorA[j]
+				a = oa
 			}
 			b := in.B
 			if b == isa.OoR {
-				b = cp.oorB[j]
+				b = ob
 			}
 			t0 = ready[a]
 			if rb := ready[b]; rb > t0 {
@@ -366,13 +367,12 @@ func (cp *Compiled) partition() {
 		// readiness does NOT steer the choice — that head-of-line
 		// behaviour is what makes baseline (depth-first) schedules slow
 		// and reordering valuable (§4.2.1).
-		g := 0
+		g, issue := 0, geFree[0]
 		for k := 1; k < nge; k++ {
-			if geFree[k] < geFree[g] {
-				g = k
+			if f := geFree[k]; f < issue {
+				g, issue = k, f
 			}
 		}
-		issue := geFree[g]
 		if t0 > issue {
 			issue = t0 // the GE sits stalled until the operands arrive
 		}
@@ -384,12 +384,38 @@ func (cp *Compiled) partition() {
 		}
 		ready[p.OutAddrs[j]] = issue + lat
 		cp.GEOf[j] = uint8(g)
-		cp.Streams[g] = append(cp.Streams[g], int32(j))
-		if cp.oorA[j] != 0 {
-			cp.OoRW[g] = append(cp.OoRW[g], cp.oorA[j])
+		nInstr[g]++
+		if oa != 0 {
+			nOoR[g]++
 		}
-		if cp.oorB[j] != 0 {
-			cp.OoRW[g] = append(cp.OoRW[g], cp.oorB[j])
+		if ob != 0 {
+			nOoR[g]++
+		}
+	}
+
+	streams := make([]int32, len(p.Instrs))
+	oorw := make([]uint32, cp.Traffic.OoRWires)
+	cp.Streams = make([][]int32, nge)
+	cp.OoRW = make([][]uint32, nge)
+	si, oi := 0, 0
+	for g := 0; g < nge; g++ {
+		cp.Streams[g] = streams[si : si+nInstr[g] : si+nInstr[g]]
+		cp.OoRW[g] = oorw[oi : oi+nOoR[g] : oi+nOoR[g]]
+		nInstr[g], nOoR[g] = si, oi // now each GE's write cursor
+		si += len(cp.Streams[g])
+		oi += len(cp.OoRW[g])
+	}
+	for j, g8 := range cp.GEOf {
+		g := int(g8)
+		streams[nInstr[g]] = int32(j)
+		nInstr[g]++
+		if a := cp.oorA[j]; a != 0 {
+			oorw[nOoR[g]] = a
+			nOoR[g]++
+		}
+		if b := cp.oorB[j]; b != 0 {
+			oorw[nOoR[g]] = b
+			nOoR[g]++
 		}
 	}
 }

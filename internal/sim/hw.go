@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"time"
 
+	"haac/internal/compiler"
 	"haac/internal/gc"
 	"haac/internal/isa"
 )
@@ -39,7 +40,8 @@ var HBM2 = DRAM{Name: "HBM2", Bandwidth: 512e9}
 
 // HW describes an accelerator configuration.
 type HW struct {
-	// NumGEs is the gate-engine count (1..16 in the paper's sweeps).
+	// NumGEs is the gate-engine count (1..16 in the paper's sweeps; at
+	// most compiler.MaxGEs).
 	NumGEs int
 	// SWWWires is the sliding-wire-window capacity in wires
 	// (2 MB / 16 B = 131072 for the paper's default).
@@ -88,8 +90,8 @@ func DefaultHW() HW {
 
 // Validate checks the configuration.
 func (hw HW) Validate() error {
-	if hw.NumGEs < 1 {
-		return fmt.Errorf("sim: NumGEs must be >= 1")
+	if hw.NumGEs < 1 || hw.NumGEs > compiler.MaxGEs {
+		return fmt.Errorf("sim: NumGEs must be 1..%d", compiler.MaxGEs)
 	}
 	if hw.SWWWires < 4 {
 		return fmt.Errorf("sim: SWWWires too small")

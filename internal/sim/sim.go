@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"haac/internal/compiler"
 	"haac/internal/isa"
@@ -49,99 +50,153 @@ func (res *Result) computePhase(cp *compiler.Compiled) {
 	res.computePhaseTraced(cp, nil)
 }
 
+// simInstr is one instruction as its GE's replay reads it: the operand
+// addresses (isa.OoR for a queue operand), the output address and the
+// opcode.
+type simInstr struct {
+	a, b, out uint32
+	op        isa.Op
+}
+
+// geState is one gate engine's replay state.
+type geState struct {
+	pos, end int   // next and end index of the GE's run of records
+	free     int64 // first cycle the engine can issue again
+	// Pull-based OoR state (ablation): the record whose DRAM pull is in
+	// flight (-1 for none) and when it lands.
+	pullPos   int
+	pullReady int64
+}
+
 // computePhaseTraced additionally reports each issue event (GE, cycle)
 // to rec when non-nil; used by SimulateTraced.
 func (res *Result) computePhaseTraced(cp *compiler.Compiled, rec func(int, int64)) {
 	hw := res.HW
 	p := &cp.Program
 	nge := hw.NumGEs
-	andLat := hw.ANDLatency()
-	fwd := hw.Forwarding
+
+	// Gather each GE's stream into one contiguous run of records, in one
+	// sequential pass over the program (a stream lists its instructions
+	// in program order). Every instruction issues exactly once, so the
+	// event counts are counts over the program, taken in the same pass.
+	recs := make([]simInstr, len(p.Instrs))
+	ges := make([]geState, nge)
+	res.IssuedPerGE = make([]int64, nge)
+	off := 0
+	for g := range ges {
+		ges[g] = geState{pos: off, end: off, pullPos: -1}
+		off += len(cp.Streams[g])
+		res.IssuedPerGE[g] = int64(len(cp.Streams[g]))
+	}
+	ev := Events{
+		SWWWrites:  int64(len(p.Instrs)),
+		InstrCount: int64(len(p.Instrs)),
+		InputLoads: int64(p.NumInputs),
+	}
+	for j := range p.Instrs {
+		in := &p.Instrs[j]
+		st := &ges[cp.GEOf[j]]
+		recs[st.end] = simInstr{a: in.A, b: in.B, out: p.OutAddrs[j], op: in.Op}
+		st.end++
+		if in.Live {
+			ev.LiveWrites++
+		}
+		switch in.Op {
+		case isa.NOP:
+			continue
+		case isa.AND:
+			ev.ANDs++
+		case isa.XOR:
+			ev.XORs++
+		}
+		for _, f := range [2]uint32{in.A, in.B} {
+			if f == isa.OoR {
+				ev.OoRReads++
+			} else {
+				ev.SWWReads++
+			}
+		}
+	}
+	ev.TableCount = ev.ANDs
+	res.Events = ev
+
+	// Completion latency after issue, by opcode.
+	xorLat, andLat := int64(1), hw.ANDLatency()
+	if !hw.Forwarding {
+		xorLat += writeBackPenalty
+		andLat += writeBackPenalty
+	}
 
 	ready := make([]int64, p.MaxAddr+1)
-	ptr := make([]int, nge) // index into each GE's stream
-	geFree := make([]int64, nge)
-	res.IssuedPerGE = make([]int64, nge)
-
 	nBanks := nge * hw.BanksPerGE
+	// bankOf is a mask when the bank count is a power of two.
+	bankMask := uint32(nBanks - 1)
+	pow2 := nBanks&(nBanks-1) == 0
+	bankOf := func(a uint32) int32 {
+		if pow2 {
+			return int32(a & bankMask)
+		}
+		return int32(a % uint32(nBanks))
+	}
 	slots := hw.bankSlots()
 	bankUse := make([]int16, nBanks)
 	usedBanks := make([]int32, 0, 2*nge)
 
-	// Pull-based OoR state (ablation): per GE, the stream position whose
-	// DRAM pull is in flight and when it lands.
-	pullPtr := make([]int, nge)
-	pullReady := make([]int64, nge)
-	for g := range pullPtr {
-		pullPtr[g] = -1
-	}
-
-	remaining := len(p.Instrs)
+	remaining := len(recs)
 	cycle := int64(0)
 	var dataStalls, bankConflicts int64
 
-	instrs := p.Instrs
-	outAddrs := p.OutAddrs
-
 	for remaining > 0 {
 		issued := false
-		nextEvent := int64(-1)
-		note := func(t int64) {
-			if t > cycle && (nextEvent < 0 || t < nextEvent) {
-				nextEvent = t
-			}
-		}
+		// nextEvent is the earliest cycle after this one at which a
+		// blocked GE can make progress.
+		nextEvent := int64(math.MaxInt64)
 
-		for g := 0; g < nge; g++ {
-			st := cp.Streams[g]
-			if ptr[g] >= len(st) {
+		for g := range ges {
+			st := &ges[g]
+			if st.pos >= st.end {
 				continue
 			}
-			if geFree[g] > cycle {
-				note(geFree[g])
+			if st.free > cycle {
+				nextEvent = min(nextEvent, st.free)
 				continue
 			}
-			j := st[ptr[g]]
-			in := &instrs[j]
+			in := &recs[st.pos]
 
 			// Operand readiness. OoR operands come from the GE-local
 			// queue: under the push model the compiler guarantees they
 			// arrived long before (§3.1.4), so they are always ready.
 			var t0 int64
-			aOoR := in.A == isa.OoR
-			bOoR := in.B == isa.OoR
-			if in.Op != isa.NOP {
+			aOoR := in.a == isa.OoR
+			bOoR := in.b == isa.OoR
+			if in.op != isa.NOP {
 				if !aOoR {
-					if r := ready[in.A]; r > t0 {
-						t0 = r
-					}
+					t0 = max(t0, ready[in.a])
 				}
 				if !bOoR {
-					if r := ready[in.B]; r > t0 {
-						t0 = r
-					}
+					t0 = max(t0, ready[in.b])
 				}
 			}
 			if t0 > cycle {
 				dataStalls++
-				note(t0)
+				nextEvent = min(nextEvent, t0)
 				continue
 			}
 			// Pull-based OoR ablation: the first time an in-order GE
 			// reaches an instruction with an OoR operand it launches a
 			// DRAM access and stalls for the round trip.
 			if hw.OoRPull && (aOoR || bOoR) {
-				if pullPtr[g] != ptr[g] {
-					pullPtr[g] = ptr[g]
+				if st.pullPos != st.pos {
+					st.pullPos = st.pos
 					n := int64(1)
 					if aOoR && bOoR {
 						n = 2
 					}
-					pullReady[g] = cycle + n*hw.DRAMLatencyCycles
+					st.pullReady = cycle + n*hw.DRAMLatencyCycles
 				}
-				if pullReady[g] > cycle {
+				if st.pullReady > cycle {
 					dataStalls++
-					note(pullReady[g])
+					nextEvent = min(nextEvent, st.pullReady)
 					continue
 				}
 			}
@@ -150,15 +205,15 @@ func (res *Result) computePhaseTraced(cp *compiler.Compiled, rec func(int, int64
 			// from one bank than a cycle provides may still proceed when
 			// the bank is idle (the read stages serialize it), but two
 			// instructions cannot oversubscribe the same bank.
-			if in.Op != isa.NOP {
+			if in.op != isa.NOP {
 				var ba, bb int32 = -1, -1
 				needA, needB := 0, 0
 				if !aOoR {
-					ba = int32(in.A) % int32(nBanks)
+					ba = bankOf(in.a)
 					needA = 1
 				}
 				if !bOoR {
-					bb = int32(in.B) % int32(nBanks)
+					bb = bankOf(in.b)
 					needB = 1
 				}
 				conflict := false
@@ -181,7 +236,7 @@ func (res *Result) computePhaseTraced(cp *compiler.Compiled, rec func(int, int64
 				}
 				if conflict {
 					bankConflicts++
-					note(cycle + 1)
+					nextEvent = min(nextEvent, cycle+1)
 					continue
 				}
 				if ba >= 0 {
@@ -189,87 +244,56 @@ func (res *Result) computePhaseTraced(cp *compiler.Compiled, rec func(int, int64
 						usedBanks = append(usedBanks, ba)
 					}
 					bankUse[ba]++
-					res.Events.SWWReads++
 				}
 				if bb >= 0 {
 					if bankUse[bb] == 0 {
 						usedBanks = append(usedBanks, bb)
 					}
 					bankUse[bb]++ // may exceed slots for a serialized burst
-					res.Events.SWWReads++
-				}
-				if aOoR {
-					res.Events.OoRReads++
-				}
-				if bOoR {
-					res.Events.OoRReads++
 				}
 			}
 
 			// Issue.
-			lat := int64(1)
-			switch in.Op {
-			case isa.AND:
-				lat = andLat
-				res.Events.ANDs++
-			case isa.XOR:
-				res.Events.XORs++
+			done := cycle + xorLat
+			if in.op == isa.AND {
+				done = cycle + andLat
 			}
-			done := cycle + lat
-			if !fwd {
-				done += writeBackPenalty
-			}
-			ready[outAddrs[j]] = done
-			res.Events.SWWWrites++
-			geFree[g] = cycle + 1
-			ptr[g]++
+			ready[in.out] = done
+			st.free = cycle + 1
+			st.pos++
 			remaining--
-			res.IssuedPerGE[g]++
 			if rec != nil {
 				rec(g, cycle)
 			}
 			issued = true
 		}
 
-		if issued {
-			cycle++
-			for _, b := range usedBanks {
-				bankUse[b] = 0
-			}
-			usedBanks = usedBanks[:0]
-		} else if nextEvent > cycle {
+		if !issued && nextEvent != math.MaxInt64 {
 			cycle = nextEvent
-			for _, b := range usedBanks {
-				bankUse[b] = 0
-			}
-			usedBanks = usedBanks[:0]
 		} else {
 			cycle++
-			for _, b := range usedBanks {
-				bankUse[b] = 0
-			}
-			usedBanks = usedBanks[:0]
 		}
+		for _, b := range usedBanks {
+			bankUse[b] = 0
+		}
+		usedBanks = usedBanks[:0]
 	}
 
 	res.ComputeCycles = cycle
 	res.DataStallCycles = dataStalls
 	res.BankConflicts = bankConflicts
-	res.Events.InstrCount = int64(len(p.Instrs))
-	res.Events.TableCount = int64(p.NumANDs())
-	res.Events.InputLoads = int64(p.NumInputs)
-	res.Events.LiveWrites = int64(p.LiveCount())
 }
 
 // trafficPhase does the byte-exact stream accounting and converts it to
-// GE cycles at the DRAM's sustained bandwidth.
+// GE cycles at the DRAM's sustained bandwidth. It reads the program's
+// AND and live counts from the events computePhase recorded.
 func (res *Result) trafficPhase(cp *compiler.Compiled) {
 	p := &cp.Program
 	t := &res.Traffic
 	t.InstrBytes = int64(len(p.Instrs)) * instrBytes
-	t.TableBytes = int64(p.NumANDs()) * tableBytes
+	t.TableBytes = res.Events.TableCount * tableBytes
 	t.OoRBytes = int64(cp.Traffic.OoRWires) * (labelBytes + oorAddrBytes)
-	t.LiveBytes = int64(p.LiveCount()) * labelBytes
+	t.LiveBytes = res.Events.LiveWrites * labelBytes
 	t.InputBytes = int64(p.NumInputs) * labelBytes
 
 	bytesPerCycle := res.HW.DRAM.Bandwidth / res.HW.GEClock

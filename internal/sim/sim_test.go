@@ -207,6 +207,11 @@ func TestConfigMismatchRejected(t *testing.T) {
 	if _, err := Simulate(cp, HW{}); err == nil {
 		t.Fatal("invalid HW accepted")
 	}
+	big := DefaultHW()
+	big.NumGEs = compiler.MaxGEs + 1
+	if big.Validate() == nil {
+		t.Fatal("more than compiler.MaxGEs GEs accepted")
+	}
 }
 
 func TestBankConflictsBounded(t *testing.T) {
@@ -345,4 +350,54 @@ func TestCoupledRejectsMismatch(t *testing.T) {
 	if _, err := SimulateCoupled(cp, bad, DefaultQueues()); err == nil {
 		t.Fatal("mismatch accepted")
 	}
+}
+
+func TestCompileSimulateAllocsIndependentOfSize(t *testing.T) {
+	// Every per-instruction array of Compile and Simulate is allocated
+	// once at its final size, so the allocation count of one
+	// compile+simulate does not grow with the circuit. ReLU's depth does
+	// not grow with its width, so neither does the depth-first stack.
+	hw := smallHW(4)
+	allocs := func(w workloads.Workload) float64 {
+		c := w.Build()
+		cfg := compiler.Config{Reorder: compiler.SegmentReorder, ESW: true, SWWWires: hw.SWWWires, NumGEs: hw.NumGEs}
+		return testing.AllocsPerRun(3, func() {
+			cp, err := compiler.Compile(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Simulate(cp, hw); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(workloads.ReLU(64, 32)), allocs(workloads.ReLU(256, 32))
+	if small != large {
+		t.Fatalf("Compile+Simulate allocates %v times for ReLU(64) and %v for ReLU(256); some array grows by append", small, large)
+	}
+	t.Logf("%v allocations per Compile+Simulate", small)
+}
+
+// benchMatMult is the full suite's MatMult(8, 32), about 1.6M
+// instructions, compiled at the paper's design point.
+func benchMatMult(b *testing.B) *compiler.Compiled {
+	c := workloads.MatMult(8, 32).Build()
+	cp, err := compiler.Compile(c, compiler.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cp
+}
+
+func BenchmarkSimulate(b *testing.B) {
+	cp := benchMatMult(b)
+	hw := DefaultHW()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(cp, hw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(cp.Program.Instrs))*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
