@@ -11,7 +11,9 @@ import (
 	"math/big"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"haac/internal/label"
@@ -405,9 +407,35 @@ func testPairs(n int, seed uint64) []Pair {
 	return pairs
 }
 
+// withGOMAXPROCS sets GOMAXPROCS to procs for the rest of the test and
+// restores it at cleanup. Tests that call it must not run in parallel.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// checkGoroutines fails t unless runtime.NumGoroutine() is back at
+// baseline. A goroutine that has signalled completion may not have exited
+// yet, so it yields (no clock) until the count settles or the yields run
+// out.
+func checkGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1e6 && n > baseline; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestDHLegacyPeerInterop is the byte-identity proof of the DH schedule:
 // each side interoperates with the textbook peer, so both send the same
-// points and derive the same keys.
+// points and derive the same keys. The gomaxprocs=P cases put fanOut's
+// range boundaries at every position that matters: one transfer per
+// range, uneven ranges, and more ranges than transfers.
 func TestDHLegacyPeerInterop(t *testing.T) {
 	peers := []struct {
 		name string
@@ -423,18 +451,78 @@ func TestDHLegacyPeerInterop(t *testing.T) {
 		"c=1":   func(int) bool { return true },
 		"mixed": func(i int) bool { return i%3 == 0 },
 	}
+	run := func(t *testing.T, send dhSendFunc, recv dhReceiveFunc, n int, c func(int) bool) {
+		pairs := testPairs(n, uint64(n))
+		choices := NewBitset(n)
+		for i := 0; i < n; i++ {
+			choices.Set(i, c(i))
+		}
+		checkTransfers(t, pairs, choices, pipeTransfer(t, send, recv, pairs, choices))
+	}
 	for _, p := range peers {
 		for _, n := range []int{1, 16, 128} {
 			for name, c := range choiceOf {
 				t.Run(fmt.Sprintf("%s/n=%d/%s", p.name, n, name), func(t *testing.T) {
-					pairs := testPairs(n, uint64(n))
-					choices := NewBitset(n)
-					for i := 0; i < n; i++ {
-						choices.Set(i, c(i))
-					}
-					checkTransfers(t, pairs, choices, pipeTransfer(t, p.send, p.recv, pairs, choices))
+					run(t, p.send, p.recv, n, c)
 				})
 			}
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		for _, p := range peers {
+			for _, n := range []int{1, 2, 3, 127, 128, 129} {
+				for name, c := range choiceOf {
+					t.Run(fmt.Sprintf("gomaxprocs=%d/%s/n=%d/%s", procs, p.name, n, name), func(t *testing.T) {
+						withGOMAXPROCS(t, procs)
+						run(t, p.send, p.recv, n, c)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutRanges: min(GOMAXPROCS, n) ranges cover [0, n) exactly once,
+// the error returned is the lowest failing range's, and no goroutine
+// outlives the call.
+func TestFanOutRanges(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 4} {
+		for _, n := range []int{0, 1, 2, 3, 127, 128, 129} {
+			t.Run(fmt.Sprintf("gomaxprocs=%d/n=%d", procs, n), func(t *testing.T) {
+				withGOMAXPROCS(t, procs)
+				base := runtime.NumGoroutine()
+				hits := make([]int, n)
+				var mu sync.Mutex
+				var ranges [][2]int
+				err := fanOut(n, func(lo, hi int) error {
+					for i := lo; i < hi; i++ {
+						hits[i]++
+					}
+					mu.Lock()
+					ranges = append(ranges, [2]int{lo, hi})
+					mu.Unlock()
+					if lo > 0 {
+						return fmt.Errorf("range %d", lo)
+					}
+					return nil
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("index %d visited %d times", i, h)
+					}
+				}
+				if want := max(min(procs, n), 1); len(ranges) != want {
+					t.Fatalf("%d ranges %v, want %d", len(ranges), ranges, want)
+				}
+				if len(ranges) == 1 {
+					if err != nil {
+						t.Fatalf("single range returned %v", err)
+					}
+				} else if want := fmt.Sprintf("range %d", n/len(ranges)); err == nil || err.Error() != want {
+					t.Fatalf("error %v, want %q", err, want)
+				}
+				checkGoroutines(t, base)
+			})
 		}
 	}
 }
@@ -543,6 +631,8 @@ func invalidPoints() map[string][]byte {
 func TestDHReceiverRejectsInvalidA(t *testing.T) {
 	for name, bad := range invalidPoints() {
 		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			defer checkGoroutines(t, base)
 			a, b := net.Pipe()
 			defer a.Close()
 			defer b.Close()
@@ -562,46 +652,83 @@ func TestDHReceiverRejectsInvalidA(t *testing.T) {
 	}
 }
 
+// checkRejectsB runs dhSend against a receiver that sends valid B points
+// except bad[i] at each index i, and checks that the error names B[want]
+// and that no goroutine outlives the call.
+func checkRejectsB(t *testing.T, good [][]byte, bad map[int][]byte, want int) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	errc := make(chan error, 1)
+	go func() {
+		if _, err := io.ReadFull(b, make([]byte, pointSize)); err != nil {
+			errc <- err
+			return
+		}
+		bPoints := make([]byte, 0, len(good)*pointSize)
+		for i, p := range good {
+			if q, ok := bad[i]; ok {
+				p = q
+			}
+			bPoints = append(bPoints, p...)
+		}
+		_, err := b.Write(bPoints)
+		errc <- err
+	}()
+	err := dhSend(a, testPairs(len(good), 1))
+	if msg := fmt.Sprintf("invalid point B[%d]", want); err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("sender error %v, want one naming %q", err, msg)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, base)
+}
+
+// TestDHSenderRejectsInvalidB: a bad B point is named by index before
+// any multiplication, and with two bad points in different fan-out
+// ranges the lower index is the one named.
 func TestDHSenderRejectsInvalidB(t *testing.T) {
+	good := make([][]byte, kappa)
+	for i := range good {
+		good[i] = testPoint(int64(i + 2))
+	}
 	const n = 4
 	for name, bad := range invalidPoints() {
 		for _, at := range []int{0, n - 1} {
 			t.Run(fmt.Sprintf("%s/B[%d]", name, at), func(t *testing.T) {
-				a, b := net.Pipe()
-				defer a.Close()
-				defer b.Close()
-				errc := make(chan error, 1)
-				go func() {
-					if _, err := io.ReadFull(b, make([]byte, pointSize)); err != nil {
-						errc <- err
-						return
-					}
-					bPoints := make([]byte, 0, n*pointSize)
-					for i := 0; i < n; i++ {
-						if i == at {
-							bPoints = append(bPoints, bad...)
-						} else {
-							bPoints = append(bPoints, testPoint(int64(i+2))...)
-						}
-					}
-					_, err := b.Write(bPoints)
-					errc <- err
-				}()
-				err := dhSend(a, testPairs(n, 1))
-				if want := fmt.Sprintf("invalid point B[%d]", at); err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("sender error %v, want one naming %q", err, want)
-				}
-				if err := <-errc; err != nil {
-					t.Fatal(err)
-				}
+				checkRejectsB(t, good[:n], map[int][]byte{at: bad}, at)
 			})
 		}
+	}
+	// At GOMAXPROCS 2 and 4, 63|64 is a range boundary and 0 and 127 are
+	// the ends of the first and last range.
+	for _, procs := range []int{2, 4} {
+		for name, bad := range invalidPoints() {
+			for _, at := range []int{0, 63, 64, kappa - 1} {
+				t.Run(fmt.Sprintf("gomaxprocs=%d/n=%d/%s/B[%d]", procs, kappa, name, at), func(t *testing.T) {
+					withGOMAXPROCS(t, procs)
+					checkRejectsB(t, good, map[int][]byte{at: bad}, at)
+				})
+			}
+		}
+		t.Run(fmt.Sprintf("gomaxprocs=%d/n=%d/two-bad", procs, kappa), func(t *testing.T) {
+			withGOMAXPROCS(t, procs)
+			bad := invalidPoints()
+			checkRejectsB(t, good, map[int][]byte{100: bad["off-curve"], 10: bad["zeros"]}, 10)
+		})
 	}
 }
 
 // TestDHReceiverSenderClosesAfterB: a sender that reads the B points and
-// hangs up leaves the receiver with an error, not a blocked read.
+// hangs up leaves the receiver with an error, not a blocked read, and
+// the receiver's fan-out goroutines do not outlive the call.
 func TestDHReceiverSenderClosesAfterB(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	base := runtime.NumGoroutine()
+	defer checkGoroutines(t, base)
 	const n = 16
 	a, b := net.Pipe()
 	defer b.Close()
