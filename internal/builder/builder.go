@@ -35,18 +35,30 @@ type inputDecl struct {
 	garbler bool
 }
 
+// Gates are stored in chunks that are never regrown, so emitting never
+// copies a gate already stored. Chunk capacity doubles from firstChunk
+// up to maxChunk.
+const (
+	firstChunk = 1 << 8
+	maxChunk   = 1 << 16
+)
+
 // B incrementally constructs a circuit.
 type B struct {
-	next   Wire
+	next Wire
+	// gates is the chunk being filled; full holds the chunks before it
+	// and nFull their gate count. Build flattens them into the circuit.
 	gates  []circuit.Gate
+	full   [][]circuit.Gate
+	nFull  int
 	inputs []inputDecl
 
-	// known caches public-constant wires: present entries map a wire id
-	// to its fixed plaintext value, enabling folding.
-	known map[Wire]bool
-	// notOf caches the complement of a wire so NOT is emitted once and
-	// NOT(NOT(x)) folds to x.
-	notOf map[Wire]Wire
+	// notOf is indexed by wire id: notOf[w] is the cached complement of
+	// w, or 0 if none has been emitted yet. Every wire >= 2 has a
+	// complement >= 2, so 0 is free as the marker. NOT is emitted once
+	// per wire and NOT(NOT(x)) folds to x. The constants 0 and 1 are
+	// identified by id and never enter the table.
+	notOf []Wire
 
 	outputs   []Wire
 	usedConst bool
@@ -55,15 +67,11 @@ type B struct {
 
 // New returns an empty builder.
 func New() *B {
-	return &B{
-		next:  2, // 0,1 reserved for constants
-		known: map[Wire]bool{idConst0: false, idConst1: true},
-		notOf: map[Wire]Wire{idConst0: idConst1, idConst1: idConst0},
-	}
+	return &B{next: 2} // 0,1 reserved for constants
 }
 
 // NumGates returns the number of gates emitted so far.
-func (b *B) NumGates() int { return len(b.gates) }
+func (b *B) NumGates() int { return b.nFull + len(b.gates) }
 
 // GarblerInputs allocates n fresh garbler-owned input bits.
 func (b *B) GarblerInputs(n int) Word { return b.declInputs(n, true) }
@@ -93,15 +101,27 @@ func (b *B) Const(v bool) Wire {
 
 // IsConst reports whether w is a public constant and its value.
 func (b *B) IsConst(w Wire) (bool, bool) {
-	v, ok := b.known[w]
-	return ok, v
+	return w < 2, w == idConst1
 }
 
 func (b *B) emit(op circuit.Op, a, bb Wire) Wire {
+	if len(b.gates) == cap(b.gates) {
+		b.newChunk()
+	}
 	c := b.next
 	b.next++
 	b.gates = append(b.gates, circuit.Gate{Op: op, A: a, B: bb, C: c})
 	return c
+}
+
+// newChunk retires the full current chunk and starts an empty one.
+func (b *B) newChunk() {
+	size := 2 * cap(b.gates)
+	if len(b.gates) > 0 {
+		b.full = append(b.full, b.gates)
+		b.nFull += len(b.gates)
+	}
+	b.gates = make([]circuit.Gate, 0, min(max(size, firstChunk), maxChunk))
 }
 
 // XOR returns a ^ b, folding constants and duplicate operands.
@@ -124,8 +144,8 @@ func (b *B) XOR(x, y Wire) Wire {
 		}
 		return x
 	}
-	// NOT(a) ^ NOT(b) == a ^ b; NOT(a) ^ b == NOT(a ^ b). Folding these
-	// keeps INV chains from accumulating through arithmetic.
+	// Complemented operands are not folded: NOT(a) ^ NOT(b) and
+	// NOT(a) ^ b are emitted as written, INV gates included.
 	return b.emit(circuit.XOR, x, y)
 }
 
@@ -146,19 +166,31 @@ func (b *B) AND(x, y Wire) Wire {
 		}
 		return x
 	}
-	if n, ok := b.notOf[x]; ok && n == y {
+	if int(x) < len(b.notOf) && b.notOf[x] == y {
 		return b.Const(false) // a & ~a
 	}
 	return b.emit(circuit.AND, x, y)
 }
 
 // NOT returns ~x; complements are cached so the gate is emitted at most
-// once per wire and NOT(NOT(x)) folds to x.
+// once per wire and NOT(NOT(x)) folds to x. The complement of a
+// constant is the other constant.
 func (b *B) NOT(x Wire) Wire {
-	if n, ok := b.notOf[x]; ok {
-		return n
+	if x < 2 {
+		return x ^ 1
+	}
+	if int(x) < len(b.notOf) {
+		if n := b.notOf[x]; n != 0 {
+			return n
+		}
 	}
 	n := b.emit(circuit.INV, x, 0)
+	if int(n) >= len(b.notOf) {
+		// n is the newest wire; doubling keeps the copies amortised.
+		t := make([]Wire, max(2*len(b.notOf), int(n)+1))
+		copy(t, b.notOf)
+		b.notOf = t
+	}
 	b.notOf[x] = n
 	b.notOf[n] = x
 	return n
@@ -205,24 +237,22 @@ func (b *B) Build() (*circuit.Circuit, error) {
 	b.built = true
 
 	// Outputs referencing constant wires force constant materialization.
+	// No gate reads one: XOR and AND fold constant operands, and NOT of
+	// a constant is the other constant.
 	for _, o := range b.outputs {
-		if o == idConst0 || o == idConst1 {
+		if o < 2 {
 			b.usedConst = true
 		}
 	}
-	// Any gate touching a constant wire keeps it; folding should have
-	// removed most, but INV of an input still references nothing const.
-	if !b.usedConst {
-		for i := range b.gates {
-			g := &b.gates[i]
-			if g.A < 2 || (g.Op != circuit.INV && g.B < 2) {
-				b.usedConst = true
-				break
-			}
-		}
-	}
 
-	remap := make([]Wire, b.next)
+	// The complement table is dead from here on; it becomes the
+	// renumbering map when it is large enough. Every entry is written
+	// before it is read.
+	remap := b.notOf[:cap(b.notOf)]
+	b.notOf = nil
+	if len(remap) < int(b.next) {
+		remap = make([]Wire, b.next)
+	}
 	var ng, ne int
 	for _, in := range b.inputs {
 		if in.garbler {
@@ -256,20 +286,24 @@ func (b *B) Build() (*circuit.Circuit, error) {
 		remap[idConst1] = base + 1
 		base += 2
 	}
-	nextOut := base
-	for i := range b.gates {
-		remap[b.gates[i].C] = nextOut
-		nextOut++
-	}
-	c.NumWires = int(nextOut)
-	c.Gates = make([]circuit.Gate, len(b.gates))
-	for i, g := range b.gates {
-		ng := circuit.Gate{Op: g.Op, A: remap[g.A], C: remap[g.C]}
-		if g.Op != circuit.INV {
-			ng.B = remap[g.B]
+	// One pass over the chunks: a gate's operands are inputs or earlier
+	// gate outputs, so they are renumbered before the gate is reached.
+	c.Gates = make([]circuit.Gate, b.NumGates())
+	i := 0
+	for _, chunk := range append(b.full, b.gates) {
+		for _, g := range chunk {
+			w := base + Wire(i)
+			remap[g.C] = w
+			r := circuit.Gate{Op: g.Op, A: remap[g.A], C: w}
+			if g.Op != circuit.INV {
+				r.B = remap[g.B]
+			}
+			c.Gates[i] = r
+			i++
 		}
-		c.Gates[i] = ng
 	}
+	b.full, b.gates = nil, nil
+	c.NumWires = int(base) + i
 	c.Outputs = make([]Wire, len(b.outputs))
 	for i, o := range b.outputs {
 		c.Outputs[i] = remap[o]

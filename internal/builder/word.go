@@ -83,7 +83,11 @@ func (b *B) addCarry(x, y, cin Wire) (sum, cout Wire) {
 // AddCin returns x + y + cin truncated to len(x) bits, plus the carry out.
 func (b *B) AddCin(x, y Word, cin Wire) (Word, Wire) {
 	mustSameWidth("Add", x, y)
-	out := make(Word, len(x))
+	return b.addCinInto(make(Word, len(x)), x, y, cin)
+}
+
+// addCinInto is AddCin writing the sum into out.
+func (b *B) addCinInto(out, x, y Word, cin Wire) (Word, Wire) {
 	c := cin
 	for i := range x {
 		out[i], c = b.addCarry(x[i], y[i], c)
@@ -124,10 +128,10 @@ func (b *B) Mul(x, y Word) Word {
 	mustSameWidth("Mul", x, y)
 	n := len(x)
 	acc := b.ZeroWord(n)
+	pp := make(Word, n) // reused: Add reads it and returns a fresh sum
 	for i := 0; i < n; i++ {
 		// Partial product of y_i with the bits of x that still land
 		// inside the truncated result.
-		pp := make(Word, n)
 		for j := range pp {
 			pp[j] = b.Const(false)
 		}
@@ -322,26 +326,38 @@ func (b *B) ShlVar(x Word, sh Word) Word {
 // PopCount returns the number of set bits as a ceil(log2(n+1))-bit word,
 // built as a balanced adder tree (the Hamming-distance kernel).
 func (b *B) PopCount(bits []Wire) Word {
-	if len(bits) == 0 {
+	switch len(bits) {
+	case 0:
 		return Word{b.Const(false)}
+	case 1:
+		return Word{bits[0]}
 	}
+	// The leaves are one-bit views of bits, each level's sums overwrite
+	// the front of words and share one backing array, and the operands
+	// are widened in two scratch words: one allocation per level.
 	words := make([]Word, len(bits))
-	for i, w := range bits {
-		words[i] = Word{w}
+	for i := range bits {
+		words[i] = bits[i : i+1 : i+1]
 	}
+	var xa, xc Word
 	for len(words) > 1 {
-		var next []Word
-		var i int
-		for i = 0; i+1 < len(words); i += 2 {
+		// words[0] is the widest word of every level.
+		sums := make(Word, len(words)/2*(len(words[0])+1))
+		n := 0
+		for i := 0; i+1 < len(words); i += 2 {
 			a, c := words[i], words[i+1]
 			// Widen to equal size +1 for carry.
 			w := maxInt(len(a), len(c)) + 1
-			next = append(next, b.Add(b.extendZero(a, w), b.extendZero(c, w)))
+			xa, xc = b.extendZeroInto(xa, a, w), b.extendZeroInto(xc, c, w)
+			words[n], _ = b.addCinInto(sums[:w:w], xa, xc, b.Const(false))
+			sums = sums[w:]
+			n++
 		}
-		if i < len(words) {
-			next = append(next, words[i])
+		if len(words)%2 == 1 {
+			words[n] = words[len(words)-1]
+			n++
 		}
-		words = next
+		words = words[:n]
 	}
 	return words[0]
 }
@@ -369,12 +385,17 @@ func (b *B) extendZero(x Word, width int) Word {
 	if len(x) >= width {
 		return x[:width]
 	}
-	out := make(Word, width)
-	copy(out, x)
-	for i := len(x); i < width; i++ {
-		out[i] = b.Const(false)
+	return b.extendZeroInto(make(Word, 0, width), x, width)
+}
+
+// extendZeroInto is extendZero for width > len(x) that writes into
+// dst's storage when it is large enough.
+func (b *B) extendZeroInto(dst, x Word, width int) Word {
+	dst = append(dst[:0], x...)
+	for len(dst) < width {
+		dst = append(dst, b.Const(false))
 	}
-	return out
+	return dst
 }
 
 // ExtendZero is the exported zero-extension helper.
