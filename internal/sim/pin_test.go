@@ -227,3 +227,47 @@ func TestTracedAndCoupledPinned(t *testing.T) {
 		t.Errorf("SimulateCoupled digest %s, pinned %s", got, pinnedCoupled)
 	}
 }
+
+// pinnedWide holds, per VIPSuiteSmall program, the digests of the
+// Compiled and Result matrix of TestCompileSimulateWidePinned: GE
+// counts past one and four 64-bit words, where a bitset over the GEs
+// crosses a word boundary. Baseline rides along for its stalls.
+var pinnedWide = map[string][2]string{
+	"BubbSt":   {"c3510a11fee91735", "2b0504204d65e174"},
+	"DotProd":  {"351eb076cc61c5ef", "65433029feda887e"},
+	"Merse":    {"4f804951af619d3c", "9847d9f979435174"},
+	"Triangle": {"ada900acdc703c7a", "f99aaaf5eeb42abd"},
+	"Hamm":     {"3a0c74c510042acb", "8424bc0e33fae21e"},
+	"MatMult":  {"a30c20b0d51819d6", "ff59dc731785ee59"},
+	"ReLU":     {"d22956285c440f0a", "f47585fca8db775d"},
+	"GradDesc": {"d611f18a73b3cfef", "0a183768ca424a11"},
+}
+
+func TestCompileSimulateWidePinned(t *testing.T) {
+	for _, w := range workloads.VIPSuiteSmall() {
+		c := w.Build()
+		dc, dr := newDigest(), newDigest()
+		for _, mode := range []compiler.ReorderMode{compiler.Baseline, compiler.FullReorder, compiler.SegmentReorder} {
+			for _, nge := range []int{65, compiler.MaxGEs} {
+				cp, err := compiler.Compile(c, compiler.Config{
+					Reorder: mode, ESW: true, SWWWires: pinSWW, NumGEs: nge,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				dc.compiled(cp)
+				hw := DefaultHW()
+				hw.NumGEs, hw.SWWWires = nge, pinSWW
+				r, err := Simulate(cp, hw)
+				if err != nil {
+					t.Fatalf("%s/%v/%d: %v", w.Name, mode, nge, err)
+				}
+				dr.result(r)
+			}
+		}
+		got := [2]string{dc.sum(), dr.sum()}
+		if got != pinnedWide[w.Name] {
+			t.Errorf("%s: digests (Compiled, Result) = %q, pinned %q", w.Name, got, pinnedWide[w.Name])
+		}
+	}
+}
