@@ -15,10 +15,22 @@
 // ("mapping instructions from the program to non-stalled GEs each cycle
 // ... saving the order, and replaying it in hardware"), and deriving the
 // per-GE table and out-of-range-wire queues.
+//
+// Once the schedule is fixed, the back end runs as two lanes on two
+// goroutines. Every dependence is known at compile time, so the list
+// scheduler needs only the schedule and the circuit's wire ids, nothing
+// from renaming. One lane renames and computes the live bits in a single
+// sweep; the other schedules each instruction onto a GE and fills the
+// per-GE streams. Its GE pick keeps the GEs at the least free time as a
+// bitset and hands them out lowest index first, so choosing "the first
+// GE that is not stalled" costs amortised O(1) rather than a scan of
+// every GE. After the join, the OoRW queues are filled while the program
+// is validated on the other goroutine.
 package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"haac/internal/circuit"
 	"haac/internal/isa"
@@ -198,9 +210,11 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 		return nil, fmt.Errorf("compiler: unknown reorder mode %d", cfg.Reorder)
 	}
 
-	prog := asm.rename(c)
-	out := &Compiled{Cfg: cfg, Program: prog, SynthConstOne: asm.synthConstOne}
-	out.markOoRAndLive(cfg)
+	// The back end runs in two lanes over the finished schedule: renaming
+	// and ESW on one goroutine, the GE list scheduler and stream fill on
+	// the other. They write disjoint fields of out.
+	out := &Compiled{Cfg: cfg, SynthConstOne: asm.synthConstOne}
+	both(func() { asm.scheduleLane(out) }, func() { asm.renameLane(c, out) })
 	if !cfg.ESW {
 		// Without ESW every produced wire is conservatively live
 		// (written back), as in the pre-optimization baseline flow.
@@ -209,9 +223,10 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 		}
 		out.Traffic.LiveWires = len(out.Program.Instrs)
 	}
-	out.partition()
-	if err := out.Program.Validate(); err != nil {
-		return nil, fmt.Errorf("compiler: internal error: %w", err)
+	var verr error
+	both(func() { verr = out.Program.Validate() }, out.fillOoRW)
+	if verr != nil {
+		return nil, fmt.Errorf("compiler: internal error: %w", verr)
 	}
 	return out, nil
 }
@@ -226,4 +241,17 @@ func WindowLo(f uint32, n int) uint32 {
 	}
 	half := uint32(n / 2)
 	return (f-uint32(n))/half*half + half
+}
+
+// both runs f on a new goroutine and g on this one, and returns once
+// both are done. f and g must write disjoint state.
+func both(f, g func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f()
+	}()
+	g()
+	wg.Wait()
 }

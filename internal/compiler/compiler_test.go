@@ -297,7 +297,7 @@ func TestInvalidConfigsRejected(t *testing.T) {
 
 func TestMaxGEsProgramExecutes(t *testing.T) {
 	// At MaxGEs every GE index still fits GEOf, so the OoRW queues the
-	// replay pops are the ones partition filled.
+	// replay pops are the ones fillOoRW filled.
 	cfg := Config{Reorder: FullReorder, ESW: true, SWWWires: 64, NumGEs: MaxGEs}
 	cp := checkWorkload(t, workloads.Hamming(4096), cfg, 5)
 	used := 0
@@ -308,6 +308,39 @@ func TestMaxGEsProgramExecutes(t *testing.T) {
 	}
 	if used <= MaxGEs/2 {
 		t.Fatalf("only %d of %d GEs have OoRW entries; the test should reach the high GE indices", used, MaxGEs)
+	}
+}
+
+func TestGEMinSetMatchesFirstMinimumScan(t *testing.T) {
+	// The scheduler's pick must be exactly "the lowest-index GE with the
+	// least free time". Each step issues on the picked GE at its free
+	// time or after a stall: mostly none, sometimes a short one, and now
+	// and then a long one that pushes that GE far ahead of the rest.
+	rng := rand.New(rand.NewSource(30))
+	for _, nge := range []int{1, 2, 3, 16, 63, 64, 65, MaxGEs} {
+		m := newGEMinSet(nge)
+		free := make([]int64, nge)
+		for step := 0; step < 50*nge+2000; step++ {
+			want := 0
+			for g := 1; g < nge; g++ {
+				if free[g] < free[want] {
+					want = g
+				}
+			}
+			if g := m.pick(); g != want || m.min != free[want] {
+				t.Fatalf("%d GEs, step %d: picked GE %d at min %d, want GE %d at %d",
+					nge, step, g, m.min, want, free[want])
+			}
+			at := free[want]
+			switch r := rng.Intn(100); {
+			case r < 10:
+				at += 1 + rng.Int63n(40)
+			case r < 12:
+				at += 1000 + rng.Int63n(100000)
+			}
+			free[want] = at + 1
+			m.take(want, at+1)
+		}
 	}
 }
 

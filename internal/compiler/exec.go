@@ -10,8 +10,9 @@ import (
 // Functional execution of compiled programs. The executor replays the
 // per-GE streams exactly as the hardware would — including popping
 // OoRW-queue entries for zero-address operands — so it proves that the
-// reorder/rename/ESW/partition passes preserve the circuit's semantics,
-// not just that the math was transcribed correctly.
+// passes preserve the circuit's semantics, not just that the math was
+// transcribed correctly: reordering, the rename/ESW lane, the GE
+// scheduling lane with its stream fill, and the OoRW queue fill.
 
 // InputBits assembles the program-input bit vector for a compiled
 // circuit from the two parties' inputs: garbler bits, evaluator bits,

@@ -1,15 +1,22 @@
 package compiler
 
 import (
+	"math/bits"
+	"slices"
+
 	"haac/internal/circuit"
 	"haac/internal/isa"
 )
 
 // The compile pipeline is flat. assemble writes the instruction list
 // once, in gate order; the scheduling passes (depth-first baseline,
-// level reordering) only permute one []int32 of indices into it; rename
-// gathers the final program through that permutation in one pass; and
-// partition writes every per-GE stream and queue into one slab each.
+// level reordering) only permute one []int32 of indices into it. The
+// back end then reads the final schedule in two lanes that run
+// concurrently and write disjoint fields of Compiled: renameLane gathers
+// the program through the permutation and computes OoR reads and live
+// bits in the same sweep, while scheduleLane assigns each instruction a
+// GE (geMinSet's pick) and fills the per-GE streams into one slab. After
+// the join, fillOoRW writes the per-GE OoRW queues into one slab.
 
 // aInstr is an assembled instruction still carrying circuit wire ids.
 type aInstr struct {
@@ -225,62 +232,41 @@ func allocRank(addr uint32) int {
 	return int(addr) - 1 - int(addr>>isa.AddrBits)
 }
 
-// rename performs the §4.2.2 pass: every input wire and then every
-// instruction output, in (post-reorder) program order, receives the next
-// sequential logical address; instruction inputs are rewritten through
-// the resulting map. This is what makes the SWW's contiguous window
-// meaningful and lets hardware derive output addresses from the PC.
-func (s *asmState) rename(c *circuit.Circuit) isa.Program {
+// renameLane runs renaming (§4.2.2) and ESW (§4.2.3) as one sweep over
+// the schedule. Every input wire and then every instruction output, in
+// program order, receives the next sequential logical address, and
+// instruction inputs are rewritten through the resulting map; this is
+// what makes the SWW's contiguous window meaningful and lets hardware
+// derive output addresses from the PC. In the same step each input is
+// classified as in-window or out-of-range under the SWW sliding model
+// (§3.1.4): an OoR input's field becomes the reserved address 0, its
+// address is kept aside in oorA/oorB to fill the OoRW queues, and its
+// producer is marked live. An output is live exactly when some later
+// instruction reads it as OoR, or when it is a program output.
+//
+// Inputs take the first addresses and then each instruction one, so the
+// producer of an address is its allocation rank minus the input count
+// (negative for an input).
+func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
+	n, noSWW := cp.Cfg.SWWWires, cp.Cfg.NoSWW
+	nin := len(s.inputWires)
 	alloc := newAddrAllocator()
 	addrOf := make([]uint32, s.numCircuitWires)
-
-	p := isa.Program{
-		NumInputs:  len(s.inputWires),
-		InputAddrs: make([]uint32, len(s.inputWires)),
-		Instrs:     make([]isa.Instr, len(s.order)),
-		OutAddrs:   make([]uint32, len(s.order)),
+	p := &cp.Program
+	*p = isa.Program{
+		NumInputs:   nin,
+		InputAddrs:  make([]uint32, nin),
+		Instrs:      make([]isa.Instr, len(s.order)),
+		OutAddrs:    make([]uint32, len(s.order)),
+		OutputAddrs: make([]uint32, len(c.Outputs)),
 	}
+	cp.oorA = make([]uint32, len(s.order))
+	cp.oorB = make([]uint32, len(s.order))
 	for i, w := range s.inputWires {
 		a := alloc.alloc()
 		addrOf[w] = a
 		p.InputAddrs[i] = a
 	}
-	for pos, i := range s.order {
-		in := &s.instrs[i]
-		p.Instrs[pos] = isa.Instr{
-			Op: in.op,
-			A:  addrOf[in.a],
-			B:  addrOf[in.b],
-		}
-		o := alloc.alloc()
-		addrOf[in.out] = o
-		p.OutAddrs[pos] = o
-	}
-	p.OutputAddrs = make([]uint32, len(c.Outputs))
-	for i, o := range c.Outputs {
-		p.OutputAddrs[i] = addrOf[o]
-	}
-	p.MaxAddr = alloc.next - 1
-	return p
-}
-
-// markOoRAndLive classifies every instruction input as in-window or
-// out-of-range under the SWW sliding model (§3.1.4) and computes the
-// live bits (§4.2.3): an output is live exactly when some later
-// instruction reads it as OoR, or when it is a program output. The
-// instruction fields of OoR inputs are replaced by the reserved address
-// 0; the original addresses are kept aside to fill the OoRW queues.
-//
-// Renaming allocated the inputs first and then one address per
-// instruction in program order, so the producer of an address is its
-// allocation rank minus the input count (negative for an input).
-func (cp *Compiled) markOoRAndLive(cfg Config) {
-	p := &cp.Program
-	n := cfg.SWWWires
-	nin := p.NumInputs
-
-	cp.oorA = make([]uint32, len(p.Instrs))
-	cp.oorB = make([]uint32, len(p.Instrs))
 
 	oorReads, liveCount := 0, 0
 	markLive := func(addr uint32) {
@@ -289,31 +275,35 @@ func (cp *Compiled) markOoRAndLive(cfg Config) {
 			liveCount++
 		}
 	}
-	for j := range p.Instrs {
-		in := &p.Instrs[j]
-		if in.Op == isa.NOP {
-			continue
+	for pos, i := range s.order {
+		in := &s.instrs[i]
+		a, b := addrOf[in.a], addrOf[in.b]
+		o := alloc.alloc()
+		addrOf[in.out] = o
+		p.OutAddrs[pos] = o
+		lo := ^uint32(0) // without an SWW nothing is resident: all reads OoR
+		if !noSWW {
+			lo = WindowLo(o, n)
 		}
-		lo := WindowLo(p.OutAddrs[j], n)
-		if cfg.NoSWW {
-			lo = ^uint32(0) // nothing is ever resident: all reads OoR
-		}
-		if in.A < lo {
-			cp.oorA[j] = in.A
-			markLive(in.A)
-			in.A = isa.OoR
+		if a < lo {
+			cp.oorA[pos] = a
+			markLive(a)
+			a = isa.OoR
 			oorReads++
 		}
-		if in.B < lo {
-			cp.oorB[j] = in.B
-			markLive(in.B)
-			in.B = isa.OoR
+		if b < lo {
+			cp.oorB[pos] = b
+			markLive(b)
+			b = isa.OoR
 			oorReads++
 		}
+		p.Instrs[pos] = isa.Instr{Op: in.op, A: a, B: b}
 	}
-	for _, o := range p.OutputAddrs {
-		markLive(o)
+	for i, w := range c.Outputs {
+		p.OutputAddrs[i] = addrOf[w]
+		markLive(addrOf[w])
 	}
+	p.MaxAddr = alloc.next - 1
 	cp.Traffic = Traffic{
 		LiveWires: liveCount,
 		OoRWires:  oorReads,
@@ -321,101 +311,155 @@ func (cp *Compiled) markOoRAndLive(cfg Config) {
 	}
 }
 
-// partition runs the §4.1 stream-generation step: a greedy list
-// scheduler walks the program in order and assigns each instruction to
-// the gate engine that can issue it earliest (matching "mapping
-// instructions ... to non-stalled GEs each cycle"). The resulting per-GE
-// streams, table queues and OoRW queues are exactly what the hardware
-// replays; the cycle simulator re-derives timing from them. The
-// scheduling loop counts each GE's instructions and queue entries, so
-// the streams and queues are then filled into one slab each.
-func (cp *Compiled) partition() {
-	p := &cp.Program
+// scheduleLane runs the §4.1 stream-generation step: a greedy list
+// scheduler walks the program in order and hands each instruction to
+// the first GE that is not stalled — the lowest-index GE with the least
+// free time (see geMinSet) — and the chosen in-order engine then blocks
+// until the operands are ready. Operand readiness does NOT steer the
+// choice: that head-of-line behaviour is what makes baseline
+// (depth-first) schedules slow and reordering valuable (§4.2.1).
+//
+// The lane needs nothing from renaming. It keeps operand readiness per
+// circuit wire id, and renaming is a bijection on defined wires, so
+// every ready time is the one an address-indexed table would hold. It
+// counts each GE's instructions while it schedules and then fills the
+// streams into one slab.
+func (s *asmState) scheduleLane(cp *Compiled) {
 	nge := cp.Cfg.NumGEs
 	andLat := int64(cp.Cfg.ANDLatency())
-
-	ready := make([]int64, p.MaxAddr+1) // cycle the wire's value is usable
-	geFree := make([]int64, nge)
-	// Per GE: instructions and OoRW entries, counted and then turned
-	// into the slab offsets of its stream and queue.
-	nInstr := make([]int, nge)
-	nOoR := make([]int, nge)
-	cp.GEOf = make([]uint8, len(p.Instrs))
+	ready := make([]int64, s.numCircuitWires) // cycle the wire's value is usable
+	ges := newGEMinSet(nge)
+	// Per GE: instructions, counted and then turned into the slab offset
+	// of its stream.
+	next := make([]int, nge)
+	cp.GEOf = make([]uint8, len(s.order))
 	cp.TablesPerGE = make([]int, nge)
-
-	for j := range p.Instrs {
-		in := &p.Instrs[j]
-		oa, ob := cp.oorA[j], cp.oorB[j]
-		var t0 int64
-		if in.Op != isa.NOP {
-			a := in.A
-			if a == isa.OoR {
-				a = oa
-			}
-			b := in.B
-			if b == isa.OoR {
-				b = ob
-			}
-			t0 = ready[a]
-			if rb := ready[b]; rb > t0 {
-				t0 = rb
-			}
-		}
-		// The paper's distributor hands the next program instruction to
-		// the first GE that is not stalled (§4.1); the chosen in-order
-		// engine then blocks until the operands are ready. Operand
-		// readiness does NOT steer the choice — that head-of-line
-		// behaviour is what makes baseline (depth-first) schedules slow
-		// and reordering valuable (§4.2.1).
-		g, issue := 0, geFree[0]
-		for k := 1; k < nge; k++ {
-			if f := geFree[k]; f < issue {
-				g, issue = k, f
-			}
-		}
-		if t0 > issue {
-			issue = t0 // the GE sits stalled until the operands arrive
-		}
-		geFree[g] = issue + 1
+	for pos, i := range s.order {
+		in := &s.instrs[i]
+		g := ges.pick()
+		// The GE sits stalled until the operands arrive.
+		issue := max(ges.min, ready[in.a], ready[in.b])
+		ges.take(g, issue+1)
 		lat := int64(XORLatency)
-		if in.Op == isa.AND {
+		if in.op == isa.AND {
 			lat = andLat
 			cp.TablesPerGE[g]++
 		}
-		ready[p.OutAddrs[j]] = issue + lat
-		cp.GEOf[j] = uint8(g)
-		nInstr[g]++
-		if oa != 0 {
-			nOoR[g]++
-		}
-		if ob != 0 {
-			nOoR[g]++
-		}
+		ready[in.out] = issue + lat
+		cp.GEOf[pos] = uint8(g)
+		next[g]++
 	}
 
-	streams := make([]int32, len(p.Instrs))
-	oorw := make([]uint32, cp.Traffic.OoRWires)
+	streams := make([]int32, len(s.order))
 	cp.Streams = make([][]int32, nge)
-	cp.OoRW = make([][]uint32, nge)
-	si, oi := 0, 0
-	for g := 0; g < nge; g++ {
-		cp.Streams[g] = streams[si : si+nInstr[g] : si+nInstr[g]]
-		cp.OoRW[g] = oorw[oi : oi+nOoR[g] : oi+nOoR[g]]
-		nInstr[g], nOoR[g] = si, oi // now each GE's write cursor
-		si += len(cp.Streams[g])
-		oi += len(cp.OoRW[g])
+	off := 0
+	for g, n := range next {
+		cp.Streams[g] = streams[off : off+n : off+n]
+		next[g] = off // now the GE's write cursor
+		off += n
 	}
-	for j, g8 := range cp.GEOf {
-		g := int(g8)
-		streams[nInstr[g]] = int32(j)
-		nInstr[g]++
-		if a := cp.oorA[j]; a != 0 {
-			oorw[nOoR[g]] = a
-			nOoR[g]++
+	for j, g := range cp.GEOf {
+		streams[next[g]] = int32(j)
+		next[g]++
+	}
+}
+
+// geMinSet is the list scheduler's GE pick. It keeps the GEs whose free
+// time equals the current minimum as a bitset and hands them out lowest
+// index first. Scheduling never lowers a free time and always raises the
+// chosen GE's above the minimum, so the set stays exactly the GEs at the
+// minimum until it empties; only then are the free times rescanned.
+// With ready operands every GE is handed out once per rescan, so a pick
+// costs amortised O(1) rather than a scan of every GE.
+type geMinSet struct {
+	free []int64             // cycle at which each GE can next issue
+	min  int64               // least free time
+	set  [MaxGEs / 64]uint64 // GEs whose free time was min at the rescan
+	cur  uint64              // set's word being handed out, less the GEs taken
+	base int                 // GE index of cur's bit 0
+}
+
+// newGEMinSet returns the pick for nge GEs, all free at cycle 0.
+func newGEMinSet(nge int) *geMinSet {
+	m := &geMinSet{free: make([]int64, nge)}
+	m.refill()
+	return m
+}
+
+// pick returns the lowest-index GE with the least free time.
+func (m *geMinSet) pick() int {
+	return m.base + bits.TrailingZeros64(m.cur)
+}
+
+// take sets the free time of the GE pick returned to t, which must
+// exceed min.
+func (m *geMinSet) take(g int, t int64) {
+	m.free[g] = t
+	if m.cur &= m.cur - 1; m.cur == 0 {
+		m.refill()
+	}
+}
+
+// refill loads the set's next non-empty word into cur, rescanning the
+// free times once every word has been handed out.
+func (m *geMinSet) refill() {
+	for w := m.base/64 + 1; w < len(m.set); w++ {
+		if x := m.set[w]; x != 0 {
+			m.cur, m.base = x, w*64
+			return
 		}
-		if b := cp.oorB[j]; b != 0 {
-			oorw[nOoR[g]] = b
-			nOoR[g]++
+	}
+	lo := slices.Min(m.free)
+	m.min = lo
+	// Build each word in a register, top word first, so cur ends on the
+	// lowest non-empty one. Branch-free: which GEs tie varies pick to
+	// pick.
+	for w := (len(m.free) - 1) / 64; w >= 0; w-- {
+		var x uint64
+		for g, f := range m.free[w*64 : min(w*64+64, len(m.free))] {
+			var at uint64
+			if f == lo {
+				at = 1
+			}
+			x |= at << g
+		}
+		m.set[w] = x
+		if x != 0 {
+			m.cur, m.base = x, w*64
+		}
+	}
+}
+
+// fillOoRW writes each GE's OoRW queue — the addresses its OoR operands
+// read, in stream order — into one slab: it counts each GE's entries,
+// turns the counts into slab offsets, then fills.
+func (cp *Compiled) fillOoRW() {
+	oorA, oorB := cp.oorA[:len(cp.GEOf)], cp.oorB[:len(cp.GEOf)]
+	next := make([]int, cp.Cfg.NumGEs)
+	for j, g := range cp.GEOf {
+		if oorA[j] != 0 {
+			next[g]++
+		}
+		if oorB[j] != 0 {
+			next[g]++
+		}
+	}
+	oorw := make([]uint32, cp.Traffic.OoRWires)
+	cp.OoRW = make([][]uint32, len(next))
+	off := 0
+	for g, n := range next {
+		cp.OoRW[g] = oorw[off : off+n : off+n]
+		next[g] = off // now the GE's write cursor
+		off += n
+	}
+	for j, g := range cp.GEOf {
+		if a := oorA[j]; a != 0 {
+			oorw[next[g]] = a
+			next[g]++
+		}
+		if b := oorB[j]; b != 0 {
+			oorw[next[g]] = b
+			next[g]++
 		}
 	}
 }

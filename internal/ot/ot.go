@@ -4,9 +4,10 @@
 //
 // Three on-demand implementations are provided:
 //
-//   - DH: a semi-honest Bellare–Micali style OT over NIST P-256
-//     (stdlib crypto/elliptic). Appropriate for the repository's threat
-//     model (semi-honest, like the paper's EMP setting).
+//   - DH: a semi-honest OT over NIST P-256 (stdlib crypto/elliptic)
+//     with the shape of Chou–Orlandi's "simplest OT" (LATINCRYPT 2015).
+//     Appropriate for the repository's threat model (semi-honest, like
+//     the paper's EMP setting).
 //   - Insecure: a direct transfer where the receiver reveals its choice
 //     bits. It exercises the same protocol plumbing at zero cost and is
 //     used by large-scale tests and simulations; never use it for real
@@ -171,7 +172,7 @@ func insecureReceive(conn io.ReadWriter, choices Bitset) ([]label.L, error) {
 	return out, nil
 }
 
-// --- Diffie-Hellman OT (Bellare–Micali, semi-honest) ---
+// --- Diffie-Hellman OT (Chou–Orlandi "simplest OT" shape, semi-honest) ---
 //
 // Sender: a ←$ Z_q, A = aG. Receiver with choice c: b ←$ Z_q,
 // B = bG + c·A. Sender derives k0 = H(aB), k1 = H(a(B−A)) and sends
