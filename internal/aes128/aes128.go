@@ -168,7 +168,3 @@ func EncryptBlock(key *[KeySize]byte, dst, src []byte) {
 	s := Expand(key)
 	Encrypt(&s, dst, src)
 }
-
-// SBox exposes the forward S-box table for circuit generators that build
-// AES as Boolean logic (the Table 5 AES-128 micro-benchmark).
-func SBox(i byte) byte { return sbox[i] }

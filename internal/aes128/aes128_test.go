@@ -96,13 +96,13 @@ func TestScheduleReuseIsDeterministic(t *testing.T) {
 func TestSBoxBijective(t *testing.T) {
 	seen := make(map[byte]bool)
 	for i := 0; i < 256; i++ {
-		v := SBox(byte(i))
+		v := sbox[i]
 		if seen[v] {
 			t.Fatalf("S-box value %#x repeated", v)
 		}
 		seen[v] = true
 	}
-	if SBox(0x00) != 0x63 || SBox(0x53) != 0xed {
+	if sbox[0x00] != 0x63 || sbox[0x53] != 0xed {
 		t.Fatal("S-box known values wrong")
 	}
 }

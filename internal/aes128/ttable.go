@@ -6,8 +6,7 @@ package aes128
 // into a 32-bit word, so a full round is 16 table lookups and a handful
 // of XORs instead of per-byte field arithmetic. The tier is built around
 // caller-owned storage: ExpandFrom fills an existing Schedule and
-// EncryptTo/EncryptBlocksTo write into caller buffers, so no call
-// allocates. It is what the entry points in block.go run on hosts
+// EncryptBlockTo writes into a caller's Block, so no call allocates. It is what the entry points in block.go run on hosts
 // without AES-NI, and the software reference the hardware tiers are
 // tested against.
 //
@@ -59,8 +58,7 @@ func (s *Schedule) expandWords(w0, w1, w2, w3 uint32) {
 }
 
 // encryptWords runs the ten AES-128 rounds over one block held as four
-// big-endian state words. It is the shared core of EncryptTo and
-// EncryptBlocksTo.
+// big-endian state words. It is the core of EncryptBlockTo.
 func (s *Schedule) encryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
 	s0 ^= s[0]
 	s1 ^= s[1]
@@ -83,33 +81,4 @@ func (s *Schedule) encryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, 
 	t2 := uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
 	t3 := uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
 	return t0 ^ s[40], t1 ^ s[41], t2 ^ s[42], t3 ^ s[43]
-}
-
-// EncryptTo encrypts one 16-byte block through the T-table path. dst and
-// src may overlap; neither this call nor the word core allocates.
-func (s *Schedule) EncryptTo(dst, src []byte) {
-	s0 := binary.BigEndian.Uint32(src[0:4])
-	s1 := binary.BigEndian.Uint32(src[4:8])
-	s2 := binary.BigEndian.Uint32(src[8:12])
-	s3 := binary.BigEndian.Uint32(src[12:16])
-	s0, s1, s2, s3 = s.encryptWords(s0, s1, s2, s3)
-	binary.BigEndian.PutUint32(dst[0:4], s0)
-	binary.BigEndian.PutUint32(dst[4:8], s1)
-	binary.BigEndian.PutUint32(dst[8:12], s2)
-	binary.BigEndian.PutUint32(dst[12:16], s3)
-}
-
-// EncryptBlocksTo encrypts len(src)/BlockSize consecutive blocks under
-// one schedule — the batched form the re-keyed garbler uses for the two
-// blocks that share a gate tweak. len(src) must be a multiple of
-// BlockSize and dst must be at least as long; dst and src may overlap
-// block-aligned.
-func (s *Schedule) EncryptBlocksTo(dst, src []byte) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[len(src)-1] // length check, not capacity: reject a short dst up front
-	for off := 0; off+BlockSize <= len(src); off += BlockSize {
-		s.EncryptTo(dst[off:off+BlockSize], src[off:off+BlockSize])
-	}
 }

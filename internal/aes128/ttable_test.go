@@ -3,10 +3,18 @@ package aes128
 import (
 	"bytes"
 	"crypto/aes"
-	"math/rand"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// encryptTo runs EncryptBlockTo, the T-table path, over byte slices.
+func encryptTo(s *Schedule, dst, src []byte) {
+	b := LoadBlock(src)
+	s.EncryptBlockTo(&b, &b)
+	binary.LittleEndian.PutUint64(dst[0:8], b.Lo)
+	binary.LittleEndian.PutUint64(dst[8:16], b.Hi)
+}
 
 func TestTTableFIPS197Vector(t *testing.T) {
 	var key [KeySize]byte
@@ -14,7 +22,7 @@ func TestTTableFIPS197Vector(t *testing.T) {
 	var s Schedule
 	s.ExpandFrom(&key)
 	got := make([]byte, BlockSize)
-	s.EncryptTo(got, fips197Pt)
+	encryptTo(&s, got, fips197Pt)
 	if !bytes.Equal(got, fips197Ct) {
 		t.Fatalf("FIPS-197 vector mismatch:\n got %x\nwant %x", got, fips197Ct)
 	}
@@ -45,7 +53,7 @@ func TestEncryptToMatchesCryptoAES(t *testing.T) {
 		var s Schedule
 		s.ExpandFrom(&key)
 		got := make([]byte, BlockSize)
-		s.EncryptTo(got, pt[:])
+		encryptTo(&s, got, pt[:])
 		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -61,32 +69,11 @@ func TestEncryptToMatchesReference(t *testing.T) {
 		want := make([]byte, BlockSize)
 		Encrypt(&s, want, pt[:])
 		got := make([]byte, BlockSize)
-		s.EncryptTo(got, pt[:])
+		encryptTo(&s, got, pt[:])
 		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEncryptBlocksTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var key [KeySize]byte
-	rng.Read(key[:])
-	var s Schedule
-	s.ExpandFrom(&key)
-	for _, blocks := range []int{0, 1, 2, 4, 7} {
-		src := make([]byte, blocks*BlockSize)
-		rng.Read(src)
-		got := make([]byte, len(src))
-		s.EncryptBlocksTo(got, src)
-		want := make([]byte, len(src))
-		for off := 0; off < len(src); off += BlockSize {
-			s.EncryptTo(want[off:off+BlockSize], src[off:off+BlockSize])
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d blocks: batched output diverges from per-block", blocks)
-		}
 	}
 }
 
@@ -97,7 +84,7 @@ func TestEncryptToInPlace(t *testing.T) {
 	s.ExpandFrom(&key)
 	buf := make([]byte, BlockSize)
 	copy(buf, fips197Pt)
-	s.EncryptTo(buf, buf)
+	encryptTo(&s, buf, buf)
 	if !bytes.Equal(buf, fips197Ct) {
 		t.Fatalf("in-place fast-path encryption mismatch: %x", buf)
 	}
@@ -108,11 +95,12 @@ func TestEncryptToInPlace(t *testing.T) {
 func TestFastPathNoAllocs(t *testing.T) {
 	var key [KeySize]byte
 	var s Schedule
-	buf := make([]byte, 2*BlockSize)
+	var buf [2]Block
 	if avg := testing.AllocsPerRun(100, func() {
 		key[0]++
 		s.ExpandFrom(&key)
-		s.EncryptBlocksTo(buf, buf)
+		s.EncryptBlockTo(&buf[0], &buf[0])
+		s.EncryptBlockTo(&buf[1], &buf[1])
 	}); avg != 0 {
 		t.Fatalf("expand+encrypt allocates %.1f times per re-key", avg)
 	}
@@ -128,31 +116,32 @@ func BenchmarkExpandFrom(b *testing.B) {
 	}
 }
 
-func BenchmarkEncryptTo(b *testing.B) {
+func BenchmarkEncryptBlockTo(b *testing.B) {
 	var key [KeySize]byte
 	var s Schedule
 	s.ExpandFrom(&key)
-	buf := make([]byte, BlockSize)
+	var buf Block
 	b.SetBytes(BlockSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.EncryptTo(buf, buf)
+		s.EncryptBlockTo(&buf, &buf)
 	}
 }
 
 // BenchmarkRekeyedBlock is the re-keyed gate pattern at the aes128
 // level: one fresh schedule then two blocks under it (the garbler's
-// per-tweak work). Compare with BenchmarkEncryptTo to see the pure key
+// per-tweak work). Compare with BenchmarkEncryptBlockTo to see the pure key
 // expansion surcharge the paper models as +27.5%.
 func BenchmarkRekeyedBlock(b *testing.B) {
 	var key [KeySize]byte
 	var s Schedule
-	buf := make([]byte, 2*BlockSize)
+	var buf [2]Block
 	b.SetBytes(2 * BlockSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key[0] = byte(i)
 		s.ExpandFrom(&key)
-		s.EncryptBlocksTo(buf, buf)
+		s.EncryptBlockTo(&buf[0], &buf[0])
+		s.EncryptBlockTo(&buf[1], &buf[1])
 	}
 }

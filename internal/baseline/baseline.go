@@ -36,15 +36,6 @@ func (m CPUModel) GCTime(s circuit.Stats) time.Duration {
 	return time.Duration(ns) * time.Nanosecond
 }
 
-// GatesPerSecond is the aggregate gate throughput on a given mix.
-func (m CPUModel) GatesPerSecond(s circuit.Stats) float64 {
-	t := m.GCTime(s).Seconds()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Gates) / t
-}
-
 // calibrationCircuit builds a mixed AND/XOR circuit big enough to time
 // reliably: a chain of 32-bit multiplies.
 func calibrationCircuit() *circuit.Circuit {

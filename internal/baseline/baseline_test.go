@@ -43,9 +43,6 @@ func TestGCTimeExtrapolation(t *testing.T) {
 	if got := m.GCTime(s); got != want {
 		t.Fatalf("GCTime = %v, want %v", got, want)
 	}
-	if m.GatesPerSecond(s) <= 0 {
-		t.Fatal("GatesPerSecond must be positive")
-	}
 }
 
 func TestTimePlain(t *testing.T) {

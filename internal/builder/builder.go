@@ -201,12 +201,6 @@ func (b *B) OR(x, y Wire) Wire {
 	return b.NOT(b.AND(b.NOT(x), b.NOT(y)))
 }
 
-// XNOR returns ~(a ^ b).
-func (b *B) XNOR(x, y Wire) Wire { return b.NOT(b.XOR(x, y)) }
-
-// NAND returns ~(a & b).
-func (b *B) NAND(x, y Wire) Wire { return b.NOT(b.AND(x, y)) }
-
 // MUX returns s ? t : f using the single-AND form f ^ (s & (t ^ f)).
 func (b *B) MUX(s, t, f Wire) Wire {
 	if ks, vs := b.IsConst(s); ks {

@@ -104,7 +104,9 @@ func TestMulFull(t *testing.T) {
 func TestComparisons(t *testing.T) {
 	ltu := evalPred(t, 32, func(b *B, x, y Word) Wire { return b.LtU(x, y) })
 	lts := evalPred(t, 32, func(b *B, x, y Word) Wire { return b.LtS(x, y) })
-	eq := evalPred(t, 32, func(b *B, x, y Word) Wire { return b.Eq(x, y) })
+	eq := evalPred(t, 32, func(b *B, x, y Word) Wire { return b.IsZero(b.XORWords(x, y)) })
+	const k = 0x9e3779b9
+	eqk := evalPred(t, 32, func(b *B, x, _ Word) Wire { return b.EqConst(x, k) })
 	f := func(x, y uint32) bool {
 		if ltu(uint64(x), uint64(y)) != (x < y) {
 			return false
@@ -115,6 +117,9 @@ func TestComparisons(t *testing.T) {
 		if eq(uint64(x), uint64(y)) != (x == y) {
 			return false
 		}
+		if eqk(uint64(x), 0) != (x == k) || !eqk(k, uint64(y)) {
+			return false
+		}
 		return eq(uint64(x), uint64(x)) // reflexive equality
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -123,8 +128,8 @@ func TestComparisons(t *testing.T) {
 }
 
 func TestMuxAndMinMax(t *testing.T) {
-	mx := evalBin(t, 16, func(b *B, x, y Word) Word { return b.Max(x, y) })
-	mn := evalBin(t, 16, func(b *B, x, y Word) Word { return b.Min(x, y) })
+	mx := evalBin(t, 16, func(b *B, x, y Word) Word { return b.MuxWord(b.LtU(x, y), y, x) })
+	mn := evalBin(t, 16, func(b *B, x, y Word) Word { return b.MuxWord(b.LtU(x, y), x, y) })
 	f := func(x, y uint16) bool {
 		xv, yv := uint64(x), uint64(y)
 		wantMax, wantMin := xv, yv
@@ -159,6 +164,51 @@ func TestSortPair(t *testing.T) {
 		}
 		if out[0] != wantLo || out[1] != wantHi {
 			t.Fatalf("SortPair(%d,%d) = (%d,%d)", xv, yv, out[0], out[1])
+		}
+	}
+}
+
+func TestShrArithConst(t *testing.T) {
+	b := New()
+	x := b.GarblerInputs(8)
+	b.OutputWord(b.ShrArithConst(x, 3))
+	c := b.MustBuild()
+	for _, v := range []int8{0, 1, -1, 127, -128, 40, -40} {
+		out, err := c.EvalUint([]uint64{uint64(uint8(v))}, nil, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(uint8(v >> 3))
+		if out[0] != want {
+			t.Fatalf("ShrArith(%d,3) = %#x, want %#x", v, out[0], want)
+		}
+	}
+}
+
+func TestExtend(t *testing.T) {
+	b := New()
+	x := b.GarblerInputs(8)
+	b.OutputWord(b.ExtendSign(x, 16))
+	b.OutputWord(b.ExtendZero(x, 16))
+	b.OutputWord(b.ExtendSign(x, 4)) // narrower: truncates
+	b.OutputWord(b.ExtendZero(x, 4))
+	c := b.MustBuild()
+	for _, v := range []int8{0, 1, -1, 127, -128, 40, -40} {
+		u := uint64(uint8(v))
+		g := circuit.UintToBools(u, 8)
+		out, err := c.Eval(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []uint64{
+			circuit.BoolsToUint(out[:16]), circuit.BoolsToUint(out[16:32]),
+			circuit.BoolsToUint(out[32:36]), circuit.BoolsToUint(out[36:40]),
+		}
+		want := []uint64{uint64(uint16(int16(v))), u, u & 15, u & 15}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("v=%d output %d = %#x, want %#x", v, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -344,48 +394,4 @@ func TestStatsOnAdder(t *testing.T) {
 	if s.Levels == 0 || s.ILP == 0 {
 		t.Fatal("stats not computed")
 	}
-}
-
-func TestMulKaratsubaCorrect(t *testing.T) {
-	for _, w := range []int{8, 16, 24, 32} {
-		w := w
-		b := New()
-		x := b.GarblerInputs(w)
-		y := b.EvaluatorInputs(w)
-		b.OutputWord(b.MulKaratsubaFull(x, y))
-		c := b.MustBuild()
-		rng := rand.New(rand.NewSource(int64(w)))
-		mask := uint64(1)<<uint(w) - 1
-		for i := 0; i < 60; i++ {
-			xv := rng.Uint64() & mask
-			yv := rng.Uint64() & mask
-			out, err := c.EvalUint([]uint64{xv}, []uint64{yv}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := out[0] | out[1]<<uint(w)
-			if got != xv*yv {
-				t.Fatalf("w=%d: Karatsuba(%d,%d) = %d, want %d", w, xv, yv, got, xv*yv)
-			}
-		}
-	}
-}
-
-func TestMulKaratsubaSavesANDs(t *testing.T) {
-	countANDs := func(f func(b *B, x, y Word) Word) int {
-		b := New()
-		x := b.GarblerInputs(64)
-		y := b.EvaluatorInputs(64)
-		b.OutputWord(f(b, x, y))
-		c := b.MustBuild()
-		and, _, _ := c.CountOps()
-		return and
-	}
-	school := countANDs(func(b *B, x, y Word) Word { return b.MulFull(x, y) })
-	kara := countANDs(func(b *B, x, y Word) Word { return b.MulKaratsubaFull(x, y) })
-	if kara >= school {
-		t.Fatalf("Karatsuba %d ANDs >= schoolbook %d at 64 bits", kara, school)
-	}
-	t.Logf("64-bit full multiply: schoolbook %d ANDs, Karatsuba %d (%.0f%%)",
-		school, kara, 100*float64(kara)/float64(school))
 }

@@ -26,16 +26,6 @@ func (b *B) XORWords(x, y Word) Word {
 	return out
 }
 
-// ANDWords returns the bitwise AND of equal-width words.
-func (b *B) ANDWords(x, y Word) Word {
-	mustSameWidth("ANDWords", x, y)
-	out := make(Word, len(x))
-	for i := range x {
-		out[i] = b.AND(x[i], y[i])
-	}
-	return out
-}
-
 // ORWords returns the bitwise OR of equal-width words.
 func (b *B) ORWords(x, y Word) Word {
 	mustSameWidth("ORWords", x, y)
@@ -114,9 +104,6 @@ func (b *B) SubBorrow(x, y Word) (Word, Wire) {
 	return s, b.NOT(carry)
 }
 
-// Neg returns -x in two's complement.
-func (b *B) Neg(x Word) Word { return b.Sub(b.ZeroWord(len(x)), x) }
-
 // Inc returns x + 1.
 func (b *B) Inc(x Word) Word {
 	s, _ := b.AddCin(x, b.ZeroWord(len(x)), b.Const(true))
@@ -164,9 +151,6 @@ func (b *B) LtU(x, y Word) Wire {
 	return borrow
 }
 
-// LeU returns 1 iff x <= y as unsigned integers.
-func (b *B) LeU(x, y Word) Wire { return b.NOT(b.LtU(y, x)) }
-
 // GtU returns 1 iff x > y as unsigned integers.
 func (b *B) GtU(x, y Word) Wire { return b.LtU(y, x) }
 
@@ -178,16 +162,6 @@ func (b *B) LtS(x, y Word) Wire {
 	xf := append(append(Word{}, x[:n-1]...), b.NOT(x[n-1]))
 	yf := append(append(Word{}, y[:n-1]...), b.NOT(y[n-1]))
 	return b.LtU(xf, yf)
-}
-
-// Eq returns 1 iff x == y.
-func (b *B) Eq(x, y Word) Wire {
-	mustSameWidth("Eq", x, y)
-	bits := make([]Wire, len(x))
-	for i := range x {
-		bits[i] = b.XNOR(x[i], y[i])
-	}
-	return b.AndTree(bits)
 }
 
 // EqConst returns 1 iff x equals the constant v.
@@ -247,12 +221,6 @@ func (b *B) MuxWord(s Wire, t, f Word) Word {
 	return out
 }
 
-// Max returns the unsigned maximum of x and y.
-func (b *B) Max(x, y Word) Word { return b.MuxWord(b.LtU(x, y), y, x) }
-
-// Min returns the unsigned minimum of x and y.
-func (b *B) Min(x, y Word) Word { return b.MuxWord(b.LtU(x, y), x, y) }
-
 // SortPair returns (min, max) of x and y as unsigned integers with a
 // single comparison — the compare-and-swap block bubble sort is made of.
 func (b *B) SortPair(x, y Word) (lo, hi Word) {
@@ -285,6 +253,22 @@ func (b *B) ShrConst(x Word, k int) Word {
 			out[i] = x[i+k]
 		} else {
 			out[i] = b.Const(false)
+		}
+	}
+	return out
+}
+
+// ShrArithConst shifts right arithmetically by the constant k,
+// replicating the sign bit.
+func (b *B) ShrArithConst(x Word, k int) Word {
+	n := len(x)
+	out := make(Word, n)
+	s := x[n-1]
+	for i := range out {
+		if i+k < n {
+			out[i] = x[i+k]
+		} else {
+			out[i] = s
 		}
 	}
 	return out

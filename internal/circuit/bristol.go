@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // Bristol format support. The paper's toolchain (Fig. 5) goes
-// C++ → EMP → Bristol netlist → HAAC assembler; this file implements the
+// C++ → EMP → Bristol netlist → HAAC assembler; this file reads the
 // Bristol side so externally produced netlists can be fed to the
-// compiler, and so our builder's circuits can be exported.
+// compiler and simulator.
 //
 // The classic ("old") Bristol format is:
 //
@@ -21,38 +22,16 @@ import (
 //	1 1 <a> <c> INV
 //
 // Output wires are, by convention, the last n_outputs wires of the
-// circuit. Constant wires are not part of the format; WriteBristol
-// refuses circuits that use them unless they were lowered first.
+// circuit. Constant wires are not part of the format.
 
-// WriteBristol writes c in classic Bristol format. The circuit's outputs
-// must be the last len(Outputs) wires, which holds for builder-produced
-// circuits after ExportBristol relayout; otherwise an error is returned.
-func WriteBristol(w io.Writer, c *Circuit) error {
-	if c.HasConst {
-		return fmt.Errorf("bristol: circuit uses constant wires; lower them before export")
-	}
-	for i, o := range c.Outputs {
-		want := Wire(c.NumWires - len(c.Outputs) + i)
-		if o != want {
-			return fmt.Errorf("bristol: output %d is wire %d, want %d (outputs must be the last wires)", i, o, want)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d\n", len(c.Gates), c.NumWires)
-	fmt.Fprintf(bw, "%d %d %d\n", c.GarblerInputs, c.EvaluatorInputs, len(c.Outputs))
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		switch g.Op {
-		case INV:
-			fmt.Fprintf(bw, "1 1 %d %d INV\n", g.A, g.C)
-		default:
-			fmt.Fprintf(bw, "2 1 %d %d %d %s\n", g.A, g.B, g.C, g.Op)
-		}
-	}
-	return bw.Flush()
-}
+// maxBristolWires bounds the wire count a netlist header may claim.
+// Validating the parsed circuit takes a byte per wire, so without a
+// bound a short hostile header could exhaust memory. 2^28 is over 20x
+// the largest paper workload (BubbSt, 11.5M wires).
+const maxBristolWires = 1 << 28
 
-// ReadBristol parses a classic Bristol netlist.
+// ReadBristol parses a classic Bristol netlist. Its input is untrusted:
+// every malformed or oversized netlist is an error, never a panic.
 func ReadBristol(r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -65,12 +44,22 @@ func ReadBristol(r io.Reader) (*Circuit, error) {
 	if err := scanLine(sc, "io header", &nin1, &nin2, &nout); err != nil {
 		return nil, err
 	}
+	switch {
+	case ngates < 0 || nwires < 0 || nin1 < 0 || nin2 < 0 || nout < 0:
+		return nil, fmt.Errorf("bristol: negative count in header %d %d / %d %d %d", ngates, nwires, nin1, nin2, nout)
+	case nwires > maxBristolWires:
+		return nil, fmt.Errorf("bristol: %d wires exceed the limit of %d", nwires, maxBristolWires)
+	case nin1 > nwires || nin2 > nwires-nin1:
+		return nil, fmt.Errorf("bristol: %d+%d inputs exceed %d wires", nin1, nin2, nwires)
+	case nout > nwires:
+		return nil, fmt.Errorf("bristol: %d outputs exceed %d wires", nout, nwires)
+	}
 	c := &Circuit{
 		NumWires:        nwires,
 		GarblerInputs:   nin1,
 		EvaluatorInputs: nin2,
-		Gates:           make([]Gate, 0, ngates),
 	}
+	// The header's gate count is untrusted: Gates grows as gates are read.
 	for len(c.Gates) < ngates {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("bristol: expected %d gates, got %d", ngates, len(c.Gates))
@@ -80,42 +69,28 @@ func ReadBristol(r io.Reader) (*Circuit, error) {
 			continue
 		}
 		f := strings.Fields(line)
-		var g Gate
-		switch f[len(f)-1] {
-		case "AND", "XOR":
-			if len(f) != 6 {
-				return nil, fmt.Errorf("bristol: malformed 2-input gate %q", line)
-			}
-			var a, b, cc int
-			if _, err := fmt.Sscan(f[2], &a); err != nil {
-				return nil, fmt.Errorf("bristol: bad wire in %q: %w", line, err)
-			}
-			if _, err := fmt.Sscan(f[3], &b); err != nil {
-				return nil, fmt.Errorf("bristol: bad wire in %q: %w", line, err)
-			}
-			if _, err := fmt.Sscan(f[4], &cc); err != nil {
-				return nil, fmt.Errorf("bristol: bad wire in %q: %w", line, err)
-			}
-			g = Gate{A: Wire(a), B: Wire(b), C: Wire(cc)}
-			if f[len(f)-1] == "AND" {
-				g.Op = AND
-			} else {
-				g.Op = XOR
-			}
-		case "INV", "NOT":
-			if len(f) != 5 {
-				return nil, fmt.Errorf("bristol: malformed INV gate %q", line)
-			}
-			var a, cc int
-			if _, err := fmt.Sscan(f[2], &a); err != nil {
-				return nil, fmt.Errorf("bristol: bad wire in %q: %w", line, err)
-			}
-			if _, err := fmt.Sscan(f[3], &cc); err != nil {
-				return nil, fmt.Errorf("bristol: bad wire in %q: %w", line, err)
-			}
-			g = Gate{Op: INV, A: Wire(a), C: Wire(cc)}
+		op := f[len(f)-1]
+		switch {
+		case (op == "AND" || op == "XOR") && len(f) == 6:
+		case (op == "INV" || op == "NOT") && len(f) == 5:
 		default:
-			return nil, fmt.Errorf("bristol: unsupported gate %q", line)
+			return nil, fmt.Errorf("bristol: malformed or unsupported gate %q", line)
+		}
+		// The operand wires sit between the two arity fields and the op.
+		var w [3]Wire
+		for k, field := range f[2 : len(f)-1] {
+			v, err := strconv.Atoi(field)
+			if err != nil || v < 0 || v >= nwires {
+				return nil, fmt.Errorf("bristol: bad wire %q in %q", field, line)
+			}
+			w[k] = Wire(v)
+		}
+		g := Gate{Op: XOR, A: w[0], B: w[1], C: w[2]}
+		switch op {
+		case "AND":
+			g.Op = AND
+		case "INV", "NOT":
+			g = Gate{Op: INV, A: w[0], C: w[1]}
 		}
 		c.Gates = append(c.Gates, g)
 	}

@@ -109,16 +109,6 @@ func (c *Circuit) CountOps() (and, xor, inv int) {
 	return
 }
 
-// ANDFraction returns the fraction of gates that are AND gates, the
-// quantity Table 2 reports as "AND %".
-func (c *Circuit) ANDFraction() float64 {
-	if len(c.Gates) == 0 {
-		return 0
-	}
-	and, _, _ := c.CountOps()
-	return float64(and) / float64(len(c.Gates))
-}
-
 // Validate checks structural well-formedness: wire indices in range,
 // single assignment, execution order, outputs defined. It is O(wires).
 func (c *Circuit) Validate() error {

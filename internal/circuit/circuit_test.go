@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -143,20 +142,19 @@ func TestLevelsMonotone(t *testing.T) {
 	}
 }
 
-func TestFanOut(t *testing.T) {
-	c := xorAndCircuit()
-	fan := c.FanOut()
-	if fan[1] != 2 || fan[2] != 2 {
-		t.Fatalf("input fanout wrong: %v", fan)
-	}
-	if fan[6] != 1 || fan[7] != 1 { // outputs get +1
-		t.Fatalf("output fanout wrong: %v", fan)
-	}
-}
+// xorAndBristol is a netlist in Bristol layout: three inputs, four
+// gates, the outputs the last two wires.
+const xorAndBristol = `4 7
+2 1 2
+
+2 1 0 1 3 XOR
+1 1 2 4 INV
+2 1 3 4 5 AND
+2 1 5 0 6 XOR
+`
 
 func TestBristolRoundTrip(t *testing.T) {
-	// Build a circuit whose outputs are the last wires (Bristol layout).
-	c := &Circuit{
+	want := &Circuit{
 		NumWires: 7, GarblerInputs: 2, EvaluatorInputs: 1,
 		Gates: []Gate{
 			{Op: XOR, A: 0, B: 1, C: 3},
@@ -166,29 +164,22 @@ func TestBristolRoundTrip(t *testing.T) {
 		},
 		Outputs: []Wire{5, 6},
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBristol(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBristol(&buf)
+	got, err := ReadBristol(strings.NewReader(xorAndBristol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumWires != c.NumWires || len(got.Gates) != len(c.Gates) {
-		t.Fatalf("round trip changed shape")
+	if Digest(got) != Digest(want) {
+		t.Fatalf("parsed circuit differs: %+v", got)
 	}
 	// Functional equivalence on all 8 input combinations.
 	for v := 0; v < 8; v++ {
 		g := []bool{v&1 == 1, v&2 == 2}
 		e := []bool{v&4 == 4}
-		a, _ := c.Eval(g, e)
+		a, _ := want.Eval(g, e)
 		bb, _ := got.Eval(g, e)
 		for i := range a {
 			if a[i] != bb[i] {
-				t.Fatalf("round trip changed semantics at input %d", v)
+				t.Fatalf("parsed circuit differs in semantics at input %d", v)
 			}
 		}
 	}
@@ -196,11 +187,18 @@ func TestBristolRoundTrip(t *testing.T) {
 
 func TestBristolRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"",                            // empty
-		"1\n1 1 1\n",                  // short header
-		"1 3\n1 0 1\n2 1 0 1 2 NOR\n", // unknown gate
-		"2 3\n1 0 1\n2 1 0 1 2 AND\n", // missing gate
-		"1 3\n1 0 1\n2 1 0 9 2 AND\n", // wire out of range
+		"",                                     // empty
+		"1\n1 1 1\n",                           // short header
+		"1 3\n1 0 1\n2 1 0 1 2 NOR\n",          // unknown gate
+		"2 3\n1 0 1\n2 1 0 1 2 AND\n",          // missing gate
+		"1 3\n1 0 1\n2 1 0 9 2 AND\n",          // wire out of range
+		"1 3\n1 0 1\n2 1 0 4294967296 2 AND\n", // wire beyond 32 bits
+		"-1 3\n1 0 1\n",                        // negative gate count
+		"1 3\n1 0 -1\n",                        // negative output count
+		"1 3\n1 0 4\n2 1 0 0 2 AND\n",          // more outputs than wires
+		"1 3\n2 2 1\n2 1 0 1 2 AND\n",          // more inputs than wires
+		"1000000000000 3\n1 0 1\n",             // gate count beyond the file
+		"0 1000000000000\n1 0 1\n",             // wire count beyond the limit
 	}
 	for i, s := range bad {
 		if _, err := ReadBristol(strings.NewReader(s)); err == nil {
@@ -209,15 +207,27 @@ func TestBristolRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestBristolOutputsMustBeLast: the format has no output list; the
+// outputs are the last n_outputs wires.
 func TestBristolOutputsMustBeLast(t *testing.T) {
-	c := xorAndCircuit() // outputs 6,7 are last wires of 8 -> ok
-	var buf bytes.Buffer
-	if err := WriteBristol(&buf, c); err != nil {
+	c, err := ReadBristol(strings.NewReader(xorAndBristol))
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.Outputs = []Wire{4, 5}
-	if err := WriteBristol(&buf, c); err == nil {
-		t.Fatal("non-final outputs accepted")
+	if len(c.Outputs) != 2 || c.Outputs[0] != 5 || c.Outputs[1] != 6 {
+		t.Fatalf("outputs %v, want the last two wires [5 6]", c.Outputs)
+	}
+	// A netlist whose last wire is never written is rejected.
+	if _, err := ReadBristol(strings.NewReader("1 5\n2 1 1\n2 1 0 1 3 AND\n")); err == nil {
+		t.Fatal("undefined output wire accepted")
+	}
+}
+
+func TestOpString(t *testing.T) {
+	for op, want := range map[Op]string{XOR: "XOR", AND: "AND", INV: "INV", Op(9): "Op(9)"} {
+		if got := op.String(); got != want {
+			t.Errorf("Op(%d).String() = %q, want %q", uint8(op), got, want)
+		}
 	}
 }
 
@@ -263,82 +273,5 @@ func TestEvalUintWidths(t *testing.T) {
 		if out[0] != want {
 			t.Fatalf("EvalUint = %d, want %d", out[0], want)
 		}
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := xorAndCircuit()
-	b := &Circuit{
-		NumWires: 4, GarblerInputs: 1, EvaluatorInputs: 1,
-		HasConst: false,
-		Gates: []Gate{
-			{Op: AND, A: 0, B: 1, C: 2},
-			{Op: INV, A: 2, C: 3},
-		},
-		Outputs: []Wire{3},
-	}
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.GarblerInputs != 3 || m.EvaluatorInputs != 3 {
-		t.Fatalf("merged inputs %d/%d", m.GarblerInputs, m.EvaluatorInputs)
-	}
-	if len(m.Outputs) != 3 {
-		t.Fatalf("merged outputs %d", len(m.Outputs))
-	}
-	// Exhaustive check: merged semantics == concatenated sub-circuits.
-	for v := 0; v < 64; v++ {
-		g := []bool{v&1 == 1, v&2 == 2, v&4 == 4}
-		e := []bool{v&8 == 8, v&16 == 16, v&32 == 32}
-		wantA, _ := a.Eval(g[:2], e[:2])
-		wantB, _ := b.Eval(g[2:], e[2:])
-		got, err := m.Eval(g, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append(append([]bool{}, wantA...), wantB...)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("v=%d: merged output %d differs", v, i)
-			}
-		}
-	}
-}
-
-func TestMergeSharedConstants(t *testing.T) {
-	mk := func() *Circuit {
-		return &Circuit{
-			NumWires: 4, GarblerInputs: 1,
-			HasConst: true, Const0: 1, Const1: 2,
-			Gates:   []Gate{{Op: XOR, A: 0, B: 2, C: 3}},
-			Outputs: []Wire{3},
-		}
-	}
-	m, err := Merge(mk(), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.HasConst {
-		t.Fatal("merged circuit lost constants")
-	}
-	got, err := m.Eval([]bool{true, false}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != false || got[1] != true {
-		t.Fatalf("merged const semantics wrong: %v", got)
-	}
-}
-
-func TestMergeRejectsInvalid(t *testing.T) {
-	bad := &Circuit{NumWires: 2, GarblerInputs: 1,
-		Gates:   []Gate{{Op: AND, A: 9, B: 0, C: 1}},
-		Outputs: []Wire{1}}
-	if _, err := Merge(bad); err == nil {
-		t.Fatal("invalid input accepted")
-	}
-	if _, err := Merge(); err == nil {
-		t.Fatal("empty merge accepted")
 	}
 }

@@ -70,21 +70,3 @@ func (c *Circuit) Levels() []int {
 	}
 	return levels
 }
-
-// FanOut returns the number of consuming gates per wire. Output wires of
-// the circuit get one extra use, reflecting that they must survive to the
-// end of execution (the ESW pass treats them as live).
-func (c *Circuit) FanOut() []int32 {
-	fan := make([]int32, c.NumWires)
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		fan[g.A]++
-		if g.Op != INV {
-			fan[g.B]++
-		}
-	}
-	for _, o := range c.Outputs {
-		fan[o]++
-	}
-	return fan
-}

@@ -157,7 +157,9 @@ func TestMaterialSerialization(t *testing.T) {
 	f := func(a, b label.L) bool {
 		m := Material{TG: a, TE: b}
 		buf := m.Bytes()
-		return MaterialFromBytes(buf[:]) == m
+		var got [1]Material
+		DecodeMaterials(got[:], buf[:])
+		return got[0] == m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

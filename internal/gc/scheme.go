@@ -57,14 +57,6 @@ func (m Material) Bytes() [MaterialSize]byte {
 	return b
 }
 
-// MaterialFromBytes deserializes a Material.
-func MaterialFromBytes(b []byte) Material {
-	return Material{
-		TG: label.FromBytes(b[0:16]),
-		TE: label.FromBytes(b[16:32]),
-	}
-}
-
 // EncodeMaterials serializes src into dst at MaterialSize stride and
 // returns the number of bytes written — the bulk form of Bytes, and the
 // definition of the table stream's wire format. The transport moves
@@ -411,8 +403,8 @@ func evalRows(wg, we, a, b label.L, m Material) label.L {
 }
 
 // checkHalfGates validates the construction over all four plaintext
-// input combinations; used by tests and the package's own init-time
-// self-check in debug builds.
+// input combinations; the tests run it over every hasher and the golden
+// vectors.
 func checkHalfGates(h Hasher, a0, b0, r label.L, j uint64) error {
 	m, c0 := garbleAND(h, a0, b0, r, j)
 	for va := 0; va < 2; va++ {

@@ -83,18 +83,6 @@ func (in Instr) Pack() uint64 {
 	return v
 }
 
-// Unpack decodes a packed instruction. The recovered addresses are the
-// physical 17-bit fields; logical addresses are not recoverable (nor
-// needed by hardware).
-func Unpack(v uint64) Instr {
-	return Instr{
-		Op:   Op(v & 3),
-		A:    uint32(v >> 2 & AddrMask),
-		B:    uint32(v >> (2 + AddrBits) & AddrMask),
-		Live: v>>(2+2*AddrBits)&1 == 1,
-	}
-}
-
 // Program is a complete HAAC program: a straight-line instruction list
 // over a renamed, dense wire address space.
 //
@@ -222,55 +210,4 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 		n += EncodedSize
 	}
 	return n, nil
-}
-
-// ReadProgram deserializes a program written by WriteTo. Note that the
-// packed instructions carry physical (truncated) addresses; programs
-// read back are suitable for hardware-stream replay and byte accounting
-// but not for re-running compiler passes.
-func ReadProgram(r io.Reader) (*Program, error) {
-	var hdr [4]uint64
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("isa: reading header: %w", err)
-		}
-	}
-	nInstr, nIn, nOut, maxAddr := hdr[0], hdr[1], hdr[2], hdr[3]
-	const limit = 1 << 28
-	if nInstr > limit || nIn > limit || nOut > limit {
-		return nil, fmt.Errorf("isa: unreasonable program header %v", hdr)
-	}
-	p := &Program{
-		NumInputs:   int(nIn),
-		InputAddrs:  make([]uint32, nIn),
-		OutputAddrs: make([]uint32, nOut),
-		OutAddrs:    make([]uint32, nInstr),
-		Instrs:      make([]Instr, nInstr),
-		MaxAddr:     uint32(maxAddr),
-	}
-	read32 := func(dst []uint32) error {
-		for i := range dst {
-			if err := binary.Read(r, binary.LittleEndian, &dst[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := read32(p.InputAddrs); err != nil {
-		return nil, fmt.Errorf("isa: reading input addrs: %w", err)
-	}
-	if err := read32(p.OutputAddrs); err != nil {
-		return nil, fmt.Errorf("isa: reading output addrs: %w", err)
-	}
-	if err := read32(p.OutAddrs); err != nil {
-		return nil, fmt.Errorf("isa: reading out addrs: %w", err)
-	}
-	for i := range p.Instrs {
-		var v uint64
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, fmt.Errorf("isa: reading instruction %d: %w", i, err)
-		}
-		p.Instrs[i] = Unpack(v)
-	}
-	return p, nil
 }

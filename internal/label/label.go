@@ -68,19 +68,6 @@ func FromBytes(b []byte) L {
 	}
 }
 
-// EncodeSlice serializes src into dst at 16-byte stride and returns the
-// number of bytes written. dst must hold at least Size*len(src) bytes.
-// This is the bulk form of Put used by the batched transport: one call
-// encodes a whole batch of labels into a single wire slab.
-func EncodeSlice(dst []byte, src []L) int {
-	_ = dst[:Size*len(src)] // one bounds check for the whole batch
-	for i, l := range src {
-		binary.LittleEndian.PutUint64(dst[i*Size:], l.Lo)
-		binary.LittleEndian.PutUint64(dst[i*Size+8:], l.Hi)
-	}
-	return Size * len(src)
-}
-
 // DecodeSlice deserializes len(dst) labels from src at 16-byte stride and
 // returns the number of bytes consumed. src must hold at least
 // Size*len(dst) bytes.
@@ -93,16 +80,6 @@ func DecodeSlice(dst []L, src []byte) int {
 		}
 	}
 	return Size * len(dst)
-}
-
-// XorSliceInto sets dst[i] = a[i] ^ b[i] for every i. All three slices
-// must have the same length; dst may alias a or b.
-func XorSliceInto(dst, a, b []L) {
-	_ = a[:len(dst)]
-	_ = b[:len(dst)]
-	for i := range dst {
-		dst[i] = L{Lo: a[i].Lo ^ b[i].Lo, Hi: a[i].Hi ^ b[i].Hi}
-	}
 }
 
 // String renders the label as 32 hex digits (serialized byte order).
@@ -118,17 +95,6 @@ func Rand() (L, error) {
 		return L{}, fmt.Errorf("label: reading randomness: %w", err)
 	}
 	return FromBytes(b[:]), nil
-}
-
-// RandDelta returns a random FreeXOR offset R with the colour bit forced
-// to 1, so that W and W^R always have opposite colours.
-func RandDelta() (L, error) {
-	r, err := Rand()
-	if err != nil {
-		return L{}, err
-	}
-	r.Lo |= 1
-	return r, nil
 }
 
 // Source is a deterministic label generator seeded from a 64-bit value.

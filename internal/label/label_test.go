@@ -55,18 +55,6 @@ func TestColourIsLSB(t *testing.T) {
 	}
 }
 
-func TestRandDeltaHasColourSet(t *testing.T) {
-	for i := 0; i < 32; i++ {
-		d, err := RandDelta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Colour() != 1 {
-			t.Fatal("RandDelta produced a label with colour 0")
-		}
-	}
-}
-
 func TestRandIsNotConstant(t *testing.T) {
 	a, err := Rand()
 	if err != nil {
@@ -112,16 +100,8 @@ func TestEncodeDecodeSliceRoundTrip(t *testing.T) {
 			ls[i] = src.Next()
 		}
 		buf := make([]byte, Size*n)
-		if got := EncodeSlice(buf, ls); got != Size*n {
-			t.Fatalf("n=%d: EncodeSlice wrote %d bytes, want %d", n, got, Size*n)
-		}
-		// Bulk encode must match per-label Put exactly.
 		for i, l := range ls {
-			var one [Size]byte
-			l.Put(one[:])
-			if string(buf[i*Size:(i+1)*Size]) != string(one[:]) {
-				t.Fatalf("n=%d: EncodeSlice differs from Put at label %d", n, i)
-			}
+			l.Put(buf[i*Size:])
 		}
 		back := make([]L, n)
 		if got := DecodeSlice(back, buf); got != Size*n {
@@ -135,38 +115,12 @@ func TestEncodeDecodeSliceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestXorSliceInto(t *testing.T) {
-	src := NewSource(9)
-	const n = 129
-	a := make([]L, n)
-	b := make([]L, n)
-	for i := range a {
-		a[i], b[i] = src.Next(), src.Next()
-	}
-	dst := make([]L, n)
-	XorSliceInto(dst, a, b)
-	for i := range dst {
-		if dst[i] != a[i].Xor(b[i]) {
-			t.Fatalf("XorSliceInto mismatch at %d", i)
-		}
-	}
-	// Aliasing dst with a must behave like the scalar loop.
-	XorSliceInto(a, a, b)
-	for i := range a {
-		if a[i] != dst[i] {
-			t.Fatalf("aliased XorSliceInto mismatch at %d", i)
-		}
-	}
-}
-
 func TestBulkCodecNoAllocs(t *testing.T) {
 	const n = 512
 	ls := make([]L, n)
 	buf := make([]byte, Size*n)
 	if avg := testing.AllocsPerRun(100, func() {
-		EncodeSlice(buf, ls)
 		DecodeSlice(ls, buf)
-		XorSliceInto(ls, ls, ls)
 	}); avg != 0 {
 		t.Fatalf("bulk codec allocates %.1f times per run, want 0", avg)
 	}

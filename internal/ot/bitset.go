@@ -35,15 +35,6 @@ func (b Bitset) Bit(j int) int {
 	return int(b.words[j>>6] >> (uint(j) & 63) & 1)
 }
 
-// Set sets choice j to v.
-func (b Bitset) Set(j int, v bool) {
-	if v {
-		b.words[j>>6] |= 1 << (uint(j) & 63)
-	} else {
-		b.words[j>>6] &^= 1 << (uint(j) & 63)
-	}
-}
-
 // CopyBools repacks choices into b in place; len(choices) must equal
 // Len. It lets a long-lived session reuse one bitset across runs
 // instead of allocating with BitsetFromBools per run.
@@ -59,22 +50,4 @@ func (b Bitset) CopyBools(choices []bool) {
 			b.words[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
-}
-
-// Bools unpacks the bitset into a fresh []bool (kept for tests and
-// callers that want per-transfer bits back).
-func (b Bitset) Bools() []bool {
-	out := make([]bool, b.n)
-	for j := range out {
-		out[j] = b.Bit(j) == 1
-	}
-	return out
-}
-
-// word returns the w-th 64-choice word (zero beyond Len).
-func (b Bitset) word(w int) uint64 {
-	if w < len(b.words) {
-		return b.words[w]
-	}
-	return 0
 }

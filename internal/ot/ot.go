@@ -59,7 +59,7 @@ const (
 	IKNP
 	// Pooled consumes precomputed random-OT correlations from a Pool
 	// with one choice-correction XOR round online. It is session state,
-	// not an on-demand protocol: Send/Receive reject it — callers go
+	// not an on-demand protocol: Send/ReceiveBitset reject it — callers go
 	// through Pool.SendDerand/Pool.ReceiveDerand instead. The value
 	// appears on the wire in the session hello (requesting the pooled
 	// tier) and in the per-run header (marking a pool-hit run).
@@ -101,18 +101,12 @@ func Send(conn io.ReadWriter, proto Protocol, pairs []Pair) error {
 	return fmt.Errorf("ot: unknown protocol %d", proto)
 }
 
-// Receive runs the receiver side for a batch of choice bits, returning
-// the chosen message per transfer.
-func Receive(conn io.ReadWriter, proto Protocol, choices []bool) ([]label.L, error) {
-	return ReceiveBitset(conn, proto, BitsetFromBools(choices))
-}
-
-// ReceiveBitset is Receive with a packed choice vector, which every
-// protocol now consumes directly: IKNP's hot path works on 64-choice
-// words, and the per-transfer base protocols index bits in place — a
-// pool refill of 16384 correlations no longer unpacks a 16 KiB bool
-// slice per chunk. Results are identical to Receive on the unpacked
-// bools. Pooled is rejected; use Pool.ReceiveDerand.
+// ReceiveBitset runs the receiver side for a batch of packed choice
+// bits, returning the chosen message per transfer. Every protocol
+// consumes the packed vector directly: IKNP's hot path works on
+// 64-choice words, and the per-transfer base protocols index bits in
+// place, so a pool refill of 16384 correlations unpacks no bool slice.
+// Pooled is rejected; use Pool.ReceiveDerand.
 func ReceiveBitset(conn io.ReadWriter, proto Protocol, choices Bitset) ([]label.L, error) {
 	switch proto {
 	case DH:

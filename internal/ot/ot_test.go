@@ -34,7 +34,7 @@ func runOT(t *testing.T, proto Protocol, n int, seed int64) ([]Pair, []bool, []l
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() { errc <- Send(a, proto, pairs) }()
-	got, err := Receive(b, proto, choices)
+	got, err := ReceiveBitset(b, proto, BitsetFromBools(choices))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDHOTDistinctKeysPerIndex(t *testing.T) {
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() { errc <- Send(a, DH, pairs) }()
-	got, err := Receive(b, DH, choices)
+	got, err := ReceiveBitset(b, DH, BitsetFromBools(choices))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestUnknownProtocolRejected(t *testing.T) {
 	if err := Send(a, Protocol(99), nil); err == nil {
 		t.Fatal("unknown protocol accepted by Send")
 	}
-	if _, err := Receive(b, Protocol(99), nil); err == nil {
-		t.Fatal("unknown protocol accepted by Receive")
+	if _, err := ReceiveBitset(b, Protocol(99), NewBitset(0)); err == nil {
+		t.Fatal("unknown protocol accepted by ReceiveBitset")
 	}
 }
 
@@ -148,7 +148,7 @@ func TestIKNPEmptyBatch(t *testing.T) {
 	defer b.Close()
 	errc := make(chan error, 1)
 	go func() { errc <- Send(a, IKNP, nil) }()
-	out, err := Receive(b, IKNP, nil)
+	out, err := ReceiveBitset(b, IKNP, NewBitset(0))
 	if err != nil {
 		t.Fatal(err)
 	}

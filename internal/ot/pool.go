@@ -120,9 +120,6 @@ func NewReceiverPool(conn io.ReadWriter, base Protocol) (*Pool, error) {
 	return &Pool{recv: e}, nil
 }
 
-// Sender reports whether this is the message-sender side of the pool.
-func (p *Pool) Sender() bool { return p.send != nil }
-
 // Level returns the number of unconsumed correlations.
 func (p *Pool) Level() int {
 	if p.send != nil {

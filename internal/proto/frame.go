@@ -48,9 +48,6 @@ type FramedConn struct {
 	rlen int    // verified bytes in rbuf
 	wbuf []byte // staged header+payload for one outgoing frame
 	hdr  [frameHeaderSize]byte
-
-	framesIn, framesOut uint64
-	failures            uint64
 }
 
 // NewFramedConn returns a frame codec over rw.
@@ -70,14 +67,6 @@ func (f *FramedConn) Reset(rw io.ReadWriter) {
 	f.rpos, f.rlen = 0, 0
 }
 
-// Frames returns the verified-in/sent-out frame counts, and failures
-// the number of integrity rejections this codec raised.
-func (f *FramedConn) Frames() (in, out uint64) { return f.framesIn, f.framesOut }
-
-// Failures returns the number of frames rejected for failing their
-// checksum or carrying an out-of-bounds length.
-func (f *FramedConn) Failures() uint64 { return f.failures }
-
 // readFrame pulls the next frame off the transport into rbuf,
 // verifying length bounds and checksum. Transport errors pass through
 // unwrapped so callers classify them (peer-closed, deadline) exactly as
@@ -89,7 +78,6 @@ func (f *FramedConn) readFrame() error {
 	le := binary.LittleEndian
 	n := int(le.Uint32(f.hdr[0:]))
 	if n <= 0 || n > maxFramePayload {
-		f.failures++
 		return fmt.Errorf("proto: %w: frame length %d outside 1..%d", ErrIntegrity, n, maxFramePayload)
 	}
 	want := le.Uint32(f.hdr[4:])
@@ -99,11 +87,9 @@ func (f *FramedConn) readFrame() error {
 	crc := crc32.Update(0, castagnoli, f.hdr[0:4])
 	crc = crc32.Update(crc, castagnoli, f.rbuf[:n])
 	if crc != want {
-		f.failures++
 		return fmt.Errorf("proto: %w: frame checksum %#x, want %#x", ErrIntegrity, crc, want)
 	}
 	f.rpos, f.rlen = 0, n
-	f.framesIn++
 	return nil
 }
 
@@ -139,7 +125,6 @@ func (f *FramedConn) Write(p []byte) (int, error) {
 			return written, err
 		}
 		written += n
-		f.framesOut++
 	}
 	return written, nil
 }

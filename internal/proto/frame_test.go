@@ -21,6 +21,10 @@ func TestFrameRoundtrip(t *testing.T) {
 		if n, err := w.Write(msg); err != nil || n != size {
 			t.Fatalf("size %d: Write = %d, %v", size, n, err)
 		}
+		wantFrames := (size + maxFramePayload - 1) / maxFramePayload
+		if got, want := wire.Len(), size+wantFrames*frameHeaderSize; got != want {
+			t.Errorf("size %d: %d bytes on the wire, want %d (%d frames)", size, got, want, wantFrames)
+		}
 		r := NewFramedConn(&wire)
 		got := make([]byte, size)
 		if _, err := io.ReadFull(r, got); err != nil {
@@ -29,12 +33,8 @@ func TestFrameRoundtrip(t *testing.T) {
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("size %d: payload drifted through the codec", size)
 		}
-		wantFrames := uint64((size + maxFramePayload - 1) / maxFramePayload)
-		if _, out := w.Frames(); out != wantFrames {
-			t.Errorf("size %d: framesOut = %d, want %d", size, out, wantFrames)
-		}
-		if in, _ := r.Frames(); in != wantFrames {
-			t.Errorf("size %d: framesIn = %d, want %d", size, in, wantFrames)
+		if wire.Len() != 0 {
+			t.Errorf("size %d: %d bytes left unread on the wire", size, wire.Len())
 		}
 	}
 }
@@ -62,9 +62,6 @@ func TestFrameCorruptionDetected(t *testing.T) {
 			}
 			if !errors.Is(err, ErrIntegrity) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("flip byte %d bit %d: err = %v, want ErrIntegrity or truncation", pos, bit, err)
-			}
-			if errors.Is(err, ErrIntegrity) && r.Failures() == 0 {
-				t.Fatalf("flip byte %d bit %d: ErrIntegrity without a failure count", pos, bit)
 			}
 		}
 	}

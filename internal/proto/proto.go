@@ -259,8 +259,6 @@ func sendActiveInputs(w *bufio.Writer, c *circuit.Circuit, zeros []label.L, r la
 // GarblerSession over conn (compiling a plan unless Options.Plan
 // carries one), runs it once and closes it.
 func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
-	opts.Stats.begin()
-	defer opts.Stats.end()
 	var err error
 	if opts.Plan, err = opts.planFor(c); err != nil {
 		return nil, err
@@ -278,8 +276,6 @@ func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts
 // wrapper around an EvaluatorSession, which compiles the plan unless
 // Options.Plan carries one.
 func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
-	opts.Stats.begin()
-	defer opts.Stats.end()
 	conn, opts = opts.oneShot(conn)
 	s, err := NewEvaluatorSession(conn, c, opts)
 	if err != nil {

@@ -114,10 +114,7 @@ func TestTransferStats(t *testing.T) {
 	if stats.BytesSent.Load() < minBytes {
 		t.Fatalf("garbler sent %d bytes, tables alone are %d", stats.BytesSent.Load(), minBytes)
 	}
-	if stats.Duration() <= 0 {
-		t.Fatal("no duration recorded")
-	}
-	if stats.Throughput() <= 0 {
-		t.Fatal("no throughput")
+	if stats.BytesReceived.Load() <= 0 {
+		t.Fatal("no received bytes recorded")
 	}
 }

@@ -3,12 +3,11 @@ package proto
 import (
 	"io"
 	"sync/atomic"
-	"time"
 )
 
 // Stats collects transfer metrics for a protocol run when attached via
-// Options.Stats: total bytes in each direction and wall-clock duration.
-// GC bandwidth demand is the core systems challenge the paper targets
+// Options.Stats: total bytes in each direction and the garbler's table
+// send times. GC bandwidth demand is the core systems challenge the paper targets
 // (§1: "GCs are data intensive"), so the examples report it.
 type Stats struct {
 	BytesSent     atomic.Int64
@@ -20,35 +19,6 @@ type Stats struct {
 	// not cover was overlapped with garbling.
 	TableSendNanos      atomic.Int64
 	TableDrainWaitNanos atomic.Int64
-	// start holds the earliest begin() as UnixNano; one Stats may be
-	// shared by both roles of an in-process run, so begin/end race-free
-	// via atomics: the first begin and the last end win.
-	start    atomic.Int64
-	duration atomic.Int64 // nanoseconds
-}
-
-// Duration returns the elapsed wall time of the run.
-func (s *Stats) Duration() time.Duration { return time.Duration(s.duration.Load()) }
-
-// Throughput returns the total transfer rate in bytes/second.
-func (s *Stats) Throughput() float64 {
-	d := s.Duration().Seconds()
-	if d == 0 {
-		return 0
-	}
-	return float64(s.BytesSent.Load()+s.BytesReceived.Load()) / d
-}
-
-func (s *Stats) begin() {
-	if s != nil {
-		s.start.CompareAndSwap(0, time.Now().UnixNano())
-	}
-}
-
-func (s *Stats) end() {
-	if s != nil {
-		s.duration.Store(time.Now().UnixNano() - s.start.Load())
-	}
 }
 
 // countingConn wraps a ReadWriter, attributing bytes to a Stats.

@@ -106,13 +106,12 @@ func TestServingZeroSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := ln.Dial()
+	sess, err := Dial("pipe", "mul", c, Options{
+		OT:     ot.Insecure,
+		Plan:   plan,
+		Dialer: func(string) (net.Conn, error) { return ln.Dial() },
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(conn, "mul", c, Options{OT: ot.Insecure, Plan: plan})
-	if err != nil {
-		conn.Close()
 		t.Fatal(err)
 	}
 	defer sess.Close()

@@ -101,13 +101,6 @@ func (pc *PlanCache) Get(key string, build func() (*circuit.Plan, error)) (*circ
 	return e.plan, e.err
 }
 
-// Len returns the number of resident plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries)
-}
-
 // CacheCounters is a snapshot of the cache's hit/miss/eviction totals.
 type CacheCounters struct {
 	Hits, Misses, Evictions uint64

@@ -10,6 +10,13 @@ import (
 	"haac/internal/workloads"
 )
 
+// Len returns the number of resident plans.
+func (pc *PlanCache) Len() int {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return len(pc.entries)
+}
+
 // TestPlanCacheHitRequiresCompletedBuild pins the hit semantics
 // deterministically: a request that joins an in-flight singleflight
 // build records a miss — it did not find a warm plan — and only

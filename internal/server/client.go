@@ -295,8 +295,7 @@ func (o Options) dialRaw(addr string) (net.Conn, error) {
 // Session is a client (evaluator) session against a serving garbler.
 // Run may be called any number of times; the session amortizes its
 // transport buffers and evaluation engine across runs, and — when
-// Options.Retry is enabled and the session was opened with Dial —
-// transparently reconnects and replays runs across backend restarts.
+// Options.Retry is enabled — transparently reconnects and replays runs across backend restarts.
 // Not safe for concurrent use — open one session per goroutine; the
 // server multiplexes them.
 type Session struct {
@@ -332,8 +331,7 @@ type Session struct {
 	poolCapped bool
 	refilling  bool
 
-	// Reconnect state; addr == "" means the session was built over a
-	// caller-owned conn (NewSession) and cannot redial.
+	// Reconnect state.
 	addr  string
 	hello hello
 	opts  Options
@@ -388,43 +386,6 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 		}
 		time.Sleep(opts.Retry.backoff(attempt, s.rng))
 	}
-}
-
-// NewSession performs the session handshake over an existing connection
-// and returns the ready session. On error the caller owns closing conn.
-// Sessions built this way cannot redial (the caller owns the
-// transport), so Options.Retry is ignored — use Dial for self-healing
-// sessions.
-func NewSession(conn net.Conn, circuitID string, c *circuit.Circuit, opts Options) (*Session, error) {
-	if err := opts.ensurePlan(c); err != nil {
-		return nil, err
-	}
-	s := &Session{conn: conn, opts: opts}
-	rw := proto.Instrument(conn, opts.Stats)
-	if err := writeHello(rw, hello{ot: opts.wireOT(), flags: helloFlags(opts), id: circuitID, digest: circuit.Digest(c)}); err != nil {
-		return nil, err
-	}
-	numSlots, granted, pooled, err := readReply(rw)
-	if err != nil {
-		return nil, err
-	}
-	s.rw = s.wireStack(rw, granted)
-	s.pooled = pooled
-	s.numSlots = int(numSlots)
-	es, err := proto.NewEvaluatorSession(s.rw, c, proto.Options{
-		OT:      opts.OT,
-		Workers: opts.Workers,
-		Plan:    opts.Plan,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.es = es
-	if err := s.initialFill(conn); err != nil {
-		es.Close()
-		return nil, err
-	}
-	return s, nil
 }
 
 // wireStack builds the post-handshake transport over the instrumented

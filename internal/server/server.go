@@ -389,9 +389,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Cache returns the server's shared plan cache.
-func (s *Server) Cache() *PlanCache { return s.cache }
-
 // registerListener adds ln to the set Close tears down, refusing (and
 // closing ln) when the server is already draining. unregisterListener
 // removes and closes it; both Serve and ServeOps share this lifecycle

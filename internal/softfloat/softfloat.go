@@ -133,9 +133,6 @@ func leadingZeros28(x uint32) int32 {
 // Sub returns a - b.
 func Sub(a, b uint32) uint32 { return Add(a, b^0x80000000) }
 
-// Neg flips the sign bit.
-func Neg(a uint32) uint32 { return a ^ 0x80000000 }
-
 // FromFloat32 converts a native float32 into this package's domain,
 // flushing subnormals to zero.
 func FromFloat32(f float32) uint32 {
@@ -144,22 +141,4 @@ func FromFloat32(f float32) uint32 {
 		return b & 0x80000000
 	}
 	return b
-}
-
-// ToFloat32 reinterprets bits as a native float32.
-func ToFloat32(b uint32) float32 { return math.Float32frombits(b) }
-
-// MulF and AddF are float32 conveniences for tests and baselines.
-func MulF(a, b float32) float32 {
-	return ToFloat32(Mul(FromFloat32(a), FromFloat32(b)))
-}
-
-// AddF adds two float32 values under softfloat semantics.
-func AddF(a, b float32) float32 {
-	return ToFloat32(Add(FromFloat32(a), FromFloat32(b)))
-}
-
-// SubF subtracts two float32 values under softfloat semantics.
-func SubF(a, b float32) float32 {
-	return ToFloat32(Sub(FromFloat32(a), FromFloat32(b)))
 }

@@ -12,8 +12,8 @@ func TestMulExactCases(t *testing.T) {
 		{0, 5, 0}, {5, 0, 0}, {1.5, 2, 3}, {-4, -4, 16},
 	}
 	for _, c := range cases {
-		if got := MulF(c.a, c.b); got != c.want {
-			t.Errorf("MulF(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := mulF(c.a, c.b); got != c.want {
+			t.Errorf("mulF(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -25,15 +25,15 @@ func TestAddExactCases(t *testing.T) {
 		{-2.5, -2.5, -5},
 	}
 	for _, c := range cases {
-		if got := AddF(c.a, c.b); got != c.want {
-			t.Errorf("AddF(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := addF(c.a, c.b); got != c.want {
+			t.Errorf("addF(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestSubIsAddOfNegation(t *testing.T) {
 	f := func(a, b uint32) bool {
-		return Sub(a, b) == Add(a, Neg(b))
+		return Sub(a, b) == Add(a, neg(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestOverflowToInf(t *testing.T) {
 	if got := Mul(big, big); got != 0x7f800000 {
 		t.Fatalf("overflowing mul = %08x, want +inf", got)
 	}
-	negBig := Neg(big)
+	negBig := neg(big)
 	if got := Add(negBig, negBig); got != 0xff800000 {
 		t.Fatalf("overflowing negative add = %08x, want -inf", got)
 	}
@@ -120,10 +120,22 @@ func TestUnderflowFTZ(t *testing.T) {
 
 func TestExactCancellationIsPositiveZero(t *testing.T) {
 	a := FromFloat32(123456)
-	if got := Add(a, Neg(a)); got != 0 {
+	if got := Add(a, neg(a)); got != 0 {
 		t.Fatalf("x + (-x) = %08x, want +0", got)
 	}
 }
+
+// mulF and addF run Mul and Add on native float32 values.
+func mulF(a, b float32) float32 {
+	return math.Float32frombits(Mul(FromFloat32(a), FromFloat32(b)))
+}
+
+func addF(a, b float32) float32 {
+	return math.Float32frombits(Add(FromFloat32(a), FromFloat32(b)))
+}
+
+// neg flips the sign bit.
+func neg(a uint32) uint32 { return a ^ 0x80000000 }
 
 // isBad filters NaN/inf inputs, which the semantics don't cover.
 func isBad(b uint32) bool { return b>>23&0xff == 255 }
@@ -134,10 +146,10 @@ func TestNearNativeSum(t *testing.T) {
 	vals := []float32{1, -1, 3.25, 1e10, -7.5e-5, 0.1, 2.0 / 3.0}
 	for _, a := range vals {
 		for _, b := range vals {
-			got := float64(AddF(a, b))
+			got := float64(addF(a, b))
 			want := float64(a) + float64(b)
 			if want != 0 && math.Abs(got-want) > math.Abs(want)*1e-6 {
-				t.Errorf("AddF(%v,%v) = %v, native %v", a, b, got, want)
+				t.Errorf("addF(%v,%v) = %v, native %v", a, b, got, want)
 			}
 		}
 	}

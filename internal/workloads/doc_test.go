@@ -6,7 +6,6 @@ package workloads_test
 import (
 	"fmt"
 
-	"haac/internal/circuit"
 	"haac/internal/workloads"
 )
 
@@ -20,17 +19,4 @@ func ExampleWorkload_Check() {
 	and, _, _ := c.CountOps()
 	fmt.Printf("millionaires' circuit: %d AND gates, %d output\n", and, len(c.Outputs))
 	// Output: millionaires' circuit: 8 AND gates, 1 output
-}
-
-func ExampleMerge() {
-	// Batch two independent adders into one circuit.
-	a := workloads.AddN(4).Build()
-	b := workloads.AddN(4).Build()
-	m, err := circuit.Merge(a, b)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("batched: %d garbler inputs, %d outputs\n", m.GarblerInputs, len(m.Outputs))
-	// Output: batched: 8 garbler inputs, 8 outputs
 }

@@ -133,9 +133,7 @@ func AES128() Workload {
 
 // buildAESCircuit constructs the full AES-128 encryption circuit.
 // Bytes are represented as 8-wire little-endian words; the 16-byte state
-// is column-major as in FIPS-197 (byte index 4*c+r). The key-schedule
-// and round-function pieces live in extensions.go so AES-CTR can share
-// the schedule across blocks.
+// is column-major as in FIPS-197 (byte index 4*c+r).
 func buildAESCircuit() *circuit.Circuit {
 	b := builder.New()
 	keyBits := b.GarblerInputs(128)
@@ -144,6 +142,97 @@ func buildAESCircuit() *circuit.Circuit {
 	out := aesEncryptBlock(b, rks, ptBits)
 	b.OutputWord(out)
 	return b.MustBuild()
+}
+
+// aesKeySchedule expands the 128-bit key into the eleven round keys,
+// each sixteen 8-wire bytes.
+func aesKeySchedule(b *builder.B, keyBits builder.Word) [][]builder.Word {
+	key := make([]builder.Word, 16)
+	for i := range key {
+		key[i] = keyBits[i*8 : (i+1)*8]
+	}
+	roundKeys := make([][]builder.Word, 11)
+	roundKeys[0] = key
+	rcon := byte(1)
+	for r := 1; r <= 10; r++ {
+		prev := roundKeys[r-1]
+		rk := make([]builder.Word, 16)
+		var t [4]builder.Word
+		for i := 0; i < 4; i++ {
+			t[i] = b.SBox(prev[12+(i+1)%4])
+		}
+		t[0] = b.XORWords(t[0], b.ConstWord(uint64(rcon), 8))
+		for i := 0; i < 4; i++ {
+			rk[i] = b.XORWords(prev[i], t[i])
+		}
+		for c := 1; c < 4; c++ {
+			for i := 0; i < 4; i++ {
+				rk[4*c+i] = b.XORWords(rk[4*(c-1)+i], prev[4*c+i])
+			}
+		}
+		roundKeys[r] = rk
+		rcon = gf256Double(rcon)
+	}
+	return roundKeys
+}
+
+// aesEncryptBlock runs the ten AES-128 rounds over one 128-bit block.
+func aesEncryptBlock(b *builder.B, roundKeys [][]builder.Word, ptBits builder.Word) builder.Word {
+	state := make([]builder.Word, 16)
+	for i := range state {
+		state[i] = ptBits[i*8 : (i+1)*8]
+	}
+	xorBytes := func(x, y []builder.Word) []builder.Word {
+		out := make([]builder.Word, len(x))
+		for i := range x {
+			out[i] = b.XORWords(x[i], y[i])
+		}
+		return out
+	}
+	xtimeW := func(x builder.Word) builder.Word {
+		out := make(builder.Word, 8)
+		hi := x[7]
+		out[0] = hi
+		out[1] = b.XOR(x[0], hi)
+		out[2] = x[1]
+		out[3] = b.XOR(x[2], hi)
+		out[4] = b.XOR(x[3], hi)
+		out[5] = x[4]
+		out[6] = x[5]
+		out[7] = x[6]
+		return out
+	}
+	state = xorBytes(state, roundKeys[0])
+	for r := 1; r <= 10; r++ {
+		for i := range state {
+			state[i] = b.SBox(state[i])
+		}
+		ns := make([]builder.Word, 16)
+		for c := 0; c < 4; c++ {
+			for i := 0; i < 4; i++ {
+				ns[4*c+i] = state[4*((c+i)%4)+i]
+			}
+		}
+		state = ns
+		if r < 10 {
+			ms := make([]builder.Word, 16)
+			for c := 0; c < 4; c++ {
+				a0, a1, a2, a3 := state[4*c], state[4*c+1], state[4*c+2], state[4*c+3]
+				x0, x1, x2, x3 := xtimeW(a0), xtimeW(a1), xtimeW(a2), xtimeW(a3)
+				ms[4*c+0] = b.XORWords(b.XORWords(x0, b.XORWords(x1, a1)), b.XORWords(a2, a3))
+				ms[4*c+1] = b.XORWords(b.XORWords(a0, x1), b.XORWords(b.XORWords(x2, a2), a3))
+				ms[4*c+2] = b.XORWords(b.XORWords(a0, a1), b.XORWords(x2, b.XORWords(x3, a3)))
+				ms[4*c+3] = b.XORWords(b.XORWords(b.XORWords(x0, a0), a1), b.XORWords(a2, x3))
+			}
+			state = ms
+		}
+		state = xorBytes(state, roundKeys[r])
+	}
+	out := make(builder.Word, 0, 128)
+	for _, by := range state {
+		out = append(out, by...)
+	}
+	return out
 }
 
 func gf256Double(x byte) byte {

@@ -162,90 +162,3 @@ func boolsVal(bits []bool) uint64 {
 func f32(bits uint32) float32 {
 	return math.Float32frombits(bits)
 }
-
-func TestExtensionSuiteMatchesReference(t *testing.T) {
-	for _, w := range ExtensionSuite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			if _, err := w.Check(13); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestLevenshteinKnownCases(t *testing.T) {
-	w := Levenshtein(4, 8)
-	c := w.Build()
-	run := func(a, b []uint64) uint64 {
-		out, err := c.Eval(wordsToBits(a, 8), wordsToBits(b, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return boolsVal(out)
-	}
-	// identical strings -> 0
-	if d := run([]uint64{1, 2, 3, 4}, []uint64{1, 2, 3, 4}); d != 0 {
-		t.Fatalf("identical distance = %d", d)
-	}
-	// completely different -> 4 substitutions
-	if d := run([]uint64{1, 2, 3, 4}, []uint64{9, 9, 9, 9}); d != 4 {
-		t.Fatalf("disjoint distance = %d", d)
-	}
-	// one substitution
-	if d := run([]uint64{1, 2, 3, 4}, []uint64{1, 9, 3, 4}); d != 1 {
-		t.Fatalf("one-sub distance = %d", d)
-	}
-}
-
-func TestHistogramSumsToN(t *testing.T) {
-	w := Histogram(24, 8, 2)
-	c := w.Build()
-	_, e := w.Inputs(5)
-	out, err := c.Eval(nil, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cntWidth := len(out) / 4
-	total := uint64(0)
-	for i := 0; i < 4; i++ {
-		total += boolsVal(out[i*cntWidth : (i+1)*cntWidth])
-	}
-	if total != 24 {
-		t.Fatalf("histogram counts sum to %d, want 24", total)
-	}
-}
-
-func TestAESCTRSharesKeySchedule(t *testing.T) {
-	one := AES128().Build()
-	ctr4 := AESCTR(4).Build()
-	a1, _, _ := one.CountOps()
-	a4, _, _ := ctr4.CountOps()
-	// 4 blocks share one key schedule: cost must be well under 4x the
-	// single-block circuit (which includes its own schedule).
-	if a4 >= 4*a1 {
-		t.Fatalf("CTR mode not sharing the key schedule: %d vs 4x%d", a4, a1)
-	}
-	if a4 <= 2*a1 {
-		t.Fatalf("CTR gate count %d implausibly small vs single block %d", a4, a1)
-	}
-}
-
-func TestBatcherSortCorrect(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 16, 20} {
-		w := BatcherSort(n, 8)
-		if _, err := w.Check(int64(n)); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestBatcherBeatsBubbleAsymptotically(t *testing.T) {
-	bubble := BubbleSort(32, 16).Build()
-	batcher := BatcherSort(32, 16).Build()
-	ab, _, _ := bubble.CountOps()
-	at, _, _ := batcher.CountOps()
-	if at >= ab/2 {
-		t.Fatalf("Batcher AND count %d not clearly below bubble's %d", at, ab)
-	}
-}
