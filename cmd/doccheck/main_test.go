@@ -9,7 +9,8 @@ import (
 // gatedPackages are the protocol-bearing packages — and the AES, label,
 // circuit and garbling layers their bytes are made of — whose doc
 // comments serve as the wire-format ground truth (see
-// docs/ARCHITECTURE.md).
+// docs/ARCHITECTURE.md), and the accelerator tool chain (compiler, ISA,
+// simulator, energy model) whose doc comments state the paper's model.
 // CI runs `go run ./cmd/doccheck` over the same list; this test makes
 // the gate part of plain `go test ./...` too.
 var gatedPackages = []string{
@@ -22,6 +23,10 @@ var gatedPackages = []string{
 	"internal/server",
 	"internal/fleet",
 	"internal/faultnet",
+	"internal/compiler",
+	"internal/isa",
+	"internal/sim",
+	"internal/energy",
 }
 
 func TestGatedPackagesDocumented(t *testing.T) {

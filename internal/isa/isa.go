@@ -64,9 +64,13 @@ const EncodedSize = 8
 // Instr is one HAAC instruction. A and B hold full logical wire
 // addresses inside the compiler; Pack truncates them to the 17-bit
 // physical SWW fields for the hardware stream.
+//
+// The two addresses come first so the one-byte Op and Live pack behind
+// them: 12 bytes per instruction in memory rather than 16 with Op
+// first. Nothing depends on the field order; Pack fixes the encoding.
 type Instr struct {
-	Op   Op
 	A, B uint32
+	Op   Op
 	Live bool
 }
 

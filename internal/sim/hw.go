@@ -102,6 +102,9 @@ func (hw HW) Validate() error {
 	if hw.GEClock <= 0 || hw.SWWClock <= 0 || hw.DRAM.Bandwidth <= 0 {
 		return fmt.Errorf("sim: clocks and bandwidth must be positive")
 	}
+	if hw.DRAMLatencyCycles < 0 {
+		return fmt.Errorf("sim: DRAMLatencyCycles must be >= 0")
+	}
 	return nil
 }
 

@@ -16,7 +16,10 @@ import (
 // exported field of compiler.Compiled and sim.Result over a matrix of
 // workloads, schedules, ESW settings, GE counts and hardware variants.
 // A compiler or simulator change that is meant to be a pure speed-up
-// must leave every digest below unchanged.
+// must leave every digest below unchanged. Each Result digest is taken
+// twice, with the replay's ready times at the width Simulate picks
+// (int32 for every program here) and forced to int64, and both must
+// match the one pinned value.
 
 // digest folds fixed-width little-endian values into a 64-bit FNV-1a.
 type digest struct {
@@ -141,7 +144,7 @@ func TestCompileSimulatePinned(t *testing.T) {
 	eswModes := []struct{ esw, noSWW bool }{{true, false}, {false, false}, {false, true}}
 	for _, w := range workloads.VIPSuiteSmall() {
 		c := w.Build()
-		dc, dr := newDigest(), newDigest()
+		dc, dr := newDigest(), [2]*digest{newDigest(), newDigest()}
 		oor := 0
 		for _, mode := range []compiler.ReorderMode{compiler.Baseline, compiler.FullReorder, compiler.SegmentReorder} {
 			for _, em := range eswModes {
@@ -165,11 +168,13 @@ func TestCompileSimulatePinned(t *testing.T) {
 							if hw.Garbler != garbler {
 								continue
 							}
-							r, err := Simulate(cp, hw)
-							if err != nil {
-								t.Fatalf("%s/%v/%s: %v", w.Name, mode, v.name, err)
+							for i, wide := range []bool{false, true} {
+								r, err := simulate(cp, hw, wide)
+								if err != nil {
+									t.Fatalf("%s/%v/%s: %v", w.Name, mode, v.name, err)
+								}
+								dr[i].result(r)
 							}
-							dr.result(r)
 						}
 					}
 				}
@@ -178,9 +183,11 @@ func TestCompileSimulatePinned(t *testing.T) {
 		if oor == 0 {
 			t.Errorf("%s: no out-of-range reads at a %d-wire SWW; the pin misses the OoRW path", w.Name, pinSWW)
 		}
-		got := [2]string{dc.sum(), dr.sum()}
-		if got != pinned[w.Name] {
-			t.Errorf("%s: digests (Compiled, Result) = %q, pinned %q", w.Name, got, pinned[w.Name])
+		for i, width := range []string{"narrow", "wide"} {
+			got := [2]string{dc.sum(), dr[i].sum()}
+			if got != pinned[w.Name] {
+				t.Errorf("%s, %s ready times: digests (Compiled, Result) = %q, pinned %q", w.Name, width, got, pinned[w.Name])
+			}
 		}
 	}
 }
@@ -197,28 +204,30 @@ func TestTracedAndCoupledPinned(t *testing.T) {
 	hw.NumGEs, hw.SWWWires = 4, pinSWW
 	cp := compileFor(t, workloads.MatMult(3, 16), hw, compiler.FullReorder)
 
-	res, tr, err := SimulateTraced(cp, hw, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := newDigest()
-	d.result(res)
-	d.i64(tr.CyclesPerBucket)
-	for _, row := range tr.Occupancy {
-		d.u64(uint64(len(row)))
-		for _, v := range row {
-			d.u64(uint64(math.Float32bits(v)))
+	for _, wide := range []bool{false, true} {
+		res, tr, err := simulateTraced(cp, hw, 37, wide)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := d.sum(); got != pinnedTraced {
-		t.Errorf("SimulateTraced digest %s, pinned %s", got, pinnedTraced)
+		d := newDigest()
+		d.result(res)
+		d.i64(tr.CyclesPerBucket)
+		for _, row := range tr.Occupancy {
+			d.u64(uint64(len(row)))
+			for _, v := range row {
+				d.u64(uint64(math.Float32bits(v)))
+			}
+		}
+		if got := d.sum(); got != pinnedTraced {
+			t.Errorf("SimulateTraced digest %s (wide %v), pinned %s", got, wide, pinnedTraced)
+		}
 	}
 
 	cr, err := SimulateCoupled(cp, hw, DefaultQueues())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = newDigest()
+	d := newDigest()
 	for _, v := range []int64{cr.TotalCycles, cr.InstrStalls, cr.TableStalls, cr.OoRWStalls,
 		cr.WriteStalls, cr.DataStalls, cr.DecoupledCycles} {
 		d.i64(v)
@@ -246,7 +255,7 @@ var pinnedWide = map[string][2]string{
 func TestCompileSimulateWidePinned(t *testing.T) {
 	for _, w := range workloads.VIPSuiteSmall() {
 		c := w.Build()
-		dc, dr := newDigest(), newDigest()
+		dc, dr := newDigest(), [2]*digest{newDigest(), newDigest()}
 		for _, mode := range []compiler.ReorderMode{compiler.Baseline, compiler.FullReorder, compiler.SegmentReorder} {
 			for _, nge := range []int{65, compiler.MaxGEs} {
 				cp, err := compiler.Compile(c, compiler.Config{
@@ -258,16 +267,62 @@ func TestCompileSimulateWidePinned(t *testing.T) {
 				dc.compiled(cp)
 				hw := DefaultHW()
 				hw.NumGEs, hw.SWWWires = nge, pinSWW
-				r, err := Simulate(cp, hw)
-				if err != nil {
-					t.Fatalf("%s/%v/%d: %v", w.Name, mode, nge, err)
+				for i, wide := range []bool{false, true} {
+					r, err := simulate(cp, hw, wide)
+					if err != nil {
+						t.Fatalf("%s/%v/%d: %v", w.Name, mode, nge, err)
+					}
+					dr[i].result(r)
 				}
-				dr.result(r)
 			}
 		}
-		got := [2]string{dc.sum(), dr.sum()}
-		if got != pinnedWide[w.Name] {
-			t.Errorf("%s: digests (Compiled, Result) = %q, pinned %q", w.Name, got, pinnedWide[w.Name])
+		for i, width := range []string{"narrow", "wide"} {
+			got := [2]string{dc.sum(), dr[i].sum()}
+			if got != pinnedWide[w.Name] {
+				t.Errorf("%s, %s ready times: digests (Compiled, Result) = %q, pinned %q", w.Name, width, got, pinnedWide[w.Name])
+			}
+		}
+	}
+}
+
+// pinnedOneSlot is the digest of TestOneSlotBanksPinned's Results.
+const pinnedOneSlot = "32ca16f0818e1f51"
+
+// TestOneSlotBanksPinned runs banks with one access slot per GE cycle
+// (SWW clock = GE clock), the only setting where a burst of two reads
+// leaves a bank over its slots and a later operand's check differs
+// from a fresh bank's; the matrix above always has two slots.
+func TestOneSlotBanksPinned(t *testing.T) {
+	dr := [2]*digest{newDigest(), newDigest()}
+	for _, w := range workloads.VIPSuiteSmall() {
+		c := w.Build()
+		for _, mode := range []compiler.ReorderMode{compiler.Baseline, compiler.FullReorder} {
+			for _, nge := range []int{1, 4, 16} {
+				cp, err := compiler.Compile(c, compiler.Config{
+					Reorder: mode, ESW: true, SWWWires: pinSWW, NumGEs: nge,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				hw := DefaultHW()
+				hw.NumGEs, hw.SWWWires = nge, pinSWW
+				hw.SWWClock = hw.GEClock
+				for _, banks := range []int{1, 4} {
+					hw.BanksPerGE = banks
+					for i, wide := range []bool{false, true} {
+						r, err := simulate(cp, hw, wide)
+						if err != nil {
+							t.Fatalf("%s/%v/%d: %v", w.Name, mode, nge, err)
+						}
+						dr[i].result(r)
+					}
+				}
+			}
+		}
+	}
+	for i, width := range []string{"narrow", "wide"} {
+		if got := dr[i].sum(); got != pinnedOneSlot {
+			t.Errorf("%s ready times: digest %s, pinned %s", width, got, pinnedOneSlot)
 		}
 	}
 }

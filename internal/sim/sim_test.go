@@ -212,6 +212,51 @@ func TestConfigMismatchRejected(t *testing.T) {
 	if big.Validate() == nil {
 		t.Fatal("more than compiler.MaxGEs GEs accepted")
 	}
+	neg := hw
+	neg.OoRPull, neg.DRAMLatencyCycles = true, -1
+	if _, err := Simulate(cp, neg); err == nil {
+		t.Fatal("negative DRAMLatencyCycles accepted")
+	}
+}
+
+// TestReadyWidthRule checks the int32/int64 choice at its boundary:
+// (n+1) × step < 2^31, where step counts two DRAM round trips only
+// under OoRPull.
+func TestReadyWidthRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*HW)
+		step int64
+	}{
+		{"push", func(*HW) {}, 18 + writeBackPenalty + 1},
+		{"garbler", func(h *HW) { h.Garbler = true }, 21 + writeBackPenalty + 1},
+		{"no-forwarding", func(h *HW) { h.Forwarding = false }, 18 + writeBackPenalty + 1},
+		{"oor-pull", func(h *HW) { h.OoRPull = true }, 18 + writeBackPenalty + 1 + 2*100},
+	} {
+		hw := DefaultHW()
+		tc.set(&hw)
+		// last is the largest n with (n+1) × step < 2^31.
+		last := int((1<<31-1)/tc.step) - 1
+		if int64(last+1)*tc.step >= 1<<31 || int64(last+2)*tc.step < 1<<31 {
+			t.Fatalf("%s: bad boundary %d for step %d", tc.name, last, tc.step)
+		}
+		if !readyFits32(last, hw) {
+			t.Errorf("%s: %d instructions (just under the bound) not int32", tc.name, last)
+		}
+		if readyFits32(last+1, hw) {
+			t.Errorf("%s: %d instructions (just over the bound) int32", tc.name, last+1)
+		}
+	}
+	// The paper-scale BubbSt (about 11.5 M instructions) fits under push
+	// and not under the pull ablation.
+	hw := DefaultHW()
+	if !readyFits32(11_500_000, hw) {
+		t.Error("11.5 M instructions not int32 under push")
+	}
+	hw.OoRPull = true
+	if readyFits32(11_500_000, hw) {
+		t.Error("11.5 M instructions int32 under OoRPull")
+	}
 }
 
 func TestBankConflictsBounded(t *testing.T) {

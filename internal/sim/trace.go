@@ -24,13 +24,19 @@ type Trace struct {
 // SimulateTraced is Simulate plus an occupancy trace with the requested
 // number of time buckets (min 1).
 func SimulateTraced(cp *compiler.Compiled, hw HW, buckets int) (Result, *Trace, error) {
+	return simulateTraced(cp, hw, buckets, false)
+}
+
+// simulateTraced is SimulateTraced; wide is as for simulate.
+func simulateTraced(cp *compiler.Compiled, hw HW, buckets int, wide bool) (Result, *Trace, error) {
 	if buckets < 1 {
 		buckets = 1
 	}
 	// First pass to learn the compute length (cheap relative to
-	// analysis value; programs simulate at tens of millions of
-	// instructions per second).
-	res, err := Simulate(cp, hw)
+	// analysis value: the benchmark's traced accel.vip pass reads
+	// sim.instrs_per_host_s of 24–29 M instructions per second on a
+	// 2-vCPU Xeon host).
+	res, err := simulate(cp, hw, wide)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -48,14 +54,13 @@ func SimulateTraced(cp *compiler.Compiled, hw HW, buckets int) (Result, *Trace, 
 		counts[g] = make([]int32, nb)
 		tr.Occupancy[g] = make([]float32, nb)
 	}
-	res2 := Result{HW: hw}
-	res2.computePhaseTraced(cp, func(g int, cycle int64) {
+	replay(cp, hw, func(g int, cycle int64) {
 		b := int(cycle / per)
 		if b >= nb {
 			b = nb - 1
 		}
 		counts[g][b]++
-	})
+	}, wide)
 	for g := range counts {
 		for b := range counts[g] {
 			tr.Occupancy[g][b] = float32(counts[g][b]) / float32(per)
