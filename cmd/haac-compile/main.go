@@ -102,10 +102,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode, *esw, *ges, *swwMB, party(*garbler))
 	fmt.Fprintf(stdout, "traffic   live wires %d, OoR reads %d, spent %.2f%%\n",
 		cp.Traffic.LiveWires, cp.Traffic.OoRWires, cp.Traffic.SpentPercent())
-	for g, st := range cp.Streams {
-		if g < 4 || g == len(cp.Streams)-1 {
+	for g, n := range cp.InstrsPerGE {
+		if g < 4 || g == len(cp.InstrsPerGE)-1 {
 			fmt.Fprintf(stdout, "  GE%-2d  %d instrs, %d tables, %d OoRW entries\n",
-				g, len(st), cp.TablesPerGE[g], len(cp.OoRW[g]))
+				g, n, cp.TablesPerGE[g], len(cp.OoRW[g]))
 		} else if g == 4 {
 			fmt.Fprintf(stdout, "  ...\n")
 		}

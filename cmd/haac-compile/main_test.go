@@ -76,6 +76,34 @@ func TestProgramFilesPinned(t *testing.T) {
 	}
 }
 
+// TestDisasmPinned pins the -disasm listing by digest: the SHA-256 of
+// stdout for the first 300 instructions of every reduced-size VIP
+// workload at the default schedule. It reads the per-GE counts, the
+// input and output addresses and every instruction's output address,
+// which the program file alone does not show in text.
+func TestDisasmPinned(t *testing.T) {
+	want := map[string]string{
+		"BubbSt":   "79825ab12ebde4e1326ee7c93e5f5cdd2920819adedcf2220f7d6dea8eec666f",
+		"DotProd":  "7f31558c514088128e19bd20b56e9d26d1e9d48d8a903649f12fce09c25bfa0d",
+		"Merse":    "42d56115f60b70b3f6454407860642ec0fabbe37f5f6ee56d163928ebfb1684d",
+		"Triangle": "41866110be8656176caf394aef3c15e2d357f3e5145e04f2a4c78c8ce04ff2e5",
+		"Hamm":     "76f2c5cd9d648de6ff94f27824b12140efae734f169c896d8c8a8d8874762f4c",
+		"MatMult":  "a2ffd932945988b2435a1f8d9d8c853ac863e64938f0813a78693179b2e187cf",
+		"ReLU":     "8814ebc382dbf28c25403e1dd81cfb31959ca872eae98fb718796a3b6763260e",
+		"GradDesc": "79d18aefa52c62842587dec19160076c281a322d375ab20bddacdd5c5a01cb35",
+	}
+	for name, sum := range want {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-small", "-workload", name, "-disasm", "300"}, &out, &errw); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", name, code, errw.String())
+		}
+		h := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(h[:]); got != sum {
+			t.Errorf("%s: -disasm 300 output sha256 %s, want %s", name, got, sum)
+		}
+	}
+}
+
 func TestCompileBadArgs(t *testing.T) {
 	cases := [][]string{
 		{},                           // neither -in nor -workload

@@ -33,11 +33,6 @@ type ReuseStats struct {
 // program, using the logical (pre-OoR-rewrite) operand addresses.
 func (cp *Compiled) AnalyzeReuse(windows []int) ReuseStats {
 	p := &cp.Program
-	// Producer position per address: inputs at position 0.
-	pos := make([]int32, p.MaxAddr+1)
-	for i, o := range p.OutAddrs {
-		pos[o] = int32(i) + 1
-	}
 	var dists []int
 	for j := range p.Instrs {
 		in := &p.Instrs[j]
@@ -48,11 +43,9 @@ func (cp *Compiled) AnalyzeReuse(windows []int) ReuseStats {
 			if f == 0 {
 				continue
 			}
-			d := int32(j) + 1 - pos[f]
-			if d < 0 {
-				d = 0
-			}
-			dists = append(dists, int(d))
+			// The producer's position: inputs at 0, instruction i at i+1.
+			pos := max(isa.Rank(f)-p.NumInputs+1, 0)
+			dists = append(dists, j+1-pos)
 		}
 	}
 	sort.Ints(dists)

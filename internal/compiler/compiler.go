@@ -20,8 +20,8 @@
 // goroutines. Every dependence is known at compile time, so the list
 // scheduler needs only the schedule and the circuit's wire ids, nothing
 // from renaming. One lane renames and computes the live bits in a single
-// sweep; the other schedules each instruction onto a GE and fills the
-// per-GE streams. Its GE pick keeps the GEs at the least free time as a
+// sweep; the other schedules each instruction onto a GE and counts each
+// GE's instructions and tables. Its GE pick keeps the GEs at the least free time as a
 // bitset and hands them out lowest index first, so choosing "the first
 // GE that is not stalled" costs amortised O(1) rather than a scan of
 // every GE. After the join, the OoRW queues are filled while the program
@@ -163,17 +163,18 @@ func (t Traffic) SpentPercent() float64 {
 type Compiled struct {
 	Cfg     Config
 	Program isa.Program
-	// GEOf maps each instruction (program order) to its gate engine.
+	// GEOf maps each instruction (program order) to its gate engine. A
+	// GE's instruction stream is the instructions mapped to it, in
+	// program order; hardware fetches it via the GE's instruction queue.
 	GEOf []uint8
-	// Streams holds per-GE instruction indices (into Program.Instrs) in
-	// issue order; hardware fetches these via the instruction queues.
-	// The streams are capped sub-slices of one slab, GE after GE:
-	// appending to one reallocates it rather than overwriting the next.
-	Streams [][]int32
 	// OoRW holds, per GE, the logical wire addresses its OoRW queue
-	// delivers, in consumption order. Like Streams, the queues are
-	// capped sub-slices of one slab.
+	// delivers, in consumption order. The queues are capped sub-slices
+	// of one slab, GE after GE: appending to one reallocates it rather
+	// than overwriting the next.
 	OoRW [][]uint32
+	// InstrsPerGE counts instructions per GE (instruction stream
+	// lengths).
+	InstrsPerGE []int
 	// TablesPerGE counts AND instructions per GE (table queue depths).
 	TablesPerGE []int
 	// Traffic is the off-chip wire traffic summary.
@@ -211,8 +212,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	}
 
 	// The back end runs in two lanes over the finished schedule: renaming
-	// and ESW on one goroutine, the GE list scheduler and stream fill on
-	// the other. They write disjoint fields of out.
+	// and ESW on one goroutine, the GE list scheduler on the other. They write disjoint fields of out.
 	out := &Compiled{Cfg: cfg, SynthConstOne: asm.synthConstOne}
 	both(func() { asm.scheduleLane(out) }, func() { asm.renameLane(c, out) })
 	if !cfg.ESW {

@@ -2,11 +2,11 @@ package compiler
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"haac/internal/circuit"
-	"haac/internal/isa"
 	"haac/internal/workloads"
 )
 
@@ -131,24 +131,6 @@ func TestWindowLo(t *testing.T) {
 	}
 }
 
-func TestRenamingSequentialAndSkipsSentinel(t *testing.T) {
-	a := newAddrAllocator()
-	prev := uint32(0)
-	for i := 0; i < 3*(1<<isa.AddrBits); i++ {
-		v := a.alloc()
-		if v <= prev {
-			t.Fatal("addresses not increasing")
-		}
-		if v%(1<<isa.AddrBits) == 0 {
-			t.Fatalf("allocator produced sentinel-colliding address %d", v)
-		}
-		if r := allocRank(v); r != i {
-			t.Fatalf("allocRank(%d) = %d, want %d", v, r, i)
-		}
-		prev = v
-	}
-}
-
 func TestReorderLevelOrder(t *testing.T) {
 	// After full reorder, instruction dependence levels must be
 	// non-decreasing along the program.
@@ -171,7 +153,7 @@ func TestReorderLevelOrder(t *testing.T) {
 			l = lb
 		}
 		l++
-		lvl[p.OutAddrs[j]] = l
+		lvl[p.OutAddr(j)] = l
 		if l < prev {
 			t.Fatalf("instruction %d at level %d after level %d", j, l, prev)
 		}
@@ -187,28 +169,20 @@ func TestPartitionConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every instruction appears exactly once across streams.
-	seen := make([]bool, len(cp.Program.Instrs))
-	total := 0
-	for g, st := range cp.Streams {
-		prev := int32(-1)
-		for _, j := range st {
-			if seen[j] {
-				t.Fatalf("instruction %d in multiple streams", j)
-			}
-			seen[j] = true
-			total++
-			if j <= prev {
-				t.Fatalf("GE %d stream not in program order", g)
-			}
-			prev = j
-			if int(cp.GEOf[j]) != g {
-				t.Fatalf("GEOf mismatch for instruction %d", j)
-			}
-		}
+	// Each GE's instruction count is the number of instructions GEOf
+	// maps to it, and every instruction is on a GE that exists.
+	if len(cp.GEOf) != len(cp.Program.Instrs) {
+		t.Fatalf("GEOf covers %d instructions, program has %d", len(cp.GEOf), len(cp.Program.Instrs))
 	}
-	if total != len(cp.Program.Instrs) {
-		t.Fatalf("streams carry %d instructions, program has %d", total, len(cp.Program.Instrs))
+	counts := make([]int, cfg.NumGEs)
+	for j, g := range cp.GEOf {
+		if int(g) >= cfg.NumGEs {
+			t.Fatalf("instruction %d on GE %d of %d", j, g, cfg.NumGEs)
+		}
+		counts[g]++
+	}
+	if !slices.Equal(cp.InstrsPerGE, counts) {
+		t.Fatalf("InstrsPerGE %v, GEOf counts %v", cp.InstrsPerGE, counts)
 	}
 	// Table queue depths must sum to the AND count.
 	ands := cp.Program.NumANDs()

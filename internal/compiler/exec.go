@@ -9,10 +9,11 @@ import (
 
 // Functional execution of compiled programs. The executor replays the
 // per-GE streams exactly as the hardware would — including popping
-// OoRW-queue entries for zero-address operands — so it proves that the
-// passes preserve the circuit's semantics, not just that the math was
-// transcribed correctly: reordering, the rename/ESW lane, the GE
-// scheduling lane with its stream fill, and the OoRW queue fill.
+// OoRW-queue entries for zero-address operands and writing each output
+// to the address the PC implies — so it proves that the passes preserve
+// the circuit's semantics, not just that the math was transcribed
+// correctly: reordering, the rename/ESW lane, the GE scheduling lane,
+// and the OoRW queue fill.
 
 // InputBits assembles the program-input bit vector for a compiled
 // circuit from the two parties' inputs: garbler bits, evaluator bits,
@@ -46,10 +47,11 @@ func (cp *Compiled) Execute(inputs []bool) ([]bool, error) {
 	if len(inputs) != p.NumInputs {
 		return nil, fmt.Errorf("compiler: got %d input bits, want %d", len(inputs), p.NumInputs)
 	}
-	vals := make([]bool, p.MaxAddr+1)
-	written := make([]bool, p.MaxAddr+1)
-	for i, a := range p.InputAddrs {
-		vals[a] = inputs[i]
+	vals := make([]bool, p.MaxAddr()+1)
+	written := make([]bool, p.MaxAddr()+1)
+	for i, v := range inputs {
+		a := isa.Addr(i)
+		vals[a] = v
 		written[a] = true
 	}
 
@@ -104,7 +106,7 @@ func (cp *Compiled) Execute(inputs []bool) ([]bool, error) {
 		case isa.AND:
 			out = va && vb
 		}
-		o := p.OutAddrs[j]
+		o := p.OutAddr(j)
 		vals[o] = out
 		written[o] = true
 	}

@@ -28,8 +28,7 @@ import (
 type programGarbled struct {
 	// R is the FreeXOR offset.
 	R label.L
-	// InputZeros holds the zero-label per program input (InputAddrs
-	// order).
+	// InputZeros holds the zero-label per program input (input order).
 	InputZeros []label.L
 	// Tables holds each GE's table queue in stream order.
 	Tables [][]gc.Material
@@ -71,14 +70,15 @@ func (pg *programGarbled) decode(outputs []label.L) ([]bool, error) {
 func (cp *Compiled) garble(h gc.Hasher, src *label.Source) (*programGarbled, error) {
 	p := &cp.Program
 	r := src.NextDelta()
-	zeros := make([]label.L, p.MaxAddr+1)
+	zeros := make([]label.L, p.MaxAddr()+1)
 
 	pg := &programGarbled{
 		R:          r,
-		InputZeros: make([]label.L, len(p.InputAddrs)),
-		Tables:     make([][]gc.Material, len(cp.Streams)),
+		InputZeros: make([]label.L, p.NumInputs),
+		Tables:     make([][]gc.Material, cp.Cfg.NumGEs),
 	}
-	for i, a := range p.InputAddrs {
+	for i := range pg.InputZeros {
+		a := isa.Addr(i)
 		zeros[a] = src.Next()
 		pg.InputZeros[i] = zeros[a]
 	}
@@ -88,7 +88,7 @@ func (cp *Compiled) garble(h gc.Hasher, src *label.Source) (*programGarbled, err
 		if in.Op == isa.NOP {
 			continue
 		}
-		o := p.OutAddrs[j]
+		o := p.OutAddr(j)
 		a := in.A
 		if a == isa.OoR {
 			a = cp.oorA[j]
@@ -137,15 +137,15 @@ func (pg *programGarbled) encodeProgramInputs(bits []bool) ([]label.L, error) {
 // operands pop the GE's OoRW queue.
 func (cp *Compiled) evaluateLabels(h gc.Hasher, inputs []label.L, tables [][]gc.Material) ([]label.L, error) {
 	p := &cp.Program
-	if len(inputs) != len(p.InputAddrs) {
-		return nil, fmt.Errorf("compiler: got %d input labels, want %d", len(inputs), len(p.InputAddrs))
+	if len(inputs) != p.NumInputs {
+		return nil, fmt.Errorf("compiler: got %d input labels, want %d", len(inputs), p.NumInputs)
 	}
-	if len(tables) != len(cp.Streams) {
-		return nil, fmt.Errorf("compiler: got %d table queues, want %d", len(tables), len(cp.Streams))
+	if len(tables) != cp.Cfg.NumGEs {
+		return nil, fmt.Errorf("compiler: got %d table queues, want %d", len(tables), cp.Cfg.NumGEs)
 	}
-	labels := make([]label.L, p.MaxAddr+1)
-	for i, a := range p.InputAddrs {
-		labels[a] = inputs[i]
+	labels := make([]label.L, p.MaxAddr()+1)
+	for i, l := range inputs {
+		labels[isa.Addr(i)] = l
 	}
 	tPos := make([]int, len(tables))
 	oPos := make([]int, len(cp.OoRW))
@@ -172,7 +172,7 @@ func (cp *Compiled) evaluateLabels(h gc.Hasher, inputs []label.L, tables [][]gc.
 			b = cp.OoRW[g][oPos[g]]
 			oPos[g]++
 		}
-		o := p.OutAddrs[j]
+		o := p.OutAddr(j)
 		switch in.Op {
 		case isa.XOR:
 			labels[o] = labels[a].Xor(labels[b])

@@ -15,8 +15,8 @@ import (
 // concurrently and write disjoint fields of Compiled: renameLane gathers
 // the program through the permutation and computes OoR reads and live
 // bits in the same sweep, while scheduleLane assigns each instruction a
-// GE (geMinSet's pick) and fills the per-GE streams into one slab. After
-// the join, fillOoRW writes the per-GE OoRW queues into one slab.
+// GE (geMinSet's pick) and counts each GE's instructions and tables.
+// After the join, fillOoRW writes the per-GE OoRW queues into one slab.
 
 // aInstr is an assembled instruction still carrying circuit wire ids.
 type aInstr struct {
@@ -210,28 +210,6 @@ func (s *asmState) reorder(segSize int) {
 	s.order = out
 }
 
-// addrAllocator hands out logical wire addresses, starting at 1 and
-// skipping multiples of 2^17 so no in-range wire can alias the OoR
-// sentinel after 17-bit truncation (see package isa).
-type addrAllocator struct{ next uint32 }
-
-func newAddrAllocator() *addrAllocator { return &addrAllocator{next: 1} }
-
-func (a *addrAllocator) alloc() uint32 {
-	if a.next%(1<<isa.AddrBits) == 0 {
-		a.next++
-	}
-	v := a.next
-	a.next++
-	return v
-}
-
-// allocRank inverts the allocator: the 0-based position of addr in its
-// sequence 1, 2, 3, ..., which skips multiples of 2^17.
-func allocRank(addr uint32) int {
-	return int(addr) - 1 - int(addr>>isa.AddrBits)
-}
-
 // renameLane runs renaming (§4.2.2) and ESW (§4.2.3) as one sweep over
 // the schedule. Every input wire and then every instruction output, in
 // program order, receives the next sequential logical address, and
@@ -244,33 +222,30 @@ func allocRank(addr uint32) int {
 // producer is marked live. An output is live exactly when some later
 // instruction reads it as OoR, or when it is a program output.
 //
-// Inputs take the first addresses and then each instruction one, so the
-// producer of an address is its allocation rank minus the input count
-// (negative for an input).
+// Addresses follow the sequence isa.NextAddr walks: inputs take the
+// first ones and then each instruction one, so the producer of an
+// address is its isa.Rank minus the input count (negative for an input).
 func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 	n, noSWW := cp.Cfg.SWWWires, cp.Cfg.NoSWW
 	nin := len(s.inputWires)
-	alloc := newAddrAllocator()
 	addrOf := make([]uint32, s.numCircuitWires)
 	p := &cp.Program
 	*p = isa.Program{
 		NumInputs:   nin,
-		InputAddrs:  make([]uint32, nin),
 		Instrs:      make([]isa.Instr, len(s.order)),
-		OutAddrs:    make([]uint32, len(s.order)),
 		OutputAddrs: make([]uint32, len(c.Outputs)),
 	}
 	cp.oorA = make([]uint32, len(s.order))
 	cp.oorB = make([]uint32, len(s.order))
-	for i, w := range s.inputWires {
-		a := alloc.alloc()
-		addrOf[w] = a
-		p.InputAddrs[i] = a
+	o := isa.OoR // the last address handed out
+	for _, w := range s.inputWires {
+		o = isa.NextAddr(o)
+		addrOf[w] = o
 	}
 
 	oorReads, liveCount := 0, 0
 	markLive := func(addr uint32) {
-		if pr := allocRank(addr) - nin; pr >= 0 && !p.Instrs[pr].Live {
+		if pr := isa.Rank(addr) - nin; pr >= 0 && !p.Instrs[pr].Live {
 			p.Instrs[pr].Live = true
 			liveCount++
 		}
@@ -278,9 +253,8 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 	for pos, i := range s.order {
 		in := &s.instrs[i]
 		a, b := addrOf[in.a], addrOf[in.b]
-		o := alloc.alloc()
+		o = isa.NextAddr(o)
 		addrOf[in.out] = o
-		p.OutAddrs[pos] = o
 		lo := ^uint32(0) // without an SWW nothing is resident: all reads OoR
 		if !noSWW {
 			lo = WindowLo(o, n)
@@ -303,7 +277,6 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 		p.OutputAddrs[i] = addrOf[w]
 		markLive(addrOf[w])
 	}
-	p.MaxAddr = alloc.next - 1
 	cp.Traffic = Traffic{
 		LiveWires: liveCount,
 		OoRWires:  oorReads,
@@ -322,17 +295,16 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 // The lane needs nothing from renaming. It keeps operand readiness per
 // circuit wire id, and renaming is a bijection on defined wires, so
 // every ready time is the one an address-indexed table would hold. It
-// counts each GE's instructions while it schedules and then fills the
-// streams into one slab.
+// records each instruction's GE and counts each GE's instructions and
+// tables; a GE's stream is the instructions GEOf maps to it, in program
+// order.
 func (s *asmState) scheduleLane(cp *Compiled) {
 	nge := cp.Cfg.NumGEs
 	andLat := int64(cp.Cfg.ANDLatency())
 	ready := make([]int64, s.numCircuitWires) // cycle the wire's value is usable
 	ges := newGEMinSet(nge)
-	// Per GE: instructions, counted and then turned into the slab offset
-	// of its stream.
-	next := make([]int, nge)
 	cp.GEOf = make([]uint8, len(s.order))
+	cp.InstrsPerGE = make([]int, nge)
 	cp.TablesPerGE = make([]int, nge)
 	for pos, i := range s.order {
 		in := &s.instrs[i]
@@ -347,20 +319,7 @@ func (s *asmState) scheduleLane(cp *Compiled) {
 		}
 		ready[in.out] = issue + lat
 		cp.GEOf[pos] = uint8(g)
-		next[g]++
-	}
-
-	streams := make([]int32, len(s.order))
-	cp.Streams = make([][]int32, nge)
-	off := 0
-	for g, n := range next {
-		cp.Streams[g] = streams[off : off+n : off+n]
-		next[g] = off // now the GE's write cursor
-		off += n
-	}
-	for j, g := range cp.GEOf {
-		streams[next[g]] = int32(j)
-		next[g]++
+		cp.InstrsPerGE[g]++
 	}
 }
 

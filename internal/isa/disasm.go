@@ -34,14 +34,14 @@ func fmtAddr(a uint32) string {
 func Disassemble(w io.Writer, p *Program, maxInstrs int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "; %d instructions (%d AND, %d live), %d inputs, %d outputs, max addr %d\n",
-		len(p.Instrs), p.NumANDs(), p.LiveCount(), p.NumInputs, len(p.OutputAddrs), p.MaxAddr)
+		len(p.Instrs), p.NumANDs(), p.LiveCount(), p.NumInputs, len(p.OutputAddrs), p.MaxAddr())
 	fmt.Fprintf(bw, ".inputs")
-	for i, a := range p.InputAddrs {
-		if i == 16 && len(p.InputAddrs) > 20 {
-			fmt.Fprintf(bw, " ... (%d more)", len(p.InputAddrs)-i)
+	for i := 0; i < p.NumInputs; i++ {
+		if i == 16 && p.NumInputs > 20 {
+			fmt.Fprintf(bw, " ... (%d more)", p.NumInputs-i)
 			break
 		}
-		fmt.Fprintf(bw, " w%d", a)
+		fmt.Fprintf(bw, " w%d", Addr(i))
 	}
 	fmt.Fprintln(bw)
 
@@ -52,7 +52,7 @@ func Disassemble(w io.Writer, p *Program, maxInstrs int) error {
 		truncated = true
 	}
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(bw, "%8d:  w%-8d = %s\n", i, p.OutAddrs[i], p.Instrs[i])
+		fmt.Fprintf(bw, "%8d:  w%-8d = %s\n", i, p.OutAddr(i), p.Instrs[i])
 	}
 	if truncated {
 		fmt.Fprintf(bw, "  ... (%d more instructions)\n", len(p.Instrs)-n)

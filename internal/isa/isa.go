@@ -9,10 +9,12 @@
 // baked into the circuit and all data movement is stream-based.
 //
 // Wire address 0 is reserved: as an input field it means "pop the next
-// wire from the out-of-range wire (OoRW) queue" (§3.1.4). The renaming
-// pass therefore never assigns a wire a logical address congruent to
-// 0 mod 2^17, so the truncated 17-bit field of an in-range wire can
-// never collide with the sentinel.
+// wire from the out-of-range wire (OoRW) queue" (§3.1.4). This package
+// owns the address sequence that keeps the two apart: Addr, NextAddr and
+// Rank walk 1, 2, 3, … skipping every multiple of 2^17, so the truncated
+// 17-bit field of an in-range wire can never collide with the sentinel.
+// A program's wire addresses are that sequence's first NumInputs values
+// for the inputs and then one value per instruction, in program order.
 package isa
 
 import (
@@ -56,6 +58,29 @@ const AddrMask = 1<<AddrBits - 1
 // OoR is the reserved input address meaning "read from the OoRW queue".
 const OoR uint32 = 0
 
+// Addr returns the wire address of the given rank: the rank-th value
+// (from 0) of the sequence 1, 2, 3, … that skips every multiple of
+// 2^17. Each run of 2^17-1 ranks fills the addresses between two
+// multiples.
+func Addr(rank int) uint32 {
+	r := uint32(rank)
+	return r + 1 + r/AddrMask
+}
+
+// NextAddr returns the address after a in the sequence Addr walks.
+func NextAddr(a uint32) uint32 {
+	a++
+	if a&AddrMask == 0 {
+		a++
+	}
+	return a
+}
+
+// Rank inverts Addr: the 0-based position of address a in the sequence.
+func Rank(a uint32) int {
+	return int(a) - 1 - int(a>>AddrBits)
+}
+
 // EncodedSize is the stream footprint of one instruction in bytes. The
 // packed fields occupy 37 bits; streams carry 8-byte words, the figure
 // the DRAM traffic model charges per instruction.
@@ -90,23 +115,28 @@ func (in Instr) Pack() uint64 {
 // Program is a complete HAAC program: a straight-line instruction list
 // over a renamed, dense wire address space.
 //
-// Address layout: address 0 is reserved (OoR sentinel); addresses
-// [1, NumInputs] hold the preloaded input wires (party inputs and
-// constants, in circuit order, skipping multiples of 2^17); subsequent
-// instruction outputs continue the sequence in program order, also
-// skipping multiples of 2^17.
+// Address layout: address 0 is reserved (OoR sentinel); input wire i
+// (party inputs and constants, in circuit order) sits at Addr(i), and
+// instruction j's output at Addr(NumInputs+j), which OutAddr returns.
+// No address is stored beside that rule except the program outputs.
 type Program struct {
 	Instrs []Instr
 	// NumInputs counts preloaded input wires.
 	NumInputs int
-	// InputAddrs maps circuit input index -> wire address.
-	InputAddrs []uint32
-	// OutAddrs maps instruction index -> output wire address.
-	OutAddrs []uint32
 	// OutputAddrs lists the circuit's primary-output wire addresses.
 	OutputAddrs []uint32
-	// MaxAddr is the highest assigned wire address.
-	MaxAddr uint32
+}
+
+// OutAddr returns instruction j's output wire address.
+func (p *Program) OutAddr(j int) uint32 { return Addr(p.NumInputs + j) }
+
+// MaxAddr returns the highest assigned wire address, 0 for a program
+// with no inputs and no instructions.
+func (p *Program) MaxAddr() uint32 {
+	if n := p.NumInputs + len(p.Instrs); n > 0 {
+		return Addr(n - 1)
+	}
+	return 0
 }
 
 // NumANDs counts AND instructions (== number of garbled tables).
@@ -131,57 +161,45 @@ func (p *Program) LiveCount() int {
 	return n
 }
 
-// Validate checks structural sanity: output addresses strictly
-// increasing, inputs referencing only previously defined addresses, and
-// no in-range input using the reserved sentinel's physical slot.
+// Validate checks structural sanity: every operand other than the OoR
+// sentinel, and every program output, names a wire defined before its
+// use. A nonzero multiple of 2^17 names no wire, since Pack would turn
+// it into the sentinel, so it is rejected wherever it appears.
 func (p *Program) Validate() error {
-	if len(p.OutAddrs) != len(p.Instrs) {
-		return fmt.Errorf("isa: %d output addrs for %d instructions", len(p.OutAddrs), len(p.Instrs))
+	if p.NumInputs < 0 {
+		return fmt.Errorf("isa: %d inputs", p.NumInputs)
 	}
-	defined := uint32(0)
-	for _, a := range p.InputAddrs {
-		if a == 0 {
-			return fmt.Errorf("isa: input assigned reserved address 0")
-		}
-		if a <= defined {
-			return fmt.Errorf("isa: input addresses not increasing at %d", a)
-		}
-		defined = a
-	}
+	defined := func(a uint32, n int) bool { return a&AddrMask != 0 && Rank(a) < n }
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		o := p.OutAddrs[i]
-		if o <= defined {
-			return fmt.Errorf("isa: instruction %d output addr %d not increasing", i, o)
+		if in.Op == NOP {
+			continue
 		}
-		if o%(1<<AddrBits) == 0 {
-			return fmt.Errorf("isa: instruction %d output addr %d collides with OoR sentinel", i, o)
+		n := p.NumInputs + i
+		if in.A != OoR && !defined(in.A, n) {
+			return fmt.Errorf("isa: instruction %d reads undefined wire %d", i, in.A)
 		}
-		if in.Op != NOP {
-			if in.A != OoR && in.A > defined {
-				return fmt.Errorf("isa: instruction %d reads undefined wire %d", i, in.A)
-			}
-			if in.B != OoR && in.B > defined {
-				return fmt.Errorf("isa: instruction %d reads undefined wire %d", i, in.B)
-			}
+		if in.B != OoR && !defined(in.B, n) {
+			return fmt.Errorf("isa: instruction %d reads undefined wire %d", i, in.B)
 		}
-		defined = o
 	}
 	for _, o := range p.OutputAddrs {
-		if o > defined || o == 0 {
+		if !defined(o, p.NumInputs+len(p.Instrs)) {
 			return fmt.Errorf("isa: program output addr %d undefined", o)
 		}
 	}
 	return nil
 }
 
-// WriteTo serializes the program: a small header followed by packed
-// instructions. It implements io.WriterTo.
+// WriteTo serializes the program: a small header, the input, program
+// output and instruction output addresses (the first and last derived
+// from the address rule), then the packed instructions. It implements
+// io.WriterTo.
 func (p *Program) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	hdr := []uint64{
 		uint64(len(p.Instrs)), uint64(p.NumInputs),
-		uint64(len(p.OutputAddrs)), uint64(p.MaxAddr),
+		uint64(len(p.OutputAddrs)), uint64(p.MaxAddr()),
 	}
 	for _, v := range hdr {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
@@ -189,22 +207,23 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 		}
 		n += 8
 	}
-	write32 := func(vs []uint32) error {
-		for _, v := range vs {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+	// write32 writes at(0), …, at(count-1).
+	write32 := func(count int, at func(int) uint32) error {
+		for i := 0; i < count; i++ {
+			if err := binary.Write(w, binary.LittleEndian, at(i)); err != nil {
 				return err
 			}
 			n += 4
 		}
 		return nil
 	}
-	if err := write32(p.InputAddrs); err != nil {
+	if err := write32(p.NumInputs, Addr); err != nil {
 		return n, err
 	}
-	if err := write32(p.OutputAddrs); err != nil {
+	if err := write32(len(p.OutputAddrs), func(i int) uint32 { return p.OutputAddrs[i] }); err != nil {
 		return n, err
 	}
-	if err := write32(p.OutAddrs); err != nil {
+	if err := write32(len(p.Instrs), p.OutAddr); err != nil {
 		return n, err
 	}
 	for i := range p.Instrs {

@@ -49,11 +49,8 @@ func TestPackedFits37Bits(t *testing.T) {
 func validProgram() *Program {
 	return &Program{
 		NumInputs:   3,
-		InputAddrs:  []uint32{1, 2, 3},
 		Instrs:      []Instr{{Op: XOR, A: 1, B: 2}, {Op: AND, A: 3, B: 4, Live: true}, {Op: XOR, A: OoR, B: 5}},
-		OutAddrs:    []uint32{4, 5, 6},
 		OutputAddrs: []uint32{6},
-		MaxAddr:     6,
 	}
 }
 
@@ -64,13 +61,17 @@ func TestValidateOK(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
+	// With 2^17 inputs the address 2^17 lies below the defined frontier,
+	// but it is no wire: Pack would truncate it to the OoR sentinel.
+	const alias = 1 << AddrBits
 	cases := map[string]func(*Program){
-		"non-increasing outputs": func(p *Program) { p.OutAddrs[1] = 4 },
-		"undefined read":         func(p *Program) { p.Instrs[0].A = 99 },
-		"zero input addr":        func(p *Program) { p.InputAddrs[0] = 0 },
-		"undefined output":       func(p *Program) { p.OutputAddrs[0] = 99 },
-		"sentinel collision":     func(p *Program) { p.OutAddrs[2] = 1 << AddrBits; p.MaxAddr = 1 << AddrBits },
-		"length mismatch":        func(p *Program) { p.OutAddrs = p.OutAddrs[:2] },
+		"undefined read":       func(p *Program) { p.Instrs[0].A = 99 },
+		"read of own output":   func(p *Program) { p.Instrs[1].B = 5 },
+		"undefined output":     func(p *Program) { p.OutputAddrs[0] = 99 },
+		"zero output":          func(p *Program) { p.OutputAddrs[0] = OoR },
+		"negative input count": func(p *Program) { p.NumInputs = -1 },
+		"operand aliases OoR":  func(p *Program) { p.NumInputs = alias; p.Instrs[2].B = alias },
+		"output aliases OoR":   func(p *Program) { p.NumInputs = alias; p.OutputAddrs[0] = alias },
 	}
 	for name, mutate := range cases {
 		p := validProgram()
@@ -78,6 +79,35 @@ func TestValidateRejects(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+func TestRenamingSequentialAndSkipsSentinel(t *testing.T) {
+	prev := uint32(0)
+	for i := 0; i < 3*(1<<AddrBits); i++ {
+		v := Addr(i)
+		if v <= prev {
+			t.Fatalf("Addr(%d) = %d, not above Addr(%d) = %d", i, v, i-1, prev)
+		}
+		if v%(1<<AddrBits) == 0 {
+			t.Fatalf("Addr(%d) = %d collides with the OoR sentinel", i, v)
+		}
+		if i > 0 && NextAddr(prev) != v {
+			t.Fatalf("NextAddr(%d) = %d, want %d", prev, NextAddr(prev), v)
+		}
+		if r := Rank(v); r != i {
+			t.Fatalf("Rank(%d) = %d, want %d", v, r, i)
+		}
+		prev = v
+	}
+	if NextAddr(OoR) != Addr(0) {
+		t.Fatalf("NextAddr(0) = %d, want %d", NextAddr(OoR), Addr(0))
+	}
+	if m := (&Program{}).MaxAddr(); m != 0 {
+		t.Fatalf("empty program MaxAddr() = %d, want 0", m)
+	}
+	if m := validProgram().MaxAddr(); m != 6 {
+		t.Fatalf("MaxAddr() = %d, want 6", m)
 	}
 }
 
@@ -92,8 +122,8 @@ func TestCounts(t *testing.T) {
 }
 
 // TestSerializationRoundTrip reads the WriteTo layout back: a four-word
-// header, the three address tables and the packed instructions, all
-// little-endian.
+// header, the input, program output and instruction output addresses,
+// and the packed instructions, all little-endian.
 func TestSerializationRoundTrip(t *testing.T) {
 	p := validProgram()
 	var buf bytes.Buffer
@@ -106,14 +136,14 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(b))
 	}
 	le := binary.LittleEndian
-	hdr := []uint64{uint64(len(p.Instrs)), uint64(p.NumInputs), uint64(len(p.OutputAddrs)), uint64(p.MaxAddr)}
+	hdr := []uint64{uint64(len(p.Instrs)), uint64(p.NumInputs), uint64(len(p.OutputAddrs)), 6}
 	for i, want := range hdr {
 		if got := le.Uint64(b[8*i:]); got != want {
 			t.Fatalf("header word %d = %d, want %d", i, got, want)
 		}
 	}
 	b = b[8*len(hdr):]
-	for _, addrs := range [][]uint32{p.InputAddrs, p.OutputAddrs, p.OutAddrs} {
+	for _, addrs := range [][]uint32{{1, 2, 3}, p.OutputAddrs, {4, 5, 6}} {
 		for _, want := range addrs {
 			if got := le.Uint32(b); got != want {
 				t.Fatalf("address %d, want %d", got, want)

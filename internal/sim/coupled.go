@@ -97,6 +97,16 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 	andLat := hw.ANDLatency()
 	bytesPerCycle := hw.DRAM.Bandwidth / hw.GEClock
 
+	// Each GE's instruction stream: the indices GEOf maps to it, in
+	// program order.
+	streams := make([][]int32, nge)
+	for g := range streams {
+		streams[g] = make([]int32, 0, cp.InstrsPerGE[g])
+	}
+	for j, g := range cp.GEOf {
+		streams[g] = append(streams[g], int32(j))
+	}
+
 	// Per-GE stream state.
 	type geState struct {
 		issuePtr      int // next stream index to issue
@@ -107,13 +117,13 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 	}
 	ges := make([]geState, nge)
 
-	ready := make([]int64, p.MaxAddr+1)
+	ready := make([]int64, p.MaxAddr()+1)
 
 	// DRAM availability of wires for OoR fetches: inputs are resident
 	// from the start; live outputs become fetchable once drained.
-	inDRAM := make([]bool, p.MaxAddr+1)
-	for _, a := range p.InputAddrs {
-		inDRAM[a] = true
+	inDRAM := make([]bool, p.MaxAddr()+1)
+	for i := 0; i < p.NumInputs; i++ {
+		inDRAM[isa.Addr(i)] = true
 	}
 
 	// Write buffer: FIFO of (cycle the value completes, address).
@@ -161,7 +171,7 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 				st := &ges[g]
 				switch ch % 3 {
 				case 0: // instruction fetch
-					if st.fetchPtr < len(cp.Streams[g]) && st.iq < qc.InstrEntries && budget >= instrBytes {
+					if st.fetchPtr < len(streams[g]) && st.iq < qc.InstrEntries && budget >= instrBytes {
 						st.fetchPtr++
 						st.iq++
 						budget -= instrBytes
@@ -196,14 +206,14 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 		// --- GE side: try to issue on every engine.
 		for g := 0; g < nge; g++ {
 			st := &ges[g]
-			if st.issuePtr >= len(cp.Streams[g]) {
+			if st.issuePtr >= len(streams[g]) {
 				continue
 			}
 			if st.iq == 0 {
 				res.InstrStalls++
 				continue
 			}
-			j := cp.Streams[g][st.issuePtr]
+			j := streams[g][st.issuePtr]
 			in := &p.Instrs[j]
 
 			needOoR := 0
@@ -281,9 +291,10 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 			if !hw.Forwarding {
 				done += writeBackPenalty
 			}
-			ready[p.OutAddrs[j]] = done
+			o := p.OutAddr(int(j))
+			ready[o] = done
 			if in.Live {
-				writeQ = append(writeQ, wb{done: done, addr: p.OutAddrs[j]})
+				writeQ = append(writeQ, wb{done: done, addr: o})
 			}
 			remaining--
 		}

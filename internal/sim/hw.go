@@ -111,9 +111,9 @@ func (hw HW) Validate() error {
 // ANDLatency is the Half-Gate pipeline depth for this configuration.
 func (hw HW) ANDLatency() int64 {
 	if hw.Garbler {
-		return 21
+		return compiler.GarblerANDLatency
 	}
-	return 18
+	return compiler.EvaluatorANDLatency
 }
 
 // bankSlots is the number of accesses one bank serves per GE cycle.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"haac/internal/compiler"
+	"haac/internal/isa"
 	"haac/internal/workloads"
 )
 
@@ -63,21 +64,35 @@ func (d *digest) compiled(cp *compiler.Compiled) {
 		d.u64(uint64(in.B))
 		d.bool(in.Live)
 	}
+	// The input and instruction output addresses, the highest address
+	// and each GE's stream (its count, then the indices GEOf maps to it)
+	// are derived, and are hashed in full in the order the pinned
+	// digests fix.
 	d.u64(uint64(p.NumInputs))
-	d.u32s(p.InputAddrs)
-	d.u32s(p.OutAddrs)
+	inputs := make([]uint32, p.NumInputs)
+	for i := range inputs {
+		inputs[i] = isa.Addr(i)
+	}
+	d.u32s(inputs)
+	outs := make([]uint32, len(p.Instrs))
+	for j := range outs {
+		outs[j] = p.OutAddr(j)
+	}
+	d.u32s(outs)
 	d.u32s(p.OutputAddrs)
-	d.u64(uint64(p.MaxAddr))
+	d.u64(uint64(p.MaxAddr()))
 
 	d.u64(uint64(len(cp.GEOf)))
 	for _, g := range cp.GEOf {
 		d.u64(uint64(g))
 	}
-	d.u64(uint64(len(cp.Streams)))
-	for _, st := range cp.Streams {
-		d.u64(uint64(len(st)))
-		for _, j := range st {
-			d.u64(uint64(j))
+	d.u64(uint64(len(cp.InstrsPerGE)))
+	for g, n := range cp.InstrsPerGE {
+		d.u64(uint64(n))
+		for j, gj := range cp.GEOf {
+			if int(gj) == g {
+				d.u64(uint64(j))
+			}
 		}
 	}
 	d.u64(uint64(len(cp.OoRW)))
@@ -323,6 +338,68 @@ func TestOneSlotBanksPinned(t *testing.T) {
 	for i, width := range []string{"narrow", "wide"} {
 		if got := dr[i].sum(); got != pinnedOneSlot {
 			t.Errorf("%s ready times: digest %s, pinned %s", width, got, pinnedOneSlot)
+		}
+	}
+}
+
+// pinnedReuse holds, per VIPSuiteSmall program, the exact AnalyzeReuse
+// statistics at pinSWW and at the default SWW (DefaultConfig otherwise),
+// over the windows haac-sim -reuse reports: a quarter, one and four
+// times the SWW. The digests above do not read the reuse analysis.
+var pinnedReuse = map[string][2]string{
+	"BubbSt": {
+		"reads 10752 median 85 p90 634 p99 4231 max 5312 covered 0.33686755952380953 0.6016555059523809 0.8704427083333334",
+		"reads 10752 median 85 p90 634 p99 4231 max 5312 covered 1 1 1",
+	},
+	"DotProd": {
+		"reads 12134 median 123 p90 2427 p99 4744 max 5010 covered 0.03617933080599967 0.5295862864677765 0.725317290258777",
+		"reads 12134 median 123 p90 2427 p99 4744 max 5010 covered 1 1 1",
+	},
+	"Merse": {
+		"reads 16356 median 116 p90 4007 p99 7617 max 8129 covered 0.03613352898019075 0.6612252384446075 0.7965884079236977",
+		"reads 16356 median 116 p90 4007 p99 7617 max 8129 covered 1 1 1",
+	},
+	"Triangle": {
+		"reads 2082 median 85 p90 172 p99 242 max 259 covered 0.18683957732949089 0.7713736791546589 1",
+		"reads 2082 median 85 p90 172 p99 242 max 259 covered 1 1 1",
+	},
+	"Hamm": {
+		"reads 1964 median 80 p90 171 p99 261 max 277 covered 0.1960285132382892 0.7627291242362525 1",
+		"reads 1964 median 80 p90 171 p99 261 max 277 covered 1 1 1",
+	},
+	"MatMult": {
+		"reads 40086 median 399 p90 8157 p99 17037 max 19525 covered 0.0031681883949508556 0.04627550765853415 0.5701990719952102",
+		"reads 40086 median 399 p90 8157 p99 17037 max 19525 covered 0.9847328244274809 1 1",
+	},
+	"ReLU": {
+		"reads 512 median 126 p90 226 p99 250 max 256 covered 0.126953125 0.509765625 1",
+		"reads 512 median 126 p90 226 p99 250 max 256 covered 1 1 1",
+	},
+	"GradDesc": {
+		"reads 253212 median 88 p90 5587 p99 88187 max 126606 covered 0.2818152378244317 0.652686286589893 0.7864990600761417",
+		"reads 253212 median 88 p90 5587 p99 88187 max 126606 covered 0.9475024880337425 0.9719444576086441 1",
+	},
+}
+
+func TestReuseStatsPinned(t *testing.T) {
+	for _, w := range workloads.VIPSuiteSmall() {
+		c := w.Build()
+		var got [2]string
+		for i, sww := range []int{pinSWW, compiler.DefaultConfig().SWWWires} {
+			cfg := compiler.DefaultConfig()
+			cfg.SWWWires = sww
+			cp, err := compiler.Compile(c, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			windows := []int{sww / 4, sww, 4 * sww}
+			st := cp.AnalyzeReuse(windows)
+			got[i] = fmt.Sprintf("reads %d median %d p90 %d p99 %d max %d covered %v %v %v",
+				st.Reads, st.Median, st.P90, st.P99, st.Max,
+				st.CoveredBy[windows[0]], st.CoveredBy[windows[1]], st.CoveredBy[windows[2]])
+		}
+		if got != pinnedReuse[w.Name] {
+			t.Errorf("%s: reuse stats (pinSWW, default SWW) =\n\t%q,\npinned\n\t%q", w.Name, got, pinnedReuse[w.Name])
 		}
 	}
 }

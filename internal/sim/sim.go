@@ -45,6 +45,10 @@ func simulate(cp *compiler.Compiled, hw HW, wide bool) (Result, error) {
 		return Result{}, fmt.Errorf("sim: program compiled for %d-wire SWW, hardware has %d",
 			cp.Cfg.SWWWires, hw.SWWWires)
 	}
+	if hw.Garbler != cp.Cfg.GarblerPipeline {
+		return Result{}, fmt.Errorf("sim: program scheduled with Garbler pipeline %v, hardware has %v",
+			cp.Cfg.GarblerPipeline, hw.Garbler)
+	}
 
 	res := Result{HW: hw}
 	res.computePhase(cp, wide)
@@ -64,9 +68,9 @@ func simulate(cp *compiler.Compiled, hw HW, wide bool) (Result, error) {
 func (res *Result) computePhase(cp *compiler.Compiled, wide bool) {
 	census := make(chan Events, 1)
 	go func() { census <- countEvents(&cp.Program) }()
-	res.IssuedPerGE = make([]int64, len(cp.Streams))
-	for g, s := range cp.Streams {
-		res.IssuedPerGE[g] = int64(len(s))
+	res.IssuedPerGE = make([]int64, len(cp.InstrsPerGE))
+	for g, n := range cp.InstrsPerGE {
+		res.IssuedPerGE[g] = int64(n)
 	}
 	res.ComputeCycles, res.DataStallCycles, res.BankConflicts = replay(cp, res.HW, nil, wide)
 	res.Events = <-census
@@ -166,19 +170,19 @@ func replayT[T int32 | int64](cp *compiler.Compiled, hw HW, rec func(int, int64)
 	nge := hw.NumGEs
 
 	// Gather each GE's stream into one contiguous run of records, in one
-	// sequential pass over the program (a stream lists its instructions
-	// in program order).
+	// sequential pass over the program (a stream is the instructions
+	// GEOf maps to the GE, in program order).
 	recs := make([]simInstr, len(p.Instrs))
 	ges := make([]geState[T], nge)
 	off := 0
 	for g := range ges {
 		ges[g] = geState[T]{pos: off, end: off, pullPos: -1}
-		off += len(cp.Streams[g])
+		off += cp.InstrsPerGE[g]
 	}
 	for j := range p.Instrs {
 		in := &p.Instrs[j]
 		st := &ges[cp.GEOf[j]]
-		recs[st.end] = simInstr{a: in.A, b: in.B, out: p.OutAddrs[j], op: in.Op}
+		recs[st.end] = simInstr{a: in.A, b: in.B, out: p.OutAddr(j), op: in.Op}
 		st.end++
 	}
 
@@ -192,7 +196,7 @@ func replayT[T int32 | int64](cp *compiler.Compiled, hw HW, rec func(int, int64)
 	dramLat := T(hw.DRAMLatencyCycles)
 
 	// ready[isa.OoR] stays 0: no instruction writes address 0.
-	ready := make([]T, p.MaxAddr+1)
+	ready := make([]T, p.MaxAddr()+1)
 	nBanks := nge * hw.BanksPerGE
 	// bankOf is a mask when the bank count is a power of two. An OoR
 	// operand takes the extra port nBanks, whose count stays 0.

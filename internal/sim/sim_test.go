@@ -219,6 +219,30 @@ func TestConfigMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestPipelineMismatchRejected: a program scheduled for one party's
+// AND pipeline must not be replayed with the other's latency, in any
+// entry point, in either direction.
+func TestPipelineMismatchRejected(t *testing.T) {
+	for _, garbler := range []bool{false, true} {
+		hw := smallHW(4)
+		hw.Garbler = garbler
+		cp := compileFor(t, workloads.AddN(8), hw, compiler.FullReorder)
+		hw.Garbler = !garbler
+		if _, err := Simulate(cp, hw); err == nil {
+			t.Errorf("Garbler pipeline %v program simulated on %v hardware", garbler, hw.Garbler)
+		}
+		if _, _, err := SimulateTraced(cp, hw, 4); err == nil {
+			t.Errorf("SimulateTraced accepted the pipeline mismatch (program Garbler %v)", garbler)
+		}
+		if _, err := SimulateMultiCore([]*compiler.Compiled{cp}, hw, 2); err == nil {
+			t.Errorf("SimulateMultiCore accepted the pipeline mismatch (program Garbler %v)", garbler)
+		}
+		if _, err := SimulateCoupled(cp, hw, DefaultQueues()); err == nil {
+			t.Errorf("SimulateCoupled accepted the pipeline mismatch (program Garbler %v)", garbler)
+		}
+	}
+}
+
 // TestReadyWidthRule checks the int32/int64 choice at its boundary:
 // (n+1) × step < 2^31, where step counts two DRAM round trips only
 // under OoRPull.
