@@ -75,12 +75,12 @@ func allocsPerRun(reps int, fn func()) float64 {
 // wire dies with its last reader's level (its own, if nothing reads it;
 // never, if it is an output) and its slot is reusable one level later.
 func levelOrderPeakLive(c *circuit.Circuit) (depth, peak int) {
-	levels := c.Levels()
+	levels, top := circuit.Levels(c, nil, nil)
+	depth = int(top)
 	writeLevel := make([]int, c.NumWires)
 	lastUse := make([]int, c.NumWires)
 	for i := range c.Gates {
-		g, l := &c.Gates[i], levels[i]
-		depth = max(depth, l)
+		g, l := &c.Gates[i], int(levels[i])
 		writeLevel[g.C] = l
 		lastUse[g.A] = max(lastUse[g.A], l)
 		if g.Op != circuit.INV {

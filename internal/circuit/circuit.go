@@ -109,8 +109,9 @@ func (c *Circuit) CountOps() (and, xor, inv int) {
 	return
 }
 
-// Validate checks structural well-formedness: wire indices in range,
-// single assignment, execution order, outputs defined. It is O(wires).
+// Validate checks structural well-formedness: known ops, wire indices
+// in range, single assignment, execution order, outputs defined. It is
+// O(wires).
 func (c *Circuit) Validate() error {
 	if c.NumWires <= 0 {
 		return errors.New("circuit: NumWires must be positive")
@@ -132,6 +133,9 @@ func (c *Circuit) Validate() error {
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
+		if g.Op != XOR && g.Op != AND && g.Op != INV {
+			return fmt.Errorf("circuit: gate %d has unknown op %d", i, g.Op)
+		}
 		if int(g.A) >= c.NumWires || (g.Op != INV && int(g.B) >= c.NumWires) || int(g.C) >= c.NumWires {
 			return fmt.Errorf("circuit: gate %d references wire out of range", i)
 		}

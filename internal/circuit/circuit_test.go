@@ -38,6 +38,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		"write input wire":    func(c *Circuit) { c.Gates[0].C = 2 },
 		"output out of range": func(c *Circuit) { c.Outputs[0] = 99 },
 		"output never set":    func(c *Circuit) { c.NumWires = 9; c.Outputs[0] = 8 },
+		"unknown op":          func(c *Circuit) { c.Gates[0].Op = INV + 1 },
 	}
 	for name, mutate := range cases {
 		c := xorAndCircuit()
@@ -127,13 +128,17 @@ func TestStats(t *testing.T) {
 	if s.ANDPercent != 50 {
 		t.Fatalf("AND%%=%v", s.ANDPercent)
 	}
+	// Three gates read only inputs; the last AND reads one of them.
+	if s.MaxLevelILP != 3 {
+		t.Fatalf("MaxLevelILP=%d, want 3", s.MaxLevelILP)
+	}
 }
 
 func TestLevelsMonotone(t *testing.T) {
 	c := xorAndCircuit()
-	levels := c.Levels()
+	levels, _ := Levels(c, nil, nil)
 	// A consumer's level must exceed its producers'.
-	prodLevel := map[Wire]int{}
+	prodLevel := map[Wire]int32{}
 	for i, g := range c.Gates {
 		if la, ok := prodLevel[g.A]; ok && levels[i] <= la {
 			t.Fatal("level not monotone")

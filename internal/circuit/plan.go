@@ -80,10 +80,7 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 		return nil, err
 	}
 	planBuilds.Add(1)
-	sched, err := scheduleSegments(c, segANDs)
-	if err != nil {
-		return nil, err
-	}
+	sched := scheduleSegments(c, segANDs)
 	// Primary outputs are pinned live forever. A wire nobody reads keeps
 	// lastUse below its write step and is released as it is written.
 	const neverDies = int32(1) << 30

@@ -1,16 +1,16 @@
 package circuit
 
-import "fmt"
-
 // The schedule of a Plan: the gate list cut into contiguous gate-order
 // segments and level-ordered inside each one — the software twin of the
 // HAAC compiler's segment reordering (§4.2.1, compiler.SegmentReorder),
 // which trades instruction-level parallelism against wire locality the
-// same way. A step is one dependence level of one segment: every
-// producer of a step's gates ran in an earlier step (or an earlier
-// segment), so the gates of a step are independent and can be garbled or
-// evaluated in any order, or by any number of workers at once. Steps run
-// in order; segments never interleave.
+// same way. Both take their levels from the one pass in level.go; the
+// plan cuts after every segmentANDs-th AND gate of gate order, the
+// compiler every so many instructions of its depth-first order. A step
+// is one level: every producer of a step's gates ran in an earlier step
+// (or an earlier segment), so the gates of a step are independent and
+// can be garbled or evaluated in any order, or by any number of workers
+// at once. Steps run in order; segments never interleave.
 //
 // Tables keep their gate-order stream positions, so a segment's tables
 // are one contiguous run of the stream: the garbler can emit a segment
@@ -57,64 +57,51 @@ type schedule struct {
 }
 
 // scheduleSegments cuts c's gate list after every segANDs-th AND gate
-// and level-orders each segment. c must be valid. It is O(gates).
-func scheduleSegments(c *Circuit, segANDs int) (*schedule, error) {
-	// Step numbering and last-use liveness in one sweep. wireStep[w] is
-	// the 1-based step that writes wire w, 0 for inputs. A gate runs one
-	// step after its latest producer, but never before the first step of
-	// its own segment: base is the last step of the segments already
-	// closed, so producers from earlier segments all count as "done".
+// and level-orders each segment: the step of a gate is its level under
+// Levels with those cuts. c must be valid. It is O(gates).
+func scheduleSegments(c *Circuit, segANDs int) *schedule {
+	// Gate ops are too irregular for the branch predictor, so each AND
+	// test below is a bare increment the compiler turns into a
+	// conditional move; the cut loop stops at the last cut.
+	numAND := 0
+	for i := range c.Gates {
+		if c.Gates[i].Op == AND {
+			numAND++
+		}
+	}
+	cuts := make([]int32, 0, numAND/segANDs)
+	for i, ands := 0, 0; len(cuts) < cap(cuts); i++ {
+		if c.Gates[i].Op == AND {
+			ands++
+		}
+		if ands == (len(cuts)+1)*segANDs {
+			cuts = append(cuts, int32(i)+1)
+		}
+	}
+	lvl, top := Levels(c, nil, cuts)
 	s := &schedule{
 		order:   make([]int32, len(c.Gates)),
+		tables:  make([]int32, numAND),
 		lastUse: make([]int32, c.NumWires),
-	}
-	wireStep, lastUse := make([]int32, c.NumWires), s.lastUse
-	var base, top int32
-	segAND, numAND := 0, 0
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		if g.Op != XOR && g.Op != AND && g.Op != INV {
-			return nil, fmt.Errorf("circuit: gate %d has unknown op %d", i, g.Op)
-		}
-		k := base
-		if ws := wireStep[g.A]; ws > k {
-			k = ws
-		}
-		if g.Op != INV {
-			if ws := wireStep[g.B]; ws > k {
-				k = ws
-			}
-		}
-		k++
-		wireStep[g.C] = k
-		if k > top {
-			top = k
-		}
-		if lastUse[g.A] < k {
-			lastUse[g.A] = k
-		}
-		if g.Op != INV && lastUse[g.B] < k {
-			lastUse[g.B] = k
-		}
-		if g.Op == AND {
-			numAND++
-			if segAND++; segAND == segANDs {
-				base, segAND = top, 0
-			}
-		}
 	}
 
 	// Counting sort of the gates by step, free gates ahead of AND gates,
-	// gate order preserved inside each run. nextFree and nextAND are each
-	// step's write cursors into order. The AND gates of step k fill the
-	// tail of its gates and the tail of its tables, so an AND gate at
+	// gate order preserved inside each run; the sweep that sizes the
+	// steps also takes each wire's last use. nextFree and nextAND are
+	// each step's write cursors into order. The AND gates of step k fill
+	// the tail of its gates and the tail of its tables, so an AND gate at
 	// order[pos] has its table index at tables[pos-(gates-ands)], gates
 	// and ands being the step's cumulative ends.
 	steps := make([]step, top)
 	for i := range c.Gates {
-		st := &steps[wireStep[c.Gates[i].C]-1]
+		g, k := &c.Gates[i], lvl[i]
+		s.lastUse[g.A] = max(s.lastUse[g.A], k)
+		if g.Op != INV {
+			s.lastUse[g.B] = max(s.lastUse[g.B], k)
+		}
+		st := &steps[k-1]
 		st.gates++
-		if c.Gates[i].Op == AND {
+		if g.Op == AND {
 			st.ands++
 		}
 	}
@@ -128,10 +115,9 @@ func scheduleSegments(c *Circuit, segANDs int) (*schedule, error) {
 		nextAND[k] = gates - steps[k].ands
 		steps[k].gates, steps[k].ands = gates, ands
 	}
-	s.tables = make([]int32, numAND)
 	table := int32(0)
 	for i := range c.Gates {
-		k := wireStep[c.Gates[i].C] - 1
+		k := lvl[i] - 1
 		if c.Gates[i].Op == AND {
 			pos := nextAND[k]
 			nextAND[k]++
@@ -152,13 +138,10 @@ func scheduleSegments(c *Circuit, segANDs int) (*schedule, error) {
 	cursor, ready, prefixMax, need, prevANDs := 0, int32(0), int32(0), int32(0), int32(0)
 	for k := range steps {
 		for ; cursor < len(c.Gates); cursor++ {
-			g := &c.Gates[cursor]
-			if g.Op != AND {
+			if c.Gates[cursor].Op != AND {
 				continue
 			}
-			if ws := wireStep[g.C]; ws > prefixMax {
-				prefixMax = ws
-			}
+			prefixMax = max(prefixMax, lvl[cursor])
 			if prefixMax > int32(k)+1 {
 				break
 			}
@@ -175,7 +158,7 @@ func scheduleSegments(c *Circuit, segANDs int) (*schedule, error) {
 		prevANDs = st.ands
 	}
 	s.steps = steps
-	return s, nil
+	return s
 }
 
 // NumSteps returns the number of steps in the plan's schedule.

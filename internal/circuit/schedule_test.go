@@ -86,10 +86,7 @@ func TestScheduleStructure(t *testing.T) {
 			{[]int32{4}, nil, nil, 2, 2},
 		}},
 	} {
-		s, err := scheduleSegments(c, tc.segANDs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := scheduleSegments(c, tc.segANDs)
 		if len(s.steps) != len(tc.steps) {
 			t.Fatalf("%s: %d steps, want %d", tc.name, len(s.steps), len(tc.steps))
 		}
@@ -127,10 +124,7 @@ func equalInt32(a, b []int32) bool {
 // never look past the segment being executed.
 func scheduleInvariants(t *testing.T, c *Circuit, segANDs int) {
 	t.Helper()
-	s, err := scheduleSegments(c, segANDs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := scheduleSegments(c, segANDs)
 
 	numAND, _, _ := c.CountOps()
 	if len(s.tables) != numAND {

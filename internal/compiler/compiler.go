@@ -46,9 +46,10 @@ const (
 	FullReorder
 	// SegmentReorder level-orders within contiguous segments of half the
 	// SWW capacity, balancing ILP against wire locality (§4.2.1). The
-	// software engine schedules the same way: circuit.NewPlan cuts the
-	// gate list into segments (of a fixed number of AND gates rather
-	// than wires) and level-orders inside each.
+	// software engine schedules the same way, with the same leveling
+	// pass (circuit.Levels): circuit.NewPlan cuts the gate list into
+	// segments of a fixed number of AND gates rather than instructions
+	// and level-orders inside each.
 	SegmentReorder
 )
 
@@ -204,9 +205,9 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	switch cfg.Reorder {
 	case Baseline:
 	case FullReorder:
-		asm.reorder(len(asm.instrs))
+		asm.reorder(c, len(c.Gates))
 	case SegmentReorder:
-		asm.reorder(cfg.segmentSize())
+		asm.reorder(c, cfg.segmentSize())
 	default:
 		return nil, fmt.Errorf("compiler: unknown reorder mode %d", cfg.Reorder)
 	}
@@ -214,7 +215,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	// The back end runs in two lanes over the finished schedule: renaming
 	// and ESW on one goroutine, the GE list scheduler on the other. They write disjoint fields of out.
 	out := &Compiled{Cfg: cfg, SynthConstOne: asm.synthConstOne}
-	both(func() { asm.scheduleLane(out) }, func() { asm.renameLane(c, out) })
+	both(func() { asm.scheduleLane(c, out) }, func() { asm.renameLane(c, out) })
 	if !cfg.ESW {
 		// Without ESW every produced wire is conservatively live
 		// (written back), as in the pre-optimization baseline flow.

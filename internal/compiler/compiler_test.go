@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -266,6 +267,61 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	// GEOf holds a GE index in one byte.
 	if _, err := Compile(c, Config{SWWWires: 64, NumGEs: MaxGEs + 1, Reorder: Baseline}); err == nil {
 		t.Fatal("more than MaxGEs GEs accepted")
+	}
+}
+
+func TestUnknownOpRejected(t *testing.T) {
+	// Validate rejects the op, so Compile never lowers it into a program
+	// that reads an unwritten wire.
+	c := &circuit.Circuit{
+		NumWires: 4, GarblerInputs: 1, EvaluatorInputs: 1,
+		Gates: []circuit.Gate{
+			{Op: circuit.INV + 1, A: 0, B: 1, C: 2},
+			{Op: circuit.AND, A: 0, B: 1, C: 3},
+		},
+		Outputs: []circuit.Wire{3},
+	}
+	for _, mode := range []ReorderMode{Baseline, FullReorder, SegmentReorder} {
+		if cp, err := Compile(c, smallCfg(mode)); err == nil {
+			t.Fatalf("%v: compiled an unknown op into %d instructions", mode, len(cp.Program.Instrs))
+		}
+	}
+}
+
+func TestINVOperandBIgnored(t *testing.T) {
+	// RandomCircuit gives INV gates a random, written B wire; the builder
+	// always emits B = 0. Every pass must read INV as XOR with the
+	// constant-one wire, so rewriting B changes nothing.
+	rng := rand.New(rand.NewSource(34))
+	segWires := smallCfg(SegmentReorder)
+	segWires.SegmentWires = 7
+	cfgs := []Config{smallCfg(Baseline), smallCfg(FullReorder), smallCfg(SegmentReorder), segWires}
+	consts := map[bool]bool{} // HasConst values seen
+	for trial := 0; trial < 200; trial++ {
+		c := circuit.RandomCircuit(rng)
+		consts[c.HasConst] = true
+		z := c.Clone()
+		for i := range z.Gates {
+			if z.Gates[i].Op == circuit.INV {
+				z.Gates[i].B = 0
+			}
+		}
+		for _, cfg := range cfgs {
+			p, err := Compile(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := Compile(z, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.Program, q.Program) || !slices.Equal(p.GEOf, q.GEOf) || !reflect.DeepEqual(p.OoRW, q.OoRW) {
+				t.Fatalf("trial %d, %v: the program depends on INV's B operand", trial, cfg.Reorder)
+			}
+		}
+	}
+	if len(consts) != 2 {
+		t.Fatal("the trials did not cover circuits with and without constant wires")
 	}
 }
 

@@ -8,86 +8,66 @@ import (
 	"haac/internal/isa"
 )
 
-// The compile pipeline is flat. assemble writes the instruction list
-// once, in gate order; the scheduling passes (depth-first baseline,
-// level reordering) only permute one []int32 of indices into it. The
-// back end then reads the final schedule in two lanes that run
-// concurrently and write disjoint fields of Compiled: renameLane gathers
-// the program through the permutation and computes OoR reads and live
-// bits in the same sweep, while scheduleLane assigns each instruction a
-// GE (geMinSet's pick) and counts each GE's instructions and tables.
-// After the join, fillOoRW writes the per-GE OoRW queues into one slab.
+// The compile pipeline is flat and reads the circuit's gates in place:
+// lower maps a gate onto the two-opcode ISA as it is read, and the
+// scheduling passes (depth-first baseline, level reordering) only
+// permute one []int32 of gate indices. The back end then reads the
+// final schedule in two lanes that run concurrently and write disjoint
+// fields of Compiled: renameLane gathers the program through the
+// permutation and computes OoR reads and live bits in the same sweep,
+// while scheduleLane assigns each instruction a GE (geMinSet's pick) and
+// counts each GE's instructions and tables. After the join, fillOoRW
+// writes the per-GE OoRW queues into one slab.
 
-// aInstr is an assembled instruction still carrying circuit wire ids.
-type aInstr struct {
-	op   isa.Op
-	a, b uint32 // circuit wire ids
-	out  uint32 // circuit wire id
-}
-
-// asmState carries the program between passes.
+// asmState carries the schedule between passes.
 type asmState struct {
-	// instrs is the assembled instruction list, in gate order.
-	instrs []aInstr
-	// order is the schedule: every index of instrs exactly once, in
-	// program order.
+	// order is the schedule: every gate index exactly once, in program
+	// order.
 	order []int32
 	// inputWires lists the circuit's input-like wires, in order, plus a
 	// synthetic constant-one wire if INV lowering required one.
 	inputWires []uint32
-	// synthConstOne is set when a constant-one wire was appended.
+	// constOne is the wire INV gates are XORed with; synthConstOne is set
+	// when it was appended to the circuit's wires.
+	constOne        uint32
 	synthConstOne   bool
 	numCircuitWires int
 }
 
-// assemble lowers the circuit into HAAC's two-opcode form (§3.1.3) —
-// XOR and AND survive, INV becomes XOR with a constant-one wire — and
-// then schedules the gate list in the depth-first order EMP-produced
-// netlists have (§4.2.1: "instructions are scheduled following a
-// depth-first circuit traversal, i.e., in tight producer-consumer
-// relationships"). That order is the paper's Baseline; the reordering
-// passes start from it.
+// assemble prepares HAAC's two-opcode form (§3.1.3) — XOR and AND
+// survive, INV becomes XOR with a constant-one wire, appended as the
+// last input if the circuit has none — and then schedules the gate list
+// in the depth-first order EMP-produced netlists have (§4.2.1:
+// "instructions are scheduled following a depth-first circuit
+// traversal, i.e., in tight producer-consumer relationships"). That
+// order is the paper's Baseline; the reordering passes start from it.
 func assemble(c *circuit.Circuit) *asmState {
-	s := assembleRaw(c)
-	s.depthFirst(c)
-	return s
-}
-
-func assembleRaw(c *circuit.Circuit) *asmState {
-	s := &asmState{numCircuitWires: c.NumWires}
+	s := &asmState{numCircuitWires: c.NumWires, constOne: c.Const1}
 	nin := c.NumInputs()
 	s.inputWires = make([]uint32, nin, nin+1)
 	for w := range s.inputWires {
 		s.inputWires[w] = uint32(w)
 	}
-
-	constOne := uint32(0)
-	haveConst := false
-	if c.HasConst {
-		constOne = c.Const1
-		haveConst = true
+	if !c.HasConst && slices.ContainsFunc(c.Gates, func(g circuit.Gate) bool { return g.Op == circuit.INV }) {
+		s.constOne = uint32(s.numCircuitWires)
+		s.numCircuitWires++
+		s.inputWires = append(s.inputWires, s.constOne)
+		s.synthConstOne = true
 	}
-	s.instrs = make([]aInstr, len(c.Gates))
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		switch g.Op {
-		case circuit.XOR:
-			s.instrs[i] = aInstr{op: isa.XOR, a: g.A, b: g.B, out: g.C}
-		case circuit.AND:
-			s.instrs[i] = aInstr{op: isa.AND, a: g.A, b: g.B, out: g.C}
-		case circuit.INV:
-			if !haveConst {
-				// Append a synthetic constant-one input wire.
-				constOne = uint32(s.numCircuitWires)
-				s.numCircuitWires++
-				s.inputWires = append(s.inputWires, constOne)
-				s.synthConstOne = true
-				haveConst = true
-			}
-			s.instrs[i] = aInstr{op: isa.XOR, a: g.A, b: constOne, out: g.C}
-		}
-	}
+	s.depthFirst(c)
 	return s
+}
+
+// lower returns the instruction gate g becomes: its opcode and the
+// circuit wires it reads. INV's B field is never read.
+func (s *asmState) lower(g *circuit.Gate) (op isa.Op, a, b uint32) {
+	switch g.Op {
+	case circuit.AND:
+		return isa.AND, g.A, g.B
+	case circuit.INV:
+		return isa.XOR, g.A, s.constOne
+	}
+	return isa.XOR, g.A, g.B
 }
 
 // depthFirst sets the schedule to a depth-first traversal from the
@@ -97,18 +77,18 @@ func assembleRaw(c *circuit.Circuit) *asmState {
 // kept for fidelity) are traversed afterwards in original order. The
 // result is a valid execution order.
 func (s *asmState) depthFirst(c *circuit.Circuit) {
-	n := len(s.instrs)
+	n := len(c.Gates)
 	s.order = make([]int32, 0, n)
 	if n == 0 {
 		return
 	}
-	// Producing instruction per wire (-1 for inputs).
+	// Producing gate per wire (-1 for inputs).
 	prod := make([]int32, s.numCircuitWires)
 	for i := range prod {
 		prod[i] = -1
 	}
-	for i := range s.instrs {
-		prod[s.instrs[i].out] = int32(i)
+	for i := range c.Gates {
+		prod[c.Gates[i].C] = int32(i)
 	}
 
 	state := make([]uint8, n) // 0 unvisited, 1 expanded, 2 emitted
@@ -134,13 +114,13 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 				continue
 			}
 			state[g] = 1
-			in := &s.instrs[g]
+			_, a, b := s.lower(&c.Gates[g])
 			// Push operand producers (b first so a's subtree emits
 			// first, keeping left-to-right evaluation order).
-			if pb := prod[in.b]; pb >= 0 && state[pb] != 2 {
+			if pb := prod[b]; pb >= 0 && state[pb] != 2 {
 				stack = append(stack, pb)
 			}
-			if pa := prod[in.a]; pa >= 0 && state[pa] != 2 {
+			if pa := prod[a]; pa >= 0 && state[pa] != 2 {
 				stack = append(stack, pa)
 			}
 		}
@@ -156,42 +136,24 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 }
 
 // reorder level-orders the schedule within consecutive segments of
-// segSize instructions (§4.2.1); segSize >= the program length gives
-// Full Reorder. Levels are numbered across the whole program with a
-// running base, the way circuit.scheduleSegments numbers its steps: an
-// instruction sits one level above its latest producer but never below
-// the first level of its own segment, so each segment's levels lie above
-// every level of the segments before it. One stable counting sort of the
-// whole schedule by level is therefore a stable level sort inside every
-// segment, keeping the baseline's order as the tiebreak within a level.
-func (s *asmState) reorder(segSize int) {
-	if segSize < 1 {
-		segSize = 1
-	}
-	wireLvl := make([]int32, s.numCircuitWires)
-	lvl := make([]int32, len(s.order)) // level per schedule position
-	var base, top int32
-	left := 0 // instructions left in the current segment
-	for pos, i := range s.order {
-		if left == 0 {
-			base, left = top, segSize
-		}
-		left--
-		in := &s.instrs[i]
-		k := base
-		if l := wireLvl[in.a]; l > k {
-			k = l
-		}
-		if l := wireLvl[in.b]; l > k {
-			k = l
-		}
-		k++
-		wireLvl[in.out] = k
-		lvl[pos] = k
-		if k > top {
-			top = k
+// segSize instructions (§4.2.1); segSize >= the program length cuts
+// nowhere, which is Full Reorder. The
+// levels come from circuit.Levels over the schedule, the pass the plan's
+// steps come from: an instruction sits one level above its latest
+// producer but never below the first level of its own segment, so each
+// segment's levels lie above every level of the segments before it. One
+// stable counting sort of the whole schedule by level is therefore a
+// stable level sort inside every segment, keeping the baseline's order
+// as the tiebreak within a level.
+func (s *asmState) reorder(c *circuit.Circuit, segSize int) {
+	var cuts []int32
+	if len(s.order) > segSize {
+		cuts = make([]int32, (len(s.order)-1)/segSize)
+		for j := range cuts {
+			cuts[j] = int32((j + 1) * segSize)
 		}
 	}
+	lvl, top := circuit.Levels(c, s.order, cuts)
 	// next[k] is the write cursor of level k in the sorted schedule.
 	next := make([]int32, top+1)
 	for _, k := range lvl {
@@ -251,10 +213,11 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 		}
 	}
 	for pos, i := range s.order {
-		in := &s.instrs[i]
-		a, b := addrOf[in.a], addrOf[in.b]
+		g := &c.Gates[i]
+		op, a, b := s.lower(g)
+		a, b = addrOf[a], addrOf[b]
 		o = isa.NextAddr(o)
-		addrOf[in.out] = o
+		addrOf[g.C] = o
 		lo := ^uint32(0) // without an SWW nothing is resident: all reads OoR
 		if !noSWW {
 			lo = WindowLo(o, n)
@@ -271,7 +234,7 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 			b = isa.OoR
 			oorReads++
 		}
-		p.Instrs[pos] = isa.Instr{Op: in.op, A: a, B: b}
+		p.Instrs[pos] = isa.Instr{Op: op, A: a, B: b}
 	}
 	for i, w := range c.Outputs {
 		p.OutputAddrs[i] = addrOf[w]
@@ -298,7 +261,7 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 // records each instruction's GE and counts each GE's instructions and
 // tables; a GE's stream is the instructions GEOf maps to it, in program
 // order.
-func (s *asmState) scheduleLane(cp *Compiled) {
+func (s *asmState) scheduleLane(c *circuit.Circuit, cp *Compiled) {
 	nge := cp.Cfg.NumGEs
 	andLat := int64(cp.Cfg.ANDLatency())
 	ready := make([]int64, s.numCircuitWires) // cycle the wire's value is usable
@@ -307,17 +270,18 @@ func (s *asmState) scheduleLane(cp *Compiled) {
 	cp.InstrsPerGE = make([]int, nge)
 	cp.TablesPerGE = make([]int, nge)
 	for pos, i := range s.order {
-		in := &s.instrs[i]
+		gate := &c.Gates[i]
+		op, a, b := s.lower(gate)
 		g := ges.pick()
 		// The GE sits stalled until the operands arrive.
-		issue := max(ges.min, ready[in.a], ready[in.b])
+		issue := max(ges.min, ready[a], ready[b])
 		ges.take(g, issue+1)
 		lat := int64(XORLatency)
-		if in.op == isa.AND {
+		if op == isa.AND {
 			lat = andLat
 			cp.TablesPerGE[g]++
 		}
-		ready[in.out] = issue + lat
+		ready[gate.C] = issue + lat
 		cp.GEOf[pos] = uint8(g)
 		cp.InstrsPerGE[g]++
 	}
