@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"haac/internal/circuit"
 	"haac/internal/compiler"
@@ -66,16 +65,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c = oc
 	}
 
-	var mode compiler.ReorderMode
-	switch strings.ToLower(*reorder) {
-	case "baseline":
-		mode = compiler.Baseline
-	case "full":
-		mode = compiler.FullReorder
-	case "seg", "segment":
-		mode = compiler.SegmentReorder
-	default:
-		fmt.Fprintf(stderr, "unknown reorder mode %q\n", *reorder)
+	mode, err := compiler.ParseReorderMode(*reorder)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -155,29 +147,11 @@ func loadCircuit(in, workload string, small bool) (*circuit.Circuit, string, err
 		c, err := circuit.ReadBristol(f)
 		return c, in, err
 	case workload != "":
-		w, err := findWorkload(workload, small)
+		w, err := workloads.Find(workload, small)
 		if err != nil {
 			return nil, "", err
 		}
 		return w.Build(), w.Name, nil
 	}
 	return nil, "", fmt.Errorf("one of -in or -workload is required")
-}
-
-func findWorkload(name string, small bool) (workloads.Workload, error) {
-	suite := workloads.VIPSuite()
-	if small {
-		suite = workloads.VIPSuiteSmall()
-	}
-	suite = append(suite, workloads.MicroSuite()...)
-	for _, w := range suite {
-		if strings.EqualFold(w.Name, name) {
-			return w, nil
-		}
-	}
-	var names []string
-	for _, w := range suite {
-		names = append(names, w.Name)
-	}
-	return workloads.Workload{}, fmt.Errorf("unknown workload %q; available: %s", name, strings.Join(names, ", "))
 }

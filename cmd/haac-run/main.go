@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	w, err := find(*workload)
+	w, err := workloads.Find(*workload, true)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -177,18 +177,4 @@ func runClient(stdout, stderr io.Writer, addr string, w workloads.Workload, valu
 		fmt.Fprintf(stdout, "client: detected %d corrupted transfers via frame checksums\n", st.IntegrityFailures)
 	}
 	return 0
-}
-
-func find(name string) (workloads.Workload, error) {
-	suite := append(workloads.VIPSuiteSmall(), workloads.MicroSuite()...)
-	for _, w := range suite {
-		if strings.EqualFold(w.Name, name) {
-			return w, nil
-		}
-	}
-	var names []string
-	for _, w := range suite {
-		names = append(names, w.Name)
-	}
-	return workloads.Workload{}, fmt.Errorf("unknown workload %q; available: %s", name, strings.Join(names, ", "))
 }

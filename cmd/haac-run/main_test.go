@@ -10,6 +10,7 @@ import (
 
 	"haac/internal/circuit"
 	"haac/internal/server"
+	"haac/internal/workloads"
 )
 
 // freePort reserves an ephemeral TCP port and releases it for the test
@@ -98,7 +99,7 @@ func TestRunWorkers(t *testing.T) {
 // TestRunClientMode drives the client role end to end against an
 // in-process serving garbler: one session, several runs, plan reuse.
 func TestRunClientMode(t *testing.T) {
-	w, err := find("Million-8")
+	w, err := workloads.Find("Million-8", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestRunBadArgs(t *testing.T) {
 }
 
 func TestFindListsWorkloads(t *testing.T) {
-	_, err := find("definitely-not-a-workload")
-	if err == nil {
-		t.Fatal("unknown workload accepted")
+	var out, errw bytes.Buffer
+	if code := run([]string{"-role", "evaluator", "-workload", "definitely-not-a-workload"}, &out, &errw); code != 2 {
+		t.Fatalf("unknown workload: exit %d, want 2", code)
 	}
-	if !strings.Contains(fmt.Sprint(err), "Million-8") {
-		t.Fatalf("error should list available workloads: %v", err)
+	if !strings.Contains(errw.String(), "Million-8") {
+		t.Fatalf("error should list available workloads: %s", errw.String())
 	}
 }

@@ -59,16 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var mode compiler.ReorderMode
-	switch strings.ToLower(*reorder) {
-	case "baseline":
-		mode = compiler.Baseline
-	case "full":
-		mode = compiler.FullReorder
-	case "seg", "segment":
-		mode = compiler.SegmentReorder
-	default:
-		fmt.Fprintf(stderr, "unknown reorder mode %q\n", *reorder)
+	mode, err := compiler.ParseReorderMode(*reorder)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -84,9 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	hw := sim.DefaultHW()
-	hw.NumGEs = cfg.NumGEs
-	hw.SWWWires = cfg.SWWWires
-	hw.Garbler = cfg.GarblerPipeline
 	hw.Forwarding = !*noFwd
 	switch strings.ToLower(*dram) {
 	case "ddr4":
@@ -107,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s := c.ComputeStats()
 	fmt.Fprintf(stdout, "workload     %s: %d gates (%.1f%% AND)\n", name, s.Gates, s.ANDPercent)
 	fmt.Fprintf(stdout, "config       %d GEs, %.3g MB SWW, %s, %s pipeline, forwarding=%v, %s reorder, ESW=%v\n",
-		hw.NumGEs, *swwMB, hw.DRAM.Name, party(hw.Garbler), hw.Forwarding, mode, *esw)
+		cfg.NumGEs, *swwMB, hw.DRAM.Name, party(cfg.GarblerPipeline), hw.Forwarding, mode, *esw)
 	fmt.Fprintf(stdout, "time         %v  (%d cycles @ %.0f MHz)\n", r.Time(), r.TotalCycles, hw.GEClock/1e6)
 	fmt.Fprintf(stdout, "  compute    %v  (%d cycles; %d data-stall checks, %d bank conflicts)\n",
 		r.ComputeTime(), r.ComputeCycles, r.DataStallCycles, r.BankConflicts)
@@ -123,16 +113,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "energy       %.3g J (avg %.2f W); half-gate %.0f%%, sram %.0f%%, dram %.0f%%\n",
 		b.Total(), energy.AveragePower(r),
 		100*b.Normalized().HalfGate, 100*b.Normalized().SRAM, 100*b.Normalized().DRAMPHY)
-	fmt.Fprintf(stdout, "area         %.2f mm^2 (HAAC IP, 16 nm)\n", energy.AreaFor(hw.NumGEs, hw.SWWWires*16).Total())
+	fmt.Fprintf(stdout, "area         %.2f mm^2 (HAAC IP, 16 nm)\n", energy.AreaFor(cfg.NumGEs, cfg.SWWWires*16).Total())
 
-	cpu := baseline.MeasureCPU(gc.RekeyedHasher{}, !hw.Garbler)
+	cpu := baseline.MeasureCPU(gc.RekeyedHasher{}, !cfg.GarblerPipeline)
 	cpuT := cpu.GCTime(s)
 	fmt.Fprintf(stdout, "CPU GC       %v on this host (%.0f ns/AND, %.1f ns/XOR) -> speedup %.0fx\n",
 		cpuT, cpu.NsPerAND, cpu.NsPerXOR, cpuT.Seconds()/r.Time().Seconds())
 
 	if *reuse {
 		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, cp.AnalyzeReuse([]int{hw.SWWWires / 4, hw.SWWWires, 4 * hw.SWWWires}))
+		fmt.Fprintln(stdout, cp.AnalyzeReuse([]int{cfg.SWWWires / 4, cfg.SWWWires, 4 * cfg.SWWWires}))
 	}
 	if *trace > 0 {
 		_, tr, err := sim.SimulateTraced(cp, hw, *trace)
@@ -168,17 +158,11 @@ func loadCircuit(in, workload string, small bool) (*circuit.Circuit, string, err
 		c, err := circuit.ReadBristol(f)
 		return c, in, err
 	case workload != "":
-		suite := workloads.VIPSuite()
-		if small {
-			suite = workloads.VIPSuiteSmall()
+		w, err := workloads.Find(workload, small)
+		if err != nil {
+			return nil, "", err
 		}
-		suite = append(suite, workloads.MicroSuite()...)
-		for _, w := range suite {
-			if strings.EqualFold(w.Name, workload) {
-				return w.Build(), w.Name, nil
-			}
-		}
-		return nil, "", fmt.Errorf("unknown workload %q", workload)
+		return w.Build(), w.Name, nil
 	}
 	return nil, "", fmt.Errorf("one of -in or -workload is required")
 }

@@ -208,12 +208,6 @@ func tlsFor(certFile, keyFile string) (*tls.Config, error) {
 // from value once and reused across runs.
 func specsFor(names string, value uint64) ([]server.CircuitSpec, error) {
 	suite := append(workloads.VIPSuiteSmall(), workloads.MicroSuite()...)
-	byName := map[string]workloads.Workload{}
-	var all []string
-	for _, w := range suite {
-		byName[strings.ToLower(w.Name)] = w
-		all = append(all, w.Name)
-	}
 	var picked []workloads.Workload
 	if strings.EqualFold(names, "all") {
 		picked = suite
@@ -223,14 +217,18 @@ func specsFor(names string, value uint64) ([]server.CircuitSpec, error) {
 			if n == "" {
 				continue
 			}
-			w, ok := byName[strings.ToLower(n)]
-			if !ok {
-				return nil, fmt.Errorf("unknown workload %q; available: %s", n, strings.Join(all, ", "))
+			w, err := workloads.Find(n, true)
+			if err != nil {
+				return nil, err
 			}
 			picked = append(picked, w)
 		}
 	}
 	if len(picked) == 0 {
+		var all []string
+		for _, w := range suite {
+			all = append(all, w.Name)
+		}
 		return nil, fmt.Errorf("no workloads selected; available: %s", strings.Join(all, ", "))
 	}
 	specs := make([]server.CircuitSpec, len(picked))

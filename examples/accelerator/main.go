@@ -48,8 +48,6 @@ func main() {
 				log.Fatal(err)
 			}
 			hw := haac.DefaultHW()
-			hw.NumGEs = nge
-			hw.SWWWires = cfg.SWWWires
 			hw.DRAM = dram
 			res, err := haac.Simulate(cp, hw)
 			if err != nil {
@@ -57,7 +55,7 @@ func main() {
 			}
 			fmt.Printf("%4d  %6s  %12v  %12v  %9.2f  %9.3g\n",
 				nge, dram.Name, res.Time(), res.ComputeTime(),
-				haac.AreaOf(hw), haac.EnergyOf(res).Total())
+				haac.AreaOf(cfg), haac.EnergyOf(res).Total())
 		}
 	}
 	fmt.Println("\nWhere the DDR4 column stops improving while HBM2 keeps scaling,")

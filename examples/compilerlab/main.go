@@ -68,10 +68,7 @@ func main() {
 				}
 			}
 
-			hw := haac.DefaultHW()
-			hw.NumGEs = cfg.NumGEs
-			hw.SWWWires = cfg.SWWWires
-			res, err := haac.Simulate(cp, hw)
+			res, err := haac.Simulate(cp, haac.DefaultHW())
 			if err != nil {
 				log.Fatal(err)
 			}

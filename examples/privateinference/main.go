@@ -145,7 +145,6 @@ func main() {
 		log.Fatal(err)
 	}
 	hw := haac.DefaultHW()
-	hw.SWWWires = cfg.SWWWires
 	hw.DRAM = haac.HBM2
 	res, err := haac.Simulate(cp, hw)
 	if err != nil {

@@ -79,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("HAAC (16 GEs, 2 MB SWW, DDR4): %v, %.2f mm^2, %.3g J\n",
-		res.Time(), haac.AreaOf(haac.DefaultHW()), haac.EnergyOf(res).Total())
+		res.Time(), haac.AreaOf(cp.Cfg), haac.EnergyOf(res).Total())
 }
 
 func bits32(v uint64) []bool {

@@ -88,14 +88,16 @@ type (
 
 // Compiler and simulator types.
 type (
-	// CompilerConfig selects reordering/renaming/ESW and the hardware
-	// shape the program is scheduled for.
+	// CompilerConfig selects reordering/renaming/ESW and the target the
+	// program is scheduled for: GE count, SWW size and AND pipeline.
+	// Simulate runs a program on its target.
 	CompilerConfig = compiler.Config
 	// ReorderMode selects Baseline, FullReorder or SegmentReorder.
 	ReorderMode = compiler.ReorderMode
 	// Compiled is a compiled HAAC program with its per-GE streams.
 	Compiled = compiler.Compiled
-	// HW is an accelerator configuration.
+	// HW is the accelerator around a program's target: SWW banking,
+	// clocks, forwarding and DRAM.
 	HW = sim.HW
 	// DRAM is a streaming memory model.
 	DRAM = sim.DRAM
@@ -125,8 +127,8 @@ func NewBuilder() *Builder { return builder.New() }
 // full reorder + renaming + ESW for a 16-GE, 2 MB-SWW Evaluator.
 func DefaultCompilerConfig() CompilerConfig { return compiler.DefaultConfig() }
 
-// DefaultHW is the paper's headline hardware: 16 GEs, 2 MB SWW,
-// 4 banks/GE, 1 GHz/2 GHz clocks, DDR4.
+// DefaultHW is the paper's headline hardware around a program: 4
+// banks/GE, 1 GHz/2 GHz clocks, forwarding, DDR4.
 func DefaultHW() HW { return sim.DefaultHW() }
 
 // Compile lowers a circuit to a HAAC program and runs the configured
@@ -135,15 +137,17 @@ func Compile(c *Circuit, cfg CompilerConfig) (*Compiled, error) {
 	return compiler.Compile(c, cfg)
 }
 
-// Simulate runs a compiled program on a hardware configuration.
+// Simulate runs a compiled program on its target within a hardware
+// configuration.
 func Simulate(cp *Compiled, hw HW) (Result, error) { return sim.Simulate(cp, hw) }
 
 // EnergyOf prices a simulation result with the Table 4 energy model.
 func EnergyOf(r Result) EnergyBreakdown { return energy.Energy(r) }
 
-// AreaOf returns the accelerator area in mm^2 for a configuration.
-func AreaOf(hw HW) float64 {
-	return energy.AreaFor(hw.NumGEs, hw.SWWWires*16).Total()
+// AreaOf returns the accelerator area in mm^2 of the target a program
+// is compiled for: its GE count and SWW size.
+func AreaOf(cfg CompilerConfig) float64 {
+	return energy.AreaFor(cfg.NumGEs, cfg.SWWWires*16).Total()
 }
 
 // Eval evaluates a circuit on plaintext inputs (the functional model).

@@ -182,8 +182,6 @@ func TestFacadeCompileSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := DefaultHW()
-	hw.NumGEs = 4
-	hw.SWWWires = 1024
 	res, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +192,7 @@ func TestFacadeCompileSimulate(t *testing.T) {
 	if EnergyOf(res).Total() <= 0 {
 		t.Fatal("no energy")
 	}
-	if AreaOf(hw) <= 0 || AreaOf(hw) >= AreaOf(DefaultHW()) {
+	if AreaOf(cfg) <= 0 || AreaOf(cfg) >= AreaOf(DefaultCompilerConfig()) {
 		t.Fatal("area scaling wrong")
 	}
 

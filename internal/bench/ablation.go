@@ -59,7 +59,7 @@ func (e *Env) Ablations() ([]AblationRow, string, error) {
 			if err != nil {
 				return nil, "", fmt.Errorf("ablation %s/%s: %w", w.Name, v.name, err)
 			}
-			hw := v.hw(hwFor(cc, sim.DDR4))
+			hw := v.hw(hwFor(sim.DDR4))
 			r, err := sim.Simulate(cp, hw)
 			if err != nil {
 				return nil, "", fmt.Errorf("ablation %s/%s: %w", w.Name, v.name, err)

@@ -115,12 +115,9 @@ func cfg(mode compiler.ReorderMode, esw bool, swwMB float64, ges int, garbler bo
 	}
 }
 
-// hw builds a matching hardware config.
-func hwFor(c compiler.Config, dram sim.DRAM) sim.HW {
+// hwFor is the default hardware with the given DRAM.
+func hwFor(dram sim.DRAM) sim.HW {
 	h := sim.DefaultHW()
-	h.NumGEs = c.NumGEs
-	h.SWWWires = c.SWWWires
-	h.Garbler = c.GarblerPipeline
 	h.DRAM = dram
 	return h
 }
@@ -131,7 +128,7 @@ func runSim(c *circuit.Circuit, cc compiler.Config, dram sim.DRAM) (sim.Result, 
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	r, err := sim.Simulate(cp, hwFor(cc, dram))
+	r, err := sim.Simulate(cp, hwFor(dram))
 	if err != nil {
 		return sim.Result{}, nil, err
 	}

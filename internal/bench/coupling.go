@@ -35,7 +35,7 @@ func (e *Env) Coupling() ([]CouplingRow, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("coupling %s: %w", w.Name, err)
 		}
-		r, err := sim.SimulateCoupled(cp, hwFor(cc, sim.DDR4), sim.DefaultQueues())
+		r, err := sim.SimulateCoupled(cp, hwFor(sim.DDR4), sim.DefaultQueues())
 		if err != nil {
 			return nil, "", fmt.Errorf("coupling %s: %w", w.Name, err)
 		}

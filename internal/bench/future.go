@@ -36,7 +36,7 @@ func (e *Env) MultiCore() ([]MultiCoreRow, string, error) {
 		relu = workloads.ReLU(128, 32)
 	}
 	cc := cfg(compiler.FullReorder, true, e.sww2MB(), 16, false)
-	hw := hwFor(cc, sim.HBM2)
+	hw := hwFor(sim.HBM2)
 
 	compileOne := func(w workloads.Workload) (*compiler.Compiled, error) {
 		return compiler.Compile(w.Build(), cc)

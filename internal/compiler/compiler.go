@@ -30,6 +30,7 @@ package compiler
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"haac/internal/circuit"
@@ -66,8 +67,24 @@ func (m ReorderMode) String() string {
 	return fmt.Sprintf("ReorderMode(%d)", uint8(m))
 }
 
-// Config parameterizes compilation. The zero value is not valid; use
-// DefaultConfig.
+// ParseReorderMode reads a mode as the command-line tools spell it,
+// ignoring case: baseline, full, or seg (or segment).
+func ParseReorderMode(s string) (ReorderMode, error) {
+	switch strings.ToLower(s) {
+	case "baseline":
+		return Baseline, nil
+	case "full":
+		return FullReorder, nil
+	case "seg", "segment":
+		return SegmentReorder, nil
+	}
+	return 0, fmt.Errorf("unknown reorder mode %q", s)
+}
+
+// Config parameterizes compilation. SWWWires, NumGEs and
+// GarblerPipeline are the program's target: the hardware it is
+// scheduled for, which the simulator reads from Compiled.Cfg. The zero
+// value is not valid; use DefaultConfig.
 type Config struct {
 	// Reorder selects the scheduling pass.
 	Reorder ReorderMode

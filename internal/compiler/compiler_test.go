@@ -50,6 +50,20 @@ func checkWorkload(t *testing.T, w workloads.Workload, cfg Config, seed int64) *
 	return cp
 }
 
+func TestParseReorderMode(t *testing.T) {
+	for _, m := range []ReorderMode{Baseline, FullReorder, SegmentReorder} {
+		if got, err := ParseReorderMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseReorderMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseReorderMode("segment"); err != nil || got != SegmentReorder {
+		t.Errorf(`ParseReorderMode("segment") = %v, %v`, got, err)
+	}
+	if _, err := ParseReorderMode("sideways"); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}
+
 func TestAllPassesPreserveSemantics(t *testing.T) {
 	// Every workload x every reorder mode, with a tiny SWW to force OoR
 	// traffic and spills through every path.

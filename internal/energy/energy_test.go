@@ -11,18 +11,14 @@ import (
 
 func simulate(t *testing.T) sim.Result {
 	t.Helper()
-	hw := sim.DefaultHW()
-	hw.NumGEs = 8
-	hw.SWWWires = 4096
 	c := workloads.MatMult(4, 16).Build()
 	cp, err := compiler.Compile(c, compiler.Config{
-		Reorder: compiler.FullReorder, ESW: true,
-		SWWWires: hw.SWWWires, NumGEs: hw.NumGEs,
+		Reorder: compiler.FullReorder, ESW: true, SWWWires: 4096, NumGEs: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.Simulate(cp, hw)
+	r, err := sim.Simulate(cp, sim.DefaultHW())
 	if err != nil {
 		t.Fatal(err)
 	}

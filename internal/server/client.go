@@ -36,10 +36,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential backoff. Default 2s.
 	MaxBackoff time.Duration
-	// Jitter is the fraction of each backoff randomized away (0..1),
-	// de-synchronizing a fleet of clients redialing a restarted backend.
-	// Default 0.2; negative disables jitter.
-	Jitter float64
 	// HandshakeTimeout bounds each redial's connect + hello + reply
 	// exchange, so one stalled backend cannot absorb the whole retry
 	// budget. 0 means no per-attempt deadline.
@@ -66,6 +62,10 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
+// retryJitter is the fraction of each backoff randomized away,
+// de-synchronizing a fleet of clients redialing a restarted backend.
+const retryJitter = 0.2
+
 // backoff returns the sleep before retry number n (n >= 1), with
 // exponential growth, cap and jitter.
 func (p RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
@@ -84,15 +84,8 @@ func (p RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
 	if d > max {
 		d = max
 	}
-	jitter := p.Jitter
-	if jitter == 0 {
-		jitter = 0.2
-	}
-	if jitter > 0 && rng != nil {
-		if jitter > 1 {
-			jitter = 1
-		}
-		d -= time.Duration(float64(d) * jitter * rng.Float64())
+	if rng != nil {
+		d -= time.Duration(float64(d) * retryJitter * rng.Float64())
 	}
 	return d
 }
@@ -214,13 +207,9 @@ type Options struct {
 	// the refill round trips, smaller ones shorten the wire lock a
 	// concurrent Run may wait on.
 	PoolRefill int
-	// PoolBase is the base-OT protocol seeding pool fills: ot.DH
-	// (default) or ot.Insecure (needs the server's AllowInsecureOT).
-	PoolBase ot.Protocol
 }
 
-// poolTarget/poolChunk resolve the pool sizing defaults; Options.PoolBase
-// needs no resolver — its zero value is already ot.DH.
+// poolTarget/poolChunk resolve the pool sizing defaults.
 func (o Options) poolTarget() int { return o.PoolSize }
 
 func (o Options) poolChunk() int {
@@ -504,7 +493,7 @@ func (s *Session) refillOnce(n int) error {
 	}
 	var req [6]byte
 	req[0] = opRefill
-	req[1] = byte(s.opts.PoolBase)
+	req[1] = byte(ot.DH) // the pool's base OTs
 	binary.LittleEndian.PutUint32(req[2:], uint32(n))
 	if _, err := s.rw.Write(req[:]); err != nil {
 		return fmt.Errorf("%w: %w", ErrSessionClosed, err)
@@ -537,7 +526,7 @@ func (s *Session) refillOnce(n int) error {
 		s.bb.reset()
 	}
 	if s.pool == nil {
-		p, err := ot.NewReceiverPool(s.rw, s.opts.PoolBase)
+		p, err := ot.NewReceiverPool(s.rw, ot.DH)
 		if err != nil {
 			return err
 		}

@@ -42,8 +42,6 @@ type Config struct {
 	// Workers is the plan-engine width used by each session's garbler
 	// runner (0 or 1 = sequential).
 	Workers int
-	// Hasher is the garbling hash (default: the re-keyed construction).
-	Hasher gc.Hasher
 	// Seed, when nonzero, derives deterministic per-runner label streams
 	// (tests); zero draws random seeds.
 	Seed uint64
@@ -948,7 +946,6 @@ func (s *Server) garblerFor(reg *registered, plan *circuit.Plan, rw io.ReadWrite
 	}
 	return proto.NewGarblerSession(rw, proto.Options{
 		Plan:    plan,
-		Hasher:  s.cfg.Hasher,
 		Workers: s.cfg.Workers,
 		OT:      otp,
 		Seed:    seed,

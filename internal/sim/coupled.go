@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"haac/internal/compiler"
 	"haac/internal/isa"
 )
@@ -78,14 +76,10 @@ func (r CoupledResult) CouplingError() float64 {
 	return float64(r.TotalCycles-r.DecoupledCycles) / float64(r.DecoupledCycles)
 }
 
-// SimulateCoupled runs the finite-queue model.
+// SimulateCoupled runs the finite-queue model on the program's target
+// (cp.Cfg). Its GEs read the replay's per-GE records and claim the same
+// SWW bank ports (see swwPorts).
 func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResult, error) {
-	if err := hw.Validate(); err != nil {
-		return CoupledResult{}, err
-	}
-	if hw.NumGEs != cp.Cfg.NumGEs || hw.SWWWires != cp.Cfg.SWWWires {
-		return CoupledResult{}, fmt.Errorf("sim: program/hardware mismatch")
-	}
 	qc = qc.sanitize()
 	dec, err := Simulate(cp, hw)
 	if err != nil {
@@ -93,30 +87,24 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 	}
 
 	p := &cp.Program
-	nge := hw.NumGEs
-	andLat := hw.ANDLatency()
+	nge := cp.Cfg.NumGEs
 	bytesPerCycle := hw.DRAM.Bandwidth / hw.GEClock
+	recs, off := gather(cp)
+	lat := latencies[int64](cp.Cfg, hw)
 
-	// Each GE's instruction stream: the indices GEOf maps to it, in
-	// program order.
-	streams := make([][]int32, nge)
-	for g := range streams {
-		streams[g] = make([]int32, 0, cp.InstrsPerGE[g])
-	}
-	for j, g := range cp.GEOf {
-		streams[g] = append(streams[g], int32(j))
-	}
-
-	// Per-GE stream state.
+	// Per-GE stream state: indices into recs.
 	type geState struct {
-		issuePtr      int // next stream index to issue
-		fetchPtr      int // next stream index whose instruction is being fetched
-		iq, tq, oq    int
-		tablesFetched int
-		oorwPtr       int // next OoRW stream entry to fetch
+		issue, fetch, end int // next record to issue, next to fetch, end of the run
+		iq, tq, oq        int
+		tablesFetched     int
+		oorwPtr           int // next OoRW stream entry to fetch
 	}
 	ges := make([]geState, nge)
+	for g := range ges {
+		ges[g] = geState{issue: off[g], fetch: off[g], end: off[g+1]}
+	}
 
+	// ready[isa.OoR] stays 0: no instruction writes address 0.
 	ready := make([]int64, p.MaxAddr()+1)
 
 	// DRAM availability of wires for OoR fetches: inputs are resident
@@ -133,14 +121,10 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 	}
 	var writeQ []wb
 
-	// Bank model (same as the decoupled compute phase).
-	nBanks := nge * hw.BanksPerGE
-	slots := hw.bankSlots()
-	bankUse := make([]int16, nBanks)
-	var usedBanks []int32
+	sww := newSWWPorts[int64](nge, hw)
 
 	res := CoupledResult{DecoupledCycles: dec.TotalCycles}
-	remaining := len(p.Instrs)
+	remaining := len(recs)
 
 	// Startup: stream the input wires in before execution (the compiler
 	// orchestrates this preload, §3.3).
@@ -171,8 +155,8 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 				st := &ges[g]
 				switch ch % 3 {
 				case 0: // instruction fetch
-					if st.fetchPtr < len(streams[g]) && st.iq < qc.InstrEntries && budget >= instrBytes {
-						st.fetchPtr++
+					if st.fetch < st.end && st.iq < qc.InstrEntries && budget >= instrBytes {
+						st.fetch++
 						st.iq++
 						budget -= instrBytes
 						spent = true
@@ -204,109 +188,60 @@ func SimulateCoupled(cp *compiler.Compiled, hw HW, qc QueueConfig) (CoupledResul
 		}
 
 		// --- GE side: try to issue on every engine.
-		for g := 0; g < nge; g++ {
+		for g := range ges {
 			st := &ges[g]
-			if st.issuePtr >= len(streams[g]) {
+			if st.issue >= st.end {
 				continue
 			}
 			if st.iq == 0 {
 				res.InstrStalls++
 				continue
 			}
-			j := streams[g][st.issuePtr]
-			in := &p.Instrs[j]
+			in := &recs[st.issue]
 
 			needOoR := 0
-			if in.A == isa.OoR {
+			if in.a == isa.OoR {
 				needOoR++
 			}
-			if in.B == isa.OoR {
+			if in.b == isa.OoR {
 				needOoR++
 			}
 			if needOoR > st.oq {
 				res.OoRWStalls++
 				continue
 			}
-			if in.Op == isa.AND && st.tq == 0 {
+			if in.op == isa.AND && st.tq == 0 {
 				res.TableStalls++
 				continue
 			}
-			var t0 int64
-			if in.A != isa.OoR {
-				if r := ready[in.A]; r > t0 {
-					t0 = r
-				}
-			}
-			if in.B != isa.OoR {
-				if r := ready[in.B]; r > t0 {
-					t0 = r
-				}
-			}
-			if t0 > cycle {
+			if in.op != isa.NOP && max(ready[in.a], ready[in.b]) > cycle {
 				res.DataStalls++
 				continue
 			}
-			if in.Live && len(writeQ) >= qc.WriteEntries*nge {
+			if in.live && len(writeQ) >= qc.WriteEntries*nge {
 				res.WriteStalls++
 				continue
 			}
-			// Bank ports.
-			conflict := false
-			if in.A != isa.OoR {
-				b := int32(in.A) % int32(nBanks)
-				if int(bankUse[b]) >= slots {
-					conflict = true
-				} else {
-					if bankUse[b] == 0 {
-						usedBanks = append(usedBanks, b)
-					}
-					bankUse[b]++
-				}
-			}
-			if !conflict && in.B != isa.OoR {
-				b := int32(in.B) % int32(nBanks)
-				if int(bankUse[b]) >= slots && slots > 1 {
-					conflict = true
-				} else {
-					if bankUse[b] == 0 {
-						usedBanks = append(usedBanks, b)
-					}
-					bankUse[b]++
-				}
-			}
-			if conflict {
+			if in.op != isa.NOP && !sww.claim(in.a, in.b, cycle) {
 				continue
 			}
 
 			// Issue.
-			lat := int64(XORLatencyCycles)
-			if in.Op == isa.AND {
-				lat = andLat
+			if in.op == isa.AND {
 				st.tq--
 			}
 			st.oq -= needOoR
 			st.iq--
-			st.issuePtr++
-			done := cycle + lat
-			if !hw.Forwarding {
-				done += writeBackPenalty
-			}
-			o := p.OutAddr(int(j))
-			ready[o] = done
-			if in.Live {
-				writeQ = append(writeQ, wb{done: done, addr: o})
+			st.issue++
+			done := cycle + lat[in.op&3]
+			ready[in.out] = done
+			if in.live {
+				writeQ = append(writeQ, wb{done: done, addr: in.out})
 			}
 			remaining--
 		}
-		for _, b := range usedBanks {
-			bankUse[b] = 0
-		}
-		usedBanks = usedBanks[:0]
 		cycle++
 	}
-	res.TotalCycles = cycle + andLat
+	res.TotalCycles = cycle + int64(cp.Cfg.ANDLatency())
 	return res, nil
 }
-
-// XORLatencyCycles is the FreeXOR unit latency (§3.2).
-const XORLatencyCycles = 1

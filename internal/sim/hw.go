@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"haac/internal/compiler"
 	"haac/internal/gc"
 	"haac/internal/isa"
 )
@@ -38,14 +37,11 @@ var DDR4 = DRAM{Name: "DDR4", Bandwidth: 35.2e9}
 // HBM2 is the paper's HBM2 PHY configuration (512 GB/s).
 var HBM2 = DRAM{Name: "HBM2", Bandwidth: 512e9}
 
-// HW describes an accelerator configuration.
+// HW describes the accelerator around a compiled program: what the
+// compiler does not schedule against. The GE count, the SWW size and the
+// Half-Gate pipeline a program runs on are the target it was compiled
+// for, and the simulator reads them from its compiler.Config.
 type HW struct {
-	// NumGEs is the gate-engine count (1..16 in the paper's sweeps; at
-	// most compiler.MaxGEs).
-	NumGEs int
-	// SWWWires is the sliding-wire-window capacity in wires
-	// (2 MB / 16 B = 131072 for the paper's default).
-	SWWWires int
 	// BanksPerGE is the SWW banking ratio; the paper finds 4 banks/GE
 	// avoids contention (§5).
 	BanksPerGE int
@@ -54,9 +50,6 @@ type HW struct {
 	// SWWClock is the scratchpad clock (2 GHz in the paper); the 2x
 	// ratio gives each bank two access slots per GE cycle.
 	SWWClock float64
-	// Garbler selects the 21-stage Garbler Half-Gate pipeline instead
-	// of the 18-stage Evaluator pipeline.
-	Garbler bool
 	// Forwarding enables the inter-/intra-GE wire forwarding network;
 	// disabling it (ablation) adds SWW write-back + read latency to
 	// every dependence.
@@ -73,12 +66,10 @@ type HW struct {
 	DRAM DRAM
 }
 
-// DefaultHW is the paper's headline design point: 16 GEs, 2 MB SWW,
-// 4 banks/GE, 1 GHz / 2 GHz clocks, forwarding on, Evaluator pipelines.
+// DefaultHW is the paper's headline hardware around a program: 4
+// banks/GE, 1 GHz / 2 GHz clocks, forwarding on, DDR4.
 func DefaultHW() HW {
 	return HW{
-		NumGEs:            16,
-		SWWWires:          2 * 1024 * 1024 / 16,
 		BanksPerGE:        4,
 		GEClock:           1e9,
 		SWWClock:          2e9,
@@ -90,12 +81,6 @@ func DefaultHW() HW {
 
 // Validate checks the configuration.
 func (hw HW) Validate() error {
-	if hw.NumGEs < 1 || hw.NumGEs > compiler.MaxGEs {
-		return fmt.Errorf("sim: NumGEs must be 1..%d", compiler.MaxGEs)
-	}
-	if hw.SWWWires < 4 {
-		return fmt.Errorf("sim: SWWWires too small")
-	}
 	if hw.BanksPerGE < 1 {
 		return fmt.Errorf("sim: BanksPerGE must be >= 1")
 	}
@@ -106,14 +91,6 @@ func (hw HW) Validate() error {
 		return fmt.Errorf("sim: DRAMLatencyCycles must be >= 0")
 	}
 	return nil
-}
-
-// ANDLatency is the Half-Gate pipeline depth for this configuration.
-func (hw HW) ANDLatency() int64 {
-	if hw.Garbler {
-		return compiler.GarblerANDLatency
-	}
-	return compiler.EvaluatorANDLatency
 }
 
 // bankSlots is the number of accesses one bank serves per GE cycle.

@@ -66,7 +66,7 @@ func SimulateMultiCore(shards []*compiler.Compiled, hw HW, cores int) (MultiResu
 			memo[cp] = r
 		}
 		out.PerShard = append(out.PerShard, r)
-		perCore[i%cores] += r.ComputeCycles + hw.ANDLatency()
+		perCore[i%cores] += r.ComputeCycles + int64(cp.Cfg.ANDLatency())
 		totalBytes += r.Traffic.TotalBytes()
 	}
 	for _, c := range perCore {

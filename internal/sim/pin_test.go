@@ -138,7 +138,6 @@ var pinHW = []struct {
 	{"default", func(*HW) {}},
 	{"no-forwarding", func(h *HW) { h.Forwarding = false }},
 	{"oor-pull", func(h *HW) { h.OoRPull = true }},
-	{"garbler", func(h *HW) { h.Garbler = true }},
 	{"banks-3", func(h *HW) { h.BanksPerGE = 3 }}, // non-power-of-two bank count
 }
 
@@ -176,13 +175,13 @@ func TestCompileSimulatePinned(t *testing.T) {
 						if !em.noSWW {
 							oor += cp.Traffic.OoRWires
 						}
-						for _, v := range pinHW {
+						hws := pinHW
+						if garbler {
+							hws = pinHW[:1] // Garbler programs: the default hardware alone
+						}
+						for _, v := range hws {
 							hw := DefaultHW()
-							hw.NumGEs, hw.SWWWires = nge, pinSWW
 							v.set(&hw)
-							if hw.Garbler != garbler {
-								continue
-							}
 							for i, wide := range []bool{false, true} {
 								r, err := simulate(cp, hw, wide)
 								if err != nil {
@@ -216,8 +215,9 @@ const (
 
 func TestTracedAndCoupledPinned(t *testing.T) {
 	hw := DefaultHW()
-	hw.NumGEs, hw.SWWWires = 4, pinSWW
-	cp := compileFor(t, workloads.MatMult(3, 16), hw, compiler.FullReorder)
+	cp := compileFor(t, workloads.MatMult(3, 16), compiler.Config{
+		Reorder: compiler.FullReorder, ESW: true, SWWWires: pinSWW, NumGEs: 4,
+	})
 
 	for _, wide := range []bool{false, true} {
 		res, tr, err := simulateTraced(cp, hw, 37, wide)
@@ -281,7 +281,6 @@ func TestCompileSimulateWidePinned(t *testing.T) {
 				}
 				dc.compiled(cp)
 				hw := DefaultHW()
-				hw.NumGEs, hw.SWWWires = nge, pinSWW
 				for i, wide := range []bool{false, true} {
 					r, err := simulate(cp, hw, wide)
 					if err != nil {
@@ -320,7 +319,6 @@ func TestOneSlotBanksPinned(t *testing.T) {
 					t.Fatalf("%s: %v", w.Name, err)
 				}
 				hw := DefaultHW()
-				hw.NumGEs, hw.SWWWires = nge, pinSWW
 				hw.SWWClock = hw.GEClock
 				for _, banks := range []int{1, 4} {
 					hw.BanksPerGE = banks

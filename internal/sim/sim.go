@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"haac/internal/compiler"
@@ -9,7 +8,8 @@ import (
 )
 
 // Simulate runs the compiled program on the hardware configuration and
-// returns timing, traffic and event counts.
+// returns timing, traffic and event counts. The GE count and the
+// Half-Gate pipeline depth are the program's (cp.Cfg).
 //
 // The compute phase replays the compiler's per-GE streams cycle by
 // cycle: each GE issues in order when (a) the engine's previous issue
@@ -21,12 +21,12 @@ import (
 // proportional to instructions, not stall cycles.
 //
 // The replay first copies each GE's stream into one contiguous run of
-// {a, b, out, op} records. Ready times are kept per address, as int32
+// records (see gather). Ready times are kept per address, as int32
 // when the program is short enough that no cycle can reach 2^31 (see
-// readyFits32) and as int64 otherwise. A bank port's use count is
-// stamped with the cycle it belongs to, so nothing is reset between
-// cycles. The event counts read only the instruction list and are
-// taken on a second goroutine while the replay runs.
+// readyFits32) and as int64 otherwise. The SWW bank ports are
+// SimulateCoupled's (see swwPorts). The event counts read only the
+// instruction list and are taken on a second goroutine while the replay
+// runs.
 func Simulate(cp *compiler.Compiled, hw HW) (Result, error) {
 	return simulate(cp, hw, false)
 }
@@ -36,18 +36,6 @@ func Simulate(cp *compiler.Compiled, hw HW) (Result, error) {
 func simulate(cp *compiler.Compiled, hw HW, wide bool) (Result, error) {
 	if err := hw.Validate(); err != nil {
 		return Result{}, err
-	}
-	if hw.NumGEs != cp.Cfg.NumGEs {
-		return Result{}, fmt.Errorf("sim: program compiled for %d GEs, hardware has %d",
-			cp.Cfg.NumGEs, hw.NumGEs)
-	}
-	if hw.SWWWires != cp.Cfg.SWWWires {
-		return Result{}, fmt.Errorf("sim: program compiled for %d-wire SWW, hardware has %d",
-			cp.Cfg.SWWWires, hw.SWWWires)
-	}
-	if hw.Garbler != cp.Cfg.GarblerPipeline {
-		return Result{}, fmt.Errorf("sim: program scheduled with Garbler pipeline %v, hardware has %v",
-			cp.Cfg.GarblerPipeline, hw.Garbler)
 	}
 
 	res := Result{HW: hw}
@@ -59,7 +47,7 @@ func simulate(cp *compiler.Compiled, hw HW, wide bool) (Result, error) {
 		res.TotalCycles = res.TrafficCycles
 	}
 	// Pipeline drain for the final in-flight gates.
-	res.TotalCycles += hw.ANDLatency()
+	res.TotalCycles += int64(cp.Cfg.ANDLatency())
 	return res, nil
 }
 
@@ -112,25 +100,132 @@ func countEvents(p *isa.Program) Events {
 }
 
 // simInstr is one instruction as its GE's replay reads it: the operand
-// addresses (isa.OoR for a queue operand), the output address and the
-// opcode.
+// addresses (isa.OoR for a queue operand), the output address, the
+// opcode and the live bit, in 16 bytes.
 type simInstr struct {
 	a, b, out uint32
 	op        isa.Op
+	live      bool
+}
+
+// gather copies each GE's stream into one contiguous run of records, in
+// one sequential pass over the program (a stream is the instructions
+// GEOf maps to the GE, in program order). GE g's run is
+// recs[off[g]:off[g+1]]. During the pass off[g+1] is GE g's next record,
+// which the last of its instructions moves on to the start of g+1's run.
+func gather(cp *compiler.Compiled) (recs []simInstr, off []int) {
+	p := &cp.Program
+	recs = make([]simInstr, len(p.Instrs))
+	off = make([]int, len(cp.InstrsPerGE)+1)
+	for g := 1; g < len(cp.InstrsPerGE); g++ {
+		off[g+1] = off[g] + cp.InstrsPerGE[g-1]
+	}
+	for j, g := range cp.GEOf {
+		in, r := &p.Instrs[j], &recs[off[int(g)+1]]
+		r.a, r.b, r.out, r.op, r.live = in.A, in.B, p.OutAddr(j), in.Op, in.Live
+		off[int(g)+1]++
+	}
+	return recs, off
+}
+
+// latencies is each opcode's completion latency after issue: the
+// FreeXOR unit's, or the Half-Gate depth the program was scheduled for,
+// plus the SWW write-back and read-back without forwarding.
+func latencies[T int32 | int64](cfg compiler.Config, hw HW) [4]T {
+	xorLat, andLat := T(compiler.XORLatency), T(cfg.ANDLatency())
+	if !hw.Forwarding {
+		xorLat += writeBackPenalty
+		andLat += writeBackPenalty
+	}
+	return [4]T{isa.NOP: xorLat, isa.XOR: xorLat, isa.AND: andLat, 3: xorLat}
+}
+
+// bankPort is one SWW bank's use this cycle: n counts only while cyc
+// is the current cycle.
+type bankPort[T int32 | int64] struct {
+	cyc T
+	n   int32
+}
+
+// swwPorts is the banked SWW's access ports, the one bank rule of both
+// replays. Address a lives in bank a mod the bank count, and a bank
+// serves slots accesses per GE cycle. A port's use count is stamped
+// with the cycle it belongs to, so nothing is reset between cycles. An
+// OoR operand takes the extra port nBanks, whose count stays 0.
+type swwPorts[T int32 | int64] struct {
+	ports  []bankPort[T]
+	nBanks uint32
+	pow2   bool // a bank is a mask of the address
+	slots  int32
+}
+
+func newSWWPorts[T int32 | int64](nge int, hw HW) swwPorts[T] {
+	n := nge * hw.BanksPerGE
+	return swwPorts[T]{
+		ports:  make([]bankPort[T], n+1),
+		nBanks: uint32(n),
+		pow2:   n&(n-1) == 0,
+		slots:  int32(hw.bankSlots()),
+	}
+}
+
+// port returns operand a's port and the accesses a takes from it.
+func (s *swwPorts[T]) port(a uint32) (int32, int32) {
+	switch {
+	case a == isa.OoR:
+		return int32(s.nBanks), 0
+	case s.pow2:
+		return int32(a & (s.nBanks - 1)), 1
+	}
+	return int32(a % s.nBanks), 1
+}
+
+// claim charges an instruction's operands a and b to their banks at
+// cycle and reports true, or charges nothing and reports false on a
+// bank conflict. An instruction needing more from one bank than a
+// cycle provides may still proceed when the bank is idle (the read
+// stages serialize it), but two instructions cannot oversubscribe the
+// same bank.
+func (s *swwPorts[T]) claim(a, b uint32, cycle T) bool {
+	ba, needA := s.port(a)
+	bb, needB := s.port(b)
+	pa, pb := &s.ports[ba], &s.ports[bb]
+	ua, ub := pa.n, pb.n
+	if pa.cyc != cycle {
+		ua = 0
+	}
+	if pb.cyc != cycle {
+		ub = 0
+	}
+	if ba == bb {
+		if need := needA + needB; ua+need > max(s.slots, need) {
+			return false
+		}
+	} else if ua+needA > s.slots || ub+needB > s.slots {
+		return false
+	}
+	pa.n, pa.cyc = ua+needA, cycle
+	// pb may be pa: read its stamp after pa's update.
+	if pb.cyc != cycle {
+		pb.n = 0
+	}
+	pb.n += needB // may exceed slots for a serialized burst
+	pb.cyc = cycle
+	return true
 }
 
 // readyFits32 reports whether an n-instruction program's replay can
 // keep its cycles in an int32. Let step be the longest completion
-// latency (ANDLatency + writeBackPenalty) plus one cycle of issue, plus
-// under OoRPull two DRAM round trips. A cycle with no issue jumps at
-// most one step past the last issue: every operand is ready by then
-// (ready times are issue cycles plus a latency, or zero), a pull
-// launched once the operands are ready lands within the two round trips,
-// and the first GE to pass those checks in a cycle finds its banks idle.
-// So the clock, every ready time and every pull landing stay below
-// (n+1)·step, which must be below 2^31.
-func readyFits32(n int, hw HW) bool {
-	step := hw.ANDLatency() + writeBackPenalty + 1
+// latency (the program's AND latency + writeBackPenalty) plus one cycle
+// of issue, plus under OoRPull two DRAM round trips. A cycle with no
+// issue jumps at most one step past the last issue: every operand is
+// ready by then (ready times are issue cycles plus a latency, or zero),
+// a pull launched once the operands are ready lands within the two
+// round trips, and the first GE to pass those checks in a cycle finds
+// its banks idle. So the clock, every ready time and every pull landing
+// stay below (n+1)·step, which must be below 2^31.
+func readyFits32(n int, cfg compiler.Config, hw HW) bool {
+	step := int64(cfg.ANDLatency()) + writeBackPenalty + 1
 	if hw.OoRPull {
 		step += 2 * hw.DRAMLatencyCycles
 	}
@@ -139,7 +234,7 @@ func readyFits32(n int, hw HW) bool {
 
 // replay dispatches the cycle loop on the ready-time width.
 func replay(cp *compiler.Compiled, hw HW, rec func(int, int64), wide bool) (cycles, dataStalls, bankConflicts int64) {
-	if wide || !readyFits32(len(cp.Program.Instrs), hw) {
+	if wide || !readyFits32(len(cp.Program.Instrs), cp.Cfg, hw) {
 		return replayT[int64](cp, hw, rec, math.MaxInt64)
 	}
 	return replayT[int32](cp, hw, rec, math.MaxInt32)
@@ -155,62 +250,20 @@ type geState[T int32 | int64] struct {
 	pullReady T
 }
 
-// bankPort is one SWW bank's use this cycle: n counts only while cyc
-// is the current cycle.
-type bankPort[T int32 | int64] struct {
-	cyc T
-	n   int32
-}
-
 // replayT is the cycle-level GE replay with T-wide cycles; never is
 // T's largest value. It reports each issue event (GE, cycle) to rec
 // when non-nil; used by SimulateTraced.
 func replayT[T int32 | int64](cp *compiler.Compiled, hw HW, rec func(int, int64), never T) (cycles, dataStalls, bankConflicts int64) {
-	p := &cp.Program
-	nge := hw.NumGEs
-
-	// Gather each GE's stream into one contiguous run of records, in one
-	// sequential pass over the program (a stream is the instructions
-	// GEOf maps to the GE, in program order).
-	recs := make([]simInstr, len(p.Instrs))
-	ges := make([]geState[T], nge)
-	off := 0
+	recs, off := gather(cp)
+	ges := make([]geState[T], len(off)-1)
 	for g := range ges {
-		ges[g] = geState[T]{pos: off, end: off, pullPos: -1}
-		off += cp.InstrsPerGE[g]
+		ges[g] = geState[T]{pos: off[g], end: off[g+1], pullPos: -1}
 	}
-	for j := range p.Instrs {
-		in := &p.Instrs[j]
-		st := &ges[cp.GEOf[j]]
-		recs[st.end] = simInstr{a: in.A, b: in.B, out: p.OutAddr(j), op: in.Op}
-		st.end++
-	}
-
-	// Completion latency after issue, by opcode.
-	xorLat, andLat := T(1), T(hw.ANDLatency())
-	if !hw.Forwarding {
-		xorLat += writeBackPenalty
-		andLat += writeBackPenalty
-	}
-	lat := [4]T{isa.NOP: xorLat, isa.XOR: xorLat, isa.AND: andLat, 3: xorLat}
+	lat := latencies[T](cp.Cfg, hw)
 	dramLat := T(hw.DRAMLatencyCycles)
-
 	// ready[isa.OoR] stays 0: no instruction writes address 0.
-	ready := make([]T, p.MaxAddr()+1)
-	nBanks := nge * hw.BanksPerGE
-	// bankOf is a mask when the bank count is a power of two. An OoR
-	// operand takes the extra port nBanks, whose count stays 0.
-	bankMask := uint32(nBanks - 1)
-	pow2 := nBanks&(nBanks-1) == 0
-	bankOf := func(a uint32) int32 {
-		if pow2 {
-			return int32(a & bankMask)
-		}
-		return int32(a % uint32(nBanks))
-	}
-	slots := int32(hw.bankSlots())
-	ports := make([]bankPort[T], nBanks+1)
-	oorPort := int32(nBanks)
+	ready := make([]T, cp.Program.MaxAddr()+1)
+	sww := newSWWPorts[T](len(ges), hw)
 
 	remaining := len(recs)
 	cycle := T(0)
@@ -242,12 +295,10 @@ func replayT[T int32 | int64](cp *compiler.Compiled, hw HW, rec func(int, int64)
 					continue
 				}
 			}
-			aOoR := in.a == isa.OoR
-			bOoR := in.b == isa.OoR
 			// Pull-based OoR ablation: the first time an in-order GE
 			// reaches an instruction with an OoR operand it launches a
 			// DRAM access and stalls for the round trip.
-			if hw.OoRPull && (aOoR || bOoR) {
+			if aOoR, bOoR := in.a == isa.OoR, in.b == isa.OoR; hw.OoRPull && (aOoR || bOoR) {
 				if st.pullPos != st.pos {
 					st.pullPos = st.pos
 					n := T(1)
@@ -262,47 +313,10 @@ func replayT[T int32 | int64](cp *compiler.Compiled, hw HW, rec func(int, int64)
 					continue
 				}
 			}
-			// SWW bank ports for in-window operands. A bank serves
-			// `slots` accesses per GE cycle; an instruction needing more
-			// from one bank than a cycle provides may still proceed when
-			// the bank is idle (the read stages serialize it), but two
-			// instructions cannot oversubscribe the same bank.
-			if in.op != isa.NOP {
-				ba, bb := bankOf(in.a), bankOf(in.b)
-				var needA, needB int32 = 1, 1
-				if aOoR {
-					ba, needA = oorPort, 0
-				}
-				if bOoR {
-					bb, needB = oorPort, 0
-				}
-				pa, pb := &ports[ba], &ports[bb]
-				ua, ub := pa.n, pb.n
-				if pa.cyc != cycle {
-					ua = 0
-				}
-				if pb.cyc != cycle {
-					ub = 0
-				}
-				var conflict bool
-				if ba == bb {
-					need := needA + needB
-					conflict = ua+need > max(slots, need) // idle bank may serialize the burst
-				} else {
-					conflict = ua+needA > slots || ub+needB > slots
-				}
-				if conflict {
-					bankConflicts++
-					nextEvent = min(nextEvent, cycle+1)
-					continue
-				}
-				pa.n, pa.cyc = ua+needA, cycle
-				// pb may be pa: read its stamp after pa's update.
-				if pb.cyc != cycle {
-					pb.n = 0
-				}
-				pb.n += needB // may exceed slots for a serialized burst
-				pb.cyc = cycle
+			if in.op != isa.NOP && !sww.claim(in.a, in.b, cycle) {
+				bankConflicts++
+				nextEvent = min(nextEvent, cycle+1)
+				continue
 			}
 
 			// Issue.

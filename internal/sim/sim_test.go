@@ -3,37 +3,29 @@ package sim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"haac/internal/compiler"
 	"haac/internal/workloads"
 )
 
-func compileFor(t *testing.T, w workloads.Workload, hw HW, mode compiler.ReorderMode) *compiler.Compiled {
+func compileFor(t *testing.T, w workloads.Workload, cfg compiler.Config) *compiler.Compiled {
 	t.Helper()
-	c := w.Build()
-	cp, err := compiler.Compile(c, compiler.Config{
-		Reorder:         mode,
-		ESW:             true,
-		SWWWires:        hw.SWWWires,
-		NumGEs:          hw.NumGEs,
-		GarblerPipeline: hw.Garbler,
-	})
+	cp, err := compiler.Compile(w.Build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cp
 }
 
-func smallHW(nge int) HW {
-	hw := DefaultHW()
-	hw.NumGEs = nge
-	hw.SWWWires = 1024
-	return hw
+// smallCfg is a target of nge GEs and a 1024-wire SWW, with ESW.
+func smallCfg(nge int, mode compiler.ReorderMode) compiler.Config {
+	return compiler.Config{Reorder: mode, ESW: true, SWWWires: 1024, NumGEs: nge}
 }
 
 func TestSimulateBasicInvariants(t *testing.T) {
-	hw := smallHW(4)
-	cp := compileFor(t, workloads.MatMult(3, 16), hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.MatMult(3, 16), smallCfg(4, compiler.FullReorder))
 	r, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +42,7 @@ func TestSimulateBasicInvariants(t *testing.T) {
 			r.Events.OoRReads, cp.Traffic.OoRWires)
 	}
 	// With 4 GEs, at least nInstr/4 cycles are needed.
-	if r.ComputeCycles < nInstr/int64(hw.NumGEs) {
+	if r.ComputeCycles < nInstr/int64(cp.Cfg.NumGEs) {
 		t.Fatalf("compute cycles %d below issue bound %d", r.ComputeCycles, nInstr/4)
 	}
 	if r.TotalCycles < r.ComputeCycles || r.TotalCycles < r.TrafficCycles {
@@ -67,10 +59,9 @@ func TestMoreGEsNotSlower(t *testing.T) {
 	w := workloads.Hamming(2048)
 	var prev int64 = 1 << 62
 	for _, nge := range []int{1, 2, 4, 8} {
-		hw := DefaultHW()
-		hw.NumGEs = nge
-		cp := compileFor(t, w, hw, compiler.FullReorder)
-		r, err := Simulate(cp, hw)
+		cfg := compiler.DefaultConfig()
+		cfg.NumGEs = nge
+		r, err := Simulate(compileFor(t, w, cfg), DefaultHW())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +76,12 @@ func TestReorderImprovesDeepCircuit(t *testing.T) {
 	// A multiplier chain has long dependence chains; level-ordering must
 	// reduce stalls relative to the depth-first baseline on multiple GEs.
 	w := workloads.DotProduct(16, 16)
-	hw := smallHW(8)
-	base, err := Simulate(compileFor(t, w, hw, compiler.Baseline), hw)
+	hw := DefaultHW()
+	base, err := Simulate(compileFor(t, w, smallCfg(8, compiler.Baseline)), hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Simulate(compileFor(t, w, hw, compiler.FullReorder), hw)
+	full, err := Simulate(compileFor(t, w, smallCfg(8, compiler.FullReorder)), hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +93,8 @@ func TestReorderImprovesDeepCircuit(t *testing.T) {
 
 func TestForwardingHelps(t *testing.T) {
 	w := workloads.DotProduct(4, 16)
-	hw := smallHW(2)
-	cp := compileFor(t, w, hw, compiler.Baseline)
+	hw := DefaultHW()
+	cp := compileFor(t, w, smallCfg(2, compiler.Baseline))
 	withFwd, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -124,16 +115,13 @@ func TestGarblerSlightlySlower(t *testing.T) {
 	// §6.1: the Garbler pipeline is deeper (21 vs 18), so on a
 	// dependence-limited workload it is slightly slower.
 	w := workloads.GradDesc(2, 2)
-	hwE := smallHW(4)
-	cpE := compileFor(t, w, hwE, compiler.FullReorder)
-	evalRes, err := Simulate(cpE, hwE)
+	cfg := smallCfg(4, compiler.FullReorder)
+	evalRes, err := Simulate(compileFor(t, w, cfg), DefaultHW())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwG := hwE
-	hwG.Garbler = true
-	cpG := compileFor(t, w, hwG, compiler.FullReorder)
-	garbRes, err := Simulate(cpG, hwG)
+	cfg.GarblerPipeline = true
+	garbRes, err := Simulate(compileFor(t, w, cfg), DefaultHW())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +136,8 @@ func TestGarblerSlightlySlower(t *testing.T) {
 
 func TestHBM2ReducesTrafficBound(t *testing.T) {
 	w := workloads.Hamming(4096)
-	hw := smallHW(8)
-	cp := compileFor(t, w, hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, w, smallCfg(8, compiler.FullReorder))
 	ddr, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +157,8 @@ func TestHBM2ReducesTrafficBound(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
-	hw := smallHW(2)
-	cp := compileFor(t, workloads.AddN(16), hw, compiler.Baseline)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.AddN(16), smallCfg(2, compiler.Baseline))
 	r, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -191,54 +179,48 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestConfigMismatchRejected(t *testing.T) {
-	hw := smallHW(4)
-	cp := compileFor(t, workloads.AddN(8), hw, compiler.Baseline)
-	bad := hw
-	bad.NumGEs = 8
-	if _, err := Simulate(cp, bad); err == nil {
-		t.Fatal("GE-count mismatch accepted")
-	}
-	bad2 := hw
-	bad2.SWWWires = 4096
-	if _, err := Simulate(cp, bad2); err == nil {
-		t.Fatal("SWW mismatch accepted")
-	}
-	if _, err := Simulate(cp, HW{}); err == nil {
-		t.Fatal("invalid HW accepted")
-	}
-	big := DefaultHW()
-	big.NumGEs = compiler.MaxGEs + 1
-	if big.Validate() == nil {
-		t.Fatal("more than compiler.MaxGEs GEs accepted")
-	}
-	neg := hw
+func TestInvalidHWRejected(t *testing.T) {
+	cp := compileFor(t, workloads.AddN(8), smallCfg(4, compiler.Baseline))
+	neg := DefaultHW()
 	neg.OoRPull, neg.DRAMLatencyCycles = true, -1
-	if _, err := Simulate(cp, neg); err == nil {
-		t.Fatal("negative DRAMLatencyCycles accepted")
+	for name, hw := range map[string]HW{"zero": {}, "negative DRAMLatencyCycles": neg} {
+		if _, err := Simulate(cp, hw); err == nil {
+			t.Errorf("Simulate accepted %s HW", name)
+		}
+		if _, _, err := SimulateTraced(cp, hw, 4); err == nil {
+			t.Errorf("SimulateTraced accepted %s HW", name)
+		}
+		if _, err := SimulateMultiCore([]*compiler.Compiled{cp}, hw, 2); err == nil {
+			t.Errorf("SimulateMultiCore accepted %s HW", name)
+		}
+		if _, err := SimulateCoupled(cp, hw, DefaultQueues()); err == nil {
+			t.Errorf("SimulateCoupled accepted %s HW", name)
+		}
 	}
 }
 
-// TestPipelineMismatchRejected: a program scheduled for one party's
-// AND pipeline must not be replayed with the other's latency, in any
-// entry point, in either direction.
-func TestPipelineMismatchRejected(t *testing.T) {
+// TestReplaysReadProgramTarget: every entry point runs a program on the
+// GE count and AND pipeline it was compiled for.
+func TestReplaysReadProgramTarget(t *testing.T) {
 	for _, garbler := range []bool{false, true} {
-		hw := smallHW(4)
-		hw.Garbler = garbler
-		cp := compileFor(t, workloads.AddN(8), hw, compiler.FullReorder)
-		hw.Garbler = !garbler
-		if _, err := Simulate(cp, hw); err == nil {
-			t.Errorf("Garbler pipeline %v program simulated on %v hardware", garbler, hw.Garbler)
+		cfg := smallCfg(4, compiler.FullReorder)
+		cfg.GarblerPipeline = garbler
+		cp := compileFor(t, workloads.AddN(8), cfg)
+		hw := DefaultHW()
+		r, err := Simulate(cp, hw)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, _, err := SimulateTraced(cp, hw, 4); err == nil {
-			t.Errorf("SimulateTraced accepted the pipeline mismatch (program Garbler %v)", garbler)
+		if drain := r.TotalCycles - max(r.ComputeCycles, r.TrafficCycles); drain != int64(cfg.ANDLatency()) {
+			t.Errorf("Garbler %v: drain %d cycles, want the program's AND latency %d", garbler, drain, cfg.ANDLatency())
 		}
-		if _, err := SimulateMultiCore([]*compiler.Compiled{cp}, hw, 2); err == nil {
-			t.Errorf("SimulateMultiCore accepted the pipeline mismatch (program Garbler %v)", garbler)
+		if _, tr, err := SimulateTraced(cp, hw, 4); err != nil || len(tr.Occupancy) != cfg.NumGEs {
+			t.Errorf("Garbler %v: trace rows for %d GEs (err %v)", garbler, cfg.NumGEs, err)
 		}
-		if _, err := SimulateCoupled(cp, hw, DefaultQueues()); err == nil {
-			t.Errorf("SimulateCoupled accepted the pipeline mismatch (program Garbler %v)", garbler)
+		m, err := SimulateMultiCore([]*compiler.Compiled{cp}, hw, 1)
+		if err != nil || m.ComputeCycles != r.ComputeCycles+int64(cfg.ANDLatency()) {
+			t.Errorf("Garbler %v: one core's compute %d, want %d + %d (err %v)",
+				garbler, m.ComputeCycles, r.ComputeCycles, cfg.ANDLatency(), err)
 		}
 	}
 }
@@ -248,15 +230,18 @@ func TestPipelineMismatchRejected(t *testing.T) {
 // under OoRPull.
 func TestReadyWidthRule(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		set  func(*HW)
-		step int64
+		name    string
+		garbler bool
+		set     func(*HW)
+		step    int64
 	}{
-		{"push", func(*HW) {}, 18 + writeBackPenalty + 1},
-		{"garbler", func(h *HW) { h.Garbler = true }, 21 + writeBackPenalty + 1},
-		{"no-forwarding", func(h *HW) { h.Forwarding = false }, 18 + writeBackPenalty + 1},
-		{"oor-pull", func(h *HW) { h.OoRPull = true }, 18 + writeBackPenalty + 1 + 2*100},
+		{"push", false, func(*HW) {}, 18 + writeBackPenalty + 1},
+		{"garbler", true, func(*HW) {}, 21 + writeBackPenalty + 1},
+		{"no-forwarding", false, func(h *HW) { h.Forwarding = false }, 18 + writeBackPenalty + 1},
+		{"oor-pull", false, func(h *HW) { h.OoRPull = true }, 18 + writeBackPenalty + 1 + 2*100},
 	} {
+		cfg := compiler.DefaultConfig()
+		cfg.GarblerPipeline = tc.garbler
 		hw := DefaultHW()
 		tc.set(&hw)
 		// last is the largest n with (n+1) × step < 2^31.
@@ -264,29 +249,29 @@ func TestReadyWidthRule(t *testing.T) {
 		if int64(last+1)*tc.step >= 1<<31 || int64(last+2)*tc.step < 1<<31 {
 			t.Fatalf("%s: bad boundary %d for step %d", tc.name, last, tc.step)
 		}
-		if !readyFits32(last, hw) {
+		if !readyFits32(last, cfg, hw) {
 			t.Errorf("%s: %d instructions (just under the bound) not int32", tc.name, last)
 		}
-		if readyFits32(last+1, hw) {
+		if readyFits32(last+1, cfg, hw) {
 			t.Errorf("%s: %d instructions (just over the bound) int32", tc.name, last+1)
 		}
 	}
 	// The paper-scale BubbSt (about 11.5 M instructions) fits under push
 	// and not under the pull ablation.
-	hw := DefaultHW()
-	if !readyFits32(11_500_000, hw) {
+	cfg, hw := compiler.DefaultConfig(), DefaultHW()
+	if !readyFits32(11_500_000, cfg, hw) {
 		t.Error("11.5 M instructions not int32 under push")
 	}
 	hw.OoRPull = true
-	if readyFits32(11_500_000, hw) {
+	if readyFits32(11_500_000, cfg, hw) {
 		t.Error("11.5 M instructions int32 under OoRPull")
 	}
 }
 
 func TestBankConflictsBounded(t *testing.T) {
 	// 4 banks/GE at 2x clock should keep conflicts rare (§5).
-	hw := smallHW(8)
-	cp := compileFor(t, workloads.MatMult(4, 8), hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.MatMult(4, 8), smallCfg(8, compiler.FullReorder))
 	r, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +283,8 @@ func TestBankConflictsBounded(t *testing.T) {
 }
 
 func TestSingleGESerializes(t *testing.T) {
-	hw := smallHW(1)
-	cp := compileFor(t, workloads.AddN(32), hw, compiler.Baseline)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.AddN(32), smallCfg(1, compiler.Baseline))
 	r, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -310,13 +295,13 @@ func TestSingleGESerializes(t *testing.T) {
 }
 
 func TestTrace(t *testing.T) {
-	hw := smallHW(4)
-	cp := compileFor(t, workloads.MatMult(3, 16), hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.MatMult(3, 16), smallCfg(4, compiler.FullReorder))
 	res, tr, err := SimulateTraced(cp, hw, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Occupancy) != hw.NumGEs {
+	if len(tr.Occupancy) != cp.Cfg.NumGEs {
 		t.Fatalf("trace rows: %d", len(tr.Occupancy))
 	}
 	// Total traced issues must equal the instruction count.
@@ -340,8 +325,8 @@ func TestTrace(t *testing.T) {
 }
 
 func TestUtilizationAndImbalance(t *testing.T) {
-	hw := smallHW(4)
-	cp := compileFor(t, workloads.Hamming(512), hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, workloads.Hamming(512), smallCfg(4, compiler.FullReorder))
 	r, err := Simulate(cp, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -371,8 +356,8 @@ func TestCoupledMatchesDecoupledWithinTolerance(t *testing.T) {
 				w = cand
 			}
 		}
-		hw := smallHW(4)
-		cp := compileFor(t, w, hw, compiler.FullReorder)
+		hw := DefaultHW()
+		cp := compileFor(t, w, smallCfg(4, compiler.FullReorder))
 		r, err := SimulateCoupled(cp, hw, DefaultQueues())
 		if err != nil {
 			t.Fatal(err)
@@ -395,8 +380,8 @@ func TestCoupledTinyQueuesHurt(t *testing.T) {
 			w = cand
 		}
 	}
-	hw := smallHW(4)
-	cp := compileFor(t, w, hw, compiler.FullReorder)
+	hw := DefaultHW()
+	cp := compileFor(t, w, smallCfg(4, compiler.FullReorder))
 	good, err := SimulateCoupled(cp, hw, DefaultQueues())
 	if err != nil {
 		t.Fatal(err)
@@ -411,13 +396,49 @@ func TestCoupledTinyQueuesHurt(t *testing.T) {
 	}
 }
 
-func TestCoupledRejectsMismatch(t *testing.T) {
-	hw := smallHW(4)
-	cp := compileFor(t, workloads.AddN(8), hw, compiler.Baseline)
-	bad := hw
-	bad.NumGEs = 8
-	if _, err := SimulateCoupled(cp, bad, DefaultQueues()); err == nil {
-		t.Fatal("mismatch accepted")
+// TestSimInstrSize: the live bit the coupled model reads fits in the
+// replay record's padding.
+func TestSimInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(simInstr{}); n != 16 {
+		t.Fatalf("simInstr is %d bytes, want 16", n)
+	}
+}
+
+// TestCoupledBanksMatchReplay: with queues that never empty and DRAM
+// that never starves a stream, the coupled model is the replay plus its
+// one-cycle start-up, the last write-backs and the pipeline drain, so it
+// may not land below the replay's compute cycles or far above them, at
+// any banking. It fails if the two models' bank rules differ.
+func TestCoupledBanksMatchReplay(t *testing.T) {
+	endless := QueueConfig{InstrEntries: 1 << 30, TableEntries: 1 << 30, OoRWEntries: 1 << 30, WriteEntries: 1 << 30}
+	for _, w := range workloads.VIPSuiteSmall() {
+		c := w.Build()
+		for _, garbler := range []bool{false, true} {
+			cfg := compiler.DefaultConfig()
+			cfg.GarblerPipeline = garbler
+			cp, err := compiler.Compile(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range []struct{ banks, clock int }{{4, 2}, {1, 1}, {1, 2}} {
+				hw := DefaultHW()
+				hw.BanksPerGE = b.banks
+				hw.SWWClock = float64(b.clock) * hw.GEClock
+				hw.DRAM.Bandwidth = 1e18
+				r, err := Simulate(cp, hw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cr, err := SimulateCoupled(cp, hw, endless)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gap := cr.TotalCycles - r.ComputeCycles; gap < 0 || gap > 64 {
+					t.Errorf("%s, Garbler %v, %d banks/GE at %dx: coupled %d cycles, replay's compute %d (gap %+d)",
+						w.Name, garbler, b.banks, b.clock, cr.TotalCycles, r.ComputeCycles, gap)
+				}
+			}
+		}
 	}
 }
 
@@ -426,10 +447,10 @@ func TestCompileSimulateAllocsIndependentOfSize(t *testing.T) {
 	// once at its final size, so the allocation count of one
 	// compile+simulate does not grow with the circuit. ReLU's depth does
 	// not grow with its width, so neither does the depth-first stack.
-	hw := smallHW(4)
+	hw := DefaultHW()
 	allocs := func(w workloads.Workload) float64 {
 		c := w.Build()
-		cfg := compiler.Config{Reorder: compiler.SegmentReorder, ESW: true, SWWWires: hw.SWWWires, NumGEs: hw.NumGEs}
+		cfg := smallCfg(4, compiler.SegmentReorder)
 		return testing.AllocsPerRun(3, func() {
 			cp, err := compiler.Compile(c, cfg)
 			if err != nil {

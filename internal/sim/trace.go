@@ -46,9 +46,9 @@ func simulateTraced(cp *compiler.Compiled, hw HW, buckets int, wide bool) (Resul
 	}
 	tr := &Trace{
 		CyclesPerBucket: per,
-		Occupancy:       make([][]float32, hw.NumGEs),
+		Occupancy:       make([][]float32, cp.Cfg.NumGEs),
 	}
-	counts := make([][]int32, hw.NumGEs)
+	counts := make([][]int32, cp.Cfg.NumGEs)
 	nb := int(res.ComputeCycles/per) + 1
 	for g := range counts {
 		counts[g] = make([]int32, nb)

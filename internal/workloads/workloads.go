@@ -15,6 +15,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"haac/internal/circuit"
 )
@@ -124,4 +125,23 @@ func VIPSuiteSmall() []Workload {
 		ReLU(8, 32),
 		GradDesc(4, 2),
 	}
+}
+
+// Find returns the workload called name, ignoring case, from the VIP
+// suite (at its reduced sizes when small) and the micro suite. An
+// unknown name's error lists the available ones.
+func Find(name string, small bool) (Workload, error) {
+	suite := VIPSuite()
+	if small {
+		suite = VIPSuiteSmall()
+	}
+	suite = append(suite, MicroSuite()...)
+	names := make([]string, len(suite))
+	for i, w := range suite {
+		if strings.EqualFold(w.Name, name) {
+			return w, nil
+		}
+		names[i] = w.Name
+	}
+	return Workload{}, fmt.Errorf("unknown workload %q; available: %s", name, strings.Join(names, ", "))
 }

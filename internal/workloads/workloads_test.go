@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -146,6 +147,30 @@ func TestBubbleSortWorstCase(t *testing.T) {
 		if ws[i-1] > ws[i] {
 			t.Fatalf("not sorted: %v", ws)
 		}
+	}
+}
+
+func TestFind(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		small bool
+		want  int // gates, telling the two suites apart
+	}{
+		{"hamm", true, len(Hamming(128).Build().Gates)},
+		{"Hamm", false, len(Hamming(40960).Build().Gates)},
+		{"million-8", false, len(Millionaire(8).Build().Gates)},
+	} {
+		w, err := Find(tc.name, tc.small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(w.Build().Gates); got != tc.want {
+			t.Errorf("Find(%q, %v): %d gates, want %d", tc.name, tc.small, got, tc.want)
+		}
+	}
+	_, err := Find("nope", true)
+	if err == nil || !strings.Contains(err.Error(), "available: BubbSt, ") || !strings.Contains(err.Error(), "Million-8") {
+		t.Fatalf("unknown workload error does not list the suites: %v", err)
 	}
 }
 
