@@ -238,6 +238,7 @@ type EvaluatorSession struct {
 	c      *circuit.Circuit
 	rw     io.ReadWriter
 	rd     *bufio.Reader
+	otrw   readWriter // rd and rw paired for OT, held so a run boxes nothing
 	pe     *gc.PlanEvaluator
 	need   func(n int) ([]gc.Material, error)
 	tables []gc.Material
@@ -310,6 +311,7 @@ func (bytesReaderNone) Read([]byte) (int, error) { return 0, io.EOF }
 func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 	s.rw = instrument(conn, &s.opts)
 	s.rd.Reset(s.rw)
+	s.otrw = readWriter{s.rd, s.rw}
 	s.pool = nil
 }
 
@@ -383,11 +385,11 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 			if s.pool == nil {
 				return nil, fmt.Errorf("proto: %w: pooled run without a negotiated pool", ErrMalformedFrame)
 			}
-			if err := s.pool.ReceiveDerand(readWriter{s.rd, s.rw}, s.choices, evalLabels); err != nil {
+			if err := s.pool.ReceiveDerand(&s.otrw, s.choices, evalLabels); err != nil {
 				return nil, wrapPeer("OT", err)
 			}
 		} else {
-			got, err := ot.ReceiveBitset(readWriter{s.rd, s.rw}, ot.Protocol(h.OTProto), s.choices)
+			got, err := ot.ReceiveBitset(&s.otrw, ot.Protocol(h.OTProto), s.choices)
 			if err != nil {
 				return nil, wrapPeer("OT", err)
 			}

@@ -66,75 +66,119 @@ func garblerOnlyMul(width int) *circuit.Circuit {
 	return b.MustBuild()
 }
 
+// twoPartyMul multiplies a garbler word by an evaluator word: the
+// pooled tier's runs draw the evaluator's labels from the session's OT
+// pool, whose derandomization round is allocation-free.
+func twoPartyMul(width int) *circuit.Circuit {
+	b := builder.New()
+	x := b.GarblerInputs(width)
+	y := b.EvaluatorInputs(width)
+	b.OutputWord(b.Mul(x, y))
+	return b.MustBuild()
+}
+
 // TestServingZeroSteadyStateAllocs is the serving layer's allocation
 // gate: with a precompiled plan on both ends, a steady-state run over
 // an established session — op frame, ack, header, labels, level-
 // streamed tables, decode bits, result — allocates nothing on either
-// side. Race-gated because the detector defeats sync.Pool.
+// side, on every wire tier and with both ends' byte budgets armed.
+// Race-gated because the detector defeats sync.Pool.
 func TestServingZeroSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	c := garblerOnlyMul(16)
-	and, _, _ := c.CountOps()
-	if and < 200 {
-		t.Fatalf("circuit too small to catch per-gate allocations (%d ANDs)", and)
-	}
-	g := make([]bool, c.GarblerInputs)
-	for i := range g {
-		g[i] = i%3 == 0
-	}
-	srv, err := New(Config{
-		Circuits:        []CircuitSpec{{ID: "mul", Circuit: c, Inputs: func() []bool { return g }}},
-		Seed:            21,
-		AllowInsecureOT: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := newPipeListener()
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-	}()
-
-	plan, err := circuit.NewPlan(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := Dial("pipe", "mul", c, Options{
-		OT:     ot.Insecure,
-		Plan:   plan,
-		Dialer: func(string) (net.Conn, error) { return ln.Dial() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	want, err := c.Eval(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		out, err := sess.Run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatal("wrong output")
+	const measured = 50 // testing.AllocsPerRun adds one warm-up run
+	for _, tc := range []struct {
+		name      string
+		integrity bool
+		pooled    bool
+		budget    int64 // MaxRunBytes on both ends
+	}{
+		{name: "plain"},
+		{name: "integrity", integrity: true},
+		{name: "pooled", pooled: true},
+		{name: "pooled+integrity", pooled: true, integrity: true},
+		{name: "run-budgets", budget: 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := garblerOnlyMul(16)
+			opts := Options{OT: ot.Insecure, Integrity: tc.integrity, MaxRunBytes: tc.budget}
+			if tc.pooled {
+				c = twoPartyMul(16)
+				// The background refill fires once a run leaves the pool
+				// below half its target; this target outlasts every run
+				// below, so the measured window holds no refill.
+				opts = Options{Integrity: tc.integrity, PoolSize: 4 * (measured + 2) * c.EvaluatorInputs}
 			}
-		}
-	}
-	run() // warm pools and one-time lazies on both ends
+			and, _, _ := c.CountOps()
+			if and < 200 {
+				t.Fatalf("circuit too small to catch per-gate allocations (%d ANDs)", and)
+			}
+			g := make([]bool, c.GarblerInputs)
+			for i := range g {
+				g[i] = i%3 == 0
+			}
+			e := make([]bool, c.EvaluatorInputs)
+			for i := range e {
+				e[i] = i%5 == 1
+			}
+			srv, err := New(Config{
+				Circuits:        []CircuitSpec{{ID: "mul", Circuit: c, Inputs: func() []bool { return g }}},
+				Seed:            21,
+				AllowInsecureOT: true,
+				MaxRunBytes:     tc.budget,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := newPipeListener()
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ln) }()
+			defer func() {
+				srv.Close()
+				if err := <-done; err != nil {
+					t.Errorf("Serve returned %v", err)
+				}
+			}()
 
-	if avg := testing.AllocsPerRun(50, run); avg > 0 {
-		t.Fatalf("serving run allocates %.2f times in steady state, want 0", avg)
+			if opts.Plan, err = circuit.NewPlan(c); err != nil {
+				t.Fatal(err)
+			}
+			opts.Dialer = func(string) (net.Conn, error) { return ln.Dial() }
+			sess, err := Dial("pipe", "mul", c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if sess.Integrity() != tc.integrity || sess.Pooled() != tc.pooled {
+				t.Fatalf("negotiated integrity=%v pooled=%v, want %v/%v", sess.Integrity(), sess.Pooled(), tc.integrity, tc.pooled)
+			}
+
+			want, err := c.Eval(g, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				out, err := sess.Run(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if out[i] != want[i] {
+						t.Fatal("wrong output")
+					}
+				}
+			}
+			run() // warm pools and one-time lazies on both ends
+
+			if avg := testing.AllocsPerRun(measured, run); avg > 0 {
+				t.Fatalf("serving run allocates %.2f times in steady state, want 0", avg)
+			}
+			cs := sess.Stats()
+			if tc.pooled && (cs.PoolMisses != 0 || cs.PoolRefills != 1) {
+				t.Fatalf("pooled runs: %d misses, %d refills; want every run a hit and only the initial fill", cs.PoolMisses, cs.PoolRefills)
+			}
+		})
 	}
 }
 

@@ -209,9 +209,7 @@ type Options struct {
 	PoolRefill int
 }
 
-// poolTarget/poolChunk resolve the pool sizing defaults.
-func (o Options) poolTarget() int { return o.PoolSize }
-
+// poolChunk resolves the background refill chunk's default.
 func (o Options) poolChunk() int {
 	if o.PoolRefill > 0 {
 		return o.PoolRefill
@@ -220,23 +218,6 @@ func (o Options) poolChunk() int {
 		return c
 	}
 	return 1
-}
-
-// wireOT is the protocol byte the hello carries: ot.Pooled when the
-// options ask for the pooled tier, the on-demand choice otherwise.
-func (o Options) wireOT() ot.Protocol {
-	if o.PoolSize > 0 {
-		return ot.Pooled
-	}
-	return o.OT
-}
-
-// helloFlags encodes the option-negotiation bits of the client hello.
-func helloFlags(o Options) uint8 {
-	if o.Integrity {
-		return helloFlagIntegrity
-	}
-	return 0
 }
 
 // clientPlans caches compiled plans for sessions that did not bring
@@ -263,22 +244,16 @@ func (o *Options) ensurePlan(c *circuit.Circuit) error {
 
 // dial opens one connection via the configured dialer, wrapping it in
 // TLS when configured.
-func (o Options) dial(addr string) (net.Conn, error) {
-	conn, err := o.dialRaw(addr)
-	if err != nil {
-		return nil, err
+func (o Options) dial(addr string) (conn net.Conn, err error) {
+	if o.Dialer != nil {
+		conn, err = o.Dialer(addr)
+	} else {
+		conn, err = net.Dial("tcp", addr)
 	}
-	if o.TLS != nil {
+	if err == nil && o.TLS != nil {
 		conn = tls.Client(conn, o.TLS)
 	}
-	return conn, nil
-}
-
-func (o Options) dialRaw(addr string) (net.Conn, error) {
-	if o.Dialer != nil {
-		return o.Dialer(addr)
-	}
-	return net.Dial("tcp", addr)
+	return conn, err
 }
 
 // Session is a client (evaluator) session against a serving garbler.
@@ -292,9 +267,11 @@ type Session struct {
 	rw       io.ReadWriter
 	es       *proto.EvaluatorSession
 	numSlots int
-	frame    [1]byte
-	closed   bool // Close was called: permanently done
-	broken   bool // the connection failed: reconnectable under Retry
+	// buf holds each op's request and ack (17 bytes fits the largest,
+	// opResume), so a run allocates nothing on the wire exchange.
+	buf    [17]byte
+	closed bool // Close was called: permanently done
+	broken bool // the connection failed: reconnectable under Retry
 
 	// Integrity-tier state. fc and bb are reused across reconnects; the
 	// grant is renegotiated on every handshake (a redial may land on a
@@ -336,41 +313,38 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 	if err := opts.ensurePlan(c); err != nil {
 		return nil, err
 	}
+	// The evaluator runner is built once, unbound: setup binds it to each
+	// (re)connection. Its errors are local, so retrying cannot help.
+	es, err := proto.NewEvaluatorSession(nil, c, proto.Options{
+		OT:      opts.OT,
+		Workers: opts.Workers,
+		Plan:    opts.Plan,
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := &Session{
+		es:    es,
 		addr:  addr,
-		hello: hello{ot: opts.wireOT(), flags: helloFlags(opts), id: circuitID, digest: circuit.Digest(c)},
+		hello: hello{ot: opts.OT, id: circuitID, digest: circuit.Digest(c)},
 		opts:  opts,
 		rng:   newJitterRNG(opts.Retry.Seed),
 	}
+	// The hello asks for the pooled tier in its OT byte and for the
+	// integrity tier in its flags.
+	if opts.PoolSize > 0 {
+		s.hello.ot = ot.Pooled
+	}
+	if opts.Integrity {
+		s.hello.flags = helloFlagIntegrity
+	}
 	for attempt := 1; ; attempt++ {
-		conn, err := s.connect()
+		err := s.setup()
 		if err == nil {
-			if s.es == nil {
-				es, err2 := proto.NewEvaluatorSession(s.rw, c, proto.Options{
-					OT:      opts.OT,
-					Workers: opts.Workers,
-					Plan:    opts.Plan,
-				})
-				if err2 != nil {
-					conn.Close()
-					return nil, err2 // a local setup error; retrying cannot help
-				}
-				s.es = es
-			} else {
-				s.es.Reset(s.rw) // a prior attempt's initial fill failed
-			}
-			// The pooled tier pays its base OTs here, at dial time, so
-			// the first Run is already served from the pool.
-			if err = s.initialFill(conn); err == nil {
-				s.conn = conn
-				return s, nil
-			}
-			conn.Close()
+			return s, nil
 		}
 		if attempt >= opts.Retry.attempts() || !retryable(err) {
-			if s.es != nil {
-				s.es.Close()
-			}
+			s.es.Close()
 			return nil, err
 		}
 		time.Sleep(opts.Retry.backoff(attempt, s.rng))
@@ -411,25 +385,24 @@ func newJitterRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// connect dials addr and completes the handshake, leaving s.rw bound to
-// the new connection. The caller installs the returned conn.
-func (s *Session) connect() (net.Conn, error) {
+// connect dials addr, installs the new connection and completes the
+// handshake, leaving s.rw bound to the connection's wire stack.
+func (s *Session) connect() error {
 	conn, err := s.opts.dial(s.addr)
 	if err != nil {
-		return nil, fmt.Errorf("server: dial: %w", err)
+		return fmt.Errorf("server: dial: %w", err)
 	}
+	s.conn = conn
 	if d := s.opts.Retry.HandshakeTimeout; d > 0 {
 		conn.SetDeadline(time.Now().Add(d))
 	}
 	rw := proto.Instrument(conn, s.opts.Stats)
 	if err := writeHello(rw, s.hello); err != nil {
-		conn.Close()
-		return nil, err
+		return err
 	}
 	numSlots, granted, pooled, err := readReply(rw)
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return err
 	}
 	if s.opts.Retry.HandshakeTimeout > 0 {
 		conn.SetDeadline(time.Time{})
@@ -441,7 +414,25 @@ func (s *Session) connect() (net.Conn, error) {
 	s.pool = nil
 	s.poolCapped = false
 	s.numSlots = int(numSlots)
-	return conn, nil
+	return nil
+}
+
+// setup is one (re)connection, shared by Dial's attempts and
+// reconnect: connect, bind the persistent evaluator runner to the new
+// connection, and on the pooled tier pay the initial fill. On error the
+// connection is torn down and the session is left broken.
+func (s *Session) setup() error {
+	err := s.connect()
+	if err == nil {
+		s.es.Reset(s.rw) // also detaches the old connection's pool
+		err = s.initialFill()
+	}
+	if err != nil {
+		s.breakConn()
+		return err
+	}
+	s.broken = false
+	return nil
 }
 
 // reconnect replaces a broken connection: redial, re-handshake (the
@@ -451,35 +442,27 @@ func (s *Session) reconnect() error {
 	if s.conn != nil {
 		s.conn.Close()
 	}
-	conn, err := s.connect()
-	if err != nil {
+	if err := s.setup(); err != nil {
 		s.stats.DialFailures++
 		return err
 	}
-	s.es.Reset(s.rw) // also detaches the dead connection's pool
-	if err := s.initialFill(conn); err != nil {
-		s.stats.DialFailures++
-		conn.Close()
-		return err
-	}
-	s.conn = conn
-	s.broken = false
 	s.stats.Reconnects++
 	return nil
 }
 
 // initialFill seeds the pool synchronously right after a (re)connected
 // pooled handshake, bounded by the handshake deadline: the connection's
-// base OTs and first fill are paid at dial time, not inside a run.
-func (s *Session) initialFill(conn net.Conn) error {
-	if !s.pooled || s.opts.poolTarget() <= 0 {
+// base OTs and first fill are paid at (re)connect time, so the first
+// Run is already served from the pool.
+func (s *Session) initialFill() error {
+	if !s.pooled {
 		return nil
 	}
 	if d := s.opts.Retry.HandshakeTimeout; d > 0 {
-		conn.SetDeadline(time.Now().Add(d))
-		defer conn.SetDeadline(time.Time{})
+		s.conn.SetDeadline(time.Now().Add(d))
+		defer s.conn.SetDeadline(time.Time{})
 	}
-	return s.refillOnce(s.opts.poolTarget())
+	return s.refillOnce(s.opts.PoolSize)
 }
 
 // refillOnce runs one opRefill exchange over the current connection,
@@ -491,39 +474,27 @@ func (s *Session) refillOnce(n int) error {
 	if n <= 0 || s.poolCapped {
 		return nil
 	}
-	var req [6]byte
-	req[0] = opRefill
-	req[1] = byte(ot.DH) // the pool's base OTs
-	binary.LittleEndian.PutUint32(req[2:], uint32(n))
-	if _, err := s.rw.Write(req[:]); err != nil {
-		return fmt.Errorf("%w: %w", ErrSessionClosed, err)
+	s.buf[0] = opRefill
+	s.buf[1] = byte(ot.DH) // the pool's base OTs
+	binary.LittleEndian.PutUint32(s.buf[2:], uint32(n))
+	ack, err := s.exchange(6, ackGo, ackRefuse)
+	if err != nil {
+		return err
 	}
-	if _, err := io.ReadFull(s.rw, s.frame[:]); err != nil {
-		return fmt.Errorf("%w: %w", ErrSessionClosed, err)
-	}
-	switch s.frame[0] {
-	case ackGo:
-	case ackRefuse:
+	if ack == ackRefuse {
 		s.poolCapped = true
 		return nil
-	case ackDraining:
-		return ErrDraining
-	default:
-		return fmt.Errorf("%w: unexpected refill ack byte %d", ErrMalformedFrame, s.frame[0])
 	}
-	var g [4]byte
-	if _, err := io.ReadFull(s.rw, g[:]); err != nil {
-		return fmt.Errorf("%w: %w", ErrSessionClosed, err)
+	g, err := s.readAck(4)
+	if err != nil {
+		return err
 	}
-	granted := int(binary.LittleEndian.Uint32(g[:]))
+	granted := int(binary.LittleEndian.Uint32(g))
 	if granted <= 0 || granted > n {
-		return fmt.Errorf("%w: refill granted %d of %d", ErrMalformedFrame, granted, n)
+		return s.fail(fmt.Errorf("%w: refill granted %d of %d", ErrMalformedFrame, granted, n))
 	}
 	if granted < n {
 		s.poolCapped = true // the server clamped to its cap
-	}
-	if s.bb != nil {
-		s.bb.reset()
 	}
 	if s.pool == nil {
 		p, err := ot.NewReceiverPool(s.rw, ot.DH)
@@ -548,7 +519,7 @@ func (s *Session) maybeRefill() {
 	if !s.pooled || s.pool == nil || s.poolCapped || s.refilling || s.broken || s.closed {
 		return
 	}
-	if s.pool.Level() >= (s.opts.poolTarget()+1)/2 {
+	if s.pool.Level() >= (s.opts.PoolSize+1)/2 {
 		return
 	}
 	s.refilling = true
@@ -562,12 +533,12 @@ func (s *Session) maybeRefill() {
 func (s *Session) refillLoop() {
 	for {
 		s.wireMu.Lock()
-		if s.closed || s.broken || s.poolCapped || s.pool == nil || s.pool.Level() >= s.opts.poolTarget() {
+		if s.closed || s.broken || s.poolCapped || s.pool == nil || s.pool.Level() >= s.opts.PoolSize {
 			s.refilling = false
 			s.wireMu.Unlock()
 			return
 		}
-		n := s.opts.poolTarget() - s.pool.Level()
+		n := s.opts.PoolSize - s.pool.Level()
 		if c := s.opts.poolChunk(); n > c {
 			n = c
 		}
@@ -740,34 +711,72 @@ func (s *Session) attemptOnce(evalBits []bool) ([]bool, error) {
 	return s.runOnce(evalBits)
 }
 
-// runOnce plays a single run attempt over the current connection.
-func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
+// exchange opens one op: it starts the op's byte budget afresh — the
+// op frame and its ack count against the op they open — writes the
+// frame the caller left in s.buf[:n], and reads the server's one-byte
+// answer. It returns that answer when it is one of accept. Every op
+// shares the rest: ackDraining breaks the connection with ErrDraining,
+// any other byte fails the session as malformed, and a wire error fails
+// it as closed.
+func (s *Session) exchange(n int, accept ...byte) (byte, error) {
 	if s.bb != nil {
 		s.bb.reset()
 	}
-	s.frame[0] = opRun
-	if _, err := s.rw.Write(s.frame[:]); err != nil {
-		return nil, s.fail(err)
+	op := s.buf[0]
+	if _, err := s.rw.Write(s.buf[:n]); err != nil {
+		return 0, s.fail(err)
 	}
-	if _, err := io.ReadFull(s.rw, s.frame[:]); err != nil {
-		return nil, s.fail(err)
+	if _, err := io.ReadFull(s.rw, s.buf[:1]); err != nil {
+		return 0, s.fail(err)
 	}
-	switch s.frame[0] {
-	case ackGo:
-	case ackDraining:
+	ack := s.buf[0]
+	for _, a := range accept {
+		if ack == a {
+			return ack, nil
+		}
+	}
+	if ack == ackDraining {
 		s.breakConn()
-		return nil, ErrDraining
-	default:
-		return nil, s.fail(fmt.Errorf("%w: unexpected ack byte %d", ErrMalformedFrame, s.frame[0]))
+		return 0, ErrDraining
+	}
+	return 0, s.fail(fmt.Errorf("%w: unexpected ack byte %d to op %d", ErrMalformedFrame, ack, op))
+}
+
+// readAck reads the n bytes an accepting ack carries after its code.
+func (s *Session) readAck(n int) ([]byte, error) {
+	b := s.buf[1 : 1+n]
+	if _, err := io.ReadFull(s.rw, b); err != nil {
+		return nil, s.fail(err)
+	}
+	return b, nil
+}
+
+// evalFailed ends a run or resume whose evaluator failed: whatever broke
+// it mid-protocol leaves the connection's stream position unusable, so
+// the connection is marked broken and the next attempt reconnects
+// instead of resyncing against garbage.
+func (s *Session) evalFailed(err error) error {
+	if errors.Is(err, proto.ErrPeerClosed) {
+		return s.fail(err)
+	}
+	s.breakConn()
+	return err
+}
+
+// runOnce plays a single run attempt over the current connection.
+func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
+	s.buf[0] = opRun
+	if _, err := s.exchange(1, ackGo); err != nil {
+		return nil, err
 	}
 	if s.integrity {
 		// The integrity-tier ack carries the run's resume token: the
 		// handle a later opResume presents to continue this exact run.
-		var tok [8]byte
-		if _, err := io.ReadFull(s.rw, tok[:]); err != nil {
-			return nil, s.fail(err)
+		tok, err := s.readAck(8)
+		if err != nil {
+			return nil, err
 		}
-		s.runToken = binary.LittleEndian.Uint64(tok[:])
+		s.runToken = binary.LittleEndian.Uint64(tok)
 		s.hasToken = true
 	}
 	lvl := 0
@@ -776,14 +785,7 @@ func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 	}
 	out, err := s.es.Run(evalBits)
 	if err != nil {
-		// Whatever broke a run mid-protocol leaves the connection's
-		// stream position unusable: mark it broken so the next attempt
-		// reconnects instead of resyncing against garbage.
-		if errors.Is(err, proto.ErrPeerClosed) {
-			return nil, s.fail(err)
-		}
-		s.breakConn()
-		return nil, err
+		return nil, s.evalFailed(err)
 	}
 	if s.pooled {
 		// A pooled-tier run either drew its labels from the pool (the
@@ -807,38 +809,21 @@ var errNoResume = errors.New("server: resume declined")
 // the evaluator already verified, so only the remainder crosses the
 // wire again.
 func (s *Session) resumeOnce(got int) ([]bool, error) {
-	if s.bb != nil {
-		s.bb.reset()
+	s.buf[0] = opResume
+	binary.LittleEndian.PutUint64(s.buf[1:], s.runToken)
+	binary.LittleEndian.PutUint64(s.buf[9:], uint64(got))
+	ack, err := s.exchange(17, ackResume, ackNoResume)
+	if err != nil {
+		return nil, err
 	}
-	var req [17]byte
-	req[0] = opResume
-	binary.LittleEndian.PutUint64(req[1:], s.runToken)
-	binary.LittleEndian.PutUint64(req[9:], uint64(got))
-	if _, err := s.rw.Write(req[:]); err != nil {
-		return nil, s.fail(err)
-	}
-	if _, err := io.ReadFull(s.rw, s.frame[:]); err != nil {
-		return nil, s.fail(err)
-	}
-	switch s.frame[0] {
-	case ackResume:
-	case ackNoResume:
+	if ack == ackNoResume {
 		s.hasToken = false
 		return nil, errNoResume
-	case ackDraining:
-		s.breakConn()
-		return nil, ErrDraining
-	default:
-		return nil, s.fail(fmt.Errorf("%w: unexpected resume ack byte %d", ErrMalformedFrame, s.frame[0]))
 	}
 	s.stats.Resumes++
 	out, err := s.es.Resume()
 	if err != nil {
-		if errors.Is(err, proto.ErrPeerClosed) {
-			return nil, s.fail(err)
-		}
-		s.breakConn()
-		return nil, err
+		return nil, s.evalFailed(err)
 	}
 	s.hasToken = false
 	return out, nil
@@ -859,8 +844,8 @@ func (s *Session) Close() error {
 		s.es.Close()
 		return ErrSessionClosed
 	}
-	s.frame[0] = opBye
-	s.rw.Write(s.frame[:])
+	s.buf[0] = opBye
+	s.rw.Write(s.buf[:1])
 	s.breakConn()
 	s.es.Close()
 	return nil

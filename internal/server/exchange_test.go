@@ -1,0 +1,307 @@
+package server
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"haac/internal/faultnet"
+	"haac/internal/ot"
+	"haac/internal/proto"
+	"haac/internal/workloads"
+)
+
+// TestClientOpRefusals: a scripted peer over net.Pipe reads each op
+// frame and answers it with ackDraining, then with a byte no op
+// expects. Run, resume and refill share one refusal rule: a typed error
+// (ErrDraining, or ErrMalformedFrame wrapped in ErrSessionClosed) and a
+// broken session.
+func TestClientOpRefusals(t *testing.T) {
+	ops := []struct {
+		name  string
+		frame int // request bytes the op writes, op byte included
+		call  func(s *Session) error
+	}{
+		{"run", 1, func(s *Session) error { _, err := s.runOnce(nil); return err }},
+		{"resume", 17, func(s *Session) error { _, err := s.resumeOnce(0); return err }},
+		{"refill", 6, func(s *Session) error { return s.refillOnce(8) }},
+	}
+	answers := []struct {
+		name string
+		ack  byte
+		want []error
+	}{
+		{"draining", ackDraining, []error{ErrDraining}},
+		{"unknown", 0x7f, []error{ErrMalformedFrame, ErrSessionClosed}},
+	}
+	for _, op := range ops {
+		for _, a := range answers {
+			t.Run(op.name+"/"+a.name, func(t *testing.T) {
+				client, peer := net.Pipe()
+				defer peer.Close()
+				done := make(chan error, 1)
+				go func() {
+					req := make([]byte, op.frame)
+					if _, err := io.ReadFull(peer, req); err != nil {
+						done <- err
+						return
+					}
+					_, err := peer.Write([]byte{a.ack})
+					done <- err
+				}()
+				s := &Session{conn: client, rw: client}
+				err := op.call(s)
+				if perr := <-done; perr != nil {
+					t.Fatalf("scripted peer: %v", perr)
+				}
+				for _, want := range a.want {
+					if !errors.Is(err, want) {
+						t.Errorf("err = %v, want %v", err, want)
+					}
+				}
+				if !s.broken {
+					t.Error("session not broken after the refusal")
+				}
+			})
+		}
+	}
+}
+
+// TestOpsOutsideTier speaks raw op frames through a real session's own
+// transport stack. An op the session's tier does not have, or an unknown
+// op byte, ends the session without a panic; a resume or refill the
+// server declines is answered and leaves the session usable for the
+// next run.
+func TestOpsOutsideTier(t *testing.T) {
+	w := workloads.AddN(8)
+	c := w.Build()
+	garblerBits, evalBits := w.Inputs(1)
+	want, err := c.Eval(garblerBits, evalBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	and, _, _ := c.CountOps()
+	srv, addr := startServer(t, Config{
+		Circuits:        []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+		Seed:            5,
+		AllowInsecureOT: true,
+	})
+	// A live checkpoint of another circuit, and one of this circuit whose
+	// run has and tables.
+	const otherTok, liveTok = 0xA1, 0xB2
+	srv.resume.put(otherTok, resumeEntry{id: "other", seed: 1, and: and})
+	srv.resume.put(liveTok, resumeEntry{id: w.Name, seed: 1, and: and})
+
+	frame := func(op byte, body ...uint64) []byte {
+		b := []byte{op}
+		for _, v := range body {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	refill := func(base ot.Protocol, n uint32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte{opRefill, byte(base)}, n)
+	}
+	plain := Options{OT: ot.Insecure}
+	integrity := Options{OT: ot.Insecure, Integrity: true}
+	pooled := Options{PoolSize: 64 * c.EvaluatorInputs}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		frame []byte
+		ack   int // the expected answer; -1: the session ends
+	}{
+		{"resume-on-plain", plain, frame(opResume, liveTok, 0), -1},
+		{"refill-unpooled", integrity, refill(ot.DH, 16), -1},
+		{"unknown-op", plain, []byte{0x7f}, -1},
+		{"foreign-token", integrity, frame(opResume, 0xC3, 0), ackNoResume},
+		{"other-circuit-token", integrity, frame(opResume, otherTok, 0), ackNoResume},
+		{"got-past-and-count", integrity, frame(opResume, liveTok, uint64(and)+1), ackNoResume},
+		{"refill-zero", pooled, refill(ot.DH, 0), ackRefuse},
+		{"refill-bad-base", pooled, refill(ot.IKNP, 16), ackRefuse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := Dial(addr, w.Name, c, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := sess.rw.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			var ack [1]byte
+			sess.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, err = io.ReadFull(sess.rw, ack[:])
+			sess.conn.SetReadDeadline(time.Time{})
+			if tc.ack < 0 {
+				var ne net.Error
+				if err == nil || errors.As(err, &ne) && ne.Timeout() {
+					t.Fatalf("session answered %d (%v) instead of ending", ack[0], err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for srv.Stats().ActiveSessions != 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := srv.Stats().ActiveSessions; n != 0 {
+					t.Fatalf("ActiveSessions = %d after the session ended, want 0", n)
+				}
+			} else {
+				if err != nil || ack[0] != byte(tc.ack) {
+					t.Fatalf("answer = %d, %v; want %d", ack[0], err, tc.ack)
+				}
+				got, err := sess.Run(evalBits)
+				if err != nil {
+					t.Fatalf("run after the declined op: %v", err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatal("run after the declined op diverged from the oracle")
+				}
+			}
+			if n := srv.Stats().SessionsPanicked; n != 0 {
+				t.Fatalf("SessionsPanicked = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestResumeStoreStaysBounded: every completed integrity-tier run puts
+// and drops one checkpoint, and the store keeps nothing of them — not
+// even the eviction queue's entry. A run broken mid-stream still resumes
+// from the churned store.
+func TestResumeStoreStaysBounded(t *testing.T) {
+	c := garblerOnlyMul(16)
+	g := make([]bool, c.GarblerInputs)
+	for i := range g {
+		g[i] = i%3 == 0
+	}
+	want, err := c.Eval(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{
+		Circuits:   []CircuitSpec{{ID: "mul", Circuit: c, Inputs: func() []bool { return g }}},
+		Seed:       17,
+		RunTimeout: 5 * time.Second,
+	})
+	rs := &srv.resume
+	for tok := uint64(1); tok <= 100_000; tok++ {
+		rs.put(tok, resumeEntry{id: "mul", seed: tok, and: 1})
+		rs.drop(tok)
+	}
+	if len(rs.entries) != 0 || len(rs.order) > maxResumeEntries {
+		t.Fatalf("after 100000 put+drop cycles: %d entries, len(order) = %d (bound %d)", len(rs.entries), len(rs.order), maxResumeEntries)
+	}
+	// Live checkpoints past the bound evict the oldest.
+	for tok := uint64(1); tok <= 2*maxResumeEntries; tok++ {
+		rs.put(tok, resumeEntry{id: "mul", seed: tok, and: 1})
+	}
+	if len(rs.entries) != maxResumeEntries || len(rs.order) != maxResumeEntries {
+		t.Fatalf("over the bound: %d entries, len(order) = %d, want %d each", len(rs.entries), len(rs.order), maxResumeEntries)
+	}
+	if _, ok := rs.get(1); ok {
+		t.Fatal("the oldest checkpoint survived eviction")
+	}
+	if _, ok := rs.get(2 * maxResumeEntries); !ok {
+		t.Fatal("the newest checkpoint was evicted")
+	}
+
+	// One clean run sizes the stream; the faulty session's first
+	// connection then drops three quarters of the way through it, inside
+	// the table stream.
+	st := &proto.Stats{}
+	clean, err := Dial(addr, "mul", c, Options{Integrity: true, Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	clean.Close()
+	total := st.BytesSent.Load() + st.BytesReceived.Load()
+	dialer := &faultnet.Dialer{Plan: faultnet.Plan{Seed: 3, DropAfterBytes: total * 3 / 4}, DropOnce: true}
+	sess, err := Dial(addr, "mul", c, Options{Integrity: true, Retry: robustRetry(41), Dialer: dialer.Dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	got, err := sess.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("resumed run diverged from the oracle")
+	}
+	if dialer.Stats().Drops.Load() == 0 {
+		t.Fatal("no drop was injected; the scenario proved nothing")
+	}
+	if cs := sess.Stats(); cs.Resumes == 0 {
+		t.Fatalf("the broken run healed without a resume: %+v", cs)
+	}
+}
+
+// TestClientRunBudget covers Options.MaxRunBytes, the client's half of
+// the per-run byte budget. A budget below one run's bytes fails the run
+// with a permanent ErrOverBudget that is not retried; a budget of
+// exactly one run's bytes — op and ack included — holds run after run,
+// because every op starts its budget afresh.
+func TestClientRunBudget(t *testing.T) {
+	w := workloads.AddN(16)
+	c := w.Build()
+	garblerBits, _ := w.Inputs(1)
+	_, addr := startServer(t, Config{
+		Circuits:        []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+		Seed:            29,
+		AllowInsecureOT: true,
+	})
+	_, evalBits := w.Inputs(2)
+
+	// One run's bytes, both directions, measured on an unbudgeted session.
+	st := &proto.Stats{}
+	probe, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.BytesSent.Load() + st.BytesReceived.Load()
+	if _, err := probe.Run(evalBits); err != nil {
+		t.Fatal(err)
+	}
+	perRun := st.BytesSent.Load() + st.BytesReceived.Load() - before
+	probe.Close()
+
+	dial := func(budget int64) *Session {
+		t.Helper()
+		sess, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, MaxRunBytes: budget, Retry: robustRetry(43)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		return sess
+	}
+
+	t.Run("below-one-run", func(t *testing.T) {
+		sess := dial(perRun - 1)
+		_, err := sess.Run(evalBits)
+		if !errors.Is(err, ErrOverBudget) {
+			t.Fatalf("Run err = %v, want ErrOverBudget", err)
+		}
+		if cs := sess.Stats(); cs.Retries != 0 || cs.Reconnects != 0 {
+			t.Fatalf("an over-budget run was retried: %+v", cs)
+		}
+	})
+
+	t.Run("one-run-each", func(t *testing.T) {
+		sess := dial(perRun)
+		for run := 0; run < 20; run++ {
+			if _, err := sess.Run(evalBits); err != nil {
+				t.Fatalf("run %d under a budget of one run's %d bytes: %v", run, perRun, err)
+			}
+		}
+		if cs := sess.Stats(); cs.Retries != 0 {
+			t.Fatalf("budgeted runs needed retries: %+v", cs)
+		}
+	})
+}

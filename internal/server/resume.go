@@ -1,10 +1,9 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -36,7 +35,7 @@ type resumeEntry struct {
 type resumeStore struct {
 	mu      sync.Mutex
 	entries map[uint64]resumeEntry
-	order   []uint64
+	order   []uint64 // the live tokens, oldest first
 }
 
 func (rs *resumeStore) put(token uint64, e resumeEntry) {
@@ -45,10 +44,9 @@ func (rs *resumeStore) put(token uint64, e resumeEntry) {
 	if rs.entries == nil {
 		rs.entries = make(map[uint64]resumeEntry)
 	}
-	for len(rs.entries) >= maxResumeEntries && len(rs.order) > 0 {
-		oldest := rs.order[0]
-		rs.order = rs.order[1:]
-		delete(rs.entries, oldest)
+	if len(rs.order) >= maxResumeEntries {
+		delete(rs.entries, rs.order[0])
+		rs.order = slices.Delete(rs.order, 0, 1)
 	}
 	rs.entries[token] = e
 	rs.order = append(rs.order, token)
@@ -63,21 +61,14 @@ func (rs *resumeStore) get(token uint64) (resumeEntry, bool) {
 	return e, ok
 }
 
-// drop discards a checkpoint once its run completed (the order queue is
-// cleaned lazily by eviction).
+// drop discards a checkpoint once its run completed.
 func (rs *resumeStore) drop(token uint64) {
 	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	delete(rs.entries, token)
-	rs.mu.Unlock()
-}
-
-// newResumeToken draws an unguessable run token.
-func newResumeToken() (uint64, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("server: drawing resume token: %w", err)
+	if i := slices.Index(rs.order, token); i >= 0 {
+		rs.order = slices.Delete(rs.order, i, i+1)
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // byteBudget enforces Config.MaxRunBytes dynamically: it sits between

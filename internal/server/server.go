@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/rand"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
@@ -226,10 +227,33 @@ func (r *registered) closeRunners() {
 	}
 }
 
-// session tracks one accepted connection's drain state.
+// session is one accepted connection. idle is its drain state, guarded
+// by Server.mu; everything else is filled in by the handshake, owned by
+// the session's goroutine and handed whole to each op handler.
 type session struct {
 	conn net.Conn
 	idle bool // blocked waiting for the client's next op frame
+
+	replied   bool // the handshake verdict went out
+	reg       *registered
+	gs        *proto.GarblerSession
+	rw        io.ReadWriter // post-handshake stack: conn, byte budget, frame codec
+	bb        *byteBudget   // nil without Config.MaxRunBytes
+	integrity bool          // checksummed frames; the session speaks opResume
+	pooled    bool          // precomputed-OT tier; the session speaks opRefill
+	pool      *ot.Pool      // the sender pool, built by the first refill
+	// buf holds each op's request and ack (17 bytes fits the largest,
+	// opResume), so a run allocates nothing on the wire exchange.
+	buf [17]byte
+}
+
+// ack writes the one-byte answer code followed by the extra bytes the
+// caller left in st.buf[1:1+extra]; it reports whether the write went
+// through.
+func (st *session) ack(code byte, extra int) bool {
+	st.buf[0] = code
+	_, err := st.rw.Write(st.buf[:1+extra])
+	return err == nil
 }
 
 // Server is a concurrent 2PC garbler service. Create with New, serve
@@ -284,6 +308,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.PlanCacheSize <= 0 {
 		cfg.PlanCacheSize = len(cfg.Circuits)
+	}
+	if cfg.HandshakeTimeout == 0 {
+		cfg.HandshakeTimeout = 10 * time.Second
+	}
+	if cfg.DrainTimeout == 0 {
+		cfg.DrainTimeout = defaultDrainTimeout
+	}
+	if cfg.MaxPoolSize <= 0 {
+		cfg.MaxPoolSize = defaultMaxPoolSize
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -494,12 +527,8 @@ func isTransientAccept(err error) bool {
 // replying before reading would deadlock both ends.
 func (s *Server) refuse(conn net.Conn) {
 	defer conn.Close()
-	hsTimeout := s.cfg.HandshakeTimeout
-	if hsTimeout == 0 {
-		hsTimeout = 10 * time.Second
-	}
-	if hsTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(hsTimeout))
+	if hs := s.cfg.HandshakeTimeout; hs > 0 {
+		conn.SetDeadline(time.Now().Add(hs))
 	}
 	if _, _, err := readHello(conn); err != nil {
 		return
@@ -540,9 +569,6 @@ func (s *Server) Close() error {
 // second wait is bounded by I/O teardown, not by the peer.
 func (s *Server) awaitSessions() {
 	dt := s.cfg.DrainTimeout
-	if dt == 0 {
-		dt = defaultDrainTimeout
-	}
 	if dt < 0 {
 		s.wg.Wait()
 		return
@@ -585,13 +611,11 @@ func (s *Server) setIdle(st *session, idle bool) bool {
 	return true
 }
 
-// handle runs one session: handshake, plan resolution, then the
-// run/ack loop until the client says goodbye, the connection dies, or
-// the server drains.
+// handle runs one session: the handshake, then the op loop until the
+// client says goodbye, the connection dies, or the server drains.
 func (s *Server) handle(st *session) {
-	conn := st.conn
 	defer func() {
-		conn.Close()
+		st.conn.Close()
 		s.mu.Lock()
 		delete(s.sessions, st)
 		s.mu.Unlock()
@@ -603,38 +627,78 @@ func (s *Server) handle(st *session) {
 	// contained to the session. The recover defer runs before the
 	// cleanup defer (LIFO), so the session still unregisters and the
 	// server keeps serving everyone else.
-	replied := false
 	defer func() {
 		if r := recover(); r != nil {
 			s.sessionsPanicked.Add(1)
-			if !replied {
-				writeReply(conn, statusInternal, 0, statusMsg(statusInternal, ""))
+			if !st.replied {
+				writeReply(st.conn, statusInternal, 0, statusMsg(statusInternal, ""))
 			}
 		}
 	}()
-
-	hsTimeout := s.cfg.HandshakeTimeout
-	if hsTimeout == 0 {
-		hsTimeout = 10 * time.Second
+	ok := s.handshake(st)
+	if st.gs != nil {
+		defer st.reg.putRunner(st.gs)
 	}
+	if !ok {
+		return
+	}
+	for {
+		if !s.setIdle(st, true) {
+			return // draining: the client's next Run sees a closed session
+		}
+		_, err := io.ReadFull(st.rw, st.buf[:1])
+		s.setIdle(st, false)
+		op := st.buf[0]
+		// Resume frames only exist on the integrity tier and refill frames
+		// on the pooled tier; anywhere else, like an unknown op, the byte
+		// is garbage.
+		known := op == opRun || op == opResume && st.integrity || op == opRefill && st.pooled
+		if err != nil || !known {
+			return // opBye, garbage, or a dead/force-closed connection
+		}
+		if s.isDraining() {
+			st.ack(ackDraining, 0)
+			return
+		}
+		switch op {
+		case opRun:
+			ok = s.serveRun(st)
+		case opResume:
+			ok = s.serveResume(st)
+		case opRefill:
+			ok = s.serveRefill(st)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// handshake reads the hello and answers it. On admission it fills in
+// st's per-session state — circuit, garbler runner, wire tiers and
+// transport stack — and reports true once the accept went out. A runner
+// it took (st.gs) is the caller's to return, whatever the verdict.
+func (s *Server) handshake(st *session) bool {
+	conn := st.conn
+	hsTimeout := s.cfg.HandshakeTimeout
 	if hsTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(hsTimeout))
 	}
+	rw := proto.Instrument(conn, &s.net)
 	// reply arms a fresh write deadline around each handshake verdict so
 	// a slowloris client that never drains its receive window cannot pin
 	// this goroutine mid-write.
-	reply := func(w io.Writer, status uint8, numSlots uint32, msg string) error {
-		replied = true
+	reply := func(status uint8, numSlots uint32, msg string) error {
+		st.replied = true
 		if hsTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(hsTimeout))
 		}
-		return writeReply(w, status, numSlots, msg)
+		return writeReply(rw, status, numSlots, msg)
 	}
-	rw := proto.Instrument(conn, &s.net)
 
 	h, status, err := readHello(rw)
 	if err != nil {
-		return
+		return false
 	}
 	var reg *registered
 	msg := ""
@@ -658,33 +722,31 @@ func (s *Server) handle(st *session) {
 		if msg == "" {
 			msg = statusMsg(status, h.id)
 		}
-		reply(rw, status, 0, msg)
-		return
+		reply(status, 0, msg)
+		return false
 	}
 	plan, err := s.cache.Get(h.id, func() (*circuit.Plan, error) {
 		return circuit.NewPlan(reg.spec.Circuit)
 	})
 	if err != nil {
-		reply(rw, statusBadRequest, 0, err.Error())
-		return
+		reply(statusBadRequest, 0, err.Error())
+		return false
 	}
+	st.reg = reg
 
 	// Post-handshake transport stack, innermost first: the instrumented
 	// conn, the per-run byte budget (when configured), and — when the
 	// client requested it and the server allows — the checksummed frame
 	// codec. The handshake itself always runs unframed, so legacy and
 	// integrity clients speak to the same listener.
-	integrity := h.flags&helloFlagIntegrity != 0 && !s.cfg.DisableIntegrity
-	srw := rw
-	var bb *byteBudget
+	st.rw = rw
 	if s.cfg.MaxRunBytes > 0 {
-		bb = &byteBudget{inner: srw, limit: s.cfg.MaxRunBytes}
-		srw = bb
+		st.bb = &byteBudget{inner: st.rw, limit: s.cfg.MaxRunBytes}
+		st.rw = st.bb
 	}
-	var fr *proto.FramedConn
-	if integrity {
-		fr = proto.NewFramedConn(srw)
-		srw = fr
+	st.integrity = h.flags&helloFlagIntegrity != 0 && !s.cfg.DisableIntegrity
+	if st.integrity {
+		st.rw = proto.NewFramedConn(st.rw)
 	}
 
 	// The pooled tier, like integrity, degrades transparently: a server
@@ -693,7 +755,7 @@ func (s *Server) handle(st *session) {
 	// a concrete on-demand protocol for miss runs — the garbler picks it
 	// per circuit (IKNP amortizes past its base-OT cost only when the
 	// evaluator input vector is wide enough to matter).
-	pooled := h.ot == ot.Pooled && !s.cfg.DisablePooledOT
+	st.pooled = h.ot == ot.Pooled && !s.cfg.DisablePooledOT
 	otp := h.ot
 	if h.ot == ot.Pooled {
 		otp = ot.DH
@@ -701,171 +763,130 @@ func (s *Server) handle(st *session) {
 			otp = ot.IKNP
 		}
 	}
-	gs, err := s.garblerFor(reg, plan, srw, otp)
+	st.gs, err = s.garblerFor(reg, plan, st.rw, otp)
 	if err != nil {
-		reply(rw, statusBadRequest, 0, err.Error())
-		return
+		reply(statusBadRequest, 0, err.Error())
+		return false
 	}
-	defer reg.putRunner(gs)
-	okStatus := uint8(statusOK)
+	accept := uint8(statusOK)
 	switch {
-	case pooled && integrity:
-		okStatus = statusOKPooledIntegrity
-	case pooled:
-		okStatus = statusOKPooled
-	case integrity:
-		okStatus = statusOKIntegrity
+	case st.pooled && st.integrity:
+		accept = statusOKPooledIntegrity
+	case st.pooled:
+		accept = statusOKPooled
+	case st.integrity:
+		accept = statusOKIntegrity
 	}
-	if err := reply(rw, okStatus, uint32(plan.NumSlots), ""); err != nil {
-		return
+	if reply(accept, uint32(plan.NumSlots), "") != nil {
+		return false
 	}
 	conn.SetDeadline(time.Time{})
-
-	var pool *ot.Pool
-	var frame [1]byte
-	for {
-		if !s.setIdle(st, true) {
-			return // draining: the client's next Run sees a closed session
-		}
-		_, err := io.ReadFull(srw, frame[:])
-		s.setIdle(st, false)
-		if err != nil || (frame[0] != opRun && frame[0] != opResume && frame[0] != opRefill) {
-			return // opBye, garbage, or a dead/force-closed connection
-		}
-		if s.isDraining() {
-			frame[0] = ackDraining
-			srw.Write(frame[:])
-			return
-		}
-		if frame[0] == opResume {
-			// Resume frames only exist on the integrity tier; on the
-			// legacy wire the byte is garbage.
-			if fr == nil || !s.serveResume(conn, srw, gs, bb, h.id) {
-				return
-			}
-			continue
-		}
-		if frame[0] == opRefill {
-			// Refill frames only exist on the pooled tier; elsewhere the
-			// byte is garbage.
-			if !pooled || !s.serveRefill(conn, srw, gs, bb, &pool) {
-				return
-			}
-			continue
-		}
-		var token uint64
-		if fr != nil {
-			// Checkpoint the run before it starts: the deterministic
-			// garbling seed, keyed by an opaque token the client echoes
-			// back if the transfer breaks. The seed never crosses the
-			// wire — it would reveal every label of the run.
-			token, err = newResumeToken()
-			if err != nil {
-				return
-			}
-			s.resume.put(token, resumeEntry{id: h.id, seed: gs.PendingSeed(), and: reg.and})
-			var ack [9]byte
-			ack[0] = ackGo
-			binary.LittleEndian.PutUint64(ack[1:], token)
-			if _, err := srw.Write(ack[:]); err != nil {
-				s.resume.drop(token)
-				return
-			}
-		} else {
-			frame[0] = ackGo
-			if _, err := srw.Write(frame[:]); err != nil {
-				return
-			}
-		}
-		bits := reg.zero
-		if reg.spec.Inputs != nil {
-			bits = reg.spec.Inputs()
-		}
-		// The run deadline covers the whole garbled execution — labels,
-		// OT, table stream, result — so a peer that stalls mid-run
-		// errors the session out instead of outliving the drain.
-		if rt := s.cfg.RunTimeout; rt > 0 {
-			conn.SetDeadline(time.Now().Add(rt))
-		}
-		if bb != nil {
-			bb.reset()
-		}
-		start := time.Now()
-		if _, err := gs.Run(bits); err != nil {
-			s.failRun(err)
-			return
-		}
-		if s.cfg.RunTimeout > 0 {
-			conn.SetDeadline(time.Time{})
-		}
-		if fr != nil {
-			s.resume.drop(token)
-		}
-		if pooled {
-			if gs.LastRunPooled() {
-				s.poolHits.Add(1)
-			} else {
-				s.poolMisses.Add(1)
-			}
-		}
-		s.runs.Add(1)
-		s.runNanos.Add(uint64(time.Since(start)))
-	}
+	return true
 }
 
-// failRun accounts one failed run, classifying integrity and budget
-// causes.
-func (s *Server) failRun(err error) {
-	s.runsFailed.Add(1)
-	if errors.Is(err, proto.ErrIntegrity) {
-		s.integrityFailures.Add(1)
+// bounded runs one accepted op's body — a run, a resume or a refill —
+// the way every op is bounded: Config.RunTimeout arms a read+write
+// deadline over the whole body, so a peer that stalls mid-op errors the
+// session out instead of outliving the drain, and the byte budget starts
+// afresh.
+func (s *Server) bounded(st *session, body func() error) error {
+	if rt := s.cfg.RunTimeout; rt > 0 {
+		st.conn.SetDeadline(time.Now().Add(rt))
 	}
-	if errors.Is(err, ErrOverBudget) {
-		s.runsOverBudget.Add(1)
+	if st.bb != nil {
+		st.bb.reset()
 	}
+	if err := body(); err != nil {
+		return err
+	}
+	if s.cfg.RunTimeout > 0 {
+		st.conn.SetDeadline(time.Time{})
+	}
+	return nil
+}
+
+// garble runs a run's or a resume's body under bounded and counts it
+// served, or failed with its integrity and budget causes classified. It
+// reports whether the session may go on.
+func (s *Server) garble(st *session, body func() error) bool {
+	start := time.Now()
+	if err := s.bounded(st, body); err != nil {
+		s.runsFailed.Add(1)
+		if errors.Is(err, proto.ErrIntegrity) {
+			s.integrityFailures.Add(1)
+		}
+		if errors.Is(err, ErrOverBudget) {
+			s.runsOverBudget.Add(1)
+		}
+		return false
+	}
+	s.runs.Add(1)
+	s.runNanos.Add(uint64(time.Since(start)))
+	return true
+}
+
+// serveRun answers one opRun frame: ack it and garble one run. On the
+// integrity tier the run is checkpointed first — the deterministic
+// garbling seed, keyed by an opaque token the ack carries and the client
+// echoes back if the transfer breaks (resume.go).
+func (s *Server) serveRun(st *session) bool {
+	var token uint64
+	extra := 0
+	if st.integrity {
+		if _, err := rand.Read(st.buf[1:9]); err != nil {
+			return false
+		}
+		token = binary.LittleEndian.Uint64(st.buf[1:])
+		s.resume.put(token, resumeEntry{id: st.reg.spec.ID, seed: st.gs.PendingSeed(), and: st.reg.and})
+		extra = 8
+	}
+	if !st.ack(ackGo, extra) {
+		if st.integrity {
+			s.resume.drop(token)
+		}
+		return false
+	}
+	bits := st.reg.zero
+	if st.reg.spec.Inputs != nil {
+		bits = st.reg.spec.Inputs()
+	}
+	if !s.garble(st, func() error { _, err := st.gs.Run(bits); return err }) {
+		return false
+	}
+	if st.integrity {
+		s.resume.drop(token)
+	}
+	if st.pooled {
+		if st.gs.LastRunPooled() {
+			s.poolHits.Add(1)
+		} else {
+			s.poolMisses.Add(1)
+		}
+	}
+	return true
 }
 
 // serveResume answers one opResume frame: validate the token against
 // the checkpoint store and either decline (ackNoResume — the client
 // replays in full) or re-emit the run's stream from the client's
-// verified-table offset. Returns false when the session must end.
-func (s *Server) serveResume(conn net.Conn, srw io.ReadWriter, gs *proto.GarblerSession, bb *byteBudget, id string) bool {
-	var req [16]byte
-	if _, err := io.ReadFull(srw, req[:]); err != nil {
+// verified-table offset.
+func (s *Server) serveResume(st *session) bool {
+	req := st.buf[1:17] // token u64 | got u64
+	if _, err := io.ReadFull(st.rw, req); err != nil {
 		return false
 	}
-	le := binary.LittleEndian
-	token := le.Uint64(req[0:])
-	got := le.Uint64(req[8:])
+	token := binary.LittleEndian.Uint64(req)
+	got := binary.LittleEndian.Uint64(req[8:])
 	e, ok := s.resume.get(token)
-	var ack [1]byte
-	if !ok || e.id != id || got > uint64(e.and) {
-		ack[0] = ackNoResume
-		_, err := srw.Write(ack[:])
-		return err == nil
+	if !ok || e.id != st.reg.spec.ID || got > uint64(e.and) {
+		return st.ack(ackNoResume, 0)
 	}
-	ack[0] = ackResume
-	if _, err := srw.Write(ack[:]); err != nil {
+	if !st.ack(ackResume, 0) ||
+		!s.garble(st, func() error { _, err := st.gs.ResumeRun(e.seed, int(got)); return err }) {
 		return false
-	}
-	if rt := s.cfg.RunTimeout; rt > 0 {
-		conn.SetDeadline(time.Now().Add(rt))
-	}
-	if bb != nil {
-		bb.reset()
-	}
-	start := time.Now()
-	if _, err := gs.ResumeRun(e.seed, int(got)); err != nil {
-		s.failRun(err)
-		return false
-	}
-	if s.cfg.RunTimeout > 0 {
-		conn.SetDeadline(time.Time{})
 	}
 	s.resume.drop(token)
 	s.runsResumed.Add(1)
-	s.runs.Add(1)
-	s.runNanos.Add(uint64(time.Since(start)))
 	return true
 }
 
@@ -873,60 +894,40 @@ func (s *Server) serveResume(conn net.Conn, srw io.ReadWriter, gs *proto.Garbler
 // protocol and count, clamp the count to the pool's MaxPoolSize
 // headroom, then run one lockstep ot.Pool fill — creating the session's
 // sender pool (and paying its base OTs) on first use. A refusal
-// (ackRefuse) leaves the session usable; returns false when the session
-// must end.
-func (s *Server) serveRefill(conn net.Conn, srw io.ReadWriter, gs *proto.GarblerSession, bb *byteBudget, pool **ot.Pool) bool {
-	var req [5]byte // base u8 | n u32 LE
-	if _, err := io.ReadFull(srw, req[:]); err != nil {
+// (ackRefuse) leaves the session usable.
+func (s *Server) serveRefill(st *session) bool {
+	req := st.buf[1:6] // base u8 | n u32 LE
+	if _, err := io.ReadFull(st.rw, req); err != nil {
 		return false
 	}
 	base := ot.Protocol(req[0])
 	n := int(binary.LittleEndian.Uint32(req[1:]))
-	max := s.cfg.MaxPoolSize
-	if max <= 0 {
-		max = defaultMaxPoolSize
-	}
 	level := 0
-	if *pool != nil {
-		level = (*pool).Level()
+	if st.pool != nil {
+		level = st.pool.Level()
 	}
-	granted := n
-	if level+granted > max {
-		granted = max - level
-	}
+	granted := min(n, s.cfg.MaxPoolSize-level)
 	badBase := base != ot.DH && !(base == ot.Insecure && s.cfg.AllowInsecureOT)
 	if badBase || n <= 0 || granted <= 0 {
-		var ack [1]byte
-		ack[0] = ackRefuse
-		_, err := srw.Write(ack[:])
-		return err == nil
+		return st.ack(ackRefuse, 0)
 	}
-	var ack [5]byte
-	ack[0] = ackGo
-	binary.LittleEndian.PutUint32(ack[1:], uint32(granted))
-	if _, err := srw.Write(ack[:]); err != nil {
+	binary.LittleEndian.PutUint32(st.buf[1:], uint32(granted))
+	if !st.ack(ackGo, 4) {
 		return false
 	}
-	// The fill is bounded like a run: same deadline, fresh byte budget.
-	if rt := s.cfg.RunTimeout; rt > 0 {
-		conn.SetDeadline(time.Now().Add(rt))
-	}
-	if bb != nil {
-		bb.reset()
-	}
-	if *pool == nil {
-		p, err := ot.NewSenderPool(srw, base)
-		if err != nil {
-			return false
+	fill := func() error {
+		if st.pool == nil {
+			p, err := ot.NewSenderPool(st.rw, base)
+			if err != nil {
+				return err
+			}
+			st.pool = p
+			st.gs.SetPool(p)
 		}
-		*pool = p
-		gs.SetPool(p)
+		return st.pool.Fill(st.rw, granted)
 	}
-	if err := (*pool).Fill(srw, granted); err != nil {
+	if s.bounded(st, fill) != nil {
 		return false
-	}
-	if s.cfg.RunTimeout > 0 {
-		conn.SetDeadline(time.Time{})
 	}
 	s.poolRefills.Add(1)
 	return true

@@ -12,10 +12,21 @@
 //	server reply:  status u8 | ok: numSlots u32
 //	                         | err: msgLen u16 | message
 //	per run:       op u8 (run/bye, client) | ack u8 (go/draining, server)
+//	               | integrity tier: resume token u64 LE
 //	               | <proto run stream, unchanged>
+//	resume:        op u8 (resume) | token u64 LE | got u64 LE (client)
+//	               | ack u8 (resume/no-resume/draining, server)
+//	               | resume: <the run's stream from table got on>
 //	pool refill:   op u8 (refill) | base u8 | n u32 LE (client)
 //	               | ack u8 (go/refuse/draining, server)
 //	               | go: granted u32 LE | <ot.Pool fill stream>
+//
+// Any op may be answered draining, which ends the session. On the
+// integrity tier (hello flag, statusOKIntegrity) every byte after the
+// reply travels in checksummed frames, and the run ack carries an
+// opaque token: a client whose transfer broke redials and sends
+// opResume with it and its count of verified tables, and only the rest
+// is re-sent.
 //
 // A client that sets the hello's ot byte to ot.Pooled asks for the
 // precomputed-OT session tier: the server accepts with statusOKPooled
