@@ -9,8 +9,10 @@ import (
 // gatedPackages are the protocol-bearing packages — and the AES, label,
 // circuit and garbling layers their bytes are made of — whose doc
 // comments serve as the wire-format ground truth (see
-// docs/ARCHITECTURE.md), and the accelerator tool chain (compiler, ISA,
-// simulator, energy model) whose doc comments state the paper's model.
+// docs/ARCHITECTURE.md), the accelerator tool chain (compiler, ISA,
+// simulator, energy model) whose doc comments state the paper's model,
+// and the two circuit producers (optimizer, builder) that keep the
+// circuit's wire-numbering rule.
 // CI runs `go run ./cmd/doccheck` over the same list; this test makes
 // the gate part of plain `go test ./...` too.
 var gatedPackages = []string{
@@ -27,6 +29,8 @@ var gatedPackages = []string{
 	"internal/isa",
 	"internal/sim",
 	"internal/energy",
+	"internal/opt",
+	"internal/builder",
 }
 
 func TestGatedPackagesDocumented(t *testing.T) {

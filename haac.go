@@ -71,7 +71,8 @@ type (
 	// Circuit is the Boolean-circuit IR shared by garbling, compilation
 	// and simulation.
 	Circuit = circuit.Circuit
-	// Gate is one gate of a Circuit.
+	// Gate is one gate of a Circuit; gate i writes wire
+	// NumInputs()+i.
 	Gate = circuit.Gate
 	// Wire identifies a circuit wire.
 	Wire = circuit.Wire
@@ -237,7 +238,7 @@ func Precompile(c *Circuit) (*Precompiled, error) {
 func (p *Precompiled) Circuit() *Circuit { return p.plan.Circuit }
 
 // NumSlots returns the width of the renamed slot space — the label
-// arena a planned run touches, against the circuit's NumWires.
+// arena a planned run touches, against the circuit's NumWires().
 func (p *Precompiled) NumSlots() int { return p.plan.NumSlots }
 
 // PeakLive returns the maximum number of simultaneously live wires.

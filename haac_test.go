@@ -121,9 +121,9 @@ func TestFacadePrecompile(t *testing.T) {
 	if p.Circuit() != c {
 		t.Fatal("Precompile lost the circuit")
 	}
-	if p.NumSlots() >= c.NumWires || p.NumSlots() != p.PeakLive() {
+	if p.NumSlots() >= c.NumWires() || p.NumSlots() != p.PeakLive() {
 		t.Fatalf("renaming stats wrong: %d slots, %d peak-live, %d wires",
-			p.NumSlots(), p.PeakLive(), c.NumWires)
+			p.NumSlots(), p.PeakLive(), c.NumWires())
 	}
 
 	check := func(name string, out []bool, err error) {

@@ -139,7 +139,7 @@ func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
 // Gate is one AND gate as the step kernels read it: a 16-byte record
 // with the slot indices of the two input labels and of the output label
 // at byte offsets 4, 8 and 12. The first four bytes (the caller's opcode)
-// are not read. It is circuit.Gate's memory layout, so a plan's gate
+// are not read. It is circuit.PlanGate's memory layout, so a plan's gate
 // stream is handed over as it lies.
 type Gate struct {
 	_       uint32

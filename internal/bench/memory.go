@@ -77,11 +77,10 @@ func allocsPerRun(reps int, fn func()) float64 {
 func levelOrderPeakLive(c *circuit.Circuit) (depth, peak int) {
 	levels, top := circuit.Levels(c, nil, nil)
 	depth = int(top)
-	writeLevel := make([]int, c.NumWires)
-	lastUse := make([]int, c.NumWires)
+	nin := c.NumInputs()
+	lastUse := make([]int, c.NumWires())
 	for i := range c.Gates {
 		g, l := &c.Gates[i], int(levels[i])
-		writeLevel[g.C] = l
 		lastUse[g.A] = max(lastUse[g.A], l)
 		if g.Op != circuit.INV {
 			lastUse[g.B] = max(lastUse[g.B], l)
@@ -90,15 +89,17 @@ func levelOrderPeakLive(c *circuit.Circuit) (depth, peak int) {
 	for _, o := range c.Outputs {
 		lastUse[o] = depth + 1
 	}
+	// Wire w is written at level 0 if it is an input, else at its
+	// producer w-nin's level.
 	born := make([]int, depth+2)
 	dies := make([]int, depth+2)
-	nin := c.NumInputs()
-	for w := 0; w < c.NumWires; w++ {
-		if w >= nin && writeLevel[w] == 0 {
-			continue // a gap wire: nothing writes it
+	for w, last := range lastUse {
+		write := 0
+		if w >= nin {
+			write = int(levels[w-nin])
 		}
-		born[writeLevel[w]]++
-		dies[max(lastUse[w], writeLevel[w])]++
+		born[write]++
+		dies[max(last, write)]++
 	}
 	live := 0
 	for l := 0; l <= depth; l++ {
@@ -137,13 +138,13 @@ func (e *Env) Memory() ([]MemoryRow, string, error) {
 		and, _, _ := c.CountOps()
 		row := MemoryRow{
 			Name:            w.Name,
-			Wires:           c.NumWires,
+			Wires:           c.NumWires(),
 			Slots:           p.NumSlots,
 			ANDGates:        and,
 			Steps:           p.NumSteps(),
 			BuildMS:         buildMS,
 			PlanHeapMB:      planHeap / 1e6,
-			DenseLabelBytes: int64(c.NumWires) * label.Size,
+			DenseLabelBytes: int64(c.NumWires()) * label.Size,
 			PlanLabelBytes:  int64(p.NumSlots) * label.Size,
 		}
 		row.Levels, row.LevelPeakLive = levelOrderPeakLive(c)

@@ -110,7 +110,7 @@ func (b *B) emit(op circuit.Op, a, bb Wire) Wire {
 	}
 	c := b.next
 	b.next++
-	b.gates = append(b.gates, circuit.Gate{Op: op, A: a, B: bb, C: c})
+	b.gates = append(b.gates, circuit.Gate{Op: op, A: a, B: bb})
 	return c
 }
 
@@ -282,13 +282,17 @@ func (b *B) Build() (*circuit.Circuit, error) {
 	}
 	// One pass over the chunks: a gate's operands are inputs or earlier
 	// gate outputs, so they are renumbered before the gate is reached.
+	// Inputs and gate outputs draw ids from one sequence, so gate i's
+	// output is the i-th id from 2 on that no input took.
 	c.Gates = make([]circuit.Gate, b.NumGates())
-	i := 0
+	i, id, in := 0, Wire(2), 0
 	for _, chunk := range append(b.full, b.gates) {
 		for _, g := range chunk {
-			w := base + Wire(i)
-			remap[g.C] = w
-			r := circuit.Gate{Op: g.Op, A: remap[g.A], C: w}
+			for ; in < len(b.inputs) && b.inputs[in].id == id; in++ {
+				id++
+			}
+			remap[id], id = base+Wire(i), id+1
+			r := circuit.Gate{Op: g.Op, A: remap[g.A]}
 			if g.Op != circuit.INV {
 				r.B = remap[g.B]
 			}
@@ -297,7 +301,6 @@ func (b *B) Build() (*circuit.Circuit, error) {
 		}
 	}
 	b.full, b.gates = nil, nil
-	c.NumWires = int(base) + i
 	c.Outputs = make([]Wire, len(b.outputs))
 	for i, o := range b.outputs {
 		c.Outputs[i] = remap[o]

@@ -42,29 +42,25 @@ func (o Op) String() string {
 }
 
 // Wire identifies a single-bit wire. Wires are dense indices in
-// [0, NumWires); every wire is written exactly once (by a primary input,
-// a constant, or one gate output).
+// [0, NumWires()): the input-like wires first, then one wire per gate,
+// gate i writing wire NumInputs()+i.
 type Wire = uint32
 
-// Gate is one Boolean gate. For INV gates B is ignored.
+// Gate is one Boolean gate. Its output wire is its position: gate i of
+// a circuit writes wire NumInputs()+i. For INV gates B is ignored.
 type Gate struct {
 	Op   Op
 	A, B Wire // inputs
-	C    Wire // output
 }
 
 // Circuit is a straight-line Boolean circuit.
 //
-// Wire numbering convention (enforced by Validate): wires
-// [0, NumInputs()) are the primary inputs — garbler inputs first, then
-// evaluator inputs, then up to two constant wires — and each gate g
-// writes wire C >= NumInputs() exactly once. Gate outputs need not be
-// in topological order of the slice, but the slice order must be a valid
-// execution order (every gate's inputs are produced earlier).
+// Wire numbering convention: wires [0, NumInputs()) are the primary
+// inputs — garbler inputs first, then evaluator inputs, then up to two
+// constant wires — and gate i writes wire NumInputs()+i, so the slice
+// order is the execution order and every wire is written once. Validate
+// checks that each gate reads only wires written before it.
 type Circuit struct {
-	// NumWires is the total number of wires.
-	NumWires int
-
 	// GarblerInputs and EvaluatorInputs count the two parties' input
 	// bits. Garbler inputs occupy wires [0, GarblerInputs), evaluator
 	// inputs [GarblerInputs, GarblerInputs+EvaluatorInputs).
@@ -80,7 +76,7 @@ type Circuit struct {
 	// Outputs lists the primary-output wires in order.
 	Outputs []Wire
 
-	// Gates is the gate list in a valid execution order.
+	// Gates is the gate list in execution order.
 	Gates []Gate
 }
 
@@ -93,6 +89,10 @@ func (c *Circuit) NumInputs() int {
 	}
 	return n
 }
+
+// NumWires returns the total number of wires: the input-like wires and
+// one per gate.
+func (c *Circuit) NumWires() int { return c.NumInputs() + len(c.Gates) }
 
 // CountOps returns the number of AND, XOR and INV gates.
 func (c *Circuit) CountOps() (and, xor, inv int) {
@@ -109,16 +109,14 @@ func (c *Circuit) CountOps() (and, xor, inv int) {
 	return
 }
 
-// Validate checks structural well-formedness: known ops, wire indices
-// in range, single assignment, execution order, outputs defined. It is
-// O(wires).
+// Validate checks structural well-formedness: the circuit has a wire,
+// the constant wires sit where NumInputs says, every gate has a known op
+// and reads only wires written before it, and every output is a wire.
+// It is O(gates) and allocates nothing.
 func (c *Circuit) Validate() error {
-	if c.NumWires <= 0 {
-		return errors.New("circuit: NumWires must be positive")
-	}
 	nin := c.NumInputs()
-	if nin > c.NumWires {
-		return fmt.Errorf("circuit: %d input wires exceed %d total wires", nin, c.NumWires)
+	if c.NumWires() == 0 {
+		return errors.New("circuit: no wires")
 	}
 	if c.HasConst {
 		base := Wire(c.GarblerInputs + c.EvaluatorInputs)
@@ -127,38 +125,19 @@ func (c *Circuit) Validate() error {
 				base, base+1, c.Const0, c.Const1)
 		}
 	}
-	written := make([]bool, c.NumWires)
-	for w := 0; w < nin; w++ {
-		written[w] = true
-	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		if g.Op != XOR && g.Op != AND && g.Op != INV {
 			return fmt.Errorf("circuit: gate %d has unknown op %d", i, g.Op)
 		}
-		if int(g.A) >= c.NumWires || (g.Op != INV && int(g.B) >= c.NumWires) || int(g.C) >= c.NumWires {
-			return fmt.Errorf("circuit: gate %d references wire out of range", i)
+		// Gate i writes wire nin+i, so it may read only wires below it.
+		if int(g.A) >= nin+i || (g.Op != INV && int(g.B) >= nin+i) {
+			return fmt.Errorf("circuit: gate %d reads a wire not written before it", i)
 		}
-		if !written[g.A] {
-			return fmt.Errorf("circuit: gate %d input A=%d used before definition", i, g.A)
-		}
-		if g.Op != INV && !written[g.B] {
-			return fmt.Errorf("circuit: gate %d input B=%d used before definition", i, g.B)
-		}
-		if int(g.C) < nin {
-			return fmt.Errorf("circuit: gate %d writes input wire %d", i, g.C)
-		}
-		if written[g.C] {
-			return fmt.Errorf("circuit: wire %d written more than once (gate %d)", g.C, i)
-		}
-		written[g.C] = true
 	}
 	for _, o := range c.Outputs {
-		if int(o) >= c.NumWires {
+		if int(o) >= c.NumWires() {
 			return fmt.Errorf("circuit: output wire %d out of range", o)
-		}
-		if !written[o] {
-			return fmt.Errorf("circuit: output wire %d never written", o)
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ func Digest(c *Circuit) [32]byte {
 	// Fixed-size header: counts and the constant-wire block.
 	var hdr [45]byte
 	le := binary.LittleEndian
-	le.PutUint64(hdr[0:], uint64(c.NumWires))
+	le.PutUint64(hdr[0:], uint64(c.NumWires()))
 	le.PutUint64(hdr[8:], uint64(c.GarblerInputs))
 	le.PutUint64(hdr[16:], uint64(c.EvaluatorInputs))
 	if c.HasConst {
@@ -35,9 +35,9 @@ func Digest(c *Circuit) [32]byte {
 	h.Write(hdr[:])
 
 	// Outputs, then gates, streamed through one reused buffer. Each gate
-	// encodes as op u8 | a u32 | b u32 | c u32; INV gates hash B as zero
-	// because execution ignores it, so builders that leave B arbitrary
-	// on INV still agree.
+	// encodes as op u8 | a u32 | b u32 | c u32, c being its output wire
+	// NumInputs()+i; INV gates hash B as zero because execution ignores
+	// it, so builders that leave B arbitrary on INV still agree.
 	var buf [13 * 256]byte
 	n := 0
 	flushAt := len(buf) - 13
@@ -49,6 +49,7 @@ func Digest(c *Circuit) [32]byte {
 			n = 0
 		}
 	}
+	nin := Wire(c.NumInputs())
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		buf[n] = byte(g.Op)
@@ -58,7 +59,7 @@ func Digest(c *Circuit) [32]byte {
 			b = 0
 		}
 		le.PutUint32(buf[n+5:], b)
-		le.PutUint32(buf[n+9:], g.C)
+		le.PutUint32(buf[n+9:], nin+Wire(i))
 		n += 13
 		if n > flushAt {
 			h.Write(buf[:n])

@@ -16,7 +16,7 @@ func TestDigestStableAndSensitive(t *testing.T) {
 
 	// Any structural change must move the digest.
 	mutations := []func(m *Circuit){
-		func(m *Circuit) { m.NumWires++ },
+		func(m *Circuit) { m.Gates = append(m.Gates, m.Gates[0]) },
 		func(m *Circuit) { m.GarblerInputs, m.EvaluatorInputs = m.GarblerInputs+1, m.EvaluatorInputs-1 },
 		func(m *Circuit) { m.Outputs[0] ^= 1 },
 		func(m *Circuit) { m.Outputs = m.Outputs[:len(m.Outputs)-1] },
@@ -45,10 +45,9 @@ func TestDigestIgnoresINVSecondInput(t *testing.T) {
 	// depend on whatever the builder left there.
 	mk := func(b Wire) *Circuit {
 		return &Circuit{
-			NumWires:      3,
 			GarblerInputs: 2,
 			Outputs:       []Wire{2},
-			Gates:         []Gate{{Op: INV, A: 0, B: b, C: 2}},
+			Gates:         []Gate{{Op: INV, A: 0, B: b}},
 		}
 	}
 	if Digest(mk(0)) != Digest(mk(1)) {

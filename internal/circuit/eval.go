@@ -14,7 +14,8 @@ func (c *Circuit) Eval(garbler, evaluator []bool) ([]bool, error) {
 	if len(evaluator) != c.EvaluatorInputs {
 		return nil, fmt.Errorf("circuit: got %d evaluator input bits, want %d", len(evaluator), c.EvaluatorInputs)
 	}
-	vals := make([]bool, c.NumWires)
+	nin := c.NumInputs()
+	vals := make([]bool, c.NumWires())
 	copy(vals, garbler)
 	copy(vals[c.GarblerInputs:], evaluator)
 	if c.HasConst {
@@ -25,11 +26,11 @@ func (c *Circuit) Eval(garbler, evaluator []bool) ([]bool, error) {
 		g := &c.Gates[i]
 		switch g.Op {
 		case XOR:
-			vals[g.C] = vals[g.A] != vals[g.B]
+			vals[nin+i] = vals[g.A] != vals[g.B]
 		case AND:
-			vals[g.C] = vals[g.A] && vals[g.B]
+			vals[nin+i] = vals[g.A] && vals[g.B]
 		case INV:
-			vals[g.C] = !vals[g.A]
+			vals[nin+i] = !vals[g.A]
 		default:
 			return nil, fmt.Errorf("circuit: gate %d has unknown op %d", i, g.Op)
 		}

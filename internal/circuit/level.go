@@ -11,7 +11,8 @@ package circuit
 // INV gate's B field is never read. top is the highest level, 0 for a
 // circuit without gates. It is O(gates + wires).
 func Levels(c *Circuit, order, cuts []int32) (lvl []int32, top int32) {
-	wireLvl := make([]int32, c.NumWires)
+	nin := int32(c.NumInputs())
+	wireLvl := make([]int32, c.NumWires())
 	lvl = make([]int32, len(c.Gates))
 	var base int32
 	for pos := range lvl {
@@ -28,7 +29,7 @@ func Levels(c *Circuit, order, cuts []int32) (lvl []int32, top int32) {
 			k = max(k, wireLvl[g.B])
 		}
 		k++
-		wireLvl[g.C] = k
+		wireLvl[nin+i] = k
 		lvl[pos] = k
 		top = max(top, k)
 	}

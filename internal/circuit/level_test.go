@@ -42,7 +42,7 @@ func TestLevels(t *testing.T) {
 	if s := scheduleSegments(prefix, 1); len(s.steps) != 3 {
 		t.Errorf("prefix at one AND per segment: %d steps, want 3", len(s.steps))
 	}
-	if lvl, top := Levels(&Circuit{NumWires: 1, GarblerInputs: 1, Outputs: []Wire{0}}, nil, nil); len(lvl) != 0 || top != 0 {
+	if lvl, top := Levels(&Circuit{GarblerInputs: 1, Outputs: []Wire{0}}, nil, nil); len(lvl) != 0 || top != 0 {
 		t.Errorf("no gates: levels %v top %d", lvl, top)
 	}
 }

@@ -17,14 +17,14 @@ type Plan struct {
 	// Circuit is the source circuit. The plan does not modify it.
 	Circuit *Circuit
 
-	// Gates is the circuit's gate list in execution order, with A/B/C
-	// rewritten to slot indices in [0, NumSlots). For INV gates B is set
-	// equal to A. It is a straight-line program over the slot arena:
-	// running it front to back is always correct, and Step says which
-	// stretches of it are independent. A slot whose wire dies in step j
-	// is recycled by a gate of some later step, so no other order is
-	// valid — circuit gate order in particular is not.
-	Gates []Gate
+	// Gates is the circuit's gate list in execution order over slot
+	// indices in [0, NumSlots). For INV gates B is set equal to A. It is
+	// a straight-line program over the slot arena: running it front to
+	// back is always correct, and Step says which stretches of it are
+	// independent. A slot whose wire dies in step j is recycled by a gate
+	// of some later step, so no other order is valid — circuit gate order
+	// in particular is not.
+	Gates []PlanGate
 
 	// Tables[i] is the table-stream index of the i-th AND gate of Gates —
 	// the position of its table in the gate-order table stream and the
@@ -51,6 +51,15 @@ type Plan struct {
 	PeakLive int
 
 	steps []step
+}
+
+// PlanGate is one gate of a plan's slot program: its op and the slots
+// it reads (A, B) and writes (C). Slots are recycled, so unlike a
+// circuit gate's output wire, C is not implied by the gate's position.
+// It is the 16-byte record the step kernels read (aes128.Gate).
+type PlanGate struct {
+	Op      Op
+	A, B, C Wire
 }
 
 // planBuilds counts NewPlan calls; a test hook for asserting that plan
@@ -91,7 +100,7 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 
 	p := &Plan{
 		Circuit: c,
-		Gates:   make([]Gate, len(c.Gates)),
+		Gates:   make([]PlanGate, len(c.Gates)),
 		Tables:  sched.tables,
 		steps:   sched.steps,
 	}
@@ -104,7 +113,7 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 	// step-boundary rule; lastUse is zeroed as a wire is released so a
 	// wire read twice in its last step is released once.
 	nin := c.NumInputs()
-	slot := make([]Wire, c.NumWires)
+	slot := make([]Wire, c.NumWires())
 	var free, vacated []Wire
 	for w := 0; w < nin; w++ {
 		slot[w] = Wire(w)
@@ -121,7 +130,8 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 		vacated = vacated[:0]
 		now, start, end := int32(k)+1, pos, p.steps[k].gates
 		for ; pos < end; pos++ {
-			g := &c.Gates[sched.order[pos]]
+			i := sched.order[pos]
+			g, w := &c.Gates[i], nin+int(i)
 			var s Wire
 			if n := len(free); n > 0 {
 				s = free[n-1]
@@ -130,8 +140,8 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 				s = Wire(nextSlot)
 				nextSlot++
 			}
-			slot[g.C] = s
-			rg := Gate{Op: g.Op, A: slot[g.A], B: slot[g.A], C: s}
+			slot[w] = s
+			rg := PlanGate{Op: g.Op, A: slot[g.A], B: slot[g.A], C: s}
 			if g.Op != INV {
 				rg.B = slot[g.B]
 			}
@@ -145,7 +155,7 @@ func newPlanSegmented(c *Circuit, segANDs int) (*Plan, error) {
 				lastUse[g.B] = 0
 				vacated = append(vacated, rg.B)
 			}
-			if lastUse[g.C] < now {
+			if lastUse[w] < now {
 				vacated = append(vacated, s)
 			}
 		}

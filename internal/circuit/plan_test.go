@@ -11,19 +11,18 @@ func planTestCircuit(t *testing.T) *Circuit {
 	t.Helper()
 	// Wires: 2 garbler + 2 evaluator inputs, const0/const1 at 4,5.
 	c := &Circuit{
-		NumWires:        12,
 		GarblerInputs:   2,
 		EvaluatorInputs: 2,
 		HasConst:        true,
 		Const0:          4,
 		Const1:          5,
 		Gates: []Gate{
-			{Op: AND, A: 0, B: 2, C: 6},
-			{Op: XOR, A: 1, B: 3, C: 7},
-			{Op: INV, A: 6, C: 8},
-			{Op: AND, A: 6, B: 7, C: 9}, // wire 6 shared fan-out
-			{Op: XOR, A: 8, B: 5, C: 10},
-			{Op: AND, A: 9, B: 10, C: 11},
+			{Op: AND, A: 0, B: 2},
+			{Op: XOR, A: 1, B: 3},
+			{Op: INV, A: 6},
+			{Op: AND, A: 6, B: 7}, // wire 6 shared fan-out
+			{Op: XOR, A: 8, B: 5},
+			{Op: AND, A: 9, B: 10},
 		},
 		Outputs: []Wire{11, 7},
 	}
@@ -45,8 +44,8 @@ func checkPlan(t *testing.T, c *Circuit, p *Plan) {
 	if p.NumSlots != p.PeakLive {
 		t.Fatalf("NumSlots %d != PeakLive %d (renamer should be exact)", p.NumSlots, p.PeakLive)
 	}
-	if p.NumSlots > c.NumWires {
-		t.Fatalf("NumSlots %d exceeds NumWires %d", p.NumSlots, c.NumWires)
+	if p.NumSlots > c.NumWires() {
+		t.Fatalf("NumSlots %d exceeds NumWires %d", p.NumSlots, c.NumWires())
 	}
 	if p.NumSlots < c.NumInputs() {
 		t.Fatalf("NumSlots %d below input count %d", p.NumSlots, c.NumInputs())
@@ -75,7 +74,7 @@ func checkPlan(t *testing.T, c *Circuit, p *Plan) {
 		gates += len(free) + len(ands)
 		tables += len(index)
 		writes, reads := map[Wire]bool{}, map[Wire]bool{}
-		for r, run := range [][]Gate{free, ands} {
+		for r, run := range [][]PlanGate{free, ands} {
 			for i := range run {
 				g := &run[i]
 				if int(g.A) >= p.NumSlots || int(g.B) >= p.NumSlots || int(g.C) >= p.NumSlots {
@@ -205,12 +204,11 @@ func TestPlanCompaction(t *testing.T) {
 	// needs inputs + 2 slots, not one slot per wire.
 	const n = 1000
 	c := &Circuit{
-		NumWires:        n + 2,
 		GarblerInputs:   1,
 		EvaluatorInputs: 1,
 	}
 	for i := 0; i < n; i++ {
-		c.Gates = append(c.Gates, Gate{Op: XOR, A: Wire(i), B: Wire(i + 1), C: Wire(i + 2)})
+		c.Gates = append(c.Gates, Gate{Op: XOR, A: Wire(i), B: Wire(i + 1)})
 	}
 	c.Outputs = []Wire{Wire(n + 1)}
 	p, err := NewPlan(c)
@@ -223,20 +221,19 @@ func TestPlanCompaction(t *testing.T) {
 	}
 }
 
-// TestPlanGapWires: Validate permits wires nothing writes or reads;
-// those own no slot and must not poison the free list. Regression test
-// for the renamer recycling input slot 0 via a gap wire's zero-valued
-// slot entry.
+// TestPlanGapWires: input 0 is read again at level 2, so the renamer
+// must not recycle its slot after level 1. Regression test for the
+// renamer recycling input slot 0 through the zero-valued slot entry of
+// a wire nothing wrote, which circuits could once contain.
 func TestPlanGapWires(t *testing.T) {
 	c := &Circuit{
-		NumWires:        6, // wires 2 and 5 are gaps
 		GarblerInputs:   1,
 		EvaluatorInputs: 1,
 		Gates: []Gate{
-			{Op: AND, A: 0, B: 1, C: 3},
-			{Op: AND, A: 0, B: 3, C: 4}, // input 0 still live at level 2
+			{Op: AND, A: 0, B: 1},
+			{Op: AND, A: 0, B: 2}, // input 0 still live at level 2
 		},
-		Outputs: []Wire{4},
+		Outputs: []Wire{3},
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -255,7 +252,7 @@ func TestPlanGapWires(t *testing.T) {
 			}
 			got := evalPlanPlain(c, p, g, e)
 			if got[0] != want[0] {
-				t.Fatalf("a=%d b=%d: output %v, want %v (gap wire corrupted a live slot)",
+				t.Fatalf("a=%d b=%d: output %v, want %v (input slot recycled while live)",
 					va, vb, got[0], want[0])
 			}
 		}
@@ -263,13 +260,12 @@ func TestPlanGapWires(t *testing.T) {
 }
 
 func TestPlanRejectsBadCircuits(t *testing.T) {
-	if _, err := NewPlan(&Circuit{NumWires: 0}); err == nil {
+	if _, err := NewPlan(&Circuit{}); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
 	c := &Circuit{
-		NumWires:      3,
 		GarblerInputs: 2,
-		Gates:         []Gate{{Op: Op(9), A: 0, B: 1, C: 2}},
+		Gates:         []Gate{{Op: Op(9), A: 0, B: 1}},
 		Outputs:       []Wire{2},
 	}
 	if _, err := NewPlan(c); err == nil {

@@ -21,14 +21,9 @@ func RandomCircuit(rng *rand.Rand) *Circuit {
 		nin += 2
 	}
 	nGates := 5 + rng.Intn(120)
-	// Sometimes leave trailing gap wires — indices nothing writes or
-	// reads, which Validate permits and the plan renamer must skip.
-	c.NumWires = nin + nGates + rng.Intn(3)
 	c.Gates = make([]Gate, nGates)
 	for i := range c.Gates {
-		g := Gate{C: Wire(nin + i)}
-		g.A = Wire(rng.Intn(nin + i))
-		g.B = Wire(rng.Intn(nin + i))
+		g := Gate{A: Wire(rng.Intn(nin + i)), B: Wire(rng.Intn(nin + i))}
 		switch rng.Intn(4) {
 		case 0:
 			g.Op = AND
@@ -42,7 +37,7 @@ func RandomCircuit(rng *rand.Rand) *Circuit {
 	nOut := 1 + rng.Intn(8)
 	c.Outputs = make([]Wire, nOut)
 	for i := range c.Outputs {
-		c.Outputs[i] = Wire(rng.Intn(nin + nGates)) // only written wires
+		c.Outputs[i] = Wire(rng.Intn(nin + nGates))
 	}
 	return c
 }

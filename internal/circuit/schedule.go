@@ -82,7 +82,7 @@ func scheduleSegments(c *Circuit, segANDs int) *schedule {
 	s := &schedule{
 		order:   make([]int32, len(c.Gates)),
 		tables:  make([]int32, numAND),
-		lastUse: make([]int32, c.NumWires),
+		lastUse: make([]int32, c.NumWires()),
 	}
 
 	// Counting sort of the gates by step, free gates ahead of AND gates,
@@ -167,7 +167,7 @@ func (p *Plan) NumSteps() int { return len(p.steps) }
 // Step returns step k: its XOR/INV gates and its AND gates, each run in
 // gate order, and the table-stream index of each AND gate. The slices
 // alias the plan and must not be modified.
-func (p *Plan) Step(k int) (free, and []Gate, tables []int32) {
+func (p *Plan) Step(k int) (free, and []PlanGate, tables []int32) {
 	var prev step
 	if k > 0 {
 		prev = p.steps[k-1]

@@ -22,16 +22,15 @@ var testSegmentSizes = []int{1, 7, segmentANDs, 1 << 30}
 //	outputs: w7, w8
 func buildTestCircuit() *Circuit {
 	return &Circuit{
-		NumWires:        9,
 		GarblerInputs:   2,
 		EvaluatorInputs: 2,
 		Outputs:         []Wire{7, 8},
 		Gates: []Gate{
-			{Op: XOR, A: 0, B: 2, C: 4},
-			{Op: AND, A: 1, B: 3, C: 5},
-			{Op: INV, A: 4, C: 6},
-			{Op: AND, A: 5, B: 6, C: 7},
-			{Op: XOR, A: 4, B: 5, C: 8},
+			{Op: XOR, A: 0, B: 2},
+			{Op: AND, A: 1, B: 3},
+			{Op: INV, A: 4},
+			{Op: AND, A: 5, B: 6},
+			{Op: XOR, A: 4, B: 5},
 		},
 	}
 }
@@ -147,7 +146,7 @@ func scheduleInvariants(t *testing.T, c *Circuit, segANDs int) {
 	if len(s.order) != len(c.Gates) {
 		t.Fatalf("schedule covers %d of %d gates", len(s.order), len(c.Gates))
 	}
-	stepOfWire := make([]int, c.NumWires) // inputs: step -1
+	stepOfWire := make([]int, c.NumWires()) // inputs: step -1
 	for w := range stepOfWire {
 		stepOfWire[w] = -1
 	}
@@ -188,7 +187,7 @@ func scheduleInvariants(t *testing.T, c *Circuit, segANDs int) {
 		}
 		for _, run := range [][]int32{free, ands} {
 			for _, gi := range run {
-				stepOfWire[c.Gates[gi].C] = k
+				stepOfWire[c.NumInputs()+int(gi)] = k
 			}
 		}
 	}
@@ -242,16 +241,16 @@ func TestScheduleInvariants(t *testing.T) {
 
 func TestScheduleEmptyAndFreeOnly(t *testing.T) {
 	// No gates at all.
-	c := &Circuit{NumWires: 2, GarblerInputs: 1, EvaluatorInputs: 1, Outputs: []Wire{0}}
+	c := &Circuit{GarblerInputs: 1, EvaluatorInputs: 1, Outputs: []Wire{0}}
 	p := mustPlanSegmented(t, c, segmentANDs)
 	if p.NumSteps() != 0 || len(p.Tables) != 0 {
 		t.Fatalf("empty circuit: steps=%d tables=%d", p.NumSteps(), len(p.Tables))
 	}
 	// XOR-only circuit: one step, no tables.
 	c = &Circuit{
-		NumWires: 3, GarblerInputs: 1, EvaluatorInputs: 1,
+		GarblerInputs: 1, EvaluatorInputs: 1,
 		Outputs: []Wire{2},
-		Gates:   []Gate{{Op: XOR, A: 0, B: 1, C: 2}},
+		Gates:   []Gate{{Op: XOR, A: 0, B: 1}},
 	}
 	p = mustPlanSegmented(t, c, segmentANDs)
 	if len(p.Tables) != 0 || p.NumSteps() != 1 {

@@ -26,7 +26,7 @@ func (c *Circuit) ComputeStats() Stats {
 	and, _, _ := c.CountOps()
 	s := Stats{
 		Levels:      int(top),
-		Wires:       c.NumWires,
+		Wires:       c.NumWires(),
 		Gates:       len(c.Gates),
 		ANDGates:    and,
 		MaxLevelILP: slices.Max(width),

@@ -288,10 +288,10 @@ func TestUnknownOpRejected(t *testing.T) {
 	// Validate rejects the op, so Compile never lowers it into a program
 	// that reads an unwritten wire.
 	c := &circuit.Circuit{
-		NumWires: 4, GarblerInputs: 1, EvaluatorInputs: 1,
+		GarblerInputs: 1, EvaluatorInputs: 1,
 		Gates: []circuit.Gate{
-			{Op: circuit.INV + 1, A: 0, B: 1, C: 2},
-			{Op: circuit.AND, A: 0, B: 1, C: 3},
+			{Op: circuit.INV + 1, A: 0, B: 1},
+			{Op: circuit.AND, A: 0, B: 1},
 		},
 		Outputs: []circuit.Wire{3},
 	}
@@ -391,7 +391,6 @@ func TestGEMinSetMatchesFirstMinimumScan(t *testing.T) {
 // randomCircuit mirrors the gc package's generator.
 func randomCircuit(rng *rand.Rand, ng, ne, gates int) *circuit.Circuit {
 	c := &circuit.Circuit{
-		NumWires:        ng + ne + gates,
 		GarblerInputs:   ng,
 		EvaluatorInputs: ne,
 	}
@@ -400,10 +399,10 @@ func randomCircuit(rng *rand.Rand, ng, ne, gates int) *circuit.Circuit {
 		a := circuit.Wire(rng.Intn(int(out)))
 		b := circuit.Wire(rng.Intn(int(out)))
 		op := []circuit.Op{circuit.XOR, circuit.AND, circuit.INV}[rng.Intn(3)]
-		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: b, C: out})
+		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: b})
 	}
 	for i := 0; i < 4; i++ {
-		c.Outputs = append(c.Outputs, circuit.Wire(c.NumWires-1-i))
+		c.Outputs = append(c.Outputs, circuit.Wire(c.NumWires()-1-i))
 	}
 	return c
 }

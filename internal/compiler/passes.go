@@ -25,13 +25,14 @@ type asmState struct {
 	// order.
 	order []int32
 	// inputWires lists the circuit's input-like wires, in order, plus a
-	// synthetic constant-one wire if INV lowering required one.
+	// synthetic constant-one wire, numbered after the gates' wires, if
+	// INV lowering required one; with the gates they number
+	// len(inputWires)+len(order) wires.
 	inputWires []uint32
 	// constOne is the wire INV gates are XORed with; synthConstOne is set
 	// when it was appended to the circuit's wires.
-	constOne        uint32
-	synthConstOne   bool
-	numCircuitWires int
+	constOne      uint32
+	synthConstOne bool
 }
 
 // assemble prepares HAAC's two-opcode form (§3.1.3) — XOR and AND
@@ -42,15 +43,14 @@ type asmState struct {
 // traversal, i.e., in tight producer-consumer relationships"). That
 // order is the paper's Baseline; the reordering passes start from it.
 func assemble(c *circuit.Circuit) *asmState {
-	s := &asmState{numCircuitWires: c.NumWires, constOne: c.Const1}
+	s := &asmState{constOne: c.Const1}
 	nin := c.NumInputs()
 	s.inputWires = make([]uint32, nin, nin+1)
 	for w := range s.inputWires {
 		s.inputWires[w] = uint32(w)
 	}
 	if !c.HasConst && slices.ContainsFunc(c.Gates, func(g circuit.Gate) bool { return g.Op == circuit.INV }) {
-		s.constOne = uint32(s.numCircuitWires)
-		s.numCircuitWires++
+		s.constOne = uint32(c.NumWires())
 		s.inputWires = append(s.inputWires, s.constOne)
 		s.synthConstOne = true
 	}
@@ -82,13 +82,14 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 	if n == 0 {
 		return
 	}
-	// Producing gate per wire (-1 for inputs).
-	prod := make([]int32, s.numCircuitWires)
-	for i := range prod {
-		prod[i] = -1
-	}
-	for i := range c.Gates {
-		prod[c.Gates[i].C] = int32(i)
+	// The producer of wire w is gate w-nin; inputs and a synthetic
+	// constant-one wire (numbered after every gate) have none.
+	nin := int32(c.NumInputs())
+	prod := func(w uint32) int32 {
+		if p := int32(w) - nin; p >= 0 && p < int32(n) {
+			return p
+		}
+		return -1
 	}
 
 	state := make([]uint8, n) // 0 unvisited, 1 expanded, 2 emitted
@@ -117,16 +118,16 @@ func (s *asmState) depthFirst(c *circuit.Circuit) {
 			_, a, b := s.lower(&c.Gates[g])
 			// Push operand producers (b first so a's subtree emits
 			// first, keeping left-to-right evaluation order).
-			if pb := prod[b]; pb >= 0 && state[pb] != 2 {
+			if pb := prod(b); pb >= 0 && state[pb] != 2 {
 				stack = append(stack, pb)
 			}
-			if pa := prod[a]; pa >= 0 && state[pa] != 2 {
+			if pa := prod(a); pa >= 0 && state[pa] != 2 {
 				stack = append(stack, pa)
 			}
 		}
 	}
 	for _, o := range c.Outputs {
-		visit(prod[o])
+		visit(prod(o))
 	}
 	for i := 0; i < n; i++ {
 		if state[i] != 2 {
@@ -190,7 +191,7 @@ func (s *asmState) reorder(c *circuit.Circuit, segSize int) {
 func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 	n, noSWW := cp.Cfg.SWWWires, cp.Cfg.NoSWW
 	nin := len(s.inputWires)
-	addrOf := make([]uint32, s.numCircuitWires)
+	addrOf := make([]uint32, nin+len(s.order))
 	p := &cp.Program
 	*p = isa.Program{
 		NumInputs:   nin,
@@ -212,12 +213,12 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 			liveCount++
 		}
 	}
+	cin := int32(c.NumInputs())
 	for pos, i := range s.order {
-		g := &c.Gates[i]
-		op, a, b := s.lower(g)
+		op, a, b := s.lower(&c.Gates[i])
 		a, b = addrOf[a], addrOf[b]
 		o = isa.NextAddr(o)
-		addrOf[g.C] = o
+		addrOf[cin+i] = o
 		lo := ^uint32(0) // without an SWW nothing is resident: all reads OoR
 		if !noSWW {
 			lo = WindowLo(o, n)
@@ -264,14 +265,14 @@ func (s *asmState) renameLane(c *circuit.Circuit, cp *Compiled) {
 func (s *asmState) scheduleLane(c *circuit.Circuit, cp *Compiled) {
 	nge := cp.Cfg.NumGEs
 	andLat := int64(cp.Cfg.ANDLatency())
-	ready := make([]int64, s.numCircuitWires) // cycle the wire's value is usable
+	ready := make([]int64, len(s.inputWires)+len(s.order)) // cycle the wire's value is usable
+	nin := int32(c.NumInputs())
 	ges := newGEMinSet(nge)
 	cp.GEOf = make([]uint8, len(s.order))
 	cp.InstrsPerGE = make([]int, nge)
 	cp.TablesPerGE = make([]int, nge)
 	for pos, i := range s.order {
-		gate := &c.Gates[i]
-		op, a, b := s.lower(gate)
+		op, a, b := s.lower(&c.Gates[i])
 		g := ges.pick()
 		// The GE sits stalled until the operands arrive.
 		issue := max(ges.min, ready[a], ready[b])
@@ -281,7 +282,7 @@ func (s *asmState) scheduleLane(c *circuit.Circuit, cp *Compiled) {
 			lat = andLat
 			cp.TablesPerGE[g]++
 		}
-		ready[gate.C] = issue + lat
+		ready[nin+i] = issue + lat
 		cp.GEOf[pos] = uint8(g)
 		cp.InstrsPerGE[g]++
 	}

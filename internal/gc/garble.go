@@ -44,7 +44,7 @@ func Garble(c *circuit.Circuit, h Hasher, src *label.Source) (*Garbled, error) {
 	r := src.NextDelta()
 	nin := c.NumInputs()
 
-	wires := make([]label.L, c.NumWires)
+	wires := make([]label.L, c.NumWires())
 	inputZeros := make([]label.L, nin)
 	for i := 0; i < nin; i++ {
 		wires[i] = src.Next()
@@ -59,15 +59,15 @@ func Garble(c *circuit.Circuit, h Hasher, src *label.Source) (*Garbled, error) {
 		g := &c.Gates[i]
 		switch g.Op {
 		case circuit.XOR:
-			wires[g.C] = wires[g.A].Xor(wires[g.B])
+			wires[nin+i] = wires[g.A].Xor(wires[g.B])
 		case circuit.INV:
 			// FreeXOR NOT: the zero-label of the output is the
 			// one-label of the input.
-			wires[g.C] = wires[g.A].Xor(r)
+			wires[nin+i] = wires[g.A].Xor(r)
 		case circuit.AND:
 			m, c0 := garbleGate(bh, wires[g.A], wires[g.B], r, gateIdx)
 			tables = append(tables, m)
-			wires[g.C] = c0
+			wires[nin+i] = c0
 			gateIdx++
 		default:
 			return nil, fmt.Errorf("gc: gate %d has unknown op %d", i, g.Op)
@@ -117,7 +117,8 @@ func Evaluate(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material)
 	if len(inputs) != c.NumInputs() {
 		return nil, fmt.Errorf("gc: got %d input labels, want %d", len(inputs), c.NumInputs())
 	}
-	wires := make([]label.L, c.NumWires)
+	nin := len(inputs)
+	wires := make([]label.L, c.NumWires())
 	copy(wires, inputs)
 	var gateIdx uint64
 	bh := batched(h)
@@ -125,14 +126,14 @@ func Evaluate(c *circuit.Circuit, h Hasher, inputs []label.L, tables []Material)
 		g := &c.Gates[i]
 		switch g.Op {
 		case circuit.XOR:
-			wires[g.C] = wires[g.A].Xor(wires[g.B])
+			wires[nin+i] = wires[g.A].Xor(wires[g.B])
 		case circuit.INV:
-			wires[g.C] = wires[g.A]
+			wires[nin+i] = wires[g.A]
 		case circuit.AND:
 			if int(gateIdx) >= len(tables) {
 				return nil, fmt.Errorf("gc: table stream exhausted at gate %d", i)
 			}
-			wires[g.C] = evalGate(bh, wires[g.A], wires[g.B], tables[gateIdx], gateIdx)
+			wires[nin+i] = evalGate(bh, wires[g.A], wires[g.B], tables[gateIdx], gateIdx)
 			gateIdx++
 		default:
 			return nil, fmt.Errorf("gc: gate %d has unknown op %d", i, g.Op)

@@ -181,7 +181,6 @@ func TestDecodeBitsAreColours(t *testing.T) {
 // randomCircuit generates a random valid circuit.
 func randomCircuit(rng *rand.Rand, ng, ne, gates int) *circuit.Circuit {
 	c := &circuit.Circuit{
-		NumWires:        ng + ne + gates,
 		GarblerInputs:   ng,
 		EvaluatorInputs: ne,
 	}
@@ -190,11 +189,11 @@ func randomCircuit(rng *rand.Rand, ng, ne, gates int) *circuit.Circuit {
 		a := circuit.Wire(rng.Intn(int(out)))
 		bb := circuit.Wire(rng.Intn(int(out)))
 		op := []circuit.Op{circuit.XOR, circuit.AND, circuit.INV}[rng.Intn(3)]
-		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: bb, C: out})
+		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: bb})
 	}
 	// A few random outputs from the tail.
 	for i := 0; i < 3; i++ {
-		c.Outputs = append(c.Outputs, circuit.Wire(c.NumWires-1-i))
+		c.Outputs = append(c.Outputs, circuit.Wire(c.NumWires()-1-i))
 	}
 	return c
 }

@@ -26,11 +26,11 @@ const minParallelStep = 16
 
 // spanFunc garbles or evaluates a run of one step's AND gates; index[i]
 // is the table-stream index of and[i].
-type spanFunc func(and []circuit.Gate, index []int32)
+type spanFunc func(and []circuit.PlanGate, index []int32)
 
 // span is one worker's share of a step.
 type span struct {
-	and   []circuit.Gate
+	and   []circuit.PlanGate
 	index []int32
 }
 
@@ -60,7 +60,7 @@ func newStepPool(workers int, do spanFunc) *stepPool {
 // run partitions a step's AND gates into at most p.workers contiguous
 // chunks and waits for all of them. Workers touch disjoint table and
 // wire slots: the gates of a step are independent.
-func (p *stepPool) run(and []circuit.Gate, index []int32) {
+func (p *stepPool) run(and []circuit.PlanGate, index []int32) {
 	n := len(and)
 	if n == 0 {
 		return

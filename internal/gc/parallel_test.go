@@ -154,10 +154,10 @@ func TestFixedKeyHasherConcurrent(t *testing.T) {
 // but the pool must not depend on its callers for that.
 func TestStepPoolRunEmpty(t *testing.T) {
 	calls := 0
-	p := newStepPool(4, func([]circuit.Gate, []int32) { calls++ })
+	p := newStepPool(4, func([]circuit.PlanGate, []int32) { calls++ })
 	defer p.close()
 	p.run(nil, nil)
-	p.run([]circuit.Gate{}, []int32{})
+	p.run([]circuit.PlanGate{}, []int32{})
 	if calls != 0 {
 		t.Fatalf("empty run dispatched %d spans", calls)
 	}
@@ -171,13 +171,13 @@ func TestStepPoolRunEmpty(t *testing.T) {
 func TestPlanStepTails(t *testing.T) {
 	h := RekeyedHasher{}
 	for _, n := range []int{0, 1, 2, 3, 4, 5, minParallelStep - 1, minParallelStep, minParallelStep + 1, 2*minParallelStep + 3} {
-		c := &circuit.Circuit{NumWires: 2 + n + 1, GarblerInputs: 1, EvaluatorInputs: 1}
+		c := &circuit.Circuit{GarblerInputs: 1, EvaluatorInputs: 1}
 		for i := 0; i < n; i++ {
-			c.Gates = append(c.Gates, circuit.Gate{Op: circuit.AND, A: 0, B: 1, C: circuit.Wire(2 + i)})
+			c.Gates = append(c.Gates, circuit.Gate{Op: circuit.AND, A: 0, B: 1})
 			c.Outputs = append(c.Outputs, circuit.Wire(2+i))
 		}
 		// One free gate, so the n = 0 circuit still has a step.
-		c.Gates = append(c.Gates, circuit.Gate{Op: circuit.XOR, A: 0, B: 1, C: circuit.Wire(2 + n)})
+		c.Gates = append(c.Gates, circuit.Gate{Op: circuit.XOR, A: 0, B: 1})
 		c.Outputs = append(c.Outputs, circuit.Wire(2+n))
 		p := mustPlan(t, c)
 		if _, and, _ := p.Step(0); p.NumSteps() != 1 || len(and) != n {

@@ -73,7 +73,7 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 // span garbles a run of one step's AND gates (index[i] is and[i]'s table
 // index): the whole-step form on the prefix it takes, the one-gate form
 // on the rest.
-func (pg *PlanGarbler) span(and []circuit.Gate, index []int32) {
+func (pg *PlanGarbler) span(and []circuit.PlanGate, index []int32) {
 	slots, tables := pg.slots, pg.tables
 	done := 0
 	if pg.step != nil {
@@ -206,7 +206,7 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 
 // span is the evaluator's counterpart of PlanGarbler.span, over the
 // tables EvalStream checked for this step.
-func (pe *PlanEvaluator) span(and []circuit.Gate, index []int32) {
+func (pe *PlanEvaluator) span(and []circuit.PlanGate, index []int32) {
 	slots, tables := pe.slots, pe.tables
 	done := 0
 	if pe.step != nil {

@@ -94,8 +94,8 @@ func TestPlanByteIdentityVIPSuite(t *testing.T) {
 		checkPlanByteIdentity(t, w.Name, c, g, e, 0xfeedface)
 
 		p := mustPlan(t, c)
-		if p.NumSlots >= c.NumWires {
-			t.Errorf("%s: renaming did not compact (%d slots for %d wires)", w.Name, p.NumSlots, c.NumWires)
+		if p.NumSlots >= c.NumWires() {
+			t.Errorf("%s: renaming did not compact (%d slots for %d wires)", w.Name, p.NumSlots, c.NumWires())
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // RekeyedHasher has it, through aes128's step kernels; for every other
 // hasher the runners take all of a step's gates one at a time.
 type stepHasher interface {
-	garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.Gate, index []int32) int
-	evalStep(slots []label.L, tables []Material, and []circuit.Gate, index []int32) int
+	garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.PlanGate, index []int32) int
+	evalStep(slots []label.L, tables []Material, and []circuit.PlanGate, index []int32) int
 }
 
 // The step kernels read the runners' memory as it lies: the gate stream
@@ -25,11 +25,11 @@ type stepHasher interface {
 // as pairs of them; the transport reads the tables as bytes
 // (MaterialBytes). These fail to compile if a layout moves.
 var (
-	_ [16]byte                               = [unsafe.Sizeof(circuit.Gate{})]byte{}
-	_ [4]byte                                = [unsafe.Offsetof(circuit.Gate{}.A)]byte{}
-	_ [8]byte                                = [unsafe.Offsetof(circuit.Gate{}.B)]byte{}
-	_ [12]byte                               = [unsafe.Offsetof(circuit.Gate{}.C)]byte{}
-	_ [unsafe.Sizeof(aes128.Gate{})]byte     = [unsafe.Sizeof(circuit.Gate{})]byte{}
+	_ [16]byte                               = [unsafe.Sizeof(circuit.PlanGate{})]byte{}
+	_ [4]byte                                = [unsafe.Offsetof(circuit.PlanGate{}.A)]byte{}
+	_ [8]byte                                = [unsafe.Offsetof(circuit.PlanGate{}.B)]byte{}
+	_ [12]byte                               = [unsafe.Offsetof(circuit.PlanGate{}.C)]byte{}
+	_ [unsafe.Sizeof(aes128.Gate{})]byte     = [unsafe.Sizeof(circuit.PlanGate{})]byte{}
 	_ aes128.Block                           = aes128.Block(label.L{})
 	_ [unsafe.Sizeof([2]aes128.Block{})]byte = [unsafe.Sizeof(Material{})]byte{}
 	_ [unsafe.Sizeof(aes128.Block{})]byte    = [unsafe.Offsetof(Material{}.TE)]byte{}
@@ -49,20 +49,20 @@ func MaterialBytes(tables []Material) []byte {
 }
 
 // stepGates views a run of plan gates as the kernels' records.
-func stepGates(and []circuit.Gate) []aes128.Gate {
+func stepGates(and []circuit.PlanGate) []aes128.Gate {
 	return unsafe.Slice((*aes128.Gate)(unsafe.Pointer(unsafe.SliceData(and))), len(and))
 }
 
 // garbleStep implements stepHasher. The kernels check no bounds; the
 // runners call this only on a plan that passed stepSafe, with arenas of
 // the plan's sizes.
-func (RekeyedHasher) garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.Gate, index []int32) int {
+func (RekeyedHasher) garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.PlanGate, index []int32) int {
 	return aes128.GarbleStep((*aes128.Block)(unsafe.SliceData(slots)), (*[2]aes128.Block)(unsafe.Pointer(unsafe.SliceData(tables))),
 		(*aes128.Block)(r), stepGates(and), index)
 }
 
 // evalStep implements stepHasher, under garbleStep's conditions.
-func (RekeyedHasher) evalStep(slots []label.L, tables []Material, and []circuit.Gate, index []int32) int {
+func (RekeyedHasher) evalStep(slots []label.L, tables []Material, and []circuit.PlanGate, index []int32) int {
 	return aes128.EvalStep((*aes128.Block)(unsafe.SliceData(slots)), (*[2]aes128.Block)(unsafe.Pointer(unsafe.SliceData(tables))),
 		stepGates(and), index)
 }

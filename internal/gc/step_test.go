@@ -22,7 +22,7 @@ type stepRun struct {
 	slots  []label.L
 	tables []Material
 	r      label.L
-	and    []circuit.Gate
+	and    []circuit.PlanGate
 	index  []int32
 }
 
@@ -93,7 +93,7 @@ func randomRun(rng *rand.Rand, inputs, n int) *stepRun {
 		s.tables[i] = Material{TG: randLabel(rng), TE: randLabel(rng)}
 	}
 	for i, j := range rng.Perm(len(s.tables))[:n] {
-		s.and = append(s.and, circuit.Gate{Op: circuit.AND,
+		s.and = append(s.and, circuit.PlanGate{Op: circuit.AND,
 			A: circuit.Wire(rng.Intn(inputs)), B: circuit.Wire(rng.Intn(inputs)), C: circuit.Wire(inputs + i)})
 		s.index = append(s.index, int32(j))
 	}
@@ -160,7 +160,7 @@ func TestStepInPlaceOnRecycledArena(t *testing.T) {
 		from, to := k%2*width, (k+1)%2*width
 		s.and, s.index = s.and[:0], s.index[:0]
 		for i := 0; i < width-k%3; i++ {
-			s.and = append(s.and, circuit.Gate{Op: circuit.AND,
+			s.and = append(s.and, circuit.PlanGate{Op: circuit.AND,
 				A: circuit.Wire(from + rng.Intn(width)), B: circuit.Wire(from + rng.Intn(width)), C: circuit.Wire(to + i)})
 			s.index = append(s.index, int32(perm[k*width+i]))
 		}
@@ -174,11 +174,11 @@ func TestStepInPlaceOnRecycledArena(t *testing.T) {
 // index is in range; any other plan runs on the one-gate path (where an
 // out-of-range index is Go's bounds-check panic, as it always was).
 func TestStepSafeRejectsBadPlans(t *testing.T) {
-	c := &circuit.Circuit{NumWires: 5, GarblerInputs: 1, EvaluatorInputs: 1, Outputs: []circuit.Wire{4}}
+	c := &circuit.Circuit{GarblerInputs: 1, EvaluatorInputs: 1, Outputs: []circuit.Wire{4}}
 	c.Gates = []circuit.Gate{
-		{Op: circuit.AND, A: 0, B: 1, C: 2},
-		{Op: circuit.AND, A: 1, B: 0, C: 3},
-		{Op: circuit.XOR, A: 2, B: 3, C: 4},
+		{Op: circuit.AND, A: 0, B: 1},
+		{Op: circuit.AND, A: 1, B: 0},
+		{Op: circuit.XOR, A: 2, B: 3},
 	}
 	good := mustPlan(t, c)
 	if !stepSafe(good) {
@@ -196,7 +196,7 @@ func TestStepSafeRejectsBadPlans(t *testing.T) {
 
 	corrupt := func(edit func(p *circuit.Plan)) *circuit.Plan {
 		p := mustPlan(t, c)
-		p.Gates = append([]circuit.Gate(nil), p.Gates...)
+		p.Gates = append([]circuit.PlanGate(nil), p.Gates...)
 		p.Tables = append([]int32(nil), p.Tables...)
 		edit(p)
 		return p
@@ -244,7 +244,7 @@ func FuzzHalfGateStep(f *testing.F) {
 		s := &stepRun{r: label.L{Lo: next() | 1, Hi: next()}, slots: make([]label.L, 2*half), tables: make([]Material, nTables)}
 		for i := 0; i < int(n%12); i++ {
 			g := next()
-			s.and = append(s.and, circuit.Gate{Op: circuit.AND,
+			s.and = append(s.and, circuit.PlanGate{Op: circuit.AND,
 				A: circuit.Wire(g % half), B: circuit.Wire(g >> 8 % half), C: circuit.Wire(half + g>>16%half)})
 			s.index = append(s.index, int32(g>>24%nTables))
 		}

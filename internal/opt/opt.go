@@ -56,12 +56,15 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 	res := Result{Before: len(c.Gates)}
 
 	// Wire states: replacement target (union-find-ish single level since
-	// we process in topological order), constant knowledge.
-	repl := make([]circuit.Wire, c.NumWires)
-	for i := range repl {
+	// we process in topological order), constant knowledge. repl maps a
+	// wire of c to the emitted wire carrying its value: an input, or the
+	// output nin+j of emitted gate j.
+	nin := c.NumInputs()
+	repl := make([]circuit.Wire, c.NumWires())
+	for i := range nin {
 		repl[i] = circuit.Wire(i)
 	}
-	konst := make([]int8, c.NumWires)
+	konst := make([]int8, nin)
 	if c.HasConst {
 		konst[c.Const0] = constFalse
 		konst[c.Const1] = constTrue
@@ -70,8 +73,6 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 	notOf := make(map[circuit.Wire]circuit.Wire)
 	seen := make(map[gateKey]circuit.Wire)
 
-	// constWire materializes a constant: requires the circuit to carry
-	// const wires. If it doesn't, we add them (inputs grow by two).
 	out := &circuit.Circuit{
 		GarblerInputs:   c.GarblerInputs,
 		EvaluatorInputs: c.EvaluatorInputs,
@@ -79,29 +80,7 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 		Const0:          c.Const0,
 		Const1:          c.Const1,
 	}
-	ensureConst := func() {
-		if out.HasConst {
-			return
-		}
-		base := circuit.Wire(c.GarblerInputs + c.EvaluatorInputs)
-		// The original circuit has no const wires, so its gate outputs
-		// start at base; we renumber everything later, so just record
-		// intent: we instead avoid needing materialization by keeping
-		// constants symbolic until emission.
-		_ = base
-	}
-	_ = ensureConst
-
-	// We renumber wires densely as we emit gates.
-	newID := make([]circuit.Wire, c.NumWires)
-	nin := c.NumInputs()
-	for w := 0; w < nin; w++ {
-		newID[w] = circuit.Wire(w)
-	}
-	next := circuit.Wire(nin)
 	var gates []circuit.Gate
-
-	constOf := func(w circuit.Wire) int8 { return konst[w] }
 	emit := func(op circuit.Op, a, b circuit.Wire) circuit.Wire {
 		// CSE lookup on normalized key.
 		ka, kb := a, b
@@ -113,17 +92,18 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 			res.CSEDeduped++
 			return w
 		}
-		id := circuit.Wire(c.NumWires) + next // temp id space, remapped in DCE
-		next++
-		gates = append(gates, circuit.Gate{Op: op, A: a, B: b, C: id})
+		id := circuit.Wire(nin + len(gates))
+		gates = append(gates, circuit.Gate{Op: op, A: a, B: b})
 		seen[key] = id
 		return id
 	}
 
 	for i := range c.Gates {
 		g := c.Gates[i]
-		a := repl[g.A]
-		b := repl[g.B]
+		a, b := repl[g.A], circuit.Wire(0)
+		if g.Op != circuit.INV { // an INV gate's B is never read
+			b = repl[g.B]
+		}
 		var newWire circuit.Wire
 		folded := true
 		switch g.Op {
@@ -192,8 +172,7 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 		} else {
 			res.ConstFolded++
 		}
-		repl[g.C] = newWire
-		_ = constOf
+		repl[nin+i] = newWire
 	}
 
 	// Resolve outputs through replacements.
@@ -202,24 +181,14 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 		outputs[i] = repl[o]
 	}
 
-	// DCE: walk back from outputs over the emitted gate list.
-	tempBase := circuit.Wire(c.NumWires)
-	gateOf := make([]int32, next) // temp id -> emitted gate index
-	for i := range gateOf {
-		gateOf[i] = -1
-	}
-	for i := range gates {
-		gateOf[gates[i].C-tempBase] = int32(i)
-	}
+	// DCE: walk back from outputs over the emitted gate list; the
+	// producer of emitted wire w >= nin is gate w-nin.
 	liveGate := make([]bool, len(gates))
-	var stack []int32
+	var stack []int
 	markWire := func(w circuit.Wire) {
-		if w >= tempBase {
-			gi := gateOf[w-tempBase]
-			if gi >= 0 && !liveGate[gi] {
-				liveGate[gi] = true
-				stack = append(stack, gi)
-			}
+		if gi := int(w) - nin; gi >= 0 && !liveGate[gi] {
+			liveGate[gi] = true
+			stack = append(stack, gi)
 		}
 	}
 	for _, o := range outputs {
@@ -236,19 +205,19 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 	}
 
 	// Renumber: inputs keep their ids, live gates get dense ids.
-	finalID := make([]circuit.Wire, int(next))
+	finalID := make([]circuit.Wire, len(gates))
 	id := circuit.Wire(nin)
 	for i := range gates {
 		if liveGate[i] {
-			finalID[gates[i].C-tempBase] = id
+			finalID[i] = id
 			id++
 		} else {
 			res.DeadEliminated++
 		}
 	}
 	mapWire := func(w circuit.Wire) circuit.Wire {
-		if w >= tempBase {
-			return finalID[w-tempBase]
+		if int(w) >= nin {
+			return finalID[int(w)-nin]
 		}
 		return w
 	}
@@ -257,13 +226,12 @@ func Optimize(c *circuit.Circuit) (*circuit.Circuit, Result, error) {
 			continue
 		}
 		g := gates[i]
-		ng := circuit.Gate{Op: g.Op, A: mapWire(g.A), C: mapWire(g.C)}
+		ng := circuit.Gate{Op: g.Op, A: mapWire(g.A)}
 		if g.Op != circuit.INV {
 			ng.B = mapWire(g.B)
 		}
 		out.Gates = append(out.Gates, ng)
 	}
-	out.NumWires = int(id)
 	out.Outputs = make([]circuit.Wire, len(outputs))
 	for i, o := range outputs {
 		out.Outputs[i] = mapWire(o)

@@ -25,16 +25,15 @@ func redundantCircuit(rng *rand.Rand, gates int) *circuit.Circuit {
 		a := circuit.Wire(rng.Intn(int(next)))
 		b := circuit.Wire(rng.Intn(int(next)))
 		op := []circuit.Op{circuit.XOR, circuit.AND, circuit.INV}[rng.Intn(3)]
-		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: b, C: next})
+		c.Gates = append(c.Gates, circuit.Gate{Op: op, A: a, B: b})
 		next++
 		// Occasionally duplicate the gate we just emitted (CSE food).
 		if rng.Intn(4) == 0 {
 			g := c.Gates[len(c.Gates)-1]
-			c.Gates = append(c.Gates, circuit.Gate{Op: g.Op, A: g.A, B: g.B, C: next})
+			c.Gates = append(c.Gates, circuit.Gate{Op: g.Op, A: g.A, B: g.B})
 			next++
 		}
 	}
-	c.NumWires = int(next)
 	// Outputs from the middle: everything after is dead.
 	mid := circuit.Wire(ng + ne + 2 + gates/2)
 	c.Outputs = []circuit.Wire{mid, mid + 1, mid + 2}
@@ -105,14 +104,14 @@ func TestOptimizeRemovesDeadCode(t *testing.T) {
 func TestOptimizeCSE(t *testing.T) {
 	// Hand-build duplicated gates (the builder would fold these itself).
 	c := &circuit.Circuit{
-		NumWires: 8, GarblerInputs: 2, EvaluatorInputs: 0,
+		GarblerInputs: 2, EvaluatorInputs: 0,
 		Gates: []circuit.Gate{
-			{Op: circuit.AND, A: 0, B: 1, C: 2},
-			{Op: circuit.AND, A: 1, B: 0, C: 3}, // commuted duplicate
-			{Op: circuit.XOR, A: 2, B: 3, C: 4}, // x ^ x via CSE
-			{Op: circuit.AND, A: 0, B: 1, C: 5}, // straight duplicate
-			{Op: circuit.XOR, A: 4, B: 5, C: 6},
-			{Op: circuit.INV, A: 6, C: 7},
+			{Op: circuit.AND, A: 0, B: 1},
+			{Op: circuit.AND, A: 1, B: 0}, // commuted duplicate
+			{Op: circuit.XOR, A: 2, B: 3}, // x ^ x via CSE
+			{Op: circuit.AND, A: 0, B: 1}, // straight duplicate
+			{Op: circuit.XOR, A: 4, B: 5},
+			{Op: circuit.INV, A: 6},
 		},
 		Outputs: []circuit.Wire{7},
 	}
@@ -146,15 +145,15 @@ func TestOptimizeCSE(t *testing.T) {
 
 func TestOptimizeConstantFolding(t *testing.T) {
 	c := &circuit.Circuit{
-		NumWires: 9, GarblerInputs: 1, EvaluatorInputs: 0,
+		GarblerInputs: 1, EvaluatorInputs: 0,
 		HasConst: true, Const0: 1, Const1: 2,
 		Gates: []circuit.Gate{
-			{Op: circuit.AND, A: 0, B: 1, C: 3}, // x & 0 = 0
-			{Op: circuit.XOR, A: 3, B: 0, C: 4}, // 0 ^ x = x
-			{Op: circuit.AND, A: 4, B: 2, C: 5}, // x & 1 = x
-			{Op: circuit.XOR, A: 1, B: 2, C: 6}, // 0 ^ 1 = 1
-			{Op: circuit.AND, A: 5, B: 6, C: 7}, // x & 1 = x
-			{Op: circuit.INV, A: 7, C: 8},       // NOT x
+			{Op: circuit.AND, A: 0, B: 1}, // x & 0 = 0
+			{Op: circuit.XOR, A: 3, B: 0}, // 0 ^ x = x
+			{Op: circuit.AND, A: 4, B: 2}, // x & 1 = x
+			{Op: circuit.XOR, A: 1, B: 2}, // 0 ^ 1 = 1
+			{Op: circuit.AND, A: 5, B: 6}, // x & 1 = x
+			{Op: circuit.INV, A: 7},       // NOT x
 		},
 		Outputs: []circuit.Wire{8},
 	}
@@ -216,10 +215,27 @@ func TestOptimizeWorkloadsUnchangedBehaviour(t *testing.T) {
 }
 
 func TestOptimizeInvalidRejected(t *testing.T) {
-	c := &circuit.Circuit{NumWires: 2, GarblerInputs: 1,
-		Gates:   []circuit.Gate{{Op: circuit.AND, A: 5, B: 0, C: 1}},
+	c := &circuit.Circuit{GarblerInputs: 1,
+		Gates:   []circuit.Gate{{Op: circuit.AND, A: 5, B: 0}},
 		Outputs: []circuit.Wire{1}}
 	if _, _, err := Optimize(c); err == nil {
 		t.Fatal("invalid circuit accepted")
+	}
+}
+
+// TestOptimizeIgnoresINVOperandB: an INV gate's B field is never read,
+// so Validate accepts any value there, and Optimize must not index by it.
+func TestOptimizeIgnoresINVOperandB(t *testing.T) {
+	c := &circuit.Circuit{GarblerInputs: 1,
+		Gates:   []circuit.Gate{{Op: circuit.INV, A: 0, B: 1 << 31}},
+		Outputs: []circuit.Wire{1}}
+	o, _, err := Optimize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []bool{false, true} {
+		if out, _ := o.Eval([]bool{x}, nil); out[0] != !x {
+			t.Fatalf("NOT %v = %v", x, out[0])
+		}
 	}
 }

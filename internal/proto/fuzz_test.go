@@ -73,11 +73,10 @@ var fuzzCircuitMemo *circuit.Circuit
 func fuzzCircuit() *circuit.Circuit {
 	if fuzzCircuitMemo == nil {
 		c := &circuit.Circuit{
-			NumWires:        3,
 			GarblerInputs:   1,
 			EvaluatorInputs: 1,
 			Gates: []circuit.Gate{
-				{Op: circuit.AND, A: 0, B: 1, C: 2},
+				{Op: circuit.AND, A: 0, B: 1},
 			},
 			Outputs: []circuit.Wire{2},
 		}

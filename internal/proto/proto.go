@@ -211,7 +211,7 @@ func headerFor(c *circuit.Circuit, opts Options) header {
 		Version:  version,
 		OTProto:  uint8(opts.OT),
 		NGates:   uint64(len(c.Gates)),
-		NWires:   uint64(c.NumWires),
+		NWires:   uint64(c.NumWires()),
 		NGarbler: uint32(c.GarblerInputs),
 		NEval:    uint32(c.EvaluatorInputs),
 		NOutputs: uint32(len(c.Outputs)),

@@ -348,7 +348,7 @@ func New(cfg Config) (*Server, error) {
 			spec:   spec,
 			digest: circuit.Digest(c),
 			zero:   make([]bool, c.GarblerInputs),
-			memBytes: int64(c.NumWires)*label.Size +
+			memBytes: int64(c.NumWires())*label.Size +
 				int64(and)*gc.MaterialSize +
 				int64(c.NumInputs()+len(c.Outputs))*label.Size,
 			runBytes: protoRunHeaderLen + int64(nFixed)*label.Size +

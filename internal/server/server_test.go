@@ -72,7 +72,7 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 				return
 			}
 			defer sess.Close()
-			if sess.NumSlots() <= 0 || sess.NumSlots() > c.NumWires {
+			if sess.NumSlots() <= 0 || sess.NumSlots() > c.NumWires() {
 				errc <- fmt.Errorf("session %d: implausible NumSlots %d", i, sess.NumSlots())
 				return
 			}
