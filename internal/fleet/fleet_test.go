@@ -470,6 +470,57 @@ func TestFleetRelaysBackendRefusalVerbatim(t *testing.T) {
 	}
 }
 
+// TestFleetRefusesRetiredHelloVersion: a version-1 hello — the run
+// sequence whose choice correction waited for the header — is refused
+// by the proxy itself with a typed, permanent ErrBadVersion. No backend
+// sees the session and a retrying client dials exactly once.
+func TestFleetRefusesRetiredHelloVersion(t *testing.T) {
+	w := workloads.AddN(8)
+	srv, addr := launchServer(t, "127.0.0.1:0", specsFor(w))
+	defer srv.Close()
+	f, fleetAddr := startFleet(t, Config{
+		Backends:      []Backend{{Addr: addr}},
+		ProbeInterval: -1,
+	})
+	var dials atomic.Int32
+	v1 := func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		conn, err := net.Dial("tcp", addr)
+		return &helloVersionConn{Conn: conn, version: 1}, err
+	}
+	retry := server.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, RunTimeout: 2 * time.Second}
+	_, err := server.Dial(fleetAddr, w.Name, w.Build(), server.Options{Retry: retry, Dialer: v1})
+	if !errors.Is(err, server.ErrBadVersion) {
+		t.Fatalf("v1 hello through the fleet = %v, want ErrBadVersion", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("v1 hello dialed %d times, want 1 (no retry)", n)
+	}
+	if st := f.Stats(); st.SessionsRouted != 0 || st.DialFailures != 0 {
+		t.Errorf("routed=%d dial failures=%d, want 0/0: the proxy refuses before routing", st.SessionsRouted, st.DialFailures)
+	}
+	if n := srv.Stats().SessionsTotal; n != 0 {
+		t.Errorf("backend saw %d sessions, want 0", n)
+	}
+}
+
+// helloVersionConn rewrites the version byte of the first frame it
+// writes — the client hello — to version.
+type helloVersionConn struct {
+	net.Conn
+	version byte
+	sent    bool
+}
+
+func (c *helloVersionConn) Write(p []byte) (int, error) {
+	if !c.sent {
+		c.sent = true
+		p = append([]byte(nil), p...)
+		p[4] = c.version
+	}
+	return c.Conn.Write(p)
+}
+
 // TestFleetRefusesBusyWithNoLiveBackend drains the only backend: the
 // fleet itself must refuse the handshake with a typed busy, and Drain
 // of an unknown address must fail.

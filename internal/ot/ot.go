@@ -60,9 +60,11 @@ const (
 	// Pooled consumes precomputed random-OT correlations from a Pool
 	// with one choice-correction XOR round online. It is session state,
 	// not an on-demand protocol: Send/ReceiveBitset reject it — callers go
-	// through Pool.SendDerand/Pool.ReceiveDerand instead. The value
-	// appears on the wire in the session hello (requesting the pooled
-	// tier) and in the per-run header (marking a pool-hit run).
+	// through a Pool's derandomization halves (ReadCorrection/WriteMasked,
+	// AppendCorrection/ReadMasked) or SendDerand/ReceiveDerand, which
+	// compose them. The value appears on the wire in the session hello
+	// (requesting the pooled tier) and in the per-run header (marking a
+	// pool-hit run).
 	Pooled
 )
 
@@ -85,8 +87,9 @@ var baseOTRounds atomic.Uint64
 func BaseOTRounds() uint64 { return baseOTRounds.Load() }
 
 // Send runs the sender side for a batch of pairs. Pooled is rejected:
-// derandomized sends go through Pool.SendDerand, which holds the
-// precomputed correlations an on-demand call cannot have.
+// derandomized sends go through the Pool (SendDerand, or its halves
+// ReadCorrection and WriteMasked), which holds the precomputed
+// correlations an on-demand call cannot have.
 func Send(conn io.ReadWriter, proto Protocol, pairs []Pair) error {
 	switch proto {
 	case DH:
@@ -106,7 +109,8 @@ func Send(conn io.ReadWriter, proto Protocol, pairs []Pair) error {
 // consumes the packed vector directly: IKNP's hot path works on
 // 64-choice words, and the per-transfer base protocols index bits in
 // place, so a pool refill of 16384 correlations unpacks no bool slice.
-// Pooled is rejected; use Pool.ReceiveDerand.
+// Pooled is rejected; use Pool.ReceiveDerand (or its halves
+// AppendCorrection and ReadMasked).
 func ReceiveBitset(conn io.ReadWriter, proto Protocol, choices Bitset) ([]label.L, error) {
 	switch proto {
 	case DH:

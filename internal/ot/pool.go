@@ -51,6 +51,16 @@ import (
 // m_c = y_c ^ r_d. Correlations are strictly consumed front to back and
 // never reused: both frames are refused (ErrDerand) or fail
 // (ErrPoolDrained) rather than stretch the pool.
+//
+// The correction depends only on the receiver's choices and its own
+// bank, never on the messages, so it need not wait for the sender. Each
+// role splits into two halves: the receiver builds the correction
+// (AppendCorrection) and later reads the masked pairs (ReadMasked); the
+// sender reads the correction (ReadCorrection) and later writes the
+// masked pairs (WriteMasked). A session sends the correction with its
+// run request, and the masked pairs come back in the garbler's first
+// flush. SendDerand and ReceiveDerand run the two frames back to back
+// over one connection, with the same bytes.
 
 // ErrPoolDrained reports a derandomization batch larger than the pool's
 // current level; the caller falls back to an on-demand protocol.
@@ -87,8 +97,9 @@ type Pool struct {
 	rnd   []byte   // receiver: one chunk's random choice bytes
 	rbits []uint64 // receiver: the same choices packed for the core
 
-	ein  []byte // online scratch: correction frame
-	mout []byte // online scratch: masked-pair slab
+	ein     []byte // online scratch: correction frame
+	mout    []byte // online scratch: masked-pair slab
+	pending int    // sender: the batch the correction in ein was read for
 }
 
 // NewSenderPool runs the one-time base-OT setup for the message-sender
@@ -202,25 +213,71 @@ func (p *Pool) fillRecv(w io.Writer, mc int) error {
 // SendDerand consumes len(pairs) pooled correlations to obliviously
 // send the given message pairs: it reads the receiver's choice
 // correction and answers with one masked-pair slab (see the wire format
-// above). Steady state performs no allocation and no public-key work.
+// above) — ReadCorrection then WriteMasked over one connection. Steady
+// state performs no allocation and no public-key work.
 func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
-	n := len(pairs)
+	if err := p.ReadCorrection(conn, len(pairs)); err != nil {
+		return err
+	}
+	return p.WriteMasked(conn, pairs)
+}
+
+// ReceiveDerand consumes choices.Len() pooled correlations to learn the
+// chosen message per transfer, writing them into out (whose length must
+// match): AppendCorrection, one write, then ReadMasked. Steady state
+// performs no allocation and no public-key work.
+func (p *Pool) ReceiveDerand(conn io.ReadWriter, choices Bitset, out []label.L) error {
+	n := choices.Len()
+	if len(out) != n {
+		return fmt.Errorf("ot: ReceiveDerand output length %d, want %d", len(out), n)
+	}
 	if n == 0 {
 		return nil
 	}
-	if p.send == nil {
-		return errors.New("ot: SendDerand on a receiver pool")
-	}
-	if p.Level() < n {
-		return fmt.Errorf("%w: have %d, need %d", ErrPoolDrained, p.Level(), n)
-	}
-	ebytes := (n + 7) / 8
-	p.ein = growBytes(p.ein, derandHeaderLen+ebytes)
-	frame := p.ein[:derandHeaderLen+ebytes]
-	if err := readDerandFrame(conn, n, frame); err != nil {
+	frame, err := p.AppendCorrection(p.ein[:0], choices)
+	if err != nil {
 		return err
 	}
-	e := frame[derandHeaderLen:]
+	p.ein = frame
+	if _, err := conn.Write(frame); err != nil {
+		return fmt.Errorf("ot: sending derand frame: %w", err)
+	}
+	return p.ReadMasked(conn, choices, out)
+}
+
+// ReadCorrection reads and checks the receiver's choice correction for
+// a batch of n transfers (refusals wrap ErrDerand), holding it for the
+// WriteMasked that answers it. It consumes nothing.
+func (p *Pool) ReadCorrection(r io.Reader, n int) error {
+	p.pending = 0
+	if n == 0 {
+		return nil
+	}
+	if err := p.check(true, n); err != nil {
+		return err
+	}
+	p.ein = growBytes(p.ein, derandHeaderLen+(n+7)/8)
+	if err := readDerandFrame(r, n, p.ein); err != nil {
+		return err
+	}
+	p.pending = n
+	return nil
+}
+
+// WriteMasked answers the correction ReadCorrection holds with one
+// masked-pair slab, y_i = m_i ^ r_(i^e_j) per transfer, and consumes
+// len(pairs) correlations. The pairs must be the batch the correction
+// was read for.
+func (p *Pool) WriteMasked(w io.Writer, pairs []Pair) error {
+	n := len(pairs)
+	if n != p.pending {
+		return fmt.Errorf("ot: WriteMasked of %d pairs against a correction for %d", n, p.pending)
+	}
+	if n == 0 {
+		return nil
+	}
+	p.pending = 0
+	e := p.ein[derandHeaderLen:]
 	p.mout = growBytes(p.mout, maskedPairBytes*n)
 	out := p.mout[:maskedPairBytes*n]
 	for j := 0; j < n; j++ {
@@ -232,49 +289,55 @@ func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
 		pairs[j].M1.Xor(r1).Put(out[j*maskedPairBytes+label.Size:])
 	}
 	p.head += n
-	if _, err := conn.Write(out); err != nil {
+	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("ot: sending masked pairs: %w", err)
 	}
 	return nil
 }
 
-// ReceiveDerand consumes choices.Len() pooled correlations to learn the
-// chosen message per transfer, writing them into out (whose length must
-// match). Steady state performs no allocation and no public-key work.
-func (p *Pool) ReceiveDerand(conn io.ReadWriter, choices Bitset, out []label.L) error {
+// AppendCorrection appends the choice-correction frame for choices to
+// dst — e_j = c_j ^ d_j over the next choices.Len() correlations —
+// without consuming them: the ReadMasked for the same choices does. An
+// empty batch appends nothing.
+func (p *Pool) AppendCorrection(dst []byte, choices Bitset) ([]byte, error) {
 	n := choices.Len()
-	if len(out) != n {
-		return fmt.Errorf("ot: ReceiveDerand output length %d, want %d", len(out), n)
-	}
 	if n == 0 {
-		return nil
+		return dst, nil
 	}
-	if p.send != nil {
-		return errors.New("ot: ReceiveDerand on a sender pool")
+	if err := p.check(false, n); err != nil {
+		return dst, err
 	}
-	if p.Level() < n {
-		return fmt.Errorf("%w: have %d, need %d", ErrPoolDrained, p.Level(), n)
-	}
-	ebytes := (n + 7) / 8
-	p.ein = growBytes(p.ein, derandHeaderLen+ebytes)
-	frame := p.ein[:derandHeaderLen+ebytes]
-	frame[0] = derandMagic
-	binary.LittleEndian.PutUint32(frame[1:derandHeaderLen], uint32(n))
-	e := frame[derandHeaderLen:]
-	for i := range e {
-		e[i] = 0
-	}
+	k := len(dst)
+	dst = append(dst, make([]byte, derandHeaderLen+(n+7)/8)...)
+	dst[k] = derandMagic
+	binary.LittleEndian.PutUint32(dst[k+1:], uint32(n))
+	e := dst[k+derandHeaderLen:]
 	for j := 0; j < n; j++ {
 		if choices.Bit(j) != int(p.d[p.head+j]) {
 			e[j>>3] |= 1 << (uint(j) & 7)
 		}
 	}
-	if _, err := conn.Write(frame); err != nil {
-		return fmt.Errorf("ot: sending derand frame: %w", err)
+	return dst, nil
+}
+
+// ReadMasked reads the sender's masked-pair slab answering the
+// correction AppendCorrection built for choices, recovers the chosen
+// message per transfer into out (whose length must match) and consumes
+// choices.Len() correlations.
+func (p *Pool) ReadMasked(r io.Reader, choices Bitset, out []label.L) error {
+	n := choices.Len()
+	if len(out) != n {
+		return fmt.Errorf("ot: ReadMasked output length %d, want %d", len(out), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	if err := p.check(false, n); err != nil {
+		return err
 	}
 	p.mout = growBytes(p.mout, maskedPairBytes*n)
 	in := p.mout[:maskedPairBytes*n]
-	if _, err := io.ReadFull(conn, in); err != nil {
+	if _, err := io.ReadFull(r, in); err != nil {
 		return fmt.Errorf("ot: reading masked pairs: %w", err)
 	}
 	for j := 0; j < n; j++ {
@@ -282,6 +345,21 @@ func (p *Pool) ReceiveDerand(conn io.ReadWriter, choices Bitset, out []label.L) 
 		out[j] = label.FromBytes(in[off : off+label.Size]).Xor(p.rl[p.head+j])
 	}
 	p.head += n
+	return nil
+}
+
+// check refuses a derandomization half on the wrong role's pool or for
+// a batch larger than the pool's level.
+func (p *Pool) check(sender bool, n int) error {
+	if (p.send != nil) != sender {
+		if sender {
+			return errors.New("ot: sender derandomization on a receiver pool")
+		}
+		return errors.New("ot: receiver derandomization on a sender pool")
+	}
+	if p.Level() < n {
+		return fmt.Errorf("%w: have %d, need %d", ErrPoolDrained, p.Level(), n)
+	}
 	return nil
 }
 

@@ -165,6 +165,77 @@ func TestPoolZeroBatch(t *testing.T) {
 	}
 }
 
+// TestPoolDerandHalves drives the two halves of each role with the
+// frames held in memory between them, the way a session that sends the
+// correction ahead of the sender's header does: building or reading the
+// correction consumes nothing, the masked-pair half consumes the batch,
+// and the receiver learns exactly its chosen messages.
+func TestPoolDerandHalves(t *testing.T) {
+	sp, rp, cs, cr := newPoolPair(t, Insecure)
+	const n = 13
+	fillBoth(t, sp, rp, cs, cr, 2*n)
+	pairs := make([]Pair, n)
+	choices := NewBitset(n)
+	for i := range pairs {
+		m0, _ := label.Rand()
+		m1, _ := label.Rand()
+		pairs[i] = Pair{M0: m0, M1: m1}
+		choices.Set(i, i%3 == 1)
+	}
+
+	// The correction lands after whatever the caller already holds.
+	req, err := rp.AppendCorrection([]byte{0x01}, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req) != 1+derandHeaderLen+(n+7)/8 || req[0] != 0x01 || req[1] != derandMagic {
+		t.Fatalf("run request %x: want 0x01, then a %d-transfer correction", req, n)
+	}
+	if err := sp.ReadCorrection(bytes.NewReader(req[1:]), n); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Level() != 2*n || rp.Level() != 2*n {
+		t.Fatalf("levels %d/%d after the correction, want %d: nothing is consumed yet", sp.Level(), rp.Level(), 2*n)
+	}
+	var masked bytes.Buffer
+	if err := sp.WriteMasked(&masked, pairs[:n-1]); err == nil {
+		t.Fatal("WriteMasked of a batch the correction was not read for succeeded")
+	}
+	if err := sp.WriteMasked(&masked, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if masked.Len() != n*maskedPairBytes || sp.Level() != n {
+		t.Fatalf("masked slab %d bytes, sender level %d; want %d, %d", masked.Len(), sp.Level(), n*maskedPairBytes, n)
+	}
+	if err := sp.WriteMasked(&masked, pairs); err == nil {
+		t.Fatal("a second WriteMasked answered the same correction")
+	}
+	out := make([]label.L, n)
+	if err := rp.ReadMasked(&masked, choices, out); err != nil {
+		t.Fatal(err)
+	}
+	if rp.Level() != n {
+		t.Fatalf("receiver level %d, want %d", rp.Level(), n)
+	}
+	for i := range pairs {
+		want := pairs[i].M0
+		if choices.Bit(i) == 1 {
+			want = pairs[i].M1
+		}
+		if out[i] != want {
+			t.Fatalf("transfer %d: got %v, want %v", i, out[i], want)
+		}
+	}
+	// The composed calls still run over the pools the halves left.
+	derandBoth(t, sp, rp, cs, cr, n)
+	if _, err := sp.AppendCorrection(nil, choices); err == nil {
+		t.Fatal("AppendCorrection on a sender pool succeeded")
+	}
+	if err := rp.ReadCorrection(bytes.NewReader(req[1:]), n); err == nil {
+		t.Fatal("ReadCorrection on a receiver pool succeeded")
+	}
+}
+
 func TestDerandFrameRefusals(t *testing.T) {
 	frame := make([]byte, derandHeaderLen+1)
 	// Bad magic.

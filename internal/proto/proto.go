@@ -21,6 +21,17 @@
 //	decode:  one byte per output bit (0/1)
 //	result:  one byte per output bit, sent back by the evaluator
 //
+// A run's order: header and garbler labels in one flush, then the
+// evaluator's inputs by on-demand OT, then tables, decode bits and
+// result. A run served from attached ot.Pools (both parties decide from
+// their own lockstep levels) moves the OT ahead: the evaluator's choice
+// correction (0xD5 | count u32 | e bits) goes first, and the masked
+// pairs (32 bytes per evaluator input) follow the labels in the
+// garbler's first flush — so the evaluator sends once and then only
+// reads until its result. The header's OT byte says ot.Pooled exactly
+// then; an evaluator whose own decision disagrees fails the run with
+// ErrMalformedFrame.
+//
 // Both parties must hold the same circuit; the header fields are checked
 // so mismatched circuits fail fast instead of producing garbage.
 package proto

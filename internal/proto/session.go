@@ -43,9 +43,11 @@ type GarblerSession struct {
 	out   []bool
 
 	// Pooled OT: when a pool is attached and holds enough correlations,
-	// Run marks the per-run header ot.Pooled and derandomizes instead of
-	// running opts.OT on demand — the evaluator follows the header, so
-	// both sides consume their pools in lockstep.
+	// Run reads the evaluator's choice correction, marks the per-run
+	// header ot.Pooled and sends the masked pairs with it instead of
+	// running opts.OT on demand. The evaluator decides from its own pool
+	// level and checks the header agrees, so both sides consume their
+	// pools in lockstep.
 	pool       *ot.Pool
 	lastPooled bool
 
@@ -120,6 +122,11 @@ func (s *GarblerSession) SetPool(p *ot.Pool) { s.pool = p }
 // hook.
 func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 
+// Lead queues p to leave ahead of the next Run's header, in the same
+// flush: the serving layer's run ack rides there instead of costing a
+// write of its own. A write error surfaces from that Run.
+func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
+
 // Close stops the sender goroutine and releases the plan runner's
 // worker pool. No Run may be in progress.
 func (s *GarblerSession) Close() {
@@ -129,7 +136,9 @@ func (s *GarblerSession) Close() {
 
 // Run plays one full garbler run: header, active input labels, OT,
 // segment-streamed tables, decode bits, and the evaluator's reported
-// result. The returned slice is reused by the next Run.
+// result. A pool hit first reads the evaluator's choice correction and
+// sends the masked pairs in the header's flush; an on-demand OT runs
+// after it. The returned slice is reused by the next Run.
 func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	c := s.c
 	if len(garblerBits) != c.GarblerInputs {
@@ -138,12 +147,17 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	// Hit/miss decision happens before the header leaves: a pool with
 	// enough correlations marks the run pooled, a short one falls back
 	// to the on-demand protocol for this run only (a miss, not an
-	// error). The header's OT byte tells the evaluator which path this
-	// run takes, keeping both pools in lockstep.
+	// error). The evaluator takes the same decision from its own level
+	// and sent its correction ahead of the header on a hit; the header's
+	// OT byte carries this side's verdict for it to check.
+	m := c.EvaluatorInputs
 	otp := s.opts.OT
-	s.lastPooled = s.pool != nil && c.EvaluatorInputs > 0 && s.pool.Level() >= c.EvaluatorInputs
+	s.lastPooled = s.pool != nil && m > 0 && s.pool.Level() >= m
 	if s.lastPooled {
 		otp = ot.Pooled
+		if err := s.pool.ReadCorrection(s.rw, m); err != nil {
+			return nil, wrapPeer("OT", err)
+		}
 	}
 	s.hdr[5] = byte(otp)
 	if _, err := s.w.Write(s.hdr[:]); err != nil {
@@ -154,21 +168,20 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	if err := sendActiveInputs(s.w, c, zeros, r, garblerBits); err != nil {
 		return nil, err
 	}
+	off := c.GarblerInputs
+	for i := range s.pairs {
+		s.pairs[i] = ot.Pair{M0: zeros[off+i], M1: zeros[off+i].Xor(r)}
+	}
+	if s.lastPooled {
+		if err := s.pool.WriteMasked(s.w, s.pairs); err != nil {
+			return nil, wrapPeer("OT", err)
+		}
+	}
 	if err := s.w.Flush(); err != nil {
 		return nil, wrapPeer("sending garbler labels", err)
 	}
-	if c.EvaluatorInputs > 0 {
-		off := c.GarblerInputs
-		for i := range s.pairs {
-			s.pairs[i] = ot.Pair{M0: zeros[off+i], M1: zeros[off+i].Xor(r)}
-		}
-		var err error
-		if otp == ot.Pooled {
-			err = s.pool.SendDerand(s.rw, s.pairs)
-		} else {
-			err = ot.Send(s.rw, otp, s.pairs)
-		}
-		if err != nil {
+	if m > 0 && !s.lastPooled {
+		if err := ot.Send(s.rw, otp, s.pairs); err != nil {
 			return nil, wrapPeer("OT", err)
 		}
 	}
@@ -253,10 +266,16 @@ type EvaluatorSession struct {
 	// choices is the packed per-run choice vector, reused across runs so
 	// the input phase stays allocation-free.
 	choices ot.Bitset
-	// pool, when attached, serves runs whose header arrives marked
-	// ot.Pooled; other runs use the header's on-demand protocol as
-	// always.
+	// pool, when attached and holding enough correlations, serves the
+	// run: the choice correction goes out before the header, whose OT
+	// byte must then say ot.Pooled. Other runs use the header's
+	// on-demand protocol as always.
 	pool *ot.Pool
+	// corr is Run's scratch for a correction it sends itself; sent
+	// records that AppendCorrection built this run's correction (the hit
+	// decision), so Run reads the masked pairs and sends nothing more.
+	corr []byte
+	sent bool
 
 	// Resume bookkeeping: once a run has its inputs (OT done), the run
 	// is resumable — the verified tables in the arena and the
@@ -313,11 +332,12 @@ func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 	s.rd.Reset(s.rw)
 	s.otrw = readWriter{s.rd, s.rw}
 	s.pool = nil
+	s.sent = false
 }
 
-// SetPool attaches a receiver pool for runs whose header arrives marked
-// ot.Pooled. The pool must have been set up over this session's current
-// connection; Reset detaches it.
+// SetPool attaches a receiver pool that serves every run it holds
+// enough correlations for. The pool must have been set up over this
+// session's current connection; Reset detaches it.
 func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 
 // Close releases the plan runner's worker pool.
@@ -343,21 +363,67 @@ func (s *EvaluatorSession) readTables(upto int) error {
 	return nil
 }
 
+// pooledRun reports whether the attached pool can serve the next run —
+// the hit/miss decision the garbler takes from its own, lockstep level.
+func (s *EvaluatorSession) pooledRun() bool {
+	m := s.c.EvaluatorInputs
+	return s.pool != nil && m > 0 && s.pool.Level() >= m
+}
+
+// AppendCorrection prepares the next run's input phase ahead of it:
+// when the attached pool can serve the run, it appends the pool's
+// choice correction for evalBits to dst, reports the hit, and leaves the
+// correction for the caller to send — the serving client writes it in
+// its run op's frame. The next Run must then be given the same evalBits
+// and sends nothing of its own. A miss appends nothing.
+func (s *EvaluatorSession) AppendCorrection(dst []byte, evalBits []bool) ([]byte, bool, error) {
+	if len(evalBits) != s.c.EvaluatorInputs {
+		return dst, false, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), s.c.EvaluatorInputs)
+	}
+	if !s.pooledRun() {
+		return dst, false, nil
+	}
+	s.choices.CopyBools(evalBits)
+	dst, err := s.pool.AppendCorrection(dst, s.choices)
+	if err != nil {
+		return dst, false, err
+	}
+	s.sent = true
+	return dst, true, nil
+}
+
 // Run plays one full evaluator run and returns the plaintext outputs
-// (also reported back to the garbler). The returned slice is reused by
-// the next Run.
+// (also reported back to the garbler). On a pool hit it first writes
+// the choice correction, unless AppendCorrection gave it to the caller
+// to send. The returned slice is reused by the next Run.
 func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 	c := s.c
 	if len(evalBits) != c.EvaluatorInputs {
 		return nil, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), c.EvaluatorInputs)
 	}
 	s.resumable = false
+	if !s.sent {
+		var err error
+		if s.corr, _, err = s.AppendCorrection(s.corr[:0], evalBits); err != nil {
+			return nil, wrapPeer("OT", err)
+		}
+		if s.sent {
+			if _, err := s.rw.Write(s.corr); err != nil {
+				return nil, wrapPeer("sending OT correction", err)
+			}
+		}
+	}
+	pooled := s.sent
+	s.sent = false
 	if _, err := io.ReadFull(s.rd, s.hdrBuf[:]); err != nil {
 		return nil, wrapPeer("reading header", err)
 	}
 	h := decodeHeader(s.hdrBuf[:])
 	if err := checkHeaderWant(h, s.want); err != nil {
 		return nil, err
+	}
+	if (ot.Protocol(h.OTProto) == ot.Pooled) != pooled {
+		return nil, fmt.Errorf("proto: %w: header OT %d contradicts this side's pool decision (pooled=%v)", ErrMalformedFrame, h.OTProto, pooled)
 	}
 
 	nFixed := c.GarblerInputs
@@ -379,16 +445,13 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 		putSlab(bp)
 	}
 	if c.EvaluatorInputs > 0 {
-		s.choices.CopyBools(evalBits)
 		evalLabels := s.inputs[c.GarblerInputs : c.GarblerInputs+c.EvaluatorInputs]
-		if ot.Protocol(h.OTProto) == ot.Pooled {
-			if s.pool == nil {
-				return nil, fmt.Errorf("proto: %w: pooled run without a negotiated pool", ErrMalformedFrame)
-			}
-			if err := s.pool.ReceiveDerand(&s.otrw, s.choices, evalLabels); err != nil {
+		if pooled {
+			if err := s.pool.ReadMasked(s.rd, s.choices, evalLabels); err != nil {
 				return nil, wrapPeer("OT", err)
 			}
 		} else {
+			s.choices.CopyBools(evalBits)
 			got, err := ot.ReceiveBitset(&s.otrw, ot.Protocol(h.OTProto), s.choices)
 			if err != nil {
 				return nil, wrapPeer("OT", err)

@@ -268,8 +268,11 @@ type Session struct {
 	es       *proto.EvaluatorSession
 	numSlots int
 	// buf holds each op's request and ack (17 bytes fits the largest,
-	// opResume), so a run allocates nothing on the wire exchange.
+	// opResume); runReq holds the run op and, on a pool hit, the choice
+	// correction. Both persist, so a run allocates nothing on the wire
+	// exchange.
 	buf    [17]byte
+	runReq []byte
 	closed bool // Close was called: permanently done
 	broken bool // the connection failed: reconnectable under Retry
 
@@ -477,7 +480,7 @@ func (s *Session) refillOnce(n int) error {
 	s.buf[0] = opRefill
 	s.buf[1] = byte(ot.DH) // the pool's base OTs
 	binary.LittleEndian.PutUint32(s.buf[2:], uint32(n))
-	ack, err := s.exchange(6, ackGo, ackRefuse)
+	ack, err := s.exchange(s.buf[:6], ackGo, ackRefuse)
 	if err != nil {
 		return err
 	}
@@ -713,17 +716,17 @@ func (s *Session) attemptOnce(evalBits []bool) ([]bool, error) {
 
 // exchange opens one op: it starts the op's byte budget afresh — the
 // op frame and its ack count against the op they open — writes the
-// frame the caller left in s.buf[:n], and reads the server's one-byte
-// answer. It returns that answer when it is one of accept. Every op
-// shares the rest: ackDraining breaks the connection with ErrDraining,
-// any other byte fails the session as malformed, and a wire error fails
-// it as closed.
-func (s *Session) exchange(n int, accept ...byte) (byte, error) {
+// op's frame in one write, and reads the server's one-byte answer. It
+// returns that answer when it is one of accept. Every op shares the
+// rest: ackDraining breaks the connection with ErrDraining, any other
+// byte fails the session as malformed, and a wire error fails it as
+// closed.
+func (s *Session) exchange(frame []byte, accept ...byte) (byte, error) {
 	if s.bb != nil {
 		s.bb.reset()
 	}
-	op := s.buf[0]
-	if _, err := s.rw.Write(s.buf[:n]); err != nil {
+	op := frame[0]
+	if _, err := s.rw.Write(frame); err != nil {
 		return 0, s.fail(err)
 	}
 	if _, err := io.ReadFull(s.rw, s.buf[:1]); err != nil {
@@ -763,10 +766,17 @@ func (s *Session) evalFailed(err error) error {
 	return err
 }
 
-// runOnce plays a single run attempt over the current connection.
+// runOnce plays a single run attempt over the current connection. On a
+// pool hit the choice correction rides in the op's frame: the server
+// reads both before it answers, and its answer carries the ack, the
+// header and the masked pairs, so the run costs one round trip.
 func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
-	s.buf[0] = opRun
-	if _, err := s.exchange(1, ackGo); err != nil {
+	req, hit, err := s.es.AppendCorrection(append(s.runReq[:0], opRun), evalBits)
+	if err != nil {
+		return nil, err
+	}
+	s.runReq = req
+	if _, err := s.exchange(req, ackGo); err != nil {
 		return nil, err
 	}
 	if s.integrity {
@@ -779,22 +789,14 @@ func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 		s.runToken = binary.LittleEndian.Uint64(tok)
 		s.hasToken = true
 	}
-	lvl := 0
-	if s.pool != nil {
-		lvl = s.pool.Level()
-	}
 	out, err := s.es.Run(evalBits)
 	if err != nil {
 		return nil, s.evalFailed(err)
 	}
-	if s.pooled {
-		// A pooled-tier run either drew its labels from the pool (the
-		// level dropped) or fell back to on-demand OT for this run.
-		if s.pool != nil && s.pool.Level() < lvl {
-			s.stats.PoolHits++
-		} else {
-			s.stats.PoolMisses++
-		}
+	if hit {
+		s.stats.PoolHits++
+	} else if s.pooled {
+		s.stats.PoolMisses++
 	}
 	s.hasToken = false
 	return out, nil
@@ -812,7 +814,7 @@ func (s *Session) resumeOnce(got int) ([]bool, error) {
 	s.buf[0] = opResume
 	binary.LittleEndian.PutUint64(s.buf[1:], s.runToken)
 	binary.LittleEndian.PutUint64(s.buf[9:], uint64(got))
-	ack, err := s.exchange(17, ackResume, ackNoResume)
+	ack, err := s.exchange(s.buf[:17], ackResume, ackNoResume)
 	if err != nil {
 		return nil, err
 	}

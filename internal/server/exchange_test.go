@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"haac/internal/circuit"
 	"haac/internal/faultnet"
 	"haac/internal/ot"
 	"haac/internal/proto"
@@ -17,18 +18,28 @@ import (
 
 // TestClientOpRefusals: a scripted peer over net.Pipe reads each op
 // frame and answers it with ackDraining, then with a byte no op
-// expects. Run, resume and refill share one refusal rule: a typed error
-// (ErrDraining, or ErrMalformedFrame wrapped in ErrSessionClosed) and a
-// broken session.
+// expects. Run, pooled run, resume and refill share one refusal rule: a
+// typed error (ErrDraining, or ErrMalformedFrame wrapped in
+// ErrSessionClosed) and a broken session. A pool hit's frame carries the
+// choice correction after the op byte, 1 + 5 + ceil(m/8) bytes in all;
+// net.Pipe's writes block until read, so a frame of any other length
+// hangs the exchange.
 func TestClientOpRefusals(t *testing.T) {
+	w := workloads.AddN(8)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	_, evalBits := w.Inputs(1)
+	run := func(s *Session) error { _, err := s.runOnce(evalBits); return err }
 	ops := []struct {
-		name  string
-		frame int // request bytes the op writes, op byte included
-		call  func(s *Session) error
+		name   string
+		pooled bool
+		frame  int // request bytes the op writes, op byte included
+		call   func(s *Session) error
 	}{
-		{"run", 1, func(s *Session) error { _, err := s.runOnce(nil); return err }},
-		{"resume", 17, func(s *Session) error { _, err := s.resumeOnce(0); return err }},
-		{"refill", 6, func(s *Session) error { return s.refillOnce(8) }},
+		{"run", false, 1, run},
+		{"pooled-run", true, 1 + 5 + (m+7)/8, run},
+		{"resume", false, 17, func(s *Session) error { _, err := s.resumeOnce(0); return err }},
+		{"refill", false, 6, func(s *Session) error { return s.refillOnce(8) }},
 	}
 	answers := []struct {
 		name string
@@ -43,6 +54,7 @@ func TestClientOpRefusals(t *testing.T) {
 			t.Run(op.name+"/"+a.name, func(t *testing.T) {
 				client, peer := net.Pipe()
 				defer peer.Close()
+				s := scriptedSession(t, client, c, op.pooled)
 				done := make(chan error, 1)
 				go func() {
 					req := make([]byte, op.frame)
@@ -50,10 +62,13 @@ func TestClientOpRefusals(t *testing.T) {
 						done <- err
 						return
 					}
+					if op.pooled && (req[0] != opRun || req[1] != 0xD5 || binary.LittleEndian.Uint32(req[2:]) != uint32(m)) {
+						done <- fmt.Errorf("pooled run frame %x: want op %d, then 0xD5 and count %d", req, opRun, m)
+						return
+					}
 					_, err := peer.Write([]byte{a.ack})
 					done <- err
 				}()
-				s := &Session{conn: client, rw: client}
 				err := op.call(s)
 				if perr := <-done; perr != nil {
 					t.Fatalf("scripted peer: %v", perr)
@@ -69,6 +84,47 @@ func TestClientOpRefusals(t *testing.T) {
 			})
 		}
 	}
+}
+
+// scriptedSession builds a client Session over conn, whose far end a
+// test scripts by hand. pooled gives it the pooled tier and a receiver
+// pool holding four runs' worth of correlations, filled against a
+// sender pool over a pipe of its own.
+func scriptedSession(t *testing.T, conn net.Conn, c *circuit.Circuit, pooled bool) *Session {
+	t.Helper()
+	es, err := proto.NewEvaluatorSession(conn, c, proto.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(es.Close)
+	s := &Session{conn: conn, rw: conn, es: es, pooled: pooled}
+	if pooled {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		n := 4 * c.EvaluatorInputs
+		errc := make(chan error, 1)
+		go func() {
+			sp, err := ot.NewSenderPool(a, ot.Insecure)
+			if err == nil {
+				err = sp.Fill(a, n)
+			}
+			errc <- err
+		}()
+		rp, err := ot.NewReceiverPool(b, ot.Insecure)
+		if err == nil {
+			err = rp.Fill(b, n)
+		}
+		if serr := <-errc; err == nil {
+			err = serr
+		}
+		if err != nil {
+			t.Fatalf("filling the scripted session's pool: %v", err)
+		}
+		s.pool = rp
+		es.SetPool(rp)
+	}
+	return s
 }
 
 // TestOpsOutsideTier speaks raw op frames through a real session's own

@@ -825,10 +825,12 @@ func (s *Server) garble(st *session, body func() error) bool {
 	return true
 }
 
-// serveRun answers one opRun frame: ack it and garble one run. On the
-// integrity tier the run is checkpointed first — the deterministic
-// garbling seed, keyed by an opaque token the ack carries and the client
-// echoes back if the transfer breaks (resume.go).
+// serveRun answers one opRun frame: ack it and garble one run. The ack
+// leaves in the garbler's first flush, with the run header — after the
+// garbler has read a pool hit's choice correction, the rest of the op's
+// frame. On the integrity tier the run is checkpointed first — the
+// deterministic garbling seed, keyed by an opaque token the ack carries
+// and the client echoes back if the transfer breaks (resume.go).
 func (s *Server) serveRun(st *session) bool {
 	var token uint64
 	extra := 0
@@ -840,12 +842,8 @@ func (s *Server) serveRun(st *session) bool {
 		s.resume.put(token, resumeEntry{id: st.reg.spec.ID, seed: st.gs.PendingSeed(), and: st.reg.and})
 		extra = 8
 	}
-	if !st.ack(ackGo, extra) {
-		if st.integrity {
-			s.resume.drop(token)
-		}
-		return false
-	}
+	st.buf[0] = ackGo
+	st.gs.Lead(st.buf[:1+extra])
 	bits := st.reg.zero
 	if st.reg.spec.Inputs != nil {
 		bits = st.reg.spec.Inputs()

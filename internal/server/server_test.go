@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +229,22 @@ func TestHandshakeRefusals(t *testing.T) {
 		t.Errorf("bad version: got %v, want ErrBadVersion", err)
 	}
 
+	// The retired version 1 (the run sequence whose choice correction
+	// waited for the header): a permanent refusal, so a retrying client
+	// dials exactly once.
+	var dials atomic.Int32
+	v1 := func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		conn, err := net.Dial("tcp", addr)
+		return &helloVersionConn{Conn: conn, version: 1}, err
+	}
+	if _, err := Dial(addr, "add8", c, Options{Retry: robustRetry(47), Dialer: v1}); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("v1 hello: got %v, want ErrBadVersion", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("v1 hello dialed %d times, want 1 (no retry)", n)
+	}
+
 	// Garbage magic: the server refuses and closes.
 	conn2, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -240,6 +257,23 @@ func TestHandshakeRefusals(t *testing.T) {
 	if _, _, _, err := readReply(conn2); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("bad magic: got %v, want ErrBadRequest", err)
 	}
+}
+
+// helloVersionConn rewrites the version byte of the first frame it
+// writes — the client hello — to version.
+type helloVersionConn struct {
+	net.Conn
+	version byte
+	sent    bool
+}
+
+func (c *helloVersionConn) Write(p []byte) (int, error) {
+	if !c.sent {
+		c.sent = true
+		p = append([]byte(nil), p...)
+		p[4] = c.version
+	}
+	return c.Conn.Write(p)
 }
 
 // TestClientSidePlan: a client running its own precompiled plan gets

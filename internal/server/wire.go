@@ -7,13 +7,15 @@
 // A session opens with a versioned handshake framed ahead of the
 // protocol's existing byte-identical wire format:
 //
-//	client hello:  magic u32 ("HAAS") | version u8 | ot u8 | flags u8 |
+//	client hello:  magic u32 ("HAAS") | version u8 (2) | ot u8 | flags u8 |
 //	               idLen u16 | circuit id | sha256 digest [32]
 //	server reply:  status u8 | ok: numSlots u32
 //	                         | err: msgLen u16 | message
-//	per run:       op u8 (run/bye, client) | ack u8 (go/draining, server)
-//	               | integrity tier: resume token u64 LE
-//	               | <proto run stream, unchanged>
+//	per run:       op u8 (run/bye) | pool hit: 0xD5 | count u32 LE | e bits
+//	               (client, one write)
+//	               | ack u8 (go/draining, server) | integrity tier: resume
+//	               token u64 LE | <proto run stream from its header on>
+//	               (go: in the garbler's first flush)
 //	resume:        op u8 (resume) | token u64 LE | got u64 LE (client)
 //	               | ack u8 (resume/no-resume/draining, server)
 //	               | resume: <the run's stream from table got on>
@@ -34,8 +36,16 @@
 // and the session gains the opRefill op, which runs one lockstep
 // ot.Pool fill of n correlations using the requested base protocol.
 // Runs then consume the pool when it holds enough correlations and fall
-// back to an on-demand OT — chosen per run by the garbler via the run
-// header's OT byte — when it does not.
+// back to an on-demand OT when it does not. Both ends decide from their
+// own lockstep pool levels, so on a hit the client sends the run's
+// choice correction with the op and the server answers with the ack,
+// header, garbler labels and masked pairs in one flush: one round trip
+// per pooled run. The header's OT byte carries the garbler's verdict;
+// a client whose own decision disagrees fails the run as malformed.
+//
+// Version 2 of the hello is this run sequence; a version-1 hello (the
+// sequence where the correction waited for the header) is refused with
+// statusBadVersion.
 //
 // The digest binds the session to a structurally identical circuit on
 // both sides (circuit.Digest), so a mismatched client fails typed at
@@ -57,7 +67,7 @@ import (
 
 const (
 	helloMagic   = 0x53414148 // "HAAS" little-endian
-	helloVersion = 1
+	helloVersion = 2
 
 	// helloFixedSize is the fixed prefix of the hello frame: magic u32 |
 	// version u8 | ot u8 | flags u8 | idLen u16.
