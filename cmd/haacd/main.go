@@ -29,7 +29,8 @@
 // -no-pooled-ot likewise declines the precomputed-OT session tier
 // (clients dialing with a pool size fall back to on-demand OT), and
 // -max-pool caps how many banked OT correlations one pooled session
-// may hold server-side (~32 bytes each; 0 = the 65536 default).
+// may hold server-side (~64 bytes each with the room the bank keeps for
+// in-run fills; 0 = the 65536 default).
 // -tls-cert/-tls-key (a PEM pair, set together) wrap the session
 // listener in TLS; clients then dial with RunOptions.TLS. The ops
 // sidecar stays plain HTTP either way — firewall it to the control
@@ -87,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	allowInsecure := fs.Bool("allow-insecure-ot", false, "accept sessions requesting the choice-revealing insecure OT (benchmarks only)")
 	noIntegrity := fs.Bool("no-integrity", false, "decline the checksummed-frame wire tier; integrity clients fall back to the legacy wire")
 	noPooled := fs.Bool("no-pooled-ot", false, "decline the precomputed-OT session tier; pooled clients fall back to on-demand OT")
-	maxPool := fs.Int("max-pool", 0, "max banked OT correlations per pooled session, ~32 bytes each (0 = 65536 default)")
+	maxPool := fs.Int("max-pool", 0, "max banked OT correlations per pooled session, ~64 bytes each with room for fills (0 = 65536 default)")
 	maxCircuitBytes := fs.Int64("max-circuit-bytes", 0, "refuse circuits whose labels and tables would hold more resident bytes than this (0 = unlimited)")
 	maxRunBytes := fs.Int64("max-run-bytes", 0, "per-run transport byte budget; breaching runs are cut off with a typed refusal (0 = unlimited)")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate for TLS on the session listener (requires -tls-key; empty = plaintext)")

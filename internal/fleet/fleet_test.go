@@ -471,9 +471,11 @@ func TestFleetRelaysBackendRefusalVerbatim(t *testing.T) {
 }
 
 // TestFleetRefusesRetiredHelloVersion: a version-1 hello — the run
-// sequence whose choice correction waited for the header — is refused
-// by the proxy itself with a typed, permanent ErrBadVersion. No backend
-// sees the session and a retrying client dials exactly once.
+// sequence whose choice correction waited for the header — and a
+// version-2 one — pools topped up by background refill ops between runs
+// — are refused by the proxy itself with a typed, permanent
+// ErrBadVersion. No backend sees the session and a retrying client
+// dials exactly once.
 func TestFleetRefusesRetiredHelloVersion(t *testing.T) {
 	w := workloads.AddN(8)
 	srv, addr := launchServer(t, "127.0.0.1:0", specsFor(w))
@@ -482,19 +484,21 @@ func TestFleetRefusesRetiredHelloVersion(t *testing.T) {
 		Backends:      []Backend{{Addr: addr}},
 		ProbeInterval: -1,
 	})
-	var dials atomic.Int32
-	v1 := func(addr string) (net.Conn, error) {
-		dials.Add(1)
-		conn, err := net.Dial("tcp", addr)
-		return &helloVersionConn{Conn: conn, version: 1}, err
-	}
 	retry := server.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, RunTimeout: 2 * time.Second}
-	_, err := server.Dial(fleetAddr, w.Name, w.Build(), server.Options{Retry: retry, Dialer: v1})
-	if !errors.Is(err, server.ErrBadVersion) {
-		t.Fatalf("v1 hello through the fleet = %v, want ErrBadVersion", err)
-	}
-	if n := dials.Load(); n != 1 {
-		t.Errorf("v1 hello dialed %d times, want 1 (no retry)", n)
+	for _, version := range []byte{1, 2} {
+		var dials atomic.Int32
+		retired := func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			conn, err := net.Dial("tcp", addr)
+			return &helloVersionConn{Conn: conn, version: version}, err
+		}
+		_, err := server.Dial(fleetAddr, w.Name, w.Build(), server.Options{Retry: retry, Dialer: retired})
+		if !errors.Is(err, server.ErrBadVersion) {
+			t.Fatalf("v%d hello through the fleet = %v, want ErrBadVersion", version, err)
+		}
+		if n := dials.Load(); n != 1 {
+			t.Errorf("v%d hello dialed %d times, want 1 (no retry)", version, n)
+		}
 	}
 	if st := f.Stats(); st.SessionsRouted != 0 || st.DialFailures != 0 {
 		t.Errorf("routed=%d dial failures=%d, want 0/0: the proxy refuses before routing", st.SessionsRouted, st.DialFailures)

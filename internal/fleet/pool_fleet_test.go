@@ -11,8 +11,8 @@ import (
 
 // TestFleetPooledSessionEndToEnd proves the precomputed-OT tier is
 // end-to-end through the proxy: the pooled negotiation rides the two
-// handshake frames the fleet relays verbatim, the refill and
-// derandomization bytes traverse the splice opaquely, and steady-state
+// handshake frames the fleet relays verbatim, the refill, in-run fill
+// and derandomization bytes traverse the splice opaquely, and steady-state
 // runs spend zero base-OT rounds. The proxy counts the granted tier
 // from the relayed reply byte; the backend counts the pool hits.
 func TestFleetPooledSessionEndToEnd(t *testing.T) {
@@ -28,9 +28,10 @@ func TestFleetPooledSessionEndToEnd(t *testing.T) {
 
 	m := c.EvaluatorInputs
 	const runs = 5
-	// Twice the run window's demand: the pool ends at exactly half
-	// target, so no background refill fires and the counters below are
-	// deterministic (mirrors the server-layer steady-state test).
+	// Twice the run window's demand: the last run is the first to leave
+	// the pool half its target short, so it alone carries an in-run
+	// fill through the splice, and the counters below are deterministic
+	// (mirrors the server-layer steady-state test).
 	sess, err := server.Dial(fleetAddr, w.Name, c, server.Options{PoolSize: 2 * runs * m})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,11 @@ func TestFleetPooledSessionEndToEnd(t *testing.T) {
 		t.Errorf("base-OT rounds during proxied steady-state runs = %d, want 0", got)
 	}
 	cs := sess.Stats()
-	if cs.PoolHits != runs || cs.PoolMisses != 0 {
-		t.Errorf("client pool stats hits=%d misses=%d, want %d/0", cs.PoolHits, cs.PoolMisses, runs)
+	if cs.PoolHits != runs || cs.PoolMisses != 0 || cs.PoolRefills != 2 {
+		t.Errorf("client pool stats hits=%d misses=%d refills=%d, want %d/0/2", cs.PoolHits, cs.PoolMisses, cs.PoolRefills, runs)
+	}
+	if lvl := sess.PoolLevel(); lvl != 2*runs*m {
+		t.Errorf("pool level after the runs = %d, want the target %d", lvl, 2*runs*m)
 	}
 
 	if st := f.Stats(); st.SessionsPooled != 1 {

@@ -34,11 +34,21 @@ import (
 // The receiver writes a chunk's 128 columns as one write and the sender
 // reads them with one read; the bytes are the same as when each column
 // travelled on its own. Both ends run the IKNP chunk cores of iknp.go,
-// hashing straight into the banks below. Both sides must agree on the
-// fill size n out of band — the session layer's refill op carries it.
-// The base-OT state (the sender's secret s and both sides' per-column PRG
+// hashing straight into the banks below. The stream is one-way, so a
+// fill can run beside traffic in the other direction. Both sides must
+// agree on the fill size n without a wire field: the serving layer's
+// connect-time refill op carries the first, and every later one is the
+// in-run fill Decide derives from both ends' lockstep levels. The
+// base-OT state (the sender's secret s and both sides' per-column PRG
 // streams) persists across fills, so a connection pays its base OTs
-// exactly once no matter how many refills follow.
+// exactly once no matter how many fills follow.
+//
+// In-run fills: a pool given a target (SetTarget — the serving layer
+// records the connect-time fill's grant) is topped back up inside the
+// runs that drain it. Decide is the one rule both roles apply before a
+// run: a hit whose run leaves the pool at least min(target/2, 16384)
+// correlations below its target carries a fill of the whole deficit.
+// A pool without a target never carries one.
 //
 // Derandomization wire format, for a batch of n real transfers:
 //
@@ -79,9 +89,10 @@ const (
 // Pool holds precomputed random-OT correlations against one peer,
 // bound to the connection its base OTs ran over. One side constructs
 // a sender pool, the other a receiver pool; Fill and the derand calls
-// must then alternate in lockstep on both ends (the session layer's
-// single-connection serialization provides that for free). A Pool is
-// not safe for concurrent use.
+// must then alternate in lockstep on both ends (a protocol session
+// starts a run's in-run fill only once the run's derandomization is
+// done, and joins it before the run ends). A Pool is not safe for
+// concurrent use.
 type Pool struct {
 	// Persistent extension state: exactly one is set. Its transfer
 	// index runs on monotonically across fills.
@@ -100,6 +111,8 @@ type Pool struct {
 	ein     []byte // online scratch: correction frame
 	mout    []byte // online scratch: masked-pair slab
 	pending int    // sender: the batch the correction in ein was read for
+
+	target int // the level in-run fills restore; 0: none (see Decide)
 }
 
 // NewSenderPool runs the one-time base-OT setup for the message-sender
@@ -139,6 +152,40 @@ func (p *Pool) Level() int {
 	return len(p.rl) - p.head
 }
 
+// SetTarget records t as the level in-run fills top the pool back up
+// to. Both ends must record the same target at the same point in the
+// stream; 0 (the default) turns in-run fills off.
+func (p *Pool) SetTarget(t int) { p.target = t }
+
+// Decide is the decision both roles take, each from its own lockstep
+// level, before a run that needs n correlations. The run is a hit when
+// the pool holds them (a nil pool, or n = 0, never hits). A hit carries
+// an in-run fill of the whole deficit it leaves below the pool's
+// target once that deficit reaches min(target/2, 16384), and none
+// otherwise or without a target.
+func (p *Pool) Decide(n int) (hit bool, fill int) {
+	if p == nil || n <= 0 || p.Level() < n {
+		return false, 0
+	}
+	deficit := p.target - (p.Level() - n)
+	if p.target == 0 || deficit < max(1, min(p.target/2, extChunk)) {
+		return true, 0
+	}
+	return true, deficit
+}
+
+// FillBytes returns the wire bytes of a fill of n correlations: 128
+// masked columns of ceil(mc/8) bytes per chunk of mc, 16 bytes per OT
+// when n is a multiple of 8. Both ends know it, so a byte budget can
+// make room for exactly the fill a run carries.
+func FillBytes(n int) int64 {
+	var b int64
+	for off := 0; off < n; off += extChunk {
+		b += kappa * int64((min(n-off, extChunk)+7)/8)
+	}
+	return b
+}
+
 // Fill extends the pool by n correlations, streaming in IKNP-sized
 // chunks. Both sides must call Fill with the same n at the same point
 // in the connection's byte stream.
@@ -146,13 +193,19 @@ func (p *Pool) Fill(conn io.ReadWriter, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	p.compact()
-	// Grow the banks once for the whole fill; the chunks extend into the
-	// capacity.
-	if p.send != nil {
-		p.masks = slices.Grow(p.masks, n)
-	} else {
-		p.rl, p.d = slices.Grow(p.rl, n), slices.Grow(p.d, n)
+	// The chunks extend into the banks' capacity. Consumed correlations
+	// are compacted away only when it lacks room for the whole fill, and
+	// the banks then grow to twice what the fill leaves live: a pool
+	// topped up inside the runs that drain it (Decide) moves its live
+	// correlations once per few fills instead of before every one.
+	if p.room() < n {
+		p.compact()
+		live := p.Level() + n
+		if p.send != nil {
+			p.masks = slices.Grow(p.masks, 2*live-len(p.masks))
+		} else {
+			p.rl, p.d = slices.Grow(p.rl, 2*live-len(p.rl)), slices.Grow(p.d, 2*live-len(p.d))
+		}
 	}
 	for off := 0; off < n; off += extChunk {
 		mc := min(n-off, extChunk)
@@ -381,6 +434,15 @@ func readDerandFrame(r io.Reader, want int, frame []byte) error {
 		return fmt.Errorf("ot: reading correction bits: %w", err)
 	}
 	return nil
+}
+
+// room returns how many correlations the banks can take without
+// moving or growing.
+func (p *Pool) room() int {
+	if p.send != nil {
+		return cap(p.masks) - len(p.masks)
+	}
+	return min(cap(p.rl)-len(p.rl), cap(p.d)-len(p.d))
 }
 
 // compact discards consumed correlations so fills append into the slack

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -461,4 +462,99 @@ func TestPoolOnlineAllocFree(t *testing.T) {
 		t.Fatalf("steady-state derandomization allocates %.1f times per batch, want 0", allocs)
 	}
 	close(reqs)
+}
+
+// TestPoolDecide pins the in-run fill rule both roles apply: a hit
+// needs the run's n correlations, and a hit carries a fill of the whole
+// deficit it leaves below the target once that reaches
+// min(target/2, extChunk); a pool without a target never fills.
+func TestPoolDecide(t *testing.T) {
+	for _, tc := range []struct {
+		target, level, n int
+		hit              bool
+		fill             int
+	}{
+		{0, 100, 10, true, 0},                        // no target: today's pools
+		{0, 5, 10, false, 0},                         // short: a miss
+		{100, 100, 0, false, 0},                      // nothing to transfer
+		{100, 100, 10, true, 0},                      // deficit 10 < 50
+		{100, 60, 10, true, 50},                      // deficit exactly target/2
+		{100, 9, 10, false, 0},                       // misses never fill
+		{2, 2, 1, true, 1},                           // min 1
+		{1 << 16, 1 << 16, extChunk - 1, true, 0},    // a big target's threshold is extChunk,
+		{1 << 16, 1 << 16, extChunk, true, extChunk}, // not target/2
+		{1 << 16, 1 << 16, 3 * extChunk, true, 3 * extChunk},
+		{1 << 16, 1<<16 - 5, extChunk - 5, true, extChunk}, // the whole deficit, not the run's n
+	} {
+		p := &Pool{recv: &extReceiver{}, rl: make([]label.L, tc.level), target: tc.target}
+		hit, fill := p.Decide(tc.n)
+		if hit != tc.hit || fill != tc.fill {
+			t.Errorf("target %d level %d n %d: Decide = %v, %d; want %v, %d", tc.target, tc.level, tc.n, hit, fill, tc.hit, tc.fill)
+		}
+	}
+	var nilPool *Pool
+	if hit, fill := nilPool.Decide(1); hit || fill != 0 {
+		t.Errorf("nil pool: Decide = %v, %d; want a miss", hit, fill)
+	}
+}
+
+// TestFillBytesMatchesFill: FillBytes is exactly what a fill moves on
+// the wire, for sizes on and off the byte and chunk boundaries.
+func TestFillBytesMatchesFill(t *testing.T) {
+	sp, rp, cs, cr := newPoolPair(t, Insecure)
+	for _, n := range []int{1, 8, 13, extChunk, extChunk + 3, 2*extChunk + 64} {
+		var w countWriter
+		errc := make(chan error, 1)
+		go func() { errc <- sp.Fill(cs, n) }()
+		if err := rp.Fill(struct {
+			io.Reader
+			io.Writer
+		}{cr, io.MultiWriter(cr, &w)}, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if got := FillBytes(n); got != w.n {
+			t.Errorf("FillBytes(%d) = %d, the fill wrote %d", n, got, w.n)
+		}
+	}
+	if FillBytes(0) != 0 || FillBytes(8) != 16*8 {
+		t.Errorf("FillBytes(0), FillBytes(8) = %d, %d; want 0, 128", FillBytes(0), FillBytes(8))
+	}
+}
+
+type countWriter struct{ n int64 }
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestPoolFillMovesBankRarely: a pool topped back up to its target
+// after every batch, as in-run fills do, keeps room for twice its
+// target and compacts (head back at 0) only when that room runs out:
+// with batches of a quarter of the target, the banks take four fills
+// past the first and compact on the fifth (the sender's banks are
+// counted; each end compacts on its own capacity, which the wire never
+// sees). Every batch still derandomizes correctly and the two ends stay
+// in lockstep.
+func TestPoolFillMovesBankRarely(t *testing.T) {
+	const target, m = 64, 16
+	sp, rp, cs, cr := newPoolPair(t, Insecure)
+	fillBoth(t, sp, rp, cs, cr, target)
+	var compacted []int
+	for batch := 1; batch <= 12; batch++ {
+		derandBoth(t, sp, rp, cs, cr, m)
+		fillBoth(t, sp, rp, cs, cr, m)
+		if sp.Level() != target || rp.Level() != target {
+			t.Fatalf("batch %d: levels %d/%d, want %d", batch, sp.Level(), rp.Level(), target)
+		}
+		if sp.head == 0 {
+			compacted = append(compacted, batch)
+		}
+	}
+	if fmt.Sprint(compacted) != "[5 10]" {
+		t.Fatalf("compacted at batches %v, want [5 10]", compacted)
+	}
 }

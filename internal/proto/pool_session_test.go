@@ -1,10 +1,14 @@
 package proto
 
 import (
+	"errors"
 	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"haac/internal/circuit"
+	"haac/internal/faultnet"
 	"haac/internal/ot"
 	"haac/internal/workloads"
 )
@@ -131,4 +135,126 @@ func sessionPairConns(t *testing.T, w workloads.Workload, otp ot.Protocol) (*Gar
 	}
 	t.Cleanup(func() { gs.Close(); es.Close() })
 	return gs, es, ga, ev
+}
+
+// runPair plays one run on both sessions and returns both results.
+func runPair(gs *GarblerSession, es *EvaluatorSession, g, e []bool) (gout, eout []bool, gerr, eerr error) {
+	ch := make(chan error, 1)
+	go func() {
+		var err error
+		gout, err = gs.Run(g)
+		gout = append([]bool(nil), gout...)
+		ch <- err
+	}()
+	eout, eerr = es.Run(e)
+	return gout, eout, <-ch, eerr
+}
+
+// TestSessionInRunFills: with both pools given the same target, every
+// run that leaves its pool half short tops it back up inside the run —
+// the evaluator's fill columns cross net.Pipe while the tables stream
+// the other way — so every run is a hit, both ends report the same
+// NextFill before each run, and the levels stay in lockstep.
+func TestSessionInRunFills(t *testing.T) {
+	w := workloads.DotProduct(3, 8)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	gs, es, ga, ev := sessionPairConns(t, w, ot.Insecure)
+	sp, rp := attachPools(t, gs, es, ga, ev, 4*m)
+	sp.SetTarget(4 * m)
+	rp.SetTarget(4 * m)
+
+	fills := 0
+	for run := 0; run < 8; run++ {
+		g, e := w.Inputs(int64(run))
+		want, err := c.Eval(g, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := gs.NextFill()
+		if es.NextFill() != fill {
+			t.Fatalf("run %d: the ends disagree on the fill: %d vs %d", run, fill, es.NextFill())
+		}
+		if fill > 0 {
+			fills++
+		}
+		gout, eout, gerr, eerr := runPair(gs, es, g, e)
+		if gerr != nil || eerr != nil {
+			t.Fatalf("run %d: garbler %v, evaluator %v", run, gerr, eerr)
+		}
+		for i := range want {
+			if eout[i] != want[i] || gout[i] != want[i] {
+				t.Fatalf("run %d output %d diverged from the oracle", run, i)
+			}
+		}
+		if !gs.LastRunPooled() {
+			t.Fatalf("run %d missed", run)
+		}
+		if sp.Level() != rp.Level() {
+			t.Fatalf("run %d: pool levels diverged %d/%d", run, sp.Level(), rp.Level())
+		}
+		if wantLevel := 4*m - (run%2+1)*m; fill > 0 && sp.Level() != 4*m || fill == 0 && sp.Level() != wantLevel {
+			t.Fatalf("run %d (fill %d): level %d", run, fill, sp.Level())
+		}
+	}
+	if fills != 4 {
+		t.Fatalf("%d of 8 runs carried a fill, want every second one", fills)
+	}
+}
+
+// TestSessionInRunFillDrop: the evaluator's connection drops while an
+// in-run fill is writing. Both Runs still join their fill and return a
+// typed ErrPeerClosed, and once both sessions are closed no goroutine of
+// theirs is left.
+func TestSessionInRunFillDrop(t *testing.T) {
+	w := workloads.AddN(16)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	p, err := circuit.NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	ga, ev := net.Pipe()
+	gs, err := NewGarblerSession(ga, Options{Plan: p, OT: ot.Insecure, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := NewEvaluatorSession(ev, c, Options{OT: ot.Insecure, Plan: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, rp := attachPools(t, gs, es, ga, ev, 2*m)
+	sp.SetTarget(2 * m)
+	rp.SetTarget(2 * m)
+	// Rebind the evaluator to a connection that drops once half the
+	// fill's bytes could have crossed past the garbler's first flush:
+	// the fill starts once the masked pairs are in and writes in 16-byte
+	// pieces, so it is still writing. Reset detaches the pool; reattach
+	// it.
+	first := int64(5+(m+7)/8) + headerSize + int64(16*c.GarblerInputs) + int64(32*m)
+	if c.HasConst {
+		first += 32
+	}
+	es.Reset(faultnet.Wrap(ev, faultnet.Plan{DropAfterBytes: first + ot.FillBytes(m)/2, MaxWriteChunk: 16}, nil))
+	es.SetPool(rp)
+	if gs.NextFill() == 0 || es.NextFill() == 0 {
+		t.Fatal("the run must carry a fill")
+	}
+	g, e := w.Inputs(1)
+	_, _, gerr, eerr := runPair(gs, es, g, e)
+	if !errors.Is(gerr, ErrPeerClosed) || !errors.Is(eerr, ErrPeerClosed) {
+		t.Fatalf("garbler %v, evaluator %v; want both ErrPeerClosed", gerr, eerr)
+	}
+	gs.Close()
+	es.Close()
+	ga.Close()
+	ev.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after both sessions closed, baseline %d", n, baseline)
+	}
 }

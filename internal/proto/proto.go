@@ -24,13 +24,20 @@
 // A run's order: header and garbler labels in one flush, then the
 // evaluator's inputs by on-demand OT, then tables, decode bits and
 // result. A run served from attached ot.Pools (both parties decide from
-// their own lockstep levels) moves the OT ahead: the evaluator's choice
-// correction (0xD5 | count u32 | e bits) goes first, and the masked
-// pairs (32 bytes per evaluator input) follow the labels in the
-// garbler's first flush — so the evaluator sends once and then only
-// reads until its result. The header's OT byte says ot.Pooled exactly
-// then; an evaluator whose own decision disagrees fails the run with
-// ErrMalformedFrame.
+// their own lockstep levels, ot.Pool.Decide) moves the OT ahead: the
+// evaluator's choice correction (0xD5 | count u32 | e bits) goes first,
+// and the masked pairs (32 bytes per evaluator input) follow the labels
+// in the garbler's first flush — so the evaluator sends once and then
+// only reads until its result. The header's OT byte says ot.Pooled
+// exactly then; an evaluator whose own decision disagrees fails the run
+// with ErrMalformedFrame. A pooled run that leaves its pool well below
+// the pool's target also carries an in-run fill (the same Decide, no
+// wire field): once the masked pairs are in, the evaluator writes the
+// fill's masked columns while the tables stream back, and its result
+// follows them:
+//
+//	evaluator → garbler: correction | fill columns | result
+//	garbler → evaluator: header | labels | masked pairs | tables | decode
 //
 // Both parties must hold the same circuit; the header fields are checked
 // so mismatched circuits fail fast instead of producing garbage.
@@ -63,9 +70,11 @@ type Options struct {
 	// Seed seeds the garbler's deterministic label source when nonzero;
 	// zero draws a random seed. Tests use fixed seeds.
 	Seed uint64
-	// Stats, when non-nil, collects transfer metrics for the run: the
-	// bytes through the session's transport and, on the garbler, where
-	// the table stream's time went.
+	// Stats, when non-nil, collects transfer metrics: an
+	// EvaluatorSession and the one-run wrappers count the bytes through
+	// their transport, and a garbler records where its table stream's
+	// time went. A GarblerSession counts no bytes — the serving layer
+	// counts its connections itself.
 	Stats *Stats
 	// Workers is the width of the plan engine: <= 1 garbles and
 	// evaluates every schedule step on the calling goroutine, larger
@@ -122,16 +131,16 @@ func (o *Options) planFor(c *circuit.Circuit) (*circuit.Plan, error) {
 	return o.Plan, nil
 }
 
-// oneShot prepares a one-run wrapper's transport and session options.
-// Options.Integrity frames the whole stream here rather than in the
-// session (the serving layer negotiates framing itself); bytes are then
-// counted beneath the frames, so the session must not count them again.
-func (o Options) oneShot(conn io.ReadWriter) (io.ReadWriter, Options) {
+// oneShot prepares a one-run wrapper's transport: Options.Stats counts
+// its bytes, beneath the frames when Options.Integrity frames the whole
+// stream here rather than in the session (the serving layer negotiates
+// framing itself). An evaluator session must then not count them again.
+func (o Options) oneShot(conn io.ReadWriter) io.ReadWriter {
+	conn = Instrument(conn, o.Stats)
 	if o.Integrity {
-		conn = NewFramedConn(Instrument(conn, o.Stats))
-		o.Stats = nil
+		conn = NewFramedConn(conn)
 	}
-	return conn, o
+	return conn
 }
 
 type header struct {
@@ -274,7 +283,7 @@ func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts
 	if opts.Plan, err = opts.planFor(c); err != nil {
 		return nil, err
 	}
-	s, err := NewGarblerSession(opts.oneShot(conn))
+	s, err := NewGarblerSession(opts.oneShot(conn), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +296,8 @@ func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts
 // wrapper around an EvaluatorSession, which compiles the plan unless
 // Options.Plan carries one.
 func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
-	conn, opts = opts.oneShot(conn)
+	conn = opts.oneShot(conn)
+	opts.Stats = nil // counted by oneShot
 	s, err := NewEvaluatorSession(conn, c, opts)
 	if err != nil {
 		return nil, err

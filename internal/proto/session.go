@@ -14,8 +14,9 @@ import (
 // Protocol sessions: the per-connection endpoints every run goes
 // through. A GarblerSession/EvaluatorSession pair owns the run state
 // for the lifetime of a connection: the buffered writer/reader, the
-// garbler's table-sender goroutine, the packed header, OT pair scratch,
-// result buffers and a reusable plan runner all persist, so a
+// garbler's table-sender goroutine, both roles' in-run pool-fill
+// goroutines, the packed header, OT pair scratch, result buffers and a
+// reusable plan runner all persist, so a
 // steady-state run allocates nothing on either side (on-demand OT for
 // evaluator inputs is the one inherently allocating step — its cost is
 // public-key crypto, not transport; a run served from an attached
@@ -26,8 +27,9 @@ import (
 
 // GarblerSession is a reusable garbler endpoint bound to one connection
 // and one precompiled plan. It is not safe for concurrent use; a server
-// pools sessions and gives each connection its own. It owns a goroutine
-// (its table sender), so it must be Closed.
+// pools sessions and gives each connection its own. It owns goroutines
+// (its table sender and, once a run has carried an in-run fill, its
+// filler), so it must be Closed.
 type GarblerSession struct {
 	opts  Options
 	c     *circuit.Circuit
@@ -47,9 +49,11 @@ type GarblerSession struct {
 	// header ot.Pooled and sends the masked pairs with it instead of
 	// running opts.OT on demand. The evaluator decides from its own pool
 	// level and checks the header agrees, so both sides consume their
-	// pools in lockstep.
+	// pools in lockstep — and a hit that leaves the pool well below its
+	// target reads an in-run fill's columns on fill (fill.go).
 	pool       *ot.Pool
 	lastPooled bool
+	fill       poolFiller
 
 	// Resume scratch: garbling is a pure function of the label-source
 	// state at Begin, so ResumeRun replays a broken run's table stream
@@ -62,7 +66,9 @@ type GarblerSession struct {
 // required (serving always amortizes through plans); Workers selects
 // the plan engine width. A zero Options.Seed draws a random one; the
 // session's label source then advances across runs, so every run
-// garbles with fresh labels.
+// garbles with fresh labels. The session records its table stream's
+// timing in Options.Stats but counts no bytes: its transport's owner
+// does (RunGarbler counts its connection into the same Stats).
 func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("proto: GarblerSession requires Options.Plan")
@@ -100,8 +106,9 @@ func (s *GarblerSession) PendingSeed() uint64 { return s.src.State() }
 // keeping the plan runner, label source and scratch. A server pools
 // sessions per circuit and Resets one for each accepted connection.
 func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
+	s.fill.join() // left in flight only by a run that panicked out
 	s.opts.OT = otp
-	s.rw = instrument(conn, &s.opts)
+	s.rw = conn
 	s.w.Reset(s.rw)
 	h := headerFor(s.c, s.opts)
 	h.encode(s.hdr[:])
@@ -116,6 +123,15 @@ func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
 // connection; Reset detaches it.
 func (s *GarblerSession) SetPool(p *ot.Pool) { s.pool = p }
 
+// NextFill returns the correlations the next Run's in-run fill adds to
+// the attached pool (ot.Pool.Decide): 0 on a miss, without a pool
+// target, or while the pool is near it. The serving layer makes room
+// for the fill's ot.FillBytes in that run's byte budget.
+func (s *GarblerSession) NextFill() int {
+	_, n := s.pool.Decide(s.c.EvaluatorInputs)
+	return n
+}
+
 // LastRunPooled reports whether the most recent Run served the
 // evaluator's labels from the pool (a hit) rather than falling back to
 // the on-demand protocol — the serving layer's hit/miss accounting
@@ -127,10 +143,11 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 // write of its own. A write error surfaces from that Run.
 func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
 
-// Close stops the sender goroutine and releases the plan runner's
-// worker pool. No Run may be in progress.
+// Close stops the sender and fill goroutines and releases the plan
+// runner's worker pool. No Run may be in progress.
 func (s *GarblerSession) Close() {
 	s.tx.close()
+	s.fill.close()
 	s.pg.Close()
 }
 
@@ -138,7 +155,10 @@ func (s *GarblerSession) Close() {
 // segment-streamed tables, decode bits, and the evaluator's reported
 // result. A pool hit first reads the evaluator's choice correction and
 // sends the masked pairs in the header's flush; an on-demand OT runs
-// after it. The returned slice is reused by the next Run.
+// after it. A hit that carries an in-run fill reads the fill's columns
+// on the session's fill goroutine from that flush on, and joins it
+// before reading the result. The returned slice is reused by the next
+// Run.
 func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	c := s.c
 	if len(garblerBits) != c.GarblerInputs {
@@ -152,7 +172,8 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	// OT byte carries this side's verdict for it to check.
 	m := c.EvaluatorInputs
 	otp := s.opts.OT
-	s.lastPooled = s.pool != nil && m > 0 && s.pool.Level() >= m
+	var fill int
+	s.lastPooled, fill = s.pool.Decide(m)
 	if s.lastPooled {
 		otp = ot.Pooled
 		if err := s.pool.ReadCorrection(s.rw, m); err != nil {
@@ -180,6 +201,12 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	if err := s.w.Flush(); err != nil {
 		return nil, wrapPeer("sending garbler labels", err)
 	}
+	if fill > 0 {
+		// The masked pairs have left, so the run has consumed its
+		// correlations, and the evaluator writes the fill's columns once
+		// it has read them.
+		s.fill.start(s.pool, s.rw, fill)
+	}
 	if m > 0 && !s.lastPooled {
 		if err := ot.Send(s.rw, otp, s.pairs); err != nil {
 			return nil, wrapPeer("OT", err)
@@ -193,25 +220,24 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 // reported result — the shared body of Run and ResumeRun. Nothing is
 // buffered in s.w on entry, and between begin and drain only the sender
 // writes to the transport, so the wire order is tables then decode bits;
-// the drain also runs when garbling stops on an error, so no Write is in
-// flight once this returns. (On a big-endian host the sender leaves the
-// arena, and with it garbled.Tables, in wire byte order.)
+// the drain also runs when garbling stops on an error, and so does the
+// join of an in-run fill, so no Read or Write is in flight once this
+// returns. (On a big-endian host the sender leaves the arena, and with
+// it garbled.Tables, in wire byte order.)
 func (s *GarblerSession) streamRun(from int) ([]bool, error) {
 	s.tx.begin(s.rw, s.pg.Tables(), from)
 	garbled, err := s.pg.Run(s.emit)
 	if derr := s.tx.drain(); err == nil {
 		err = derr
 	}
+	if err == nil {
+		err = s.sendDecode(garbled.OutputZeros)
+	}
+	if ferr := s.fill.join(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return nil, err
-	}
-	for _, z := range garbled.OutputZeros {
-		if err := s.w.WriteByte(byte(z.Colour())); err != nil {
-			return nil, wrapPeer("sending decode bits", err)
-		}
-	}
-	if err := s.w.Flush(); err != nil {
-		return nil, wrapPeer("sending decode bits", err)
 	}
 	if _, err := io.ReadFull(s.rw, s.res); err != nil {
 		return nil, wrapPeer("reading result", err)
@@ -220,6 +246,19 @@ func (s *GarblerSession) streamRun(from int) ([]bool, error) {
 		s.out[i] = b == 1
 	}
 	return s.out, nil
+}
+
+// sendDecode writes and flushes the run's decode bits.
+func (s *GarblerSession) sendDecode(outputZeros []label.L) error {
+	for _, z := range outputZeros {
+		if err := s.w.WriteByte(byte(z.Colour())); err != nil {
+			return wrapPeer("sending decode bits", err)
+		}
+	}
+	if err := s.w.Flush(); err != nil {
+		return wrapPeer("sending decode bits", err)
+	}
+	return nil
 }
 
 // ResumeRun replays a broken run's outbound stream from table offset
@@ -245,7 +284,9 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 
 // EvaluatorSession is a reusable evaluator endpoint bound to one
 // connection. It holds a persistent plan runner and table arena, making
-// steady-state runs allocation-free. Not safe for concurrent use.
+// steady-state runs allocation-free. Not safe for concurrent use; once a
+// run has carried an in-run fill it owns a goroutine, so it must be
+// Closed.
 type EvaluatorSession struct {
 	opts   Options
 	c      *circuit.Circuit
@@ -273,9 +314,13 @@ type EvaluatorSession struct {
 	pool *ot.Pool
 	// corr is Run's scratch for a correction it sends itself; sent
 	// records that AppendCorrection built this run's correction (the hit
-	// decision), so Run reads the masked pairs and sends nothing more.
+	// decision), so Run reads the masked pairs and sends nothing more,
+	// and due is the in-run fill that hit carries, written on fill once
+	// the masked pairs are in (fill.go).
 	corr []byte
 	sent bool
+	due  int
+	fill poolFiller
 
 	// Resume bookkeeping: once a run has its inputs (OT done), the run
 	// is resumable — the verified tables in the arena and the
@@ -328,6 +373,7 @@ func (bytesReaderNone) Read([]byte) (int, error) { return 0, io.EOF }
 // scratch. Any attached pool is detached: its correlations were bound
 // to the old connection's base-OT state.
 func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
+	s.fill.join() // left in flight only by a run that panicked out
 	s.rw = instrument(conn, &s.opts)
 	s.rd.Reset(s.rw)
 	s.otrw = readWriter{s.rd, s.rw}
@@ -340,8 +386,27 @@ func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 // session's current connection; Reset detaches it.
 func (s *EvaluatorSession) SetPool(p *ot.Pool) { s.pool = p }
 
-// Close releases the plan runner's worker pool.
-func (s *EvaluatorSession) Close() { s.pe.Close() }
+// Conn returns the session's connection as its runs use it: reads go
+// through the session's buffered reader, writes straight through. A
+// caller that exchanges bytes on the connection between runs (the
+// serving client's op frames and acks) uses it, so no byte the reader
+// has buffered ahead is lost.
+func (s *EvaluatorSession) Conn() io.ReadWriter { return &s.otrw }
+
+// NextFill returns the correlations the next Run's in-run fill adds to
+// the attached pool (ot.Pool.Decide, the garbler's rule): 0 on a miss,
+// without a pool target, or while the pool is near it.
+func (s *EvaluatorSession) NextFill() int {
+	_, n := s.pool.Decide(s.c.EvaluatorInputs)
+	return n
+}
+
+// Close stops the fill goroutine and releases the plan runner's worker
+// pool.
+func (s *EvaluatorSession) Close() {
+	s.fill.close()
+	s.pe.Close()
+}
 
 // readTables pulls gate-order tables off the wire until upto of them
 // have landed, reading straight into the persistent arena's own memory.
@@ -363,13 +428,6 @@ func (s *EvaluatorSession) readTables(upto int) error {
 	return nil
 }
 
-// pooledRun reports whether the attached pool can serve the next run —
-// the hit/miss decision the garbler takes from its own, lockstep level.
-func (s *EvaluatorSession) pooledRun() bool {
-	m := s.c.EvaluatorInputs
-	return s.pool != nil && m > 0 && s.pool.Level() >= m
-}
-
 // AppendCorrection prepares the next run's input phase ahead of it:
 // when the attached pool can serve the run, it appends the pool's
 // choice correction for evalBits to dst, reports the hit, and leaves the
@@ -380,7 +438,8 @@ func (s *EvaluatorSession) AppendCorrection(dst []byte, evalBits []bool) ([]byte
 	if len(evalBits) != s.c.EvaluatorInputs {
 		return dst, false, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), s.c.EvaluatorInputs)
 	}
-	if !s.pooledRun() {
+	hit, fill := s.pool.Decide(s.c.EvaluatorInputs)
+	if !hit {
 		return dst, false, nil
 	}
 	s.choices.CopyBools(evalBits)
@@ -388,14 +447,17 @@ func (s *EvaluatorSession) AppendCorrection(dst []byte, evalBits []bool) ([]byte
 	if err != nil {
 		return dst, false, err
 	}
-	s.sent = true
+	s.sent, s.due = true, fill
 	return dst, true, nil
 }
 
 // Run plays one full evaluator run and returns the plaintext outputs
 // (also reported back to the garbler). On a pool hit it first writes
 // the choice correction, unless AppendCorrection gave it to the caller
-// to send. The returned slice is reused by the next Run.
+// to send. A hit that carries an in-run fill writes the fill's columns
+// on the session's fill goroutine once the masked pairs are in, while
+// the tables stream back, and joins it before writing the result. The
+// returned slice is reused by the next Run.
 func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 	c := s.c
 	if len(evalBits) != c.EvaluatorInputs {
@@ -413,8 +475,8 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 			}
 		}
 	}
-	pooled := s.sent
-	s.sent = false
+	pooled, due := s.sent, s.due
+	s.sent, s.due = false, 0
 	if _, err := io.ReadFull(s.rd, s.hdrBuf[:]); err != nil {
 		return nil, wrapPeer("reading header", err)
 	}
@@ -450,6 +512,9 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 			if err := s.pool.ReadMasked(s.rd, s.choices, evalLabels); err != nil {
 				return nil, wrapPeer("OT", err)
 			}
+			if due > 0 {
+				s.fill.start(s.pool, s.rw, due)
+			}
 		} else {
 			s.choices.CopyBools(evalBits)
 			got, err := ot.ReceiveBitset(&s.otrw, ot.Protocol(h.OTProto), s.choices)
@@ -469,18 +534,26 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 		// circuits; the decode bits follow on the same connection.
 		err = s.readTables(int(h.NTables))
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s.finishRun(outLabels)
+	return s.finishRun(outLabels, err)
 }
 
 // finishRun reads the decode bits, decodes the outputs and reports the
-// result back — the shared tail of Run and Resume. A completed run is
-// no longer resumable.
-func (s *EvaluatorSession) finishRun(outLabels []label.L) ([]bool, error) {
-	if _, err := io.ReadFull(s.rd, s.decode); err != nil {
-		return nil, wrapPeer("reading decode bits", err)
+// result back — the shared tail of Run and Resume, entered with the
+// error the table stream ended on. An in-run fill is joined first, on
+// every path: its columns go ahead of the result on the one
+// evaluator→garbler direction, and no Write may be in flight once Run
+// returns. A completed run is no longer resumable.
+func (s *EvaluatorSession) finishRun(outLabels []label.L, err error) ([]bool, error) {
+	if err == nil {
+		if _, rerr := io.ReadFull(s.rd, s.decode); rerr != nil {
+			err = wrapPeer("reading decode bits", rerr)
+		}
+	}
+	if ferr := s.fill.join(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i, l := range outLabels {
 		v := l.Colour() ^ int(s.decode[i])
@@ -520,8 +593,5 @@ func (s *EvaluatorSession) Resume() ([]bool, error) {
 	if err == nil {
 		err = s.readTables(s.lastTables)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s.finishRun(outLabels)
+	return s.finishRun(outLabels, err)
 }

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -114,7 +113,8 @@ type ClientStats struct {
 	// PoolHits counts runs whose evaluator labels came out of the
 	// session's precomputed OT pool; PoolMisses counts pooled-tier runs
 	// that fell back to an on-demand OT; PoolRefills counts completed
-	// refill exchanges (initial fills included).
+	// fills: each connection's connect-time refill exchange and the
+	// in-run fills of pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
 	// TableSendNanos and TableDrainWaitNanos are the garbler's
 	// table-stream timing as Options.Stats holds it (see proto.Stats).
@@ -140,7 +140,7 @@ func (cs ClientStats) MetricsText() string {
 	counter("haac_client_integrity_failures_total", "Inbound checksummed frames rejected by the integrity tier.", cs.IntegrityFailures)
 	counter("haac_client_pool_hits_total", "Runs served from the precomputed OT pool.", cs.PoolHits)
 	counter("haac_client_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", cs.PoolMisses)
-	counter("haac_client_pool_refills_total", "Completed OT-pool refill exchanges.", cs.PoolRefills)
+	counter("haac_client_pool_refills_total", "Completed OT-pool fills: connect-time refills plus in-run fills.", cs.PoolRefills)
 	seconds := func(name, help string, nanos uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, time.Duration(nanos).Seconds())
 	}
@@ -194,30 +194,18 @@ type Options struct {
 	// the transfer.
 	MaxRunBytes int64
 	// PoolSize, when positive, requests the precomputed-OT session tier:
-	// the session keeps a pool of about this many random-OT correlations,
-	// filled synchronously at (re)connect and topped up in the background
-	// between runs, so a steady-state Run's online OT is one XOR round
-	// with no base OTs. A run that finds the pool short of its demand
-	// falls back to the on-demand protocol for that run (a PoolMiss). A
-	// server that declines the tier accepts the session unpooled —
-	// check Session.Pooled for the negotiated outcome.
+	// the session keeps a pool of this many random-OT correlations (or
+	// the server's smaller grant), filled synchronously at (re)connect
+	// and topped back up inside the runs that drain it — a pooled run
+	// that leaves the pool min(PoolSize/2, 16384) or more below its size
+	// carries a fill of the whole deficit, whose columns travel
+	// client→server while the run's tables stream back. A steady-state
+	// Run's online OT is then one XOR round with no base OTs. A run that
+	// finds the pool short of its demand falls back to the on-demand
+	// protocol for that run (a PoolMiss). A server that declines the
+	// tier accepts the session unpooled — check Session.Pooled for the
+	// negotiated outcome.
 	PoolSize int
-	// PoolRefill is the background refill chunk (correlations per
-	// opRefill). Default PoolSize/4, minimum 1; larger chunks amortize
-	// the refill round trips, smaller ones shorten the wire lock a
-	// concurrent Run may wait on.
-	PoolRefill int
-}
-
-// poolChunk resolves the background refill chunk's default.
-func (o Options) poolChunk() int {
-	if o.PoolRefill > 0 {
-		return o.PoolRefill
-	}
-	if c := o.PoolSize / 4; c > 0 {
-		return c
-	}
-	return 1
 }
 
 // clientPlans caches compiled plans for sessions that did not bring
@@ -267,7 +255,10 @@ type Session struct {
 	rw       io.ReadWriter
 	es       *proto.EvaluatorSession
 	numSlots int
-	// buf holds each op's request and ack (17 bytes fits the largest,
+	// rw writes straight to the connection's wire stack and reads through
+	// the evaluator's buffered reader (proto.EvaluatorSession.Conn), so
+	// an op's ack and the run stream behind it arrive in one read. buf
+	// holds each op's request and ack (17 bytes fits the largest,
 	// opResume); runReq holds the run op and, on a pool hit, the choice
 	// correction. Both persist, so a run allocates nothing on the wire
 	// exchange.
@@ -289,16 +280,9 @@ type Session struct {
 
 	// Pooled-tier state. The pool is bound to the current connection's
 	// base-OT exchange, so it is rebuilt from scratch on every
-	// (re)connect; poolCapped remembers a server refusal so the session
-	// stops asking. wireMu serializes the wire between Run/Close and the
-	// background refill goroutine — it is the only concurrency a Session
-	// supports; refilling (guarded by wireMu) keeps that goroutine
-	// singleton.
-	wireMu     sync.Mutex
-	pooled     bool
-	pool       *ot.Pool
-	poolCapped bool
-	refilling  bool
+	// (re)connect; its target is the connect-time fill's grant.
+	pooled bool
+	pool   *ot.Pool
 
 	// Reconnect state.
 	addr  string
@@ -415,7 +399,6 @@ func (s *Session) connect() error {
 	// from the old connection's base OTs and die with it.
 	s.pooled = pooled
 	s.pool = nil
-	s.poolCapped = false
 	s.numSlots = int(numSlots)
 	return nil
 }
@@ -428,6 +411,7 @@ func (s *Session) setup() error {
 	err := s.connect()
 	if err == nil {
 		s.es.Reset(s.rw) // also detaches the old connection's pool
+		s.rw = s.es.Conn()
 		err = s.initialFill()
 	}
 	if err != nil {
@@ -456,7 +440,8 @@ func (s *Session) reconnect() error {
 // initialFill seeds the pool synchronously right after a (re)connected
 // pooled handshake, bounded by the handshake deadline: the connection's
 // base OTs and first fill are paid at (re)connect time, so the first
-// Run is already served from the pool.
+// Run is already served from the pool. It is the connection's one
+// refill exchange; pooled runs do the rest of the topping up.
 func (s *Session) initialFill() error {
 	if !s.pooled {
 		return nil
@@ -469,12 +454,12 @@ func (s *Session) initialFill() error {
 }
 
 // refillOnce runs one opRefill exchange over the current connection,
-// creating the receiver pool (and paying its base OTs) on first use. A
-// server refusal (ackRefuse, or a clamped grant) caps the pool and
-// returns nil — the session stays usable, it just stops asking for
-// more.
+// creating the receiver pool (and paying its base OTs) on first use, and
+// records the level it leaves as the pool's target, as the server does.
+// A server refusal (ackRefuse) returns nil with no pool: the session
+// stays usable and runs on demand. A clamped grant is the target.
 func (s *Session) refillOnce(n int) error {
-	if n <= 0 || s.poolCapped {
+	if n <= 0 {
 		return nil
 	}
 	s.buf[0] = opRefill
@@ -485,7 +470,6 @@ func (s *Session) refillOnce(n int) error {
 		return err
 	}
 	if ack == ackRefuse {
-		s.poolCapped = true
 		return nil
 	}
 	g, err := s.readAck(4)
@@ -495,9 +479,6 @@ func (s *Session) refillOnce(n int) error {
 	granted := int(binary.LittleEndian.Uint32(g))
 	if granted <= 0 || granted > n {
 		return s.fail(fmt.Errorf("%w: refill granted %d of %d", ErrMalformedFrame, granted, n))
-	}
-	if granted < n {
-		s.poolCapped = true // the server clamped to its cap
 	}
 	if s.pool == nil {
 		p, err := ot.NewReceiverPool(s.rw, ot.DH)
@@ -510,56 +491,9 @@ func (s *Session) refillOnce(n int) error {
 	if err := s.pool.Fill(s.rw, granted); err != nil {
 		return err
 	}
+	s.pool.SetTarget(s.pool.Level())
 	s.stats.PoolRefills++
 	return nil
-}
-
-// maybeRefill starts the background top-up when the pool has fallen
-// below half its target. Called with wireMu held; the goroutine it
-// spawns serializes with Run on wireMu, so refills only touch the wire
-// between runs.
-func (s *Session) maybeRefill() {
-	if !s.pooled || s.pool == nil || s.poolCapped || s.refilling || s.broken || s.closed {
-		return
-	}
-	if s.pool.Level() >= (s.opts.PoolSize+1)/2 {
-		return
-	}
-	s.refilling = true
-	go s.refillLoop()
-}
-
-// refillLoop tops the pool back up to target, one chunk per wireMu
-// acquisition so a concurrent Run slots in between chunks. A wire error
-// breaks the connection; the next Run heals it, and the reconnect's
-// initial fill rebuilds the pool from scratch.
-func (s *Session) refillLoop() {
-	for {
-		s.wireMu.Lock()
-		if s.closed || s.broken || s.poolCapped || s.pool == nil || s.pool.Level() >= s.opts.PoolSize {
-			s.refilling = false
-			s.wireMu.Unlock()
-			return
-		}
-		n := s.opts.PoolSize - s.pool.Level()
-		if c := s.opts.poolChunk(); n > c {
-			n = c
-		}
-		if d := s.opts.Retry.RunTimeout; d > 0 && s.conn != nil {
-			s.conn.SetDeadline(time.Now().Add(d))
-		}
-		err := s.refillOnce(n)
-		if s.opts.Retry.RunTimeout > 0 && s.conn != nil {
-			s.conn.SetDeadline(time.Time{})
-		}
-		if err != nil {
-			s.breakConn()
-			s.refilling = false
-			s.wireMu.Unlock()
-			return
-		}
-		s.wireMu.Unlock()
-	}
 }
 
 // NumSlots reports the slot-arena width of the server's plan for this
@@ -568,8 +502,6 @@ func (s *Session) NumSlots() int { return s.numSlots }
 
 // Stats returns a snapshot of the session's self-healing counters.
 func (s *Session) Stats() ClientStats {
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
 	cs := s.stats
 	if st := s.opts.Stats; st != nil {
 		cs.TableSendNanos = uint64(st.TableSendNanos.Load())
@@ -581,17 +513,11 @@ func (s *Session) Stats() ClientStats {
 // Pooled reports whether the current connection negotiated the
 // precomputed-OT session tier. Like Integrity, it can change across
 // reconnects when a redial lands on a backend with a different policy.
-func (s *Session) Pooled() bool {
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
-	return s.pooled
-}
+func (s *Session) Pooled() bool { return s.pooled }
 
 // PoolLevel reports the random-OT correlations currently banked for
 // this session (0 when unpooled or before the first fill).
 func (s *Session) PoolLevel() int {
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
 	if s.pool == nil {
 		return 0
 	}
@@ -648,8 +574,6 @@ func retryable(err error) bool {
 // refuses with ErrDraining and a dead connection surfaces
 // ErrSessionClosed immediately.
 func (s *Session) Run(evalBits []bool) ([]bool, error) {
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
@@ -681,7 +605,6 @@ func (s *Session) Run(evalBits []bool) ([]bool, error) {
 		}
 		if err == nil {
 			s.stats.Runs++
-			s.maybeRefill()
 			return out, nil
 		}
 		lastErr = err
@@ -769,15 +692,21 @@ func (s *Session) evalFailed(err error) error {
 // runOnce plays a single run attempt over the current connection. On a
 // pool hit the choice correction rides in the op's frame: the server
 // reads both before it answers, and its answer carries the ack, the
-// header and the masked pairs, so the run costs one round trip.
+// header and the masked pairs, so the run costs one round trip. A hit
+// that carries an in-run fill writes it during the run without waiting
+// on the server, with the fill's bytes added to the run's budget.
 func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 	req, hit, err := s.es.AppendCorrection(append(s.runReq[:0], opRun), evalBits)
 	if err != nil {
 		return nil, err
 	}
 	s.runReq = req
+	fill := s.es.NextFill()
 	if _, err := s.exchange(req, ackGo); err != nil {
 		return nil, err
+	}
+	if s.bb != nil {
+		s.bb.raise(ot.FillBytes(fill))
 	}
 	if s.integrity {
 		// The integrity-tier ack carries the run's resume token: the
@@ -797,6 +726,9 @@ func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 		s.stats.PoolHits++
 	} else if s.pooled {
 		s.stats.PoolMisses++
+	}
+	if fill > 0 {
+		s.stats.PoolRefills++
 	}
 	s.hasToken = false
 	return out, nil
@@ -836,8 +768,6 @@ func (s *Session) resumeOnce(got int) ([]bool, error) {
 // connection already failed returns ErrSessionClosed without touching
 // the dead transport.
 func (s *Session) Close() error {
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
 	if s.closed {
 		return nil
 	}

@@ -97,7 +97,7 @@ func scriptedSession(t *testing.T, conn net.Conn, c *circuit.Circuit, pooled boo
 		t.Fatal(err)
 	}
 	t.Cleanup(es.Close)
-	s := &Session{conn: conn, rw: conn, es: es, pooled: pooled}
+	s := &Session{conn: conn, rw: es.Conn(), es: es, pooled: pooled}
 	if pooled {
 		a, b := net.Pipe()
 		defer a.Close()
@@ -360,4 +360,84 @@ func TestClientRunBudget(t *testing.T) {
 			t.Fatalf("budgeted runs needed retries: %+v", cs)
 		}
 	})
+}
+
+// TestRunBudgetMakesRoomForFill: a pooled run that carries an in-run
+// fill is charged the fill's bytes on top of its own, and both ends
+// raise that run's MaxRunBytes by exactly the fill's ot.FillBytes. A
+// budget of exactly the run's own bytes — the charge is then exactly
+// run + fill, at the raised limit — holds run after run on both ends at
+// once; one byte less fails the first run with ErrOverBudget on
+// whichever end carries the short budget. (The server's last charge is
+// the result's last byte, which the client has already sent, so there
+// the failure shows in the server's counters.)
+func TestRunBudgetMakesRoomForFill(t *testing.T) {
+	// Its run bytes exceed the connect-time refill's (base OTs + the
+	// first fill), which the budget also bounds.
+	w := workloads.DotProduct(4, 16)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	garblerBits, evalBits := w.Inputs(1)
+	spec := []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}}
+	// PoolSize 2m: every run leaves the pool m short and tops it up.
+	fill := ot.FillBytes(m)
+
+	_, addr := startServer(t, Config{Circuits: spec, Seed: 53})
+	st := &proto.Stats{}
+	probe, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.BytesSent.Load() + st.BytesReceived.Load()
+	if _, err := probe.Run(evalBits); err != nil {
+		t.Fatal(err)
+	}
+	perRun := st.BytesSent.Load() + st.BytesReceived.Load() - before
+	if cs := probe.Stats(); cs.PoolRefills != 2 {
+		t.Fatalf("probe run carried no fill (refills %d)", cs.PoolRefills)
+	}
+	probe.Close()
+	own := perRun - fill
+
+	for _, tc := range []struct {
+		name           string
+		server, client int64 // MaxRunBytes on each end
+		ok             bool
+	}{
+		{"exact-both-ends", own, own, true},
+		{"client-one-byte-short", 0, own - 1, false},
+		{"server-one-byte-short", own - 1, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Circuits: spec, Seed: 59, MaxRunBytes: tc.server})
+			sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, MaxRunBytes: tc.client})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if !tc.ok {
+				_, err := sess.Run(evalBits)
+				if tc.client > 0 && !errors.Is(err, ErrOverBudget) {
+					t.Fatalf("Run err = %v, want ErrOverBudget", err)
+				}
+				if tc.server > 0 {
+					sess.Close()
+					srv.Close()
+					if st := srv.Stats(); st.RunsOverBudget != 1 || st.RunsServed != 0 {
+						t.Fatalf("server runs over budget/served = %d/%d, want 1/0", st.RunsOverBudget, st.RunsServed)
+					}
+				}
+				return
+			}
+			const runs = 10
+			for run := 0; run < runs; run++ {
+				if _, err := sess.Run(evalBits); err != nil {
+					t.Fatalf("run %d under a budget of its own %d bytes: %v", run, own, err)
+				}
+			}
+			if cs := sess.Stats(); cs.PoolHits != runs || cs.PoolRefills != 1+runs {
+				t.Fatalf("pool hits/refills = %d/%d, want %d/%d: every run a hit carrying a fill", cs.PoolHits, cs.PoolRefills, runs, 1+runs)
+			}
+		})
+	}
 }

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"haac/internal/builder"
 	"haac/internal/circuit"
 	"haac/internal/faultnet"
 	"haac/internal/ot"
+	"haac/internal/proto"
 	"haac/internal/workloads"
 )
 
@@ -37,7 +39,8 @@ func oracleRuns(t *testing.T, sess *Session, w workloads.Workload, c *circuit.Ci
 // acceptance check at the serving layer: a session dialed with PoolSize
 // pays its base OTs once at dial time, then every Run draws evaluator
 // labels from the pool — zero base-OT rounds across the whole run
-// window, every run a pool hit, outputs identical to the oracle.
+// window, in-run fill included, every run a pool hit, outputs
+// identical to the oracle.
 func TestPooledSessionServesFromPool(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -49,9 +52,9 @@ func TestPooledSessionServesFromPool(t *testing.T) {
 
 	m := c.EvaluatorInputs
 	const runs = 6
-	// 2*runs*m leaves the pool at exactly half target after the last
-	// run, so the background refill never triggers and the counters
-	// below are deterministic.
+	// 2*runs*m: the last run is the first to leave the pool half its
+	// target short, so it alone carries an in-run fill (of runs*m), and
+	// the counters below are deterministic.
 	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * runs * m})
 	if err != nil {
 		t.Fatal(err)
@@ -70,26 +73,26 @@ func TestPooledSessionServesFromPool(t *testing.T) {
 		t.Errorf("base-OT rounds during steady-state runs = %d, want 0", got)
 	}
 	cs := sess.Stats()
-	if cs.PoolHits != runs || cs.PoolMisses != 0 || cs.PoolRefills != 1 {
-		t.Errorf("client pool stats hits=%d misses=%d refills=%d, want %d/0/1",
+	if cs.PoolHits != runs || cs.PoolMisses != 0 || cs.PoolRefills != 2 {
+		t.Errorf("client pool stats hits=%d misses=%d refills=%d, want %d/0/2",
 			cs.PoolHits, cs.PoolMisses, cs.PoolRefills, runs)
 	}
-	if lvl := sess.PoolLevel(); lvl != runs*m {
-		t.Errorf("pool level after %d runs = %d, want %d", runs, lvl, runs*m)
+	if lvl := sess.PoolLevel(); lvl != 2*runs*m {
+		t.Errorf("pool level after %d runs = %d, want the target %d", runs, lvl, 2*runs*m)
 	}
 
 	sess.Close()
 	srv.Close()
 	st := srv.Stats()
-	if st.PoolHits != runs || st.PoolMisses != 0 || st.PoolRefills != 1 {
-		t.Errorf("server pool stats hits=%d misses=%d refills=%d, want %d/0/1",
+	if st.PoolHits != runs || st.PoolMisses != 0 || st.PoolRefills != 2 {
+		t.Errorf("server pool stats hits=%d misses=%d refills=%d, want %d/0/2",
 			st.PoolHits, st.PoolMisses, st.PoolRefills, runs)
 	}
 	metrics := srv.metricsText()
 	for _, want := range []string{
 		fmt.Sprintf("haac_pool_hits_total %d", runs),
 		"haac_pool_misses_total 0",
-		"haac_pool_refills_total 1",
+		"haac_pool_refills_total 2",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -142,11 +145,12 @@ func TestPooledSessionClampAndFallback(t *testing.T) {
 	}
 }
 
-// TestPooledRefillRace drains the pool faster than one refill chunk
-// restores it, so back-to-back runs race the background refill
-// goroutine on the session wire. Every run must complete byte-identical
-// (hit or miss, never a deadlock or a duplicated correlation), and both
-// sides must agree on the hit/miss split.
+// TestPooledRefillRace drains a pool that holds two runs' worth, so
+// every run leaves it half short and tops it back up with an in-run
+// fill whose columns race the run's own table stream on the session
+// wire. Every run must complete byte-identical and be a hit (never a
+// deadlock, a miss or a duplicated correlation), each fill counts as a
+// refill, and both sides must agree on every count.
 func TestPooledRefillRace(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -158,31 +162,29 @@ func TestPooledRefillRace(t *testing.T) {
 	})
 
 	const runs = 20
-	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, PoolRefill: m})
+	sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	oracleRuns(t, sess, w, c, garblerBits, runs)
 	cs := sess.Stats()
-	if cs.PoolHits+cs.PoolMisses != runs {
-		t.Errorf("hits+misses = %d+%d, want %d", cs.PoolHits, cs.PoolMisses, runs)
+	if cs.PoolHits != runs || cs.PoolMisses != 0 {
+		t.Errorf("hits/misses = %d/%d, want %d/0", cs.PoolHits, cs.PoolMisses, runs)
 	}
-	if cs.PoolHits == 0 {
-		t.Error("no run ever hit the pool despite background refills")
+	if cs.PoolRefills != 1+runs {
+		t.Errorf("refills = %d, want the connect-time fill and one in-run fill per run (%d)", cs.PoolRefills, 1+runs)
 	}
-	if cs.PoolRefills < 2 {
-		t.Errorf("refills = %d, want the background loop to have topped up", cs.PoolRefills)
+	if lvl := sess.PoolLevel(); lvl != 2*m {
+		t.Errorf("pool level after the runs = %d, want the target %d", lvl, 2*m)
 	}
-	t.Logf("refill race: hits=%d misses=%d refills=%d level=%d",
-		cs.PoolHits, cs.PoolMisses, cs.PoolRefills, sess.PoolLevel())
 
 	sess.Close()
 	srv.Close()
 	st := srv.Stats()
-	if st.PoolHits != cs.PoolHits || st.PoolMisses != cs.PoolMisses {
-		t.Errorf("server saw hits=%d misses=%d, client saw %d/%d — sides disagree",
-			st.PoolHits, st.PoolMisses, cs.PoolHits, cs.PoolMisses)
+	if st.PoolHits != cs.PoolHits || st.PoolMisses != cs.PoolMisses || st.PoolRefills != cs.PoolRefills {
+		t.Errorf("server saw hits=%d misses=%d refills=%d, client saw %d/%d/%d — sides disagree",
+			st.PoolHits, st.PoolMisses, st.PoolRefills, cs.PoolHits, cs.PoolMisses, cs.PoolRefills)
 	}
 }
 
@@ -226,10 +228,11 @@ func TestPooledDeclinedFallsBack(t *testing.T) {
 }
 
 // TestChaosPooledDropMidRefill aims a deterministic connection drop at
-// the pool-fill byte window (base OTs + fill stream of the initial
-// refill), then lets random drops loose on a pooled session. Both must
-// heal through redial + re-handshake + fresh pool, with every run's
-// output identical to the oracle.
+// the pool-fill byte window of the initial refill (base OTs + fill
+// stream) and another at an in-run fill's columns, then lets random
+// drops loose on a pooled session whose runs carry in-run fills. All
+// must heal through redial + re-handshake + fresh pool, with every
+// run's output identical to the oracle.
 func TestChaosPooledDropMidRefill(t *testing.T) {
 	w := workloads.AddN(16)
 	c := w.Build()
@@ -268,17 +271,106 @@ func TestChaosPooledDropMidRefill(t *testing.T) {
 		}
 	})
 
+	t.Run("deterministic-mid-in-run-fill", func(t *testing.T) {
+		// A wide XOR with no tables: the fill's columns (16 bytes per
+		// OT) are most of a run's evaluator→garbler bytes. PoolSize 2m
+		// makes every run carry a fill of m.
+		const width = 256
+		b := builder.New()
+		x, y := b.GarblerInputs(width), b.EvaluatorInputs(width)
+		b.Output(b.XorTree(b.XORWords(x, y)))
+		wc := b.MustBuild()
+		m := wc.EvaluatorInputs
+		g := make([]bool, wc.GarblerInputs)
+		for i := range g {
+			g[i] = i%3 == 0
+		}
+		_, addr := startServer(t, Config{
+			Circuits: []CircuitSpec{{ID: "xor", Circuit: wc, Inputs: func() []bool { return g }}},
+			Seed:     37,
+		})
+		evalBits := func(run int) []bool {
+			e := make([]bool, m)
+			for i := range e {
+				e[i] = (i+run)%5 == 1
+			}
+			return e
+		}
+
+		// A probe session measures the dial's bytes and checks that a run
+		// carries a fill. A run's fill starts once its op frame and the
+		// server's first flush (ack, header, garbler labels, masked
+		// pairs) have crossed, and it is still writing until all its
+		// columns have: a drop aimed at half of them past that point
+		// lands inside it.
+		st := &proto.Stats{}
+		probe, err := Dial(addr, "xor", wc, Options{PoolSize: 2 * m, Stats: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialBytes := st.BytesSent.Load() + st.BytesReceived.Load()
+		if _, err := probe.Run(evalBits(0)); err != nil {
+			t.Fatal(err)
+		}
+		if cs := probe.Stats(); cs.PoolRefills != 2 {
+			t.Fatalf("the probe's run carried no fill (refills %d)", cs.PoolRefills)
+		}
+		probe.Close()
+		nFixed := wc.GarblerInputs
+		if wc.HasConst {
+			nFixed += 2
+		}
+		fill := ot.FillBytes(m)
+		firstFlush := dialBytes + int64(1+5+(m+7)/8) + 1 + protoRunHeaderLen + int64(16*nFixed+32*m)
+
+		dialer := &faultnet.Dialer{
+			// 64-byte write chunks split the fill's column write, so the
+			// drop lands inside it rather than after it.
+			Plan:     faultnet.Plan{Seed: 43, DropAfterBytes: firstFlush + fill/2, MaxWriteChunk: 64},
+			DropOnce: true,
+		}
+		sess, err := Dial(addr, "xor", wc, Options{PoolSize: 2 * m, Retry: chaosRetry(47), Dialer: dialer.Dial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		for run := 0; run < 3; run++ {
+			e := evalBits(run)
+			want, err := wc.Eval(g, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sess.Run(e)
+			if err != nil {
+				t.Fatalf("run %d never healed the mid-fill drop: %v", run, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("run %d diverged from the oracle", run)
+			}
+		}
+		if drops := dialer.Stats().Drops.Load(); drops != 1 {
+			t.Fatalf("%d drops injected, want exactly the one mid-fill", drops)
+		}
+		cs := sess.Stats()
+		if cs.Reconnects != 1 || cs.PoolHits != 3 {
+			t.Errorf("healed session: reconnects=%d hits=%d, want 1/3", cs.Reconnects, cs.PoolHits)
+		}
+		if lvl := sess.PoolLevel(); lvl != 2*m {
+			t.Errorf("healed pool level = %d, want the target %d", lvl, 2*m)
+		}
+	})
+
 	t.Run("random-drops", func(t *testing.T) {
 		_, addr := startServer(t, Config{
 			Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
 			Seed:     29,
 		})
 		dialer := &faultnet.Dialer{Plan: faultnet.Plan{Seed: 0xBEEF, DropRate: 0.02}}
+		// Three runs' worth: every second run carries an in-run fill.
 		sess, err := Dial(addr, w.Name, c, Options{
-			PoolSize:   48,
-			PoolRefill: 16,
-			Retry:      chaosRetry(43),
-			Dialer:     dialer.Dial,
+			PoolSize: 48,
+			Retry:    chaosRetry(43),
+			Dialer:   dialer.Dial,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,7 @@ type ReplyFrame struct {
 	// opaque spliced bytes.
 	Integrity bool
 	// Pooled reports whether the backend granted the precomputed-OT
-	// session tier. Like integrity, the tier is end-to-end: refill ops
+	// session tier. Like integrity, the tier is end-to-end: refill ops, in-run fills
 	// and derandomized transfers traverse a relay as spliced bytes.
 	Pooled bool
 	// Err is the typed refusal (ErrBusy, ErrDraining, ErrUnknownCircuit,

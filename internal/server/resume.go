@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Mid-run resume: garbling is a pure function of the label-source state
@@ -72,32 +73,48 @@ func (rs *resumeStore) drop(token uint64) {
 }
 
 // byteBudget enforces Config.MaxRunBytes dynamically: it sits between
-// the instrumented connection and the frame codec, charging every byte
-// in both directions against the per-run limit. A breach surfaces as a
+// the instrumented connection (on the server, its read buffer) and the
+// frame codec, charging every byte in both directions against the
+// per-op limit, the op's frame included — both ends charge a run the
+// same bytes. A breach surfaces as a
 // typed ErrOverBudget from whatever protocol step crossed it — a
 // permanent error, because replaying the same run meets the same
-// budget.
+// budget. A run that carries an in-run pool fill moves the fill's bytes
+// on a second goroutine while the run's own go the other way, so the
+// count is atomic; the op's limit is raised by exactly those bytes,
+// which both ends know, so a run that fit the budget without its fill
+// still fits with it.
 type byteBudget struct {
 	inner io.ReadWriter
-	limit int64
-	used  int64
+	limit int64 // the configured per-op bound
+	max   int64 // this op's bound: limit plus the bytes of its fill
+	used  atomic.Int64
 }
 
-// reset starts a new run's accounting.
-func (b *byteBudget) reset() { b.used = 0 }
+// reset starts a new op's accounting.
+func (b *byteBudget) reset() {
+	b.max = b.limit
+	b.used.Store(0)
+}
+
+// raise makes room in the current op for an in-run fill of n bytes;
+// call it before the fill starts.
+func (b *byteBudget) raise(n int64) { b.max += n }
 
 func (b *byteBudget) charge(n int) error {
-	b.used += int64(n)
-	if b.used > b.limit {
-		return fmt.Errorf("%w: run transferred %d bytes, budget %d", ErrOverBudget, b.used, b.limit)
+	if used := b.used.Add(int64(n)); used > b.max {
+		return fmt.Errorf("%w: run transferred %d bytes, budget %d", ErrOverBudget, used, b.max)
 	}
 	return nil
 }
 
 func (b *byteBudget) Read(p []byte) (int, error) {
 	n, err := b.inner.Read(p)
-	if cerr := b.charge(n); err == nil {
-		err = cerr
+	if cerr := b.charge(n); cerr != nil {
+		// The bytes are spent and the op with them. Report none, so a
+		// caller that asked for exactly n (io.ReadFull) cannot take the
+		// breach for a completed read.
+		return 0, cerr
 	}
 	return n, err
 }

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -16,39 +19,63 @@ import (
 )
 
 // turnConn records the client's side of a connection: turns counts the
-// reads that follow a write — one per time the client hands the
-// conversation to the server and waits for its answer.
+// reads that follow a write by the same goroutine — one per time the
+// client hands the conversation to the server and waits for its answer.
+// An in-run fill writes from the session's fill goroutine, which never
+// reads, so its writes wait on no server byte and count no turn; they
+// are counted apart, as writes by any goroutine other than owner's.
 type turnConn struct {
 	net.Conn
+	owner uint64 // the goroutine that calls Run
 	mu    sync.Mutex
-	wrote bool
+	wrote map[uint64]bool
 	turns int
+	fills int
 }
 
 func (c *turnConn) Write(p []byte) (int, error) {
+	g := goid()
 	c.mu.Lock()
-	c.wrote = true
+	c.wrote[g] = true
+	if g != c.owner {
+		c.fills++
+	}
 	c.mu.Unlock()
 	return c.Conn.Write(p)
 }
 
 func (c *turnConn) Read(p []byte) (int, error) {
+	g := goid()
 	c.mu.Lock()
-	if c.wrote {
+	if c.wrote[g] {
 		c.turns++
-		c.wrote = false
+		c.wrote[g] = false
 	}
 	c.mu.Unlock()
 	return c.Conn.Read(p)
 }
 
-// take returns the turns since the last take.
-func (c *turnConn) take() int {
+// take returns the turns and the fill goroutine's writes since the last
+// take.
+func (c *turnConn) take() (turns, fills int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.turns
-	c.turns = 0
-	return n
+	turns, fills = c.turns, c.fills
+	c.turns, c.fills = 0, 0
+	return turns, fills
+}
+
+// goid returns the calling goroutine's id, read off the first line of
+// its stack trace ("goroutine N [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	f := bytes.Fields(buf[len("goroutine "):n])
+	id, err := strconv.ParseUint(string(f[0]), 10, 64)
+	if err != nil {
+		panic("goid: " + err.Error())
+	}
+	return id
 }
 
 // writeLog records every Write a server-side connection makes.
@@ -94,7 +121,9 @@ func (l loggingListener) Accept() (net.Conn, error) {
 // the integrity tier — the choice correction rides with the op, and the
 // server's answer carries the ack, the header and the masked pairs, the
 // ack and header in one Write — while a miss pays a second turn for its
-// on-demand DH OT.
+// on-demand DH OT. A hit that carries an in-run fill is still one turn:
+// the fill's writes come from a goroutine that never waits on a server
+// byte.
 func TestRunRoundTrips(t *testing.T) {
 	w := workloads.AddN(8)
 	c := w.Build()
@@ -128,22 +157,26 @@ func TestRunRoundTrips(t *testing.T) {
 	const runs = 3
 	for _, tc := range []struct {
 		name      string
-		poolSize  int // below m: every run misses
+		poolSize  int // below m: every run misses; 2m: every run carries a fill
 		integrity bool
 		turns     int
 	}{
 		{"hit", 8 * m, false, 1},
 		{"hit+integrity", 8 * m, true, 1},
+		{"hit+fill", 2 * m, false, 1},
+		{"hit+fill+integrity", 2 * m, true, 1},
 		{"miss", 1, false, 2},
 		{"miss+integrity", 1, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var cc *turnConn
+			owner := goid()
 			dial := func(addr string) (net.Conn, error) {
 				conn, err := net.Dial("tcp", addr)
-				cc = &turnConn{Conn: conn}
+				cc = &turnConn{Conn: conn, owner: owner, wrote: map[uint64]bool{}}
 				return cc, err
 			}
+			fills := tc.poolSize == 2*m
 			sess, err := Dial(tcp.Addr().String(), w.Name, c, Options{PoolSize: tc.poolSize, Integrity: tc.integrity, Dialer: dial})
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +198,8 @@ func TestRunRoundTrips(t *testing.T) {
 						t.Fatalf("run %d: output %d diverged from the oracle", run, i)
 					}
 				}
-				if n := cc.take(); n != tc.turns {
-					t.Errorf("run %d: %d write→read turns, want %d", run, n, tc.turns)
+				if n, f := cc.take(); n != tc.turns || (f > 0) != fills {
+					t.Errorf("run %d: %d write→read turns, %d fill writes; want %d turns, fill writes %v", run, n, f, tc.turns, fills)
 				}
 				// The server's first Write of the run holds the ack and, right
 				// behind it (and the integrity tier's frame header and resume
@@ -182,12 +215,15 @@ func TestRunRoundTrips(t *testing.T) {
 				}
 			}
 			cs := sess.Stats()
-			hits, misses := uint64(runs), uint64(0)
+			hits, misses, refills := uint64(runs), uint64(0), uint64(1)
 			if tc.poolSize < m {
 				hits, misses = 0, runs
 			}
-			if cs.PoolHits != hits || cs.PoolMisses != misses || cs.PoolRefills != 1 {
-				t.Fatalf("pool hits/misses/refills = %d/%d/%d, want %d/%d/1", cs.PoolHits, cs.PoolMisses, cs.PoolRefills, hits, misses)
+			if fills {
+				refills += runs
+			}
+			if cs.PoolHits != hits || cs.PoolMisses != misses || cs.PoolRefills != refills {
+				t.Fatalf("pool hits/misses/refills = %d/%d/%d, want %d/%d/%d", cs.PoolHits, cs.PoolMisses, cs.PoolRefills, hits, misses, refills)
 			}
 		})
 	}
@@ -260,4 +296,212 @@ func TestPoolDecisionDesync(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPoolFillDesync: a client whose in-run fill decision disagrees
+// with the server's, in both directions, against a real server over
+// net.Pipe (writes block until read, so nothing hides in a socket
+// buffer). The pools' levels still agree — only the client's target is
+// moved after the dial — so every run is a hit on both ends.
+//
+// When the client alone fills, the server reads its result out of the
+// fill's columns, takes the next column byte for an op and ends the
+// session; the client's fill write then fails and the run ends typed.
+// When the server alone fills, its fill swallows the client's result and
+// next op frame; that run's answer never comes, and the client's run
+// deadline ends it typed. Either way nothing hangs, no session panics,
+// and every goroutine of both ends exits once both are closed.
+func TestPoolFillDesync(t *testing.T) {
+	w := workloads.AddN(8)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	garblerBits, evalBits := w.Inputs(1)
+	for _, tc := range []struct {
+		name     string
+		poolSize int
+		target   int // the client's tampered target
+		runs     int // runs until the typed error
+	}{
+		{"client-fills/server-not", 8 * m, 16 * m, 1},
+		{"server-fills/client-not", 2 * m, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			srv, err := New(Config{
+				Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+				Seed:     31,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := newPipeListener()
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ln) }()
+			sess, err := Dial("pipe", w.Name, c, Options{
+				PoolSize: tc.poolSize,
+				Retry:    RetryPolicy{RunTimeout: time.Second},
+				Dialer:   func(string) (net.Conn, error) { return ln.Dial() },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.pool.SetTarget(tc.target)
+			for run := 1; run <= tc.runs; run++ {
+				_, err = sess.Run(evalBits)
+				if run < tc.runs && err != nil {
+					t.Fatalf("run %d: %v, want the desync to surface at run %d", run, err, tc.runs)
+				}
+			}
+			if !errors.Is(err, ErrSessionClosed) && !errors.Is(err, proto.ErrDeadline) {
+				t.Fatalf("run %d err = %v; want a typed ErrSessionClosed or proto.ErrDeadline", tc.runs, err)
+			}
+			t.Logf("run %d: %v", tc.runs, err)
+			sess.Close()
+			srv.Close()
+			if err := <-done; err != nil {
+				t.Errorf("Serve returned %v", err)
+			}
+			if st := srv.Stats(); st.SessionsPanicked != 0 {
+				t.Errorf("SessionsPanicked = %d, want 0", st.SessionsPanicked)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%d goroutines after both ends closed, baseline %d", n, baseline)
+			}
+		})
+	}
+}
+
+// readLog counts the Read calls on one end of a connection and the
+// bytes each returned.
+type readLog struct {
+	net.Conn
+	mu    sync.Mutex
+	reads []int
+}
+
+func (c *readLog) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.reads = append(c.reads, n)
+	c.mu.Unlock()
+	return n, err
+}
+
+// take returns the reads since the last take.
+func (c *readLog) take() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.reads
+	c.reads = nil
+	return r
+}
+
+// TestPooledRunReads counts, with no clock, the Read calls a pooled
+// DotProduct(4,16) run that carries no fill costs over net.Pipe, where
+// one Write is read by one Read that has room for it. The server reads
+// through one buffered reader: the whole op frame (op byte, 0xD5 header,
+// correction bits) in one Read and the result in a second, on the plain
+// and the integrity tier. The client reads the ack through its
+// evaluator's buffered reader, so its first Read of the run returns the
+// ack with the header, garbler labels and masked pairs behind it.
+func TestPooledRunReads(t *testing.T) {
+	w := workloads.DotProduct(4, 16)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	garblerBits, evalBits := w.Inputs(1)
+	nFixed := c.GarblerInputs
+	if c.HasConst {
+		nFixed += 2
+	}
+	frame := 1 + 5 + (m+7)/8
+	firstFlush := 1 + protoRunHeaderLen + 16*nFixed + 32*m
+	for _, integrity := range []bool{false, true} {
+		t.Run(map[bool]string{false: "plain", true: "integrity"}[integrity], func(t *testing.T) {
+			srv, err := New(Config{
+				Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+				Seed:     41,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := newPipeListener()
+			var sc *readLog
+			accepted := make(chan struct{})
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(readLogListener{ln, &sc, accepted}) }()
+			defer func() {
+				srv.Close()
+				if err := <-done; err != nil {
+					t.Errorf("Serve returned %v", err)
+				}
+			}()
+			var cc *readLog
+			// 64 runs' worth: the pool stays above half its target over
+			// the runs below, so none carries a fill.
+			sess, err := Dial("pipe", w.Name, c, Options{PoolSize: 64 * m, Integrity: integrity, Dialer: func(string) (net.Conn, error) {
+				conn, err := ln.Dial()
+				cc = &readLog{Conn: conn}
+				return cc, err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			<-accepted
+			// The server's last reads of the connect-time fill may land
+			// after Dial returns; they are logged before it counts the
+			// refill.
+			for deadline := time.Now().Add(5 * time.Second); srv.Stats().PoolRefills != 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			for run := 0; run < 3; run++ {
+				sc.take()
+				cc.take()
+				if _, err := sess.Run(evalBits); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				// The server's last Read, of the result, returns once the
+				// client's Run has written it; wait for it to be logged.
+				var reads []int
+				for deadline := time.Now().Add(5 * time.Second); len(reads) < 2 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					reads = append(reads, sc.take()...)
+				}
+				if len(reads) != 2 {
+					t.Fatalf("run %d: the server made %d reads %v, want 2 (op frame, result)", run, len(reads), reads)
+				}
+				if !integrity && (reads[0] != frame || reads[1] != len(c.Outputs)) {
+					t.Errorf("run %d: server reads of %v bytes, want [%d %d]", run, reads, frame, len(c.Outputs))
+				}
+				if cr := cc.take(); !integrity && cr[0] != firstFlush {
+					t.Errorf("run %d: the client's first read returned %d bytes, want the %d-byte first flush", run, cr[0], firstFlush)
+				}
+			}
+			if cs := sess.Stats(); cs.PoolHits != 3 || cs.PoolRefills != 1 {
+				t.Fatalf("pool hits/refills = %d/%d, want 3 hits and no in-run fill", cs.PoolHits, cs.PoolRefills)
+			}
+		})
+	}
+}
+
+// readLogListener wraps the one accepted connection in a readLog.
+type readLogListener struct {
+	*pipeListener
+	conn     **readLog
+	accepted chan struct{}
+}
+
+func (l readLogListener) Accept() (net.Conn, error) {
+	conn, err := l.pipeListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	rl := &readLog{Conn: conn}
+	*l.conn = rl
+	close(l.accepted)
+	return rl, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"crypto/rand"
 	"crypto/tls"
 	"encoding/binary"
@@ -98,9 +99,11 @@ type Config struct {
 	DisablePooledOT bool
 	// MaxPoolSize caps the per-session OT pool: an opRefill that would
 	// grow the pool past this many correlations is clamped to the
-	// remaining headroom (or refused outright when there is none). Each
-	// pooled correlation holds two 16-byte labels server-side, so the
-	// cap bounds per-session memory at roughly 32*MaxPoolSize bytes.
+	// remaining headroom (or refused outright when there is none), and
+	// in-run fills only restore the level it granted. Each pooled
+	// correlation holds two 16-byte labels server-side, and the bank
+	// keeps room for twice its level so in-run fills rarely move it, so
+	// the cap bounds per-session memory at roughly 64*MaxPoolSize bytes.
 	// 0 means the 65536 default.
 	MaxPoolSize int
 	// TLS, when non-nil, wraps every listener passed to Serve so the
@@ -115,7 +118,8 @@ type Config struct {
 const defaultDrainTimeout = 30 * time.Second
 
 // defaultMaxPoolSize caps per-session OT pools when Config.MaxPoolSize
-// is zero: 65536 correlations ≈ 2 MiB of sender-side label state.
+// is zero: 65536 correlations ≈ 2 MiB of sender-side label state (4 MiB
+// with the bank's room for fills).
 const defaultMaxPoolSize = 1 << 16
 
 // Stats is a point-in-time snapshot of a server's counters.
@@ -164,7 +168,8 @@ type Stats struct {
 	// of the session's precomputed OT pool — no base OT, one XOR round
 	// online. PoolMisses counts pooled-tier runs that fell back to an
 	// on-demand OT (pool empty or below the run's demand); PoolRefills
-	// counts completed opRefill fills.
+	// counts completed fills: each session's connect-time opRefill and
+	// the in-run fills of its pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
 	// TableSendNanos is the time the runners' sender goroutines spent
 	// inside the transport's Write pushing tables; TableDrainWaitNanos
@@ -237,7 +242,7 @@ type session struct {
 	replied   bool // the handshake verdict went out
 	reg       *registered
 	gs        *proto.GarblerSession
-	rw        io.ReadWriter // post-handshake stack: conn, byte budget, frame codec
+	rw        io.ReadWriter // post-handshake stack: conn, read buffer, byte budget, frame codec
 	bb        *byteBudget   // nil without Config.MaxRunBytes
 	integrity bool          // checksummed frames; the session speaks opResume
 	pooled    bool          // precomputed-OT tier; the session speaks opRefill
@@ -266,10 +271,9 @@ type Server struct {
 	cache *PlanCache
 
 	net proto.Stats // byte counters shared by every session transport
-	// tables collects every garbler runner's table-stream timing. Runners
-	// take it as their Options.Stats, so its byte counters repeat, for
-	// the run streams, what net already counts beneath them; only the
-	// timing is read.
+	// tables collects every garbler runner's table-stream timing: runners
+	// take it as their Options.Stats, and a garbler session counts no
+	// bytes, so only its timers move.
 	tables proto.Stats
 
 	mu        sync.Mutex
@@ -646,6 +650,9 @@ func (s *Server) handle(st *session) {
 		if !s.setIdle(st, true) {
 			return // draining: the client's next Run sees a closed session
 		}
+		if st.bb != nil {
+			st.bb.reset() // the op frame counts against the op it opens
+		}
 		_, err := io.ReadFull(st.rw, st.buf[:1])
 		s.setIdle(st, false)
 		op := st.buf[0]
@@ -735,11 +742,18 @@ func (s *Server) handshake(st *session) bool {
 	st.reg = reg
 
 	// Post-handshake transport stack, innermost first: the instrumented
-	// conn, the per-run byte budget (when configured), and — when the
-	// client requested it and the server allows — the checksummed frame
-	// codec. The handshake itself always runs unframed, so legacy and
+	// conn, one read buffer under every read the session makes (op
+	// frames, choice corrections, fill columns, results — a pooled run's
+	// op frame is one read), the per-run byte budget (when configured),
+	// and — when the client requested it and the server allows — the
+	// checksummed frame codec. The budget sits above the buffer, so it
+	// charges the bytes an op consumes, never bytes read ahead. The
+	// handshake itself always runs unbuffered and unframed, so legacy and
 	// integrity clients speak to the same listener.
-	st.rw = rw
+	st.rw = struct {
+		io.Reader
+		io.Writer
+	}{bufio.NewReader(rw), rw}
 	if s.cfg.MaxRunBytes > 0 {
 		st.bb = &byteBudget{inner: st.rw, limit: s.cfg.MaxRunBytes}
 		st.rw = st.bb
@@ -787,14 +801,11 @@ func (s *Server) handshake(st *session) bool {
 // bounded runs one accepted op's body — a run, a resume or a refill —
 // the way every op is bounded: Config.RunTimeout arms a read+write
 // deadline over the whole body, so a peer that stalls mid-op errors the
-// session out instead of outliving the drain, and the byte budget starts
-// afresh.
+// session out instead of outliving the drain. (The op's byte budget
+// started afresh when its op byte was read.)
 func (s *Server) bounded(st *session, body func() error) error {
 	if rt := s.cfg.RunTimeout; rt > 0 {
 		st.conn.SetDeadline(time.Now().Add(rt))
-	}
-	if st.bb != nil {
-		st.bb.reset()
 	}
 	if err := body(); err != nil {
 		return err
@@ -828,9 +839,11 @@ func (s *Server) garble(st *session, body func() error) bool {
 // serveRun answers one opRun frame: ack it and garble one run. The ack
 // leaves in the garbler's first flush, with the run header — after the
 // garbler has read a pool hit's choice correction, the rest of the op's
-// frame. On the integrity tier the run is checkpointed first — the
-// deterministic garbling seed, keyed by an opaque token the ack carries
-// and the client echoes back if the transfer breaks (resume.go).
+// frame. A hit that carries an in-run fill gets the fill's bytes added
+// to its byte budget and counts as a refill. On the integrity tier the
+// run is checkpointed first — the deterministic garbling seed, keyed by
+// an opaque token the ack carries and the client echoes back if the
+// transfer breaks (resume.go).
 func (s *Server) serveRun(st *session) bool {
 	var token uint64
 	extra := 0
@@ -848,6 +861,10 @@ func (s *Server) serveRun(st *session) bool {
 	if st.reg.spec.Inputs != nil {
 		bits = st.reg.spec.Inputs()
 	}
+	fill := st.gs.NextFill()
+	if st.bb != nil {
+		st.bb.raise(ot.FillBytes(fill))
+	}
 	if !s.garble(st, func() error { _, err := st.gs.Run(bits); return err }) {
 		return false
 	}
@@ -860,6 +877,9 @@ func (s *Server) serveRun(st *session) bool {
 		} else {
 			s.poolMisses.Add(1)
 		}
+	}
+	if fill > 0 {
+		s.poolRefills.Add(1)
 	}
 	return true
 }
@@ -891,8 +911,10 @@ func (s *Server) serveResume(st *session) bool {
 // serveRefill answers one opRefill frame: validate the requested base
 // protocol and count, clamp the count to the pool's MaxPoolSize
 // headroom, then run one lockstep ot.Pool fill — creating the session's
-// sender pool (and paying its base OTs) on first use. A refusal
-// (ackRefuse) leaves the session usable.
+// sender pool (and paying its base OTs) on first use. The level the
+// fill leaves becomes the pool's target, which the session's pooled
+// runs then restore with in-run fills (the client records the same). A
+// refusal (ackRefuse) leaves the session usable.
 func (s *Server) serveRefill(st *session) bool {
 	req := st.buf[1:6] // base u8 | n u32 LE
 	if _, err := io.ReadFull(st.rw, req); err != nil {
@@ -922,7 +944,11 @@ func (s *Server) serveRefill(st *session) bool {
 			st.pool = p
 			st.gs.SetPool(p)
 		}
-		return st.pool.Fill(st.rw, granted)
+		if err := st.pool.Fill(st.rw, granted); err != nil {
+			return err
+		}
+		st.pool.SetTarget(st.pool.Level())
+		return nil
 	}
 	if s.bounded(st, fill) != nil {
 		return false

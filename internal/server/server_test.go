@@ -229,20 +229,23 @@ func TestHandshakeRefusals(t *testing.T) {
 		t.Errorf("bad version: got %v, want ErrBadVersion", err)
 	}
 
-	// The retired version 1 (the run sequence whose choice correction
-	// waited for the header): a permanent refusal, so a retrying client
-	// dials exactly once.
-	var dials atomic.Int32
-	v1 := func(addr string) (net.Conn, error) {
-		dials.Add(1)
-		conn, err := net.Dial("tcp", addr)
-		return &helloVersionConn{Conn: conn, version: 1}, err
-	}
-	if _, err := Dial(addr, "add8", c, Options{Retry: robustRetry(47), Dialer: v1}); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("v1 hello: got %v, want ErrBadVersion", err)
-	}
-	if n := dials.Load(); n != 1 {
-		t.Errorf("v1 hello dialed %d times, want 1 (no retry)", n)
+	// The retired versions — 1, the run sequence whose choice correction
+	// waited for the header, and 2, pools topped up by background refill
+	// ops between runs: a permanent refusal, so a retrying client dials
+	// exactly once.
+	for _, version := range []byte{1, 2} {
+		var dials atomic.Int32
+		retired := func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			conn, err := net.Dial("tcp", addr)
+			return &helloVersionConn{Conn: conn, version: version}, err
+		}
+		if _, err := Dial(addr, "add8", c, Options{Retry: robustRetry(47), Dialer: retired}); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("v%d hello: got %v, want ErrBadVersion", version, err)
+		}
+		if n := dials.Load(); n != 1 {
+			t.Errorf("v%d hello dialed %d times, want 1 (no retry)", version, n)
+		}
 	}
 
 	// Garbage magic: the server refuses and closes.

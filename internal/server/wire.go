@@ -7,7 +7,7 @@
 // A session opens with a versioned handshake framed ahead of the
 // protocol's existing byte-identical wire format:
 //
-//	client hello:  magic u32 ("HAAS") | version u8 (2) | ot u8 | flags u8 |
+//	client hello:  magic u32 ("HAAS") | version u8 (3) | ot u8 | flags u8 |
 //	               idLen u16 | circuit id | sha256 digest [32]
 //	server reply:  status u8 | ok: numSlots u32
 //	                         | err: msgLen u16 | message
@@ -15,7 +15,8 @@
 //	               (client, one write)
 //	               | ack u8 (go/draining, server) | integrity tier: resume
 //	               token u64 LE | <proto run stream from its header on>
-//	               (go: in the garbler's first flush)
+//	               (go: in the garbler's first flush; an in-run fill's
+//	               columns go client→server ahead of the run's result)
 //	resume:        op u8 (resume) | token u64 LE | got u64 LE (client)
 //	               | ack u8 (resume/no-resume/draining, server)
 //	               | resume: <the run's stream from table got on>
@@ -35,17 +36,24 @@
 // (or statusOKPooledIntegrity when the integrity flag is also granted)
 // and the session gains the opRefill op, which runs one lockstep
 // ot.Pool fill of n correlations using the requested base protocol.
+// The client sends it once per connection, right after the handshake,
+// and both ends record the level it leaves as the pool's target.
 // Runs then consume the pool when it holds enough correlations and fall
 // back to an on-demand OT when it does not. Both ends decide from their
 // own lockstep pool levels, so on a hit the client sends the run's
 // choice correction with the op and the server answers with the ack,
 // header, garbler labels and masked pairs in one flush: one round trip
 // per pooled run. The header's OT byte carries the garbler's verdict;
-// a client whose own decision disagrees fails the run as malformed.
+// a client whose own decision disagrees fails the run as malformed. A
+// hit that leaves the pool at least min(target/2, 16384) below its
+// target tops it back up in the same run (ot.Pool.Decide, no wire
+// field): the client writes the fill's columns while the tables stream
+// back, and its result after them.
 //
-// Version 2 of the hello is this run sequence; a version-1 hello (the
-// sequence where the correction waited for the header) is refused with
-// statusBadVersion.
+// Version 3 of the hello is this run sequence; a version-1 hello (the
+// sequence where the correction waited for the header) or a version-2
+// one (pools topped up by background refill ops between runs) is
+// refused with statusBadVersion.
 //
 // The digest binds the session to a structurally identical circuit on
 // both sides (circuit.Digest), so a mismatched client fails typed at
@@ -67,7 +75,7 @@ import (
 
 const (
 	helloMagic   = 0x53414148 // "HAAS" little-endian
-	helloVersion = 2
+	helloVersion = 3
 
 	// helloFixedSize is the fixed prefix of the hello frame: magic u32 |
 	// version u8 | ot u8 | flags u8 | idLen u16.
@@ -97,7 +105,8 @@ const (
 	// the ack and the count of tables the client holds verified).
 	opResume = 3
 	// opRefill asks the server to run one lockstep OT-pool fill; pooled
-	// tier only. The frame is op u8 | base u8 (the ot.Protocol seeding
+	// tier only, sent once per connection for the pool's first fill
+	// (later fills ride inside runs). The frame is op u8 | base u8 (the ot.Protocol seeding
 	// the pool's base OTs) | n u32 LE (correlations to add). The server
 	// answers ackGo followed by granted u32 LE — the count both sides
 	// then Fill in lockstep, clamped to Config.MaxPoolSize headroom — or
