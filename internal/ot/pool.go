@@ -67,10 +67,16 @@ import (
 // role splits into two halves: the receiver builds the correction
 // (AppendCorrection) and later reads the masked pairs (ReadMasked); the
 // sender reads the correction (ReadCorrection) and later writes the
-// masked pairs (WriteMasked). A session sends the correction with its
-// run request, and the masked pairs come back in the garbler's first
-// flush. SendDerand and ReceiveDerand run the two frames back to back
-// over one connection, with the same bytes.
+// masked pairs (WriteMasked). Each half is a loop over the batch's
+// pieces of DerandPiece transfers, and the bytes above are written and
+// read a piece at a time: e bits and masked pairs of piece k are the
+// k-th slices of the frames, so the bytes are the same however the
+// halves are driven. A session sends the correction's head with its run
+// request and its pieces (Correction) as it builds them, and the sender
+// answers each piece as it arrives (ReadCorrectionHead,
+// ReadCorrectionPiece, WriteMaskedPiece) while the receiver reads the
+// earlier answers. SendDerand and ReceiveDerand run the two whole
+// frames back to back over one connection, with the same bytes.
 
 // ErrPoolDrained reports a derandomization batch larger than the pool's
 // current level; the caller falls back to an on-demand protocol.
@@ -92,7 +98,8 @@ const (
 // must then alternate in lockstep on both ends (a protocol session
 // starts a run's in-run fill only once the run's derandomization is
 // done, and joins it before the run ends). A Pool is not safe for
-// concurrent use.
+// concurrent use; a Correction drawn from it may be built beside the
+// pool's ReadMasked (see Correction).
 type Pool struct {
 	// Persistent extension state: exactly one is set. Its transfer
 	// index runs on monotonically across fills.
@@ -264,8 +271,8 @@ func (p *Pool) fillRecv(w io.Writer, mc int) error {
 }
 
 // SendDerand consumes len(pairs) pooled correlations to obliviously
-// send the given message pairs: it reads the receiver's choice
-// correction and answers with one masked-pair slab (see the wire format
+// send the given message pairs: it reads the receiver's whole choice
+// correction, then answers with the masked pairs (see the wire format
 // above) — ReadCorrection then WriteMasked over one connection. Steady
 // state performs no allocation and no public-key work.
 func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
@@ -298,10 +305,44 @@ func (p *Pool) ReceiveDerand(conn io.ReadWriter, choices Bitset, out []label.L) 
 	return p.ReadMasked(conn, choices, out)
 }
 
-// ReadCorrection reads and checks the receiver's choice correction for
-// a batch of n transfers (refusals wrap ErrDerand), holding it for the
-// WriteMasked that answers it. It consumes nothing.
+// DerandPiece is the number of transfers in one piece of a
+// derandomization batch: piece k is transfers [k·DerandPiece,
+// (k+1)·DerandPiece). Each half below is a loop over the batch's
+// pieces, and a session drives them piece by piece so the two ends
+// overlap instead of taking turns. A multiple of 8, so every piece's
+// correction bits are whole bytes; a batch of at most DerandPiece
+// transfers is one piece.
+const DerandPiece = 16384
+
+// DerandPieces returns the number of pieces of a batch of n transfers.
+func DerandPieces(n int) int { return (n + DerandPiece - 1) / DerandPiece }
+
+// pieceSpan returns the transfers [lo, hi) of piece k of a batch of n.
+func pieceSpan(n, k int) (lo, hi int) {
+	lo = k * DerandPiece
+	return lo, min(n, lo+DerandPiece)
+}
+
+// ReadCorrection reads and checks the receiver's whole choice
+// correction for a batch of n transfers (refusals wrap ErrDerand) —
+// ReadCorrectionHead, then every ReadCorrectionPiece — holding it for
+// the WriteMasked that answers it. It consumes nothing.
 func (p *Pool) ReadCorrection(r io.Reader, n int) error {
+	if err := p.ReadCorrectionHead(r, n); err != nil {
+		return err
+	}
+	for k := range DerandPieces(n) {
+		if err := p.ReadCorrectionPiece(r, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadCorrectionHead reads and checks the head of the receiver's choice
+// correction for a batch of n transfers — its magic and count; refusals
+// wrap ErrDerand — and opens the batch for its pieces.
+func (p *Pool) ReadCorrectionHead(r io.Reader, n int) error {
 	p.pending = 0
 	if n == 0 {
 		return nil
@@ -310,72 +351,148 @@ func (p *Pool) ReadCorrection(r io.Reader, n int) error {
 		return err
 	}
 	p.ein = growBytes(p.ein, derandHeaderLen+(n+7)/8)
-	if err := readDerandFrame(r, n, p.ein); err != nil {
-		return err
+	h := p.ein[:derandHeaderLen]
+	if _, err := io.ReadFull(r, h); err != nil {
+		return fmt.Errorf("ot: reading derand frame: %w", err)
+	}
+	if h[0] != derandMagic {
+		return fmt.Errorf("%w: bad magic 0x%02x", ErrDerand, h[0])
+	}
+	if got := binary.LittleEndian.Uint32(h[1:]); got != uint32(n) {
+		return fmt.Errorf("%w: count %d, want %d", ErrDerand, got, n)
 	}
 	p.pending = n
 	return nil
 }
 
-// WriteMasked answers the correction ReadCorrection holds with one
-// masked-pair slab, y_i = m_i ^ r_(i^e_j) per transfer, and consumes
-// len(pairs) correlations. The pairs must be the batch the correction
-// was read for.
+// ReadCorrectionPiece reads the correction bits of piece k of the batch
+// ReadCorrectionHead opened.
+func (p *Pool) ReadCorrectionPiece(r io.Reader, k int) error {
+	lo, hi := pieceSpan(p.pending, k)
+	if lo >= hi {
+		return fmt.Errorf("ot: correction piece %d of a %d-transfer batch", k, p.pending)
+	}
+	if _, err := io.ReadFull(r, p.ein[derandHeaderLen+lo/8:derandHeaderLen+(hi+7)/8]); err != nil {
+		return fmt.Errorf("ot: reading correction bits: %w", err)
+	}
+	return nil
+}
+
+// WriteMasked answers the correction ReadCorrection holds with the
+// masked pairs, y_i = m_i ^ r_(i^e_j) per transfer — every
+// WriteMaskedPiece in order — and consumes len(pairs) correlations. The
+// pairs must be the batch the correction was read for.
 func (p *Pool) WriteMasked(w io.Writer, pairs []Pair) error {
+	if len(pairs) != p.pending {
+		return fmt.Errorf("ot: WriteMasked of %d pairs against a correction for %d", len(pairs), p.pending)
+	}
+	for k := range DerandPieces(len(pairs)) {
+		if err := p.WriteMaskedPiece(w, pairs, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteMaskedPiece answers piece k of the correction ReadCorrectionHead
+// opened, once ReadCorrectionPiece has read its bits, with the piece's
+// masked pairs in one write. The pairs are the whole batch the
+// correction was read for; the pieces go out in order, and the last
+// consumes the batch's correlations.
+func (p *Pool) WriteMaskedPiece(w io.Writer, pairs []Pair, k int) error {
 	n := len(pairs)
-	if n != p.pending {
-		return fmt.Errorf("ot: WriteMasked of %d pairs against a correction for %d", n, p.pending)
+	lo, hi := pieceSpan(n, k)
+	if n != p.pending || lo >= hi {
+		return fmt.Errorf("ot: masked piece %d of %d pairs against a correction for %d", k, n, p.pending)
 	}
-	if n == 0 {
-		return nil
-	}
-	p.pending = 0
-	e := p.ein[derandHeaderLen:]
-	p.mout = growBytes(p.mout, maskedPairBytes*n)
-	out := p.mout[:maskedPairBytes*n]
-	for j := 0; j < n; j++ {
-		r0, r1 := p.masks[p.head+j].M0, p.masks[p.head+j].M1
+	e := p.ein[derandHeaderLen+lo/8:]
+	p.mout = growBytes(p.mout, maskedPairBytes*(hi-lo))
+	out := p.mout
+	for j, r := range p.masks[p.head+lo : p.head+hi] {
+		r0, r1 := r.M0, r.M1
 		if e[j>>3]>>(uint(j)&7)&1 == 1 {
 			r0, r1 = r1, r0
 		}
-		pairs[j].M0.Xor(r0).Put(out[j*maskedPairBytes:])
-		pairs[j].M1.Xor(r1).Put(out[j*maskedPairBytes+label.Size:])
+		pairs[lo+j].M0.Xor(r0).Put(out[j*maskedPairBytes:])
+		pairs[lo+j].M1.Xor(r1).Put(out[j*maskedPairBytes+label.Size:])
 	}
-	p.head += n
+	if hi == n {
+		p.head += n
+		p.pending = 0
+	}
 	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("ot: sending masked pairs: %w", err)
 	}
 	return nil
 }
 
-// AppendCorrection appends the choice-correction frame for choices to
-// dst — e_j = c_j ^ d_j over the next choices.Len() correlations —
-// without consuming them: the ReadMasked for the same choices does. An
-// empty batch appends nothing.
-func (p *Pool) AppendCorrection(dst []byte, choices Bitset) ([]byte, error) {
+// Correction is one batch's choice correction, e_j = c_j ^ d_j over the
+// batch's correlations, built a piece at a time. It holds the batch's
+// choices and the pool's random choice bits for it, not the pool, so a
+// session may build and send its pieces on one goroutine while another
+// reads the masked pairs that answer them (ReadMasked). It stays valid
+// until the pool's next Fill.
+type Correction struct {
+	choices Bitset
+	d       []byte
+}
+
+// Correction returns the choice correction for choices over the next
+// choices.Len() correlations, without consuming them: the ReadMasked
+// for the same choices does.
+func (p *Pool) Correction(choices Bitset) (Correction, error) {
 	n := choices.Len()
-	if n == 0 {
-		return dst, nil
-	}
 	if err := p.check(false, n); err != nil {
-		return dst, err
+		return Correction{}, err
 	}
-	k := len(dst)
-	dst = append(dst, make([]byte, derandHeaderLen+(n+7)/8)...)
-	dst[k] = derandMagic
-	binary.LittleEndian.PutUint32(dst[k+1:], uint32(n))
-	e := dst[k+derandHeaderLen:]
-	for j := 0; j < n; j++ {
-		if choices.Bit(j) != int(p.d[p.head+j]) {
+	return Correction{choices, p.d[p.head : p.head+n]}, nil
+}
+
+// Pieces returns the number of pieces of the correction's batch.
+func (c Correction) Pieces() int { return DerandPieces(c.choices.Len()) }
+
+// AppendHead appends the correction frame's head, its magic and count,
+// to dst.
+func (c Correction) AppendHead(dst []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append(dst, derandMagic), uint32(c.choices.Len()))
+}
+
+// AppendPiece appends the correction bits of piece k to dst.
+func (c Correction) AppendPiece(dst []byte, k int) []byte {
+	lo, hi := pieceSpan(c.choices.Len(), k)
+	at := len(dst)
+	dst = append(dst, make([]byte, (hi-lo+7)/8)...)
+	e := dst[at:]
+	for j, d := range c.d[lo:hi] {
+		if c.choices.Bit(lo+j) != int(d) {
 			e[j>>3] |= 1 << (uint(j) & 7)
 		}
+	}
+	return dst
+}
+
+// AppendCorrection appends the whole choice-correction frame for
+// choices to dst — the Correction's head, then every piece — without
+// consuming its correlations: the ReadMasked for the same choices does.
+// An empty batch appends nothing.
+func (p *Pool) AppendCorrection(dst []byte, choices Bitset) ([]byte, error) {
+	if choices.Len() == 0 {
+		return dst, nil
+	}
+	c, err := p.Correction(choices)
+	if err != nil {
+		return dst, err
+	}
+	dst = c.AppendHead(dst)
+	for k := range c.Pieces() {
+		dst = c.AppendPiece(dst, k)
 	}
 	return dst, nil
 }
 
-// ReadMasked reads the sender's masked-pair slab answering the
-// correction AppendCorrection built for choices, recovers the chosen
-// message per transfer into out (whose length must match) and consumes
+// ReadMasked reads the sender's masked pairs answering the correction
+// built for choices, piece by piece, recovers the chosen message per
+// transfer into out (whose length must match) and consumes
 // choices.Len() correlations.
 func (p *Pool) ReadMasked(r io.Reader, choices Bitset, out []label.L) error {
 	n := choices.Len()
@@ -388,16 +505,28 @@ func (p *Pool) ReadMasked(r io.Reader, choices Bitset, out []label.L) error {
 	if err := p.check(false, n); err != nil {
 		return err
 	}
-	p.mout = growBytes(p.mout, maskedPairBytes*n)
-	in := p.mout[:maskedPairBytes*n]
+	for k := range DerandPieces(n) {
+		if err := p.readMaskedPiece(r, choices, out, k); err != nil {
+			return err
+		}
+	}
+	p.head += n
+	return nil
+}
+
+// readMaskedPiece reads piece k's masked pairs and recovers the piece's
+// chosen messages into out, m_c = y_c ^ r_d.
+func (p *Pool) readMaskedPiece(r io.Reader, choices Bitset, out []label.L, k int) error {
+	lo, hi := pieceSpan(len(out), k)
+	p.mout = growBytes(p.mout, maskedPairBytes*(hi-lo))
+	in := p.mout
 	if _, err := io.ReadFull(r, in); err != nil {
 		return fmt.Errorf("ot: reading masked pairs: %w", err)
 	}
-	for j := 0; j < n; j++ {
-		off := j*maskedPairBytes + choices.Bit(j)*label.Size
-		out[j] = label.FromBytes(in[off : off+label.Size]).Xor(p.rl[p.head+j])
+	for j, rd := range p.rl[p.head+lo : p.head+hi] {
+		off := j*maskedPairBytes + choices.Bit(lo+j)*label.Size
+		out[lo+j] = label.FromBytes(in[off : off+label.Size]).Xor(rd)
 	}
-	p.head += n
 	return nil
 }
 
@@ -412,26 +541,6 @@ func (p *Pool) check(sender bool, n int) error {
 	}
 	if p.Level() < n {
 		return fmt.Errorf("%w: have %d, need %d", ErrPoolDrained, p.Level(), n)
-	}
-	return nil
-}
-
-// readDerandFrame reads and validates one choice-correction frame for
-// an agreed batch of want transfers into frame, which must hold
-// derandHeaderLen + ceil(want/8) bytes. Structural refusals wrap
-// ErrDerand; transport failures return the underlying error.
-func readDerandFrame(r io.Reader, want int, frame []byte) error {
-	if _, err := io.ReadFull(r, frame[:derandHeaderLen]); err != nil {
-		return fmt.Errorf("ot: reading derand frame: %w", err)
-	}
-	if frame[0] != derandMagic {
-		return fmt.Errorf("%w: bad magic 0x%02x", ErrDerand, frame[0])
-	}
-	if got := binary.LittleEndian.Uint32(frame[1:derandHeaderLen]); got != uint32(want) {
-		return fmt.Errorf("%w: count %d, want %d", ErrDerand, got, want)
-	}
-	if _, err := io.ReadFull(r, frame[derandHeaderLen:]); err != nil {
-		return fmt.Errorf("ot: reading correction bits: %w", err)
 	}
 	return nil
 }

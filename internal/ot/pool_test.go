@@ -237,32 +237,38 @@ func TestPoolDerandHalves(t *testing.T) {
 	}
 }
 
+// bareSender returns a sender pool holding level correlations and no
+// extension state: enough to parse and answer corrections.
+func bareSender(level int) *Pool {
+	return &Pool{send: &extSender{}, masks: make([]Pair, level)}
+}
+
 func TestDerandFrameRefusals(t *testing.T) {
-	frame := make([]byte, derandHeaderLen+1)
+	sp := bareSender(3)
 	// Bad magic.
 	bad := []byte{0x00, 3, 0, 0, 0, 0b101}
-	if err := readDerandFrame(bytes.NewReader(bad), 3, frame); !errors.Is(err, ErrDerand) {
+	if err := sp.ReadCorrection(bytes.NewReader(bad), 3); !errors.Is(err, ErrDerand) {
 		t.Fatalf("bad magic: %v, want ErrDerand", err)
 	}
 	// Count mismatch.
 	mismatch := []byte{derandMagic, 4, 0, 0, 0, 0b101}
-	if err := readDerandFrame(bytes.NewReader(mismatch), 3, frame); !errors.Is(err, ErrDerand) {
+	if err := sp.ReadCorrection(bytes.NewReader(mismatch), 3); !errors.Is(err, ErrDerand) {
 		t.Fatalf("count mismatch: %v, want ErrDerand", err)
 	}
 	// Truncated frames surface the transport error, not ErrDerand.
-	if err := readDerandFrame(bytes.NewReader([]byte{derandMagic, 3}), 3, frame); err == nil || errors.Is(err, ErrDerand) {
+	if err := sp.ReadCorrection(bytes.NewReader([]byte{derandMagic, 3}), 3); err == nil || errors.Is(err, ErrDerand) {
 		t.Fatalf("truncated header: %v, want transport error", err)
 	}
-	if err := readDerandFrame(bytes.NewReader([]byte{derandMagic, 3, 0, 0, 0}), 3, frame); err == nil || errors.Is(err, ErrDerand) {
+	if err := sp.ReadCorrection(bytes.NewReader([]byte{derandMagic, 3, 0, 0, 0}), 3); err == nil || errors.Is(err, ErrDerand) {
 		t.Fatalf("truncated bits: %v, want transport error", err)
 	}
 	// A well-formed frame parses.
 	good := []byte{derandMagic, 3, 0, 0, 0, 0b101}
-	if err := readDerandFrame(bytes.NewReader(good), 3, frame); err != nil {
+	if err := sp.ReadCorrection(bytes.NewReader(good), 3); err != nil {
 		t.Fatalf("good frame: %v", err)
 	}
-	if frame[derandHeaderLen] != 0b101 {
-		t.Fatalf("correction bits: %08b, want 101", frame[derandHeaderLen])
+	if sp.ein[derandHeaderLen] != 0b101 {
+		t.Fatalf("correction bits: %08b, want 101", sp.ein[derandHeaderLen])
 	}
 }
 
@@ -277,13 +283,13 @@ func FuzzDerandFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, want uint16) {
 		n := int(want)%4096 + 1
-		frame := make([]byte, derandHeaderLen+(n+7)/8)
-		err := readDerandFrame(bytes.NewReader(data), n, frame)
+		sp := bareSender(n)
+		err := sp.ReadCorrection(bytes.NewReader(data), n)
 		if err == nil {
 			// A clean parse must round-trip: header fields match what
 			// the receiver side would have encoded for n.
-			if frame[0] != derandMagic {
-				t.Fatalf("clean parse with magic 0x%02x", frame[0])
+			if sp.ein[0] != derandMagic {
+				t.Fatalf("clean parse with magic 0x%02x", sp.ein[0])
 			}
 			return
 		}
@@ -420,13 +426,20 @@ func TestPoolNoReuseAcrossRefills(t *testing.T) {
 
 // TestPoolOnlineAllocFree gates the pooled tier's steady-state claim:
 // after a warm-up batch sizes the scratch, derandomization allocates
-// nothing on either side — the online phase is XORs and wire I/O only.
+// nothing on either side — the online phase is XORs and wire I/O only —
+// for a batch of one piece and one of several.
 func TestPoolOnlineAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
+	for _, n := range []int{256, 2*DerandPiece + 7} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { poolOnlineAllocs(t, n) })
+	}
+}
+
+func poolOnlineAllocs(t *testing.T, n int) {
+	const rounds = 4
 	sp, rp, cs, cr := newPoolPair(t, Insecure)
-	const n, rounds = 256, 4
 	fillBoth(t, sp, rp, cs, cr, n*(rounds+2))
 
 	pairs := make([]Pair, n)
@@ -459,7 +472,7 @@ func TestPoolOnlineAllocFree(t *testing.T) {
 	}
 	round() // warm-up: grows ein/mout scratch once
 	if allocs := testing.AllocsPerRun(rounds, round); allocs > 0 {
-		t.Fatalf("steady-state derandomization allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state derandomization of %d allocates %.1f times per batch, want 0", n, allocs)
 	}
 	close(reqs)
 }

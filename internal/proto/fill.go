@@ -18,55 +18,90 @@ import (
 // result only after the fill has joined, and the garbler reads it only
 // after its own has, so the evaluator → garbler bytes stay in stream
 // order.
+//
+// Pieced corrections. A pooled run whose batch is more than one
+// ot.DerandPiece sends its choice correction in pieces: the evaluator
+// writes the correction's head with the run request, and its goroutine
+// builds and writes the pieces while the run reads the garbler's answer
+// to each — the garbler reads a piece, then writes its masked pairs. On
+// a transport where a write waits for the peer's read (net.Pipe), one
+// end must read and write on different goroutines; the evaluator's
+// goroutine is that second one. Its in-run fill starts only after the
+// run has joined the pieces.
 
-// poolFiller is a session's fill goroutine: persistent, started by the
-// session's first in-run fill and stopped by close. Handing a fill over
-// and joining it are its only channel operations, so a run that carries
-// no fill does no extra work. One session at a time uses it.
-type poolFiller struct {
-	jobs chan fillJob
-	done chan error // one per fill, buffered; closed when the goroutine exits
-	busy bool       // a fill was handed over and not joined yet
+// poolWorker is a session's pool goroutine: persistent, started by the
+// session's first job and stopped by close. It runs the pool work a run
+// hands off its own goroutine — an in-run fill, or the writes of a
+// pieced correction — one job at a time. Handing a job over and joining
+// it are its only channel operations, so a run that hands off nothing
+// does no extra work. One session at a time uses it.
+type poolWorker struct {
+	jobs chan poolJob
+	done chan error // one per job, buffered; closed when the goroutine exits
+	busy bool       // a job was handed over and not joined yet
+	what string     // the job's failure, for its error
 }
 
-type fillJob struct {
+// poolJob is a fill of n correlations of pool over rw when pool is set,
+// and otherwise the writes of corr's pieces to rw.
+type poolJob struct {
 	pool *ot.Pool
 	rw   io.ReadWriter
 	n    int
+	corr ot.Correction
 }
 
-// start hands a fill of n correlations of pool over rw to the goroutine.
-func (f *poolFiller) start(pool *ot.Pool, rw io.ReadWriter, n int) {
+// fill hands a fill of n correlations of pool over rw to the goroutine.
+func (f *poolWorker) fill(pool *ot.Pool, rw io.ReadWriter, n int) {
+	f.start(poolJob{pool: pool, rw: rw, n: n}, "OT pool fill")
+}
+
+// sendPieces hands the writes of corr's pieces to rw to the goroutine.
+func (f *poolWorker) sendPieces(corr ot.Correction, rw io.ReadWriter) {
+	f.start(poolJob{rw: rw, corr: corr}, "sending OT correction")
+}
+
+func (f *poolWorker) start(j poolJob, what string) {
 	if f.jobs == nil {
-		f.jobs, f.done = make(chan fillJob), make(chan error, 1)
-		go fillLoop(f.jobs, f.done)
+		f.jobs, f.done = make(chan poolJob), make(chan error, 1)
+		go workLoop(f.jobs, f.done)
 	}
-	f.jobs <- fillJob{pool, rw, n}
-	f.busy = true
+	f.jobs <- j
+	f.busy, f.what = true, what
 }
 
-func fillLoop(jobs <-chan fillJob, done chan<- error) {
+func workLoop(jobs <-chan poolJob, done chan<- error) {
+	var piece []byte // one correction piece's bits, reused across jobs
 	for j := range jobs {
-		done <- j.pool.Fill(j.rw, j.n)
+		if j.pool != nil {
+			done <- j.pool.Fill(j.rw, j.n)
+			continue
+		}
+		var err error
+		for k := 0; k < j.corr.Pieces() && err == nil; k++ {
+			piece = j.corr.AppendPiece(piece[:0], k)
+			_, err = j.rw.Write(piece)
+		}
+		done <- err
 	}
 	close(done)
 }
 
-// join waits for the fill in flight, if any, and returns its error.
-func (f *poolFiller) join() error {
+// join waits for the job in flight, if any, and returns its error.
+func (f *poolWorker) join() error {
 	if !f.busy {
 		return nil
 	}
 	f.busy = false
 	if err := <-f.done; err != nil {
-		return wrapPeer("OT pool fill", err)
+		return wrapPeer(f.what, err)
 	}
 	return nil
 }
 
-// close joins any fill in flight, stops the goroutine and returns once
+// close joins any job in flight, stops the goroutine and returns once
 // it has exited.
-func (f *poolFiller) close() {
+func (f *poolWorker) close() {
 	f.join()
 	if f.jobs != nil {
 		close(f.jobs)

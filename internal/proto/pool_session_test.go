@@ -258,3 +258,48 @@ func TestSessionInRunFillDrop(t *testing.T) {
 		t.Fatalf("%d goroutines after both sessions closed, baseline %d", n, baseline)
 	}
 }
+
+// TestSessionPiecedRuns is the deadlock guard of the pieced input
+// phase: a batch of three ot.DerandPiece pieces over net.Pipe, where a
+// write waits for the peer's read, so the evaluator's pieces must leave
+// from its pool goroutine while its run reads the garbler's answers.
+// With and without an in-run fill (which follows the pieces on the same
+// goroutine), every run is a hit that matches the oracle, and the pools
+// stay in lockstep.
+func TestSessionPiecedRuns(t *testing.T) {
+	w := workloads.AddN(2*ot.DerandPiece + 5)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	for _, fills := range []bool{false, true} {
+		t.Run(map[bool]string{false: "no-fill", true: "in-run-fill"}[fills], func(t *testing.T) {
+			gs, es, ga, ev := sessionPairConns(t, w, ot.Insecure)
+			sp, rp := attachPools(t, gs, es, ga, ev, 3*m)
+			if fills {
+				sp.SetTarget(3 * m)
+				rp.SetTarget(3 * m)
+			}
+			for run := 0; run < 3; run++ {
+				g, e := w.Inputs(int64(run))
+				want, err := c.Eval(g, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fill := es.NextFill(); (fill > 0) != fills || gs.NextFill() != fill {
+					t.Fatalf("run %d: fills %d/%d, want a fill: %v", run, gs.NextFill(), fill, fills)
+				}
+				gout, eout, gerr, eerr := runPair(gs, es, g, e)
+				if gerr != nil || eerr != nil {
+					t.Fatalf("run %d: garbler %v, evaluator %v", run, gerr, eerr)
+				}
+				for i := range want {
+					if eout[i] != want[i] || gout[i] != want[i] {
+						t.Fatalf("run %d output %d diverged from the oracle", run, i)
+					}
+				}
+				if !gs.LastRunPooled() || sp.Level() != rp.Level() {
+					t.Fatalf("run %d: pooled %v, levels %d/%d", run, gs.LastRunPooled(), sp.Level(), rp.Level())
+				}
+			}
+		})
+	}
+}

@@ -27,8 +27,16 @@
 // their own lockstep levels, ot.Pool.Decide) moves the OT ahead: the
 // evaluator's choice correction (0xD5 | count u32 | e bits) goes first,
 // and the masked pairs (32 bytes per evaluator input) follow the labels
-// in the garbler's first flush — so the evaluator sends once and then
-// only reads until its result. The header's OT byte says ot.Pooled
+// in the garbler's first flush — so the evaluator sends and then only
+// reads until its result. The bytes are written and read in pieces of
+// ot.DerandPiece transfers: a batch of one piece goes as above, one
+// correction write and one flush; a bigger one has the evaluator write
+// the correction's head, then each piece's e bits from its pool
+// goroutine, while the garbler, once it has read the head, begins the
+// run, writes header and labels, and answers each piece's e bits with
+// that piece's masked pairs as they arrive (the first answer in the
+// labels' flush) — so the evaluator reads the first answers while the
+// garbler writes the later ones. The header's OT byte says ot.Pooled
 // exactly then; an evaluator whose own decision disagrees fails the run
 // with ErrMalformedFrame. A pooled run that leaves its pool well below
 // the pool's target also carries an in-run fill (the same Decide, no

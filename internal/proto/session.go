@@ -14,10 +14,10 @@ import (
 // Protocol sessions: the per-connection endpoints every run goes
 // through. A GarblerSession/EvaluatorSession pair owns the run state
 // for the lifetime of a connection: the buffered writer/reader, the
-// garbler's table-sender goroutine, both roles' in-run pool-fill
-// goroutines, the packed header, OT pair scratch, result buffers and a
-// reusable plan runner all persist, so a
-// steady-state run allocates nothing on either side (on-demand OT for
+// garbler's table-sender goroutine, both roles' pool goroutines (in-run
+// fills, the evaluator's pieced corrections), the packed header, OT
+// pair scratch, result buffers and a reusable plan runner all persist,
+// so a steady-state run allocates nothing on either side (on-demand OT for
 // evaluator inputs is the one inherently allocating step — its cost is
 // public-key crypto, not transport; a run served from an attached
 // ot.Pool avoids even that). RunGarbler and RunEvaluator build a session
@@ -29,7 +29,7 @@ import (
 // and one precompiled plan. It is not safe for concurrent use; a server
 // pools sessions and gives each connection its own. It owns goroutines
 // (its table sender and, once a run has carried an in-run fill, its
-// filler), so it must be Closed.
+// pool goroutine), so it must be Closed.
 type GarblerSession struct {
 	opts  Options
 	c     *circuit.Circuit
@@ -46,14 +46,15 @@ type GarblerSession struct {
 
 	// Pooled OT: when a pool is attached and holds enough correlations,
 	// Run reads the evaluator's choice correction, marks the per-run
-	// header ot.Pooled and sends the masked pairs with it instead of
-	// running opts.OT on demand. The evaluator decides from its own pool
-	// level and checks the header agrees, so both sides consume their
-	// pools in lockstep — and a hit that leaves the pool well below its
-	// target reads an in-run fill's columns on fill (fill.go).
+	// header ot.Pooled and answers each piece of the correction with its
+	// masked pairs instead of running opts.OT on demand. The evaluator
+	// decides from its own pool level and checks the header agrees, so
+	// both sides consume their pools in lockstep — and a hit that leaves
+	// the pool well below its target reads an in-run fill's columns on
+	// side (fill.go).
 	pool       *ot.Pool
 	lastPooled bool
-	fill       poolFiller
+	side       poolWorker
 
 	// Resume scratch: garbling is a pure function of the label-source
 	// state at Begin, so ResumeRun replays a broken run's table stream
@@ -106,7 +107,7 @@ func (s *GarblerSession) PendingSeed() uint64 { return s.src.State() }
 // keeping the plan runner, label source and scratch. A server pools
 // sessions per circuit and Resets one for each accepted connection.
 func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
-	s.fill.join() // left in flight only by a run that panicked out
+	s.side.join() // left in flight only by a run that panicked out
 	s.opts.OT = otp
 	s.rw = conn
 	s.w.Reset(s.rw)
@@ -143,22 +144,24 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 // write of its own. A write error surfaces from that Run.
 func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
 
-// Close stops the sender and fill goroutines and releases the plan
+// Close stops the sender and pool goroutines and releases the plan
 // runner's worker pool. No Run may be in progress.
 func (s *GarblerSession) Close() {
 	s.tx.close()
-	s.fill.close()
+	s.side.close()
 	s.pg.Close()
 }
 
 // Run plays one full garbler run: header, active input labels, OT,
 // segment-streamed tables, decode bits, and the evaluator's reported
-// result. A pool hit first reads the evaluator's choice correction and
-// sends the masked pairs in the header's flush; an on-demand OT runs
-// after it. A hit that carries an in-run fill reads the fill's columns
-// on the session's fill goroutine from that flush on, and joins it
-// before reading the result. The returned slice is reused by the next
-// Run.
+// result. A pool hit first reads the head of the evaluator's choice
+// correction; once it has written the header and labels, it reads the
+// correction a piece at a time and answers each piece with its masked
+// pairs, the first answer in the header's flush. An on-demand OT runs
+// after the header's flush instead. A hit that carries an in-run fill
+// reads the fill's columns on the session's pool goroutine from the
+// last answer on, and joins it before reading the result. The returned
+// slice is reused by the next Run.
 func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	c := s.c
 	if len(garblerBits) != c.GarblerInputs {
@@ -168,15 +171,15 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	// enough correlations marks the run pooled, a short one falls back
 	// to the on-demand protocol for this run only (a miss, not an
 	// error). The evaluator takes the same decision from its own level
-	// and sent its correction ahead of the header on a hit; the header's
-	// OT byte carries this side's verdict for it to check.
+	// and sent its correction's head ahead of the header on a hit; the
+	// header's OT byte carries this side's verdict for it to check.
 	m := c.EvaluatorInputs
 	otp := s.opts.OT
 	var fill int
 	s.lastPooled, fill = s.pool.Decide(m)
 	if s.lastPooled {
 		otp = ot.Pooled
-		if err := s.pool.ReadCorrection(s.rw, m); err != nil {
+		if err := s.pool.ReadCorrectionHead(s.rw, m); err != nil {
 			return nil, wrapPeer("OT", err)
 		}
 	}
@@ -194,8 +197,19 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 		s.pairs[i] = ot.Pair{M0: zeros[off+i], M1: zeros[off+i].Xor(r)}
 	}
 	if s.lastPooled {
-		if err := s.pool.WriteMasked(s.w, s.pairs); err != nil {
-			return nil, wrapPeer("OT", err)
+		// Labels and pairs do not depend on the correction, so each piece
+		// is answered as it arrives while the evaluator reads the answers
+		// before it.
+		for k := range ot.DerandPieces(m) {
+			if err := s.pool.ReadCorrectionPiece(s.rw, k); err != nil {
+				return nil, wrapPeer("OT", err)
+			}
+			if err := s.pool.WriteMaskedPiece(s.w, s.pairs, k); err != nil {
+				return nil, wrapPeer("OT", err)
+			}
+			if err := s.w.Flush(); err != nil {
+				return nil, wrapPeer("sending masked pairs", err)
+			}
 		}
 	}
 	if err := s.w.Flush(); err != nil {
@@ -205,7 +219,7 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 		// The masked pairs have left, so the run has consumed its
 		// correlations, and the evaluator writes the fill's columns once
 		// it has read them.
-		s.fill.start(s.pool, s.rw, fill)
+		s.side.fill(s.pool, s.rw, fill)
 	}
 	if m > 0 && !s.lastPooled {
 		if err := ot.Send(s.rw, otp, s.pairs); err != nil {
@@ -233,7 +247,7 @@ func (s *GarblerSession) streamRun(from int) ([]bool, error) {
 	if err == nil {
 		err = s.sendDecode(garbled.OutputZeros)
 	}
-	if ferr := s.fill.join(); err == nil {
+	if ferr := s.side.join(); err == nil {
 		err = ferr
 	}
 	if err != nil {
@@ -285,8 +299,8 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 // EvaluatorSession is a reusable evaluator endpoint bound to one
 // connection. It holds a persistent plan runner and table arena, making
 // steady-state runs allocation-free. Not safe for concurrent use; once a
-// run has carried an in-run fill it owns a goroutine, so it must be
-// Closed.
+// run has carried an in-run fill or a pieced correction it owns a
+// goroutine, so it must be Closed.
 type EvaluatorSession struct {
 	opts   Options
 	c      *circuit.Circuit
@@ -314,13 +328,18 @@ type EvaluatorSession struct {
 	pool *ot.Pool
 	// corr is Run's scratch for a correction it sends itself; sent
 	// records that AppendCorrection built this run's correction (the hit
-	// decision), so Run reads the masked pairs and sends nothing more,
-	// and due is the in-run fill that hit carries, written on fill once
+	// decision), so Run reads the masked pairs and sends nothing more;
+	// pieced records a correction of more than one piece, pieces, that
+	// SendPieces has yet to pack the choices of (bits) and hand to side;
+	// and due is the in-run fill that hit carries, written on side once
 	// the masked pairs are in (fill.go).
-	corr []byte
-	sent bool
-	due  int
-	fill poolFiller
+	corr   []byte
+	sent   bool
+	pieces ot.Correction
+	bits   []bool
+	pieced bool
+	due    int
+	side   poolWorker
 
 	// Resume bookkeeping: once a run has its inputs (OT done), the run
 	// is resumable — the verified tables in the arena and the
@@ -373,12 +392,14 @@ func (bytesReaderNone) Read([]byte) (int, error) { return 0, io.EOF }
 // scratch. Any attached pool is detached: its correlations were bound
 // to the old connection's base-OT state.
 func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
-	s.fill.join() // left in flight only by a run that panicked out
+	// Left in flight only by a run that panicked out, or by pieces whose
+	// run failed before Run on a connection the caller has closed.
+	s.side.join()
 	s.rw = instrument(conn, &s.opts)
 	s.rd.Reset(s.rw)
 	s.otrw = readWriter{s.rd, s.rw}
 	s.pool = nil
-	s.sent = false
+	s.sent, s.pieced, s.bits = false, false, nil
 }
 
 // SetPool attaches a receiver pool that serves every run it holds
@@ -401,10 +422,10 @@ func (s *EvaluatorSession) NextFill() int {
 	return n
 }
 
-// Close stops the fill goroutine and releases the plan runner's worker
+// Close stops the pool goroutine and releases the plan runner's worker
 // pool.
 func (s *EvaluatorSession) Close() {
-	s.fill.close()
+	s.side.close()
 	s.pe.Close()
 }
 
@@ -429,11 +450,13 @@ func (s *EvaluatorSession) readTables(upto int) error {
 }
 
 // AppendCorrection prepares the next run's input phase ahead of it:
-// when the attached pool can serve the run, it appends the pool's
-// choice correction for evalBits to dst, reports the hit, and leaves the
-// correction for the caller to send — the serving client writes it in
-// its run op's frame. The next Run must then be given the same evalBits
-// and sends nothing of its own. A miss appends nothing.
+// when the attached pool can serve the run, it appends the head of the
+// pool's choice correction for evalBits to dst — and, when the batch is
+// one ot.DerandPiece or less, its bits — reports the hit, and leaves the
+// frame for the caller to send: the serving client writes it in its run
+// op's frame. The caller then calls SendPieces, and the next Run must be
+// given the same evalBits and sends nothing of its own. A miss appends
+// nothing.
 func (s *EvaluatorSession) AppendCorrection(dst []byte, evalBits []bool) ([]byte, bool, error) {
 	if len(evalBits) != s.c.EvaluatorInputs {
 		return dst, false, fmt.Errorf("proto: got %d evaluator bits, want %d", len(evalBits), s.c.EvaluatorInputs)
@@ -442,21 +465,45 @@ func (s *EvaluatorSession) AppendCorrection(dst []byte, evalBits []bool) ([]byte
 	if !hit {
 		return dst, false, nil
 	}
-	s.choices.CopyBools(evalBits)
-	dst, err := s.pool.AppendCorrection(dst, s.choices)
+	corr, err := s.pool.Correction(s.choices)
 	if err != nil {
 		return dst, false, err
+	}
+	dst = corr.AppendHead(dst)
+	if corr.Pieces() > 1 {
+		// The head leaves before the choices are even packed, so the
+		// garbler starts its run while SendPieces packs them.
+		s.pieces, s.bits, s.pieced = corr, evalBits, true
+	} else {
+		s.choices.CopyBools(evalBits)
+		dst = corr.AppendPiece(dst, 0)
 	}
 	s.sent, s.due = true, fill
 	return dst, true, nil
 }
 
+// SendPieces packs the choices of a correction AppendCorrection left out
+// of its frame and starts the writes of its pieces on the session's pool
+// goroutine, which builds each piece as it goes: the caller reads the
+// garbler's answers to the first pieces while the later ones leave.
+// Call it once the frame has been written; Run joins the writes. It
+// does nothing when the frame held the whole correction.
+func (s *EvaluatorSession) SendPieces() {
+	if s.pieced {
+		s.choices.CopyBools(s.bits)
+		s.pieced, s.bits = false, nil
+		s.side.sendPieces(s.pieces, s.rw)
+	}
+}
+
 // Run plays one full evaluator run and returns the plaintext outputs
 // (also reported back to the garbler). On a pool hit it first writes
-// the choice correction, unless AppendCorrection gave it to the caller
-// to send. A hit that carries an in-run fill writes the fill's columns
-// on the session's fill goroutine once the masked pairs are in, while
-// the tables stream back, and joins it before writing the result. The
+// the choice correction's head and starts its pieces (SendPieces),
+// unless AppendCorrection gave the frame to the caller to send; it
+// reads the masked pairs a piece at a time, as the garbler answers each,
+// and joins the pieces' writes. A hit that carries an in-run fill then
+// writes the fill's columns on the session's pool goroutine, while the
+// tables stream back, and joins it before writing the result. The
 // returned slice is reused by the next Run.
 func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 	c := s.c
@@ -475,54 +522,16 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 			}
 		}
 	}
+	s.SendPieces()
 	pooled, due := s.sent, s.due
 	s.sent, s.due = false, 0
-	if _, err := io.ReadFull(s.rd, s.hdrBuf[:]); err != nil {
-		return nil, wrapPeer("reading header", err)
-	}
-	h := decodeHeader(s.hdrBuf[:])
-	if err := checkHeaderWant(h, s.want); err != nil {
+	h, err := s.readInputs(evalBits, pooled)
+	if err != nil {
+		s.side.join() // the correction's pieces may still be leaving
 		return nil, err
 	}
-	if (ot.Protocol(h.OTProto) == ot.Pooled) != pooled {
-		return nil, fmt.Errorf("proto: %w: header OT %d contradicts this side's pool decision (pooled=%v)", ErrMalformedFrame, h.OTProto, pooled)
-	}
-
-	nFixed := c.GarblerInputs
-	if c.HasConst {
-		nFixed += 2
-	}
-	if nFixed > 0 {
-		bp := getSlab(nFixed * label.Size)
-		slab := (*bp)[:nFixed*label.Size]
-		if _, err := io.ReadFull(s.rd, slab); err != nil {
-			putSlab(bp)
-			return nil, wrapPeer("reading garbler labels", err)
-		}
-		label.DecodeSlice(s.inputs[:c.GarblerInputs], slab)
-		if c.HasConst {
-			s.inputs[c.Const0] = label.FromBytes(slab[c.GarblerInputs*label.Size:])
-			s.inputs[c.Const1] = label.FromBytes(slab[(c.GarblerInputs+1)*label.Size:])
-		}
-		putSlab(bp)
-	}
-	if c.EvaluatorInputs > 0 {
-		evalLabels := s.inputs[c.GarblerInputs : c.GarblerInputs+c.EvaluatorInputs]
-		if pooled {
-			if err := s.pool.ReadMasked(s.rd, s.choices, evalLabels); err != nil {
-				return nil, wrapPeer("OT", err)
-			}
-			if due > 0 {
-				s.fill.start(s.pool, s.rw, due)
-			}
-		} else {
-			s.choices.CopyBools(evalBits)
-			got, err := ot.ReceiveBitset(&s.otrw, ot.Protocol(h.OTProto), s.choices)
-			if err != nil {
-				return nil, wrapPeer("OT", err)
-			}
-			copy(evalLabels, got)
-		}
+	if due > 0 {
+		s.side.fill(s.pool, s.rw, due)
 	}
 
 	s.got = 0
@@ -537,6 +546,61 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 	return s.finishRun(outLabels, err)
 }
 
+// readInputs reads the run's header and checks it against the circuit
+// and this side's pool decision, then reads the input labels: the
+// garbler's, and the evaluator's own from the masked pairs of a pool hit
+// — whose correction's pieces it joins — or by the header's on-demand
+// OT.
+func (s *EvaluatorSession) readInputs(evalBits []bool, pooled bool) (header, error) {
+	c := s.c
+	if _, err := io.ReadFull(s.rd, s.hdrBuf[:]); err != nil {
+		return header{}, wrapPeer("reading header", err)
+	}
+	h := decodeHeader(s.hdrBuf[:])
+	if err := checkHeaderWant(h, s.want); err != nil {
+		return h, err
+	}
+	if (ot.Protocol(h.OTProto) == ot.Pooled) != pooled {
+		return h, fmt.Errorf("proto: %w: header OT %d contradicts this side's pool decision (pooled=%v)", ErrMalformedFrame, h.OTProto, pooled)
+	}
+
+	nFixed := c.GarblerInputs
+	if c.HasConst {
+		nFixed += 2
+	}
+	if nFixed > 0 {
+		bp := getSlab(nFixed * label.Size)
+		slab := (*bp)[:nFixed*label.Size]
+		if _, err := io.ReadFull(s.rd, slab); err != nil {
+			putSlab(bp)
+			return h, wrapPeer("reading garbler labels", err)
+		}
+		label.DecodeSlice(s.inputs[:c.GarblerInputs], slab)
+		if c.HasConst {
+			s.inputs[c.Const0] = label.FromBytes(slab[c.GarblerInputs*label.Size:])
+			s.inputs[c.Const1] = label.FromBytes(slab[(c.GarblerInputs+1)*label.Size:])
+		}
+		putSlab(bp)
+	}
+	if c.EvaluatorInputs == 0 {
+		return h, nil
+	}
+	evalLabels := s.inputs[c.GarblerInputs : c.GarblerInputs+c.EvaluatorInputs]
+	if pooled {
+		if err := s.pool.ReadMasked(s.rd, s.choices, evalLabels); err != nil {
+			return h, wrapPeer("OT", err)
+		}
+		return h, s.side.join()
+	}
+	s.choices.CopyBools(evalBits)
+	got, err := ot.ReceiveBitset(&s.otrw, ot.Protocol(h.OTProto), s.choices)
+	if err != nil {
+		return h, wrapPeer("OT", err)
+	}
+	copy(evalLabels, got)
+	return h, nil
+}
+
 // finishRun reads the decode bits, decodes the outputs and reports the
 // result back — the shared tail of Run and Resume, entered with the
 // error the table stream ended on. An in-run fill is joined first, on
@@ -549,7 +613,7 @@ func (s *EvaluatorSession) finishRun(outLabels []label.L, err error) ([]bool, er
 			err = wrapPeer("reading decode bits", rerr)
 		}
 	}
-	if ferr := s.fill.join(); err == nil {
+	if ferr := s.side.join(); err == nil {
 		err = ferr
 	}
 	if err != nil {

@@ -637,21 +637,33 @@ func (s *Session) attemptOnce(evalBits []bool) ([]bool, error) {
 	return s.runOnce(evalBits)
 }
 
-// exchange opens one op: it starts the op's byte budget afresh — the
-// op frame and its ack count against the op they open — writes the
-// op's frame in one write, and reads the server's one-byte answer. It
-// returns that answer when it is one of accept. Every op shares the
-// rest: ackDraining breaks the connection with ErrDraining, any other
-// byte fails the session as malformed, and a wire error fails it as
-// closed.
+// exchange opens one op and reads the server's answer to it: open, then
+// answer.
 func (s *Session) exchange(frame []byte, accept ...byte) (byte, error) {
+	if err := s.open(frame); err != nil {
+		return 0, err
+	}
+	return s.answer(frame[0], accept...)
+}
+
+// open starts one op: it starts the op's byte budget afresh — the op
+// frame and its ack count against the op they open — and writes the
+// op's frame in one write. A wire error fails the session as closed.
+func (s *Session) open(frame []byte) error {
 	if s.bb != nil {
 		s.bb.reset()
 	}
-	op := frame[0]
 	if _, err := s.rw.Write(frame); err != nil {
-		return 0, s.fail(err)
+		return s.fail(err)
 	}
+	return nil
+}
+
+// answer reads the server's one-byte answer to op and returns it when
+// it is one of accept. Every op shares the rest: ackDraining breaks the
+// connection with ErrDraining, any other byte fails the session as
+// malformed, and a wire error fails it as closed.
+func (s *Session) answer(op byte, accept ...byte) (byte, error) {
 	if _, err := io.ReadFull(s.rw, s.buf[:1]); err != nil {
 		return 0, s.fail(err)
 	}
@@ -690,11 +702,14 @@ func (s *Session) evalFailed(err error) error {
 }
 
 // runOnce plays a single run attempt over the current connection. On a
-// pool hit the choice correction rides in the op's frame: the server
-// reads both before it answers, and its answer carries the ack, the
-// header and the masked pairs, so the run costs one round trip. A hit
-// that carries an in-run fill writes it during the run without waiting
-// on the server, with the fill's bytes added to the run's budget.
+// pool hit the choice correction rides in the op's frame — its head,
+// and its bits when it is one piece; the pieces of a bigger one follow
+// from the evaluator's pool goroutine, with no wait on the server. The
+// server answers with the ack, the header and the masked pairs of the
+// first piece, then each later piece's as it arrives, so the run costs
+// one round trip. A hit that carries an in-run fill writes it during
+// the run without waiting on the server, with the fill's bytes added to
+// the run's budget.
 func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 	req, hit, err := s.es.AppendCorrection(append(s.runReq[:0], opRun), evalBits)
 	if err != nil {
@@ -702,7 +717,11 @@ func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 	}
 	s.runReq = req
 	fill := s.es.NextFill()
-	if _, err := s.exchange(req, ackGo); err != nil {
+	if err := s.open(req); err != nil {
+		return nil, err
+	}
+	s.es.SendPieces()
+	if _, err := s.answer(opRun, ackGo); err != nil {
 		return nil, err
 	}
 	if s.bb != nil {

@@ -370,11 +370,17 @@ func TestClientRunBudget(t *testing.T) {
 // once; one byte less fails the first run with ErrOverBudget on
 // whichever end carries the short budget. (The server's last charge is
 // the result's last byte, which the client has already sent, so there
-// the failure shows in the server's counters.)
+// the failure shows in the server's counters.) The pieced rows run a
+// batch of three ot.DerandPiece pieces, whose correction and masked
+// pairs cross in pieces and count the same.
 func TestRunBudgetMakesRoomForFill(t *testing.T) {
-	// Its run bytes exceed the connect-time refill's (base OTs + the
+	// Their run bytes exceed the connect-time refill's (base OTs + the
 	// first fill), which the budget also bounds.
-	w := workloads.DotProduct(4, 16)
+	runBudgetRows(t, workloads.DotProduct(4, 16), "")
+	runBudgetRows(t, workloads.AddN(2*ot.DerandPiece+5), "pieced-")
+}
+
+func runBudgetRows(t *testing.T, w workloads.Workload, prefix string) {
 	c := w.Build()
 	m := c.EvaluatorInputs
 	garblerBits, evalBits := w.Inputs(1)
@@ -382,7 +388,7 @@ func TestRunBudgetMakesRoomForFill(t *testing.T) {
 	// PoolSize 2m: every run leaves the pool m short and tops it up.
 	fill := ot.FillBytes(m)
 
-	_, addr := startServer(t, Config{Circuits: spec, Seed: 53})
+	_, addr := startServer(t, Config{Circuits: spec, Seed: 53, MaxPoolSize: 2 * m})
 	st := &proto.Stats{}
 	probe, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, Stats: st})
 	if err != nil {
@@ -408,8 +414,8 @@ func TestRunBudgetMakesRoomForFill(t *testing.T) {
 		{"client-one-byte-short", 0, own - 1, false},
 		{"server-one-byte-short", own - 1, 0, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, addr := startServer(t, Config{Circuits: spec, Seed: 59, MaxRunBytes: tc.server})
+		t.Run(prefix+tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Circuits: spec, Seed: 59, MaxRunBytes: tc.server, MaxPoolSize: 2 * m})
 			sess, err := Dial(addr, w.Name, c, Options{PoolSize: 2 * m, MaxRunBytes: tc.client})
 			if err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +22,10 @@ import (
 // turnConn records the client's side of a connection: turns counts the
 // reads that follow a write by the same goroutine — one per time the
 // client hands the conversation to the server and waits for its answer.
-// An in-run fill writes from the session's fill goroutine, which never
-// reads, so its writes wait on no server byte and count no turn; they
-// are counted apart, as writes by any goroutine other than owner's.
+// An in-run fill and a pieced correction write from the session's pool
+// goroutine, which never reads, so its writes wait on no server byte and
+// count no turn; they are counted apart, as writes by any goroutine
+// other than owner's.
 type turnConn struct {
 	net.Conn
 	owner uint64 // the goroutine that calls Run
@@ -55,7 +57,7 @@ func (c *turnConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// take returns the turns and the fill goroutine's writes since the last
+// take returns the turns and the pool goroutine's writes since the last
 // take.
 func (c *turnConn) take() (turns, fills int) {
 	c.mu.Lock()
@@ -123,20 +125,35 @@ func (l loggingListener) Accept() (net.Conn, error) {
 // ack and header in one Write — while a miss pays a second turn for its
 // on-demand DH OT. A hit that carries an in-run fill is still one turn:
 // the fill's writes come from a goroutine that never waits on a server
-// byte.
+// byte. So is a hit whose correction is several ot.DerandPiece pieces:
+// the op frame holds its head, the pieces leave from that same
+// goroutine, and the server answers each as it arrives. (Such a batch
+// leaves a deficit of at least min(target/2, 16384), so its hits always
+// carry a fill.)
 func TestRunRoundTrips(t *testing.T) {
-	w := workloads.AddN(8)
-	c := w.Build()
-	m := c.EvaluatorInputs
-	garblerBits, evalBits := w.Inputs(1)
-	want, err := c.Eval(garblerBits, evalBits)
-	if err != nil {
-		t.Fatal(err)
+	type circ struct {
+		w          workloads.Workload
+		c          *circuit.Circuit
+		m          int
+		gbits, ebs []bool
+		want       []bool
 	}
-	srv, err := New(Config{
-		Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
-		Seed:     23,
-	})
+	build := func(w workloads.Workload) circ {
+		c := w.Build()
+		g, e := w.Inputs(1)
+		want, err := c.Eval(g, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return circ{w, c, c.EvaluatorInputs, g, e, want}
+	}
+	small := build(workloads.AddN(8))
+	pieced := build(workloads.AddN(ot.DerandPiece + 1))
+	var specs []CircuitSpec
+	for _, ci := range []circ{small, pieced} {
+		specs = append(specs, CircuitSpec{ID: ci.w.Name, Circuit: ci.c, Inputs: func() []bool { return ci.gbits }})
+	}
+	srv, err := New(Config{Circuits: specs, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +174,24 @@ func TestRunRoundTrips(t *testing.T) {
 	const runs = 3
 	for _, tc := range []struct {
 		name      string
-		poolSize  int // below m: every run misses; 2m: every run carries a fill
+		ci        circ
+		pool      int // in runs' worth: below 1 every run misses
+		fills     bool
 		integrity bool
 		turns     int
 	}{
-		{"hit", 8 * m, false, 1},
-		{"hit+integrity", 8 * m, true, 1},
-		{"hit+fill", 2 * m, false, 1},
-		{"hit+fill+integrity", 2 * m, true, 1},
-		{"miss", 1, false, 2},
-		{"miss+integrity", 1, true, 2},
+		{"hit", small, 8, false, false, 1},
+		{"hit+integrity", small, 8, false, true, 1},
+		{"hit+fill", small, 2, true, false, 1},
+		{"hit+fill+integrity", small, 2, true, true, 1},
+		{"miss", small, 0, false, false, 2},
+		{"miss+integrity", small, 0, false, true, 2},
+		{"pieced-hit+fill", pieced, 2, true, false, 1},
+		{"pieced-hit+fill+integrity", pieced, 2, true, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			m, pieces := tc.ci.m, tc.ci.m > ot.DerandPiece
+			poolSize := max(tc.pool*m, 1)
 			var cc *turnConn
 			owner := goid()
 			dial := func(addr string) (net.Conn, error) {
@@ -176,8 +199,7 @@ func TestRunRoundTrips(t *testing.T) {
 				cc = &turnConn{Conn: conn, owner: owner, wrote: map[uint64]bool{}}
 				return cc, err
 			}
-			fills := tc.poolSize == 2*m
-			sess, err := Dial(tcp.Addr().String(), w.Name, c, Options{PoolSize: tc.poolSize, Integrity: tc.integrity, Dialer: dial})
+			sess, err := Dial(tcp.Addr().String(), tc.ci.w.Name, tc.ci.c, Options{PoolSize: poolSize, Integrity: tc.integrity, Dialer: dial})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,17 +211,18 @@ func TestRunRoundTrips(t *testing.T) {
 			for run := 0; run < runs; run++ {
 				cc.take()
 				k := len(sc.since(0))
-				got, err := sess.Run(evalBits)
+				got, err := sess.Run(tc.ci.ebs)
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
-				for i := range want {
-					if got[i] != want[i] {
+				for i := range tc.ci.want {
+					if got[i] != tc.ci.want[i] {
 						t.Fatalf("run %d: output %d diverged from the oracle", run, i)
 					}
 				}
-				if n, f := cc.take(); n != tc.turns || (f > 0) != fills {
-					t.Errorf("run %d: %d write→read turns, %d fill writes; want %d turns, fill writes %v", run, n, f, tc.turns, fills)
+				side := tc.fills || pieces
+				if n, f := cc.take(); n != tc.turns || (f > 0) != side {
+					t.Errorf("run %d: %d write→read turns, %d pool-goroutine writes; want %d turns, such writes %v", run, n, f, tc.turns, side)
 				}
 				// The server's first Write of the run holds the ack and, right
 				// behind it (and the integrity tier's frame header and resume
@@ -216,10 +239,10 @@ func TestRunRoundTrips(t *testing.T) {
 			}
 			cs := sess.Stats()
 			hits, misses, refills := uint64(runs), uint64(0), uint64(1)
-			if tc.poolSize < m {
+			if tc.pool == 0 {
 				hits, misses = 0, runs
 			}
-			if fills {
+			if tc.fills {
 				refills += runs
 			}
 			if cs.PoolHits != hits || cs.PoolMisses != misses || cs.PoolRefills != refills {
@@ -504,4 +527,147 @@ func (l readLogListener) Accept() (net.Conn, error) {
 	*l.conn = rl
 	close(l.accepted)
 	return rl, nil
+}
+
+// cutConn is a server connection that, once armed with a byte count,
+// writes that many more bytes and then closes itself.
+type cutConn struct {
+	net.Conn
+	left atomic.Int64 // 0: unarmed
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	left := c.left.Load()
+	if left == 0 {
+		return c.Conn.Write(p)
+	}
+	if int64(len(p)) < left {
+		c.left.Store(left - int64(len(p)))
+		return c.Conn.Write(p)
+	}
+	n, err := c.Conn.Write(p[:left])
+	c.left.Store(0)
+	c.Conn.Close()
+	if err == nil {
+		err = io.ErrClosedPipe
+	}
+	return n, err
+}
+
+// muteConn is a client connection that, once armed with a count of
+// writes, lets that many more through and then drops every later one
+// while reporting it written: the client goes silent without knowing.
+type muteConn struct {
+	net.Conn
+	armed atomic.Bool
+	pass  atomic.Int64
+}
+
+func (c *muteConn) Write(p []byte) (int, error) {
+	if c.armed.Load() && c.pass.Add(-1) < 0 {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestPiecedRunFailures breaks a pooled run of three correction pieces
+// at a piece boundary, over net.Pipe against a real server: a client
+// whose writes stop after its first correction piece, and a server whose
+// connection closes once its first masked piece has left. The client's
+// run ends in a typed ErrSessionClosed on both, the server's run fails
+// (by its run deadline, when the client went silent), no session
+// panics, and once both ends are closed no session and no goroutine of
+// either is left.
+func TestPiecedRunFailures(t *testing.T) {
+	w := workloads.AddN(2*ot.DerandPiece + 5)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	garblerBits, evalBits := w.Inputs(1)
+	nFixed := c.GarblerInputs
+	if c.HasConst {
+		nFixed += 2
+	}
+	firstFlush := int64(1 + protoRunHeaderLen + 16*nFixed + 32*ot.DerandPiece)
+	for _, tc := range []struct {
+		name      string
+		mute      bool  // the client's writes after its op frame and first piece are dropped
+		serverCut int64 // the server's connection closes after this many run bytes
+	}{
+		{"client-silent-after-first-piece", true, 0},
+		{"server-closes-after-first-masked-piece", false, firstFlush},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			srv, err := New(Config{
+				Circuits:    []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+				Seed:        67,
+				MaxPoolSize: 2 * m,
+				RunTimeout:  time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := newPipeListener()
+			var sc *cutConn
+			accepted := make(chan struct{})
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(cutListener{ln, &sc, accepted}) }()
+			var cc *muteConn
+			sess, err := Dial("pipe", w.Name, c, Options{PoolSize: 2 * m, Dialer: func(string) (net.Conn, error) {
+				conn, err := ln.Dial()
+				cc = &muteConn{Conn: conn}
+				return cc, err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-accepted
+			if tc.mute {
+				cc.pass.Store(2) // the op frame and the first piece
+				cc.armed.Store(true)
+			} else {
+				sc.left.Store(tc.serverCut)
+			}
+			if _, err := sess.Run(evalBits); !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("Run err = %v, want a typed ErrSessionClosed", err)
+			} else {
+				t.Logf("client: %v", err)
+			}
+			sess.Close()
+			srv.Close()
+			if err := <-done; err != nil {
+				t.Errorf("Serve returned %v", err)
+			}
+			st := srv.Stats()
+			if st.RunsFailed != 1 || st.RunsServed != 0 || st.SessionsPanicked != 0 || st.ActiveSessions != 0 {
+				t.Errorf("server runs failed/served %d/%d, sessions panicked %d, active %d; want 1/0, 0, 0",
+					st.RunsFailed, st.RunsServed, st.SessionsPanicked, st.ActiveSessions)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%d goroutines after both ends closed, baseline %d", n, baseline)
+			}
+		})
+	}
+}
+
+// cutListener wraps the one accepted connection in a cutConn.
+type cutListener struct {
+	*pipeListener
+	conn     **cutConn
+	accepted chan struct{}
+}
+
+func (l cutListener) Accept() (net.Conn, error) {
+	conn, err := l.pipeListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &cutConn{Conn: conn}
+	*l.conn = cc
+	close(l.accepted)
+	return cc, nil
 }

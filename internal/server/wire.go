@@ -12,7 +12,8 @@
 //	server reply:  status u8 | ok: numSlots u32
 //	                         | err: msgLen u16 | message
 //	per run:       op u8 (run/bye) | pool hit: 0xD5 | count u32 LE | e bits
-//	               (client, one write)
+//	               (client, one write; past one ot.DerandPiece the e bits
+//	               follow the frame piece by piece)
 //	               | ack u8 (go/draining, server) | integrity tier: resume
 //	               token u64 LE | <proto run stream from its header on>
 //	               (go: in the garbler's first flush; an in-run fill's
@@ -43,7 +44,9 @@
 // own lockstep pool levels, so on a hit the client sends the run's
 // choice correction with the op and the server answers with the ack,
 // header, garbler labels and masked pairs in one flush: one round trip
-// per pooled run. The header's OT byte carries the garbler's verdict;
+// per pooled run. A correction of several pieces goes in pieces after
+// the op frame, and the server answers each as it arrives, still in
+// that one round trip. The header's OT byte carries the garbler's verdict;
 // a client whose own decision disagrees fails the run as malformed. A
 // hit that leaves the pool at least min(target/2, 16384) below its
 // target tops it back up in the same run (ot.Pool.Decide, no wire
