@@ -150,9 +150,10 @@ type Stats struct {
 	// SessionsRouted counts sessions relayed to some backend.
 	SessionsRouted uint64
 	// SessionsPooled counts routed sessions whose backend granted the
-	// precomputed-OT tier; the refill, in-run fill and derandomization
-	// bytes traverse the splice opaquely, so this handshake bit is all
-	// the proxy ever learns about pooling.
+	// precomputed-OT tier; the pool's grant rides in the relayed reply,
+	// and the connect-time fill behind it, in-run fills and
+	// derandomization bytes traverse the splice opaquely, so this
+	// handshake bit is all the proxy ever learns about pooling.
 	SessionsPooled uint64
 	// SessionsRefused counts sessions refused because no backend was
 	// routable.

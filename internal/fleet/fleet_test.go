@@ -471,10 +471,11 @@ func TestFleetRelaysBackendRefusalVerbatim(t *testing.T) {
 }
 
 // TestFleetRefusesRetiredHelloVersion: a version-1 hello — the run
-// sequence whose choice correction waited for the header — and a
-// version-2 one — pools topped up by background refill ops between runs
-// — are refused by the proxy itself with a typed, permanent
-// ErrBadVersion. No backend sees the session and a retrying client
+// sequence whose choice correction waited for the header —, a version-2
+// one — pools topped up by background refill ops between runs — and a
+// version-3 one — the pool's first fill asked for by a refill op after
+// the handshake — are refused by the proxy itself with a typed,
+// permanent ErrBadVersion. No backend sees the session and a retrying client
 // dials exactly once.
 func TestFleetRefusesRetiredHelloVersion(t *testing.T) {
 	w := workloads.AddN(8)
@@ -485,7 +486,7 @@ func TestFleetRefusesRetiredHelloVersion(t *testing.T) {
 		ProbeInterval: -1,
 	})
 	retry := server.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, RunTimeout: 2 * time.Second}
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		var dials atomic.Int32
 		retired := func(addr string) (net.Conn, error) {
 			dials.Add(1)

@@ -22,14 +22,18 @@ import (
 //     rankings of the same digest agree.
 func FuzzFleetHello(f *testing.F) {
 	digest := bytes.Repeat([]byte{0xab}, 32)
-	valid := append([]byte("HAAS\x03\x01\x00\x02\x00ab"), digest...)
+	valid := append([]byte("HAAS\x04\x01\x00\x02\x00ab"), digest...)
 	f.Add(valid)
-	f.Add([]byte("HAAS\x03\x01\x00\x00\x00"))        // zero-length id: refused
-	f.Add([]byte("HAAS\x01\x01\x00\x02\x00ab"))      // retired version 1: refused
-	f.Add([]byte("SAAH\x03\x01\x00\x02\x00ab"))      // bad magic
-	f.Add(valid[:12])                                // truncated mid-id
-	f.Add(append([]byte{}, valid[:len(valid)-7]...)) // truncated mid-digest
-	f.Add([]byte("HAAS\x02\x01\x00\x02\x00ab"))      // retired version 2: refused
+	f.Add([]byte("HAAS\x04\x01\x00\x00\x00"))                      // zero-length id: refused
+	f.Add([]byte("HAAS\x01\x01\x00\x02\x00ab"))                    // retired version 1: refused
+	f.Add([]byte("SAAH\x04\x01\x00\x02\x00ab"))                    // bad magic
+	f.Add(valid[:12])                                              // truncated mid-id
+	f.Add(append([]byte{}, valid[:len(valid)-7]...))               // truncated mid-digest
+	f.Add([]byte("HAAS\x02\x01\x00\x02\x00ab"))                    // retired version 2: refused
+	f.Add(append([]byte("HAAS\x03\x01\x00\x02\x00ab"), digest...)) // retired version 3: refused
+	// A pooled hello (ot byte 3) asking for 65536 correlations: the pool
+	// field is part of the relayed Raw.
+	f.Add(append(append([]byte("HAAS\x04\x03\x00\x02\x00ab"), digest...), 0, 0, 1, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hf, err := server.ReadHelloFrame(bytes.NewReader(data))
 		if !bytes.HasPrefix(data, hf.Raw) {

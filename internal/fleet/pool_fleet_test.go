@@ -11,8 +11,9 @@ import (
 
 // TestFleetPooledSessionEndToEnd proves the precomputed-OT tier is
 // end-to-end through the proxy: the pooled negotiation rides the two
-// handshake frames the fleet relays verbatim, the refill, in-run fill
-// and derandomization bytes traverse the splice opaquely, and steady-state
+// handshake frames the fleet relays verbatim, the connect-time fill
+// behind them, in-run fills and derandomization bytes traverse the
+// splice opaquely, and steady-state
 // runs spend zero base-OT rounds. The proxy counts the granted tier
 // from the relayed reply byte; the backend counts the pool hits.
 func TestFleetPooledSessionEndToEnd(t *testing.T) {

@@ -20,9 +20,11 @@ func NewBitset(n int) Bitset {
 func BitsetFromBools(choices []bool) Bitset {
 	b := NewBitset(len(choices))
 	for j, c := range choices {
+		var bit uint64
 		if c {
-			b.words[j>>6] |= 1 << (uint(j) & 63)
+			bit = 1
 		}
+		b.words[j>>6] |= bit << (uint(j) & 63)
 	}
 	return b
 }
@@ -46,8 +48,10 @@ func (b Bitset) CopyBools(choices []bool) {
 		b.words[w] = 0
 	}
 	for j, c := range choices {
+		var bit uint64
 		if c {
-			b.words[j>>6] |= 1 << (uint(j) & 63)
+			bit = 1
 		}
+		b.words[j>>6] |= bit << (uint(j) & 63)
 	}
 }

@@ -36,15 +36,16 @@ import (
 // travelled on its own. Both ends run the IKNP chunk cores of iknp.go,
 // hashing straight into the banks below. The stream is one-way, so a
 // fill can run beside traffic in the other direction. Both sides must
-// agree on the fill size n without a wire field: the serving layer's
-// connect-time refill op carries the first, and every later one is the
-// in-run fill Decide derives from both ends' lockstep levels. The
+// agree on the fill size n without a wire field of the fill's own: the
+// serving layer's handshake carries the first (the pooled accept's
+// grant), and every later one is the in-run fill Decide derives from
+// both ends' lockstep levels. The
 // base-OT state (the sender's secret s and both sides' per-column PRG
 // streams) persists across fills, so a connection pays its base OTs
 // exactly once no matter how many fills follow.
 //
 // In-run fills: a pool given a target (SetTarget — the serving layer
-// records the connect-time fill's grant) is topped back up inside the
+// records the handshake's grant) is topped back up inside the
 // runs that drain it. Decide is the one rule both roles apply before a
 // run: a hit whose run leaves the pool at least min(target/2, 16384)
 // correlations below its target carries a fill of the whole deficit.
@@ -464,9 +465,7 @@ func (c Correction) AppendPiece(dst []byte, k int) []byte {
 	dst = append(dst, make([]byte, (hi-lo+7)/8)...)
 	e := dst[at:]
 	for j, d := range c.d[lo:hi] {
-		if c.choices.Bit(lo+j) != int(d) {
-			e[j>>3] |= 1 << (uint(j) & 7)
-		}
+		e[j>>3] |= byte(c.choices.Bit(lo+j)^int(d)) << (uint(j) & 7)
 	}
 	return dst
 }

@@ -114,7 +114,7 @@ func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
 	h := headerFor(s.c, s.opts)
 	h.encode(s.hdr[:])
 	// A pool is bound to the old connection's base-OT state; the new
-	// connection starts without one until the peer negotiates a refill.
+	// connection starts without one until its handshake seeds one.
 	s.pool = nil
 	s.lastPooled = false
 }

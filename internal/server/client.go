@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -113,8 +114,8 @@ type ClientStats struct {
 	// PoolHits counts runs whose evaluator labels came out of the
 	// session's precomputed OT pool; PoolMisses counts pooled-tier runs
 	// that fell back to an on-demand OT; PoolRefills counts completed
-	// fills: each connection's connect-time refill exchange and the
-	// in-run fills of pooled runs.
+	// fills: each connection's connect-time fill in the handshake and
+	// the in-run fills of pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
 	// TableSendNanos and TableDrainWaitNanos are the garbler's
 	// table-stream timing as Options.Stats holds it (see proto.Stats).
@@ -140,7 +141,7 @@ func (cs ClientStats) MetricsText() string {
 	counter("haac_client_integrity_failures_total", "Inbound checksummed frames rejected by the integrity tier.", cs.IntegrityFailures)
 	counter("haac_client_pool_hits_total", "Runs served from the precomputed OT pool.", cs.PoolHits)
 	counter("haac_client_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", cs.PoolMisses)
-	counter("haac_client_pool_refills_total", "Completed OT-pool fills: connect-time refills plus in-run fills.", cs.PoolRefills)
+	counter("haac_client_pool_refills_total", "Completed OT-pool fills: connect-time fills in the handshake plus in-run fills.", cs.PoolRefills)
 	seconds := func(name, help string, nanos uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, time.Duration(nanos).Seconds())
 	}
@@ -194,12 +195,13 @@ type Options struct {
 	// the transfer.
 	MaxRunBytes int64
 	// PoolSize, when positive, requests the precomputed-OT session tier:
-	// the session keeps a pool of this many random-OT correlations (or
-	// the server's smaller grant), filled synchronously at (re)connect
-	// and topped back up inside the runs that drain it — a pooled run
-	// that leaves the pool min(PoolSize/2, 16384) or more below its size
-	// carries a fill of the whole deficit, whose columns travel
-	// client→server while the run's tables stream back. A steady-state
+	// the hello asks for a pool of this many random-OT correlations and
+	// the session keeps it (or the server's smaller grant), filled inside
+	// every (re)connect's handshake and topped back up inside the runs
+	// that drain it — a pooled run that leaves the pool
+	// min(PoolSize/2, 16384) or more below its size carries a fill of
+	// the whole deficit, whose columns travel client→server while the
+	// run's tables stream back. A steady-state
 	// Run's online OT is then one XOR round with no base OTs. A run that
 	// finds the pool short of its demand falls back to the on-demand
 	// protocol for that run (a PoolMiss). A server that declines the
@@ -280,7 +282,7 @@ type Session struct {
 
 	// Pooled-tier state. The pool is bound to the current connection's
 	// base-OT exchange, so it is rebuilt from scratch on every
-	// (re)connect; its target is the connect-time fill's grant.
+	// (re)connect; its target is the handshake's grant.
 	pooled bool
 	pool   *ot.Pool
 
@@ -317,10 +319,11 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 		opts:  opts,
 		rng:   newJitterRNG(opts.Retry.Seed),
 	}
-	// The hello asks for the pooled tier in its OT byte and for the
-	// integrity tier in its flags.
+	// The hello asks for the pooled tier, and its pool, in its OT byte
+	// and pool field, and for the integrity tier in its flags.
 	if opts.PoolSize > 0 {
 		s.hello.ot = ot.Pooled
+		s.hello.pool = uint32(min(uint64(opts.PoolSize), math.MaxUint32))
 	}
 	if opts.Integrity {
 		s.hello.flags = helloFlagIntegrity
@@ -372,12 +375,14 @@ func newJitterRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// connect dials addr, installs the new connection and completes the
-// handshake, leaving s.rw bound to the connection's wire stack.
-func (s *Session) connect() error {
+// connect dials addr, installs the new connection and exchanges hello
+// and reply under Retry.HandshakeTimeout, which it leaves armed. It
+// leaves s.rw bound to the connection's wire stack and returns the
+// pool's grant (0 off the pooled tier).
+func (s *Session) connect() (grant int, err error) {
 	conn, err := s.opts.dial(s.addr)
 	if err != nil {
-		return fmt.Errorf("server: dial: %w", err)
+		return 0, fmt.Errorf("server: dial: %w", err)
 	}
 	s.conn = conn
 	if d := s.opts.Retry.HandshakeTimeout; d > 0 {
@@ -385,38 +390,56 @@ func (s *Session) connect() error {
 	}
 	rw := proto.Instrument(conn, s.opts.Stats)
 	if err := writeHello(rw, s.hello); err != nil {
-		return err
+		return 0, err
 	}
-	numSlots, granted, pooled, err := readReply(rw)
+	a, err := readReply(rw)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if s.opts.Retry.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Time{})
+	if a.pooled && (a.grant == 0 || a.grant > s.hello.pool) {
+		return 0, s.fail(fmt.Errorf("%w: pool granted %d of %d", ErrMalformedFrame, a.grant, s.hello.pool))
 	}
-	s.rw = s.wireStack(rw, granted)
+	s.rw = s.wireStack(rw, a.integrity)
 	// Pool state is per-connection: the old pool's correlations derive
 	// from the old connection's base OTs and die with it.
-	s.pooled = pooled
+	s.pooled = a.pooled
 	s.pool = nil
-	s.numSlots = int(numSlots)
-	return nil
+	s.numSlots = int(a.numSlots)
+	return int(a.grant), nil
 }
 
 // setup is one (re)connection, shared by Dial's attempts and
 // reconnect: connect, bind the persistent evaluator runner to the new
-// connection, and on the pooled tier pay the initial fill. On error the
-// connection is torn down and the session is left broken.
+// connection and, on the pooled tier, run the connect-time fill of the
+// granted correlations in lockstep with the server's, still under
+// Retry.HandshakeTimeout. The connection pays its base OTs there, so
+// the first Run is already served from the pool, and the level the
+// fill leaves is the pool's target. On error the connection is torn
+// down and the session is left broken.
 func (s *Session) setup() error {
-	err := s.connect()
+	grant, err := s.connect()
 	if err == nil {
 		s.es.Reset(s.rw) // also detaches the old connection's pool
 		s.rw = s.es.Conn()
-		err = s.initialFill()
+	}
+	if err == nil && grant > 0 {
+		var p *ot.Pool
+		if p, err = ot.NewReceiverPool(s.rw, ot.DH); err == nil {
+			err = p.Fill(s.rw, grant)
+		}
+		if err == nil {
+			p.SetTarget(p.Level())
+			s.pool = p
+			s.es.SetPool(p)
+			s.stats.PoolRefills++
+		}
 	}
 	if err != nil {
 		s.breakConn()
 		return err
+	}
+	if s.opts.Retry.HandshakeTimeout > 0 {
+		s.conn.SetDeadline(time.Time{})
 	}
 	s.broken = false
 	return nil
@@ -434,65 +457,6 @@ func (s *Session) reconnect() error {
 		return err
 	}
 	s.stats.Reconnects++
-	return nil
-}
-
-// initialFill seeds the pool synchronously right after a (re)connected
-// pooled handshake, bounded by the handshake deadline: the connection's
-// base OTs and first fill are paid at (re)connect time, so the first
-// Run is already served from the pool. It is the connection's one
-// refill exchange; pooled runs do the rest of the topping up.
-func (s *Session) initialFill() error {
-	if !s.pooled {
-		return nil
-	}
-	if d := s.opts.Retry.HandshakeTimeout; d > 0 {
-		s.conn.SetDeadline(time.Now().Add(d))
-		defer s.conn.SetDeadline(time.Time{})
-	}
-	return s.refillOnce(s.opts.PoolSize)
-}
-
-// refillOnce runs one opRefill exchange over the current connection,
-// creating the receiver pool (and paying its base OTs) on first use, and
-// records the level it leaves as the pool's target, as the server does.
-// A server refusal (ackRefuse) returns nil with no pool: the session
-// stays usable and runs on demand. A clamped grant is the target.
-func (s *Session) refillOnce(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	s.buf[0] = opRefill
-	s.buf[1] = byte(ot.DH) // the pool's base OTs
-	binary.LittleEndian.PutUint32(s.buf[2:], uint32(n))
-	ack, err := s.exchange(s.buf[:6], ackGo, ackRefuse)
-	if err != nil {
-		return err
-	}
-	if ack == ackRefuse {
-		return nil
-	}
-	g, err := s.readAck(4)
-	if err != nil {
-		return err
-	}
-	granted := int(binary.LittleEndian.Uint32(g))
-	if granted <= 0 || granted > n {
-		return s.fail(fmt.Errorf("%w: refill granted %d of %d", ErrMalformedFrame, granted, n))
-	}
-	if s.pool == nil {
-		p, err := ot.NewReceiverPool(s.rw, ot.DH)
-		if err != nil {
-			return err
-		}
-		s.pool = p
-		s.es.SetPool(p)
-	}
-	if err := s.pool.Fill(s.rw, granted); err != nil {
-		return err
-	}
-	s.pool.SetTarget(s.pool.Level())
-	s.stats.PoolRefills++
 	return nil
 }
 
@@ -637,15 +601,6 @@ func (s *Session) attemptOnce(evalBits []bool) ([]bool, error) {
 	return s.runOnce(evalBits)
 }
 
-// exchange opens one op and reads the server's answer to it: open, then
-// answer.
-func (s *Session) exchange(frame []byte, accept ...byte) (byte, error) {
-	if err := s.open(frame); err != nil {
-		return 0, err
-	}
-	return s.answer(frame[0], accept...)
-}
-
 // open starts one op: it starts the op's byte budget afresh — the op
 // frame and its ack count against the op they open — and writes the
 // op's frame in one write. A wire error fails the session as closed.
@@ -765,7 +720,10 @@ func (s *Session) resumeOnce(got int) ([]bool, error) {
 	s.buf[0] = opResume
 	binary.LittleEndian.PutUint64(s.buf[1:], s.runToken)
 	binary.LittleEndian.PutUint64(s.buf[9:], uint64(got))
-	ack, err := s.exchange(s.buf[:17], ackResume, ackNoResume)
+	if err := s.open(s.buf[:17]); err != nil {
+		return nil, err
+	}
+	ack, err := s.answer(opResume, ackResume, ackNoResume)
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,10 @@ import (
 )
 
 // TestClientOpRefusals: a scripted peer over net.Pipe reads each op
-// frame and answers it with ackDraining, then with a byte no op
-// expects. Run, pooled run, resume and refill share one refusal rule: a
-// typed error (ErrDraining, or ErrMalformedFrame wrapped in
-// ErrSessionClosed) and a broken session. A pool hit's frame carries the
+// frame and answers it with ackDraining, then with bytes no op expects:
+// 4, the retired refill op's refusal, and 0x7f. Run, pooled run and
+// resume share one refusal rule: a typed error (ErrDraining, or
+// ErrMalformedFrame wrapped in ErrSessionClosed) and a broken session. A pool hit's frame carries the
 // choice correction after the op byte, 1 + 5 + ceil(m/8) bytes in all;
 // net.Pipe's writes block until read, so a frame of any other length
 // hangs the exchange.
@@ -39,7 +39,6 @@ func TestClientOpRefusals(t *testing.T) {
 		{"run", false, 1, run},
 		{"pooled-run", true, 1 + 5 + (m+7)/8, run},
 		{"resume", false, 17, func(s *Session) error { _, err := s.resumeOnce(0); return err }},
-		{"refill", false, 6, func(s *Session) error { return s.refillOnce(8) }},
 	}
 	answers := []struct {
 		name string
@@ -47,6 +46,7 @@ func TestClientOpRefusals(t *testing.T) {
 		want []error
 	}{
 		{"draining", ackDraining, []error{ErrDraining}},
+		{"retired-refuse", 4, []error{ErrMalformedFrame, ErrSessionClosed}},
 		{"unknown", 0x7f, []error{ErrMalformedFrame, ErrSessionClosed}},
 	}
 	for _, op := range ops {
@@ -129,7 +129,8 @@ func scriptedSession(t *testing.T, conn net.Conn, c *circuit.Circuit, pooled boo
 
 // TestOpsOutsideTier speaks raw op frames through a real session's own
 // transport stack. An op the session's tier does not have, or an unknown
-// op byte, ends the session without a panic; a resume or refill the
+// op byte, ends the session without a panic — op byte 4, the retired
+// refill op's, on every tier, the pooled one included; a resume the
 // server declines is answered and leaves the session usable for the
 // next run.
 func TestOpsOutsideTier(t *testing.T) {
@@ -159,8 +160,9 @@ func TestOpsOutsideTier(t *testing.T) {
 		}
 		return b
 	}
+	// The frame the retired refill op had: op 4 | base u8 | n u32.
 	refill := func(base ot.Protocol, n uint32) []byte {
-		return binary.LittleEndian.AppendUint32([]byte{opRefill, byte(base)}, n)
+		return binary.LittleEndian.AppendUint32([]byte{4, byte(base)}, n)
 	}
 	plain := Options{OT: ot.Insecure}
 	integrity := Options{OT: ot.Insecure, Integrity: true}
@@ -177,8 +179,8 @@ func TestOpsOutsideTier(t *testing.T) {
 		{"foreign-token", integrity, frame(opResume, 0xC3, 0), ackNoResume},
 		{"other-circuit-token", integrity, frame(opResume, otherTok, 0), ackNoResume},
 		{"got-past-and-count", integrity, frame(opResume, liveTok, uint64(and)+1), ackNoResume},
-		{"refill-zero", pooled, refill(ot.DH, 0), ackRefuse},
-		{"refill-bad-base", pooled, refill(ot.IKNP, 16), ackRefuse},
+		{"refill-zero", pooled, refill(ot.DH, 0), -1},
+		{"refill-bad-base", pooled, refill(ot.IKNP, 16), -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := Dial(addr, w.Name, c, tc.opts)
@@ -374,8 +376,8 @@ func TestClientRunBudget(t *testing.T) {
 // batch of three ot.DerandPiece pieces, whose correction and masked
 // pairs cross in pieces and count the same.
 func TestRunBudgetMakesRoomForFill(t *testing.T) {
-	// Their run bytes exceed the connect-time refill's (base OTs + the
-	// first fill), which the budget also bounds.
+	// Their run bytes exceed the connect-time fill's (base OTs + the
+	// first fill, inside the handshake), which the budget also bounds.
 	runBudgetRows(t, workloads.DotProduct(4, 16), "")
 	runBudgetRows(t, workloads.AddN(2*ot.DerandPiece+5), "pieced-")
 }

@@ -26,7 +26,7 @@ func stallAfterAck(t *testing.T, addr, id string, c *circuit.Circuit) net.Conn {
 	if err := writeHello(conn, hello{ot: ot.DH, id: id, digest: circuit.Digest(c)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readReply(conn); err != nil {
+	if _, err := readReply(conn); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write([]byte{opRun}); err != nil {

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"haac/internal/builder"
 	"haac/internal/circuit"
@@ -101,7 +104,7 @@ func TestPooledSessionServesFromPool(t *testing.T) {
 }
 
 // TestPooledSessionClampAndFallback: a server cap below one run's
-// demand clamps the initial fill, the client stops asking (capped), and
+// demand clamps the handshake's grant and so the connect-time fill, and
 // every run falls back to on-demand OT as a miss — correct outputs, no
 // deadlock, the short pool never consumed.
 func TestPooledSessionClampAndFallback(t *testing.T) {
@@ -190,7 +193,7 @@ func TestPooledRefillRace(t *testing.T) {
 
 // TestPooledDeclinedFallsBack: a server running with DisablePooledOT
 // accepts a pooled-requesting client unpooled; runs work on demand and
-// no refill ever happens.
+// no fill ever happens.
 func TestPooledDeclinedFallsBack(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -227,9 +230,128 @@ func TestPooledDeclinedFallsBack(t *testing.T) {
 	}
 }
 
+// TestPooledHandshake covers the pool's negotiation in the handshake.
+// A pooled hello asking for no pool is refused ErrBadRequest. A request
+// past MaxPoolSize is granted exactly MaxPoolSize: the client's level
+// after the connect-time fill is the grant, and runs whose in-run fills
+// both ends derive from their own levels and targets stay in lockstep,
+// which they could not if the server held any other level. A draining
+// server refuses ErrDraining. A server that grants 0, or more than was
+// asked, fails the dial as a malformed frame on a closed session.
+func TestPooledHandshake(t *testing.T) {
+	w := workloads.DotProduct(3, 8)
+	c := w.Build()
+	garblerBits, _ := w.Inputs(1)
+	m := c.EvaluatorInputs
+	cfg := Config{
+		Circuits:    []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+		Seed:        61,
+		MaxPoolSize: 2 * m,
+	}
+	// A dial over a net.Pipe whose far end the test plays: the
+	// handshake deadline turns a client that waits on bytes the far end
+	// never sends into a failure instead of a hang.
+	pipeOptions := func(conn net.Conn, pool int) Options {
+		return Options{
+			PoolSize: pool,
+			Dialer:   func(string) (net.Conn, error) { return conn, nil },
+			Retry:    RetryPolicy{HandshakeTimeout: 5 * time.Second},
+		}
+	}
+
+	t.Run("pool-zero", func(t *testing.T) {
+		_, addr := startServer(t, cfg)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeHello(conn, hello{ot: ot.Pooled, id: w.Name, digest: circuit.Digest(c)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readReply(conn); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("pooled hello with pool 0: got %v, want ErrBadRequest", err)
+		}
+	})
+
+	t.Run("past-max-pool-size", func(t *testing.T) {
+		srv, addr := startServer(t, cfg)
+		sess, err := Dial(addr, w.Name, c, Options{PoolSize: 5 * m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if lvl := sess.PoolLevel(); !sess.Pooled() || lvl != 2*m {
+			t.Fatalf("pooled=%v level=%d, want the grant MaxPoolSize = %d", sess.Pooled(), lvl, 2*m)
+		}
+		// Target 2m: every run leaves the pool m short and tops it up.
+		const runs = 4
+		oracleRuns(t, sess, w, c, garblerBits, runs)
+		cs := sess.Stats()
+		sess.Close()
+		srv.Close()
+		st := srv.Stats()
+		if cs.PoolHits != runs || cs.PoolRefills != 1+runs || st.PoolHits != runs || st.PoolRefills != 1+runs {
+			t.Errorf("client hits/refills %d/%d, server %d/%d, want %d/%d on both ends",
+				cs.PoolHits, cs.PoolRefills, st.PoolHits, st.PoolRefills, runs, 1+runs)
+		}
+	})
+
+	t.Run("draining", func(t *testing.T) {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.mu.Lock()
+		srv.draining = true
+		srv.mu.Unlock()
+		client, server := net.Pipe()
+		admitted := make(chan bool, 1)
+		go func() {
+			st := &session{conn: server}
+			ok := srv.handshake(st)
+			server.Close()
+			admitted <- ok
+		}()
+		if _, err := Dial("pipe", w.Name, c, pipeOptions(client, m)); !errors.Is(err, ErrDraining) {
+			t.Fatalf("pooled dial of a draining server: got %v, want ErrDraining", err)
+		}
+		if <-admitted {
+			t.Fatal("a draining server admitted the session")
+		}
+	})
+
+	for _, grant := range []uint32{0, 2*uint32(m) + 1} {
+		t.Run(fmt.Sprintf("scripted-grant-%d", grant), func(t *testing.T) {
+			client, peer := net.Pipe()
+			defer peer.Close()
+			done := make(chan error, 1)
+			go func() {
+				h, _, err := readHello(peer)
+				if err == nil && h.pool != uint32(2*m) {
+					err = fmt.Errorf("hello asked for %d, want %d", h.pool, 2*m)
+				}
+				if err == nil {
+					err = writeReply(peer, statusOKPooled, 8, grant, "")
+				}
+				done <- err
+			}()
+			_, err := Dial("pipe", w.Name, c, pipeOptions(client, 2*m))
+			if perr := <-done; perr != nil {
+				t.Fatalf("scripted server: %v", perr)
+			}
+			if !errors.Is(err, ErrMalformedFrame) || !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("grant %d of %d: got %v, want ErrMalformedFrame inside ErrSessionClosed", grant, 2*m, err)
+			}
+		})
+	}
+}
+
 // TestChaosPooledDropMidRefill aims a deterministic connection drop at
-// the pool-fill byte window of the initial refill (base OTs + fill
-// stream) and another at an in-run fill's columns, then lets random
+// the pool-fill byte window of the connect-time fill inside the
+// handshake (base OTs + fill stream) and another at an in-run fill's
+// columns, then lets random
 // drops loose on a pooled session whose runs carry in-run fills. All
 // must heal through redial + re-handshake + fresh pool, with every
 // run's output identical to the oracle.
@@ -243,8 +365,8 @@ func TestChaosPooledDropMidRefill(t *testing.T) {
 			Circuits: []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
 			Seed:     23,
 		})
-		// The drop lands well past the ~77-byte handshake but inside the
-		// first fill's base-OT + masked-column stream; DropOnce lets the
+		// The drop lands well past the ~60 bytes of hello and reply but
+		// inside the handshake fill's base-OT + masked-column stream; DropOnce lets the
 		// redial heal instead of tripping the same offset forever.
 		dialer := &faultnet.Dialer{
 			Plan:     faultnet.Plan{Seed: 31, DropAfterBytes: 2048},

@@ -32,7 +32,7 @@ type HelloFrame struct {
 
 // ReadHelloFrame reads and validates one client hello from r. A
 // structurally refused hello (bad magic, unknown version, bad OT,
-// oversized id) returns ErrBadRequest or ErrBadVersion — the connection
+// oversized id, a pooled hello asking for no pool) returns ErrBadRequest or ErrBadVersion — the connection
 // is still writable, so the caller can answer with WriteRefusal. A
 // short or dead read returns the underlying transport error.
 func ReadHelloFrame(r io.Reader) (HelloFrame, error) {
@@ -67,8 +67,10 @@ type ReplyFrame struct {
 	// opaque spliced bytes.
 	Integrity bool
 	// Pooled reports whether the backend granted the precomputed-OT
-	// session tier. Like integrity, the tier is end-to-end: refill ops, in-run fills
-	// and derandomized transfers traverse a relay as spliced bytes.
+	// session tier. Like integrity, the tier is end-to-end: the pool's
+	// grant rides in Raw, and the connect-time fill that follows the
+	// reply, in-run fills and derandomized transfers traverse a relay as
+	// spliced bytes.
 	Pooled bool
 	// Err is the typed refusal (ErrBusy, ErrDraining, ErrUnknownCircuit,
 	// ErrDigestMismatch, ErrBadVersion, ErrBadRequest, ErrOverBudget,
@@ -87,12 +89,10 @@ func (rf ReplyFrame) OK() bool { return rf.Err == nil }
 func ReadReplyFrame(r io.Reader) (ReplyFrame, error) {
 	var rf ReplyFrame
 	var raw bytes.Buffer
-	numSlots, integrity, pooled, err := readReply(io.TeeReader(r, &raw))
+	a, err := readReply(io.TeeReader(r, &raw))
 	rf.Raw = raw.Bytes()
 	if err == nil {
-		rf.NumSlots = numSlots
-		rf.Integrity = integrity
-		rf.Pooled = pooled
+		rf.NumSlots, rf.Integrity, rf.Pooled = a.numSlots, a.integrity, a.pooled
 		return rf, nil
 	}
 	for _, refusal := range []error{
@@ -136,5 +136,5 @@ func WriteRefusal(w io.Writer, cause error, msg string) error {
 			msg = fmt.Sprintf("refused: %v", cause)
 		}
 	}
-	return writeReply(w, status, 0, msg)
+	return writeReply(w, status, 0, 0, msg)
 }

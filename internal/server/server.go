@@ -94,16 +94,16 @@ type Config struct {
 	// DisablePooledOT declines the precomputed-OT session tier even when
 	// a client requests ot.Pooled in its hello; sessions then run every
 	// OT on demand. Pooled-requesting clients fall back transparently —
-	// the server accepts with plain statusOK and the client never sends
-	// a refill.
+	// the server accepts with plain statusOK, grants no pool and runs no
+	// connect-time fill.
 	DisablePooledOT bool
-	// MaxPoolSize caps the per-session OT pool: an opRefill that would
-	// grow the pool past this many correlations is clamped to the
-	// remaining headroom (or refused outright when there is none), and
-	// in-run fills only restore the level it granted. Each pooled
-	// correlation holds two 16-byte labels server-side, and the bank
-	// keeps room for twice its level so in-run fills rarely move it, so
-	// the cap bounds per-session memory at roughly 64*MaxPoolSize bytes.
+	// MaxPoolSize caps the per-session OT pool: the grant in a pooled
+	// accept reply, which the connect-time fill seeds, is the hello's
+	// request clamped to this many correlations, and in-run fills only
+	// restore the level it granted. Each pooled correlation holds two
+	// 16-byte labels server-side, and the bank keeps room for twice its
+	// level so in-run fills rarely move it, so the cap bounds
+	// per-session memory at roughly 64*MaxPoolSize bytes.
 	// 0 means the 65536 default.
 	MaxPoolSize int
 	// TLS, when non-nil, wraps every listener passed to Serve so the
@@ -168,8 +168,8 @@ type Stats struct {
 	// of the session's precomputed OT pool — no base OT, one XOR round
 	// online. PoolMisses counts pooled-tier runs that fell back to an
 	// on-demand OT (pool empty or below the run's demand); PoolRefills
-	// counts completed fills: each session's connect-time opRefill and
-	// the in-run fills of its pooled runs.
+	// counts completed fills: each session's connect-time fill in the
+	// handshake and the in-run fills of its pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
 	// TableSendNanos is the time the runners' sender goroutines spent
 	// inside the transport's Write pushing tables; TableDrainWaitNanos
@@ -245,19 +245,17 @@ type session struct {
 	rw        io.ReadWriter // post-handshake stack: conn, read buffer, byte budget, frame codec
 	bb        *byteBudget   // nil without Config.MaxRunBytes
 	integrity bool          // checksummed frames; the session speaks opResume
-	pooled    bool          // precomputed-OT tier; the session speaks opRefill
-	pool      *ot.Pool      // the sender pool, built by the first refill
+	pooled    bool          // precomputed-OT tier; the handshake seeds the pool
 	// buf holds each op's request and ack (17 bytes fits the largest,
 	// opResume), so a run allocates nothing on the wire exchange.
 	buf [17]byte
 }
 
-// ack writes the one-byte answer code followed by the extra bytes the
-// caller left in st.buf[1:1+extra]; it reports whether the write went
-// through.
-func (st *session) ack(code byte, extra int) bool {
+// ack writes the one-byte answer code; it reports whether the write
+// went through.
+func (st *session) ack(code byte) bool {
 	st.buf[0] = code
-	_, err := st.rw.Write(st.buf[:1+extra])
+	_, err := st.rw.Write(st.buf[:1])
 	return err == nil
 }
 
@@ -537,7 +535,7 @@ func (s *Server) refuse(conn net.Conn) {
 	if _, _, err := readHello(conn); err != nil {
 		return
 	}
-	writeReply(conn, statusBusy, 0, statusMsg(statusBusy, ""))
+	writeReply(conn, statusBusy, 0, 0, statusMsg(statusBusy, ""))
 }
 
 // Close drains the server: listeners stop accepting, idle sessions are
@@ -635,7 +633,7 @@ func (s *Server) handle(st *session) {
 		if r := recover(); r != nil {
 			s.sessionsPanicked.Add(1)
 			if !st.replied {
-				writeReply(st.conn, statusInternal, 0, statusMsg(statusInternal, ""))
+				writeReply(st.conn, statusInternal, 0, 0, statusMsg(statusInternal, ""))
 			}
 		}
 	}()
@@ -656,24 +654,20 @@ func (s *Server) handle(st *session) {
 		_, err := io.ReadFull(st.rw, st.buf[:1])
 		s.setIdle(st, false)
 		op := st.buf[0]
-		// Resume frames only exist on the integrity tier and refill frames
-		// on the pooled tier; anywhere else, like an unknown op, the byte
-		// is garbage.
-		known := op == opRun || op == opResume && st.integrity || op == opRefill && st.pooled
+		// Resume frames only exist on the integrity tier; anywhere else,
+		// like an unknown op, the byte is garbage.
+		known := op == opRun || op == opResume && st.integrity
 		if err != nil || !known {
 			return // opBye, garbage, or a dead/force-closed connection
 		}
 		if s.isDraining() {
-			st.ack(ackDraining, 0)
+			st.ack(ackDraining)
 			return
 		}
-		switch op {
-		case opRun:
+		if op == opRun {
 			ok = s.serveRun(st)
-		case opResume:
+		} else {
 			ok = s.serveResume(st)
-		case opRefill:
-			ok = s.serveRefill(st)
 		}
 		if !ok {
 			return
@@ -683,8 +677,9 @@ func (s *Server) handle(st *session) {
 
 // handshake reads the hello and answers it. On admission it fills in
 // st's per-session state — circuit, garbler runner, wire tiers and
-// transport stack — and reports true once the accept went out. A runner
-// it took (st.gs) is the caller's to return, whatever the verdict.
+// transport stack — and reports true once the accept went out and, on
+// the pooled tier, the connect-time fill completed. A runner it took
+// (st.gs) is the caller's to return, whatever the verdict.
 func (s *Server) handshake(st *session) bool {
 	conn := st.conn
 	hsTimeout := s.cfg.HandshakeTimeout
@@ -692,15 +687,15 @@ func (s *Server) handshake(st *session) bool {
 		conn.SetReadDeadline(time.Now().Add(hsTimeout))
 	}
 	rw := proto.Instrument(conn, &s.net)
-	// reply arms a fresh write deadline around each handshake verdict so
-	// a slowloris client that never drains its receive window cannot pin
-	// this goroutine mid-write.
-	reply := func(status uint8, numSlots uint32, msg string) error {
+	// reply arms a fresh deadline around each handshake verdict and the
+	// connect-time fill after an accept, so a slowloris client that never
+	// drains its receive window cannot pin this goroutine mid-write.
+	reply := func(status uint8, numSlots, grant uint32, msg string) error {
 		st.replied = true
 		if hsTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(hsTimeout))
+			conn.SetDeadline(time.Now().Add(hsTimeout))
 		}
-		return writeReply(rw, status, numSlots, msg)
+		return writeReply(rw, status, numSlots, grant, msg)
 	}
 
 	h, status, err := readHello(rw)
@@ -729,14 +724,14 @@ func (s *Server) handshake(st *session) bool {
 		if msg == "" {
 			msg = statusMsg(status, h.id)
 		}
-		reply(status, 0, msg)
+		reply(status, 0, 0, msg)
 		return false
 	}
 	plan, err := s.cache.Get(h.id, func() (*circuit.Plan, error) {
 		return circuit.NewPlan(reg.spec.Circuit)
 	})
 	if err != nil {
-		reply(statusBadRequest, 0, err.Error())
+		reply(statusBadRequest, 0, 0, err.Error())
 		return false
 	}
 	st.reg = reg
@@ -744,7 +739,7 @@ func (s *Server) handshake(st *session) bool {
 	// Post-handshake transport stack, innermost first: the instrumented
 	// conn, one read buffer under every read the session makes (op
 	// frames, choice corrections, fill columns, results — a pooled run's
-	// op frame is one read), the per-run byte budget (when configured),
+	// op frame is one read), the per-op byte budget (when configured),
 	// and — when the client requested it and the server allows — the
 	// checksummed frame codec. The budget sits above the buffer, so it
 	// charges the bytes an op consumes, never bytes read ahead. The
@@ -765,7 +760,7 @@ func (s *Server) handshake(st *session) bool {
 
 	// The pooled tier, like integrity, degrades transparently: a server
 	// configured without it accepts the session with plain statusOK and
-	// the client simply never sends a refill. Pooled sessions still need
+	// grants no pool. Pooled sessions still need
 	// a concrete on-demand protocol for miss runs — the garbler picks it
 	// per circuit (IKNP amortizes past its base-OT cost only when the
 	// evaluator input vector is wide enough to matter).
@@ -779,7 +774,7 @@ func (s *Server) handshake(st *session) bool {
 	}
 	st.gs, err = s.garblerFor(reg, plan, st.rw, otp)
 	if err != nil {
-		reply(statusBadRequest, 0, err.Error())
+		reply(statusBadRequest, 0, 0, err.Error())
 		return false
 	}
 	accept := uint8(statusOK)
@@ -791,17 +786,36 @@ func (s *Server) handshake(st *session) bool {
 	case st.integrity:
 		accept = statusOKIntegrity
 	}
-	if reply(accept, uint32(plan.NumSlots), "") != nil {
+	// Only a pooled accept carries the grant; h.pool is 0 for any other
+	// hello.
+	grant := min(h.pool, uint32(s.cfg.MaxPoolSize))
+	if reply(accept, uint32(plan.NumSlots), grant, "") != nil {
 		return false
+	}
+	if st.pooled {
+		// The connect-time fill, in lockstep with the client's, through
+		// the byte budget like any op: the connection pays its base OTs
+		// here, so its first run is served from the pool, and the level
+		// the fill leaves is the pool's target.
+		if st.bb != nil {
+			st.bb.reset()
+		}
+		p, err := ot.NewSenderPool(st.rw, ot.DH)
+		if err != nil || p.Fill(st.rw, int(grant)) != nil {
+			return false
+		}
+		p.SetTarget(p.Level())
+		st.gs.SetPool(p)
+		s.poolRefills.Add(1)
 	}
 	conn.SetDeadline(time.Time{})
 	return true
 }
 
-// bounded runs one accepted op's body — a run, a resume or a refill —
-// the way every op is bounded: Config.RunTimeout arms a read+write
-// deadline over the whole body, so a peer that stalls mid-op errors the
-// session out instead of outliving the drain. (The op's byte budget
+// bounded runs one accepted op's body — a run or a resume — the way
+// every op is bounded: Config.RunTimeout arms a read+write deadline
+// over the whole body, so a peer that stalls mid-op errors the session
+// out instead of outliving the drain. (The op's byte budget
 // started afresh when its op byte was read.)
 func (s *Server) bounded(st *session, body func() error) error {
 	if rt := s.cfg.RunTimeout; rt > 0 {
@@ -897,63 +911,14 @@ func (s *Server) serveResume(st *session) bool {
 	got := binary.LittleEndian.Uint64(req[8:])
 	e, ok := s.resume.get(token)
 	if !ok || e.id != st.reg.spec.ID || got > uint64(e.and) {
-		return st.ack(ackNoResume, 0)
+		return st.ack(ackNoResume)
 	}
-	if !st.ack(ackResume, 0) ||
+	if !st.ack(ackResume) ||
 		!s.garble(st, func() error { _, err := st.gs.ResumeRun(e.seed, int(got)); return err }) {
 		return false
 	}
 	s.resume.drop(token)
 	s.runsResumed.Add(1)
-	return true
-}
-
-// serveRefill answers one opRefill frame: validate the requested base
-// protocol and count, clamp the count to the pool's MaxPoolSize
-// headroom, then run one lockstep ot.Pool fill — creating the session's
-// sender pool (and paying its base OTs) on first use. The level the
-// fill leaves becomes the pool's target, which the session's pooled
-// runs then restore with in-run fills (the client records the same). A
-// refusal (ackRefuse) leaves the session usable.
-func (s *Server) serveRefill(st *session) bool {
-	req := st.buf[1:6] // base u8 | n u32 LE
-	if _, err := io.ReadFull(st.rw, req); err != nil {
-		return false
-	}
-	base := ot.Protocol(req[0])
-	n := int(binary.LittleEndian.Uint32(req[1:]))
-	level := 0
-	if st.pool != nil {
-		level = st.pool.Level()
-	}
-	granted := min(n, s.cfg.MaxPoolSize-level)
-	badBase := base != ot.DH && !(base == ot.Insecure && s.cfg.AllowInsecureOT)
-	if badBase || n <= 0 || granted <= 0 {
-		return st.ack(ackRefuse, 0)
-	}
-	binary.LittleEndian.PutUint32(st.buf[1:], uint32(granted))
-	if !st.ack(ackGo, 4) {
-		return false
-	}
-	fill := func() error {
-		if st.pool == nil {
-			p, err := ot.NewSenderPool(st.rw, base)
-			if err != nil {
-				return err
-			}
-			st.pool = p
-			st.gs.SetPool(p)
-		}
-		if err := st.pool.Fill(st.rw, granted); err != nil {
-			return err
-		}
-		st.pool.SetTarget(st.pool.Level())
-		return nil
-	}
-	if s.bounded(st, fill) != nil {
-		return false
-	}
-	s.poolRefills.Add(1)
 	return true
 }
 

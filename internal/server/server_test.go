@@ -225,15 +225,16 @@ func TestHandshakeRefusals(t *testing.T) {
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readReply(conn); !errors.Is(err, ErrBadVersion) {
+	if _, err := readReply(conn); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: got %v, want ErrBadVersion", err)
 	}
 
 	// The retired versions — 1, the run sequence whose choice correction
-	// waited for the header, and 2, pools topped up by background refill
-	// ops between runs: a permanent refusal, so a retrying client dials
+	// waited for the header, 2, pools topped up by background refill ops
+	// between runs, and 3, the pool's first fill asked for by a refill op
+	// after the handshake: a permanent refusal, so a retrying client dials
 	// exactly once.
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		var dials atomic.Int32
 		retired := func(addr string) (net.Conn, error) {
 			dials.Add(1)
@@ -257,7 +258,7 @@ func TestHandshakeRefusals(t *testing.T) {
 	if _, err := conn2.Write(make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readReply(conn2); !errors.Is(err, ErrBadRequest) {
+	if _, err := readReply(conn2); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("bad magic: got %v, want ErrBadRequest", err)
 	}
 }

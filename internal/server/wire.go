@@ -7,9 +7,12 @@
 // A session opens with a versioned handshake framed ahead of the
 // protocol's existing byte-identical wire format:
 //
-//	client hello:  magic u32 ("HAAS") | version u8 (3) | ot u8 | flags u8 |
+//	client hello:  magic u32 ("HAAS") | version u8 (4) | ot u8 | flags u8 |
 //	               idLen u16 | circuit id | sha256 digest [32]
+//	               | ot = Pooled: pool u32 LE (correlations asked, > 0)
 //	server reply:  status u8 | ok: numSlots u32
+//	                         | pooled ok: numSlots u32 | grant u32 LE
+//	                           | <ot.Pool fill stream of grant correlations>
 //	                         | err: msgLen u16 | message
 //	per run:       op u8 (run/bye) | pool hit: 0xD5 | count u32 LE | e bits
 //	               (client, one write; past one ot.DerandPiece the e bits
@@ -21,9 +24,6 @@
 //	resume:        op u8 (resume) | token u64 LE | got u64 LE (client)
 //	               | ack u8 (resume/no-resume/draining, server)
 //	               | resume: <the run's stream from table got on>
-//	pool refill:   op u8 (refill) | base u8 | n u32 LE (client)
-//	               | ack u8 (go/refuse/draining, server)
-//	               | go: granted u32 LE | <ot.Pool fill stream>
 //
 // Any op may be answered draining, which ends the session. On the
 // integrity tier (hello flag, statusOKIntegrity) every byte after the
@@ -33,14 +33,14 @@
 // is re-sent.
 //
 // A client that sets the hello's ot byte to ot.Pooled asks for the
-// precomputed-OT session tier: the server accepts with statusOKPooled
-// (or statusOKPooledIntegrity when the integrity flag is also granted)
-// and the session gains the opRefill op, which runs one lockstep
-// ot.Pool fill of n correlations using the requested base protocol.
-// The client sends it once per connection, right after the handshake,
-// and both ends record the level it leaves as the pool's target.
-// Runs then consume the pool when it holds enough correlations and fall
-// back to an on-demand OT when it does not. Both ends decide from their
+// precomputed-OT session tier and, in the pool field, for a pool size:
+// the server accepts with statusOKPooled (or statusOKPooledIntegrity
+// when the integrity flag is also granted) and a grant of the request
+// clamped to Config.MaxPoolSize. Straight after the reply, still inside
+// the handshake deadline, both ends run one lockstep ot.Pool fill of
+// grant correlations over DH base OTs and record the level it leaves as
+// the pool's target. Runs then consume the pool when it holds enough
+// correlations and fall back to an on-demand OT when it does not. Both ends decide from their
 // own lockstep pool levels, so on a hit the client sends the run's
 // choice correction with the op and the server answers with the ack,
 // header, garbler labels and masked pairs in one flush: one round trip
@@ -53,10 +53,11 @@
 // field): the client writes the fill's columns while the tables stream
 // back, and its result after them.
 //
-// Version 3 of the hello is this run sequence; a version-1 hello (the
-// sequence where the correction waited for the header) or a version-2
-// one (pools topped up by background refill ops between runs) is
-// refused with statusBadVersion.
+// Version 4 of the hello is this handshake; a version-1 hello (the run
+// sequence where the correction waited for the header), a version-2 one
+// (pools topped up by background refill ops between runs) or a
+// version-3 one (the pool's first fill asked for by a refill op after
+// the handshake) is refused with statusBadVersion.
 //
 // The digest binds the session to a structurally identical circuit on
 // both sides (circuit.Digest), so a mismatched client fails typed at
@@ -78,7 +79,7 @@ import (
 
 const (
 	helloMagic   = 0x53414148 // "HAAS" little-endian
-	helloVersion = 3
+	helloVersion = 4
 
 	// helloFixedSize is the fixed prefix of the hello frame: magic u32 |
 	// version u8 | ot u8 | flags u8 | idLen u16.
@@ -107,15 +108,6 @@ const (
 	// The frame is op u8 | token u64 | got u64 (the run token issued with
 	// the ack and the count of tables the client holds verified).
 	opResume = 3
-	// opRefill asks the server to run one lockstep OT-pool fill; pooled
-	// tier only, sent once per connection for the pool's first fill
-	// (later fills ride inside runs). The frame is op u8 | base u8 (the ot.Protocol seeding
-	// the pool's base OTs) | n u32 LE (correlations to add). The server
-	// answers ackGo followed by granted u32 LE — the count both sides
-	// then Fill in lockstep, clamped to Config.MaxPoolSize headroom — or
-	// refuses with ackRefuse (bad base, zero n, or a pool already at its
-	// cap), leaving the session usable.
-	opRefill = 4
 
 	ackGo       = 0
 	ackDraining = 1
@@ -124,10 +116,6 @@ const (
 	// the client falls back to a full replay on the same connection.
 	ackResume   = 2
 	ackNoResume = 3
-	// ackRefuse declines an opRefill without ending the session: the
-	// client keeps running (pooled when its level allows, on-demand
-	// otherwise) but should stop asking for what was refused.
-	ackRefuse = 4
 
 	statusOK             = 0
 	statusUnknownCircuit = 1
@@ -147,9 +135,10 @@ const (
 	// panic.
 	statusInternal = 9
 	// statusOKPooled accepts a session that asked for ot.Pooled in its
-	// hello: same 5-byte accept frame as statusOK, and the session gains
-	// the opRefill op. statusOKPooledIntegrity additionally grants the
-	// checksummed-frame tier (the pooled analogue of statusOKIntegrity).
+	// hello: a 9-byte accept frame, statusOK's and the pool's grant u32,
+	// and the connect-time fill follows it. statusOKPooledIntegrity
+	// additionally grants the checksummed-frame tier (the pooled analogue
+	// of statusOKIntegrity).
 	statusOKPooled          = 10
 	statusOKPooledIntegrity = 11
 )
@@ -186,6 +175,7 @@ type hello struct {
 	flags  uint8
 	id     string
 	digest [32]byte
+	pool   uint32 // ot.Pooled only: the correlations asked for
 }
 
 // writeHello sends the client handshake frame.
@@ -202,6 +192,9 @@ func writeHello(w io.Writer, h hello) error {
 	le.PutUint16(buf[7:], uint16(len(h.id)))
 	copy(buf[helloFixedSize:], h.id)
 	copy(buf[helloFixedSize+len(h.id):], h.digest[:])
+	if h.ot == ot.Pooled {
+		buf = le.AppendUint32(buf, h.pool)
+	}
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("server: sending hello: %w", err)
 	}
@@ -234,17 +227,26 @@ func readHello(r io.Reader) (h hello, status uint8, err error) {
 	if idLen == 0 || idLen > maxIDLen {
 		return h, statusBadRequest, nil
 	}
-	rest := make([]byte, idLen+32)
+	tail := 32 // the digest, then a pooled hello's pool u32
+	if h.ot == ot.Pooled {
+		tail += 4
+	}
+	rest := make([]byte, idLen+tail)
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return h, 0, fmt.Errorf("server: reading hello: %w", err)
 	}
 	h.id = string(rest[:idLen])
 	copy(h.digest[:], rest[idLen:])
+	if h.ot == ot.Pooled {
+		if h.pool = le.Uint32(rest[idLen+32:]); h.pool == 0 {
+			return h, statusBadRequest, nil
+		}
+	}
 	return h, statusOK, nil
 }
 
 // okStatus reports whether a status byte accepts the session (all OK
-// variants share the 5-byte accept frame).
+// variants open with the 5-byte accept frame).
 func okStatus(status uint8) bool {
 	switch status {
 	case statusOK, statusOKIntegrity, statusOKPooled, statusOKPooledIntegrity:
@@ -253,14 +255,25 @@ func okStatus(status uint8) bool {
 	return false
 }
 
-// writeReply sends the server's handshake verdict: numSlots on success,
-// a status and message otherwise.
-func writeReply(w io.Writer, status uint8, numSlots uint32, msg string) error {
+// acceptLen is the size of an accepting status's reply frame: status u8
+// | numSlots u32, and on the pooled tier the pool's grant u32 after it.
+func acceptLen(status uint8) int {
+	if status == statusOKPooled || status == statusOKPooledIntegrity {
+		return 9
+	}
+	return 5
+}
+
+// writeReply sends the server's handshake verdict: numSlots (and, on
+// the pooled tier, the pool's grant) on success, a status and message
+// otherwise.
+func writeReply(w io.Writer, status uint8, numSlots, grant uint32, msg string) error {
 	if okStatus(status) {
-		var buf [5]byte
+		var buf [9]byte
 		buf[0] = status
 		binary.LittleEndian.PutUint32(buf[1:], numSlots)
-		_, err := w.Write(buf[:])
+		binary.LittleEndian.PutUint32(buf[5:], grant)
+		_, err := w.Write(buf[:acceptLen(status)])
 		return err
 	}
 	if len(msg) > maxStatusMsgLen {
@@ -274,42 +287,53 @@ func writeReply(w io.Writer, status uint8, numSlots uint32, msg string) error {
 	return err
 }
 
+// acceptFrame is a decoded accepting handshake reply.
+type acceptFrame struct {
+	numSlots  uint32
+	integrity bool   // the checksummed-frame wire tier was granted
+	pooled    bool   // the precomputed-OT session tier was granted
+	grant     uint32 // pooled: the correlations of the connect-time fill
+}
+
 // readReply consumes the server's handshake verdict, mapping refusal
-// statuses to the package's typed errors. integrity reports whether the
-// server granted the checksummed-frame wire tier; pooled whether it
-// granted the precomputed-OT session tier.
-func readReply(r io.Reader) (numSlots uint32, integrity, pooled bool, err error) {
-	var b [5]byte
+// statuses to the package's typed errors.
+func readReply(r io.Reader) (acceptFrame, error) {
+	var b [9]byte
 	if _, err := io.ReadFull(r, b[:1]); err != nil {
-		return 0, false, false, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
+		return acceptFrame{}, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
 	}
-	if okStatus(b[0]) {
-		if _, err := io.ReadFull(r, b[1:5]); err != nil {
-			return 0, false, false, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
+	if status := b[0]; okStatus(status) {
+		n := acceptLen(status)
+		if _, err := io.ReadFull(r, b[1:n]); err != nil {
+			return acceptFrame{}, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
 		}
-		integrity = b[0] == statusOKIntegrity || b[0] == statusOKPooledIntegrity
-		pooled = b[0] == statusOKPooled || b[0] == statusOKPooledIntegrity
-		return binary.LittleEndian.Uint32(b[1:5]), integrity, pooled, nil
+		// b[5:9] stays zero unless the frame carried a grant.
+		return acceptFrame{
+			numSlots:  binary.LittleEndian.Uint32(b[1:5]),
+			integrity: status == statusOKIntegrity || status == statusOKPooledIntegrity,
+			pooled:    n == 9,
+			grant:     binary.LittleEndian.Uint32(b[5:9]),
+		}, nil
 	}
 	status := b[0]
 	if _, err := io.ReadFull(r, b[1:3]); err != nil {
-		return 0, false, false, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
+		return acceptFrame{}, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
 	}
 	// Bound the wire-controlled length before allocating: a corrupt or
 	// hostile reply must not be able to demand an arbitrary buffer.
 	msgLen := int(binary.LittleEndian.Uint16(b[1:3]))
 	if msgLen > maxStatusMsgLen {
-		return 0, false, false, fmt.Errorf("%w: refusal message length %d exceeds %d", ErrMalformedFrame, msgLen, maxStatusMsgLen)
+		return acceptFrame{}, fmt.Errorf("%w: refusal message length %d exceeds %d", ErrMalformedFrame, msgLen, maxStatusMsgLen)
 	}
 	msg := make([]byte, msgLen)
 	if _, err := io.ReadFull(r, msg); err != nil {
-		return 0, false, false, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
+		return acceptFrame{}, fmt.Errorf("%w: reading handshake reply: %v", ErrSessionClosed, err)
 	}
 	base := statusErr(status)
 	if len(msg) > 0 {
-		return 0, false, false, fmt.Errorf("%w: %s", base, msg)
+		return acceptFrame{}, fmt.Errorf("%w: %s", base, msg)
 	}
-	return 0, false, false, base
+	return acceptFrame{}, base
 }
 
 // statusErr maps a refusal status byte to its sentinel error.
