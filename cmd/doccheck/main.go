@@ -15,9 +15,10 @@
 // top-level type, function, method (on an exported receiver), constant
 // and variable needs a doc comment — a comment on a const/var/type
 // group covers the group's specs. Exit status 1 lists every violation
-// with its position; 0 means clean. CI runs it over the protocol-
-// bearing packages and the accelerator tool chain (compiler, isa, sim,
-// energy), and cmd/doccheck's own test wraps the same check
+// with its position; 0 means clean. CI runs it over the public API
+// (the root package), the protocol-bearing packages and the
+// accelerator tool chain (compiler, isa, sim, energy), and
+// cmd/doccheck's own test wraps the same check
 // so `go test ./...` enforces it without a separate CI step.
 package main
 

@@ -11,11 +11,13 @@ import (
 // comments serve as the wire-format ground truth (see
 // docs/ARCHITECTURE.md), the accelerator tool chain (compiler, ISA,
 // simulator, energy model) whose doc comments state the paper's model,
-// and the two circuit producers (optimizer, builder) that keep the
-// circuit's wire-numbering rule.
+// the two circuit producers (optimizer, builder) that keep the
+// circuit's wire-numbering rule, and the public API itself (".", the
+// root package haac, ../.. from here).
 // CI runs `go run ./cmd/doccheck` over the same list; this test makes
 // the gate part of plain `go test ./...` too.
 var gatedPackages = []string{
+	".",
 	"internal/aes128",
 	"internal/label",
 	"internal/circuit",

@@ -82,7 +82,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer conn.Close()
-		out, err := haac.RunGarbler(conn, c, gBits)
+		out, err := haac.RunGarbler(conn, c, gBits, haac.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func main() {
 		}
 		defer conn.Close()
 		fmt.Printf("evaluator: inputs %v\n", inputs)
-		out, err := haac.RunEvaluator(conn, c, eBits)
+		out, err := haac.RunEvaluator(conn, c, eBits, haac.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func runLocalDemo(c *haac.Circuit, gBits, eBits []bool, weights, inputs []uint64
 			log.Fatal(err)
 		}
 		defer conn.Close()
-		out, err := haac.RunGarbler(conn, c, gBits)
+		out, err := haac.RunGarbler(conn, c, gBits, haac.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func runLocalDemo(c *haac.Circuit, gBits, eBits []bool, weights, inputs []uint64
 		log.Fatal(err)
 	}
 	defer conn.Close()
-	out, err := haac.RunEvaluator(conn, c, eBits)
+	out, err := haac.RunEvaluator(conn, c, eBits, haac.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

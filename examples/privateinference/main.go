@@ -115,7 +115,7 @@ func main() {
 		inDim, outDim, s.Gates, s.ANDGates, s.Levels)
 
 	// Secure two-party execution.
-	out, err := haac.Run2PC(c, gBits, eBits)
+	out, err := haac.Run2PC(c, gBits, eBits, haac.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,14 +32,14 @@ func main() {
 	bobBits := bits32(bobWealth)
 
 	// 2. Plaintext evaluation (the functional model).
-	plain, err := haac.Eval(c, aliceBits, bobBits)
+	plain, err := c.Eval(aliceBits, bobBits)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Real two-party execution: garbling with re-keyed half-gates,
 	// labels via oblivious transfer, tables streamed between the roles.
-	secure, err := haac.Run2PC(c, aliceBits, bobBits)
+	secure, err := haac.Run2PC(c, aliceBits, bobBits, haac.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fast, err := haac.Run2PCWith(c, aliceBits, bobBits,
+	fast, err := haac.Run2PC(c, aliceBits, bobBits,
 		haac.RunOptions{Workers: 8, Plan: plan})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@
 //	y := b.EvaluatorInputs(32)
 //	b.OutputWord(b.Add(x, y))
 //	c := b.MustBuild()
-//	out, err := haac.Run2PC(c, garblerBits, evalBits)
+//	out, err := haac.Run2PC(c, garblerBits, evalBits, haac.RunOptions{})
 //
 //	// The same computation over a reusable compiled plan with an
 //	// 8-wide engine: the plan runs the circuit segment by segment,
@@ -33,7 +33,7 @@
 //	// segment's tables go on the wire as soon as they are ready, like
 //	// the paper's table-queue design.
 //	plan, err := haac.Precompile(c)
-//	out, err = haac.Run2PCWith(c, garblerBits, evalBits,
+//	out, err = haac.Run2PC(c, garblerBits, evalBits,
 //		haac.RunOptions{Workers: 8, Plan: plan})
 //
 //	// Compile the same circuit for the accelerator and estimate its
@@ -59,7 +59,6 @@ import (
 	"haac/internal/fleet"
 	"haac/internal/gc"
 	"haac/internal/label"
-	"haac/internal/ot"
 	"haac/internal/proto"
 	"haac/internal/server"
 	"haac/internal/sim"
@@ -151,44 +150,19 @@ func AreaOf(cfg CompilerConfig) float64 {
 	return energy.AreaFor(cfg.NumGEs, cfg.SWWWires*16).Total()
 }
 
-// Eval evaluates a circuit on plaintext inputs (the functional model).
-func Eval(c *Circuit, garbler, evaluator []bool) ([]bool, error) {
-	return c.Eval(garbler, evaluator)
-}
-
 // GarbleAndEvaluate runs the whole garbled execution locally (garble,
-// encode, evaluate, decode) with the paper's re-keyed hash, on the
-// gate-by-gate reference path the plan engine is tested against. It
-// returns the plaintext outputs and is the simplest way to check a
-// circuit under real garbling.
-func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64) ([]bool, error) {
-	seed, err := defaultSeed(seed)
-	if err != nil {
-		return nil, err
-	}
-	return gc.Run(c, gc.RekeyedHasher{}, seed, garbler, evaluator)
-}
-
-// defaultSeed draws a random nonzero seed when the caller passed zero.
-func defaultSeed(seed uint64) (uint64, error) {
-	if seed != 0 {
-		return seed, nil
-	}
-	l, err := label.Rand()
-	if err != nil {
-		return 0, err
-	}
-	return l.Lo | 1, nil
-}
-
-// GarbleAndEvaluateWith is GarbleAndEvaluate on the plan engine:
-// garbling and evaluation run over opts.Plan (compiled here when nil)
-// across opts.Workers workers. The garbled output is byte-identical to
-// GarbleAndEvaluate for the same seed.
-func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, opts RunOptions) ([]bool, error) {
-	seed, err := defaultSeed(seed)
-	if err != nil {
-		return nil, err
+// encode, evaluate, decode) with the paper's re-keyed hash on the plan
+// engine: over opts.Plan (compiled here when nil) across opts.Workers
+// workers, from a random seed when seed is zero. It returns the
+// plaintext outputs and is the simplest way to check a circuit under
+// real garbling.
+func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64, opts RunOptions) ([]bool, error) {
+	if seed == 0 {
+		l, err := label.Rand()
+		if err != nil {
+			return nil, err
+		}
+		seed = l.Lo | 1
 	}
 	plan, err := opts.planFor(c)
 	if err != nil {
@@ -214,13 +188,12 @@ func GarbleAndEvaluateWith(c *Circuit, garbler, evaluator []bool, seed uint64, o
 // space renamed onto a compact slot arena of width ≈ peak-live wires
 // under a segment-local schedule — the paper's segment reordering
 // (§4.2.1) and rename-and-evict memory idea (§3.1.4) applied to the
-// software garbling engine. Build it once
-// with Precompile and pass it via RunOptions.Plan to every
-// Run2PCWith/RunGarblerWith/RunEvaluatorWith/GarbleAndEvaluateWith call
-// on the same circuit; every run executes over a plan, so a call
-// without one compiles its own each time, and sharing one amortizes
-// schedule construction and renaming entirely. A Precompiled is
-// immutable and safe for concurrent use.
+// software garbling engine. Build it once with Precompile and pass it
+// via RunOptions.Plan to every Run2PC, RunGarbler, RunEvaluator, Dial or
+// GarbleAndEvaluate call on the same circuit; every run executes over a
+// plan, so a direct call without one compiles its own each time, and
+// sharing one amortizes schedule construction and renaming entirely. A
+// Precompiled is immutable and safe for concurrent use.
 type Precompiled struct {
 	plan *circuit.Plan
 }
@@ -259,8 +232,8 @@ type RunOptions struct {
 	// its own plan (about the cost of two garbles) and dialed
 	// sessions share a small process-wide cache.
 	Plan *Precompiled
-	// Retry is the self-healing policy of sessions opened with Dial or
-	// DialWith: with MaxAttempts > 1 the initial dial retries with capped
+	// Retry is the self-healing policy of sessions opened with Dial:
+	// with MaxAttempts > 1 the initial dial retries with capped
 	// exponential backoff, and Session.Run transparently redials,
 	// re-handshakes (the server re-verifies the circuit digest) and
 	// replays a run broken by a drop, reset, deadline, malformed frame or
@@ -269,10 +242,10 @@ type RunOptions struct {
 	// completes. The zero policy disables retry; the direct-connection
 	// entry points (Run2PC, RunGarbler, RunEvaluator) ignore it.
 	Retry RetryPolicy
-	// TLS, when non-nil, makes Dial/DialWith (and DialFleet) connect over
-	// TLS — set ServerName (or InsecureSkipVerify plus certificate
-	// pinning in tests) to authenticate the garbler. The peer must serve
-	// with ServerConfig.TLS / FleetConfig.TLS. nil keeps the plaintext
+	// TLS, when non-nil, makes Dial connect over TLS — set ServerName
+	// (or InsecureSkipVerify plus certificate pinning in tests) to
+	// authenticate the garbler. The peer must serve with
+	// ServerConfig.TLS / FleetConfig.TLS. nil keeps the plaintext
 	// default; the direct-connection entry points ignore it.
 	TLS *tls.Config
 	// Integrity requests the checksummed-frame wire tier: every
@@ -289,13 +262,13 @@ type RunOptions struct {
 	// session moves for one run; a breach surfaces as a permanent
 	// ErrOverBudget. The server-side mirror is ServerConfig.MaxRunBytes.
 	MaxRunBytes int64
-	// PoolSize, when positive, asks Dial/DialWith (and DialFleet) for the
-	// precomputed-OT session tier: the session banks this many random-OT
-	// correlations — base OTs and IKNP extension paid at dial time — and
-	// tops the pool back up inside the runs that drain it, the fill's
-	// columns travelling to the server while the run's tables stream
-	// back, so a steady-state Run's online oblivious transfer is a
-	// single choice-correction XOR round with no public-key operations.
+	// PoolSize, when positive, asks Dial for the precomputed-OT session
+	// tier: the session banks this many random-OT correlations — base
+	// OTs and IKNP extension paid at dial time — and tops the pool back
+	// up inside the runs that drain it, the fill's columns travelling to
+	// the server while the run's tables stream back, so a steady-state
+	// Run's online oblivious transfer is a single choice-correction XOR
+	// round with no public-key operations.
 	// Size it at several runs' worth of evaluator inputs; a run that
 	// finds the pool short falls back to on-demand OT for that run.
 	// Servers that decline the tier (ServerConfig.DisablePooledOT)
@@ -305,7 +278,7 @@ type RunOptions struct {
 }
 
 func (o RunOptions) proto() proto.Options {
-	popts := proto.Options{OT: ot.DH, Workers: o.Workers, Integrity: o.Integrity}
+	popts := proto.Options{Workers: o.Workers, Integrity: o.Integrity}
 	if o.Plan != nil {
 		popts.Plan = o.Plan.plan
 	}
@@ -327,17 +300,12 @@ func (o RunOptions) planFor(c *Circuit) (*circuit.Plan, error) {
 
 // Run2PC executes a real two-party computation over an in-memory
 // connection: the calling process plays both roles on separate
-// goroutines, with labels transferred via oblivious transfer. Useful
-// for tests and demos; for networked execution see RunGarbler and
+// goroutines, with labels transferred via oblivious transfer. The two
+// roles share one plan — opts.Plan, or one compiled here — and
+// RunOptions{Workers: 8} gives both sides an 8-wide engine. Useful for
+// tests and demos; for networked execution see RunGarbler and
 // RunEvaluator.
-func Run2PC(c *Circuit, garbler, evaluator []bool) ([]bool, error) {
-	return Run2PCWith(c, garbler, evaluator, RunOptions{})
-}
-
-// Run2PCWith is Run2PC with explicit engine options — e.g.
-// RunOptions{Workers: 8} for an 8-wide engine on both sides. The two
-// roles share one plan: opts.Plan, or one compiled here.
-func Run2PCWith(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool, error) {
+func Run2PC(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool, error) {
 	popts := opts.proto()
 	plan, err := opts.planFor(c)
 	if err != nil {
@@ -367,23 +335,15 @@ func Run2PCWith(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool,
 	return out, nil
 }
 
-// RunGarbler plays the garbler over conn (e.g. a TCP connection).
-func RunGarbler(conn net.Conn, c *Circuit, garblerBits []bool) ([]bool, error) {
-	return proto.RunGarbler(conn, c, garblerBits, proto.Options{OT: ot.DH})
-}
-
-// RunGarblerWith plays the garbler with explicit engine options.
-func RunGarblerWith(conn net.Conn, c *Circuit, garblerBits []bool, opts RunOptions) ([]bool, error) {
+// RunGarbler plays the garbler over conn (e.g. a TCP connection) with
+// the engine options in opts.
+func RunGarbler(conn net.Conn, c *Circuit, garblerBits []bool, opts RunOptions) ([]bool, error) {
 	return proto.RunGarbler(conn, c, garblerBits, opts.proto())
 }
 
-// RunEvaluator plays the evaluator over conn.
-func RunEvaluator(conn net.Conn, c *Circuit, evalBits []bool) ([]bool, error) {
-	return proto.RunEvaluator(conn, c, evalBits, proto.Options{OT: ot.DH})
-}
-
-// RunEvaluatorWith plays the evaluator with explicit engine options.
-func RunEvaluatorWith(conn net.Conn, c *Circuit, evalBits []bool, opts RunOptions) ([]bool, error) {
+// RunEvaluator plays the evaluator over conn with the engine options in
+// opts.
+func RunEvaluator(conn net.Conn, c *Circuit, evalBits []bool, opts RunOptions) ([]bool, error) {
 	return proto.RunEvaluator(conn, c, evalBits, opts.proto())
 }
 
@@ -392,10 +352,11 @@ func RunEvaluatorWith(conn net.Conn, c *Circuit, evalBits []bool, opts RunOption
 // pooled runners, session handshakes bound to circuit digests, and
 // graceful connection-draining shutdown.
 type (
-	// Server is a concurrent 2PC garbler service. Beyond Serve/Close it
-	// carries the fleet operability surface: ServeOps/OpsHandler expose
-	// /healthz and Prometheus /metrics over HTTP, and Stats snapshots
-	// the counters behind them.
+	// Server is a concurrent 2PC garbler service, built by NewServer.
+	// Beyond its Serve and Close methods it carries the fleet
+	// operability surface: ServeOps/OpsHandler expose /healthz and
+	// Prometheus /metrics over HTTP, and Stats snapshots the counters
+	// behind them.
 	Server = server.Server
 	// ServerConfig configures a Server (circuits, plan-cache bound,
 	// engine width, deterministic seeds for tests) and its operational
@@ -466,39 +427,20 @@ var (
 // Server.Serve on any net.Listener and stop it with Server.Close.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
-// Serve builds a server from cfg and starts serving ln on a background
-// goroutine, returning the Server handle — the one-call form of
-// NewServer + go Server.Serve for daemons with one listener. Keep the
-// handle: Server.Close is the graceful, connection-draining shutdown
-// and Server.Stats the counters; a listener that fails after startup
-// surfaces as an ordinary Accept error once Close observes it.
-func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
-	s, err := server.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(ln)
-	return s, nil
-}
-
 // Dial opens an evaluator session for circuitID against a serving
-// garbler at addr. The caller's circuit must be structurally identical
+// garbler at addr — a Server, or a Fleet proxy, which speaks the exact
+// server handshake. The caller's circuit must be structurally identical
 // to the server's — its digest is verified during the handshake — and
-// each Session.Run then executes one full garbled run.
-func Dial(addr, circuitID string, c *Circuit) (*Session, error) {
-	return DialWith(addr, circuitID, c, RunOptions{})
-}
-
-// DialWith is Dial with explicit engine options. RunOptions.Plan (from
-// Precompile on the same circuit) gives the session a persistent
+// each Session.Run then executes one full garbled run. RunOptions.Plan
+// (from Precompile on the same circuit) gives the session a persistent
 // evaluation runner with zero steady-state allocations per run; share
 // one Precompiled across every session of a circuit. RunOptions.Retry
 // makes the session self-healing: Session.Run then redials,
-// re-handshakes and replays runs broken by transport faults, and
-// Session.Stats counts the repair work.
-func DialWith(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, error) {
+// re-handshakes and replays runs broken by transport faults — through a
+// fleet the redial lands on the proxy, which routes it to the next live
+// backend — and Session.Stats counts the repair work.
+func Dial(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, error) {
 	sopts := server.Options{
-		OT:          ot.DH,
 		Workers:     opts.Workers,
 		Retry:       opts.Retry,
 		TLS:         opts.TLS,
@@ -539,20 +481,6 @@ type (
 // NewFleet builds the front proxy from cfg; start it with Fleet.Serve
 // on any net.Listener and stop it with Fleet.Close.
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
-
-// DialFleet opens an evaluator session through a fleet proxy at addr.
-// The proxy speaks the exact server handshake, so this is Dial pointed
-// at the fleet — a session with a retry policy (RunOptions.Retry via
-// DialFleetWith) heals across backend failures: the redial lands on the
-// proxy, which routes it to the next live backend.
-func DialFleet(addr, circuitID string, c *Circuit) (*Session, error) {
-	return DialWith(addr, circuitID, c, RunOptions{})
-}
-
-// DialFleetWith is DialFleet with explicit engine options; see DialWith.
-func DialFleetWith(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, error) {
-	return DialWith(addr, circuitID, c, opts)
-}
 
 // CircuitDigest returns the canonical SHA-256 identity of a circuit —
 // the value the serving handshake checks.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,15 +25,15 @@ func TestFacadeBuildEvalGarble2PC(t *testing.T) {
 	g := bits(40000, 16)
 	e := bits(30000, 16)
 
-	plain, err := Eval(c, g, e)
+	plain, err := c.Eval(g, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	garbled, err := GarbleAndEvaluate(c, g, e, 99)
+	garbled, err := GarbleAndEvaluate(c, g, e, 99, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	secure, err := Run2PC(c, g, e)
+	secure, err := Run2PC(c, g, e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestFacadeBuildEvalGarble2PC(t *testing.T) {
 
 // TestFacadeParallel drives the 4-wide plan engine, locally and as a
 // 2PC, through the public API without a caller-supplied plan — and pins
-// that Run2PCWith then compiles one plan for both of its roles.
+// that Run2PC then compiles one plan for both of its roles.
 func TestFacadeParallel(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
@@ -65,22 +66,22 @@ func TestFacadeParallel(t *testing.T) {
 
 	g := bits(321, 16)
 	e := bits(123, 16)
-	plain, err := Eval(c, g, e)
+	plain, err := c.Eval(g, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	par, err := GarbleAndEvaluateWith(c, g, e, 99, RunOptions{Workers: 4})
+	par, err := GarbleAndEvaluate(c, g, e, 99, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	builds := circuit.PlanBuilds()
-	pipe, err := Run2PCWith(c, g, e, RunOptions{Workers: 4})
+	pipe, err := Run2PC(c, g, e, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := circuit.PlanBuilds() - builds; got != 1 {
-		t.Fatalf("Run2PCWith without a plan built %d plans, want 1 shared by both roles", got)
+		t.Fatalf("Run2PC without a plan built %d plans, want 1 shared by both roles", got)
 	}
 	for i := range plain {
 		if par[i] != plain[i] {
@@ -108,7 +109,7 @@ func TestFacadePrecompile(t *testing.T) {
 
 	g := bits(321, 16)
 	e := bits(123, 16)
-	plain, err := Eval(c, g, e)
+	plain, err := c.Eval(g, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,22 +139,77 @@ func TestFacadePrecompile(t *testing.T) {
 		}
 	}
 	for run := 0; run < 3; run++ {
-		out, err := Run2PCWith(c, g, e, RunOptions{Plan: p})
+		out, err := Run2PC(c, g, e, RunOptions{Plan: p})
 		check("planned 2PC", out, err)
 	}
-	out, err := Run2PCWith(c, g, e, RunOptions{Plan: p, Workers: 4})
+	out, err := Run2PC(c, g, e, RunOptions{Plan: p, Workers: 4})
 	check("planned parallel 2PC", out, err)
-	out, err = GarbleAndEvaluateWith(c, g, e, 99, RunOptions{Plan: p, Workers: 2})
+	out, err = GarbleAndEvaluate(c, g, e, 99, RunOptions{Plan: p, Workers: 2})
 	check("planned local garble", out, err)
 
 	if got := circuit.PlanBuilds() - builds; got != 1 {
 		t.Fatalf("plan built %d times across all planned runs, want exactly 1", got)
 	}
 
-	// A plan from another circuit is rejected, not silently misused.
+	// A plan from another circuit is rejected, not silently misused, by
+	// every entry point that takes RunOptions — before any I/O, and
+	// without building a plan of its own. The pipe's deadline only
+	// bounds a run that wrongly starts; its peer never answers.
 	other := MustBuildAdd(t)
-	if _, err := Run2PCWith(other, bits(1, 8), bits(2, 8), RunOptions{Plan: p}); err == nil {
-		t.Fatal("foreign plan accepted")
+	ga, ev := bits(1, 8), bits(2, 8)
+	foreign := RunOptions{Plan: p}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Circuits: []ServedCircuit{{ID: "add8", Circuit: other, Inputs: func() []bool { return ga }}},
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, peer := net.Pipe()
+	defer conn.Close()
+	defer peer.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run2PC", func() error {
+			_, err := Run2PC(other, ga, ev, foreign)
+			return err
+		}},
+		{"RunGarbler", func() error {
+			_, err := RunGarbler(conn, other, ga, foreign)
+			return err
+		}},
+		{"RunEvaluator", func() error {
+			_, err := RunEvaluator(conn, other, ev, foreign)
+			return err
+		}},
+		{"Dial", func() error {
+			sess, err := Dial(ln.Addr().String(), "add8", other, foreign)
+			if err == nil {
+				sess.Close()
+			}
+			return err
+		}},
+		{"GarbleAndEvaluate", func() error {
+			_, err := GarbleAndEvaluate(other, ga, ev, 99, foreign)
+			return err
+		}},
+	} {
+		builds := circuit.PlanBuilds()
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "compiled from a different circuit") {
+			t.Errorf("%s: foreign plan not refused: %v", tc.name, err)
+		}
+		if got := circuit.PlanBuilds() - builds; got != 0 {
+			t.Errorf("%s: built %d plans on refusing a foreign plan, want 0", tc.name, got)
+		}
 	}
 }
 
@@ -253,10 +309,10 @@ func TestFacadeReorderModes(t *testing.T) {
 }
 
 // TestFacadeServing drives the serving layer through the public API
-// exactly as the README presents it: NewServer + Serve on a loopback
-// listener, Dial/DialWith sessions (one sharing a Precompiled plan),
-// repeated Session.Run calls checked against Eval, typed refusals, and
-// graceful Close.
+// exactly as the README presents it: NewServer + Server.Serve on a
+// loopback listener, Dial sessions (one sharing a Precompiled plan),
+// repeated Session.Run calls checked against Circuit.Eval, typed
+// refusals, and graceful Close.
 func TestFacadeServing(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
@@ -269,7 +325,7 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(ln, ServerConfig{
+	srv, err := NewServer(ServerConfig{
 		Circuits: []ServedCircuit{{
 			ID:      "add16",
 			Circuit: c,
@@ -280,13 +336,14 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(ln)
 	defer srv.Close()
 
 	pre, err := Precompile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Eval(c, g, bits(30000, 16))
+	plain, err := c.Eval(g, bits(30000, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +351,7 @@ func TestFacadeServing(t *testing.T) {
 		"dense":   {},
 		"planned": {Plan: pre},
 	} {
-		sess, err := DialWith(ln.Addr().String(), "add16", c, opts)
+		sess, err := Dial(ln.Addr().String(), "add16", c, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -314,7 +371,7 @@ func TestFacadeServing(t *testing.T) {
 		}
 	}
 
-	if _, err := Dial(ln.Addr().String(), "nope", c); !errors.Is(err, ErrUnknownCircuit) {
+	if _, err := Dial(ln.Addr().String(), "nope", c, RunOptions{}); !errors.Is(err, ErrUnknownCircuit) {
 		t.Fatalf("unknown circuit: got %v", err)
 	}
 	if d := CircuitDigest(c); d == [32]byte{} {
@@ -357,19 +414,20 @@ func TestFacadeSelfHealingSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	srv, err := Serve(ln, cfg)
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(ln)
 
 	retry := RetryPolicy{MaxAttempts: 40, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Seed: 3}
-	sess, err := DialWith(addr, "add16", c, RunOptions{Retry: retry})
+	sess, err := Dial(addr, "add16", c, RunOptions{Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
-	plain, err := Eval(c, g, bits(4321, 16))
+	plain, err := c.Eval(g, bits(4321, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +454,12 @@ func TestFacadeSelfHealingSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := Serve(ln2, cfg)
+	counted := &countingListener{Listener: ln2}
+	srv2, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv2.Serve(counted)
 	defer srv2.Close()
 
 	check("after restart")
@@ -417,14 +477,31 @@ func TestFacadeSelfHealingSession(t *testing.T) {
 		}
 	}
 
-	// Permanent handshake refusals are not retried, even under a policy.
-	start := time.Now()
-	if _, err := DialWith(addr, "nope", c, RunOptions{Retry: retry}); !errors.Is(err, ErrUnknownCircuit) {
+	// Permanent handshake refusals are not retried, even under a policy:
+	// the refused dial costs the server exactly one connection. Every
+	// connection a dial makes is accepted before its refusal is read, so
+	// the count is final once Dial returns.
+	accepted := counted.accepted.Load()
+	if _, err := Dial(addr, "nope", c, RunOptions{Retry: retry}); !errors.Is(err, ErrUnknownCircuit) {
 		t.Fatalf("unknown circuit under retry: got %v", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("permanent refusal burned the retry budget (%v)", elapsed)
+	if n := counted.accepted.Load() - accepted; n != 1 {
+		t.Fatalf("permanent refusal accepted %d connections, want 1 (no retry)", n)
 	}
+}
+
+// countingListener counts the connections its Accept hands out.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
 }
 
 func bits(v uint64, n int) []bool {

@@ -170,23 +170,3 @@ func (g *Garbled) Decode(outputs []label.L) ([]bool, error) {
 	}
 	return bits, nil
 }
-
-// Run garbles, encodes, evaluates and decodes in one step on the
-// reference path — the convenience entry point for tests and examples
-// that don't need the two-party split.
-func Run(c *circuit.Circuit, h Hasher, seed uint64, garbler, evaluator []bool) ([]bool, error) {
-	src := label.NewSource(seed)
-	g, err := Garble(c, h, src)
-	if err != nil {
-		return nil, err
-	}
-	in, err := g.EncodeInputs(c, garbler, evaluator)
-	if err != nil {
-		return nil, err
-	}
-	out, err := Evaluate(c, h, in, g.Tables)
-	if err != nil {
-		return nil, err
-	}
-	return g.Decode(out)
-}

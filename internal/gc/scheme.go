@@ -8,7 +8,7 @@
 // The package has one production engine and one oracle. PlanGarbler and
 // PlanEvaluator execute a precompiled circuit.Plan (segment-scheduled,
 // slot-renamed, optionally step-parallel) and are what internal/proto
-// and everything above it run. Garble, Evaluate and Run walk the raw
+// and everything above it run. Garble and Evaluate walk the raw
 // circuit in gate order; they are the reference the engine, the
 // compiler and the simulator are checked against.
 //

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,17 +370,21 @@ func TestBudgetRefusals(t *testing.T) {
 			AllowInsecureOT: true,
 			MaxCircuitBytes: 1,
 		})
-		start := time.Now()
-		_, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, Retry: robustRetry(5)})
+		var dials atomic.Int32
+		counted := func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return net.Dial("tcp", addr)
+		}
+		_, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, Retry: robustRetry(5), Dialer: counted})
 		if !errors.Is(err, ErrOverBudget) {
 			t.Fatalf("Dial err = %v, want ErrOverBudget", err)
 		}
-		// Permanent refusals must not burn the retry budget's backoffs.
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("over-budget dial took %v; refusal was retried instead of classified permanent", d)
+		// A permanent refusal is not retried: one dial, one refusal.
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("over-budget dial dialed %d times, want 1 (no retry)", n)
 		}
-		if st := srv.Stats(); st.SessionsOverBudget == 0 {
-			t.Fatalf("SessionsOverBudget = 0, want >= 1 (stats %+v)", st)
+		if st := srv.Stats(); st.SessionsOverBudget != 1 {
+			t.Fatalf("SessionsOverBudget = %d, want 1 (stats %+v)", st.SessionsOverBudget, st)
 		}
 	})
 
