@@ -80,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	ops := fs.String("ops", "", "operations HTTP address serving /healthz and /metrics (empty = disabled)")
 	names := fs.String("workloads", "all", "comma-separated workload names to serve (small VIP + micro suites), or all")
 	value := fs.Uint64("value", 0, "garbler input value, packed little-endian into each circuit's garbler bits")
-	workers := fs.Int("workers", 0, "garbling workers per session (0 = sequential)")
 	cacheSize := fs.Int("plan-cache", 0, "plan cache entries (0 = one per served circuit)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap; excess connections are refused busy at handshake (0 = unlimited)")
 	runTimeout := fs.Duration("run-timeout", 0, "per-run deadline; a peer stalling mid-run past it loses the session (0 = none)")
@@ -113,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	srv, err := server.New(server.Config{
 		Circuits:         specs,
 		PlanCacheSize:    *cacheSize,
-		Workers:          *workers,
 		MaxSessions:      *maxSessions,
 		RunTimeout:       *runTimeout,
 		DrainTimeout:     *drainTimeout,

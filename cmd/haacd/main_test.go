@@ -319,6 +319,7 @@ func TestDaemonTLS(t *testing.T) {
 func TestDaemonBadArgs(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
+		{"-workers", "4"}, // removed: the engine is sequential
 		{"-workloads", "NoSuchThing"},
 		{"-workloads", ""},
 		{"-workloads", " , "},

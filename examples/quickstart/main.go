@@ -48,26 +48,22 @@ func main() {
 	}
 	fmt.Printf("is Alice richer? %v (computed without revealing either value)\n", secure[0])
 
-	// 3b. The same computation over a precompiled plan with an 8-wide
-	// engine: the plan is built once and reused by every run, the
-	// independent gates of a schedule step are garbled by a worker pool,
-	// and tables stream to the evaluator the moment they are ready —
-	// in software what HAAC's gate engines and table queues do in
-	// hardware. The garbled bytes are identical, so the worker count is
-	// purely a throughput knob.
+	// 3b. The same computation over a precompiled plan: the plan is
+	// built once and reused by every run, and tables stream to the
+	// evaluator the moment each segment is garbled — in software what
+	// HAAC's table queues do in hardware.
 	plan, err := haac.Precompile(c)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fast, err := haac.Run2PC(c, aliceBits, bobBits,
-		haac.RunOptions{Workers: 8, Plan: plan})
+	fast, err := haac.Run2PC(c, aliceBits, bobBits, haac.RunOptions{Plan: plan})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if fast[0] != plain[0] {
-		log.Fatal("parallel result disagrees with plaintext evaluation")
+		log.Fatal("planned result disagrees with plaintext evaluation")
 	}
-	fmt.Println("planned parallel 2PC agrees (8 workers, streamed tables)")
+	fmt.Println("planned 2PC agrees (one compiled plan, streamed tables)")
 
 	// 4. Compile for the HAAC accelerator and estimate performance.
 	cp, err := haac.Compile(c, haac.DefaultCompilerConfig())

@@ -27,14 +27,13 @@
 //	c := b.MustBuild()
 //	out, err := haac.Run2PC(c, garblerBits, evalBits, haac.RunOptions{})
 //
-//	// The same computation over a reusable compiled plan with an
-//	// 8-wide engine: the plan runs the circuit segment by segment,
-//	// independent gates of a step are garbled by a worker pool, and each
-//	// segment's tables go on the wire as soon as they are ready, like
-//	// the paper's table-queue design.
+//	// The same computation over a reusable compiled plan: the plan
+//	// runs the circuit segment by segment, and each segment's tables go
+//	// on the wire as soon as they are ready, like the paper's
+//	// table-queue design.
 //	plan, err := haac.Precompile(c)
 //	out, err = haac.Run2PC(c, garblerBits, evalBits,
-//		haac.RunOptions{Workers: 8, Plan: plan})
+//		haac.RunOptions{Plan: plan})
 //
 //	// Compile the same circuit for the accelerator and estimate its
 //	// performance on the paper's 16-GE design.
@@ -152,8 +151,8 @@ func AreaOf(cfg CompilerConfig) float64 {
 
 // GarbleAndEvaluate runs the whole garbled execution locally (garble,
 // encode, evaluate, decode) with the paper's re-keyed hash on the plan
-// engine: over opts.Plan (compiled here when nil) across opts.Workers
-// workers, from a random seed when seed is zero. It returns the
+// engine: over opts.Plan (compiled here when nil), from a random seed
+// when seed is zero. It returns the
 // plaintext outputs and is the simplest way to check a circuit under
 // real garbling.
 func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64, opts RunOptions) ([]bool, error) {
@@ -169,7 +168,7 @@ func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64, opts 
 		return nil, err
 	}
 	h := gc.RekeyedHasher{}
-	g, err := gc.GarblePlan(plan, h, label.NewSource(seed), opts.Workers)
+	g, err := gc.GarblePlan(plan, h, label.NewSource(seed), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +176,7 @@ func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64, opts 
 	if err != nil {
 		return nil, err
 	}
-	out, err := gc.EvalPlan(plan, h, in, g.Tables, opts.Workers)
+	out, err := gc.EvalPlan(plan, h, in, g.Tables)
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +219,6 @@ func (p *Precompiled) PeakLive() int { return p.plan.PeakLive }
 // RunOptions configures the execution engine of the two-party protocol
 // and the local garbling helpers.
 type RunOptions struct {
-	// Workers is the width of the plan engine: 0 or 1 garbles and
-	// evaluates on the calling goroutine, larger values split the
-	// independent AND gates of each wide schedule step across that many
-	// workers.
-	// The wire format does not depend on it, so each party picks its
-	// own width.
-	Workers int
 	// Plan, when non-nil, must come from Precompile on the same circuit
 	// the run executes. When nil, each direct-connection call compiles
 	// its own plan (about the cost of two garbles) and dialed
@@ -278,7 +270,7 @@ type RunOptions struct {
 }
 
 func (o RunOptions) proto() proto.Options {
-	popts := proto.Options{Workers: o.Workers, Integrity: o.Integrity}
+	popts := proto.Options{Integrity: o.Integrity}
 	if o.Plan != nil {
 		popts.Plan = o.Plan.plan
 	}
@@ -301,8 +293,7 @@ func (o RunOptions) planFor(c *Circuit) (*circuit.Plan, error) {
 // Run2PC executes a real two-party computation over an in-memory
 // connection: the calling process plays both roles on separate
 // goroutines, with labels transferred via oblivious transfer. The two
-// roles share one plan — opts.Plan, or one compiled here — and
-// RunOptions{Workers: 8} gives both sides an 8-wide engine. Useful for
+// roles share one plan — opts.Plan, or one compiled here. Useful for
 // tests and demos; for networked execution see RunGarbler and
 // RunEvaluator.
 func Run2PC(c *Circuit, garbler, evaluator []bool, opts RunOptions) ([]bool, error) {
@@ -359,7 +350,7 @@ type (
 	// behind them.
 	Server = server.Server
 	// ServerConfig configures a Server (circuits, plan-cache bound,
-	// engine width, deterministic seeds for tests) and its operational
+	// deterministic seeds for tests) and its operational
 	// envelope: MaxSessions admission with typed ErrBusy shedding,
 	// RunTimeout per-run deadlines, DrainTimeout-bounded Close, the
 	// MaxPoolSize/DisablePooledOT precomputed-OT knobs, and the
@@ -441,7 +432,6 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // backend — and Session.Stats counts the repair work.
 func Dial(addr, circuitID string, c *Circuit, opts RunOptions) (*Session, error) {
 	sopts := server.Options{
-		Workers:     opts.Workers,
 		Retry:       opts.Retry,
 		TLS:         opts.TLS,
 		Integrity:   opts.Integrity,

@@ -54,10 +54,10 @@ func TestFacadeBuildEvalGarble2PC(t *testing.T) {
 	}
 }
 
-// TestFacadeParallel drives the 4-wide plan engine, locally and as a
-// 2PC, through the public API without a caller-supplied plan — and pins
-// that Run2PC then compiles one plan for both of its roles.
-func TestFacadeParallel(t *testing.T) {
+// TestFacadeUnplannedSharesOnePlan drives the plan engine, locally and
+// as a 2PC, through the public API without a caller-supplied plan — and
+// pins that Run2PC then compiles one plan for both of its roles.
+func TestFacadeUnplannedSharesOnePlan(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
 	y := b.EvaluatorInputs(16)
@@ -71,12 +71,12 @@ func TestFacadeParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := GarbleAndEvaluate(c, g, e, 99, RunOptions{Workers: 4})
+	local, err := GarbleAndEvaluate(c, g, e, 99, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	builds := circuit.PlanBuilds()
-	pipe, err := Run2PC(c, g, e, RunOptions{Workers: 4})
+	pipe, err := Run2PC(c, g, e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestFacadeParallel(t *testing.T) {
 		t.Fatalf("Run2PC without a plan built %d plans, want 1 shared by both roles", got)
 	}
 	for i := range plain {
-		if par[i] != plain[i] {
-			t.Fatalf("parallel bit %d != plaintext", i)
+		if local[i] != plain[i] {
+			t.Fatalf("local bit %d != plaintext", i)
 		}
 		if pipe[i] != plain[i] {
-			t.Fatalf("parallel 2PC bit %d != plaintext", i)
+			t.Fatalf("2PC bit %d != plaintext", i)
 		}
 	}
 	// 321 * 123 = 39483.
@@ -142,9 +142,7 @@ func TestFacadePrecompile(t *testing.T) {
 		out, err := Run2PC(c, g, e, RunOptions{Plan: p})
 		check("planned 2PC", out, err)
 	}
-	out, err := Run2PC(c, g, e, RunOptions{Plan: p, Workers: 4})
-	check("planned parallel 2PC", out, err)
-	out, err = GarbleAndEvaluate(c, g, e, 99, RunOptions{Plan: p, Workers: 2})
+	out, err := GarbleAndEvaluate(c, g, e, 99, RunOptions{Plan: p})
 	check("planned local garble", out, err)
 
 	if got := circuit.PlanBuilds() - builds; got != 1 {

@@ -30,7 +30,8 @@ type ParallelRow struct {
 	// WorkerNs maps worker count to gc.GarblePlan wall time over a
 	// precompiled plan.
 	WorkerNs map[int]int64
-	// Seq2PCNs is the in-process 2PC wall time at one worker per side.
+	// Seq2PCNs is the in-process 2PC wall time; 2PC runs are
+	// sequential on both sides.
 	Seq2PCNs int64
 }
 

@@ -59,7 +59,9 @@ func checkSegmentedByteIdentity(t *testing.T, name string, c *circuit.Circuit, g
 				t.Fatalf("%s/w=%d: output zero-label %d differs from the reference", name, workers, i)
 			}
 		}
-		out, err := gc.EvalPlan(p, h, in, want.Tables, workers)
+		pe := gc.NewPlanEvaluator(p, h, workers)
+		out, err := pe.Eval(in, want.Tables)
+		pe.Close()
 		if err != nil {
 			t.Fatalf("%s/w=%d: %v", name, workers, err)
 		}

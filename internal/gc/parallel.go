@@ -13,6 +13,10 @@ import (
 // reference Garble/Evaluate: tweaks and table positions are the
 // gate-order stream indices regardless of which worker garbles a gate,
 // and the label source is consumed only for the input wires.
+//
+// No 2PC run uses the pool: sessions and the facade build sequential
+// runners, and the width is set only by haacbench's parallel sweep,
+// which measures whether the pool ever wins.
 
 // minParallelStep is the smallest number of AND gates in a step worth
 // dispatching to the pool; below it the per-step synchronization costs

@@ -23,6 +23,13 @@ func parallelCircuits() []workloads.Workload {
 	}
 }
 
+// evalPlanWidth is EvalPlan on an engine of the given width.
+func evalPlanWidth(p *circuit.Plan, h Hasher, in []label.L, tables []Material, workers int) ([]label.L, error) {
+	pe := NewPlanEvaluator(p, h, workers)
+	defer pe.Close()
+	return pe.Eval(in, tables)
+}
+
 func equalGarbled(a, b *Garbled) error {
 	if a.R != b.R {
 		return fmt.Errorf("R differs: %s vs %s", a.R, b.R)
@@ -106,7 +113,7 @@ func TestPlanEvalMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 8} {
-			parOut, err := EvalPlan(p, h, in, garbled.Tables, workers)
+			parOut, err := evalPlanWidth(p, h, in, garbled.Tables, workers)
 			if err != nil {
 				t.Fatalf("%s/w=%d: %v", w.Name, workers, err)
 			}
@@ -203,7 +210,7 @@ func TestPlanStepTails(t *testing.T) {
 			if err := equalGarbled(want, got); err != nil {
 				t.Fatalf("n=%d w=%d: %v", n, workers, err)
 			}
-			out, err := EvalPlan(p, h, in, want.Tables, workers)
+			out, err := evalPlanWidth(p, h, in, want.Tables, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

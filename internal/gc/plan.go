@@ -287,10 +287,8 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 	return pe.outs, nil
 }
 
-// EvalPlan evaluates a plan in one shot with the given worker count.
-// For steady-state reuse hold a PlanEvaluator.
-func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material, workers int) ([]label.L, error) {
-	pe := NewPlanEvaluator(p, h, workers)
-	defer pe.Close()
-	return pe.Eval(inputs, tables)
+// EvalPlan evaluates a plan in one shot on the sequential engine. For
+// steady-state reuse, or another engine width, hold a PlanEvaluator.
+func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material) ([]label.L, error) {
+	return NewPlanEvaluator(p, h, 1).Eval(inputs, tables)
 }

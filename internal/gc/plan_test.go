@@ -55,7 +55,7 @@ func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garble
 	}
 	var planOut []label.L
 	for _, workers := range []int{4, 2, 1} {
-		planOut, err = EvalPlan(p, h, in, want.Tables, workers)
+		planOut, err = evalPlanWidth(p, h, in, want.Tables, workers)
 		if err != nil {
 			t.Fatalf("%s/w=%d: plan eval: %v", name, workers, err)
 		}
@@ -298,10 +298,10 @@ func TestPlanEvalTableCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalPlan(p, h, in, garbled.Tables[:len(garbled.Tables)-1], 2); err == nil {
+	if _, err := evalPlanWidth(p, h, in, garbled.Tables[:len(garbled.Tables)-1], 2); err == nil {
 		t.Fatal("short table stream accepted")
 	}
-	if _, err := EvalPlan(p, h, in, append(append([]Material{}, garbled.Tables...), Material{}), 2); err == nil {
+	if _, err := evalPlanWidth(p, h, in, append(append([]Material{}, garbled.Tables...), Material{}), 2); err == nil {
 		t.Fatal("overlong table stream accepted")
 	}
 	if _, err := pgRunWithoutBegin(p, h); err == nil {

@@ -166,7 +166,7 @@ func TestCrossTierGarbleEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := EvalPlan(p, dir.eval, inputs, garbled.Tables, 1)
+		outs, err := EvalPlan(p, dir.eval, inputs, garbled.Tables)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,7 +117,7 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 	}
 
 	evalAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := gc.EvalPlan(plan, h, inputs, garbled.Tables, 1); err != nil {
+		if _, err := gc.EvalPlan(plan, h, inputs, garbled.Tables); err != nil {
 			t.Fatal(err)
 		}
 	})

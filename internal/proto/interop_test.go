@@ -13,24 +13,23 @@ import (
 
 // endpoint is one way a party can drive its role: through the one-run
 // wrapper (which compiles its own plan) or through a session over a
-// shared plan, at a given engine width.
+// shared plan. Both run the sequential plan engine, the "x1" in their
+// names; byte identity across engine widths is pinned in internal/gc.
 type endpoint struct {
 	session bool
-	workers int
 }
 
 func (ep endpoint) String() string {
-	kind := "oneshot"
 	if ep.session {
-		kind = "session"
+		return "session-x1"
 	}
-	return fmt.Sprintf("%s-x%d", kind, ep.workers)
+	return "oneshot-x1"
 }
 
-var endpoints = []endpoint{{false, 1}, {false, 4}, {true, 1}, {true, 4}}
+var endpoints = []endpoint{{false}, {true}}
 
 func (ep endpoint) garble(conn io.ReadWriter, plan *circuit.Plan, g []bool, otp ot.Protocol, seed uint64) ([]bool, error) {
-	opts := Options{OT: otp, Seed: seed, Workers: ep.workers}
+	opts := Options{OT: otp, Seed: seed}
 	if !ep.session {
 		return RunGarbler(conn, plan.Circuit, g, opts)
 	}
@@ -44,7 +43,7 @@ func (ep endpoint) garble(conn io.ReadWriter, plan *circuit.Plan, g []bool, otp 
 }
 
 func (ep endpoint) evaluate(conn io.ReadWriter, plan *circuit.Plan, e []bool, otp ot.Protocol) ([]bool, error) {
-	opts := Options{OT: otp, Workers: ep.workers}
+	opts := Options{OT: otp}
 	if !ep.session {
 		return RunEvaluator(conn, plan.Circuit, e, opts)
 	}
@@ -89,10 +88,9 @@ func connPair(t *testing.T, tcp bool) (net.Conn, net.Conn) {
 }
 
 // TestInteropMatrix is the one-engine interop contract: the wire bytes
-// depend on neither the entry point nor the engine width, so every
-// {one-shot, session} x Workers {1, 4} garbler pairs with every such
-// evaluator, over an in-memory pipe and over TCP, under each OT
-// protocol, and both parties see the reference output.
+// do not depend on the entry point, so a one-shot or session garbler
+// pairs with either evaluator, over an in-memory pipe and over TCP,
+// under each OT protocol, and both parties see the reference output.
 func TestInteropMatrix(t *testing.T) {
 	w := workloads.DotProduct(4, 16)
 	c := w.Build()

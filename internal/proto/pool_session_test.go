@@ -114,6 +114,55 @@ func TestSessionResetDetachesPool(t *testing.T) {
 	}
 }
 
+// TestSessionResetDropsPendingFill: a hit whose op fails before Run
+// (a refused ack, a write error under a retry policy) leaves its in-run
+// fill decided. Reset must drop it with the rest of the run's state: if
+// the redialed connection's pool misses, the run must not write fill
+// columns the garbler never reads.
+func TestSessionResetDropsPendingFill(t *testing.T) {
+	w := workloads.DotProduct(3, 8)
+	c := w.Build()
+	m := c.EvaluatorInputs
+	gs, es, ga, ev := sessionPairConns(t, w, ot.Insecure)
+	sp, rp := attachPools(t, gs, es, ga, ev, m)
+	sp.SetTarget(4 * m)
+	rp.SetTarget(4 * m)
+	g, e := w.Inputs(1)
+	if _, hit, err := es.AppendCorrection(nil, e); err != nil || !hit {
+		t.Fatalf("AppendCorrection: hit=%v err=%v", hit, err)
+	}
+	if es.due == 0 {
+		t.Fatal("the hit carries no in-run fill; the case is not set up")
+	}
+
+	ga2, ev2 := net.Pipe()
+	t.Cleanup(func() { ga2.Close(); ev2.Close() })
+	// A hang guard only: the run takes milliseconds when it is right.
+	deadline := time.Now().Add(10 * time.Second)
+	ga2.SetDeadline(deadline)
+	ev2.SetDeadline(deadline)
+	gs.Reset(ga2, ot.Insecure)
+	es.Reset(ev2)
+	attachPools(t, gs, es, ga2, ev2, m/2) // too few: the next run misses
+
+	want, err := c.Eval(g, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gout, eout, gerr, eerr := runPair(gs, es, g, e)
+	if gerr != nil || eerr != nil {
+		t.Fatalf("run after Reset: garbler %v, evaluator %v", gerr, eerr)
+	}
+	if gs.LastRunPooled() {
+		t.Fatal("the run after Reset was pooled; it must miss")
+	}
+	for i := range want {
+		if gout[i] != want[i] || eout[i] != want[i] {
+			t.Fatalf("output %d: eval=%v garb=%v want=%v", i, eout[i], gout[i], want[i])
+		}
+	}
+}
+
 // sessionPairConns is sessionPair but also returns the raw connection
 // endpoints so pools can be negotiated over them.
 func sessionPairConns(t *testing.T, w workloads.Workload, otp ot.Protocol) (*GarblerSession, *EvaluatorSession, net.Conn, net.Conn) {

@@ -84,15 +84,6 @@ type Options struct {
 	// time went. A GarblerSession counts no bytes — the serving layer
 	// counts its connections itself.
 	Stats *Stats
-	// Workers is the width of the plan engine: <= 1 garbles and
-	// evaluates every schedule step on the calling goroutine, larger
-	// values split the AND gates of each step that is wide enough to
-	// pay for it across that many pool workers. This
-	// is the one worker-count rule in the repository — the serving
-	// layer, the public RunOptions and the gc plan runners all follow
-	// it, so a zero-valued config is always sequential. The wire bytes
-	// do not depend on it; each party picks its own width.
-	Workers int
 	// Plan is the compiled plan the run executes over; it must have been
 	// compiled from the same circuit passed to RunGarbler/RunEvaluator/
 	// NewEvaluatorSession. When nil those entry points compile one per

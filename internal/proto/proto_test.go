@@ -47,12 +47,10 @@ func TestTwoPartyWorkloadsInsecureOT(t *testing.T) {
 			c := w.Build()
 			g, e := w.Inputs(5)
 			want := w.Reference(g, e)
-			for _, workers := range []int{1, 4} {
-				gbits, ebits := run2PC(t, c, g, e, Options{OT: ot.Insecure, Seed: 9, Workers: workers})
-				for i := range want {
-					if gbits[i] != want[i] || ebits[i] != want[i] {
-						t.Fatalf("workers=%d: output bit %d mismatch", workers, i)
-					}
+			gbits, ebits := run2PC(t, c, g, e, Options{OT: ot.Insecure, Seed: 9})
+			for i := range want {
+				if gbits[i] != want[i] || ebits[i] != want[i] {
+					t.Fatalf("output bit %d mismatch", i)
 				}
 			}
 		})
@@ -76,14 +74,11 @@ func TestTwoPartyFixedKeyHasher(t *testing.T) {
 	c := w.Build()
 	g, e := w.Inputs(4)
 	want := w.Reference(g, e)
-	// One batched fixed-key hasher is shared by all of a runner's workers.
-	for _, workers := range []int{1, 4} {
-		opts := Options{OT: ot.Insecure, Seed: 5, Workers: workers, Hasher: gc.NewFixedKeyHasher([16]byte{7})}
-		gbits, _ := run2PC(t, c, g, e, opts)
-		for i := range want {
-			if gbits[i] != want[i] {
-				t.Fatalf("workers=%d: fixed-key hasher 2PC mismatch", workers)
-			}
+	opts := Options{OT: ot.Insecure, Seed: 5, Hasher: gc.NewFixedKeyHasher([16]byte{7})}
+	gbits, _ := run2PC(t, c, g, e, opts)
+	for i := range want {
+		if gbits[i] != want[i] {
+			t.Fatal("fixed-key hasher 2PC mismatch")
 		}
 	}
 }

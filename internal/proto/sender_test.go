@@ -27,8 +27,8 @@ import (
 
 // hookHasher is a plain Hasher — so the runner hashes through individual
 // Hash calls, four per garbled AND gate, in schedule order — that runs a
-// hook when the garbler reaches a given call. With Workers 1 the calls
-// all come from the goroutine in GarblerSession.Run.
+// hook when the garbler reaches a given call. The calls all come from
+// the goroutine in GarblerSession.Run.
 type hookHasher struct {
 	inner gc.RekeyedHasher
 	calls int
@@ -370,25 +370,23 @@ func referenceTables(t *testing.T, c *circuit.Circuit, seed uint64) []byte {
 // writes of at least emitFlushTables tables, a run's last excepted.
 func TestTableWritesContiguousAndCoalesced(t *testing.T) {
 	r := newSenderRig(t)
-	for _, workers := range []int{1, 4} {
-		ga, ev := connPair(t, true)
-		rec := &recordingConn{Conn: ga}
-		gs, err := NewGarblerSession(rec, Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Workers: workers})
-		if err != nil {
+	ga, ev := connPair(t, true)
+	rec := &recordingConn{Conn: ga}
+	gs, err := NewGarblerSession(rec, Options{Plan: r.p, OT: ot.Insecure, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	for run := 0; run < 2; run++ {
+		want := referenceTables(t, r.c, gs.PendingSeed())
+		evc := r.evaluate(ev)
+		if _, err := gs.Run(r.g); err != nil {
 			t.Fatal(err)
 		}
-		defer gs.Close()
-		for run := 0; run < 2; run++ {
-			want := referenceTables(t, r.c, gs.PendingSeed())
-			evc := r.evaluate(ev)
-			if _, err := gs.Run(r.g); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-evc; err != nil {
-				t.Fatal(err)
-			}
-			checkTableWrites(t, rec.take(), want, len(r.c.Outputs))
+		if err := <-evc; err != nil {
+			t.Fatal(err)
 		}
+		checkTableWrites(t, rec.take(), want, len(r.c.Outputs))
 	}
 }
 

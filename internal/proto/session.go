@@ -64,12 +64,12 @@ type GarblerSession struct {
 }
 
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
-// required (serving always amortizes through plans); Workers selects
-// the plan engine width. A zero Options.Seed draws a random one; the
-// session's label source then advances across runs, so every run
-// garbles with fresh labels. The session records its table stream's
-// timing in Options.Stats but counts no bytes: its transport's owner
-// does (RunGarbler counts its connection into the same Stats).
+// required (serving always amortizes through plans). A zero
+// Options.Seed draws a random one; the session's label source then
+// advances across runs, so every run garbles with fresh labels. The
+// session records its table stream's timing in Options.Stats but counts
+// no bytes: its transport's owner does (RunGarbler counts its
+// connection into the same Stats).
 func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("proto: GarblerSession requires Options.Plan")
@@ -82,7 +82,7 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		opts:  opts,
 		c:     c,
 		w:     bufio.NewWriterSize(io.Discard, 1<<16),
-		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, opts.Workers),
+		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, 1),
 		src:   label.NewSource(opts.Seed),
 		pairs: make([]ot.Pair, c.EvaluatorInputs),
 		res:   make([]byte, len(c.Outputs)),
@@ -144,12 +144,11 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 // write of its own. A write error surfaces from that Run.
 func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
 
-// Close stops the sender and pool goroutines and releases the plan
-// runner's worker pool. No Run may be in progress.
+// Close stops the sender and pool goroutines. No Run may be in
+// progress.
 func (s *GarblerSession) Close() {
 	s.tx.close()
 	s.side.close()
-	s.pg.Close()
 }
 
 // Run plays one full garbler run: header, active input labels, OT,
@@ -369,7 +368,7 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		res:     make([]byte, len(c.Outputs)),
 		out:     make([]bool, len(c.Outputs)),
 		choices: ot.NewBitset(c.EvaluatorInputs),
-		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, opts.Workers),
+		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, 1),
 		tables:  make([]gc.Material, len(plan.Tables)),
 	}
 	s.need = func(n int) ([]gc.Material, error) {
@@ -390,7 +389,9 @@ func (bytesReaderNone) Read([]byte) (int, error) { return 0, io.EOF }
 
 // Reset rebinds the session to a new connection, keeping the runner and
 // scratch. Any attached pool is detached: its correlations were bound
-// to the old connection's base-OT state.
+// to the old connection's base-OT state. So is the input phase of a hit
+// whose run never started (AppendCorrection, then a failed op): its
+// correction, pieces and in-run fill belonged to the old pool.
 func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 	// Left in flight only by a run that panicked out, or by pieces whose
 	// run failed before Run on a connection the caller has closed.
@@ -399,7 +400,7 @@ func (s *EvaluatorSession) Reset(conn io.ReadWriter) {
 	s.rd.Reset(s.rw)
 	s.otrw = readWriter{s.rd, s.rw}
 	s.pool = nil
-	s.sent, s.pieced, s.bits = false, false, nil
+	s.sent, s.pieced, s.pieces, s.bits, s.due = false, false, ot.Correction{}, nil, 0
 }
 
 // SetPool attaches a receiver pool that serves every run it holds
@@ -422,11 +423,9 @@ func (s *EvaluatorSession) NextFill() int {
 	return n
 }
 
-// Close stops the pool goroutine and releases the plan runner's worker
-// pool.
+// Close stops the pool goroutine.
 func (s *EvaluatorSession) Close() {
 	s.side.close()
-	s.pe.Close()
 }
 
 // readTables pulls gate-order tables off the wire until upto of them

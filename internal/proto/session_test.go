@@ -134,9 +134,9 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 }
 
 // TestEvaluatorFailsFastOnPeerClose: an abrupt garbler disconnect
-// surfaces as ErrPeerClosed — not a raw io.ReadFull error — at either
-// engine width, with or without a caller-supplied plan, whether the cut
-// lands before or after the header.
+// surfaces as ErrPeerClosed — not a raw io.ReadFull error — with or
+// without a caller-supplied plan, whether the cut lands before or after
+// the header.
 func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -149,8 +149,7 @@ func TestEvaluatorFailsFastOnPeerClose(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"sequential", Options{OT: ot.Insecure}},
-		{"parallel", Options{OT: ot.Insecure, Workers: 2}},
+		{"unplanned", Options{OT: ot.Insecure}},
 		{"planned", Options{OT: ot.Insecure, Plan: p}},
 	}
 	for _, m := range modes {

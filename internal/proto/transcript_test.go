@@ -28,13 +28,13 @@ func (c teeConn) Write(p []byte) (int, error) {
 // stream of one AES-128 run (garbler inputs from Inputs(7), label seed
 // 7, ot.Insecure, re-keyed hasher). It was computed at the commit
 // before the engines were unified, with that commit's sequential dense
-// gate-by-gate path (RunGarbler with Workers 0, no plan); its offline
+// gate-by-gate path (RunGarbler, sequential, no plan); its offline
 // and pipelined paths produced the same digest. Any change here is a
 // wire-format break.
 const aesTranscriptSHA256 = "9140e957ed4a08ec5d866327772bde696b6b6fad817c55e49dba635f31b78ffd"
 
 // TestGarblerTranscriptPinned asserts the one-run wrapper and a session
-// both emit exactly the pinned stream, at either engine width.
+// both emit exactly the pinned stream.
 func TestGarblerTranscriptPinned(t *testing.T) {
 	w := workloads.AES128()
 	plan, err := circuit.NewPlan(w.Build())

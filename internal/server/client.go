@@ -155,9 +155,6 @@ type Options struct {
 	// OT selects the oblivious-transfer protocol for the session's runs
 	// (default ot.DH). The server honors the request.
 	OT ot.Protocol
-	// Workers is the evaluation engine width (see proto.Options.Workers:
-	// <= 1 is sequential).
-	Workers int
 	// Plan, when non-nil, must be compiled from the session's circuit.
 	// The client always evaluates through a persistent plan runner with
 	// zero steady-state allocations per run; a session that does not
@@ -305,9 +302,8 @@ func Dial(addr, circuitID string, c *circuit.Circuit, opts Options) (*Session, e
 	// The evaluator runner is built once, unbound: setup binds it to each
 	// (re)connection. Its errors are local, so retrying cannot help.
 	es, err := proto.NewEvaluatorSession(nil, c, proto.Options{
-		OT:      opts.OT,
-		Workers: opts.Workers,
-		Plan:    opts.Plan,
+		OT:   opts.OT,
+		Plan: opts.Plan,
 	})
 	if err != nil {
 		return nil, err

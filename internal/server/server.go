@@ -41,9 +41,6 @@ type Config struct {
 	// PlanCacheSize bounds the shared plan cache; 0 means one entry per
 	// registered circuit (nothing ever evicts).
 	PlanCacheSize int
-	// Workers is the plan-engine width used by each session's garbler
-	// runner (0 or 1 = sequential).
-	Workers int
 	// Seed, when nonzero, derives deterministic per-runner label streams
 	// (tests); zero draws random seeds.
 	Seed uint64
@@ -180,9 +177,9 @@ type Stats struct {
 }
 
 // registered is a servable circuit plus its per-circuit runner pool.
-// The pool is an explicit free-list rather than a sync.Pool: runners
-// own worker-pool goroutines when Config.Workers > 1, so they must be
-// Closed deterministically at shutdown, never silently dropped by GC.
+// The pool is an explicit free-list rather than a sync.Pool: each runner
+// owns a table-sender goroutine, so runners must be Closed
+// deterministically at shutdown, never silently dropped by GC.
 type registered struct {
 	spec   CircuitSpec
 	digest [32]byte
@@ -558,7 +555,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.awaitSessions()
-	// Every session has returned its runner; release their worker pools.
+	// Every session has returned its runner; stop their sender goroutines.
 	for _, reg := range s.reg {
 		reg.closeRunners()
 	}
@@ -935,10 +932,9 @@ func (s *Server) garblerFor(reg *registered, plan *circuit.Plan, rw io.ReadWrite
 		seed += s.seq.Add(1) // distinct deterministic stream per runner
 	}
 	return proto.NewGarblerSession(rw, proto.Options{
-		Plan:    plan,
-		Workers: s.cfg.Workers,
-		OT:      otp,
-		Seed:    seed,
-		Stats:   &s.tables,
+		Plan:  plan,
+		OT:    otp,
+		Seed:  seed,
+		Stats: &s.tables,
 	})
 }

@@ -523,65 +523,12 @@ func TestPlanCacheLRUAndSingleflight(t *testing.T) {
 	}
 }
 
-// TestParallelRunnersReleasedOnClose: with Workers > 1 every pooled
-// garbler runner owns worker goroutines; Close must release them all
-// (regression test for the explicit runner free-list — a sync.Pool
-// would drop entries without ever closing their pools).
-func TestParallelRunnersReleasedOnClose(t *testing.T) {
-	w := workloads.DotProduct(3, 8)
-	c := w.Build()
-	g, _ := w.Inputs(1)
-	baseline := runtime.NumGoroutine()
-
-	srv, err := New(Config{
-		Circuits:        []CircuitSpec{{ID: "dp", Circuit: c, Inputs: func() []bool { return g }}},
-		Workers:         4,
-		Seed:            13,
-		AllowInsecureOT: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-
-	// A few sequential sessions churn runners through the pool.
-	for i := 0; i < 3; i++ {
-		sess, err := Dial(ln.Addr().String(), "dp", c, Options{OT: ot.Insecure})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, e := w.Inputs(int64(i))
-		if _, err := sess.Run(e); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-	}
-	srv.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve returned %v", err)
-	}
-
-	// Worker goroutines wind down after Close; poll with a deadline
-	// (liveness only — no timing asserted).
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline+2 {
-		t.Fatalf("%d goroutines after Close, baseline %d — worker pools leaked", n, baseline)
-	}
-}
-
 // TestSenderGoroutinesReleasedOnClose: every garbler runner owns a
-// table-sender goroutine even at Workers 1, whether it sits in the
-// runner pool or a live session still holds it when the drain starts;
-// Close returns them all, and the process is back at its goroutine
-// baseline.
+// table-sender goroutine, whether it sits in the runner pool or a live
+// session still holds it when the drain starts; Close returns them all,
+// and the process is back at its goroutine baseline. The runner
+// free-list is what makes that possible: a sync.Pool would drop
+// runners without ever closing them.
 func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
