@@ -102,7 +102,7 @@ func (e *Env) ParallelGarbling() ([]ParallelRow, string, error) {
 		cells = append(cells, row)
 	}
 	s := table(header, cells)
-	s += fmt.Sprintf("\n(xN columns are the plan engine's speedup over the reference garbler at N workers;\nhost has %d CPU(s) — speedups track min(workers, CPUs) since the engine is compute-bound)\n",
+	s += fmt.Sprintf("\n(xN columns are the plan engine's speedup over the reference garbler at N workers;\nhost has %d CPU(s) — read each xN column against x1: on small hosts widths above 1 have read below it)\n",
 		runtime.NumCPU())
 	return rows, s, nil
 }

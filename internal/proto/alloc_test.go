@@ -30,30 +30,33 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestTableSenderNoSteadyStateAllocs: the hand-off between a run and the
-// session's sender goroutine — begin, a call per emit, the writes of
-// the arena's own bytes, the drain — allocates nothing, whatever the
-// number of tables.
+// TestTableSenderNoSteadyStateAllocs: the hand-offs between a run, the
+// session's garble goroutine and its sender goroutine — the run's op,
+// its begin, a call per emit, the writes of the arena's own bytes, the
+// drain, and the run garbled ahead meanwhile — allocate nothing,
+// whatever the number of tables.
 func TestTableSenderNoSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
-	tx := newTableSender(&Stats{})
-	defer tx.close()
-	measure := func(n int) float64 {
-		arena := make([]gc.Material, n)
-		return testing.AllocsPerRun(50, func() {
-			tx.begin(io.Discard, arena, 0)
-			for ready := 0; ready < n; ready += 100 {
-				if err := tx.emitted(100); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tx.drain(); err != nil {
+	measure := func(w workloads.Workload) float64 {
+		plan, err := circuit.NewPlan(w.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := newTableStream(plan, gc.RekeyedHasher{}, 7, &Stats{}, false)
+		defer tx.close()
+		run := func() {
+			rn := tx.next()
+			tx.begun(rn)
+			tx.begin(io.Discard, rn, 0)
+			if _, err := tx.drain(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		run() // the first run ahead builds the second runner
+		return testing.AllocsPerRun(50, run)
 	}
-	if small, large := measure(1000), measure(40000); small > 0 || large > 0 {
-		t.Fatalf("table sender allocates in steady state: %.1f (1000 tables), %.1f (40000 tables)", small, large)
+	if small, large := measure(workloads.DotProduct(4, 16)), measure(workloads.DotProduct(12, 32)); small > 0 || large > 0 {
+		t.Fatalf("table stream allocates in steady state: %.1f (DotProduct(4,16)), %.1f (DotProduct(12,32))", small, large)
 	}
 }
 

@@ -5,12 +5,13 @@
 // the EMP Toolkit 2PC runtime the paper builds on.
 //
 // There is one execution engine: GarblerSession and EvaluatorSession
-// drive gc's plan runners over a compiled circuit.Plan. The garbler's
-// tables leave through the session's sender goroutine, as the bytes of
-// the runner's table arena, while later segments are still being
-// garbled (sender.go); the evaluator reads them straight into its own
-// arena. RunGarbler and RunEvaluator are one-run wrappers around a
-// session.
+// drive gc's plan runners over a compiled circuit.Plan. A garbler
+// session garbles on a goroutine of its own, one run ahead of the runs
+// asked for, into the second of two runners; its tables leave through
+// the session's sender goroutine, as the bytes of the runner's table
+// arena, while later segments may still be being garbled (sender.go).
+// The evaluator reads them straight into its own arena. RunGarbler and
+// RunEvaluator are one-run wrappers around a session.
 //
 // Wire format (little-endian):
 //
@@ -276,13 +277,14 @@ func sendActiveInputs(w *bufio.Writer, c *circuit.Circuit, zeros []label.L, r la
 // RunGarbler executes the garbler role for one run and returns the
 // plaintext outputs reported back by the evaluator: it opens a
 // GarblerSession over conn (compiling a plan unless Options.Plan
-// carries one), runs it once and closes it.
+// carries one), runs it once and closes it. Its session garbles no run
+// ahead: it draws one run's labels and no more.
 func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts Options) ([]bool, error) {
 	var err error
 	if opts.Plan, err = opts.planFor(c); err != nil {
 		return nil, err
 	}
-	s, err := NewGarblerSession(opts.oneShot(conn), opts)
+	s, err := newGarblerSession(opts.oneShot(conn), opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -296,10 +298,14 @@ func RunGarbler(conn io.ReadWriter, c *circuit.Circuit, garblerBits []bool, opts
 // Options.Plan carries one.
 func RunEvaluator(conn io.ReadWriter, c *circuit.Circuit, evalBits []bool, opts Options) ([]bool, error) {
 	conn = opts.oneShot(conn)
+	st := opts.Stats
 	opts.Stats = nil // counted by oneShot
 	s, err := NewEvaluatorSession(conn, c, opts)
 	if err != nil {
 		return nil, err
+	}
+	if st != nil {
+		s.stats = st // its table reads are timed there all the same
 	}
 	defer s.Close()
 	return s.Run(evalBits)

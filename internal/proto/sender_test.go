@@ -28,7 +28,8 @@ import (
 // hookHasher is a plain Hasher — so the runner hashes through individual
 // Hash calls, four per garbled AND gate, in schedule order — that runs a
 // hook when the garbler reaches a given call. The calls all come from
-// the goroutine in GarblerSession.Run.
+// the session's garble goroutine. A test that arms it between runs uses
+// one-shot garblers, which garble no run ahead.
 type hookHasher struct {
 	inner gc.RekeyedHasher
 	calls int
@@ -138,19 +139,15 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 }
 
 // TestGarblerRunsAheadOfBlockedTransport: garbling does not wait for the
-// transport. With every table write blocked — and one provably pending
-// inside Write — the run still reaches its last hash call with no table
-// byte out. A garbler that writes tables itself never gets there.
+// transport. With every write from the first hash call on blocked — and
+// one provably pending inside Write — the run still reaches its last
+// hash call with no byte of it out. A garbler that writes tables itself,
+// or garbles only once its input phase is through, never gets there.
 func TestGarblerRunsAheadOfBlockedTransport(t *testing.T) {
 	r := newSenderRig(t)
 	ga, ev := connPair(t, false)
 	gate := &gatedConn{Conn: ga, attempted: make(chan struct{}), release: make(chan struct{})}
 	h := &hookHasher{}
-	gs, err := NewGarblerSession(gate, Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Hasher: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gs.Close()
 
 	outAtLast := int64(-1)
 	h.arm(map[int]func(){
@@ -162,7 +159,7 @@ func TestGarblerRunsAheadOfBlockedTransport(t *testing.T) {
 		},
 	})
 	evc := r.evaluate(ev)
-	out, err := gs.Run(r.g)
+	out, err := RunGarbler(gate, r.c, r.g, Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Hasher: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +236,11 @@ func TestSenderDeliversWhileGarblerHeld(t *testing.T) {
 		ga, ev0 := connPair(t, tcp)
 		ev := newNotifyingReader(ev0)
 		h := &hookHasher{}
-		gs, err := NewGarblerSession(ga, Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Hasher: h})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gs.Close()
+		opts := Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Hasher: h}
 
 		// A first, unhooked run measures what precedes a run's tables.
 		evc := r.evaluate(ev)
-		if _, err := gs.Run(r.g); err != nil {
+		if _, err := RunGarbler(ga, r.c, r.g, opts); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-evc; err != nil {
@@ -270,7 +263,7 @@ func TestSenderDeliversWhileGarblerHeld(t *testing.T) {
 			4 * garbledThrough(r.p, last-1): func() { holdErr = ev.waitFor(want) },
 		})
 		evc = r.evaluate(ev)
-		if _, err := gs.Run(r.g); err != nil {
+		if _, err := RunGarbler(ga, r.c, r.g, opts); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-evc; err != nil {
@@ -390,28 +383,49 @@ func TestTableWritesContiguousAndCoalesced(t *testing.T) {
 	}
 }
 
-// failingConn passes writes through until armed, then fails them like a
-// reset connection.
+// failingConn passes the first after bytes written through, then fails
+// every write like a reset connection.
 type failingConn struct {
 	net.Conn
-	armed atomic.Bool
+	after   int64
+	written atomic.Int64
 }
 
 func (c *failingConn) Write(p []byte) (int, error) {
-	if c.armed.Load() {
+	if c.written.Load() >= c.after {
 		return 0, syscall.ECONNRESET
 	}
-	return c.Conn.Write(p)
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+// preTableBytes is how many bytes a garbler writes before a run's first
+// table: header, labels and OT.
+func (r *senderRig) preTableBytes(t *testing.T) int {
+	t.Helper()
+	var ref bytes.Buffer
+	ga, ev := connPair(t, false)
+	evc := r.evaluate(ev)
+	if _, err := RunGarbler(teeConn{ga, &ref}, r.c, r.g, Options{Plan: r.p, OT: ot.Insecure, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-evc; err != nil {
+		t.Fatal(err)
+	}
+	return ref.Len() - r.numAND*gc.MaterialSize - len(r.c.Outputs)
 }
 
 // TestDeadPeerStopsGarblerAtNextEmit: the sender's write error ends the
 // run at the garbler's next emit, typed ErrPeerClosed, instead of after
-// the rest of the circuit has been garbled; and the session is sound
-// afterwards — Reset onto a live connection and the next run succeeds.
+// the rest of the circuit has been garbled; a run that failed garbles
+// none ahead; and the session is sound afterwards — Reset onto a live
+// connection and the next run succeeds.
 func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
 	r := newSenderRig(t)
 	ga, ev := connPair(t, false)
-	dead := &failingConn{Conn: ga}
+	// The connection dies at the run's first table write.
+	dead := &failingConn{Conn: ga, after: int64(r.preTableBytes(t))}
 	h := &hookHasher{}
 	gs, err := NewGarblerSession(dead, Options{Plan: r.p, OT: ot.Insecure, Seed: 7, Hasher: h})
 	if err != nil {
@@ -430,7 +444,6 @@ func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
 		next++
 	}
 	h.arm(map[int]func(){
-		0: func() { dead.armed.Store(true) },
 		// Hold the garbler until the sender has recorded its failure.
 		4 * garbledThrough(r.p, due): func() {
 			gs.tx.mu.Lock()
@@ -565,18 +578,18 @@ func TestResumeOffsetExactAtUnalignedCut(t *testing.T) {
 	}
 }
 
-// senderGoroutines counts the live table-sender goroutines.
-func senderGoroutines() int {
+// streamGoroutines counts the live garble and sender goroutines.
+func streamGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("(*tableSender).loop"))
+	return bytes.Count(buf, []byte("(*tableStream).garbleLoop")) + bytes.Count(buf, []byte("(*tableStream).sendLoop"))
 }
 
 // TestOneShotGarblerLeavesNoSender: RunGarbler's session takes its
-// sender goroutine with it, on success and on failure.
+// garble and sender goroutines with it, on success and on failure.
 func TestOneShotGarblerLeavesNoSender(t *testing.T) {
 	r := newSenderRig(t)
-	before := senderGoroutines()
+	before := streamGoroutines()
 	ga, ev := connPair(t, false)
 	evc := r.evaluate(ev)
 	if _, err := RunGarbler(ga, r.c, r.g, Options{Plan: r.p, OT: ot.Insecure, Seed: 7}); err != nil {
@@ -593,10 +606,10 @@ func TestOneShotGarblerLeavesNoSender(t *testing.T) {
 	// Close has waited for the goroutine's last statement; give it the
 	// moment it needs to leave the scheduler (liveness only).
 	deadline := time.Now().Add(10 * time.Second)
-	for senderGoroutines() > before && time.Now().Before(deadline) {
+	for streamGoroutines() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := senderGoroutines(); n > before {
-		t.Fatalf("%d sender goroutines, %d before the one-shot runs", n, before)
+	if n := streamGoroutines(); n > before {
+		t.Fatalf("%d garble and sender goroutines, %d before the one-shot runs", n, before)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"time"
 
 	"haac/internal/circuit"
 	"haac/internal/gc"
@@ -27,18 +28,17 @@ import (
 
 // GarblerSession is a reusable garbler endpoint bound to one connection
 // and one precompiled plan. It is not safe for concurrent use; a server
-// pools sessions and gives each connection its own. It owns goroutines
-// (its table sender and, once a run has carried an in-run fill, its
-// pool goroutine), so it must be Closed.
+// pools sessions and gives each connection its own. Its runs are
+// garbled by the session's garble goroutine, one run ahead into the
+// second of two plan runners, and streamed by its sender goroutine
+// (sender.go); once a run has carried an in-run fill it also owns a pool
+// goroutine. So it must be Closed.
 type GarblerSession struct {
 	opts  Options
 	c     *circuit.Circuit
 	rw    io.ReadWriter
 	w     *bufio.Writer
-	pg    *gc.PlanGarbler
-	src   *label.Source
-	tx    *tableSender
-	emit  func(tables []gc.Material) error
+	tx    *tableStream
 	hdr   [headerSize]byte
 	pairs []ot.Pair
 	res   []byte
@@ -55,12 +55,6 @@ type GarblerSession struct {
 	pool       *ot.Pool
 	lastPooled bool
 	side       poolWorker
-
-	// Resume scratch: garbling is a pure function of the label-source
-	// state at Begin, so ResumeRun replays a broken run's table stream
-	// from a recorded seed without disturbing s.src (whose draws define
-	// the live runs).
-	resumeSrc *label.Source
 }
 
 // NewGarblerSession builds a garbler session over conn. Options.Plan is
@@ -71,6 +65,12 @@ type GarblerSession struct {
 // no bytes: its transport's owner does (RunGarbler counts its
 // connection into the same Stats).
 func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error) {
+	return newGarblerSession(conn, opts, false)
+}
+
+// newGarblerSession builds a garbler session; a oneRun session never
+// garbles a run ahead.
+func newGarblerSession(conn io.ReadWriter, opts Options, oneRun bool) (*GarblerSession, error) {
 	if opts.Plan == nil {
 		return nil, fmt.Errorf("proto: GarblerSession requires Options.Plan")
 	}
@@ -82,30 +82,26 @@ func NewGarblerSession(conn io.ReadWriter, opts Options) (*GarblerSession, error
 		opts:  opts,
 		c:     c,
 		w:     bufio.NewWriterSize(io.Discard, 1<<16),
-		pg:    gc.NewPlanGarbler(opts.Plan, opts.Hasher, 1),
-		src:   label.NewSource(opts.Seed),
 		pairs: make([]ot.Pair, c.EvaluatorInputs),
 		res:   make([]byte, len(c.Outputs)),
 		out:   make([]bool, len(c.Outputs)),
 	}
-	// The run only says how far its table arena is final; the sender
-	// does the writing (sender.go).
-	s.emit = func(tables []gc.Material) error { return s.tx.emitted(len(tables)) }
 	s.Reset(conn, opts.OT)
-	s.tx = newTableSender(opts.Stats)
+	s.tx = newTableStream(opts.Plan, opts.Hasher, opts.Seed, opts.Stats, oneRun)
 	return s, nil
 }
 
 // PendingSeed returns the label-source state the next Run will begin
-// from. A server records it before starting a run so a broken transfer
-// can later be replayed from the same deterministic stream with
-// ResumeRun — by any pooled runner sharing the hasher and plan, not
-// just this one.
-func (s *GarblerSession) PendingSeed() uint64 { return s.src.State() }
+// from — the one the run garbled ahead began from, if there is one. A
+// server records it before starting a run so a broken transfer can
+// later be replayed from the same deterministic stream with ResumeRun —
+// by any pooled runner sharing the hasher and plan, not just this one.
+func (s *GarblerSession) PendingSeed() uint64 { return s.tx.pendingSeed() }
 
 // Reset rebinds the session to a new connection and OT protocol,
-// keeping the plan runner, label source and scratch. A server pools
-// sessions per circuit and Resets one for each accepted connection.
+// keeping the plan runners, label source and scratch — and the run
+// garbled ahead, whose labels no peer has seen. A server pools sessions
+// per circuit and Resets one for each accepted connection.
 func (s *GarblerSession) Reset(conn io.ReadWriter, otp ot.Protocol) {
 	s.side.join() // left in flight only by a run that panicked out
 	s.opts.OT = otp
@@ -144,8 +140,8 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 // write of its own. A write error surfaces from that Run.
 func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
 
-// Close stops the sender and pool goroutines. No Run may be in
-// progress.
+// Close stops the garble, sender and pool goroutines; a run garbling
+// ahead stops at its next emit. No Run may be in progress.
 func (s *GarblerSession) Close() {
 	s.tx.close()
 	s.side.close()
@@ -153,19 +149,33 @@ func (s *GarblerSession) Close() {
 
 // Run plays one full garbler run: header, active input labels, OT,
 // segment-streamed tables, decode bits, and the evaluator's reported
-// result. A pool hit first reads the head of the evaluator's choice
-// correction; once it has written the header and labels, it reads the
-// correction a piece at a time and answers each piece with its masked
-// pairs, the first answer in the header's flush. An on-demand OT runs
-// after the header's flush instead. A hit that carries an in-run fill
-// reads the fill's columns on the session's pool goroutine from the
-// last answer on, and joins it before reading the result. The returned
-// slice is reused by the next Run.
+// result. The run is the one garbled ahead, or is garbled from now on
+// the garble goroutine; either way Run takes its R and input
+// zero-labels once it has begun, and the sender streams its tables
+// behind the goroutine's watermark. A pool hit first reads the head of
+// the evaluator's choice correction; once it has written the header and
+// labels, it reads the correction a piece at a time and answers each
+// piece with its masked pairs, the first answer in the header's flush.
+// An on-demand OT runs after the header's flush instead. A hit that
+// carries an in-run fill reads the fill's columns on the session's pool
+// goroutine from the last answer on, and joins it before reading the
+// result. The returned slice is reused by the next Run.
 func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
-	c := s.c
-	if len(garblerBits) != c.GarblerInputs {
-		return nil, fmt.Errorf("proto: got %d garbler bits, want %d", len(garblerBits), c.GarblerInputs)
+	if len(garblerBits) != s.c.GarblerInputs {
+		return nil, fmt.Errorf("proto: got %d garbler bits, want %d", len(garblerBits), s.c.GarblerInputs)
 	}
+	rn := s.tx.next()
+	if err := s.sendInputs(rn, garblerBits); err != nil {
+		s.tx.stop(rn)
+		return nil, err
+	}
+	return s.streamRun(rn, 0)
+}
+
+// sendInputs is a run's input phase: header, the garbler's active
+// labels and the evaluator's labels by OT, pooled or on demand.
+func (s *GarblerSession) sendInputs(rn *runner, garblerBits []bool) error {
+	c := s.c
 	// Hit/miss decision happens before the header leaves: a pool with
 	// enough correlations marks the run pooled, a short one falls back
 	// to the on-demand protocol for this run only (a miss, not an
@@ -179,17 +189,17 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	if s.lastPooled {
 		otp = ot.Pooled
 		if err := s.pool.ReadCorrectionHead(s.rw, m); err != nil {
-			return nil, wrapPeer("OT", err)
+			return wrapPeer("OT", err)
 		}
 	}
 	s.hdr[5] = byte(otp)
 	if _, err := s.w.Write(s.hdr[:]); err != nil {
-		return nil, wrapPeer("writing header", err)
+		return wrapPeer("writing header", err)
 	}
-	s.pg.Begin(s.src)
-	zeros, r := s.pg.InputZeros(), s.pg.R()
+	s.tx.begun(rn)
+	zeros, r := rn.pg.InputZeros(), rn.pg.R()
 	if err := sendActiveInputs(s.w, c, zeros, r, garblerBits); err != nil {
-		return nil, err
+		return err
 	}
 	off := c.GarblerInputs
 	for i := range s.pairs {
@@ -201,18 +211,18 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 		// before it.
 		for k := range ot.DerandPieces(m) {
 			if err := s.pool.ReadCorrectionPiece(s.rw, k); err != nil {
-				return nil, wrapPeer("OT", err)
+				return wrapPeer("OT", err)
 			}
 			if err := s.pool.WriteMaskedPiece(s.w, s.pairs, k); err != nil {
-				return nil, wrapPeer("OT", err)
+				return wrapPeer("OT", err)
 			}
 			if err := s.w.Flush(); err != nil {
-				return nil, wrapPeer("sending masked pairs", err)
+				return wrapPeer("sending masked pairs", err)
 			}
 		}
 	}
 	if err := s.w.Flush(); err != nil {
-		return nil, wrapPeer("sending garbler labels", err)
+		return wrapPeer("sending garbler labels", err)
 	}
 	if fill > 0 {
 		// The masked pairs have left, so the run has consumed its
@@ -222,27 +232,24 @@ func (s *GarblerSession) Run(garblerBits []bool) ([]bool, error) {
 	}
 	if m > 0 && !s.lastPooled {
 		if err := ot.Send(s.rw, otp, s.pairs); err != nil {
-			return nil, wrapPeer("OT", err)
+			return wrapPeer("OT", err)
 		}
 	}
-	return s.streamRun(0)
+	return nil
 }
 
-// streamRun garbles the run Begin opened, streaming its tables from
-// offset from, then sends the decode bits and collects the evaluator's
-// reported result — the shared body of Run and ResumeRun. Nothing is
-// buffered in s.w on entry, and between begin and drain only the sender
-// writes to the transport, so the wire order is tables then decode bits;
-// the drain also runs when garbling stops on an error, and so does the
-// join of an in-run fill, so no Read or Write is in flight once this
-// returns. (On a big-endian host the sender leaves the arena, and with
-// it garbled.Tables, in wire byte order.)
-func (s *GarblerSession) streamRun(from int) ([]bool, error) {
-	s.tx.begin(s.rw, s.pg.Tables(), from)
-	garbled, err := s.pg.Run(s.emit)
-	if derr := s.tx.drain(); err == nil {
-		err = derr
-	}
+// streamRun streams rn's tables from offset from, then sends the decode
+// bits and collects the evaluator's reported result — the shared body
+// of Run and ResumeRun. Nothing is buffered in s.w on entry, and between
+// begin and drain only the sender writes to the transport, so the wire
+// order is tables then decode bits; the drain, which also waits for the
+// run's garbling to end, runs when the stream stops on an error too, and
+// so does the join of an in-run fill, so no Read or Write is in flight
+// once this returns. (On a big-endian host the sender leaves the arena,
+// and with it garbled.Tables, in wire byte order.)
+func (s *GarblerSession) streamRun(rn *runner, from int) ([]bool, error) {
+	s.tx.begin(s.rw, rn, from)
+	garbled, err := s.tx.drain()
 	if err == nil {
 		err = s.sendDecode(garbled.OutputZeros)
 	}
@@ -256,6 +263,9 @@ func (s *GarblerSession) streamRun(from int) ([]bool, error) {
 		return nil, wrapPeer("reading result", err)
 	}
 	for i, b := range s.res {
+		if b > 1 {
+			return nil, fmt.Errorf("proto: %w: result byte %d for output %d", ErrMalformedFrame, b, i)
+		}
 		s.out[i] = b == 1
 	}
 	return s.out, nil
@@ -275,24 +285,19 @@ func (s *GarblerSession) sendDecode(outputZeros []label.L) error {
 }
 
 // ResumeRun replays a broken run's outbound stream from table offset
-// skip: the garbler re-garbles deterministically from seed (the state
-// PendingSeed reported before the original run), drops the first skip
-// tables — the evaluator already holds them verified — and emits only
-// the remainder, then the decode bits and the result exchange. No
-// header, labels or OT travel on a resume stream: input labels are
-// re-derived identically from the seed, so the evaluator's held labels
-// stay valid.
+// skip: the garble goroutine re-garbles it deterministically from seed
+// (the state PendingSeed reported before the original run) on the
+// runner the run ahead does not hold, leaving that run as it is; the
+// first skip tables — the evaluator already holds them verified — are
+// not sent, only the remainder, then the decode bits and the result
+// exchange. No header, labels or OT travel on a resume stream: input
+// labels are re-derived identically from the seed, so the evaluator's
+// held labels stay valid.
 func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 	if skip < 0 {
 		return nil, fmt.Errorf("proto: negative resume offset %d", skip)
 	}
-	if s.resumeSrc == nil {
-		s.resumeSrc = label.NewSource(seed)
-	} else {
-		s.resumeSrc.Reseed(seed)
-	}
-	s.pg.Begin(s.resumeSrc)
-	return s.streamRun(skip)
+	return s.streamRun(s.tx.resume(seed), skip)
 }
 
 // EvaluatorSession is a reusable evaluator endpoint bound to one
@@ -302,6 +307,7 @@ func (s *GarblerSession) ResumeRun(seed uint64, skip int) ([]bool, error) {
 // goroutine, so it must be Closed.
 type EvaluatorSession struct {
 	opts   Options
+	stats  *Stats // Options.Stats, or the session's own: where table reads are timed
 	c      *circuit.Circuit
 	rw     io.ReadWriter
 	rd     *bufio.Reader
@@ -309,7 +315,8 @@ type EvaluatorSession struct {
 	pe     *gc.PlanEvaluator
 	need   func(n int) ([]gc.Material, error)
 	tables []gc.Material
-	got    int
+	got    int // whole tables of the run read
+	part   int // bytes read of the table after them
 	want   header
 	hdrBuf [headerSize]byte
 	inputs []label.L
@@ -360,6 +367,7 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 	}
 	s := &EvaluatorSession{
 		opts:    opts,
+		stats:   opts.Stats,
 		c:       c,
 		rd:      bufio.NewReaderSize(bytesReaderNone{}, 1<<16),
 		want:    headerFor(c, opts),
@@ -370,6 +378,9 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		choices: ot.NewBitset(c.EvaluatorInputs),
 		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, 1),
 		tables:  make([]gc.Material, len(plan.Tables)),
+	}
+	if s.stats == nil {
+		s.stats = new(Stats)
 	}
 	s.need = func(n int) ([]gc.Material, error) {
 		if err := s.readTables(n); err != nil {
@@ -428,20 +439,36 @@ func (s *EvaluatorSession) Close() {
 	s.side.close()
 }
 
+// TableReadWait returns the time the session's runs have spent reading
+// tables — blocked, mostly, on a garbler that had not sent them yet —
+// as its Stats holds it: Options.Stats, shared with whoever else records
+// there, or the session's own.
+func (s *EvaluatorSession) TableReadWait() time.Duration {
+	return time.Duration(s.stats.TableReadWaitNanos.Load())
+}
+
 // readTables pulls gate-order tables off the wire until upto of them
 // have landed, reading straight into the persistent arena's own memory.
-// A read that fails part-way still counts the whole tables it delivered,
-// so Progress stays exact. Abrupt peer disconnects surface as
-// ErrPeerClosed.
+// Each read takes whatever has arrived up to the end of the run's
+// tables, not just the tables upto asks for: a run garbled ahead arrives
+// as fast as the socket carries it, and the evaluator then makes a few
+// long reads instead of one per segment. The bytes of a table only
+// partly read wait in the arena for the next read. A read that fails
+// part-way still counts the whole tables it delivered, so Progress stays
+// exact. Abrupt peer disconnects surface as ErrPeerClosed.
 func (s *EvaluatorSession) readTables(upto int) error {
 	if s.got >= upto {
 		return nil
 	}
-	t := s.tables[s.got:upto]
-	n, err := io.ReadFull(s.rd, gc.MaterialBytes(t))
+	rest := gc.MaterialBytes(s.tables[s.got:])[s.part:]
+	start := time.Now()
+	n, err := io.ReadAtLeast(s.rd, rest, (upto-s.got)*gc.MaterialSize-s.part)
+	s.stats.TableReadWaitNanos.Add(int64(time.Since(start)))
+	n += s.part
 	whole := n / gc.MaterialSize
-	gc.MaterialsFromWire(t[:whole])
+	gc.MaterialsFromWire(s.tables[s.got : s.got+whole])
 	s.got += whole
+	s.part = n % gc.MaterialSize
 	if err != nil {
 		return wrapPeer("reading tables", err)
 	}
@@ -533,7 +560,7 @@ func (s *EvaluatorSession) Run(evalBits []bool) ([]bool, error) {
 		s.side.fill(s.pool, s.rw, due)
 	}
 
-	s.got = 0
+	s.got, s.part = 0, 0
 	s.lastTables = int(h.NTables)
 	s.resumable = true
 	outLabels, err := s.pe.EvalStream(s.inputs, s.need)
@@ -652,6 +679,7 @@ func (s *EvaluatorSession) Resume() ([]bool, error) {
 	if !s.resumable {
 		return nil, fmt.Errorf("proto: no resumable run in progress")
 	}
+	s.part = 0 // the peer resends from the first table not whole
 	outLabels, err := s.pe.EvalStream(s.inputs, s.need)
 	if err == nil {
 		err = s.readTables(s.lastTables)

@@ -6,19 +6,24 @@ import (
 )
 
 // Stats collects transfer metrics for a protocol run when attached via
-// Options.Stats: total bytes in each direction and the garbler's table
-// send times. GC bandwidth demand is the core systems challenge the paper targets
-// (§1: "GCs are data intensive"), so the examples report it.
+// Options.Stats: total bytes in each direction, the garbler's table
+// send times and the evaluator's table read time. GC bandwidth demand
+// is the core systems challenge the paper targets (§1: "GCs are data
+// intensive"), so the examples report it.
 type Stats struct {
 	BytesSent     atomic.Int64
 	BytesReceived atomic.Int64
 	// TableSendNanos is the time a garbler session's sender goroutine
 	// spent inside the transport's Write pushing tables;
-	// TableDrainWaitNanos is the time its runs then waited, garbling
-	// done, for the last of them to leave. Send time the drain wait does
-	// not cover was overlapped with garbling.
+	// TableDrainWaitNanos is the time its runs waited, once their inputs
+	// had gone out, for their garble goroutine to finish the run's
+	// tables and for the last of them to leave. A run garbled ahead
+	// waits for its writes alone.
 	TableSendNanos      atomic.Int64
 	TableDrainWaitNanos atomic.Int64
+	// TableReadWaitNanos is the time an evaluator session's runs spent
+	// reading tables: the evaluator blocked on the garbler's stream.
+	TableReadWaitNanos atomic.Int64
 }
 
 // countingConn wraps a ReadWriter, attributing bytes to a Stats.

@@ -105,9 +105,12 @@ func TestOpsEndpoints(t *testing.T) {
 		}
 	}
 	// The client renders the same two from its Options.Stats, where they
-	// stay zero: a session only evaluates.
+	// stay zero: a session only evaluates. Its own table read wait does
+	// not.
 	if cm := sess.Stats().MetricsText(); !strings.Contains(cm, "haac_client_table_send_seconds_total 0\n") ||
-		!strings.Contains(cm, "haac_client_table_drain_wait_seconds_total 0\n") {
+		!strings.Contains(cm, "haac_client_table_drain_wait_seconds_total 0\n") ||
+		!strings.Contains(cm, "haac_client_table_read_wait_seconds_total") ||
+		strings.Contains(cm, "haac_client_table_read_wait_seconds_total 0\n") {
 		t.Errorf("client metrics missing the table-stream timing:\n%s", cm)
 	}
 

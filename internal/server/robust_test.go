@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"haac/internal/faultnet"
+	"haac/internal/gc"
+	"haac/internal/label"
 	"haac/internal/ot"
 	"haac/internal/proto"
 	"haac/internal/workloads"
@@ -418,4 +420,111 @@ func TestBudgetRefusals(t *testing.T) {
 			t.Fatalf("RunsOverBudget = 0, want >= 1 (stats %+v)", st)
 		}
 	})
+}
+
+// TestIntegrityResumeWithRunAhead: on the integrity tier, a run broken
+// mid-stream while its runner holds the next run garbled ahead resumes
+// on a fresh connection with the right outputs, and the run after it —
+// the one garbled ahead — is right too. Corruption lands near the end of
+// the second run's tables; the second run was itself garbled ahead, so
+// the third was queued the moment the second's tables began to stream.
+func TestIntegrityResumeWithRunAhead(t *testing.T) {
+	w := workloads.AES128()
+	c := w.Build()
+	garblerBits, _ := w.Inputs(1)
+	srv, addr := startServer(t, Config{
+		Circuits:        []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}},
+		Seed:            9,
+		AllowInsecureOT: true,
+		RunTimeout:      5 * time.Second,
+	})
+	run := func(sess *Session, i int) {
+		t.Helper()
+		_, evalBits := w.Inputs(int64(10 + i))
+		want, err := c.Eval(garblerBits, evalBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sess.Run(evalBits)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d diverged from the oracle", i)
+		}
+	}
+
+	// The inbound bytes of a clean session by the end of its second run.
+	cleanStats := &proto.Stats{}
+	clean, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure, Integrity: true, Stats: cleanStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(clean, 0)
+	run(clean, 1)
+	clean.Close()
+	twoRuns := cleanStats.BytesReceived.Load()
+
+	dialer := &faultnet.Dialer{
+		Plan: faultnet.Plan{
+			Seed:         0xA4EAD,
+			CorruptRate:  1,
+			CorruptAfter: twoRuns - 20_000,
+			CorruptFirst: twoRuns - 16_000,
+		},
+		CorruptOnce: true,
+	}
+	sess, err := Dial(addr, w.Name, c, Options{
+		OT:        ot.Insecure,
+		Integrity: true,
+		Retry:     robustRetry(37),
+		Dialer:    dialer.Dial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	run(sess, 0)
+	if dialer.Stats().Corruptions.Load() != 0 {
+		t.Fatal("corruption landed in the first run; the scenario needs it in the second")
+	}
+	run(sess, 1)
+	if dialer.Stats().Corruptions.Load() == 0 {
+		t.Fatal("no corruption was injected; the scenario proved nothing")
+	}
+	if cs := sess.Stats(); cs.Resumes == 0 {
+		t.Fatalf("run healed without a resume (stats %+v)", cs)
+	}
+	run(sess, 2)
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().RunsResumed == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.RunsResumed == 0 {
+		t.Fatalf("server counted no resumed run: %+v", st)
+	}
+}
+
+// TestBudgetCountsBothArenas: a runner holds two table arenas — the run
+// streaming and the run garbled ahead — and admission counts both. A
+// MaxCircuitBytes between the one-arena and the two-arena estimate is
+// refused.
+func TestBudgetCountsBothArenas(t *testing.T) {
+	w := workloads.AddN(16)
+	c := w.Build()
+	and, _, _ := c.CountOps()
+	oneArena := int64(c.NumWires())*label.Size + int64(and)*gc.MaterialSize +
+		int64(c.NumInputs()+len(c.Outputs))*label.Size
+	srv, addr := startServer(t, Config{
+		Circuits:        []CircuitSpec{{ID: w.Name, Circuit: c}},
+		Seed:            3,
+		AllowInsecureOT: true,
+		MaxCircuitBytes: oneArena + int64(and)*gc.MaterialSize/2,
+	})
+	if _, err := Dial(addr, w.Name, c, Options{OT: ot.Insecure}); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("Dial under a one-and-a-half-arena budget: err = %v, want ErrOverBudget", err)
+	}
+	if st := srv.Stats(); st.SessionsOverBudget != 1 {
+		t.Fatalf("SessionsOverBudget = %d, want 1", st.SessionsOverBudget)
+	}
 }

@@ -80,8 +80,10 @@ type Config struct {
 	// MaxCircuitBytes, when > 0, refuses sessions (typed ErrOverBudget,
 	// counted in Stats.SessionsOverBudget) whose circuit would hold more
 	// than this many bytes of labels, tables and plan state resident —
-	// memory-accounted admission, decided before any plan is built, so
-	// one oversized circuit cannot OOM a backend.
+	// two table arenas, since a runner garbles the next run into a
+	// second arena while the current one streams — memory-accounted
+	// admission, decided before any plan is built, so one oversized
+	// circuit cannot OOM a backend.
 	MaxCircuitBytes int64
 	// MaxRunBytes, when > 0, bounds each run's transport bytes: sessions
 	// whose minimum per-run stream already exceeds it are refused at
@@ -100,7 +102,10 @@ type Config struct {
 	// restore the level it granted. Each pooled correlation holds two
 	// 16-byte labels server-side, and the bank keeps room for twice its
 	// level so in-run fills rarely move it, so the cap bounds
-	// per-session memory at roughly 64*MaxPoolSize bytes.
+	// per-session pool memory at roughly 64*MaxPoolSize bytes. Beside
+	// it, each runner holds two table arenas of 32 bytes per AND gate
+	// (the run streaming and the run garbled ahead): 4.3 MB each for
+	// DotProduct(128,32), and MaxCircuitBytes counts both.
 	// 0 means the 65536 default.
 	MaxPoolSize int
 	// TLS, when non-nil, wraps every listener passed to Serve so the
@@ -170,9 +175,10 @@ type Stats struct {
 	PoolHits, PoolMisses, PoolRefills uint64
 	// TableSendNanos is the time the runners' sender goroutines spent
 	// inside the transport's Write pushing tables; TableDrainWaitNanos
-	// is the time runs waited, garbling done, for the last of their
-	// tables to leave. Send time the drain wait does not cover was
-	// overlapped with garbling.
+	// is the time runs waited, once their inputs had gone out, for their
+	// garble goroutines to finish their tables and for the last to
+	// leave. Send time the drain wait does not cover was overlapped with
+	// garbling.
 	TableSendNanos, TableDrainWaitNanos uint64
 }
 
@@ -186,7 +192,7 @@ type registered struct {
 	zero   []bool // all-false garbler bits when spec.Inputs == nil
 
 	// Static budget inputs, computed once at New: a conservative
-	// resident-memory estimate (labels + tables + plan slots) and the
+	// resident-memory estimate (labels, two table arenas, plan slots) and the
 	// minimum garbler→evaluator stream bytes of one run (header, fixed
 	// labels, tables, decode bits; OT excluded). and is the table count,
 	// the bound on resume offsets.
@@ -348,7 +354,7 @@ func New(cfg Config) (*Server, error) {
 			digest: circuit.Digest(c),
 			zero:   make([]bool, c.GarblerInputs),
 			memBytes: int64(c.NumWires())*label.Size +
-				int64(and)*gc.MaterialSize +
+				2*int64(and)*gc.MaterialSize +
 				int64(c.NumInputs()+len(c.Outputs))*label.Size,
 			runBytes: protoRunHeaderLen + int64(nFixed)*label.Size +
 				int64(and)*gc.MaterialSize + int64(len(c.Outputs)),

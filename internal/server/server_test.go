@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -524,11 +525,14 @@ func TestPlanCacheLRUAndSingleflight(t *testing.T) {
 }
 
 // TestSenderGoroutinesReleasedOnClose: every garbler runner owns a
-// table-sender goroutine, whether it sits in the runner pool or a live
-// session still holds it when the drain starts; Close returns them all,
-// and the process is back at its goroutine baseline. The runner
-// free-list is what makes that possible: a sync.Pool would drop
-// runners without ever closing them.
+// garble goroutine and a table-sender goroutine, whether it sits in the
+// runner pool or a live session still holds it when the drain starts,
+// and each runner is garbling or has garbled its next run ahead; Close
+// returns them all, and the process is back at its goroutine baseline.
+// The runner free-list is what makes that possible: a sync.Pool would
+// drop runners without ever closing them. (internal/proto's
+// TestAheadGoroutinesReleasedOnClose holds a run ahead mid-garble until
+// the close lands.)
 func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
@@ -564,6 +568,9 @@ func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if n := garbleGoroutines(); n != 2 {
+		t.Fatalf("%d garble goroutines for two runners, want 2", n)
+	}
 	open[0].Close()
 	srv.Close()
 	if err := <-done; err != nil {
@@ -582,6 +589,13 @@ func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after Close, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// garbleGoroutines counts the live garble goroutines of garbler runners.
+func garbleGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("(*tableStream).garbleLoop"))
 }
 
 // TestServerEvictionUnderSessions: a cache smaller than the circuit set
