@@ -4,7 +4,7 @@
 // of the paper) followed by AES block encryptions, so the accelerator's
 // cost model — and the software garbler — both hinge on this primitive.
 //
-// Four implementations of the one function live here:
+// Five implementations of the one function live here:
 //
 //   - a byte-oriented reference (Expand, Encrypt, EncryptBlock in this
 //     file) that favours clarity; the cycle simulator's Half-Gate
@@ -13,10 +13,12 @@
 //     allocation-free;
 //   - an AES-NI tier (aesni_amd64.s) that derives a fresh key's round
 //     keys in registers while it encrypts, as the paper's pipeline does;
-//   - a VAES tier (same file) whose step kernels run whole half-gate AND
-//     gates two at a time — label gather, both keys of a gate in one
-//     256-bit register, AES, row selection, table and label stores — over
-//     a run of a schedule step in one call.
+//   - two VAES tiers (same file) whose step kernels run a whole schedule
+//     step in one call — its free gates, then its half-gate AND gates:
+//     label gather, both keys of a gate in one 256-bit half, AES, row
+//     selection, table and label stores — with eight AND gates in flight
+//     in ZMM registers on vaes512 (VAES with AVX-512) and four in YMM
+//     registers on vaes.
 //
 // Callers on the hot paths (internal/gc, internal/ot) use the entry
 // points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2,

@@ -7,6 +7,8 @@ package aes128
 // beyond the SSE register state every amd64 OS saves. The VAES kernels
 // add 256-bit VAESENC and AVX2 integer ops, and an OS that saves the
 // YMM halves across context switches (OSXSAVE set, XCR0 bits 1 and 2).
+// Their ZMM stage adds AVX-512 F, BW and VL, and an OS that also saves
+// the opmask and ZMM state (XCR0 bits 5, 6 and 7).
 func detectTier() tier {
 	const ssse3, aesni, osxsave, avx = 1 << 9, 1 << 25, 1 << 27, 1 << 28
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -19,10 +21,16 @@ func detectTier() tier {
 	}
 	const avx2, vaes, xmmYmmState = 1 << 5, 1 << 9, 0b110
 	_, ebx7, ecx7, _ := cpuid(7, 0)
-	if xcr0, _ := xgetbv0(); ebx7&avx2 == 0 || ecx7&vaes == 0 || xcr0&xmmYmmState != xmmYmmState {
+	xcr0, _ := xgetbv0()
+	if ebx7&avx2 == 0 || ecx7&vaes == 0 || xcr0&xmmYmmState != xmmYmmState {
 		return tierAESNI
 	}
-	return tierVAES
+	const avx512 = 1<<16 | 1<<30 | 1<<31 // F, BW, VL
+	const zmmState = xmmYmmState | 0b111<<5
+	if ebx7&avx512 != avx512 || xcr0&zmmState != zmmState {
+		return tierVAES
+	}
+	return tierVAES512
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -43,7 +51,7 @@ func freshKeyPair2AESNI(keys *[2]Block, dst, src *[4]Block)
 func encryptBlocksAESNI(rk *[Rounds + 1]Block, dst, src *Block, n int)
 
 //go:noescape
-func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, gates *Gate, index *int32, pairs int)
+func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, free *Gate, nFree int, and *Gate, index *int32, nAnd int, zmm bool)
 
 //go:noescape
-func evalStepVAES(slots *Block, tables *[2]Block, gates *Gate, index *int32, pairs int)
+func evalStepVAES(slots *Block, tables *[2]Block, free *Gate, nFree int, and *Gate, index *int32, nAnd int, zmm bool)

@@ -12,9 +12,9 @@ func freshKeyPair2AESNI(keys *[2]Block, dst, src *[4]Block) { panic("aes128: no 
 func encryptBlocksAESNI(rk *[Rounds + 1]Block, dst, src *Block, n int) {
 	panic("aes128: no AES-NI tier")
 }
-func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, gates *Gate, index *int32, pairs int) {
+func garbleStepVAES(slots *Block, tables *[2]Block, r *Block, free *Gate, nFree int, and *Gate, index *int32, nAnd int, zmm bool) {
 	panic("aes128: no VAES tier")
 }
-func evalStepVAES(slots *Block, tables *[2]Block, gates *Gate, index *int32, pairs int) {
+func evalStepVAES(slots *Block, tables *[2]Block, free *Gate, nFree int, and *Gate, index *int32, nAnd int, zmm bool) {
 	panic("aes128: no VAES tier")
 }

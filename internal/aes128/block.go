@@ -3,20 +3,22 @@ package aes128
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // The tiered entry points of the package: "key(s) and blocks in,
 // ciphertext out" over in-place 16-byte blocks, served by the kernels in
 // aesni_amd64.s when the CPU has them and by the T-table code otherwise
-// (non-amd64, no AES-NI, or -tags purego). There are three tiers: VAES,
-// AES-NI and T-table. The AES-NI tier runs one gate's AES per call. The
-// VAES tier adds the half-gate step kernels (GarbleStep, EvalStep), which
-// run whole gates — gather, keys, AES, row selection, stores — two at a
-// time over a run of a schedule step, and still takes the AES-NI kernels
-// for the one-gate entry points. The choice is made once at init from
-// CPUID and cannot be configured: every tier computes AES-128, so every
-// output is byte-identical and only the speed differs. Backend reports
-// which one is live.
+// (non-amd64, no AES-NI, or -tags purego). There are four tiers: VAES
+// with AVX-512 (vaes512), VAES, AES-NI and T-table. The AES-NI tier runs
+// one gate's AES per call. The VAES tiers add the half-gate step kernels
+// (GarbleStep, EvalStep), which run a whole schedule step — free gates,
+// then AND gates start to finish: gather, keys, AES, row selection,
+// stores — eight AND gates in flight on vaes512 and four on vaes, and
+// still take the AES-NI kernels for the one-gate entry points. The
+// choice is made once at init from CPUID and cannot be configured: every
+// tier computes AES-128, so every output is byte-identical and only the
+// speed differs. Backend reports which one is live.
 
 // tier orders the implementations by what they need from the CPU; a
 // host that runs one runs everything below it.
@@ -26,6 +28,7 @@ const (
 	tierTTable tier = iota
 	tierAESNI
 	tierVAES
+	tierVAES512
 )
 
 // liveTier is the tier the entry points dispatch on. It is written once,
@@ -51,14 +54,28 @@ func LoadBlock(b []byte) Block {
 }
 
 // Backend names the AES tier the entry points in this file run on:
-// "vaes" (the half-gate step kernels over the AES-NI ones), "aesni"
-// (one-gate hardware kernels) or "ttable" (portable software). It is
-// fixed for the life of the process.
+// "vaes512" or "vaes" (the half-gate step kernels, eight or four AND
+// gates in flight, over the AES-NI ones), "aesni" (one-gate hardware
+// kernels) or "ttable" (portable software). It is fixed for the life of
+// the process.
 func Backend() string {
 	switch liveTier {
+	case tierVAES512:
+		return "vaes512"
 	case tierVAES:
 		return "vaes"
 	case tierAESNI:
+		return "aesni"
+	}
+	return "ttable"
+}
+
+// OneGateBackend names the tier the one-gate entry points
+// (FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2, Cipher) run on: "aesni"
+// on every hardware tier, since the VAES tiers add only the step
+// kernels, and "ttable" otherwise.
+func OneGateBackend() string {
+	if liveTier >= tierAESNI {
 		return "aesni"
 	}
 	return "ttable"
@@ -136,53 +153,59 @@ func FreshKeyPair2(keys *[2]Block, dst, src *[4]Block) {
 	s.EncryptBlockTo(&dst[3], &src[3])
 }
 
-// Gate is one AND gate as the step kernels read it: a 16-byte record
-// with the slot indices of the two input labels and of the output label
-// at byte offsets 4, 8 and 12. The first four bytes (the caller's opcode)
-// are not read. It is circuit.PlanGate's memory layout, so a plan's gate
+// Gate is one gate as the step kernels read it: a 16-byte record with
+// the op in byte 0 and the slot indices of the two input labels and of
+// the output label at byte offsets 4, 8 and 12. The kernels read the op
+// of free gates only: OpXOR is an XOR gate, any other op an INV gate
+// (B unread). It is circuit.PlanGate's memory layout, so a plan's gate
 // stream is handed over as it lies.
 type Gate struct {
-	_       uint32
+	Op      uint8
+	_       [3]byte
 	A, B, C uint32
 }
 
-// GarbleStep garbles a run of independent half-gate AND gates, as many
-// leading gates as the live tier has a step kernel for, and returns that
-// count: an even number on the VAES tier — the caller's one-gate path
-// takes an odd last gate — and 0 on every other, where the call does
-// nothing. For gate i with j = index[i], labels a0 = slots[A], b0 =
-// slots[B] and FreeXOR offset r it hashes H(x) = AES_K(x)^x under the
-// fresh keys K(2j) for a0, a0^r and K(2j+1) for b0, b0^r (K(t) = t ‖ ^t),
-// selects the half-gate rows by the colour bits of a0 and b0 with masks,
-// not branches, and stores the rows TG ‖ TE to tables[j] and the output
-// zero-label to slots[C].
+// OpXOR is the op byte of an XOR gate.
+const OpXOR = 0
+
+// GarbleStep garbles one schedule step of half-gate garbling with FreeXOR
+// offset r, if the live tier has a step kernel (either VAES tier), and
+// reports whether it did; on every other tier it does nothing. First
+// the free gates, in order: slots[C] = slots[A]^slots[B] for XOR and
+// slots[A]^r for INV. Then the AND gates, which must be independent: for
+// gate i with j = index[i], labels a0 = slots[A], b0 = slots[B], it
+// hashes H(x) = AES_K(x)^x under the fresh keys K(2j) for a0, a0^r and
+// K(2j+1) for b0, b0^r (K(t) = t ‖ ^t), selects the half-gate rows by
+// the colour bits of a0 and b0 with masks, not branches, and stores the
+// rows TG ‖ TE to tables[j] and the output zero-label to slots[C].
 //
 // slots and tables point at the first element of the label arena and of
 // the table stream. The kernel checks no bounds: the caller must have
 // verified that every gate's A, B and C index the arena, that every
-// index[i] is non-negative and indexes the tables, and that no gate of
-// the run reads a slot another one writes.
-func GarbleStep(slots *Block, tables *[2]Block, r *Block, gates []Gate, index []int32) int {
-	n := min(len(gates), len(index)) &^ 1
-	if liveTier < tierVAES || n == 0 {
-		return 0
+// index[i] is non-negative and indexes the tables, that len(index) is
+// len(and), and that no AND gate reads a slot another one writes.
+func GarbleStep(slots *Block, tables *[2]Block, r *Block, free, and []Gate, index []int32) bool {
+	if liveTier < tierVAES {
+		return false
 	}
-	garbleStepVAES(slots, tables, r, &gates[0], &index[0], n/2)
-	return n
+	garbleStepVAES(slots, tables, r, unsafe.SliceData(free), len(free),
+		unsafe.SliceData(and), unsafe.SliceData(index), len(and), liveTier >= tierVAES512)
+	return true
 }
 
-// EvalStep is GarbleStep for the evaluator: with the active labels a =
-// slots[A], b = slots[B] it hashes a under K(2j) and b under K(2j+1),
-// reads the rows from tables[j], selects them by the colour bits of a
-// and b with masks, and stores the output label to slots[C]. The same
-// preconditions hold.
-func EvalStep(slots *Block, tables *[2]Block, gates []Gate, index []int32) int {
-	n := min(len(gates), len(index)) &^ 1
-	if liveTier < tierVAES || n == 0 {
-		return 0
+// EvalStep is GarbleStep for the evaluator: a free gate stores
+// slots[A]^slots[B] for XOR and slots[A] for INV; an AND gate, with the
+// active labels a = slots[A], b = slots[B], hashes a under K(2j) and b
+// under K(2j+1), reads the rows from tables[j], selects them by the
+// colour bits of a and b with masks, and stores the output label to
+// slots[C]. The same preconditions hold.
+func EvalStep(slots *Block, tables *[2]Block, free, and []Gate, index []int32) bool {
+	if liveTier < tierVAES {
+		return false
 	}
-	evalStepVAES(slots, tables, &gates[0], &index[0], n/2)
-	return n
+	evalStepVAES(slots, tables, unsafe.SliceData(free), len(free),
+		unsafe.SliceData(and), unsafe.SliceData(index), len(and), liveTier >= tierVAES512)
+	return true
 }
 
 // Cipher is AES-128 under one long-lived key: the schedule is expanded

@@ -228,13 +228,24 @@ func TestLoadBlockIsLittleEndian(t *testing.T) {
 }
 
 func TestBackendIsNamed(t *testing.T) {
-	want := [...]string{tierTTable: "ttable", tierAESNI: "aesni", tierVAES: "vaes"}
+	want := [...]string{tierTTable: "ttable", tierAESNI: "aesni", tierVAES: "vaes", tierVAES512: "vaes512"}
 	eachTier(func() {
 		if Backend() != want[liveTier] {
 			t.Fatalf("Backend() = %q on tier %d, want %q", Backend(), liveTier, want[liveTier])
 		}
 	})
 	t.Logf("aes128 backend: %s", Backend())
+}
+
+// TestOneGateBackendIsAESNIOnEveryHardwareTier: the VAES tiers add the
+// step kernels and run every one-gate entry point on the AES-NI kernels.
+func TestOneGateBackendIsAESNIOnEveryHardwareTier(t *testing.T) {
+	want := [...]string{tierTTable: "ttable", tierAESNI: "aesni", tierVAES: "aesni", tierVAES512: "aesni"}
+	eachTier(func() {
+		if OneGateBackend() != want[liveTier] {
+			t.Fatalf("OneGateBackend() = %q on the %s tier, want %q", OneGateBackend(), Backend(), want[liveTier])
+		}
+	})
 }
 
 // TestFreshKeyNoAllocs: no tiered entry point may allocate — the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"haac/internal/aes128"
 	"haac/internal/compiler"
 )
 
@@ -354,6 +355,28 @@ func TestCoupling(t *testing.T) {
 		}
 		if r.ErrorPct > 60 {
 			t.Fatalf("%s: coupled model %.0f%% above bound; decoupling claim broken\n%s", r.Name, r.ErrorPct, s)
+		}
+	}
+}
+
+// TestRekeyRowsNameTheOneGateTier: the reference walk behind the
+// rekeying rows garbles a gate at a time, so on either VAES tier the
+// serving hashers' rows must say aesni, the tier that path runs on.
+func TestRekeyRowsNameTheOneGateTier(t *testing.T) {
+	want := map[string]string{"vaes512": "aesni", "vaes": "aesni", "aesni": "aesni", "ttable": "ttable"}[aes128.Backend()]
+	if want == "" {
+		t.Fatalf("unknown aes128 backend %q", aes128.Backend())
+	}
+	for _, e := range rekeyHashers() {
+		switch name := e.h.Name(); name {
+		case "rekeyed", "fixed-key":
+			if e.backend != want {
+				t.Fatalf("%s row on the %s tier claims %s, want %s", name, aes128.Backend(), e.backend, want)
+			}
+		default:
+			if e.backend != "ttable" {
+				t.Fatalf("%s row claims %s, want ttable", name, e.backend)
+			}
 		}
 	}
 }

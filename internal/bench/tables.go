@@ -328,8 +328,8 @@ func stepKernels() string {
 		index[i] = int32(i)
 	}
 	r := aes128.Block{Lo: 0xdeadbeef | 1, Hi: 42}
-	step := func(run func() int) string {
-		if run() == 0 {
+	step := func(run func() bool) string {
+		if !run() {
 			return "n/a"
 		}
 		return fmt.Sprintf("%.1f", kernelNs(func(uint64) { run() })/n)
@@ -345,13 +345,34 @@ func stepKernels() string {
 		{"garbled",
 			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyPair2(&keys, &blk, &blk) })),
 			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { m, a = gc.GarbleAND(h, a, b, lr, i) })),
-			step(func() int { return aes128.GarbleStep(&slots[0], &tables[0], &r, gates, index) })},
+			step(func() bool { return aes128.GarbleStep(&slots[0], &tables[0], &r, nil, gates, index) })},
 		{"evaluated",
 			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { rekey(i); aes128.FreshKeyPair(&keys, blk2, blk2) })),
 			fmt.Sprintf("%.1f", kernelNs(func(i uint64) { a = gc.EvalAND(h, a, b, m, i) })),
-			step(func() int { return aes128.EvalStep(&slots[0], &tables[0], gates, index) })},
+			step(func() bool { return aes128.EvalStep(&slots[0], &tables[0], nil, gates, index) })},
 	}
 	return table([]string{"one AND gate, ns", "AES only", "whole gate, Go", "whole gate, step kernel"}, cells)
+}
+
+// rekeyHasher is a RekeyingOverhead row's hasher and the aes128 tier it
+// runs on.
+type rekeyHasher struct {
+	h       gc.BatchHasher
+	backend string
+}
+
+// rekeyHashers are RekeyingOverhead's rows: the two Soft hashers on the
+// T-table tier and the two serving ones on the tier the reference walk's
+// one-gate path runs on, which on either VAES tier is the AES-NI kernels.
+func rekeyHashers() []rekeyHasher {
+	key := [16]byte{3, 1, 4}
+	live := aes128.OneGateBackend()
+	return []rekeyHasher{
+		{gc.SoftRekeyedHasher{}, "ttable"},
+		{gc.NewSoftFixedKeyHasher(key), "ttable"},
+		{gc.RekeyedHasher{}, live},
+		{gc.NewFixedKeyHasher(key), live},
+	}
 }
 
 // RekeyingOverhead measures the §2.1 claim: re-keying vs fixed-key
@@ -365,24 +386,10 @@ func stepKernels() string {
 // gate at a time: on a VAES host that is the AES-NI one-gate kernels, so
 // that is what the rows say. The returned overhead is the hardware one.
 func RekeyingOverhead() ([]RekeyRow, float64, string) {
-	key := [16]byte{3, 1, 4}
-	host := aes128.Backend()
-	live := host
-	if live == "vaes" {
-		live = "aesni"
-	}
-	hashers := []struct {
-		h       gc.BatchHasher
-		backend string
-	}{
-		{gc.SoftRekeyedHasher{}, "ttable"},
-		{gc.NewSoftFixedKeyHasher(key), "ttable"},
-		{gc.RekeyedHasher{}, live},
-		{gc.NewFixedKeyHasher(key), live},
-	}
+	host, live := aes128.Backend(), aes128.OneGateBackend()
 	var rows []RekeyRow
 	perAND := map[string]float64{}
-	for _, e := range hashers {
+	for _, e := range rekeyHashers() {
 		m := baseline.MeasureCPU(e.h, false)
 		rows = append(rows, RekeyRow{
 			Hasher:         e.h.Name(),
@@ -411,6 +418,6 @@ func RekeyingOverhead() ([]RekeyRow, float64, string) {
 	s += fmt.Sprintf("Re-keying overhead, %-6s vs %-6s:    %+.1f%% per AND gate (paper: +27.5%% on AES-NI)\n", live, live, overLive)
 	s += "(every hasher expands two keys per garbled gate; the hardware tiers consume each\nround key as it is produced, so expansion overlaps encryption as in HAAC's\nHalf-Gate pipeline, while the ttable tier finishes a schedule before it encrypts)\n\n"
 	s += stepKernels()
-	s += "(on the vaes tier the plan engine hands each run of a schedule step's AND gates to the\nstep kernel, which takes them two at a time from label gather to table and label stores;\nthe other tiers, the reference walk and every hasher but rekeyed run the Go path)\n"
+	s += "(on the vaes512 and vaes tiers the plan engine hands each schedule step to the step\nkernel, which runs its free gates and then its AND gates, eight or four in flight, from\nlabel gather to table and label stores; the other tiers, the reference walk and every\nhasher but rekeyed run the Go path)\n"
 	return rows, overLive, s
 }

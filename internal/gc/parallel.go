@@ -70,7 +70,6 @@ func (p *stepPool) run(and []circuit.PlanGate, index []int32) {
 		return
 	}
 	chunk := (n + p.workers - 1) / p.workers
-	chunk += chunk & 1 // even, so only the last chunk ends in a one-gate tail
 	p.wg.Add((n + chunk - 1) / chunk)
 	for off := 0; off < n; off += chunk {
 		end := min(off+chunk, n)

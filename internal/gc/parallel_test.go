@@ -170,11 +170,10 @@ func TestStepPoolRunEmpty(t *testing.T) {
 	}
 }
 
-// TestPlanStepTails: a step of n independent AND gates goes to the step
-// kernel two at a time with a one-gate tail — n = 0..5 covers no gate, the
-// tail alone, whole pairs, and pairs plus a tail; the sizes around
-// minParallelStep cover the same through the pool's chunking, at both
-// engine widths.
+// TestPlanStepTails: a step of n independent AND gates goes whole to the
+// step kernel — n = 0..5 covers no gate and the kernel's short steps; the
+// sizes around minParallelStep cover longer ones and the pool's chunks,
+// at both engine widths.
 func TestPlanStepTails(t *testing.T) {
 	h := RekeyedHasher{}
 	for _, n := range []int{0, 1, 2, 3, 4, 5, minParallelStep - 1, minParallelStep, minParallelStep + 1, 2*minParallelStep + 3} {

@@ -14,12 +14,14 @@ import (
 // wires, so a run touches a label arena of NumSlots entries — about one
 // segment's live wires — instead of NumWires: the paper's
 // rename-and-evict memory idea (§3.1.4) applied to the software hot
-// path. The runners walk the plan's steps; per step the free gates are a
-// Go loop and the AND gates are one span (or one per pool worker). A
-// span goes first to the hasher's whole-step form if it has one (step.go:
-// RekeyedHasher on a VAES host, where one kernel call does the gates two
-// at a time from gather to stores), and whatever that leaves — an odd
-// last gate, or everything — to the one-gate path garbleGate/evalGate.
+// path. The runners walk the plan's steps. A step goes whole to the
+// hasher's whole-step form if it has one (step.go: RekeyedHasher on a
+// VAES host, where one kernel call does the free gates and then the AND
+// gates, eight or four in flight, from gather to stores); otherwise its
+// free gates are a Go loop and its AND gates go one at a time through
+// garbleGate/evalGate. With a pool, a wide step's free gates go first
+// and its AND gates are split into one share per worker, each taken the
+// same way.
 // The schedule is built once with the plan, never per run. Runners own
 // their arenas and reuse them across runs: steady-state plan execution
 // allocates nothing.
@@ -65,23 +67,32 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 	}
 	pg.step = stepFor(p, h)
 	if workers > 1 {
-		pg.pool = newStepPool(workers, pg.span)
+		pg.pool = newStepPool(workers, func(and []circuit.PlanGate, index []int32) { pg.runStep(nil, and, index) })
 	}
 	return pg
 }
 
-// span garbles a run of one step's AND gates (index[i] is and[i]'s table
-// index): the whole-step form on the prefix it takes, the one-gate form
-// on the rest.
-func (pg *PlanGarbler) span(and []circuit.PlanGate, index []int32) {
-	slots, tables := pg.slots, pg.tables
-	done := 0
-	if pg.step != nil {
-		done = pg.step.garbleStep(slots, tables, &pg.r, and, index)
+// runStep garbles one schedule step, its free gates and then its AND
+// gates (index[i] is and[i]'s table index): through the whole-step form
+// if the runner has one, else in Go, the free gates in a loop and the
+// AND gates one at a time. The pool's workers run it on their shares of
+// a step's AND gates.
+func (pg *PlanGarbler) runStep(free, and []circuit.PlanGate, index []int32) {
+	slots, tables, r := pg.slots, pg.tables, pg.r
+	if pg.step != nil && pg.step.garbleStep(slots, tables, &pg.r, free, and, index) {
+		return
 	}
-	for i := done; i < len(and); i++ {
+	for i := range free {
+		g := &free[i]
+		if g.Op == circuit.XOR {
+			slots[g.C] = slots[g.A].Xor(slots[g.B])
+		} else { // INV
+			slots[g.C] = slots[g.A].Xor(r)
+		}
+	}
+	for i := range and {
 		g, j := &and[i], index[i]
-		tables[j], slots[g.C] = garbleGate(pg.h, slots[g.A], slots[g.B], pg.r, uint64(j))
+		tables[j], slots[g.C] = garbleGate(pg.h, slots[g.A], slots[g.B], r, uint64(j))
 	}
 }
 
@@ -128,25 +139,16 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 		return nil, fmt.Errorf("gc: PlanGarbler.Run without Begin")
 	}
 	pg.began = false
-	p, slots, r := pg.p, pg.slots, pg.r
+	p := pg.p
 
 	sent := 0
 	for k := 0; k < p.NumSteps(); k++ {
 		free, and, index := p.Step(k)
-		for i := range free {
-			g := &free[i]
-			if g.Op == circuit.XOR {
-				slots[g.C] = slots[g.A].Xor(slots[g.B])
-			} else { // INV
-				slots[g.C] = slots[g.A].Xor(r)
-			}
-		}
-		if len(and) > 0 {
-			if pg.pool != nil && len(and) >= minParallelStep {
-				pg.pool.run(and, index)
-			} else {
-				pg.span(and, index)
-			}
+		if pg.pool != nil && len(and) >= minParallelStep {
+			pg.runStep(free, nil, nil)
+			pg.pool.run(and, index)
+		} else {
+			pg.runStep(free, and, index)
 		}
 		if emit != nil {
 			if ready := p.EmitReady(k); ready > sent {
@@ -159,9 +161,9 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	}
 
 	for i, s := range pg.p.OutputSlots {
-		pg.outs[i] = slots[s]
+		pg.outs[i] = pg.slots[s]
 	}
-	pg.g = Garbled{R: r, InputZeros: pg.inputZeros, Tables: pg.tables, OutputZeros: pg.outs}
+	pg.g = Garbled{R: pg.r, InputZeros: pg.inputZeros, Tables: pg.tables, OutputZeros: pg.outs}
 	return &pg.g, nil
 }
 
@@ -199,20 +201,27 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 	}
 	pe.step = stepFor(p, h)
 	if workers > 1 {
-		pe.pool = newStepPool(workers, pe.span)
+		pe.pool = newStepPool(workers, func(and []circuit.PlanGate, index []int32) { pe.runStep(nil, and, index) })
 	}
 	return pe
 }
 
-// span is the evaluator's counterpart of PlanGarbler.span, over the
-// tables EvalStream checked for this step.
-func (pe *PlanEvaluator) span(and []circuit.PlanGate, index []int32) {
+// runStep is the evaluator's counterpart of PlanGarbler.runStep, over
+// the tables EvalStream checked for this step.
+func (pe *PlanEvaluator) runStep(free, and []circuit.PlanGate, index []int32) {
 	slots, tables := pe.slots, pe.tables
-	done := 0
-	if pe.step != nil {
-		done = pe.step.evalStep(slots, tables, and, index)
+	if pe.step != nil && pe.step.evalStep(slots, tables, free, and, index) {
+		return
 	}
-	for i := done; i < len(and); i++ {
+	for i := range free {
+		g := &free[i]
+		if g.Op == circuit.XOR {
+			slots[g.C] = slots[g.A].Xor(slots[g.B])
+		} else { // INV: evaluator keeps the active label
+			slots[g.C] = slots[g.A]
+		}
+	}
+	for i := range and {
 		g, j := &and[i], index[i]
 		slots[g.C] = evalGate(pe.h, slots[g.A], slots[g.B], tables[j], uint64(j))
 	}
@@ -253,14 +262,6 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 
 	for k := 0; k < p.NumSteps(); k++ {
 		free, and, index := p.Step(k)
-		for i := range free {
-			g := &free[i]
-			if g.Op == circuit.XOR {
-				slots[g.C] = slots[g.A].Xor(slots[g.B])
-			} else { // INV: evaluator keeps the active label
-				slots[g.C] = slots[g.A]
-			}
-		}
 		if len(and) > 0 {
 			n := p.NeedTables(k)
 			t, err := need(n)
@@ -272,11 +273,12 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 					len(t), k, n)
 			}
 			pe.tables = t
-			if pe.pool != nil && len(and) >= minParallelStep {
-				pe.pool.run(and, index)
-			} else {
-				pe.span(and, index)
-			}
+		}
+		if pe.pool != nil && len(and) >= minParallelStep {
+			pe.runStep(free, nil, nil)
+			pe.pool.run(and, index)
+		} else {
+			pe.runStep(free, and, index)
 		}
 	}
 	pe.tables = nil

@@ -16,13 +16,14 @@
 // start-up: VAES, AES-NI — both expand a gate's fresh keys while they
 // encrypt — or portable T-table code. The hashers here are the same on
 // all three and their outputs are byte-identical (golden_test.go pins
-// them). On a VAES host the plan runners hand each run of a schedule
-// step's AND gates to aes128's step kernels (step.go), which do the
-// whole gate — label gather, keys, AES, row selection, table and label
-// stores — two gates at a time in one call; what stays in Go there is
-// the free gates, an odd last gate, and the table transport. Everywhere
-// else, and for every hasher but RekeyedHasher, the runners garble one
-// gate at a time through garbleGate/evalGate, the code the oracle runs.
+// them). On a VAES host the plan runners hand each schedule step to
+// aes128's step kernels (step.go), which do its free gates and then the
+// whole of each AND gate — label gather, keys, AES, row selection, table
+// and label stores — eight or four AND gates in flight, in one call;
+// what stays in Go there is the step loop and the table transport.
+// Everywhere else, and for every hasher but RekeyedHasher, the runners
+// take the free gates in a Go loop and garble one AND gate at a time
+// through garbleGate/evalGate, the code the oracle runs.
 //
 // Row selection and the permute bit: garbleRows and evalRows choose rows
 // with branches on colour bits, and on the garbler that bit is the

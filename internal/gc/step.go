@@ -9,23 +9,27 @@ import (
 )
 
 // stepHasher is the optional whole-step form of a hasher: garble or
-// evaluate a run of one schedule step's AND gates — hashes, rows, table
-// and label stores — straight from the plan's gate and table-index
-// streams. Each call handles as many leading gates as it can and returns
-// that count; the runner's one-gate path takes the rest. Only
-// RekeyedHasher has it, through aes128's step kernels; for every other
-// hasher the runners take all of a step's gates one at a time.
+// evaluate one schedule step — its free gates, then its AND gates with
+// their hashes, rows, table and label stores — straight from the plan's
+// gate and table-index streams, in one call. It reports whether it ran
+// the step; if not it touched nothing, and the runner takes the step in
+// Go. Only RekeyedHasher has it, through aes128's step kernels, which run
+// on either VAES tier; for every other hasher, and on every other host,
+// the runners take a step's free gates in a Go loop and its AND gates one
+// at a time.
 type stepHasher interface {
-	garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.PlanGate, index []int32) int
-	evalStep(slots []label.L, tables []Material, and []circuit.PlanGate, index []int32) int
+	garbleStep(slots []label.L, tables []Material, r *label.L, free, and []circuit.PlanGate, index []int32) bool
+	evalStep(slots []label.L, tables []Material, free, and []circuit.PlanGate, index []int32) bool
 }
 
 // The step kernels read the runners' memory as it lies: the gate stream
-// as aes128.Gate records, the slot arena as aes128.Blocks and the tables
+// as aes128.Gate records (the op byte first, XOR as aes128.OpXOR), the slot arena as aes128.Blocks and the tables
 // as pairs of them; the transport reads the tables as bytes
 // (MaterialBytes). These fail to compile if a layout moves.
 var (
 	_ [16]byte                               = [unsafe.Sizeof(circuit.PlanGate{})]byte{}
+	_ [1]byte                                = [unsafe.Sizeof(circuit.PlanGate{}.Op)]byte{}
+	_ [aes128.OpXOR]byte                     = [circuit.XOR]byte{}
 	_ [4]byte                                = [unsafe.Offsetof(circuit.PlanGate{}.A)]byte{}
 	_ [8]byte                                = [unsafe.Offsetof(circuit.PlanGate{}.B)]byte{}
 	_ [12]byte                               = [unsafe.Offsetof(circuit.PlanGate{}.C)]byte{}
@@ -55,16 +59,17 @@ func stepGates(and []circuit.PlanGate) []aes128.Gate {
 
 // garbleStep implements stepHasher. The kernels check no bounds; the
 // runners call this only on a plan that passed stepSafe, with arenas of
-// the plan's sizes.
-func (RekeyedHasher) garbleStep(slots []label.L, tables []Material, r *label.L, and []circuit.PlanGate, index []int32) int {
+// the plan's sizes, one step (or a pool worker's share of one) at a
+// time: a plan step's AND gates never write a slot the step reads.
+func (RekeyedHasher) garbleStep(slots []label.L, tables []Material, r *label.L, free, and []circuit.PlanGate, index []int32) bool {
 	return aes128.GarbleStep((*aes128.Block)(unsafe.SliceData(slots)), (*[2]aes128.Block)(unsafe.Pointer(unsafe.SliceData(tables))),
-		(*aes128.Block)(r), stepGates(and), index)
+		(*aes128.Block)(r), stepGates(free), stepGates(and), index)
 }
 
 // evalStep implements stepHasher, under garbleStep's conditions.
-func (RekeyedHasher) evalStep(slots []label.L, tables []Material, and []circuit.PlanGate, index []int32) int {
+func (RekeyedHasher) evalStep(slots []label.L, tables []Material, free, and []circuit.PlanGate, index []int32) bool {
 	return aes128.EvalStep((*aes128.Block)(unsafe.SliceData(slots)), (*[2]aes128.Block)(unsafe.Pointer(unsafe.SliceData(tables))),
-		stepGates(and), index)
+		stepGates(free), stepGates(and), index)
 }
 
 // stepFor returns h's whole-step form if it has one and p is safe to run

@@ -10,20 +10,21 @@ import (
 )
 
 // Differential tests for the whole-step form: RekeyedHasher's step
-// kernels against the one-gate path they replace — garbleGate/evalGate
-// over garbleRows/evalRows — on the three AES code paths one VAES host
-// has (step kernel, AES-NI one-gate kernels, T-table), byte for byte over
-// the whole slot arena and table stream. On a host without the kernel
+// kernels against the Go path they replace — the free-gate loop and
+// garbleGate/evalGate over garbleRows/evalRows — on the three AES code
+// paths one VAES host has (step kernel, AES-NI one-gate kernels,
+// T-table), byte for byte over the whole slot arena and table stream. On a host without the kernel
 // every runner below takes the one-gate path and the tests check that
 // the paths agree, never something else.
 
-// stepRun is a run of AND gates over a slot arena and a table stream.
+// stepRun is a schedule step — free gates, then AND gates — over a slot
+// arena and a table stream.
 type stepRun struct {
-	slots  []label.L
-	tables []Material
-	r      label.L
-	and    []circuit.PlanGate
-	index  []int32
+	slots     []label.L
+	tables    []Material
+	r         label.L
+	free, and []circuit.PlanGate
+	index     []int32
 }
 
 // oneGateHashers are the references: the one-gate path on the live tier,
@@ -32,25 +33,25 @@ func oneGateHashers() []Hasher {
 	return []Hasher{RekeyedHasher{}, plainHasher{RekeyedHasher{}}, SoftRekeyedHasher{}}
 }
 
-// garbleSpan garbles the run on a copy of its arena and tables, through
+// garbleStep garbles the step on a copy of its arena and tables, through
 // h's whole-step form if step is set and it has one.
-func (s *stepRun) garbleSpan(h Hasher, step bool) ([]label.L, []Material) {
+func (s *stepRun) garbleStep(h Hasher, step bool) ([]label.L, []Material) {
 	pg := &PlanGarbler{h: batched(h), r: s.r,
 		slots: append([]label.L(nil), s.slots...), tables: append([]Material(nil), s.tables...)}
 	if step {
 		pg.step, _ = h.(stepHasher)
 	}
-	pg.span(s.and, s.index)
+	pg.runStep(s.free, s.and, s.index)
 	return pg.slots, pg.tables
 }
 
-// evalSpan is garbleSpan for the evaluator; the tables are only read.
-func (s *stepRun) evalSpan(h Hasher, step bool) []label.L {
+// evalStep is garbleStep for the evaluator; the tables are only read.
+func (s *stepRun) evalStep(h Hasher, step bool) []label.L {
 	pe := &PlanEvaluator{h: batched(h), slots: append([]label.L(nil), s.slots...), tables: s.tables}
 	if step {
 		pe.step, _ = h.(stepHasher)
 	}
-	pe.span(s.and, s.index)
+	pe.runStep(s.free, s.and, s.index)
 	return pe.slots
 }
 
@@ -58,10 +59,10 @@ func (s *stepRun) evalSpan(h Hasher, step bool) []label.L {
 // compares everything they could have written.
 func (s *stepRun) check(t testing.TB, name string) {
 	t.Helper()
-	gotSlots, gotTables := s.garbleSpan(RekeyedHasher{}, true)
-	gotEval := s.evalSpan(RekeyedHasher{}, true)
+	gotSlots, gotTables := s.garbleStep(RekeyedHasher{}, true)
+	gotEval := s.evalStep(RekeyedHasher{}, true)
 	for _, h := range oneGateHashers() {
-		wantSlots, wantTables := s.garbleSpan(h, false)
+		wantSlots, wantTables := s.garbleStep(h, false)
 		for i := range wantSlots {
 			if gotSlots[i] != wantSlots[i] {
 				t.Fatalf("%s: garbled slot %d differs from the one-gate path on %s", name, i, h.Name())
@@ -72,7 +73,7 @@ func (s *stepRun) check(t testing.TB, name string) {
 				t.Fatalf("%s: table %d differs from the one-gate path on %s", name, i, h.Name())
 			}
 		}
-		for i, want := range s.evalSpan(h, false) {
+		for i, want := range s.evalStep(h, false) {
 			if gotEval[i] != want {
 				t.Fatalf("%s: evaluated slot %d differs from the one-gate path on %s", name, i, h.Name())
 			}
@@ -80,11 +81,13 @@ func (s *stepRun) check(t testing.TB, name string) {
 	}
 }
 
-// randomRun builds n independent gates reading slots [0, inputs) and
-// writing [inputs, inputs+n), with table indices scattered over a stream
-// longer than the run.
-func randomRun(rng *rand.Rand, inputs, n int) *stepRun {
-	s := &stepRun{r: randLabel(rng), slots: make([]label.L, inputs+n), tables: make([]Material, 2*n+5)}
+// randomRun builds nFree free gates and then n independent AND gates
+// over inputs input slots. Free gate i reads inputs and earlier free
+// outputs and writes slot inputs+i; the AND gates read inputs and free
+// outputs and write distinct slots after those, with table indices
+// scattered over a stream longer than the step.
+func randomRun(rng *rand.Rand, inputs, nFree, n int) *stepRun {
+	s := &stepRun{r: randLabel(rng), slots: make([]label.L, inputs+nFree+n), tables: make([]Material, 2*n+5)}
 	s.r.Lo |= 1
 	for i := range s.slots {
 		s.slots[i] = randLabel(rng)
@@ -92,26 +95,40 @@ func randomRun(rng *rand.Rand, inputs, n int) *stepRun {
 	for i := range s.tables {
 		s.tables[i] = Material{TG: randLabel(rng), TE: randLabel(rng)}
 	}
+	for i := 0; i < nFree; i++ {
+		g := circuit.PlanGate{Op: circuit.XOR, A: circuit.Wire(rng.Intn(inputs + i)), B: circuit.Wire(rng.Intn(inputs + i)), C: circuit.Wire(inputs + i)}
+		if rng.Intn(3) == 0 {
+			g.Op, g.B = circuit.INV, g.A
+		}
+		s.free = append(s.free, g)
+	}
 	for i, j := range rng.Perm(len(s.tables))[:n] {
 		s.and = append(s.and, circuit.PlanGate{Op: circuit.AND,
-			A: circuit.Wire(rng.Intn(inputs)), B: circuit.Wire(rng.Intn(inputs)), C: circuit.Wire(inputs + i)})
+			A: circuit.Wire(rng.Intn(inputs + nFree)), B: circuit.Wire(rng.Intn(inputs + nFree)), C: circuit.Wire(inputs + nFree + i)})
 		s.index = append(s.index, int32(j))
 	}
 	return s
 }
 
-// TestStepMatchesOneGatePath: run lengths around the kernel's pair width
-// and the pool's chunking (odd tails included), table indices out of
-// order and at the end of the stream.
+// TestStepMatchesOneGatePath: step lengths over every tail of the
+// kernels' eight-, four- and one-gate stages and around the pool's
+// chunking, with and without free gates, table indices out of order and
+// at the end of the stream.
 func TestStepMatchesOneGatePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 2, 3, 63, 64, 65} {
-		s := randomRun(rng, 40, n)
-		if n > 0 {
-			s.index[n-1] = int32(len(s.tables) - 1)
-			s.index[0] = int32(len(s.tables) - 2)
+	lengths := []int{63, 64, 65}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, nFree := range []int{0, 1 + n%7} {
+			s := randomRun(rng, 40, nFree, n)
+			if n > 0 {
+				s.index[n-1] = int32(len(s.tables) - 1)
+				s.index[0] = int32(len(s.tables) - 2)
+			}
+			s.check(t, "random run")
 		}
-		s.check(t, "random run")
 	}
 }
 
@@ -122,14 +139,14 @@ func TestStepMatchesOneGatePath(t *testing.T) {
 func TestStepRowSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for colours := 0; colours < 16; colours++ {
-		s := randomRun(rng, 4, 3)
+		s := randomRun(rng, 4, 0, 3)
 		for i := 0; i < 4; i++ {
 			s.slots[i].Lo = s.slots[i].Lo&^1 | uint64(colours>>i&1)
 		}
 		s.and[0].A, s.and[0].B = 0, 1
 		s.and[1].A, s.and[1].B = 2, 3
 		s.and[2].A, s.and[2].B = 0, 0
-		_, tables := s.garbleSpan(RekeyedHasher{}, true)
+		_, tables := s.garbleStep(RekeyedHasher{}, true)
 		s.check(t, "garble")
 		// Evaluate the garbled gates under every choice of active labels.
 		zeros := append([]label.L(nil), s.slots...)
@@ -152,7 +169,7 @@ func TestStepRowSelection(t *testing.T) {
 func TestStepInPlaceOnRecycledArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const width, steps = 10, 12
-	s := randomRun(rng, 2*width, 0)
+	s := randomRun(rng, 2*width, 0, 0)
 	s.tables = make([]Material, width*steps)
 	perm := rng.Perm(len(s.tables))
 	for k := 0; k < steps; k++ {
@@ -165,7 +182,7 @@ func TestStepInPlaceOnRecycledArena(t *testing.T) {
 			s.index = append(s.index, int32(perm[k*width+i]))
 		}
 		s.check(t, "recycled arena")
-		s.slots, s.tables = s.garbleSpan(RekeyedHasher{}, true)
+		s.slots, s.tables = s.garbleStep(RekeyedHasher{}, true)
 	}
 }
 
@@ -227,25 +244,40 @@ func TestStepSafeRejectsBadPlans(t *testing.T) {
 }
 
 // FuzzHalfGateStep: arbitrary slot contents, gate records, offset and
-// table bytes through the step form and the one-gate references. The
-// gates stay inside what stepSafe admits — inputs in the lower half of
-// the arena, outputs in the upper — and everything else is the fuzzer's.
+// table bytes through the step form and the Go references, steps of
+// 0..17 AND gates after 0..7 free gates. The gates stay inside what a
+// plan step is: the free gates read the lower part of the arena and
+// earlier free outputs and write the slots after it, the AND gates read
+// either and write distinct slots in the upper part; everything else is
+// the fuzzer's.
 func FuzzHalfGateStep(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2))
 	f.Add(make([]byte, 600), uint8(7))
+	f.Add(make([]byte, 900), uint8(17+18*5))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
-		const half, nTables = 8, 16
+		const inputs, maxFree, maxAND, nTables = 8, 7, 17, 24
 		next := func() uint64 {
 			var b [8]byte
 			data = data[copy(b[:], data):]
 			return binary.LittleEndian.Uint64(b[:])
 		}
-		s := &stepRun{r: label.L{Lo: next() | 1, Hi: next()}, slots: make([]label.L, 2*half), tables: make([]Material, nTables)}
-		for i := 0; i < int(n%12); i++ {
+		nAND, nFree := int(n%18), int(n/18%(maxFree+1))
+		s := &stepRun{r: label.L{Lo: next() | 1, Hi: next()}, slots: make([]label.L, inputs+maxFree+maxAND), tables: make([]Material, nTables)}
+		for i := 0; i < nFree; i++ {
+			g := next()
+			gate := circuit.PlanGate{Op: circuit.XOR, A: circuit.Wire(g % uint64(inputs+i)), B: circuit.Wire(g >> 8 % uint64(inputs+i)), C: circuit.Wire(inputs + i)}
+			if g>>16&1 == 1 {
+				gate.Op, gate.B = circuit.INV, gate.A
+			}
+			s.free = append(s.free, gate)
+		}
+		out := next() // where the AND outputs start in the upper part
+		for i := 0; i < nAND; i++ {
 			g := next()
 			s.and = append(s.and, circuit.PlanGate{Op: circuit.AND,
-				A: circuit.Wire(g % half), B: circuit.Wire(g >> 8 % half), C: circuit.Wire(half + g>>16%half)})
+				A: circuit.Wire(g % (inputs + maxFree)), B: circuit.Wire(g >> 8 % (inputs + maxFree)),
+				C: circuit.Wire(inputs + maxFree + (out+uint64(i))%maxAND)})
 			s.index = append(s.index, int32(g>>24%nTables))
 		}
 		for i := range s.slots {

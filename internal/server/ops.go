@@ -90,7 +90,7 @@ func (s *Server) metricsText() string {
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
-	fmt.Fprintf(&b, "# HELP haac_build_info Constant 1; the aes label names the AES tier this process garbles on (vaes, aesni or ttable).\n# TYPE haac_build_info gauge\nhaac_build_info{aes=%q} 1\n", aes128.Backend())
+	fmt.Fprintf(&b, "# HELP haac_build_info Constant 1; the aes label names the AES tier this process garbles on (vaes512, vaes, aesni or ttable).\n# TYPE haac_build_info gauge\nhaac_build_info{aes=%q} 1\n", aes128.Backend())
 	gauge("haac_draining", "1 while the server is draining, 0 while serving.", b2f(s.isDraining()))
 	gauge("haac_sessions_active", "Currently open 2PC sessions.", float64(st.ActiveSessions))
 	counter("haac_sessions_total", "Sessions admitted since start.", float64(st.SessionsTotal))
