@@ -10,8 +10,8 @@
 //	haacbench [-scale paper|small] [-experiments table2,fig6,...]
 //
 // Experiments: table1 table2 table3 table4 table5 fig6 fig7 fig8 fig9
-// fig10 garbler rekey parallel memory ablation multicore segsweep
-// coupling (or "all"). The list is defined once in experiments();
+// fig10 garbler rekey memory ablation multicore segsweep coupling (or
+// "all"). The list is defined once in experiments();
 // main_test.go checks this comment, the flag help and the section
 // headings of EXPERIMENTS.md against it, so they cannot drift apart.
 package main
@@ -84,10 +84,6 @@ func experiments() []experiment {
 		{"rekey", "re-keying overhead", func(*bench.Env) (string, error) {
 			_, _, s := bench.RekeyingOverhead()
 			return s, nil
-		}},
-		{"parallel", "plan-engine worker sweep vs the reference garbler", func(env *bench.Env) (string, error) {
-			_, s, err := env.ParallelGarbling()
-			return s, err
 		}},
 		{"memory", "precompiled plans: peak-live renaming vs dense wire arrays", func(env *bench.Env) (string, error) {
 			_, s, err := env.Memory()

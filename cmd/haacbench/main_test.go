@@ -93,15 +93,15 @@ func TestAllExperimentNamesSelectable(t *testing.T) {
 	for _, n := range []string{
 		"table1", "table2", "table3", "table4", "table5",
 		"fig6", "fig7", "fig8", "fig9", "fig10",
-		"garbler", "rekey", "parallel", "memory",
+		"garbler", "rekey", "memory",
 		"ablation", "multicore", "segsweep", "coupling",
 	} {
 		if !known[n] {
 			t.Errorf("documented experiment %q is not in experiments()", n)
 		}
 	}
-	if len(known) != 18 {
-		t.Errorf("experiments() has %d entries, docs list 18 — update both", len(known))
+	if len(known) != 17 {
+		t.Errorf("experiments() has %d entries, docs list 17 — update both", len(known))
 	}
 }
 
@@ -117,12 +117,12 @@ func TestUnknownExperimentRejected(t *testing.T) {
 
 func TestBenchSelectedExperiments(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := realMain([]string{"-scale", "small", "-experiments", "table1,parallel"}, &out, &errw)
+	code := realMain([]string{"-scale", "small", "-experiments", "table1,table4"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
 	s := out.String()
-	for _, want := range []string{"scale=small", "## table1", "## parallel", "2PC seq ms"} {
+	for _, want := range []string{"scale=small", "## table1", "## table4", "Total HAAC"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}

@@ -168,7 +168,7 @@ func GarbleAndEvaluate(c *Circuit, garbler, evaluator []bool, seed uint64, opts 
 		return nil, err
 	}
 	h := gc.RekeyedHasher{}
-	g, err := gc.GarblePlan(plan, h, label.NewSource(seed), 1)
+	g, err := gc.GarblePlan(plan, h, label.NewSource(seed))
 	if err != nil {
 		return nil, err
 	}

@@ -170,8 +170,8 @@ func (e *Env) Memory() ([]MemoryRow, string, error) {
 			}
 		})
 
-		pg := gc.NewPlanGarbler(p, h, 1)
-		pe := gc.NewPlanEvaluator(p, h, 1)
+		pg := gc.NewPlanGarbler(p, h)
+		pe := gc.NewPlanEvaluator(p, h)
 		src := label.NewSource(11)
 		row.PlanAllocs = allocsPerRun(reps, func() {
 			pg.Begin(src)

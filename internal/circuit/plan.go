@@ -75,8 +75,8 @@ func PlanBuilds() uint64 { return planBuilds.Load() }
 //
 // Renaming respects step boundaries: a slot whose wire dies in step k
 // (its last reader runs in step k) is reused only by gates of steps
-// strictly after k. Step-synchronous executors — sequential loops as
-// well as worker pools with a barrier per step — therefore never race a
+// strictly after k. A step-synchronous executor — a sequential loop, or
+// a step kernel with several gates in flight — therefore never races a
 // write against a read of the same slot inside a step.
 func NewPlan(c *Circuit) (*Plan, error) {
 	return newPlanSegmented(c, segmentANDs)

@@ -9,8 +9,8 @@ package circuit
 // compiler every so many instructions of its depth-first order. A step
 // is one level: every producer of a step's gates ran in an earlier step
 // (or an earlier segment), so the gates of a step are independent and
-// can be garbled or evaluated in any order, or by any number of workers
-// at once. Steps run in order; segments never interleave.
+// can be garbled or evaluated in any order, or several at once. Steps
+// run in order; segments never interleave.
 //
 // Tables keep their gate-order stream positions, so a segment's tables
 // are one contiguous run of the stream: the garbler can emit a segment
@@ -26,7 +26,8 @@ package circuit
 // segmentANDs is the segment size in AND gates: a segment closes after
 // this many tables. Smaller segments keep fewer labels live and let the
 // evaluator start sooner; larger ones give wider steps (more independent
-// gates per step for the two-gate kernels and the worker pool). A sweep
+// gates per step for the step kernels, which keep eight or four AND
+// gates in flight). A sweep
 // over the VIP suite put the knee at a few thousand; it is deliberately
 // not configurable.
 const segmentANDs = 4096

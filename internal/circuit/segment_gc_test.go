@@ -11,8 +11,8 @@ import (
 	"haac/internal/workloads"
 )
 
-// The schedule must not show in the bytes: whatever the segment size and
-// the worker count, the plan engine garbles the tables the reference
+// The schedule must not show in the bytes: whatever the segment size,
+// the plan engine garbles the tables the reference
 // gc.Garble does and evaluates to the labels gc.Evaluate does. The tests
 // live here, outside package circuit, because they need internal/gc
 // (which imports circuit) and the unexported segment-size hook.
@@ -41,34 +41,30 @@ func checkSegmentedByteIdentity(t *testing.T, name string, c *circuit.Circuit, g
 	if err != nil {
 		t.Fatalf("%s: reference evaluate: %v", name, err)
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := gc.GarblePlan(p, h, label.NewSource(seed), workers)
-		if err != nil {
-			t.Fatalf("%s/w=%d: %v", name, workers, err)
+	got, err := gc.GarblePlan(p, h, label.NewSource(seed))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got.R != want.R || len(got.Tables) != len(want.Tables) {
+		t.Fatalf("%s: offset or table count differs from the reference", name)
+	}
+	for i := range want.Tables {
+		if got.Tables[i] != want.Tables[i] {
+			t.Fatalf("%s: table %d differs from the reference", name, i)
 		}
-		if got.R != want.R || len(got.Tables) != len(want.Tables) {
-			t.Fatalf("%s/w=%d: offset or table count differs from the reference", name, workers)
+	}
+	for i := range want.OutputZeros {
+		if got.OutputZeros[i] != want.OutputZeros[i] {
+			t.Fatalf("%s: output zero-label %d differs from the reference", name, i)
 		}
-		for i := range want.Tables {
-			if got.Tables[i] != want.Tables[i] {
-				t.Fatalf("%s/w=%d: table %d differs from the reference", name, workers, i)
-			}
-		}
-		for i := range want.OutputZeros {
-			if got.OutputZeros[i] != want.OutputZeros[i] {
-				t.Fatalf("%s/w=%d: output zero-label %d differs from the reference", name, workers, i)
-			}
-		}
-		pe := gc.NewPlanEvaluator(p, h, workers)
-		out, err := pe.Eval(in, want.Tables)
-		pe.Close()
-		if err != nil {
-			t.Fatalf("%s/w=%d: %v", name, workers, err)
-		}
-		for i := range wantOut {
-			if out[i] != wantOut[i] {
-				t.Fatalf("%s/w=%d: output label %d differs from the reference", name, workers, i)
-			}
+	}
+	out, err := gc.EvalPlan(p, h, in, want.Tables)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i := range wantOut {
+		if out[i] != wantOut[i] {
+			t.Fatalf("%s: output label %d differs from the reference", name, i)
 		}
 	}
 }

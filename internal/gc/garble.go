@@ -23,15 +23,6 @@ type Garbled struct {
 	OutputZeros []label.L
 }
 
-// DecodeBits returns the point-and-permute decode bit per output.
-func (g *Garbled) DecodeBits() []int {
-	d := make([]int, len(g.OutputZeros))
-	for i, z := range g.OutputZeros {
-		d[i] = z.Colour()
-	}
-	return d
-}
-
 // Garble garbles the circuit gate by gate over dense per-wire arrays.
 // It is the reference oracle, not a production engine: the golden
 // vectors pin its bytes and the plan runners (PlanGarbler) are tested

@@ -185,18 +185,6 @@ func TestMaterialSerialization(t *testing.T) {
 	}
 }
 
-func TestDecodeBitsAreColours(t *testing.T) {
-	b := builder.New()
-	x := b.GarblerInputs(2)
-	b.Output(b.AND(x[0], x[1]))
-	c := b.MustBuild()
-	garbled, _ := Garble(c, RekeyedHasher{}, label.NewSource(1))
-	d := garbled.DecodeBits()
-	if len(d) != 1 || d[0] != garbled.OutputZeros[0].Colour() {
-		t.Fatal("decode bits are not output colours")
-	}
-}
-
 // randomCircuit generates a random valid circuit.
 func randomCircuit(rng *rand.Rand, ng, ne, gates int) *circuit.Circuit {
 	c := &circuit.Circuit{

@@ -19,9 +19,9 @@ import (
 // VAES host, where one kernel call does the free gates and then the AND
 // gates, eight or four in flight, from gather to stores); otherwise its
 // free gates are a Go loop and its AND gates go one at a time through
-// garbleGate/evalGate. With a pool, a wide step's free gates go first
-// and its AND gates are split into one share per worker, each taken the
-// same way.
+// garbleGate/evalGate. A run is sequential: the software stack's
+// parallelism is one runner per session and sessions served
+// concurrently.
 // The schedule is built once with the plan, never per run. Runners own
 // their arenas and reuse them across runs: steady-state plan execution
 // allocates nothing.
@@ -42,7 +42,6 @@ type PlanGarbler struct {
 	p          *circuit.Plan
 	h          BatchHasher
 	step       stepHasher // nil unless the hasher has the whole-step form and the plan passed stepSafe
-	pool       *stepPool
 	slots      []label.L
 	inputZeros []label.L
 	tables     []Material
@@ -52,11 +51,11 @@ type PlanGarbler struct {
 	began      bool
 }
 
-// NewPlanGarbler builds a reusable garbler for the plan. workers <= 1 is
-// sequential; larger values split the AND gates of each wide enough
-// schedule step across that many pool goroutines. Call Close when done
-// with a parallel runner to release its pool.
-func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
+// NewPlanGarbler builds a reusable garbler for the plan. The trailing
+// argument is accepted and ignored: it was the engine width, which is
+// now always one, and stays only until the callers that still pass it
+// have dropped it.
+func NewPlanGarbler(p *circuit.Plan, h Hasher, _ ...int) *PlanGarbler {
 	pg := &PlanGarbler{
 		p:          p,
 		h:          batched(h),
@@ -66,17 +65,13 @@ func NewPlanGarbler(p *circuit.Plan, h Hasher, workers int) *PlanGarbler {
 		outs:       make([]label.L, len(p.Circuit.Outputs)),
 	}
 	pg.step = stepFor(p, h)
-	if workers > 1 {
-		pg.pool = newStepPool(workers, func(and []circuit.PlanGate, index []int32) { pg.runStep(nil, and, index) })
-	}
 	return pg
 }
 
 // runStep garbles one schedule step, its free gates and then its AND
 // gates (index[i] is and[i]'s table index): through the whole-step form
 // if the runner has one, else in Go, the free gates in a loop and the
-// AND gates one at a time. The pool's workers run it on their shares of
-// a step's AND gates.
+// AND gates one at a time.
 func (pg *PlanGarbler) runStep(free, and []circuit.PlanGate, index []int32) {
 	slots, tables, r := pg.slots, pg.tables, pg.r
 	if pg.step != nil && pg.step.garbleStep(slots, tables, &pg.r, free, and, index) {
@@ -96,13 +91,9 @@ func (pg *PlanGarbler) runStep(free, and []circuit.PlanGate, index []int32) {
 	}
 }
 
-// Close releases the worker pool (a no-op for sequential runners).
-func (pg *PlanGarbler) Close() {
-	if pg.pool != nil {
-		pg.pool.close()
-		pg.pool = nil
-	}
-}
+// Close releases nothing: a runner holds only memory. It stays only
+// until the callers that still call it have dropped it.
+func (pg *PlanGarbler) Close() {}
 
 // Begin starts a run: it draws the FreeXOR offset and the input labels,
 // consuming src exactly as the reference Garble does.
@@ -143,13 +134,7 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 
 	sent := 0
 	for k := 0; k < p.NumSteps(); k++ {
-		free, and, index := p.Step(k)
-		if pg.pool != nil && len(and) >= minParallelStep {
-			pg.runStep(free, nil, nil)
-			pg.pool.run(and, index)
-		} else {
-			pg.runStep(free, and, index)
-		}
+		pg.runStep(p.Step(k))
 		if emit != nil {
 			if ready := p.EmitReady(k); ready > sent {
 				if err := emit(pg.tables[sent:ready]); err != nil {
@@ -167,11 +152,10 @@ func (pg *PlanGarbler) Run(emit func(tables []Material) error) (*Garbled, error)
 	return &pg.g, nil
 }
 
-// GarblePlan garbles a plan in one shot with the given worker count.
-// For steady-state reuse hold a PlanGarbler instead.
-func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source, workers int) (*Garbled, error) {
-	pg := NewPlanGarbler(p, h, workers)
-	defer pg.Close()
+// GarblePlan garbles a plan in one shot. For steady-state reuse hold a
+// PlanGarbler instead.
+func GarblePlan(p *circuit.Plan, h Hasher, src *label.Source) (*Garbled, error) {
+	pg := NewPlanGarbler(p, h)
 	pg.Begin(src)
 	return pg.Run(nil)
 }
@@ -184,15 +168,14 @@ type PlanEvaluator struct {
 	p      *circuit.Plan
 	h      BatchHasher
 	step   stepHasher // as PlanGarbler.step
-	pool   *stepPool
 	slots  []label.L
 	outs   []label.L
 	tables []Material
 }
 
-// NewPlanEvaluator builds a reusable evaluator for the plan. workers
-// follows the NewPlanGarbler convention; Close releases a parallel pool.
-func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
+// NewPlanEvaluator builds a reusable evaluator for the plan. The
+// trailing argument is ignored, as NewPlanGarbler's is.
+func NewPlanEvaluator(p *circuit.Plan, h Hasher, _ ...int) *PlanEvaluator {
 	pe := &PlanEvaluator{
 		p:     p,
 		h:     batched(h),
@@ -200,9 +183,6 @@ func NewPlanEvaluator(p *circuit.Plan, h Hasher, workers int) *PlanEvaluator {
 		outs:  make([]label.L, len(p.Circuit.Outputs)),
 	}
 	pe.step = stepFor(p, h)
-	if workers > 1 {
-		pe.pool = newStepPool(workers, func(and []circuit.PlanGate, index []int32) { pe.runStep(nil, and, index) })
-	}
 	return pe
 }
 
@@ -227,13 +207,8 @@ func (pe *PlanEvaluator) runStep(free, and []circuit.PlanGate, index []int32) {
 	}
 }
 
-// Close releases the worker pool (a no-op for sequential runners).
-func (pe *PlanEvaluator) Close() {
-	if pe.pool != nil {
-		pe.pool.close()
-		pe.pool = nil
-	}
-}
+// Close releases nothing, as PlanGarbler.Close.
+func (pe *PlanEvaluator) Close() {}
 
 // Eval runs the evaluator over the full table stream, producing output
 // labels identical to the reference Evaluate.
@@ -274,12 +249,7 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 			}
 			pe.tables = t
 		}
-		if pe.pool != nil && len(and) >= minParallelStep {
-			pe.runStep(free, nil, nil)
-			pe.pool.run(and, index)
-		} else {
-			pe.runStep(free, and, index)
-		}
+		pe.runStep(free, and, index)
 	}
 	pe.tables = nil
 
@@ -289,8 +259,8 @@ func (pe *PlanEvaluator) EvalStream(inputs []label.L, need func(n int) ([]Materi
 	return pe.outs, nil
 }
 
-// EvalPlan evaluates a plan in one shot on the sequential engine. For
-// steady-state reuse, or another engine width, hold a PlanEvaluator.
+// EvalPlan evaluates a plan in one shot. For steady-state reuse hold a
+// PlanEvaluator.
 func EvalPlan(p *circuit.Plan, h Hasher, inputs []label.L, tables []Material) ([]label.L, error) {
-	return NewPlanEvaluator(p, h, 1).Eval(inputs, tables)
+	return NewPlanEvaluator(p, h).Eval(inputs, tables)
 }

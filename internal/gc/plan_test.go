@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,10 +22,54 @@ func mustPlan(t *testing.T, c *circuit.Circuit) *circuit.Plan {
 	return p
 }
 
+// planCircuits are the circuits the determinism suite sweeps:
+// shallow-wide, deep-narrow and mixed shapes from the real workload
+// generators.
+func planCircuits() []workloads.Workload {
+	return []workloads.Workload{
+		workloads.Hamming(128),
+		workloads.Mult32(),
+		workloads.DotProduct(4, 16),
+		workloads.Millionaire(16),
+		workloads.ReLU(8, 16),
+	}
+}
+
+func equalGarbled(a, b *Garbled) error {
+	if a.R != b.R {
+		return fmt.Errorf("R differs: %s vs %s", a.R, b.R)
+	}
+	if len(a.InputZeros) != len(b.InputZeros) {
+		return fmt.Errorf("input count differs")
+	}
+	for i := range a.InputZeros {
+		if a.InputZeros[i] != b.InputZeros[i] {
+			return fmt.Errorf("input zero %d differs", i)
+		}
+	}
+	if len(a.Tables) != len(b.Tables) {
+		return fmt.Errorf("table count differs: %d vs %d", len(a.Tables), len(b.Tables))
+	}
+	for i := range a.Tables {
+		if a.Tables[i] != b.Tables[i] {
+			return fmt.Errorf("table %d differs: %x vs %x", i, a.Tables[i].Bytes(), b.Tables[i].Bytes())
+		}
+	}
+	if len(a.OutputZeros) != len(b.OutputZeros) {
+		return fmt.Errorf("output count differs")
+	}
+	for i := range a.OutputZeros {
+		if a.OutputZeros[i] != b.OutputZeros[i] {
+			return fmt.Errorf("output zero %d differs", i)
+		}
+	}
+	return nil
+}
+
 // checkPlanByteIdentity asserts the full reference-vs-planned contract
 // on one circuit: identical Garbled (R, input zeros, tables, output
 // zeros), identical output labels from evaluation, identical decoded
-// bits — at plan worker counts 1, 2 and 4.
+// bits.
 func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garbler, evaluator []bool, seed uint64) {
 	t.Helper()
 	h := RekeyedHasher{}
@@ -34,15 +79,12 @@ func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garble
 	if err != nil {
 		t.Fatalf("%s: dense garble: %v", name, err)
 	}
-	var got *Garbled
-	for _, workers := range []int{4, 2, 1} {
-		got, err = GarblePlan(p, h, label.NewSource(seed), workers)
-		if err != nil {
-			t.Fatalf("%s/w=%d: plan garble: %v", name, workers, err)
-		}
-		if err := equalGarbled(want, got); err != nil {
-			t.Fatalf("%s/w=%d: plan garble differs from dense: %v", name, workers, err)
-		}
+	got, err := GarblePlan(p, h, label.NewSource(seed))
+	if err != nil {
+		t.Fatalf("%s: plan garble: %v", name, err)
+	}
+	if err := equalGarbled(want, got); err != nil {
+		t.Fatalf("%s: plan garble differs from dense: %v", name, err)
 	}
 
 	in, err := want.EncodeInputs(c, garbler, evaluator)
@@ -53,19 +95,16 @@ func checkPlanByteIdentity(t *testing.T, name string, c *circuit.Circuit, garble
 	if err != nil {
 		t.Fatalf("%s: dense eval: %v", name, err)
 	}
-	var planOut []label.L
-	for _, workers := range []int{4, 2, 1} {
-		planOut, err = evalPlanWidth(p, h, in, want.Tables, workers)
-		if err != nil {
-			t.Fatalf("%s/w=%d: plan eval: %v", name, workers, err)
-		}
-		if len(planOut) != len(seqOut) {
-			t.Fatalf("%s/w=%d: plan eval returned %d labels, want %d", name, workers, len(planOut), len(seqOut))
-		}
-		for i := range seqOut {
-			if planOut[i] != seqOut[i] {
-				t.Fatalf("%s/w=%d: output label %d differs between dense and planned eval", name, workers, i)
-			}
+	planOut, err := EvalPlan(p, h, in, want.Tables)
+	if err != nil {
+		t.Fatalf("%s: plan eval: %v", name, err)
+	}
+	if len(planOut) != len(seqOut) {
+		t.Fatalf("%s: plan eval returned %d labels, want %d", name, len(planOut), len(seqOut))
+	}
+	for i := range seqOut {
+		if planOut[i] != seqOut[i] {
+			t.Fatalf("%s: output label %d differs between dense and planned eval", name, i)
 		}
 	}
 
@@ -127,8 +166,8 @@ func TestPlanRunnerReuse(t *testing.T) {
 	c := w.Build()
 	h := RekeyedHasher{}
 	p := mustPlan(t, c)
-	pg := NewPlanGarbler(p, h, 1)
-	pe := NewPlanEvaluator(p, h, 1)
+	pg := NewPlanGarbler(p, h)
+	pe := NewPlanEvaluator(p, h)
 
 	for run := 0; run < 5; run++ {
 		seed := uint64(1000 + run)
@@ -180,8 +219,7 @@ func TestPlanGarblerEmitChunks(t *testing.T) {
 	}
 	var streamed []Material
 	chunks := 0
-	pg := NewPlanGarbler(p, h, 4)
-	defer pg.Close()
+	pg := NewPlanGarbler(p, h)
 	pg.Begin(label.NewSource(5))
 	got, err := pg.Run(func(tables []Material) error {
 		streamed = append(streamed, tables...)
@@ -210,8 +248,7 @@ func TestPlanGarblerEmitChunks(t *testing.T) {
 // TestPlanGarblerEmitError checks an emit failure aborts the run.
 func TestPlanGarblerEmitError(t *testing.T) {
 	p := mustPlan(t, workloads.Hamming(128).Build())
-	pg := NewPlanGarbler(p, RekeyedHasher{}, 2)
-	defer pg.Close()
+	pg := NewPlanGarbler(p, RekeyedHasher{})
 	pg.Begin(label.NewSource(5))
 	boom := errors.New("pipe broke")
 	if _, err := pg.Run(func([]Material) error { return boom }); !errors.Is(err, boom) {
@@ -219,7 +256,7 @@ func TestPlanGarblerEmitError(t *testing.T) {
 	}
 }
 
-// TestPlanEvalStreamBlocking drives a 4-worker plan evaluator through a
+// TestPlanEvalStreamBlocking drives a plan evaluator through a
 // table source that another goroutine releases in small batches — need
 // genuinely blocks — the shape a protocol reading tables off a wire has.
 func TestPlanEvalStreamBlocking(t *testing.T) {
@@ -265,8 +302,7 @@ func TestPlanEvalStreamBlocking(t *testing.T) {
 		}
 		return garbled.Tables[:released], nil
 	}
-	pe := NewPlanEvaluator(p, h, 4)
-	defer pe.Close()
+	pe := NewPlanEvaluator(p, h)
 	out, err := pe.EvalStream(in, need)
 	if err != nil {
 		t.Fatal(err)
@@ -298,10 +334,10 @@ func TestPlanEvalTableCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evalPlanWidth(p, h, in, garbled.Tables[:len(garbled.Tables)-1], 2); err == nil {
+	if _, err := EvalPlan(p, h, in, garbled.Tables[:len(garbled.Tables)-1]); err == nil {
 		t.Fatal("short table stream accepted")
 	}
-	if _, err := evalPlanWidth(p, h, in, append(append([]Material{}, garbled.Tables...), Material{}), 2); err == nil {
+	if _, err := EvalPlan(p, h, in, append(append([]Material{}, garbled.Tables...), Material{})); err == nil {
 		t.Fatal("overlong table stream accepted")
 	}
 	if _, err := pgRunWithoutBegin(p, h); err == nil {
@@ -310,12 +346,12 @@ func TestPlanEvalTableCountMismatch(t *testing.T) {
 }
 
 func pgRunWithoutBegin(p *circuit.Plan, h Hasher) (*Garbled, error) {
-	return NewPlanGarbler(p, h, 1).Run(nil)
+	return NewPlanGarbler(p, h).Run(nil)
 }
 
 // TestPlanSteadyStateZeroAllocs is the acceptance criterion: plan-based
-// sequential garble and eval of a precompiled circuit run with zero
-// allocations per run once the runners and pools are warm.
+// garble and eval of a precompiled circuit run with zero allocations per
+// run once the runners are warm.
 func TestPlanSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -329,7 +365,7 @@ func TestPlanSteadyStateZeroAllocs(t *testing.T) {
 	h := RekeyedHasher{}
 	p := mustPlan(t, c)
 
-	pg := NewPlanGarbler(p, h, 1)
+	pg := NewPlanGarbler(p, h)
 	src := label.NewSource(7)
 	pg.Begin(src)
 	garbled, err := pg.Run(nil) // warm pools
@@ -353,7 +389,7 @@ func TestPlanSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("plan garble allocates %.1f times per run in steady state, want 0", garbleAllocs)
 	}
 
-	pe := NewPlanEvaluator(p, h, 1)
+	pe := NewPlanEvaluator(p, h)
 	if _, err := pe.Eval(inputs, tables); err != nil { // warm
 		t.Fatal(err)
 	}
@@ -364,5 +400,145 @@ func TestPlanSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if evalAllocs != 0 {
 		t.Fatalf("plan eval allocates %.1f times per run in steady state, want 0", evalAllocs)
+	}
+}
+
+// TestPlanGarbleDeterminism is the engine's core invariant: the plan
+// garbler's output is byte-identical to the reference garbler, across
+// circuits, seeds and both hashers.
+func TestPlanGarbleDeterminism(t *testing.T) {
+	hashers := []Hasher{RekeyedHasher{}, NewFixedKeyHasher([16]byte{9, 9})}
+	for _, w := range planCircuits() {
+		c := w.Build()
+		p := mustPlan(t, c)
+		for _, h := range hashers {
+			for _, seed := range []uint64{1, 42, 0xfeedface} {
+				want, err := Garble(c, h, label.NewSource(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := GarblePlan(p, h, label.NewSource(seed))
+				if err != nil {
+					t.Fatalf("%s/%s/seed=%d: %v", w.Name, h.Name(), seed, err)
+				}
+				if err := equalGarbled(want, got); err != nil {
+					t.Fatalf("%s/%s/seed=%d: %v", w.Name, h.Name(), seed, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanEvalMatchesReference checks the evaluator side: same output
+// labels as Evaluate, and correct plaintext after decoding.
+func TestPlanEvalMatchesReference(t *testing.T) {
+	h := RekeyedHasher{}
+	for _, w := range planCircuits() {
+		c := w.Build()
+		p := mustPlan(t, c)
+		g, e := w.Inputs(7)
+		want := w.Reference(g, e)
+
+		garbled, err := Garble(c, h, label.NewSource(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := garbled.EncodeInputs(c, g, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqOut, err := Evaluate(c, h, in, garbled.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planOut, err := EvalPlan(p, h, in, garbled.Tables)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for i := range seqOut {
+			if planOut[i] != seqOut[i] {
+				t.Fatalf("%s: output label %d differs", w.Name, i)
+			}
+		}
+		bits, err := garbled.Decode(planOut)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for i := range want {
+			if bits[i] != want[i] {
+				t.Fatalf("%s: plaintext bit %d wrong", w.Name, i)
+			}
+		}
+	}
+}
+
+// TestFixedKeyHasherConcurrent hammers one shared hasher from many
+// goroutines; run under -race this proves the shared-cipher claim.
+func TestFixedKeyHasherConcurrent(t *testing.T) {
+	h := NewFixedKeyHasher([16]byte{42})
+	l := label.L{Lo: 123, Hi: 456}
+	want := h.Hash(l, 77)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				if h.Hash(l, 77) != want {
+					panic("fixed-key hash not stable under concurrency")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPlanStepTails: a step of n independent AND gates goes whole to the
+// step kernel — n = 0..5 covers no gate and the kernel's short steps;
+// the sizes from 15 on cover longer ones and the kernels' tails after
+// eight or four gates in flight.
+func TestPlanStepTails(t *testing.T) {
+	h := RekeyedHasher{}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 15, 16, 17, 35} {
+		c := &circuit.Circuit{GarblerInputs: 1, EvaluatorInputs: 1}
+		for i := 0; i < n; i++ {
+			c.Gates = append(c.Gates, circuit.Gate{Op: circuit.AND, A: 0, B: 1})
+			c.Outputs = append(c.Outputs, circuit.Wire(2+i))
+		}
+		// One free gate, so the n = 0 circuit still has a step.
+		c.Gates = append(c.Gates, circuit.Gate{Op: circuit.XOR, A: 0, B: 1})
+		c.Outputs = append(c.Outputs, circuit.Wire(2+n))
+		p := mustPlan(t, c)
+		if _, and, _ := p.Step(0); p.NumSteps() != 1 || len(and) != n {
+			t.Fatalf("n=%d: want one step of %d AND gates", n, n)
+		}
+		want, err := Garble(c, h, label.NewSource(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := want.EncodeInputs(c, []bool{true}, []bool{true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut, err := Evaluate(c, h, in, want.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GarblePlan(p, h, label.NewSource(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := equalGarbled(want, got); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		out, err := EvalPlan(p, h, in, want.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantOut {
+			if out[i] != wantOut[i] {
+				t.Fatalf("n=%d: output label %d differs from the reference", n, i)
+			}
+		}
 	}
 }

@@ -114,9 +114,10 @@ func TestLiveTierMatchesTTable(t *testing.T) {
 
 // TestCrossTierGarbleEval garbles a VIP-small circuit on one aes128 tier
 // and evaluates it on another, all nine ways over the three kernel sets
-// a VAES host has: the two-gate kernels (RekeyedHasher through the plan
-// engine, one-gate kernels on odd tails), the one-gate AES-NI kernels
-// alone (a plain Hasher, hashed call by call) and the T-table code. A
+// a VAES host has: the step kernels (RekeyedHasher through the plan
+// engine, each step whole in one call, its tail included), the one-gate
+// AES-NI kernels alone (a plain Hasher, hashed call by call) and the
+// T-table code. A
 // garbler and an evaluator on different backends interoperate, in the
 // reference walk and in the plan engine. On lesser hosts some of the
 // three coincide and the test checks less, never something else.
@@ -133,7 +134,7 @@ func TestCrossTierGarbleEval(t *testing.T) {
 		name string
 		h    Hasher
 	}{
-		{"two-gate", RekeyedHasher{}},
+		{"step", RekeyedHasher{}},
 		{"one-gate", plainHasher{RekeyedHasher{}}},
 		{"ttable", SoftRekeyedHasher{}},
 	}
@@ -149,7 +150,7 @@ func TestCrossTierGarbleEval(t *testing.T) {
 	}
 	for _, dir := range dirs {
 		name := dir.name
-		garbled, err := GarblePlan(p, dir.garble, label.NewSource(11), 1)
+		garbled, err := GarblePlan(p, dir.garble, label.NewSource(11))
 		if err != nil {
 			t.Fatal(err)
 		}

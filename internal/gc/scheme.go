@@ -7,7 +7,7 @@
 //
 // The package has one production engine and one oracle. PlanGarbler and
 // PlanEvaluator execute a precompiled circuit.Plan (segment-scheduled,
-// slot-renamed, optionally step-parallel) and are what internal/proto
+// slot-renamed, sequential within a run) and are what internal/proto
 // and everything above it run. Garble and Evaluate walk the raw
 // circuit in gate order; they are the reference the engine, the
 // compiler and the simulator are checked against.
@@ -240,7 +240,7 @@ func (SoftRekeyedHasher) Name() string { return "rekeyed-soft" }
 // comparison, and as the reference internal/ot's chunk-wide
 // correlation-robust row hash is pinned to.
 // The key is expanded once into an aes128.Cipher, which runs on the
-// same tier as RekeyedHasher and is safe to share across a worker pool.
+// same tier as RekeyedHasher and is safe to share across goroutines.
 type FixedKeyHasher struct {
 	c *aes128.Cipher
 }

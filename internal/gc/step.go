@@ -59,8 +59,8 @@ func stepGates(and []circuit.PlanGate) []aes128.Gate {
 
 // garbleStep implements stepHasher. The kernels check no bounds; the
 // runners call this only on a plan that passed stepSafe, with arenas of
-// the plan's sizes, one step (or a pool worker's share of one) at a
-// time: a plan step's AND gates never write a slot the step reads.
+// the plan's sizes, one step at a time: a plan step's AND gates never
+// write a slot the step reads.
 func (RekeyedHasher) garbleStep(slots []label.L, tables []Material, r *label.L, free, and []circuit.PlanGate, index []int32) bool {
 	return aes128.GarbleStep((*aes128.Block)(unsafe.SliceData(slots)), (*[2]aes128.Block)(unsafe.Pointer(unsafe.SliceData(tables))),
 		(*aes128.Block)(r), stepGates(free), stepGates(and), index)

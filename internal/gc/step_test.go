@@ -204,10 +204,10 @@ func TestStepSafeRejectsBadPlans(t *testing.T) {
 	if _, hasStep := Hasher(RekeyedHasher{}).(stepHasher); !hasStep {
 		t.Fatal("RekeyedHasher lost its whole-step form")
 	}
-	if NewPlanGarbler(good, RekeyedHasher{}, 1).step == nil || NewPlanEvaluator(good, RekeyedHasher{}, 1).step == nil {
+	if NewPlanGarbler(good, RekeyedHasher{}).step == nil || NewPlanEvaluator(good, RekeyedHasher{}).step == nil {
 		t.Fatal("runners do not take the step form on a safe plan")
 	}
-	if NewPlanGarbler(good, NewFixedKeyHasher([16]byte{1}), 1).step != nil {
+	if NewPlanGarbler(good, NewFixedKeyHasher([16]byte{1})).step != nil {
 		t.Fatal("a hasher without the step form got one")
 	}
 
@@ -230,12 +230,12 @@ func TestStepSafeRejectsBadPlans(t *testing.T) {
 		if stepSafe(p) {
 			t.Errorf("%s: plan passed stepSafe", name)
 		}
-		if NewPlanEvaluator(p, RekeyedHasher{}, 1).step != nil {
+		if NewPlanEvaluator(p, RekeyedHasher{}).step != nil {
 			t.Errorf("%s: evaluator took the step form", name)
 		}
 	}
 	// A short table stream is refused before any gate of the step runs.
-	pe := NewPlanEvaluator(good, RekeyedHasher{}, 1)
+	pe := NewPlanEvaluator(good, RekeyedHasher{})
 	if _, err := pe.EvalStream(make([]label.L, c.NumInputs()), func(int) ([]Material, error) {
 		return make([]Material, 1), nil
 	}); err == nil {

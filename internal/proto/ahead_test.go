@@ -52,7 +52,7 @@ func TestAheadRunsMatchGarblePlan(t *testing.T) {
 		if got := gs.PendingSeed(); got != src.State() {
 			t.Fatalf("run %d: PendingSeed %#x, want %#x", run, got, src.State())
 		}
-		ref, err := gc.GarblePlan(p, gc.RekeyedHasher{}, src, 1)
+		ref, err := gc.GarblePlan(p, gc.RekeyedHasher{}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestAheadRunsMatchGarblePlan(t *testing.T) {
 func TestOneShotGarblesNoRunAhead(t *testing.T) {
 	r := newSenderRig(t)
 	ref := label.NewSource(7)
-	gc.NewPlanGarbler(r.p, gc.RekeyedHasher{}, 1).Begin(ref)
+	gc.NewPlanGarbler(r.p, gc.RekeyedHasher{}).Begin(ref)
 	afterOne := ref.State()
 
 	h := &hookHasher{}
@@ -328,7 +328,7 @@ func TestResumeWhileAheadInFlight(t *testing.T) {
 	}
 	seed3 := gs.PendingSeed()
 	ref := label.NewSource(seed2)
-	gc.NewPlanGarbler(r.p, gc.RekeyedHasher{}, 1).Begin(ref)
+	gc.NewPlanGarbler(r.p, gc.RekeyedHasher{}).Begin(ref)
 	if seed3 != ref.State() {
 		t.Fatalf("seed of the run ahead %#x, want %#x, the state after run two's Begin", seed3, ref.State())
 	}

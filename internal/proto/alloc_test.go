@@ -111,7 +111,7 @@ func TestGarbleEvalSteadyStateAllocs(t *testing.T) {
 
 	// Garble loop: runner construction allocates (arenas), gates must not.
 	garbleAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := gc.GarblePlan(plan, h, label.NewSource(7), 1); err != nil {
+		if _, err := gc.GarblePlan(plan, h, label.NewSource(7)); err != nil {
 			t.Fatal(err)
 		}
 	})

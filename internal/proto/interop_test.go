@@ -13,8 +13,9 @@ import (
 
 // endpoint is one way a party can drive its role: through the one-run
 // wrapper (which compiles its own plan) or through a session over a
-// shared plan. Both run the sequential plan engine, the "x1" in their
-// names; byte identity across engine widths is pinned in internal/gc.
+// shared plan. Both run the one, sequential plan engine, the "x1" in
+// their names; its byte identity with the reference is pinned in
+// internal/gc.
 type endpoint struct {
 	session bool
 }

@@ -236,7 +236,7 @@ func (t *tableStream) garbleLoop() {
 		t.mu.Unlock()
 
 		if rn.pg == nil {
-			rn.pg = gc.NewPlanGarbler(t.plan, t.hasher, 1)
+			rn.pg = gc.NewPlanGarbler(t.plan, t.hasher)
 		}
 		t.src.Reseed(rn.seed)
 		rn.pg.Begin(t.src)

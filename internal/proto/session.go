@@ -376,7 +376,7 @@ func NewEvaluatorSession(conn io.ReadWriter, c *circuit.Circuit, opts Options) (
 		res:     make([]byte, len(c.Outputs)),
 		out:     make([]bool, len(c.Outputs)),
 		choices: ot.NewBitset(c.EvaluatorInputs),
-		pe:      gc.NewPlanEvaluator(plan, opts.Hasher, 1),
+		pe:      gc.NewPlanEvaluator(plan, opts.Hasher),
 		tables:  make([]gc.Material, len(plan.Tables)),
 	}
 	if s.stats == nil {
