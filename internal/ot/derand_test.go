@@ -166,20 +166,20 @@ func TestDerandPiecesMatchReference(t *testing.T) {
 	}
 }
 
-// TestDerandWholeHalvesMatchReference: the whole-batch halves, each the
-// loop over its pieces, give the reference bytes too.
+// TestDerandWholeHalvesMatchReference: SendDerand, the sender's whole
+// batch as loops over its pieces, gives the reference bytes too.
 func TestDerandWholeHalvesMatchReference(t *testing.T) {
 	m := 2*DerandPiece + 9
 	tc := newDerandCase(m, rand.New(rand.NewPCG(7, 7)))
-	if err := tc.sp.ReadCorrection(bytes.NewReader(tc.frame), m); err != nil {
-		t.Fatal(err)
-	}
 	var masked bytes.Buffer
-	if err := tc.sp.WriteMasked(&masked, tc.pairs); err != nil {
+	if err := tc.sp.SendDerand(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(tc.frame), &masked}, tc.pairs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(masked.Bytes(), tc.masked) {
-		t.Fatal("WriteMasked differs from the reference")
+		t.Fatal("SendDerand differs from the reference")
 	}
 	if err := tc.sp.WriteMaskedPiece(&masked, tc.pairs, 0); err == nil {
 		t.Fatal("a masked piece answered a correction already consumed")

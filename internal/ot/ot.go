@@ -60,9 +60,9 @@ const (
 	// Pooled consumes precomputed random-OT correlations from a Pool
 	// with one choice-correction XOR round online. It is session state,
 	// not an on-demand protocol: Send/ReceiveBitset reject it — callers go
-	// through a Pool's derandomization halves (ReadCorrection/WriteMasked,
-	// AppendCorrection/ReadMasked) or SendDerand/ReceiveDerand, which
-	// compose them. The value appears on the wire in the session hello
+	// through a Pool's derandomization pieces (ReadCorrectionHead,
+	// ReadCorrectionPiece and WriteMaskedPiece; AppendCorrection and
+	// ReadMasked) or SendDerand/ReceiveDerand, which compose them. The value appears on the wire in the session hello
 	// (requesting the pooled tier) and in the per-run header (marking a
 	// pool-hit run).
 	Pooled
@@ -87,9 +87,9 @@ var baseOTRounds atomic.Uint64
 func BaseOTRounds() uint64 { return baseOTRounds.Load() }
 
 // Send runs the sender side for a batch of pairs. Pooled is rejected:
-// derandomized sends go through the Pool (SendDerand, or its halves
-// ReadCorrection and WriteMasked), which holds the precomputed
-// correlations an on-demand call cannot have.
+// derandomized sends go through the Pool (SendDerand, or its pieces
+// ReadCorrectionHead, ReadCorrectionPiece and WriteMaskedPiece), which
+// holds the precomputed correlations an on-demand call cannot have.
 func Send(conn io.ReadWriter, proto Protocol, pairs []Pair) error {
 	switch proto {
 	case DH:

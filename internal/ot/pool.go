@@ -64,18 +64,16 @@ import (
 // (ErrPoolDrained) rather than stretch the pool.
 //
 // The correction depends only on the receiver's choices and its own
-// bank, never on the messages, so it need not wait for the sender. Each
-// role splits into two halves: the receiver builds the correction
-// (AppendCorrection) and later reads the masked pairs (ReadMasked); the
-// sender reads the correction (ReadCorrection) and later writes the
-// masked pairs (WriteMasked). Each half is a loop over the batch's
-// pieces of DerandPiece transfers, and the bytes above are written and
-// read a piece at a time: e bits and masked pairs of piece k are the
-// k-th slices of the frames, so the bytes are the same however the
-// halves are driven. A session sends the correction's head with its run
-// request and its pieces (Correction) as it builds them, and the sender
-// answers each piece as it arrives (ReadCorrectionHead,
-// ReadCorrectionPiece, WriteMaskedPiece) while the receiver reads the
+// bank, never on the messages, so it need not wait for the sender. The
+// receiver builds the correction (AppendCorrection) and later reads the
+// masked pairs (ReadMasked); the sender reads the correction's head
+// (ReadCorrectionHead), then answers it a piece of DerandPiece transfers
+// at a time (ReadCorrectionPiece, WriteMaskedPiece). The bytes above are
+// written and read a piece at a time: e bits and masked pairs of piece k
+// are the k-th slices of the frames, so the bytes are the same however
+// the pieces are driven. A session sends the correction's head with its
+// run request and its pieces (Correction) as it builds them, and the
+// sender answers each piece as it arrives while the receiver reads the
 // earlier answers. SendDerand and ReceiveDerand run the two whole
 // frames back to back over one connection, with the same bytes.
 
@@ -272,15 +270,28 @@ func (p *Pool) fillRecv(w io.Writer, mc int) error {
 }
 
 // SendDerand consumes len(pairs) pooled correlations to obliviously
-// send the given message pairs: it reads the receiver's whole choice
-// correction, then answers with the masked pairs (see the wire format
-// above) — ReadCorrection then WriteMasked over one connection. Steady
-// state performs no allocation and no public-key work.
+// send the given message pairs: it reads and checks the receiver's
+// whole choice correction (refusals wrap ErrDerand), then answers with
+// the masked pairs (see the wire format above). The whole correction is
+// read before any pair is written: a peer that writes its frame in one
+// Write over an unbuffered connection is blocked until it has been
+// read. Steady state performs no allocation and no public-key work.
 func (p *Pool) SendDerand(conn io.ReadWriter, pairs []Pair) error {
-	if err := p.ReadCorrection(conn, len(pairs)); err != nil {
+	n := len(pairs)
+	if err := p.ReadCorrectionHead(conn, n); err != nil {
 		return err
 	}
-	return p.WriteMasked(conn, pairs)
+	for k := range DerandPieces(n) {
+		if err := p.ReadCorrectionPiece(conn, k); err != nil {
+			return err
+		}
+	}
+	for k := range DerandPieces(n) {
+		if err := p.WriteMaskedPiece(conn, pairs, k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReceiveDerand consumes choices.Len() pooled correlations to learn the
@@ -324,22 +335,6 @@ func pieceSpan(n, k int) (lo, hi int) {
 	return lo, min(n, lo+DerandPiece)
 }
 
-// ReadCorrection reads and checks the receiver's whole choice
-// correction for a batch of n transfers (refusals wrap ErrDerand) —
-// ReadCorrectionHead, then every ReadCorrectionPiece — holding it for
-// the WriteMasked that answers it. It consumes nothing.
-func (p *Pool) ReadCorrection(r io.Reader, n int) error {
-	if err := p.ReadCorrectionHead(r, n); err != nil {
-		return err
-	}
-	for k := range DerandPieces(n) {
-		if err := p.ReadCorrectionPiece(r, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadCorrectionHead reads and checks the head of the receiver's choice
 // correction for a batch of n transfers — its magic and count; refusals
 // wrap ErrDerand — and opens the batch for its pieces.
@@ -379,25 +374,9 @@ func (p *Pool) ReadCorrectionPiece(r io.Reader, k int) error {
 	return nil
 }
 
-// WriteMasked answers the correction ReadCorrection holds with the
-// masked pairs, y_i = m_i ^ r_(i^e_j) per transfer — every
-// WriteMaskedPiece in order — and consumes len(pairs) correlations. The
-// pairs must be the batch the correction was read for.
-func (p *Pool) WriteMasked(w io.Writer, pairs []Pair) error {
-	if len(pairs) != p.pending {
-		return fmt.Errorf("ot: WriteMasked of %d pairs against a correction for %d", len(pairs), p.pending)
-	}
-	for k := range DerandPieces(len(pairs)) {
-		if err := p.WriteMaskedPiece(w, pairs, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteMaskedPiece answers piece k of the correction ReadCorrectionHead
 // opened, once ReadCorrectionPiece has read its bits, with the piece's
-// masked pairs in one write. The pairs are the whole batch the
+// masked pairs, y_i = m_i ^ r_(i^e_j) per transfer, in one write. The pairs are the whole batch the
 // correction was read for; the pieces go out in order, and the last
 // consumes the batch's correlations.
 func (p *Pool) WriteMaskedPiece(w io.Writer, pairs []Pair, k int) error {

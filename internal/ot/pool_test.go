@@ -169,8 +169,8 @@ func TestPoolZeroBatch(t *testing.T) {
 // TestPoolDerandHalves drives the two halves of each role with the
 // frames held in memory between them, the way a session that sends the
 // correction ahead of the sender's header does: building or reading the
-// correction consumes nothing, the masked-pair half consumes the batch,
-// and the receiver learns exactly its chosen messages.
+// correction consumes nothing, the masked pairs consume the batch, and
+// the receiver learns exactly its chosen messages.
 func TestPoolDerandHalves(t *testing.T) {
 	sp, rp, cs, cr := newPoolPair(t, Insecure)
 	const n = 13
@@ -192,24 +192,28 @@ func TestPoolDerandHalves(t *testing.T) {
 	if len(req) != 1+derandHeaderLen+(n+7)/8 || req[0] != 0x01 || req[1] != derandMagic {
 		t.Fatalf("run request %x: want 0x01, then a %d-transfer correction", req, n)
 	}
-	if err := sp.ReadCorrection(bytes.NewReader(req[1:]), n); err != nil {
+	corr := bytes.NewReader(req[1:])
+	if err := sp.ReadCorrectionHead(corr, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.ReadCorrectionPiece(corr, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Level() != 2*n || rp.Level() != 2*n {
 		t.Fatalf("levels %d/%d after the correction, want %d: nothing is consumed yet", sp.Level(), rp.Level(), 2*n)
 	}
 	var masked bytes.Buffer
-	if err := sp.WriteMasked(&masked, pairs[:n-1]); err == nil {
-		t.Fatal("WriteMasked of a batch the correction was not read for succeeded")
+	if err := sp.WriteMaskedPiece(&masked, pairs[:n-1], 0); err == nil {
+		t.Fatal("masked pairs for a batch the correction was not read for were written")
 	}
-	if err := sp.WriteMasked(&masked, pairs); err != nil {
+	if err := sp.WriteMaskedPiece(&masked, pairs, 0); err != nil {
 		t.Fatal(err)
 	}
 	if masked.Len() != n*maskedPairBytes || sp.Level() != n {
 		t.Fatalf("masked slab %d bytes, sender level %d; want %d, %d", masked.Len(), sp.Level(), n*maskedPairBytes, n)
 	}
-	if err := sp.WriteMasked(&masked, pairs); err == nil {
-		t.Fatal("a second WriteMasked answered the same correction")
+	if err := sp.WriteMaskedPiece(&masked, pairs, 0); err == nil {
+		t.Fatal("a second answer to the same correction was written")
 	}
 	out := make([]label.L, n)
 	if err := rp.ReadMasked(&masked, choices, out); err != nil {
@@ -232,8 +236,8 @@ func TestPoolDerandHalves(t *testing.T) {
 	if _, err := sp.AppendCorrection(nil, choices); err == nil {
 		t.Fatal("AppendCorrection on a sender pool succeeded")
 	}
-	if err := rp.ReadCorrection(bytes.NewReader(req[1:]), n); err == nil {
-		t.Fatal("ReadCorrection on a receiver pool succeeded")
+	if err := rp.ReadCorrectionHead(bytes.NewReader(req[1:]), n); err == nil {
+		t.Fatal("ReadCorrectionHead on a receiver pool succeeded")
 	}
 }
 
@@ -243,28 +247,41 @@ func bareSender(level int) *Pool {
 	return &Pool{send: &extSender{}, masks: make([]Pair, level)}
 }
 
+// frameConn is a connection that reads frame and discards what is
+// written to it: a sender's SendDerand against a receiver's correction.
+func frameConn(frame []byte) io.ReadWriter {
+	return struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(frame), io.Discard}
+}
+
 func TestDerandFrameRefusals(t *testing.T) {
 	sp := bareSender(3)
+	pairs := make([]Pair, 3)
 	// Bad magic.
 	bad := []byte{0x00, 3, 0, 0, 0, 0b101}
-	if err := sp.ReadCorrection(bytes.NewReader(bad), 3); !errors.Is(err, ErrDerand) {
+	if err := sp.SendDerand(frameConn(bad), pairs); !errors.Is(err, ErrDerand) {
 		t.Fatalf("bad magic: %v, want ErrDerand", err)
 	}
 	// Count mismatch.
 	mismatch := []byte{derandMagic, 4, 0, 0, 0, 0b101}
-	if err := sp.ReadCorrection(bytes.NewReader(mismatch), 3); !errors.Is(err, ErrDerand) {
+	if err := sp.SendDerand(frameConn(mismatch), pairs); !errors.Is(err, ErrDerand) {
 		t.Fatalf("count mismatch: %v, want ErrDerand", err)
 	}
 	// Truncated frames surface the transport error, not ErrDerand.
-	if err := sp.ReadCorrection(bytes.NewReader([]byte{derandMagic, 3}), 3); err == nil || errors.Is(err, ErrDerand) {
+	if err := sp.SendDerand(frameConn([]byte{derandMagic, 3}), pairs); err == nil || errors.Is(err, ErrDerand) {
 		t.Fatalf("truncated header: %v, want transport error", err)
 	}
-	if err := sp.ReadCorrection(bytes.NewReader([]byte{derandMagic, 3, 0, 0, 0}), 3); err == nil || errors.Is(err, ErrDerand) {
+	if err := sp.SendDerand(frameConn([]byte{derandMagic, 3, 0, 0, 0}), pairs); err == nil || errors.Is(err, ErrDerand) {
 		t.Fatalf("truncated bits: %v, want transport error", err)
 	}
-	// A well-formed frame parses.
+	if sp.Level() != 3 {
+		t.Fatalf("refused frames consumed correlations: level %d, want 3", sp.Level())
+	}
+	// A well-formed frame parses and is answered.
 	good := []byte{derandMagic, 3, 0, 0, 0, 0b101}
-	if err := sp.ReadCorrection(bytes.NewReader(good), 3); err != nil {
+	if err := sp.SendDerand(frameConn(good), pairs); err != nil {
 		t.Fatalf("good frame: %v", err)
 	}
 	if sp.ein[derandHeaderLen] != 0b101 {
@@ -284,7 +301,7 @@ func FuzzDerandFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, want uint16) {
 		n := int(want)%4096 + 1
 		sp := bareSender(n)
-		err := sp.ReadCorrection(bytes.NewReader(data), n)
+		err := sp.SendDerand(frameConn(data), make([]Pair, n))
 		if err == nil {
 			// A clean parse must round-trip: header fields match what
 			// the receiver side would have encoded for n.
@@ -313,8 +330,8 @@ func TestPoolFillAllocFree(t *testing.T) {
 	pairs := make([]Pair, n)
 	choices := NewBitset(n)
 	out := make([]label.L, n)
-	// A persistent sender goroutine keeps goroutine startup out of the
-	// measured rounds; AllocsPerRun counts allocations on all goroutines.
+	// A persistent goroutine on the sending end keeps goroutine startup
+	// out of the measured rounds; AllocsPerRun counts allocations on all goroutines.
 	reqs := make(chan struct{}, rounds+2)
 	defer close(reqs)
 	errs := make(chan error, rounds+2)
@@ -451,9 +468,10 @@ func poolOnlineAllocs(t *testing.T, n int) {
 		choices.Set(i, i%3 == 0)
 	}
 	out := make([]label.L, n)
-	// A persistent sender goroutine fed over buffered channels keeps
-	// goroutine startup out of the measured rounds; AllocsPerRun counts
-	// allocations on all goroutines, the sender's included.
+	// A persistent goroutine on the sending end, fed over buffered
+	// channels, keeps goroutine startup out of the measured rounds;
+	// AllocsPerRun counts allocations on all goroutines, that one's
+	// included.
 	reqs := make(chan struct{}, rounds+2)
 	errs := make(chan error, rounds+2)
 	go func() {

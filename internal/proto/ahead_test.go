@@ -97,7 +97,7 @@ func TestAheadRunsMatchGarblePlan(t *testing.T) {
 // session's label source stands after exactly one Begin, with no run
 // ahead recorded.
 func TestOneShotGarblesNoRunAhead(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	ref := label.NewSource(7)
 	gc.NewPlanGarbler(r.p, gc.RekeyedHasher{}).Begin(ref)
 	afterOne := ref.State()
@@ -136,12 +136,13 @@ func TestOneShotGarblesNoRunAhead(t *testing.T) {
 	}
 }
 
-// TestAheadGoroutinesReleasedOnClose: Close stops a run being garbled
-// ahead at its next emit and returns with the session's garble and
-// sender goroutines gone. The run ahead is held at its first gate until
-// Close has marked the stream closed, so the close lands mid-garble.
+// TestAheadGoroutinesReleasedOnClose: a live session runs exactly one
+// table-stream goroutine, which garbles; Close stops a run being
+// garbled ahead at its next emit and returns with it gone. The run
+// ahead is held at its first gate until Close has marked the stream
+// closed, so the close lands mid-garble.
 func TestAheadGoroutinesReleasedOnClose(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	before := streamGoroutines()
 	h := &hookHasher{}
 	ga, ev := connPair(t, false)
@@ -159,6 +160,9 @@ func TestAheadGoroutinesReleasedOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-inAhead
+	if n := streamGoroutines() - before; n != 1 {
+		t.Fatalf("a live session runs %d table-stream goroutines, want 1", n)
+	}
 
 	closed := make(chan struct{})
 	go func() {
@@ -184,7 +188,7 @@ func TestAheadGoroutinesReleasedOnClose(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := streamGoroutines(); n > before {
-		t.Fatalf("%d garble and sender goroutines after Close, %d before the session", n, before)
+		t.Fatalf("%d table-stream goroutines after Close, %d before the session", n, before)
 	}
 }
 
@@ -260,7 +264,7 @@ func (c *stallingCut) Write(p []byte) (int, error) {
 // too, from the seed PendingSeed reports. The broken run is a session's
 // second, so the run ahead sits in the runner the first run used.
 func TestResumeWhileAheadInFlight(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	const cutTables = 5
 	pre := r.preTableBytes(t)
 	h := &hookHasher{}

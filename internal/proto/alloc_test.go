@@ -30,12 +30,12 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestTableSenderNoSteadyStateAllocs: the hand-offs between a run, the
-// session's garble goroutine and its sender goroutine — the run's op,
-// its begin, a call per emit, the writes of the arena's own bytes, the
-// drain, and the run garbled ahead meanwhile — allocate nothing,
-// whatever the number of tables.
-func TestTableSenderNoSteadyStateAllocs(t *testing.T) {
+// TestTableStreamNoSteadyStateAllocs: the hand-offs between a run and
+// the session's garble goroutine — the run's op, a call per emit, the
+// run's writes of the arena's own bytes, the end of its stream, and the
+// run garbled ahead meanwhile — allocate nothing, whatever the number
+// of tables.
+func TestTableStreamNoSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	measure := func(w workloads.Workload) float64 {
 		plan, err := circuit.NewPlan(w.Build())
@@ -47,8 +47,7 @@ func TestTableSenderNoSteadyStateAllocs(t *testing.T) {
 		run := func() {
 			rn := tx.next()
 			tx.begun(rn)
-			tx.begin(io.Discard, rn, 0)
-			if _, err := tx.drain(); err != nil {
+			if _, err := tx.stream(io.Discard, rn, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,9 +7,9 @@
 // There is one execution engine: GarblerSession and EvaluatorSession
 // drive gc's plan runners over a compiled circuit.Plan. A garbler
 // session garbles on a goroutine of its own, one run ahead of the runs
-// asked for, into the second of two runners; its tables leave through
-// the session's sender goroutine, as the bytes of the runner's table
-// arena, while later segments may still be being garbled (sender.go).
+// asked for, into the second of two runners; each run writes its own
+// tables, as the bytes of the runner's table arena, while later segments
+// may still be being garbled (sender.go).
 // The evaluator reads them straight into its own arena. RunGarbler and
 // RunEvaluator are one-run wrappers around a session.
 //

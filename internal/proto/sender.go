@@ -12,33 +12,32 @@ import (
 )
 
 // The garbler's work is laid out as streams ahead of need, the way HAAC
-// feeds its gate engines through queues (§3.1.4). A GarblerSession's
-// runs neither garble nor write a table themselves; two goroutines of
-// the session's table stream do:
+// feeds its gate engines through queues (§3.1.4): one engine on each
+// side of the table arena. A GarblerSession's runs garble no gate
+// themselves; the session's garble goroutine does, into one of two plan
+// runners, and its runner's emit publishes how far the runner's table
+// arena is final. The run's own goroutine follows that watermark and
+// writes the arena's own bytes to the transport, so a run that is not
+// fully garbled yet still streams while garbling finishes.
 //
-//   - the garble goroutine garbles into one of two plan runners. Its
-//     runner's emit publishes how far the runner's table arena is final.
-//     A run's tables, R, input zero-labels and decode bits depend on
-//     neither party's inputs, so the goroutine works one run ahead: once
-//     run j is garbled and its tables have begun to stream, it begins
-//     and garbles run j+1 into the other runner, while run j's tables
-//     drain, the evaluator finishes and the next op travels. Not sooner:
-//     run j's input phase (its OT) is on the run's critical path, and on
-//     an input-heavy circuit garbling beside it takes the CPU it needs.
-//     At most one run is garbled that no op has asked for, and none
-//     before the first op. Run j's runner keeps its decode bits and
-//     arena until run j ends, so two runners suffice.
-//   - the sender goroutine follows the streamed run's watermark and
-//     writes its arena's own bytes to the transport, so a run that is
-//     not fully garbled yet still streams while garbling finishes.
+// A run's tables, R, input zero-labels and decode bits depend on
+// neither party's inputs, so the garble goroutine works one run ahead:
+// once run j is garbled and its tables have begun to stream, it begins
+// and garbles run j+1 into the other runner, while run j's tables
+// drain, the evaluator finishes and the next op travels. Not sooner:
+// run j's input phase (its OT) is on the run's critical path, and on an
+// input-heavy circuit garbling beside it takes the CPU it needs. At
+// most one run is garbled that no op has asked for, and none before the
+// first op. Run j's runner keeps its decode bits and arena until run j
+// ends, so two runners suffice.
 //
 // Label-source draws keep the order of the runs (run j's, then run
 // j+1's), so the wire bytes are those of garbling each run when its op
 // arrives. A resumed run is garbled by the same goroutine, from its
 // recorded seed, on the runner the run ahead does not hold.
 
-// emitFlushTables is the number of pending tables from which the sender
-// pushes them to the transport instead of waiting for more: 32 KiB of
+// emitFlushTables is the number of pending tables from which a streamed
+// run pushes them to the transport instead of waiting for more: 32 KiB of
 // tables. It is a floor, not a size — one write carries everything
 // published since the last, so writes grow by themselves when the
 // socket is the slow side — and a run's end pushes whatever is left.
@@ -65,10 +64,9 @@ type runner struct {
 	err   error
 }
 
-// tableStream is a GarblerSession's garble and sender goroutines and the
-// state they share with the session's runs. One run at a time streams:
-// begin, then drain. Outside begin..drain the sender is parked; outside
-// a queued run the garble goroutine is.
+// tableStream is a GarblerSession's garble goroutine and the state it
+// shares with the session's runs. One run at a time streams, inside
+// stream; outside a queued run the garble goroutine is parked.
 type tableStream struct {
 	plan   *circuit.Plan
 	hasher gc.Hasher
@@ -79,8 +77,7 @@ type tableStream struct {
 
 	mu   sync.Mutex
 	jobs sync.Cond // the garble goroutine waits: a run queued, or close
-	work sync.Cond // the sender waits: tables due, or close
-	idle sync.Cond // the session waits: a run begun or ended, a write finished
+	idle sync.Cond // the session waits: a run begun or ended, tables due, a write failed
 
 	queued   *runner // the run the garble goroutine takes next
 	ahead    *runner // the fresh run no op has asked for: queued, garbling or garbled
@@ -88,17 +85,15 @@ type tableStream struct {
 	pending  uint64  // the source state the next fresh run not yet queued begins from
 	oneRun   bool    // garble no run ahead: a one-shot RunGarbler's session
 
-	w       io.Writer // the streamed run's transport
-	cur     *runner   // the streamed run, from begin to drain
-	sent    int       // tables written, skipped by a resume, or abandoned after err
-	writing bool      // a Write is in flight, outside mu
-	err     error     // the streamed run's first write error
-	closed  bool
+	cur    *runner // the streamed run, inside stream
+	sent   int     // tables written, skipped by a resume, or abandoned after err
+	err    error   // the streamed run's first write error
+	closed bool
 }
 
-// newTableStream starts the goroutines of a session garbling p with h
-// from label-source state seed, accounting its time to stats (nil for
-// nowhere). A oneRun stream never garbles ahead.
+// newTableStream starts the garble goroutine of a session garbling p
+// with h from label-source state seed, accounting its time to stats
+// (nil for nowhere). A oneRun stream never garbles ahead.
 func newTableStream(p *circuit.Plan, h gc.Hasher, seed uint64, stats *Stats, oneRun bool) *tableStream {
 	if stats == nil {
 		stats = new(Stats)
@@ -110,10 +105,9 @@ func newTableStream(p *circuit.Plan, h gc.Hasher, seed uint64, stats *Stats, one
 		rn.done = true
 		rn.emit = func(tables []gc.Material) error { return t.emitted(rn, len(tables)) }
 	}
-	t.jobs.L, t.work.L, t.idle.L = &t.mu, &t.mu, &t.mu
-	t.exited.Add(2)
+	t.jobs.L, t.idle.L = &t.mu, &t.mu
+	t.exited.Add(1)
 	go t.garbleLoop()
-	go t.sendLoop()
 	return t
 }
 
@@ -252,9 +246,6 @@ func (t *tableStream) garbleLoop() {
 
 		t.mu.Lock()
 		rn.done, rn.out, rn.err = true, out, err
-		if t.due() {
-			t.work.Signal() // the streamed run's end pushes the rest
-		}
 		t.garbleAhead()
 		t.idle.Broadcast()
 	}
@@ -264,8 +255,8 @@ func (t *tableStream) garbleLoop() {
 // emit chunks are consecutive pieces of it — and returns the error that
 // stops its garbling, if there is one yet: a write error stops the
 // streamed run at its next emit. The mutex is the happens-before edge
-// between the garbler's stores into the arena and the sender's reads of
-// it.
+// between the garbler's stores into the arena and the streamed run's
+// reads of it.
 func (t *tableStream) emitted(rn *runner, n int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -277,43 +268,50 @@ func (t *tableStream) emitted(rn *runner, n int) error {
 	}
 	rn.ready += n
 	if t.due() {
-		t.work.Signal()
+		t.idle.Broadcast()
 	}
 	return nil
 }
 
-// begin opens the stream of rn's run to w from table offset from: a
-// resumed run's peer already holds the tables below it, so they count as
-// sent and nothing is pending until the run has emitted past them. A
-// fresh run's inputs have gone out by now, so the run after it may be
-// garbled ahead.
-func (t *tableStream) begin(w io.Writer, rn *runner, from int) {
+// stream streams rn's run to w from table offset from, on the calling
+// goroutine, and ends it: it writes everything published since its last
+// write once emitFlushTables are pending or the run's garbling has
+// ended, and returns once garbling has ended and every emitted table
+// has been written or abandoned after a write error, with the garbled
+// run and the run's first error, the garbler's or the transport's. A
+// resumed run's peer already holds the tables below from, so they count
+// as sent. A fresh run's inputs have gone out by now, so the run after
+// it may be garbled ahead. Every streamed run calls it before touching
+// the transport again.
+func (t *tableStream) stream(w io.Writer, rn *runner, from int) (*gc.Garbled, error) {
+	start := time.Now()
 	t.mu.Lock()
-	for t.writing { // left by a run that panicked out before its drain
-		t.idle.Wait()
-	}
-	t.w, t.cur, t.sent, t.err = w, rn, from, nil
+	t.cur, t.sent, t.err = rn, from, nil
 	if rn.fresh {
 		t.streamed = rn
 		t.garbleAhead()
 	}
-	if t.due() {
-		t.work.Signal()
-	}
-	t.mu.Unlock()
-}
+	for {
+		for !t.due() && !rn.done {
+			t.idle.Wait()
+		}
+		if !t.due() {
+			break
+		}
+		tables := rn.pg.Tables()[t.sent:rn.ready]
+		t.mu.Unlock()
 
-// drain ends the streamed run: it returns once the run's garbling has
-// ended and the sender has written every table it emitted, or failed,
-// with the garbled run and the run's first error, the garbler's or the
-// sender's. Every streamed run calls it before touching the transport
-// again, on its error paths too.
-func (t *tableStream) drain() (*gc.Garbled, error) {
-	start := time.Now()
-	t.mu.Lock()
-	rn := t.cur
-	for !rn.done || t.writing || t.due() {
-		t.idle.Wait()
+		gc.MaterialsToWire(tables)
+		ws := time.Now()
+		_, err := w.Write(gc.MaterialBytes(tables))
+		t.stats.TableSendNanos.Add(int64(time.Since(ws)))
+
+		t.mu.Lock()
+		t.sent += len(tables)
+		if err != nil {
+			t.err = wrapPeer("streaming tables", err)
+			t.idle.Broadcast() // for whoever waits on the run's failure
+		}
 	}
 	t.cur = nil
 	out, err := rn.out, rn.err
@@ -325,7 +323,8 @@ func (t *tableStream) drain() (*gc.Garbled, error) {
 	return out, err
 }
 
-// due reports whether a write should start now. Callers hold mu.
+// due reports whether the streamed run should write now. Callers hold
+// mu.
 func (t *tableStream) due() bool {
 	rn := t.cur
 	if rn == nil || t.err != nil {
@@ -335,43 +334,12 @@ func (t *tableStream) due() bool {
 	return pending > 0 && (rn.done || pending >= emitFlushTables)
 }
 
-func (t *tableStream) sendLoop() {
-	defer t.exited.Done()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		for !t.closed && !t.due() {
-			t.work.Wait()
-		}
-		if t.closed {
-			return
-		}
-		w, tables := t.w, t.cur.pg.Tables()[t.sent:t.cur.ready]
-		t.writing = true
-		t.mu.Unlock()
-
-		gc.MaterialsToWire(tables)
-		start := time.Now()
-		_, err := w.Write(gc.MaterialBytes(tables))
-		t.stats.TableSendNanos.Add(int64(time.Since(start)))
-
-		t.mu.Lock()
-		t.writing = false
-		t.sent += len(tables)
-		if err != nil {
-			t.err = wrapPeer("streaming tables", err)
-		}
-		t.idle.Broadcast()
-	}
-}
-
-// close stops both goroutines — a run garbling ahead stops at its next
-// emit — and waits for them to exit. No run may be streaming.
+// close stops the garble goroutine — a run garbling ahead stops at its
+// next emit — and waits for it to exit. No run may be streaming.
 func (t *tableStream) close() {
 	t.mu.Lock()
 	t.closed = true
 	t.jobs.Signal()
-	t.work.Signal()
 	t.mu.Unlock()
 	t.exited.Wait()
 }

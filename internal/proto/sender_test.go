@@ -59,9 +59,9 @@ func garbledThrough(p *circuit.Plan, k int) int {
 	return n
 }
 
-// senderRig is the circuit the sender tests run: big enough for a dozen
+// streamRig is the circuit the stream tests run: big enough for a dozen
 // coalesced table writes, with emits from one table to a thousand.
-type senderRig struct {
+type streamRig struct {
 	c      *circuit.Circuit
 	p      *circuit.Plan
 	numAND int
@@ -69,7 +69,7 @@ type senderRig struct {
 	want   []bool
 }
 
-func newSenderRig(t *testing.T) *senderRig {
+func newStreamRig(t *testing.T) *streamRig {
 	t.Helper()
 	w := workloads.DotProduct(12, 32)
 	c := w.Build()
@@ -82,9 +82,9 @@ func newSenderRig(t *testing.T) *senderRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &senderRig{c: c, p: p, numAND: len(p.Tables), g: g, e: e, want: want}
+	r := &streamRig{c: c, p: p, numAND: len(p.Tables), g: g, e: e, want: want}
 	if r.numAND < 8*emitFlushTables {
-		t.Fatalf("circuit has %d tables; the sender tests need several coalesced writes", r.numAND)
+		t.Fatalf("circuit has %d tables; the stream tests need several coalesced writes", r.numAND)
 	}
 	return r
 }
@@ -92,7 +92,7 @@ func newSenderRig(t *testing.T) *senderRig {
 // evaluate runs a one-shot evaluator over ev in the background and
 // returns the channel its outcome arrives on: an error, or a mismatch
 // with the plaintext oracle.
-func (r *senderRig) evaluate(ev net.Conn) <-chan error {
+func (r *streamRig) evaluate(ev net.Conn) <-chan error {
 	errc := make(chan error, 1)
 	go func() {
 		out, err := RunEvaluator(ev, r.c, r.e, Options{Plan: r.p, OT: ot.Insecure})
@@ -144,7 +144,7 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 // hash call with no byte of it out. A garbler that writes tables itself,
 // or garbles only once its input phase is through, never gets there.
 func TestGarblerRunsAheadOfBlockedTransport(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	ga, ev := connPair(t, false)
 	gate := &gatedConn{Conn: ga, attempted: make(chan struct{}), release: make(chan struct{})}
 	h := &hookHasher{}
@@ -228,11 +228,11 @@ func (r *notifyingReader) waitFor(want int64) error {
 // without further help from the garbler. The garbler is held at the
 // first gate of its last step until the evaluator's transport has
 // received every table published before it, less the under-threshold
-// tail the sender may keep for its next write. Tables parked until a
+// tail the run may keep for its next write. Tables parked until a
 // later emit pushes them out deadlock here.
 func TestSenderDeliversWhileGarblerHeld(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
-		r := newSenderRig(t)
+		r := newStreamRig(t)
 		ga, ev0 := connPair(t, tcp)
 		ev := newNotifyingReader(ev0)
 		h := &hookHasher{}
@@ -362,7 +362,7 @@ func referenceTables(t *testing.T, c *circuit.Circuit, seed uint64) []byte {
 // sharing a write with anything else, none after the decode bits — in
 // writes of at least emitFlushTables tables, a run's last excepted.
 func TestTableWritesContiguousAndCoalesced(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	ga, ev := connPair(t, true)
 	rec := &recordingConn{Conn: ga}
 	gs, err := NewGarblerSession(rec, Options{Plan: r.p, OT: ot.Insecure, Seed: 7})
@@ -402,7 +402,7 @@ func (c *failingConn) Write(p []byte) (int, error) {
 
 // preTableBytes is how many bytes a garbler writes before a run's first
 // table: header, labels and OT.
-func (r *senderRig) preTableBytes(t *testing.T) int {
+func (r *streamRig) preTableBytes(t *testing.T) int {
 	t.Helper()
 	var ref bytes.Buffer
 	ga, ev := connPair(t, false)
@@ -416,13 +416,13 @@ func (r *senderRig) preTableBytes(t *testing.T) int {
 	return ref.Len() - r.numAND*gc.MaterialSize - len(r.c.Outputs)
 }
 
-// TestDeadPeerStopsGarblerAtNextEmit: the sender's write error ends the
+// TestDeadPeerStopsGarblerAtNextEmit: the run's write error ends the
 // run at the garbler's next emit, typed ErrPeerClosed, instead of after
 // the rest of the circuit has been garbled; a run that failed garbles
 // none ahead; and the session is sound afterwards — Reset onto a live
 // connection and the next run succeeds.
 func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	ga, ev := connPair(t, false)
 	// The connection dies at the run's first table write.
 	dead := &failingConn{Conn: ga, after: int64(r.preTableBytes(t))}
@@ -433,7 +433,7 @@ func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
 	}
 	defer gs.Close()
 
-	// due is the step whose emit first gives the sender a write to make,
+	// due is the step whose emit first gives the run a write to make,
 	// next the step of the emit after it.
 	due := 0
 	for r.p.EmitReady(due) < emitFlushTables {
@@ -444,7 +444,7 @@ func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
 		next++
 	}
 	h.arm(map[int]func(){
-		// Hold the garbler until the sender has recorded its failure.
+		// Hold the garbler until the run has recorded its write failure.
 		4 * garbledThrough(r.p, due): func() {
 			gs.tx.mu.Lock()
 			for gs.tx.err == nil {
@@ -489,7 +489,7 @@ func TestDeadPeerStopsGarblerAtNextEmit(t *testing.T) {
 // resumed from there receives byte for byte the rest of the stream an
 // uninterrupted run sends.
 func TestResumeOffsetExactAtUnalignedCut(t *testing.T) {
-	r := newSenderRig(t)
+	r := newStreamRig(t)
 	const seed = 7
 	opts := Options{Plan: r.p, OT: ot.Insecure, Seed: seed}
 	tableBytes := r.numAND * gc.MaterialSize
@@ -578,17 +578,25 @@ func TestResumeOffsetExactAtUnalignedCut(t *testing.T) {
 	}
 }
 
-// streamGoroutines counts the live garble and sender goroutines.
+// streamGoroutines counts the live goroutines that a table stream
+// started, whatever they run: those whose stack began in a tableStream
+// method.
 func streamGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("(*tableStream).garbleLoop")) + bytes.Count(buf, []byte("(*tableStream).sendLoop"))
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("created by haac/internal/proto.newTableStream")) {
+			n++
+		}
+	}
+	return n
 }
 
-// TestOneShotGarblerLeavesNoSender: RunGarbler's session takes its
-// garble and sender goroutines with it, on success and on failure.
-func TestOneShotGarblerLeavesNoSender(t *testing.T) {
-	r := newSenderRig(t)
+// TestOneShotGarblerLeavesNoStreamGoroutine: RunGarbler's session takes
+// its garble goroutine with it, on success and on failure.
+func TestOneShotGarblerLeavesNoStreamGoroutine(t *testing.T) {
+	r := newStreamRig(t)
 	before := streamGoroutines()
 	ga, ev := connPair(t, false)
 	evc := r.evaluate(ev)
@@ -610,6 +618,6 @@ func TestOneShotGarblerLeavesNoSender(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := streamGoroutines(); n > before {
-		t.Fatalf("%d garble and sender goroutines, %d before the one-shot runs", n, before)
+		t.Fatalf("%d table-stream goroutines, %d before the one-shot runs", n, before)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Protocol sessions: the per-connection endpoints every run goes
 // through. A GarblerSession/EvaluatorSession pair owns the run state
 // for the lifetime of a connection: the buffered writer/reader, the
-// garbler's table-sender goroutine, both roles' pool goroutines (in-run
+// garbler's garble goroutine, both roles' pool goroutines (in-run
 // fills, the evaluator's pieced corrections), the packed header, OT
 // pair scratch, result buffers and a reusable plan runner all persist,
 // so a steady-state run allocates nothing on either side (on-demand OT for
@@ -30,9 +30,9 @@ import (
 // and one precompiled plan. It is not safe for concurrent use; a server
 // pools sessions and gives each connection its own. Its runs are
 // garbled by the session's garble goroutine, one run ahead into the
-// second of two plan runners, and streamed by its sender goroutine
-// (sender.go); once a run has carried an in-run fill it also owns a pool
-// goroutine. So it must be Closed.
+// second of two plan runners, and each run writes its own tables as the
+// goroutine publishes them (sender.go); once a run has carried an in-run
+// fill the session also owns a pool goroutine. So it must be Closed.
 type GarblerSession struct {
 	opts  Options
 	c     *circuit.Circuit
@@ -140,8 +140,8 @@ func (s *GarblerSession) LastRunPooled() bool { return s.lastPooled }
 // write of its own. A write error surfaces from that Run.
 func (s *GarblerSession) Lead(p []byte) { s.w.Write(p) }
 
-// Close stops the garble, sender and pool goroutines; a run garbling
-// ahead stops at its next emit. No Run may be in progress.
+// Close stops the garble and pool goroutines; a run garbling ahead
+// stops at its next emit. No Run may be in progress.
 func (s *GarblerSession) Close() {
 	s.tx.close()
 	s.side.close()
@@ -151,8 +151,8 @@ func (s *GarblerSession) Close() {
 // segment-streamed tables, decode bits, and the evaluator's reported
 // result. The run is the one garbled ahead, or is garbled from now on
 // the garble goroutine; either way Run takes its R and input
-// zero-labels once it has begun, and the sender streams its tables
-// behind the goroutine's watermark. A pool hit first reads the head of
+// zero-labels once it has begun, and writes its tables behind the
+// goroutine's watermark. A pool hit first reads the head of
 // the evaluator's choice correction; once it has written the header and
 // labels, it reads the correction a piece at a time and answers each
 // piece with its masked pairs, the first answer in the header's flush.
@@ -240,16 +240,14 @@ func (s *GarblerSession) sendInputs(rn *runner, garblerBits []bool) error {
 
 // streamRun streams rn's tables from offset from, then sends the decode
 // bits and collects the evaluator's reported result — the shared body
-// of Run and ResumeRun. Nothing is buffered in s.w on entry, and between
-// begin and drain only the sender writes to the transport, so the wire
-// order is tables then decode bits; the drain, which also waits for the
-// run's garbling to end, runs when the stream stops on an error too, and
-// so does the join of an in-run fill, so no Read or Write is in flight
-// once this returns. (On a big-endian host the sender leaves the arena,
-// and with it garbled.Tables, in wire byte order.)
+// of Run and ResumeRun. Nothing is buffered in s.w on entry, so the
+// wire order is tables then decode bits; the stream, which also waits
+// for the run's garbling to end, runs to its end when a write fails
+// too, and so does the join of an in-run fill, so no Read or Write is
+// in flight once this returns. (On a big-endian host the stream leaves
+// the arena, and with it garbled.Tables, in wire byte order.)
 func (s *GarblerSession) streamRun(rn *runner, from int) ([]bool, error) {
-	s.tx.begin(s.rw, rn, from)
-	garbled, err := s.tx.drain()
+	garbled, err := s.tx.stream(s.rw, rn, from)
 	if err == nil {
 		err = s.sendDecode(garbled.OutputZeros)
 	}

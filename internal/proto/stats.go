@@ -13,12 +13,13 @@ import (
 type Stats struct {
 	BytesSent     atomic.Int64
 	BytesReceived atomic.Int64
-	// TableSendNanos is the time a garbler session's sender goroutine
-	// spent inside the transport's Write pushing tables;
-	// TableDrainWaitNanos is the time its runs waited, once their inputs
-	// had gone out, for their garble goroutine to finish the run's
-	// tables and for the last of them to leave. A run garbled ahead
-	// waits for its writes alone.
+	// TableSendNanos is the time a garbler session's runs spent inside
+	// the transport's Write pushing tables. TableDrainWaitNanos is the
+	// wall time of their table streams, from the first table a run may
+	// write (its inputs have gone out) until garbling has ended and its
+	// last table has left: it holds every table write, so it is never
+	// less than TableSendNanos, and the rest of it is time the run
+	// waited for its garble goroutine to publish tables.
 	TableSendNanos      atomic.Int64
 	TableDrainWaitNanos atomic.Int64
 	// TableReadWaitNanos is the time an evaluator session's runs spent

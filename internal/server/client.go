@@ -117,11 +117,6 @@ type ClientStats struct {
 	// fills: each connection's connect-time fill in the handshake and
 	// the in-run fills of pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
-	// TableSendNanos and TableDrainWaitNanos are the garbler's
-	// table-stream timing as Options.Stats holds it (see proto.Stats).
-	// A session only evaluates, so they stay zero unless that Stats is
-	// shared with a garbler in the same process.
-	TableSendNanos, TableDrainWaitNanos uint64
 	// TableReadWaitNanos is the time this session's runs spent reading
 	// tables: the evaluator blocked on the garbler's stream.
 	TableReadWaitNanos uint64
@@ -148,8 +143,6 @@ func (cs ClientStats) MetricsText() string {
 	seconds := func(name, help string, nanos uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, time.Duration(nanos).Seconds())
 	}
-	seconds("haac_client_table_send_seconds_total", "Seconds a garbler sharing this session's Stats spent inside Write pushing tables.", cs.TableSendNanos)
-	seconds("haac_client_table_drain_wait_seconds_total", "Seconds such a garbler's runs waited, once their inputs had gone out, for their tables to be garbled and the last to leave.", cs.TableDrainWaitNanos)
 	seconds("haac_client_table_read_wait_seconds_total", "Seconds this session's runs spent reading tables, blocked on the garbler's stream.", cs.TableReadWaitNanos)
 	return b.String()
 }
@@ -468,10 +461,6 @@ func (s *Session) NumSlots() int { return s.numSlots }
 func (s *Session) Stats() ClientStats {
 	cs := s.stats
 	cs.TableReadWaitNanos = uint64(s.es.TableReadWait())
-	if st := s.opts.Stats; st != nil {
-		cs.TableSendNanos = uint64(st.TableSendNanos.Load())
-		cs.TableDrainWaitNanos = uint64(st.TableDrainWaitNanos.Load())
-	}
 	return cs
 }
 

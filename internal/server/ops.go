@@ -113,8 +113,8 @@ func (s *Server) metricsText() string {
 	counter("haac_pool_hits_total", "Pooled-tier runs served from a precomputed OT pool.", float64(st.PoolHits))
 	counter("haac_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", float64(st.PoolMisses))
 	counter("haac_pool_refills_total", "Completed OT-pool fills across all sessions: connect-time fills in the handshake plus in-run fills.", float64(st.PoolRefills))
-	counter("haac_table_send_seconds_total", "Seconds the garbler runners' sender goroutines spent inside the transport's Write pushing tables.", time.Duration(st.TableSendNanos).Seconds())
-	counter("haac_table_drain_wait_seconds_total", "Seconds runs waited, once their inputs had gone out, for their garble goroutines to finish their tables and the last to leave; send time beyond this was overlapped with garbling.", time.Duration(st.TableDrainWaitNanos).Seconds())
+	counter("haac_table_send_seconds_total", "Seconds runs spent inside the transport's Write pushing tables.", time.Duration(st.TableSendNanos).Seconds())
+	counter("haac_table_drain_wait_seconds_total", "Wall seconds of runs' table streams, from the end of each run's input phase until its last table left; holds every table write, the rest is waiting for the garble goroutine.", time.Duration(st.TableDrainWaitNanos).Seconds())
 	return b.String()
 }
 

@@ -173,18 +173,18 @@ type Stats struct {
 	// counts completed fills: each session's connect-time fill in the
 	// handshake and the in-run fills of its pooled runs.
 	PoolHits, PoolMisses, PoolRefills uint64
-	// TableSendNanos is the time the runners' sender goroutines spent
-	// inside the transport's Write pushing tables; TableDrainWaitNanos
-	// is the time runs waited, once their inputs had gone out, for their
-	// garble goroutines to finish their tables and for the last to
-	// leave. Send time the drain wait does not cover was overlapped with
-	// garbling.
+	// TableSendNanos is the time runs spent inside the transport's
+	// Write pushing tables. TableDrainWaitNanos is the wall time of the
+	// runs' table streams, from the end of each run's input phase until
+	// its garbling had ended and its last table had left; it holds
+	// every table write, and the rest of it is time runs waited for
+	// their runner's garble goroutine.
 	TableSendNanos, TableDrainWaitNanos uint64
 }
 
 // registered is a servable circuit plus its per-circuit runner pool.
 // The pool is an explicit free-list rather than a sync.Pool: each runner
-// owns a table-sender goroutine, so runners must be Closed
+// owns a garble goroutine, so runners must be Closed
 // deterministically at shutdown, never silently dropped by GC.
 type registered struct {
 	spec   CircuitSpec
@@ -223,8 +223,8 @@ func (r *registered) putRunner(gs *proto.GarblerSession) {
 	r.mu.Unlock()
 }
 
-// closeRunners stops every pooled runner's sender goroutine and worker
-// pool, returning once they have exited.
+// closeRunners stops every pooled runner's garble and pool goroutines,
+// returning once they have exited.
 func (r *registered) closeRunners() {
 	r.mu.Lock()
 	free := r.free
@@ -561,7 +561,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.awaitSessions()
-	// Every session has returned its runner; stop their sender goroutines.
+	// Every session has returned its runner; stop their goroutines.
 	for _, reg := range s.reg {
 		reg.closeRunners()
 	}

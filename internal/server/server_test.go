@@ -524,16 +524,16 @@ func TestPlanCacheLRUAndSingleflight(t *testing.T) {
 	}
 }
 
-// TestSenderGoroutinesReleasedOnClose: every garbler runner owns a
-// garble goroutine and a table-sender goroutine, whether it sits in the
-// runner pool or a live session still holds it when the drain starts,
-// and each runner is garbling or has garbled its next run ahead; Close
-// returns them all, and the process is back at its goroutine baseline.
-// The runner free-list is what makes that possible: a sync.Pool would
-// drop runners without ever closing them. (internal/proto's
+// TestRunnerGoroutinesReleasedOnClose: every garbler runner owns a
+// garble goroutine, whether it sits in the runner pool or a live
+// session still holds it when the drain starts, and each runner is
+// garbling or has garbled its next run ahead; Close returns them all,
+// and the process is back at its goroutine baseline. The runner
+// free-list is what makes that possible: a sync.Pool would drop runners
+// without ever closing them. (internal/proto's
 // TestAheadGoroutinesReleasedOnClose holds a run ahead mid-garble until
 // the close lands.)
-func TestSenderGoroutinesReleasedOnClose(t *testing.T) {
+func TestRunnerGoroutinesReleasedOnClose(t *testing.T) {
 	w := workloads.DotProduct(3, 8)
 	c := w.Build()
 	g, _ := w.Inputs(1)
