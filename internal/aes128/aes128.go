@@ -24,7 +24,8 @@
 // points in block.go — FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2,
 // Cipher, and the step kernels GarbleStep and EvalStep — which run the
 // best hardware tier CPUID offers and the T-table tier otherwise (other
-// architectures, or -tags purego). Backend reports which. All agree with each other and with crypto/aes byte for byte;
+// architectures, or -tags purego); on the VAES tiers internal/ot's fill
+// kernels run under a Cipher's round keys (Cipher.RoundKeys). Backend reports which. All agree with each other and with crypto/aes byte for byte;
 // the tests check that on random inputs, on every tier the host has.
 package aes128
 

@@ -3,7 +3,10 @@
 #include "textflag.h"
 
 // The hardware tiers: the AES-NI kernels first, the VAES step kernels
-// (a whole schedule step per call) at the end. The fresh-key kernels never store a key
+// (a whole schedule step per call) at the end. Cipher.Encrypt runs the
+// four-block AES-NI loop on every hardware tier; the VAES forms of a
+// fixed key's AES live with their callers (internal/ot's fill kernels,
+// under Cipher.RoundKeys). The fresh-key kernels never store a key
 // schedule: each round key is derived in registers from the previous
 // one and fed to AESENC straight away, the software shape of HAAC's
 // Half-Gate pipeline (key expansion overlapped with encryption).

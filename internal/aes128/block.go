@@ -15,10 +15,13 @@ import (
 // (GarbleStep, EvalStep), which run a whole schedule step — free gates,
 // then AND gates start to finish: gather, keys, AES, row selection,
 // stores — eight AND gates in flight on vaes512 and four on vaes, and
-// still take the AES-NI kernels for the one-gate entry points. The
-// choice is made once at init from CPUID and cannot be configured: every
-// tier computes AES-128, so every output is byte-identical and only the
-// speed differs. Backend reports which one is live.
+// still take the AES-NI kernels for the one-gate entry points and for
+// Cipher.Encrypt. internal/ot's fill kernels run AES on the same two VAES
+// tiers under a Cipher's round keys (Cipher.RoundKeys), in their own
+// assembly. The choice is made once at init from CPUID and cannot be
+// configured: every tier computes AES-128, so every output is
+// byte-identical and only the speed differs. Backend reports which one
+// is live.
 
 // tier orders the implementations by what they need from the CPU; a
 // host that runs one runs everything below it.
@@ -71,9 +74,12 @@ func Backend() string {
 }
 
 // OneGateBackend names the tier the one-gate entry points
-// (FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2, Cipher) run on: "aesni"
-// on every hardware tier, since the VAES tiers add only the step
-// kernels, and "ttable" otherwise.
+// (FreshKeyEncrypt, FreshKeyPair, FreshKeyPair2) and Cipher.Encrypt run
+// on: "aesni" on every hardware tier, and "ttable" otherwise. The VAES
+// tiers add only kernels that take whole runs of work in one call — the
+// step kernels here and internal/ot's fill kernels — so every
+// Cipher.Encrypt call, whatever its length, and gc.FixedKeyHasher's
+// one- to four-block calls among them, runs the AES-NI four-block loop.
 func OneGateBackend() string {
 	if liveTier >= tierAESNI {
 		return "aesni"
@@ -225,6 +231,12 @@ func NewCipher(key Block) *Cipher {
 	}
 	return c
 }
+
+// RoundKeys returns the cipher's eleven round keys in the order and
+// memory layout the hardware kernels load them, for kernels outside this
+// package that run AES under a Cipher's key. The array must not be
+// modified.
+func (c *Cipher) RoundKeys() *[Rounds + 1]Block { return &c.rk }
 
 // Encrypt sets dst[i] = AES(src[i]) for every block of src. dst must be
 // at least as long as src and may be the same slice.

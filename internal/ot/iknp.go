@@ -27,16 +27,23 @@ import (
 // One core per role (extSender.extend, extReceiver.extend) runs a chunk
 // of up to extChunk transfers, and both the on-demand extension below and
 // Pool.Fill call it. A chunk is staged as whole streams, not per
-// transfer: each column is one AES-CTR expansion of its base-OT seed
-// written in place (one cipher call per column, the key expanded once
-// per extension), the receiver's 128 masked columns leave in one write
-// and arrive in one read, the column-major matrix is flipped with a
-// cache-blocked 64×64 bit transpose, and every row of the chunk is hashed
-// in one cipher call with the fixed-key correlation-robust hash of
-// gc.FixedKeyHasher. Both AES uses run on whichever tier internal/aes128
-// selected at start-up. The scratch is sized once per extension, so
-// million-OT batches run in bounded memory with O(1) allocations per
-// chunk; choice bits travel as a packed Bitset end to end.
+// transfer, in three stages: each column is one AES-CTR expansion of its
+// base-OT seed written in place (the key expanded once per extension),
+// and the receiver's 128 masked columns leave in one write and arrive in
+// one read; the column-major matrix is flipped 64×64 bits at a time
+// (the sender adding the masked columns as it goes); and every row of
+// the chunk is hashed with the fixed-key correlation-robust hash of
+// gc.FixedKeyHasher. On the vaes512 and vaes tiers each stage is one
+// vector kernel (fill.go): the PRG builds its counters in registers and
+// the receiver's masking writes straight into the wire slab, the
+// transpose runs eight (or four) 64×64 blocks side by side, and the hash
+// forms, encrypts and feeds forward its inputs in registers, each under
+// the round keys of the stage's aes128.Cipher. Elsewhere the stages are
+// the Go code below, with both AES uses on whichever tier internal/aes128
+// selected at start-up, and that code is the reference the kernels are
+// tested against. The scratch is sized once per extension, so million-OT
+// batches run in bounded memory with O(1) allocations per chunk; choice
+// bits travel as a packed Bitset end to end.
 
 const (
 	kappa    = 128 // security parameter / base-OT count
@@ -75,11 +82,17 @@ func (p *prgStream) init(seed label.L) {
 }
 
 // expand fills dst with the next len(dst) words of the stream, two per
-// counter block: the counter blocks are written into dst's own memory
-// and encrypted there in one cipher call. An odd last word is the low
-// half of one more block whose high half is dropped (its counter is
-// still consumed).
+// counter block. An odd last word is the low half of one more block
+// whose high half is dropped (its counter is still consumed).
 func (p *prgStream) expand(dst []uint64) {
+	if !expandKernel(liveFill, p, dst) {
+		p.expandGo(dst)
+	}
+}
+
+// expandGo is expand in Go: the counter blocks are written into dst's
+// own memory and encrypted there in one cipher call.
+func (p *prgStream) expandGo(dst []uint64) {
 	blks := wordBlocks(dst)
 	for i := range blks {
 		blks[i] = aes128.Block{Lo: p.ctr}
@@ -123,10 +136,16 @@ func doubled(r row, j uint64) label.L {
 	return label.L{Lo: r[0]<<1 ^ j, Hi: r[1]<<1 | r[0]>>63}
 }
 
-// hashRows sets dst[j] = H(rows[j], t+j) for every j < len(dst): it
-// writes the inputs into dst, encrypts dst in place in one call and XORs
-// the inputs back in.
+// hashRows sets dst[j] = H(rows[j], t+j) for every j < len(dst).
 func hashRows(dst []label.L, rows []row, t uint64) {
+	if !hashRowsKernel(liveFill, dst, rows, t) {
+		hashRowsGo(dst, rows, t)
+	}
+}
+
+// hashRowsGo is hashRows in Go: it writes the inputs into dst, encrypts
+// dst in place in one call and XORs the inputs back in.
+func hashRowsGo(dst []label.L, rows []row, t uint64) {
 	rows = rows[:len(dst)]
 	for j, r := range rows {
 		dst[j] = doubled(r, t+uint64(j))
@@ -139,9 +158,16 @@ func hashRows(dst []label.L, rows []row, t uint64) {
 }
 
 // hashRowPairs sets dst[j] = (H(q_j, t+j), H(q_j ^ s, t+j)) for the rows
-// q_j and every j < len(dst), staged like hashRows with both inputs of
-// a transfer side by side.
+// q_j and every j < len(dst).
 func hashRowPairs(dst []Pair, rows []row, s row, t uint64) {
+	if !hashRowPairsKernel(liveFill, dst, rows, s, t) {
+		hashRowPairsGo(dst, rows, s, t)
+	}
+}
+
+// hashRowPairsGo is hashRowPairs in Go, staged like hashRowsGo with both
+// inputs of a transfer side by side.
+func hashRowPairsGo(dst []Pair, rows []row, s row, t uint64) {
 	rows = rows[:len(dst)]
 	ds := doubled(s, 0) // 2(q ^ s) ^ j = (2q ^ j) ^ 2s
 	for j, q := range rows {
@@ -222,6 +248,7 @@ func (sc *extScratch) fit(mc int) {
 // s_i), one PRG stream per received seed, and the next transfer index.
 type extSender struct {
 	s     row
+	smask [kappa]uint64 // all ones at i where s_i is set, for the kernels
 	prgs  [kappa]prgStream
 	tweak uint64
 	sc    extScratch
@@ -236,6 +263,9 @@ func newExtSender(conn io.ReadWriter, base Protocol) (*extSender, error) {
 		return nil, fmt.Errorf("ot: sampling s: %w", err)
 	}
 	e.s = row{binary.LittleEndian.Uint64(sb[:8]), binary.LittleEndian.Uint64(sb[8:])}
+	for i := range e.smask {
+		e.smask[i] = -(e.s[i/64] >> (i % 64) & 1)
+	}
 	seeds, err := ReceiveBitset(conn, base, Bitset{words: []uint64{e.s[0], e.s[1]}, n: kappa})
 	if err != nil {
 		return nil, fmt.Errorf("ot: base OTs: %w", err)
@@ -250,7 +280,9 @@ func newExtSender(conn io.ReadWriter, base Protocol) (*extSender, error) {
 // transfers and sets dst[j] = (H(q_j), H(q_j ^ s)) under the chunk's
 // transfer indices. It expands all kappa PRG columns first, then reads
 // the receiver's masked columns u_i in one call, adds u_i into column i
-// where s_i is set (Q = PRG ^ s·u), transposes Q and hashes its rows.
+// where s_i is set (Q = PRG ^ s·u), transposes Q and hashes its rows;
+// the vector transpose adds the columns as it loads them, under masks
+// of s rather than branches on it.
 func (e *extSender) extend(r io.Reader, dst []Pair) error {
 	mc := len(dst)
 	colWords, colBytes := (mc+63)/64, (mc+7)/8
@@ -263,13 +295,11 @@ func (e *extSender) extend(r io.Reader, dst []Pair) error {
 	if _, err := io.ReadFull(r, wire); err != nil {
 		return fmt.Errorf("ot: reading masked columns: %w", err)
 	}
-	for i := 0; i < kappa; i++ {
-		if e.s[i/64]>>(i%64)&1 == 1 {
-			xorBytesIntoWords(cols[i*colWords:(i+1)*colWords], wire[i*colBytes:(i+1)*colBytes])
-		}
-	}
 	rows := e.sc.rows[:64*colWords]
-	transposeColumns(rows, cols, colWords)
+	if !transposeKernel(liveFill, rows, cols, colWords, wire, colBytes, &e.smask) {
+		addColumns(cols, colWords, wire, colBytes, e.s)
+		transposeColumnsGo(rows, cols, colWords)
+	}
 	hashRowPairs(dst, rows, e.s, e.tweak)
 	e.tweak += uint64(mc)
 	return nil
@@ -319,6 +349,16 @@ func baseSeedPairs() ([]Pair, error) {
 	return basePairs, nil
 }
 
+// addColumns adds the receiver's masked columns into the sender's where
+// s is set (Q = PRG ^ s·u): column i's bytes are wire[i*colBytes:].
+func addColumns(cols []uint64, colWords int, wire []byte, colBytes int, s row) {
+	for i := 0; i < kappa; i++ {
+		if s[i/64]>>(i%64)&1 == 1 {
+			xorBytesIntoWords(cols[i*colWords:(i+1)*colWords], wire[i*colBytes:(i+1)*colBytes])
+		}
+	}
+}
+
 // extend runs the receiver side of one chunk of len(dst) ≤ extChunk
 // transfers with the packed choices r (bit j of r[j/64] is choice j)
 // and sets dst[j] = H(t_j) under the chunk's transfer indices. It
@@ -334,13 +374,7 @@ func (e *extReceiver) extend(w io.Writer, dst []label.L, r []uint64) error {
 	r = r[:colWords]
 	wire := e.sc.wire[:kappa*colBytes]
 	for i := 0; i < kappa; i++ {
-		t := cols[i*colWords : (i+1)*colWords]
-		e.prg0[i].expand(t)
-		e.prg1[i].expand(u)
-		for k := range u {
-			u[k] ^= t[k] ^ r[k]
-		}
-		putWords(wire[i*colBytes:(i+1)*colBytes], u)
+		maskColumn(&e.prg0[i], &e.prg1[i], cols[i*colWords:(i+1)*colWords], wire[i*colBytes:(i+1)*colBytes], r, u)
 	}
 	if _, err := w.Write(wire); err != nil {
 		return fmt.Errorf("ot: sending masked columns: %w", err)
@@ -350,6 +384,24 @@ func (e *extReceiver) extend(w io.Writer, dst []label.L, r []uint64) error {
 	hashRows(dst, rows, e.tweak)
 	e.tweak += uint64(mc)
 	return nil
+}
+
+// maskColumn expands the next len(t) words of p0 into t and writes the
+// masked column u = t ^ PRG1 ^ r (p1's next words) into wire as
+// little-endian bytes; u is scratch of len(t) words. The kernels write
+// whole words, up to 7 bytes past len(wire) into its capacity, so the
+// receiver writes its columns in order and each overwrites the last
+// one's spill.
+func maskColumn(p0, p1 *prgStream, t []uint64, wire []byte, r, u []uint64) {
+	if maskColumnKernel(liveFill, p0, p1, t, wire, r) {
+		return
+	}
+	p0.expand(t)
+	p1.expand(u)
+	for k := range u {
+		u[k] ^= t[k] ^ r[k]
+	}
+	putWords(wire, u)
 }
 
 // --- on-demand extension ---

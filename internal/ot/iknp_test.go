@@ -46,10 +46,12 @@ func TestTranspose64Involution(t *testing.T) {
 
 // TestTransposeColumnsMatchesBitLoop compares the blocked transpose to a
 // naive per-bit flip over multi-word chunks: a few words, a whole
-// extChunk (256 words) and an odd 129.
+// extChunk (256 words), an odd 129, and the lane tails of the vector
+// forms — fewer words than a register's four or eight lanes, and one
+// past or short of a multiple of them.
 func TestTransposeColumnsMatchesBitLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, colWords := range []int{3, extChunk / 64, 129} {
+	for _, colWords := range []int{3, extChunk / 64, 129, 1, 2, 4, 5, 7, 8, 9, 12, 17, 257} {
 		cols := make([]uint64, kappa*colWords)
 		for i := range cols {
 			cols[i] = rng.Uint64()

@@ -8,7 +8,12 @@ package ot
 // Here the flip is a cache-blocked sequence of 64×64 word transposes:
 // each block is 64 uint64 loads, 6·32 swap steps of constant shift and
 // mask (Hacker's Delight 7-3), and 64 stores, and both the column reads
-// and the row writes walk memory sequentially.
+// and the row writes walk memory sequentially. On the VAES tiers the
+// same swap steps run lane-parallel (fill_amd64.s): one vector load
+// takes eight (ZMM) or four (YMM) consecutive words of a column, so that
+// many blocks go through the six stages side by side. The code below is
+// the path for every other host, for chunks of fewer words than the
+// vector has lanes, and the kernels' reference.
 
 // transpose64 transposes a 64×64 bit matrix in place: bit c of word r
 // moves to bit r of word c. It runs the six swap stages of shift
@@ -69,6 +74,13 @@ func swapBits(lo, hi uint64, j uint, m uint64) (uint64, uint64) {
 // at cols[i*colWords]); word w of column i carries transfers 64w..64w+63.
 // On return rows[j] is the kappa-bit row of transfer j for j < 64*colWords.
 func transposeColumns(rows []row, cols []uint64, colWords int) {
+	if !transposeKernel(liveFill, rows, cols, colWords, nil, 0, nil) {
+		transposeColumnsGo(rows, cols, colWords)
+	}
+}
+
+// transposeColumnsGo is transposeColumns one 64×64 block at a time.
+func transposeColumnsGo(rows []row, cols []uint64, colWords int) {
 	var blk [64]uint64
 	for w := 0; w < rowWords; w++ { // 64-column band of the output row
 		band := cols[w*64*colWords : (w+1)*64*colWords]

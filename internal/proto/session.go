@@ -41,6 +41,7 @@ type GarblerSession struct {
 	tx    *tableStream
 	hdr   [headerSize]byte
 	pairs []ot.Pair
+	dec   []byte
 	res   []byte
 	out   []bool
 
@@ -269,12 +270,18 @@ func (s *GarblerSession) streamRun(rn *runner, from int) ([]bool, error) {
 	return s.out, nil
 }
 
-// sendDecode writes and flushes the run's decode bits.
+// sendDecode writes and flushes the run's decode bits, one byte per
+// output, staged in the session's reused slice and written in one call.
 func (s *GarblerSession) sendDecode(outputZeros []label.L) error {
-	for _, z := range outputZeros {
-		if err := s.w.WriteByte(byte(z.Colour())); err != nil {
-			return wrapPeer("sending decode bits", err)
-		}
+	if cap(s.dec) < len(outputZeros) {
+		s.dec = make([]byte, len(outputZeros))
+	}
+	s.dec = s.dec[:len(outputZeros)]
+	for i, z := range outputZeros {
+		s.dec[i] = byte(z.Colour())
+	}
+	if _, err := s.w.Write(s.dec); err != nil {
+		return wrapPeer("sending decode bits", err)
 	}
 	if err := s.w.Flush(); err != nil {
 		return wrapPeer("sending decode bits", err)
