@@ -4,12 +4,13 @@ import "haac/internal/aes128"
 
 // The fill kernels. On the two VAES tiers internal/aes128 detects
 // (vaes512 and vaes) the chunk cores run their column transpose, their
-// column PRG and their row hash as vector kernels (fill_amd64.s): eight
-// 64-bit lanes per ZMM register on vaes512, four per YMM register on
-// vaes. Every other host, and -tags purego, runs the Go code in
-// iknp.go and transpose.go, which is also the reference the kernels are
-// tested against. The form follows the AES tier and cannot be chosen:
-// every form computes the same bytes.
+// column PRG and their row hash as vector kernels (fill_amd64.s): the
+// transpose and the hash with eight 64-bit lanes per ZMM register on
+// vaes512 and four per YMM register on vaes, the PRG in YMM on both (a
+// ZMM PRG measured no faster). Every other host, and -tags purego, runs
+// the Go code in iknp.go and transpose.go, which is also the reference
+// the kernels are tested against. The form follows the AES tier and
+// cannot be chosen: every form computes the same bytes.
 
 // fillForm names a form of the fill kernels.
 type fillForm uint8

@@ -528,10 +528,11 @@ ydone:
 // --- AES under a fixed key: the row hash and the column PRG ---
 //
 // Both run AES-128 under round keys that are fixed for the call (a
-// Cipher's, from aes128), so the ZMM forms broadcast all eleven into
+// Cipher's, from aes128), so the ZMM hashes broadcast all eleven into
 // Z16 … Z26 once and keep eight registers — 32 blocks — in flight; the
-// YMM forms broadcast each round's key into Y8 as they reach it and keep
-// eight registers, 16 blocks, in flight.
+// YMM forms (the hashes of the vaes tier, the column PRG of both) broadcast
+// each round's key into Y8 as they reach it and keep eight registers, 16
+// blocks, in flight.
 
 // rowTweak and pairTweak are added to a broadcast t to give each lane's
 // block its tweak: t+i in the low quadword of block i of a row register,
@@ -1039,196 +1040,11 @@ hpyDone:
 //
 // prgStream.expand, AES-CTR: block b of a call is AES(ctr+b ‖ 0) and
 // gives the column words 2b and 2b+1. The counters are built in
-// registers (Z27 and Z30, or Y9 and Y11, stepped per register), never
-// written to memory. A last odd word is the low half of one more block.
-
-// ZCTRIN sets D to the next counter block of Z27 XOR round key 0.
-#define ZCTRIN(D) \
-	VPXORQ Z16, Z27, D; \
-	VPADDQ Z28, Z27, Z27
-
-// func ctrZMM(rk *[11]aes128.Block, ctr uint64, dst *uint64, words int)
-//
-// Eight registers, 32 blocks, per iteration; then one register; then the
-// last one to seven words under a mask K2.
-TEXT ·ctrZMM(SB), NOSPLIT, $0-32
-	MOVQ rk+0(FP), AX
-	MOVQ ctr+8(FP), CX
-	MOVQ dst+16(FP), DI
-	MOVQ words+24(FP), DX
-	ZROUNDKEYS
-	ZTWEAKS(rowTweak, 4)
-
-cz64:
-	CMPQ      DX, $64
-	JLT       cz8
-	ZCTRIN(Z0)
-	ZCTRIN(Z1)
-	ZCTRIN(Z2)
-	ZCTRIN(Z3)
-	ZCTRIN(Z4)
-	ZCTRIN(Z5)
-	ZCTRIN(Z6)
-	ZCTRIN(Z7)
-	ZAES8
-	VMOVDQU64 Z0, 0(DI)
-	VMOVDQU64 Z1, 64(DI)
-	VMOVDQU64 Z2, 128(DI)
-	VMOVDQU64 Z3, 192(DI)
-	VMOVDQU64 Z4, 256(DI)
-	VMOVDQU64 Z5, 320(DI)
-	VMOVDQU64 Z6, 384(DI)
-	VMOVDQU64 Z7, 448(DI)
-	ADDQ      $512, DI
-	SUBQ      $64, DX
-	JMP       cz64
-
-cz8:
-	CMPQ      DX, $8
-	JLT       czTail
-	ZCTRIN(Z0)
-	ZAES1(Z0)
-	VMOVDQU64 Z0, 0(DI)
-	ADDQ      $64, DI
-	SUBQ      $8, DX
-	JMP       cz8
-
-czTail:
-	TESTQ     DX, DX
-	JEQ       czDone
-	MOVQ      DX, CX
-	MOVL      $1, R8
-	SHLL      CX, R8
-	DECL      R8
-	KMOVW     R8, K2
-	ZCTRIN(Z0)
-	ZAES1(Z0)
-	VMOVDQU64 Z0, K2, 0(DI)
-
-czDone:
-	VZEROUPPER
-	RET
-
-// ZMROUND runs one round on both streams of ctrMaskZMM: Z0 … Z3 under
-// K0, Z4 … Z7 under the key at roff(BX), broadcast into Z29.
-#define ZMROUND(ENC, K0, roff) \
-	ENC             K0, Z0, Z0; \
-	ENC             K0, Z1, Z1; \
-	ENC             K0, Z2, Z2; \
-	ENC             K0, Z3, Z3; \
-	VBROADCASTI32X4 roff(BX), Z29; \
-	ENC             Z29, Z4, Z4; \
-	ENC             Z29, Z5, Z5; \
-	ENC             Z29, Z6, Z6; \
-	ENC             Z29, Z7, Z7
-
-// ZMROUND1 is ZMROUND on Z0 and Z4 alone.
-#define ZMROUND1(ENC, K0, roff) \
-	ENC             K0, Z0, Z0; \
-	VBROADCASTI32X4 roff(BX), Z29; \
-	ENC             Z29, Z4, Z4
-
-#define ZMAES(ROUND) \
-	ROUND(VAESENC, Z17, 16); \
-	ROUND(VAESENC, Z18, 32); \
-	ROUND(VAESENC, Z19, 48); \
-	ROUND(VAESENC, Z20, 64); \
-	ROUND(VAESENC, Z21, 80); \
-	ROUND(VAESENC, Z22, 96); \
-	ROUND(VAESENC, Z23, 112); \
-	ROUND(VAESENC, Z24, 128); \
-	ROUND(VAESENC, Z25, 144); \
-	ROUND(VAESENCLAST, Z26, 160)
-
-// ZMIN sets D0 to the next block of stream 0 and D1 to the next of
-// stream 1 (counters Z27 and Z30), each XOR its round key 0 (Z16, and
-// Z29 = the one at 0(BX)).
-#define ZMIN(D0, D1) \
-	ZCTRIN(D0); \
-	VPXORQ Z29, Z30, D1; \
-	VPADDQ Z28, Z30, Z30
-
-// func ctrMaskZMM(rk0, rk1 *[11]aes128.Block, ctr0, ctr1 uint64, t *uint64, u *byte, r *uint64, words int)
-//
-// The receiver's column: t = PRG0, u = PRG1 ^ t ^ r, both words long,
-// u as little-endian bytes. Four registers of each stream, 32 blocks,
-// per iteration; then one of each; then the last one to seven words
-// under a mask K2.
-TEXT ·ctrMaskZMM(SB), NOSPLIT, $0-64
-	MOVQ            rk0+0(FP), AX
-	MOVQ            rk1+8(FP), BX
-	MOVQ            ctr0+16(FP), CX
-	MOVQ            t+32(FP), DI
-	MOVQ            u+40(FP), SI
-	MOVQ            r+48(FP), R9
-	MOVQ            words+56(FP), DX
-	ZROUNDKEYS
-	ZTWEAKS(rowTweak, 4)
-	MOVQ            ctr1+24(FP), CX
-	VPBROADCASTQ.Z  CX, K1, Z30
-	VPADDQ          rowTweak<>(SB), Z30, Z30
-
-cm32:
-	CMPQ            DX, $32
-	JLT             cm8
-	VBROADCASTI32X4 0(BX), Z29
-	ZMIN(Z0, Z4)
-	ZMIN(Z1, Z5)
-	ZMIN(Z2, Z6)
-	ZMIN(Z3, Z7)
-	ZMAES(ZMROUND)
-	VMOVDQU64       Z0, 0(DI)
-	VMOVDQU64       Z1, 64(DI)
-	VMOVDQU64       Z2, 128(DI)
-	VMOVDQU64       Z3, 192(DI)
-	VPTERNLOGQ      $0x96, 0(R9), Z0, Z4
-	VPTERNLOGQ      $0x96, 64(R9), Z1, Z5
-	VPTERNLOGQ      $0x96, 128(R9), Z2, Z6
-	VPTERNLOGQ      $0x96, 192(R9), Z3, Z7
-	VMOVDQU64       Z4, 0(SI)
-	VMOVDQU64       Z5, 64(SI)
-	VMOVDQU64       Z6, 128(SI)
-	VMOVDQU64       Z7, 192(SI)
-	ADDQ            $256, DI
-	ADDQ            $256, SI
-	ADDQ            $256, R9
-	SUBQ            $32, DX
-	JMP             cm32
-
-cm8:
-	CMPQ            DX, $8
-	JLT             cmTail
-	VBROADCASTI32X4 0(BX), Z29
-	ZMIN(Z0, Z4)
-	ZMAES(ZMROUND1)
-	VMOVDQU64       Z0, 0(DI)
-	VPTERNLOGQ      $0x96, 0(R9), Z0, Z4
-	VMOVDQU64       Z4, 0(SI)
-	ADDQ            $64, DI
-	ADDQ            $64, SI
-	ADDQ            $64, R9
-	SUBQ            $8, DX
-	JMP             cm8
-
-cmTail:
-	TESTQ           DX, DX
-	JEQ             cmDone
-	MOVQ            DX, CX
-	MOVL            $1, R8
-	SHLL            CX, R8
-	DECL            R8
-	KMOVW           R8, K2
-	VBROADCASTI32X4 0(BX), Z29
-	ZMIN(Z0, Z4)
-	ZMAES(ZMROUND1)
-	VMOVDQU64       Z0, K2, 0(DI)
-	VMOVDQU64.Z     0(R9), K2, Z31
-	VPTERNLOGQ      $0x96, Z31, Z0, Z4
-	VMOVDQU64       Z4, K2, 0(SI)
-
-cmDone:
-	VZEROUPPER
-	RET
+// registers (Y9 and Y11, stepped per register), never written to
+// memory. A last odd word is the low half of one more block. Both VAES
+// tiers run these YMM forms: a ZMM form with 32 blocks in flight
+// measured no faster (the column stage is bound by the AES units and
+// the stores, not by the register width).
 
 // YCTRIN sets D to the next counter block of Y9 XOR round key 0 (in
 // Y8).

@@ -248,7 +248,6 @@ func (sc *extScratch) fit(mc int) {
 // s_i), one PRG stream per received seed, and the next transfer index.
 type extSender struct {
 	s     row
-	smask [kappa]uint64 // all ones at i where s_i is set, for the kernels
 	prgs  [kappa]prgStream
 	tweak uint64
 	sc    extScratch
@@ -263,9 +262,6 @@ func newExtSender(conn io.ReadWriter, base Protocol) (*extSender, error) {
 		return nil, fmt.Errorf("ot: sampling s: %w", err)
 	}
 	e.s = row{binary.LittleEndian.Uint64(sb[:8]), binary.LittleEndian.Uint64(sb[8:])}
-	for i := range e.smask {
-		e.smask[i] = -(e.s[i/64] >> (i % 64) & 1)
-	}
 	seeds, err := ReceiveBitset(conn, base, Bitset{words: []uint64{e.s[0], e.s[1]}, n: kappa})
 	if err != nil {
 		return nil, fmt.Errorf("ot: base OTs: %w", err)
@@ -296,7 +292,7 @@ func (e *extSender) extend(r io.Reader, dst []Pair) error {
 		return fmt.Errorf("ot: reading masked columns: %w", err)
 	}
 	rows := e.sc.rows[:64*colWords]
-	if !transposeKernel(liveFill, rows, cols, colWords, wire, colBytes, &e.smask) {
+	if !transposeKernel(liveFill, rows, cols, colWords, wire, colBytes, &e.s) {
 		addColumns(cols, colWords, wire, colBytes, e.s)
 		transposeColumnsGo(rows, cols, colWords)
 	}
