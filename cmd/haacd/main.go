@@ -12,8 +12,9 @@
 //	haacd -listen :9100 -ops :9090 -workloads Million-8,DotProd-S -value 200
 //
 // The -ops listener speaks plain HTTP: GET /healthz answers 200 "ok"
-// while serving and 503 "draining" during shutdown, and GET /metrics
-// exports the serving counters (sessions, runs, bytes, plan-cache
+// while serving and 503 "draining" during shutdown, GET /readyz
+// answers the same but 503 "busy" while at -max-sessions, and GET
+// /metrics exports the serving counters (sessions, runs, bytes, plan-cache
 // hit/miss/eviction, refusals, run latency) in Prometheus text format.
 // -max-sessions sheds excess connections at handshake with a typed
 // busy refusal; -run-timeout bounds each garbled run so a stalled peer
@@ -77,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	fs := flag.NewFlagSet("haacd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "127.0.0.1:9100", "listen address")
-	ops := fs.String("ops", "", "operations HTTP address serving /healthz and /metrics (empty = disabled)")
+	ops := fs.String("ops", "", "operations HTTP address serving /healthz, /readyz and /metrics (empty = disabled)")
 	names := fs.String("workloads", "all", "comma-separated workload names to serve (small VIP + micro suites), or all")
 	value := fs.Uint64("value", 0, "garbler input value, packed little-endian into each circuit's garbler bits")
 	cacheSize := fs.Int("plan-cache", 0, "plan cache entries (0 = one per served circuit)")
@@ -148,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	}
 	fmt.Fprintf(stdout, "haacd: serving %d circuits on %s (%s), aes128 backend %s\n", len(specs), ln.Addr(), proto, aes128.Backend())
 	if opsLn != nil {
-		fmt.Fprintf(stdout, "haacd: ops endpoints on http://%s (/healthz, /metrics)\n", opsLn.Addr())
+		fmt.Fprintf(stdout, "haacd: ops endpoints on http://%s (/healthz, /readyz, /metrics)\n", opsLn.Addr())
 	}
 	for _, spec := range specs {
 		d, _ := srv.Digest(spec.ID)

@@ -345,9 +345,9 @@ func RunEvaluator(conn net.Conn, c *Circuit, evalBits []bool, opts RunOptions) (
 type (
 	// Server is a concurrent 2PC garbler service, built by NewServer.
 	// Beyond its Serve and Close methods it carries the fleet
-	// operability surface: ServeOps/OpsHandler expose /healthz and
-	// Prometheus /metrics over HTTP, and Stats snapshots the counters
-	// behind them.
+	// operability surface: ServeOps/OpsHandler expose /healthz,
+	// /readyz and Prometheus /metrics over HTTP, and Stats snapshots
+	// the counters behind them.
 	Server = server.Server
 	// ServerConfig configures a Server (circuits, plan-cache bound,
 	// deterministic seeds for tests) and its operational

@@ -113,7 +113,6 @@ const (
 	defaultReopenAfter   = time.Second
 	defaultDialTimeout   = 5 * time.Second
 	defaultHandshake     = 10 * time.Second
-	defaultDrainTimeout  = 30 * time.Second
 )
 
 // BackendStats is the point-in-time state of one backend.
@@ -170,9 +169,13 @@ type Stats struct {
 	Ejections, Readmissions uint64
 	// BytesClientToBackend / BytesBackendToClient are splice totals.
 	BytesClientToBackend, BytesBackendToClient uint64
-	// SessionsForceClosed counts splices force-closed by Drain or Close
-	// after DrainTimeout.
+	// SessionsForceClosed counts sessions force-closed by Drain or Close
+	// after DrainTimeout, one per session.
 	SessionsForceClosed uint64
+	// AcceptRetries counts transient Accept errors (timeouts, aborted
+	// connections, fd pressure) the accept loop retried with backoff
+	// instead of tearing down the listener.
+	AcceptRetries uint64
 	// SessionsPanicked counts sessions whose routing or splice goroutine
 	// panicked and was contained — the session died, the proxy did not.
 	SessionsPanicked uint64
@@ -185,14 +188,12 @@ type Fleet struct {
 	backends []*backend
 	byAddr   map[string]*backend
 
-	mu        sync.Mutex
-	closing   bool
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{} // every live client/backend conn
-	wg        sync.WaitGroup        // one per accepted session
+	// The daemon accepts and drains the client sessions and serves the
+	// ops sidecar: Serve, ServeOps and OpsHandler are its, shared with
+	// the backend server.
+	*daemon
 
-	stopProbe chan struct{}
-	probeWG   sync.WaitGroup
+	probeWG sync.WaitGroup
 
 	routed       atomic.Uint64
 	pooledRouted atomic.Uint64
@@ -204,10 +205,13 @@ type Fleet struct {
 	readmissions atomic.Uint64
 	bytesC2B     atomic.Uint64
 	bytesB2C     atomic.Uint64
-	forceClosed  atomic.Uint64
 	panicked     atomic.Uint64
 	active       atomic.Int64
 }
+
+// daemon names the server.Daemon a Fleet embeds, keeping the embedded
+// field unexported.
+type daemon = server.Daemon
 
 // testHookPanic, when non-nil, runs at the start of every accepted
 // session — the fault-injection point for the panic-containment tests.
@@ -237,16 +241,18 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = defaultHandshake
 	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = defaultDrainTimeout
-	}
 	f := &Fleet{
-		cfg:       cfg,
-		byAddr:    make(map[string]*backend, len(cfg.Backends)),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		stopProbe: make(chan struct{}),
+		cfg:    cfg,
+		byAddr: make(map[string]*backend, len(cfg.Backends)),
 	}
+	f.daemon = server.NewDaemon(server.DaemonConfig{
+		TLS:          cfg.TLS,
+		DrainTimeout: cfg.DrainTimeout,
+		ErrClosed:    ErrClosed,
+		Handle:       f.handle,
+		Ready:        f.ready,
+		Metrics:      f.MetricsText,
+	})
 	for _, spec := range cfg.Backends {
 		if spec.Addr == "" {
 			return nil, errors.New("fleet: backend with empty address")
@@ -307,84 +313,6 @@ func (f *Fleet) ranked(digest [32]byte) []*backend {
 	return ranked
 }
 
-// Serve accepts client sessions on ln until the fleet closes; it may be
-// called concurrently on several listeners. When Config.TLS is set the
-// listener is wrapped in TLS. It returns nil after Close and the
-// listener's error otherwise.
-func (f *Fleet) Serve(ln net.Listener) error {
-	if f.cfg.TLS != nil {
-		ln = tls.NewListener(ln, f.cfg.TLS)
-	}
-	f.mu.Lock()
-	if f.closing {
-		f.mu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	f.listeners[ln] = struct{}{}
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.listeners, ln)
-		f.mu.Unlock()
-		ln.Close()
-	}()
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if f.isClosing() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				// Transient accept pressure: back off and keep serving,
-				// mirroring the backend server's accept loop.
-				if backoff == 0 {
-					backoff = 5 * time.Millisecond
-				} else if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
-				time.Sleep(backoff)
-				continue
-			}
-			return err
-		}
-		backoff = 0
-		f.mu.Lock()
-		if f.closing {
-			f.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		f.conns[conn] = struct{}{}
-		f.wg.Add(1)
-		f.mu.Unlock()
-		go f.handle(conn)
-	}
-}
-
-func (f *Fleet) isClosing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closing
-}
-
-// track adds a live connection to the force-close set; untrack removes
-// and closes it.
-func (f *Fleet) track(conn net.Conn) {
-	f.mu.Lock()
-	f.conns[conn] = struct{}{}
-	f.mu.Unlock()
-}
-
-func (f *Fleet) untrack(conn net.Conn) {
-	f.mu.Lock()
-	delete(f.conns, conn)
-	f.mu.Unlock()
-	conn.Close()
-}
-
 // handle routes one accepted session: read the client hello, walk the
 // rendezvous order until a live backend accepts, relay the verdict, and
 // splice. A backend that cannot be dialed or whose reply never arrives
@@ -394,16 +322,9 @@ func (f *Fleet) untrack(conn net.Conn) {
 // and the client's retry policy redials — by then the breaker routes
 // the next attempt past it.
 func (f *Fleet) handle(conn net.Conn) {
-	routed := false
-	defer func() {
-		if !routed {
-			f.untrack(conn)
-		}
-		f.wg.Done()
-	}()
 	// Contain a panic to the session that raised it: one poisoned route
-	// or splice must not take down the whole proxy. Registered after the
-	// cleanup defer so it recovers first; the cleanup still runs.
+	// or splice must not take down the whole proxy; the daemon still
+	// retires the session.
 	defer func() {
 		if r := recover(); r != nil {
 			f.panicked.Add(1)
@@ -481,7 +402,6 @@ func (f *Fleet) handle(conn net.Conn) {
 		}
 		conn.SetDeadline(time.Time{})
 		bconn.SetDeadline(time.Time{})
-		routed = true
 		f.splice(b, conn, bconn)
 		return
 	}
@@ -519,10 +439,10 @@ func (f *Fleet) dialBackend(b *backend) (net.Conn, error) {
 
 // splice relays bytes in both directions until either side ends, then
 // tears both conns down. The backend's admission slot (b.admit) is held
-// for the whole splice so Drain can wait on it.
+// for the whole splice so Drain can wait on it; closing the client conn
+// — as a drain's force-close does — ends both directions.
 func (f *Fleet) splice(b *backend, client, bconn net.Conn) {
-	f.track(bconn)
-	b.addConns(client, bconn)
+	b.addConn(client)
 	f.active.Add(1)
 	done := make(chan struct{})
 	go func() {
@@ -547,10 +467,8 @@ func (f *Fleet) splice(b *backend, client, bconn net.Conn) {
 	bconn.Close()
 	<-done
 	f.active.Add(-1)
-	b.removeConns(client, bconn)
+	b.removeConn(client)
 	b.release()
-	f.untrack(client)
-	f.untrack(bconn)
 }
 
 // copyHalf moves bytes src -> dst until either side errors, arming the
@@ -587,18 +505,7 @@ func (f *Fleet) Drain(addr string) error {
 	if b == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownBackend, addr)
 	}
-	b.mu.Lock()
-	b.drained = true
-	b.mu.Unlock()
-	if !f.awaitIdle(b, f.cfg.DrainTimeout) {
-		for _, conn := range b.snapshotConns() {
-			conn.Close()
-			f.forceClosed.Add(1)
-		}
-		// Closing the conns errors the splices out; the release is then
-		// bounded by I/O teardown, not by the peer.
-		f.awaitIdle(b, -1)
-	}
+	f.Await(b.drain(), b.snapshotConns)
 	return nil
 }
 
@@ -620,69 +527,12 @@ func (f *Fleet) Undrain(addr string) error {
 	return nil
 }
 
-// awaitIdle waits until b has no active sessions; timeout 0 means the
-// 30s default, negative waits indefinitely. Reports whether the backend
-// went idle.
-func (f *Fleet) awaitIdle(b *backend, timeout time.Duration) bool {
-	if timeout == 0 {
-		timeout = defaultDrainTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		b.mu.Lock()
-		n := b.active
-		b.mu.Unlock()
-		if n == 0 {
-			return true
-		}
-		if timeout >= 0 && time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // Close shuts the proxy down: listeners stop accepting, probing stops,
 // and active splices get DrainTimeout to finish before being
 // force-closed. Safe to call more than once.
 func (f *Fleet) Close() error {
-	f.mu.Lock()
-	already := f.closing
-	if !already {
-		f.closing = true
-		for ln := range f.listeners {
-			ln.Close()
-		}
-	}
-	f.mu.Unlock()
-	if !already {
-		close(f.stopProbe)
-	}
+	f.daemon.Close()
 	f.probeWG.Wait()
-
-	dt := f.cfg.DrainTimeout
-	if dt == 0 {
-		dt = defaultDrainTimeout
-	}
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		close(done)
-	}()
-	if dt >= 0 {
-		select {
-		case <-done:
-			return nil
-		case <-time.After(dt):
-		}
-		f.mu.Lock()
-		for conn := range f.conns {
-			conn.Close()
-			f.forceClosed.Add(1)
-		}
-		f.mu.Unlock()
-	}
-	<-done
 	return nil
 }
 
@@ -700,7 +550,8 @@ func (f *Fleet) Stats() Stats {
 		Readmissions:         f.readmissions.Load(),
 		BytesClientToBackend: f.bytesC2B.Load(),
 		BytesBackendToClient: f.bytesB2C.Load(),
-		SessionsForceClosed:  f.forceClosed.Load(),
+		SessionsForceClosed:  f.ForceClosed(),
+		AcceptRetries:        f.AcceptRetries(),
 		SessionsPanicked:     f.panicked.Load(),
 	}
 	now := time.Now()

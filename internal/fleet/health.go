@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -31,10 +32,11 @@ type backend struct {
 	ejected  bool // breaker open
 	halfOpen bool // a half-open trial session is in flight
 	reopenAt time.Time
-	probeOK  bool // last active-probe verdict (true when unprobed)
-	fails    int  // consecutive failures toward FailThreshold
-	active   int  // sessions currently spliced to this backend
-	conns    map[io.Closer]struct{}
+	probeOK  bool                  // last active-probe verdict (true when unprobed)
+	fails    int                   // consecutive failures toward FailThreshold
+	active   int                   // sessions currently spliced to this backend
+	idle     chan struct{}         // closed when a drained backend's active reaches 0
+	conns    map[net.Conn]struct{} // client conns of the spliced sessions
 
 	routed     atomic.Uint64
 	failures   atomic.Uint64
@@ -71,8 +73,35 @@ func (b *backend) admit(now time.Time) (trial, ok bool) {
 // release returns the active slot reserved by admit.
 func (b *backend) release() {
 	b.mu.Lock()
-	b.active--
+	b.leave()
 	b.mu.Unlock()
+}
+
+// leave returns one active slot with b.mu held; the last one out wakes
+// a Drain waiting for the backend to go idle.
+func (b *backend) leave() {
+	b.active--
+	if b.active == 0 && b.idle != nil {
+		close(b.idle)
+		b.idle = nil
+	}
+}
+
+// drain takes b out of the routing set and returns a channel that is
+// closed once it has no active sessions.
+func (b *backend) drain() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.drained = true
+	if b.idle == nil {
+		b.idle = make(chan struct{})
+	}
+	idle := b.idle
+	if b.active == 0 {
+		close(idle)
+		b.idle = nil
+	}
+	return idle
 }
 
 // reportSuccess records a completed handshake relay: the breaker
@@ -97,7 +126,7 @@ func (b *backend) reportSuccess(f *Fleet) {
 func (b *backend) reportFailure(f *Fleet, trial bool) {
 	b.failures.Add(1)
 	b.mu.Lock()
-	b.active--
+	b.leave()
 	b.fails++
 	if trial {
 		b.halfOpen = false
@@ -124,7 +153,7 @@ func (b *backend) reportFailure(f *Fleet, trial bool) {
 func (b *backend) reportRefusal(f *Fleet, cause error, trial bool) {
 	b.refusals.Add(1)
 	b.mu.Lock()
-	b.active--
+	b.leave()
 	b.fails = 0
 	b.halfOpen = false
 	if b.ejected {
@@ -156,31 +185,27 @@ func (b *backend) probeResult(f *Fleet, ok bool) {
 	b.mu.Unlock()
 }
 
-// addConns registers a splice's two connections for force-close during
-// Drain; removeConns unregisters them.
-func (b *backend) addConns(conns ...io.Closer) {
+// addConn registers a splice's client connection, which Drain
+// force-closes to end the session; removeConn unregisters it.
+func (b *backend) addConn(conn net.Conn) {
 	b.mu.Lock()
 	if b.conns == nil {
-		b.conns = make(map[io.Closer]struct{})
+		b.conns = make(map[net.Conn]struct{})
 	}
-	for _, c := range conns {
-		b.conns[c] = struct{}{}
-	}
+	b.conns[conn] = struct{}{}
 	b.mu.Unlock()
 }
 
-func (b *backend) removeConns(conns ...io.Closer) {
+func (b *backend) removeConn(conn net.Conn) {
 	b.mu.Lock()
-	for _, c := range conns {
-		delete(b.conns, c)
-	}
+	delete(b.conns, conn)
 	b.mu.Unlock()
 }
 
-func (b *backend) snapshotConns() []io.Closer {
+func (b *backend) snapshotConns() []net.Conn {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]io.Closer, 0, len(b.conns))
+	out := make([]net.Conn, 0, len(b.conns))
 	for c := range b.conns {
 		out = append(out, c)
 	}
@@ -228,7 +253,7 @@ func (f *Fleet) probeLoop(b *backend) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-f.stopProbe:
+		case <-f.Done():
 			return
 		case <-ticker.C:
 		}

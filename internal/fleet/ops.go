@@ -1,75 +1,23 @@
 package fleet
 
 import (
-	"fmt"
-	"net"
-	"net/http"
 	"sort"
-	"strings"
-	"time"
+
+	"haac/internal/server"
 )
 
-// Operations sidecar for the proxy itself, mirroring the backend
-// server's: /healthz for liveness, /readyz for routability (at least
-// one live backend), /metrics for Prometheus text exposition of Stats.
+// The proxy's operations sidecar is the embedded server.Daemon's, as
+// haacd's is: /healthz for liveness, /readyz for routability, /metrics
+// for Prometheus text exposition of Stats. This file gives it the
+// proxy's readiness verdict and metrics.
 
-// OpsHandler returns the HTTP handler serving /healthz, /readyz and
-// /metrics for the fleet proxy.
-func (f *Fleet) OpsHandler() http.Handler {
-	plain := func(w http.ResponseWriter, code int, body string) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(code)
-		fmt.Fprintln(w, body)
+// ready is the proxy's /readyz verdict while serving: routable while at
+// least one backend is.
+func (f *Fleet) ready() string {
+	if f.Stats().LiveBackends == 0 {
+		return "no live backend"
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if f.isClosing() {
-			plain(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
-		plain(w, http.StatusOK, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case f.isClosing():
-			plain(w, http.StatusServiceUnavailable, "draining")
-		case f.Stats().LiveBackends == 0:
-			plain(w, http.StatusServiceUnavailable, "no live backend")
-		default:
-			plain(w, http.StatusOK, "ok")
-		}
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write([]byte(f.MetricsText()))
-	})
-	return mux
-}
-
-// ServeOps serves the operations endpoints on ln until the fleet
-// closes; like Serve it returns nil after Close and the listener's
-// error otherwise.
-func (f *Fleet) ServeOps(ln net.Listener) error {
-	f.mu.Lock()
-	if f.closing {
-		f.mu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	f.listeners[ln] = struct{}{}
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.listeners, ln)
-		f.mu.Unlock()
-		ln.Close()
-	}()
-	srv := &http.Server{Handler: f.OpsHandler(), ReadHeaderTimeout: 10 * time.Second}
-	err := srv.Serve(ln)
-	if f.isClosing() {
-		return nil
-	}
-	return err
+	return ""
 }
 
 // MetricsText renders the Prometheus text exposition of the fleet's
@@ -77,52 +25,37 @@ func (f *Fleet) ServeOps(ln net.Listener) error {
 // carry a backend label.
 func (f *Fleet) MetricsText() string {
 	st := f.Stats()
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("haac_fleet_backends_live", "Backends currently routable.", float64(st.LiveBackends))
-	gauge("haac_fleet_backends_total", "Backends configured.", float64(len(st.Backends)))
-	gauge("haac_fleet_sessions_active", "Sessions currently spliced to a backend.", float64(st.ActiveSessions))
-	counter("haac_fleet_sessions_routed_total", "Sessions relayed to a backend.", float64(st.SessionsRouted))
-	counter("haac_fleet_sessions_pooled_total", "Routed sessions granted the precomputed-OT tier by their backend.", float64(st.SessionsPooled))
-	counter("haac_fleet_sessions_refused_total", "Sessions refused because no backend was routable.", float64(st.SessionsRefused))
-	counter("haac_fleet_failovers_total", "Sessions routed past their rendezvous-first backend.", float64(st.Failovers))
-	counter("haac_fleet_dial_failures_total", "Failed backend dials.", float64(st.DialFailures))
-	counter("haac_fleet_backend_refusals_total", "Busy/draining refusals relayed from backends to clients.", float64(st.BackendRefusals))
-	counter("haac_fleet_ejections_total", "Circuit-breaker ejections.", float64(st.Ejections))
-	counter("haac_fleet_readmissions_total", "Circuit-breaker readmissions (half-open trial or probe recovery).", float64(st.Readmissions))
-	counter("haac_fleet_sessions_force_closed_total", "Splices force-closed after the drain grace period.", float64(st.SessionsForceClosed))
-	counter("haac_fleet_sessions_panicked_total", "Sessions whose routing or splice goroutine panicked and was contained.", float64(st.SessionsPanicked))
-	counter("haac_fleet_bytes_client_to_backend_total", "Bytes spliced client to backend.", float64(st.BytesClientToBackend))
-	counter("haac_fleet_bytes_backend_to_client_total", "Bytes spliced backend to client.", float64(st.BytesBackendToClient))
+	var m server.MetricsWriter
+	m.Gauge("haac_fleet_backends_live", "Backends currently routable.", float64(st.LiveBackends))
+	m.Gauge("haac_fleet_backends_total", "Backends configured.", float64(len(st.Backends)))
+	m.Gauge("haac_fleet_sessions_active", "Sessions currently spliced to a backend.", float64(st.ActiveSessions))
+	m.Counter("haac_fleet_sessions_routed_total", "Sessions relayed to a backend.", float64(st.SessionsRouted))
+	m.Counter("haac_fleet_sessions_pooled_total", "Routed sessions granted the precomputed-OT tier by their backend.", float64(st.SessionsPooled))
+	m.Counter("haac_fleet_sessions_refused_total", "Sessions refused because no backend was routable.", float64(st.SessionsRefused))
+	m.Counter("haac_fleet_failovers_total", "Sessions routed past their rendezvous-first backend.", float64(st.Failovers))
+	m.Counter("haac_fleet_dial_failures_total", "Failed backend dials.", float64(st.DialFailures))
+	m.Counter("haac_fleet_backend_refusals_total", "Busy/draining refusals relayed from backends to clients.", float64(st.BackendRefusals))
+	m.Counter("haac_fleet_ejections_total", "Circuit-breaker ejections.", float64(st.Ejections))
+	m.Counter("haac_fleet_readmissions_total", "Circuit-breaker readmissions (half-open trial or probe recovery).", float64(st.Readmissions))
+	m.Counter("haac_fleet_sessions_force_closed_total", "Splices force-closed after the drain grace period.", float64(st.SessionsForceClosed))
+	m.Counter("haac_fleet_sessions_panicked_total", "Sessions whose routing or splice goroutine panicked and was contained.", float64(st.SessionsPanicked))
+	m.Counter("haac_fleet_accept_retries_total", "Transient Accept errors retried with backoff instead of tearing down the listener.", float64(st.AcceptRetries))
+	m.Counter("haac_fleet_bytes_client_to_backend_total", "Bytes spliced client to backend.", float64(st.BytesClientToBackend))
+	m.Counter("haac_fleet_bytes_backend_to_client_total", "Bytes spliced backend to client.", float64(st.BytesBackendToClient))
 
 	backends := append([]BackendStats(nil), st.Backends...)
 	sort.Slice(backends, func(i, j int) bool { return backends[i].Addr < backends[j].Addr })
-	series := func(name, help, typ string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	series("haac_fleet_backend_up", "1 while the backend is routable, 0 otherwise.", "gauge")
+	m.Family("haac_fleet_backend_up", "gauge", "1 while the backend is routable, 0 otherwise.")
 	for _, bs := range backends {
-		fmt.Fprintf(&b, "haac_fleet_backend_up{backend=%q} %g\n", bs.Addr, b2f(bs.Routable))
+		m.Sample("haac_fleet_backend_up", "backend", bs.Addr, server.B2F(bs.Routable))
 	}
-	series("haac_fleet_backend_sessions_routed_total", "Sessions relayed to the backend.", "counter")
+	m.Family("haac_fleet_backend_sessions_routed_total", "counter", "Sessions relayed to the backend.")
 	for _, bs := range backends {
-		fmt.Fprintf(&b, "haac_fleet_backend_sessions_routed_total{backend=%q} %g\n", bs.Addr, float64(bs.SessionsRouted))
+		m.Sample("haac_fleet_backend_sessions_routed_total", "backend", bs.Addr, float64(bs.SessionsRouted))
 	}
-	series("haac_fleet_backend_failures_total", "Dial/handshake-relay failures charged to the backend.", "counter")
+	m.Family("haac_fleet_backend_failures_total", "counter", "Dial/handshake-relay failures charged to the backend.")
 	for _, bs := range backends {
-		fmt.Fprintf(&b, "haac_fleet_backend_failures_total{backend=%q} %g\n", bs.Addr, float64(bs.Failures))
+		m.Sample("haac_fleet_backend_failures_total", "backend", bs.Addr, float64(bs.Failures))
 	}
-	return b.String()
-}
-
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
+	return m.String()
 }

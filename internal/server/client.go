@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"strings"
 	"syscall"
 	"time"
 
@@ -126,25 +125,19 @@ type ClientStats struct {
 // format, mirroring the server's /metrics so a client-side sidecar can
 // export its half of the resilience story.
 func (cs ClientStats) MetricsText() string {
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("haac_client_runs_total", "Runs completed by this session.", cs.Runs)
-	counter("haac_client_run_failures_total", "Runs that failed after exhausting retries.", cs.RunFailures)
-	counter("haac_client_run_retries_total", "Run attempts replayed after a retryable failure.", cs.Retries)
-	counter("haac_client_reconnects_total", "Successful redial and re-handshake cycles.", cs.Reconnects)
-	counter("haac_client_dial_failures_total", "Redial attempts that failed.", cs.DialFailures)
-	counter("haac_client_run_resumes_total", "Broken runs resumed mid-stream instead of replayed in full.", cs.Resumes)
-	counter("haac_client_integrity_failures_total", "Inbound checksummed frames rejected by the integrity tier.", cs.IntegrityFailures)
-	counter("haac_client_pool_hits_total", "Runs served from the precomputed OT pool.", cs.PoolHits)
-	counter("haac_client_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", cs.PoolMisses)
-	counter("haac_client_pool_refills_total", "Completed OT-pool fills: connect-time fills in the handshake plus in-run fills.", cs.PoolRefills)
-	seconds := func(name, help string, nanos uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, time.Duration(nanos).Seconds())
-	}
-	seconds("haac_client_table_read_wait_seconds_total", "Seconds this session's runs spent reading tables, blocked on the garbler's stream.", cs.TableReadWaitNanos)
-	return b.String()
+	var m MetricsWriter
+	m.Counter("haac_client_runs_total", "Runs completed by this session.", float64(cs.Runs))
+	m.Counter("haac_client_run_failures_total", "Runs that failed after exhausting retries.", float64(cs.RunFailures))
+	m.Counter("haac_client_run_retries_total", "Run attempts replayed after a retryable failure.", float64(cs.Retries))
+	m.Counter("haac_client_reconnects_total", "Successful redial and re-handshake cycles.", float64(cs.Reconnects))
+	m.Counter("haac_client_dial_failures_total", "Redial attempts that failed.", float64(cs.DialFailures))
+	m.Counter("haac_client_run_resumes_total", "Broken runs resumed mid-stream instead of replayed in full.", float64(cs.Resumes))
+	m.Counter("haac_client_integrity_failures_total", "Inbound checksummed frames rejected by the integrity tier.", float64(cs.IntegrityFailures))
+	m.Counter("haac_client_pool_hits_total", "Runs served from the precomputed OT pool.", float64(cs.PoolHits))
+	m.Counter("haac_client_pool_misses_total", "Pooled-tier runs that fell back to on-demand OT.", float64(cs.PoolMisses))
+	m.Counter("haac_client_pool_refills_total", "Completed OT-pool fills: connect-time fills in the handshake plus in-run fills.", float64(cs.PoolRefills))
+	m.Counter("haac_client_table_read_wait_seconds_total", "Seconds this session's runs spent reading tables, blocked on the garbler's stream.", time.Duration(cs.TableReadWaitNanos).Seconds())
+	return m.String()
 }
 
 // Options configures the client side of a session.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,79 +156,6 @@ func TestMaxSessionsShedsExactlyExcess(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SessionsRefused != excess {
 		t.Errorf("SessionsRefused = %d after re-admission, want still %d", st.SessionsRefused, excess)
-	}
-}
-
-// transientErr satisfies net.Error with Timeout() true.
-type transientErr struct{}
-
-func (transientErr) Error() string   { return "accept: synthetic transient failure" }
-func (transientErr) Timeout() bool   { return true }
-func (transientErr) Temporary() bool { return true }
-
-// flakyListener injects transient Accept errors before delegating.
-type flakyListener struct {
-	net.Listener
-	failures atomic.Int32 // remaining injected failures
-	attempts atomic.Int32
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	l.attempts.Add(1)
-	if l.failures.Add(-1) >= 0 {
-		return nil, transientErr{}
-	}
-	return l.Listener.Accept()
-}
-
-// TestServeSurvivesTransientAcceptErrors: a timeout/temporary Accept
-// failure is retried with backoff instead of tearing down the listener;
-// sessions dialed after the failures still serve.
-func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
-	w := workloads.AddN(8)
-	c := w.Build()
-	g, _ := w.Inputs(1)
-	srv, err := New(Config{
-		Circuits:        []CircuitSpec{{ID: "add", Circuit: c, Inputs: func() []bool { return g }}},
-		Seed:            6,
-		AllowInsecureOT: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &flakyListener{Listener: tcp}
-	ln.failures.Store(3)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-
-	sess, err := Dial(tcp.Addr().String(), "add", c, Options{OT: ot.Insecure})
-	if err != nil {
-		t.Fatalf("dial after injected accept failures: %v", err)
-	}
-	_, e := w.Inputs(3)
-	if _, err := sess.Run(e); err != nil {
-		t.Fatalf("run after injected accept failures: %v", err)
-	}
-	sess.Close()
-	if n := ln.attempts.Load(); n < 4 {
-		t.Fatalf("listener saw %d accepts, want >= 4 (3 failures + the session)", n)
-	}
-	if got := srv.Stats().AcceptRetries; got != 3 {
-		t.Fatalf("Stats().AcceptRetries = %d, want 3 (one per injected transient failure)", got)
-	}
-	select {
-	case err := <-done:
-		t.Fatalf("Serve returned early with %v", err)
-	default:
-	}
-
-	srv.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve returned %v after Close", err)
 	}
 }
 

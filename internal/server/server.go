@@ -11,7 +11,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"haac/internal/circuit"
@@ -115,9 +114,6 @@ type Config struct {
 	// transport, which remains the default for tests and loopback use.
 	TLS *tls.Config
 }
-
-// defaultDrainTimeout bounds Close when Config.DrainTimeout is zero.
-const defaultDrainTimeout = 30 * time.Second
 
 // defaultMaxPoolSize caps per-session OT pools when Config.MaxPoolSize
 // is zero: 65536 correlations ≈ 2 MiB of sender-side label state (4 MiB
@@ -235,12 +231,11 @@ func (r *registered) closeRunners() {
 	}
 }
 
-// session is one accepted connection. idle is its drain state, guarded
-// by Server.mu; everything else is filled in by the handshake, owned by
-// the session's goroutine and handed whole to each op handler.
+// session is one accepted connection. Everything but conn is filled in
+// by the handshake, owned by the session's goroutine and handed whole
+// to each op handler.
 type session struct {
 	conn net.Conn
-	idle bool // blocked waiting for the client's next op frame
 
 	replied   bool // the handshake verdict went out
 	reg       *registered
@@ -277,11 +272,9 @@ type Server struct {
 	// bytes, so only its timers move.
 	tables proto.Stats
 
-	mu        sync.Mutex
-	draining  bool
-	listeners map[net.Listener]struct{}
-	sessions  map[*session]struct{}
-	wg        sync.WaitGroup // one per live session
+	// The daemon accepts and drains the sessions and serves the ops
+	// sidecar: Serve, ServeOps and OpsHandler are its.
+	*daemon
 
 	active        atomic.Int64
 	sessionsTotal atomic.Uint64
@@ -289,8 +282,6 @@ type Server struct {
 	runsFailed    atomic.Uint64
 	runNanos      atomic.Uint64
 	refused       atomic.Uint64
-	forceClosed   atomic.Uint64
-	acceptRetries atomic.Uint64
 	seq           atomic.Uint64 // per-runner deterministic seed sequence
 
 	runsResumed       atomic.Uint64
@@ -317,19 +308,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
 	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = defaultDrainTimeout
-	}
 	if cfg.MaxPoolSize <= 0 {
 		cfg.MaxPoolSize = defaultMaxPoolSize
 	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       make(map[string]*registered, len(cfg.Circuits)),
-		cache:     NewPlanCache(cfg.PlanCacheSize),
-		listeners: make(map[net.Listener]struct{}),
-		sessions:  make(map[*session]struct{}),
+		cfg:   cfg,
+		reg:   make(map[string]*registered, len(cfg.Circuits)),
+		cache: NewPlanCache(cfg.PlanCacheSize),
 	}
+	s.daemon = NewDaemon(DaemonConfig{
+		TLS:          cfg.TLS,
+		DrainTimeout: cfg.DrainTimeout,
+		ErrClosed:    ErrDraining,
+		Admit:        s.admit,
+		Handle:       s.handle,
+		Ready:        s.ready,
+		Metrics:      s.metricsText,
+	})
 	for _, spec := range cfg.Circuits {
 		if spec.ID == "" || len(spec.ID) > maxIDLen {
 			return nil, fmt.Errorf("server: circuit id must be 1..%d bytes, got %q", maxIDLen, spec.ID)
@@ -406,10 +401,10 @@ func (s *Server) Stats() Stats {
 		CacheEvictions: cc.Evictions,
 
 		SessionsRefused:     s.refused.Load(),
-		SessionsForceClosed: s.forceClosed.Load(),
+		SessionsForceClosed: s.ForceClosed(),
 		RunsFailed:          s.runsFailed.Load(),
 		RunNanos:            s.runNanos.Load(),
-		AcceptRetries:       s.acceptRetries.Load(),
+		AcceptRetries:       s.AcceptRetries(),
 
 		RunsResumed:        s.runsResumed.Load(),
 		IntegrityFailures:  s.integrityFailures.Load(),
@@ -425,105 +420,28 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// registerListener adds ln to the set Close tears down, refusing (and
-// closing ln) when the server is already draining. unregisterListener
-// removes and closes it; both Serve and ServeOps share this lifecycle
-// so every listener — session or ops — is observed by exactly one
-// drain path.
-func (s *Server) registerListener(ln net.Listener) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		ln.Close()
-		return ErrDraining
-	}
-	s.listeners[ln] = struct{}{}
-	return nil
+// daemon names the Daemon a Server embeds, keeping the embedded field
+// unexported.
+type daemon = Daemon
+
+// saturated reports whether the server holds Config.MaxSessions
+// sessions.
+func (s *Server) saturated() bool {
+	return s.cfg.MaxSessions > 0 && s.active.Load() >= int64(s.cfg.MaxSessions)
 }
 
-func (s *Server) unregisterListener(ln net.Listener) {
-	s.mu.Lock()
-	delete(s.listeners, ln)
-	s.mu.Unlock()
-	ln.Close()
-}
-
-// Serve accepts sessions on ln until the server closes; it may be
-// called concurrently on several listeners. When Config.TLS is set the
-// listener is wrapped so every session runs over TLS. It returns nil
-// after Close and the listener's error otherwise.
-func (s *Server) Serve(ln net.Listener) error {
-	if s.cfg.TLS != nil {
-		ln = tls.NewListener(ln, s.cfg.TLS)
+// admit is the accept loop's admission control: it sees the session
+// count serially, so exactly the connections over Config.MaxSessions
+// are shed, refused busy.
+func (s *Server) admit(conn net.Conn) bool {
+	if s.saturated() {
+		s.refused.Add(1)
+		go s.refuse(conn)
+		return false
 	}
-	if err := s.registerListener(ln); err != nil {
-		return err
-	}
-	defer s.unregisterListener(ln)
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			if isTransientAccept(err) {
-				// One flaky accept (timeout, aborted connection, fd
-				// pressure) must not tear down the whole listener: back
-				// off with a cap and keep accepting.
-				s.acceptRetries.Add(1)
-				if backoff == 0 {
-					backoff = 5 * time.Millisecond
-				} else if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
-				time.Sleep(backoff)
-				continue
-			}
-			return err
-		}
-		backoff = 0
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		if s.cfg.MaxSessions > 0 && s.active.Load() >= int64(s.cfg.MaxSessions) {
-			// Admission control: decide in the accept loop, where the
-			// session count is observed serially, so exactly the excess
-			// connections are shed.
-			s.mu.Unlock()
-			s.refused.Add(1)
-			go s.refuse(conn)
-			continue
-		}
-		st := &session{conn: conn}
-		s.sessions[st] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.active.Add(1)
-		s.sessionsTotal.Add(1)
-		go s.handle(st)
-	}
-}
-
-// isTransientAccept reports whether an Accept error is worth retrying:
-// network timeouts, temporary resource exhaustion, or a connection the
-// peer aborted between SYN and accept.
-func isTransientAccept(err error) bool {
-	if errors.Is(err, syscall.ECONNABORTED) || errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	// net.Error.Temporary is deprecated (ill-defined for general errors)
-	// but remains exactly the signal listeners raise for retryable
-	// accept failures; assert the method structurally to use it.
-	var te interface{ Temporary() bool }
-	return errors.As(err, &te) && te.Temporary()
+	s.active.Add(1)
+	s.sessionsTotal.Add(1)
+	return true
 }
 
 // refuse completes the handshake of an over-limit connection with
@@ -547,20 +465,7 @@ func (s *Server) refuse(conn net.Conn) {
 // bound even against a client stalled mid-run. Safe to call more than
 // once.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		for ln := range s.listeners {
-			ln.Close()
-		}
-		for st := range s.sessions {
-			if st.idle {
-				st.conn.Close()
-			}
-		}
-	}
-	s.mu.Unlock()
-	s.awaitSessions()
+	s.daemon.Close()
 	// Every session has returned its runner; stop their goroutines.
 	for _, reg := range s.reg {
 		reg.closeRunners()
@@ -568,65 +473,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// awaitSessions waits for every session goroutine, force-closing
-// survivors once the drain grace period runs out. Closing a session's
-// connection errors out whatever read or write it is blocked on, so the
-// second wait is bounded by I/O teardown, not by the peer.
-func (s *Server) awaitSessions() {
-	dt := s.cfg.DrainTimeout
-	if dt < 0 {
-		s.wg.Wait()
-		return
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return
-	case <-time.After(dt):
-	}
-	s.mu.Lock()
-	for st := range s.sessions {
-		st.conn.Close()
-		s.forceClosed.Add(1)
-	}
-	s.mu.Unlock()
-	<-done
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// setIdle flips the session's drain state. Entering idle returns false
-// when the server is draining: the session must exit instead of
-// blocking on a read nobody will interrupt.
-func (s *Server) setIdle(st *session, idle bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idle && s.draining {
-		return false
-	}
-	st.idle = idle
-	return true
-}
-
 // handle runs one session: the handshake, then the op loop until the
 // client says goodbye, the connection dies, or the server drains.
-func (s *Server) handle(st *session) {
-	defer func() {
-		st.conn.Close()
-		s.mu.Lock()
-		delete(s.sessions, st)
-		s.mu.Unlock()
-		s.active.Add(-1)
-		s.wg.Done()
-	}()
+func (s *Server) handle(conn net.Conn) {
+	st := &session{conn: conn}
+	defer s.active.Add(-1)
 	// Blast-radius containment: a panic anywhere in this session — a
 	// poisoned Inputs callback, a bug tripped by one circuit — is
 	// contained to the session. The recover defer runs before the
@@ -648,14 +499,14 @@ func (s *Server) handle(st *session) {
 		return
 	}
 	for {
-		if !s.setIdle(st, true) {
+		if !s.setIdle(conn, true) {
 			return // draining: the client's next Run sees a closed session
 		}
 		if st.bb != nil {
 			st.bb.reset() // the op frame counts against the op it opens
 		}
 		_, err := io.ReadFull(st.rw, st.buf[:1])
-		s.setIdle(st, false)
+		s.setIdle(conn, false)
 		op := st.buf[0]
 		// Resume frames only exist on the integrity tier; anywhere else,
 		// like an unknown op, the byte is garbage.
