@@ -25,8 +25,9 @@
 // budgets: oversized circuits are refused at handshake and runs that
 // outgrow their declared stream size are cut off, both with typed
 // refusals, so one greedy session cannot starve the rest.
-// -no-integrity declines the checksummed-frame wire tier that clients
-// request by default; they fall back to the legacy unframed wire.
+// -no-integrity declines the checksummed-frame wire tier, which
+// haac-run requests by default and library clients only when they set
+// RunOptions.Integrity; they fall back to the legacy unframed wire.
 // -no-pooled-ot likewise declines the precomputed-OT session tier
 // (clients dialing with a pool size fall back to on-demand OT), and
 // -max-pool caps how many banked OT correlations one pooled session
@@ -39,85 +40,56 @@
 //
 // SIGINT/SIGTERM drain gracefully: listeners stop accepting, idle
 // sessions disconnect, in-flight runs get -drain-timeout to finish
-// (stragglers are force-closed), then the daemon reports its serving
-// totals and exits.
+// (stragglers are force-closed; a negative timeout waits for them),
+// then the daemon reports its serving totals and exits. The flags and
+// lifecycle haacd shares with haacfleet live in cmd/internal/daemon.
 package main
 
 import (
-	"crypto/tls"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"haac/internal/aes128"
+	"haac/cmd/internal/daemon"
 	"haac/internal/circuit"
 	"haac/internal/server"
 	"haac/internal/workloads"
 )
 
-func main() {
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		close(stop)
-	}()
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
-}
+func main() { daemon.Main(run) }
 
 // run is the testable entry point: it parses args, serves until stop
-// closes (or the listener fails), and returns the process exit status.
+// closes (or a listener fails), and returns the process exit status.
 func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
-	fs := flag.NewFlagSet("haacd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	listen := fs.String("listen", "127.0.0.1:9100", "listen address")
-	ops := fs.String("ops", "", "operations HTTP address serving /healthz, /readyz and /metrics (empty = disabled)")
+	cmd := daemon.New("haacd", "127.0.0.1:9100", stdout, stderr)
+	fs := cmd.Flags
 	names := fs.String("workloads", "all", "comma-separated workload names to serve (small VIP + micro suites), or all")
 	value := fs.Uint64("value", 0, "garbler input value, packed little-endian into each circuit's garbler bits")
 	cacheSize := fs.Int("plan-cache", 0, "plan cache entries (0 = one per served circuit)")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap; excess connections are refused busy at handshake (0 = unlimited)")
 	runTimeout := fs.Duration("run-timeout", 0, "per-run deadline; a peer stalling mid-run past it loses the session (0 = none)")
-	drainTimeout := fs.Duration("drain-timeout", 0, "shutdown grace for in-flight runs before force-close (0 = 30s default)")
 	allowInsecure := fs.Bool("allow-insecure-ot", false, "accept sessions requesting the choice-revealing insecure OT (benchmarks only)")
 	noIntegrity := fs.Bool("no-integrity", false, "decline the checksummed-frame wire tier; integrity clients fall back to the legacy wire")
 	noPooled := fs.Bool("no-pooled-ot", false, "decline the precomputed-OT session tier; pooled clients fall back to on-demand OT")
 	maxPool := fs.Int("max-pool", 0, "max banked OT correlations per pooled session, ~64 bytes each with room for fills (0 = 65536 default)")
 	maxCircuitBytes := fs.Int64("max-circuit-bytes", 0, "refuse circuits whose labels and tables would hold more resident bytes than this (0 = unlimited)")
 	maxRunBytes := fs.Int64("max-run-bytes", 0, "per-run transport byte budget; breaching runs are cut off with a typed refusal (0 = unlimited)")
-	tlsCert := fs.String("tls-cert", "", "PEM certificate for TLS on the session listener (requires -tls-key; empty = plaintext)")
-	tlsKey := fs.String("tls-key", "", "PEM private key for TLS on the session listener (requires -tls-cert)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
 
 	specs, err := specsFor(*names, *value)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	tlsCfg, err := tlsFor(*tlsCert, *tlsKey)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cmd.Fail(2, err)
 	}
 	srv, err := server.New(server.Config{
 		Circuits:         specs,
 		PlanCacheSize:    *cacheSize,
 		MaxSessions:      *maxSessions,
 		RunTimeout:       *runTimeout,
-		DrainTimeout:     *drainTimeout,
+		DrainTimeout:     cmd.DrainTimeout,
 		AllowInsecureOT:  *allowInsecure,
-		TLS:              tlsCfg,
+		TLS:              cmd.TLS,
 		DisableIntegrity: *noIntegrity,
 		DisablePooledOT:  *noPooled,
 		MaxPoolSize:      *maxPool,
@@ -125,82 +97,18 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		MaxRunBytes:      *maxRunBytes,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cmd.Fail(2, err)
 	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var opsLn net.Listener
-	if *ops != "" {
-		opsLn, err = net.Listen("tcp", *ops)
-		if err != nil {
-			ln.Close()
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-
-	proto := "plaintext"
-	if tlsCfg != nil {
-		proto = "TLS"
-	}
-	fmt.Fprintf(stdout, "haacd: serving %d circuits on %s (%s), aes128 backend %s\n", len(specs), ln.Addr(), proto, aes128.Backend())
-	if opsLn != nil {
-		fmt.Fprintf(stdout, "haacd: ops endpoints on http://%s (/healthz, /readyz, /metrics)\n", opsLn.Addr())
-	}
-	for _, spec := range specs {
+	detail := make([]string, len(specs))
+	for i, spec := range specs {
 		d, _ := srv.Digest(spec.ID)
-		fmt.Fprintf(stdout, "  %-16s %d gates  sha256:%x\n", spec.ID, len(spec.Circuit.Gates), d[:8])
+		detail[i] = fmt.Sprintf("  %-16s %d gates  sha256:%x", spec.ID, len(spec.Circuit.Gates), d[:8])
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	// A nil channel never delivers, so the select below ignores the
-	// sidecar when -ops is unset.
-	var opsErrc chan error
-	if opsLn != nil {
-		opsErrc = make(chan error, 1)
-		go func() { opsErrc <- srv.ServeOps(opsLn) }()
-	}
-	select {
-	case err := <-errc:
-		// Serve only returns on its own when the listener breaks.
-		srv.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
-	case err := <-opsErrc:
-		// ServeOps only returns on its own when the ops listener breaks.
-		srv.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
-	case <-stop:
-		fmt.Fprintln(stdout, "haacd: draining sessions")
-		srv.Close()
-		<-errc
+	return cmd.Serve(srv, stop, fmt.Sprintf("serving %d circuits", len(specs)), detail, func() string {
 		st := srv.Stats()
-		fmt.Fprintf(stdout, "haacd: served %d runs over %d sessions (%d bytes out, cache %d/%d hit/miss, %d refused, %d force-closed)\n",
+		return fmt.Sprintf("served %d runs over %d sessions (%d bytes out, cache %d/%d hit/miss, %d refused, %d force-closed)",
 			st.RunsServed, st.SessionsTotal, st.BytesOut, st.CacheHits, st.CacheMisses, st.SessionsRefused, st.SessionsForceClosed)
-		return 0
-	}
-}
-
-// tlsFor loads the listener TLS configuration from a PEM pair; both
-// flags empty keeps the plaintext default.
-func tlsFor(certFile, keyFile string) (*tls.Config, error) {
-	if certFile == "" && keyFile == "" {
-		return nil, nil
-	}
-	if certFile == "" || keyFile == "" {
-		return nil, errors.New("-tls-cert and -tls-key must be set together")
-	}
-	cert, err := tls.LoadX509KeyPair(certFile, keyFile)
-	if err != nil {
-		return nil, fmt.Errorf("loading TLS key pair: %w", err)
-	}
-	return &tls.Config{Certificates: []tls.Certificate{cert}}, nil
+	})
 }
 
 // specsFor resolves the served circuit set: every named workload from

@@ -24,45 +24,30 @@
 //
 // Rolling restarts of individual backends go through the fleet API
 // (haac.NewFleet + Fleet.Drain/Undrain); the daemon covers the
-// static-fleet case. SIGINT/SIGTERM drain the proxy itself: listeners stop accepting,
-// active splices get -drain-timeout to finish, stragglers are
-// force-closed, then the daemon reports its routing totals and exits.
+// static-fleet case. SIGINT/SIGTERM drain the proxy itself: listeners
+// stop accepting, active splices get -drain-timeout to finish,
+// stragglers are force-closed (a negative timeout waits for them), then
+// the daemon reports its routing totals and exits. The flags and
+// lifecycle haacfleet shares with haacd live in cmd/internal/daemon.
 package main
 
 import (
-	"crypto/tls"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"haac/internal/aes128"
+	"haac/cmd/internal/daemon"
 	"haac/internal/fleet"
 )
 
-func main() {
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		close(stop)
-	}()
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
-}
+func main() { daemon.Main(run) }
 
 // run is the testable entry point: it parses args, proxies until stop
 // closes (or a listener fails), and returns the process exit status.
 func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
-	fs := flag.NewFlagSet("haacfleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	listen := fs.String("listen", "127.0.0.1:9200", "listen address for client sessions")
-	ops := fs.String("ops", "", "operations HTTP address serving /healthz, /readyz and /metrics (empty = disabled)")
+	cmd := daemon.New("haacfleet", "127.0.0.1:9200", stdout, stderr)
+	fs := cmd.Flags
 	backends := fs.String("backends", "", "comma-separated backend list, each addr or addr=opsaddr (ops address enables active probing)")
 	probeInterval := fs.Duration("probe-interval", 0, "active health-probe period (0 = 500ms default, negative = disabled)")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = 2s default)")
@@ -70,25 +55,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	reopenAfter := fs.Duration("reopen-after", 0, "ejection period before half-open trials (0 = 1s default)")
 	dialTimeout := fs.Duration("dial-timeout", 0, "per-backend dial timeout (0 = 5s default)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "per-direction splice idle deadline; a session moving no bytes past it is torn down (0 = none)")
-	drainTimeout := fs.Duration("drain-timeout", 0, "shutdown grace for active sessions before force-close (0 = 30s default)")
-	tlsCert := fs.String("tls-cert", "", "PEM certificate for TLS on the client listener (requires -tls-key; empty = plaintext)")
-	tlsKey := fs.String("tls-key", "", "PEM private key for TLS on the client listener (requires -tls-cert)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
 
 	specs, err := parseBackends(*backends)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	tlsCfg, err := tlsFor(*tlsCert, *tlsKey)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cmd.Fail(2, err)
 	}
 	f, err := fleet.New(fleet.Config{
 		Backends:      specs,
@@ -98,73 +71,25 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		ReopenAfter:   *reopenAfter,
 		DialTimeout:   *dialTimeout,
 		IdleTimeout:   *idleTimeout,
-		DrainTimeout:  *drainTimeout,
-		TLS:           tlsCfg,
+		DrainTimeout:  cmd.DrainTimeout,
+		TLS:           cmd.TLS,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return cmd.Fail(2, err)
 	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var opsLn net.Listener
-	if *ops != "" {
-		opsLn, err = net.Listen("tcp", *ops)
-		if err != nil {
-			ln.Close()
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-
-	proto := "plaintext"
-	if tlsCfg != nil {
-		proto = "TLS"
-	}
-	fmt.Fprintf(stdout, "haacfleet: fronting %d backends on %s (%s), aes128 backend %s\n", len(specs), ln.Addr(), proto, aes128.Backend())
-	if opsLn != nil {
-		fmt.Fprintf(stdout, "haacfleet: ops endpoints on http://%s (/healthz, /readyz, /metrics)\n", opsLn.Addr())
-	}
-	for _, b := range specs {
+	detail := make([]string, len(specs))
+	for i, b := range specs {
 		probe := "unprobed"
 		if b.Ops != "" {
 			probe = "probing http://" + b.Ops
 		}
-		fmt.Fprintf(stdout, "  %-24s %s\n", b.Addr, probe)
+		detail[i] = fmt.Sprintf("  %-24s %s", b.Addr, probe)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- f.Serve(ln) }()
-	// A nil channel never delivers, so the select below ignores the
-	// sidecar when -ops is unset.
-	var opsErrc chan error
-	if opsLn != nil {
-		opsErrc = make(chan error, 1)
-		go func() { opsErrc <- f.ServeOps(opsLn) }()
-	}
-	select {
-	case err := <-errc:
-		// Serve only returns on its own when the listener breaks.
-		f.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
-	case err := <-opsErrc:
-		// ServeOps only returns on its own when the ops listener breaks.
-		f.Close()
-		fmt.Fprintln(stderr, err)
-		return 1
-	case <-stop:
-		fmt.Fprintln(stdout, "haacfleet: draining sessions")
-		f.Close()
-		<-errc
+	return cmd.Serve(f, stop, fmt.Sprintf("fronting %d backends", len(specs)), detail, func() string {
 		st := f.Stats()
-		fmt.Fprintf(stdout, "haacfleet: routed %d sessions (%d refused, %d failovers, %d dial failures, %d ejections, %d force-closed)\n",
+		return fmt.Sprintf("routed %d sessions (%d refused, %d failovers, %d dial failures, %d ejections, %d force-closed)",
 			st.SessionsRouted, st.SessionsRefused, st.Failovers, st.DialFailures, st.Ejections, st.SessionsForceClosed)
-		return 0
-	}
+	})
 }
 
 // parseBackends resolves the -backends list: comma-separated elements,
@@ -187,20 +112,4 @@ func parseBackends(list string) ([]fleet.Backend, error) {
 		return nil, errors.New("no backends configured; set -backends addr[,addr=opsaddr...]")
 	}
 	return specs, nil
-}
-
-// tlsFor loads the listener TLS configuration from a PEM pair; both
-// flags empty keeps the plaintext default.
-func tlsFor(certFile, keyFile string) (*tls.Config, error) {
-	if certFile == "" && keyFile == "" {
-		return nil, nil
-	}
-	if certFile == "" || keyFile == "" {
-		return nil, errors.New("-tls-cert and -tls-key must be set together")
-	}
-	cert, err := tls.LoadX509KeyPair(certFile, keyFile)
-	if err != nil {
-		return nil, fmt.Errorf("loading TLS key pair: %w", err)
-	}
-	return &tls.Config{Certificates: []tls.Certificate{cert}}, nil
 }

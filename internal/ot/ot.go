@@ -59,12 +59,13 @@ const (
 	IKNP
 	// Pooled consumes precomputed random-OT correlations from a Pool
 	// with one choice-correction XOR round online. It is session state,
-	// not an on-demand protocol: Send/ReceiveBitset reject it — callers go
-	// through a Pool's derandomization pieces (ReadCorrectionHead,
+	// not an on-demand protocol: Send/ReceiveBitset reject it — callers
+	// go through a Pool's derandomization pieces (ReadCorrectionHead,
 	// ReadCorrectionPiece and WriteMaskedPiece; AppendCorrection and
-	// ReadMasked) or SendDerand/ReceiveDerand, which compose them. The value appears on the wire in the session hello
-	// (requesting the pooled tier) and in the per-run header (marking a
-	// pool-hit run).
+	// ReadMasked) or SendDerand/ReceiveDerand, which compose them.
+	// The value appears on the wire in the session hello (requesting
+	// the pooled tier) and in the per-run header (marking a pool-hit
+	// run).
 	Pooled
 )
 

@@ -376,9 +376,9 @@ func (p *Pool) ReadCorrectionPiece(r io.Reader, k int) error {
 
 // WriteMaskedPiece answers piece k of the correction ReadCorrectionHead
 // opened, once ReadCorrectionPiece has read its bits, with the piece's
-// masked pairs, y_i = m_i ^ r_(i^e_j) per transfer, in one write. The pairs are the whole batch the
-// correction was read for; the pieces go out in order, and the last
-// consumes the batch's correlations.
+// masked pairs, y_i = m_i ^ r_(i^e_j) per transfer, in one write.
+// The pairs are the whole batch the correction was read for; the pieces
+// go out in order, and the last consumes the batch's correlations.
 func (p *Pool) WriteMaskedPiece(w io.Writer, pairs []Pair, k int) error {
 	n := len(pairs)
 	lo, hi := pieceSpan(n, k)

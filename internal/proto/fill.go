@@ -29,6 +29,21 @@ import (
 // goroutine is that second one. Its in-run fill starts only after the
 // run has joined the pieces.
 
+// FillWireBytes returns the bytes an in-run fill of n correlations
+// moves on the connection: ot.FillBytes on the legacy wire, plus one
+// frame header per frame when framed (the integrity tier). Each chunk's
+// columns go out in one Write and a full chunk's fill a whole number of
+// frames, so the fill takes ⌈FillBytes/maxFramePayload⌉ frames. A run's
+// byte budget sits under the frame codec, so both ends raise it by
+// this.
+func FillWireBytes(n int, framed bool) int64 {
+	b := ot.FillBytes(n)
+	if framed {
+		b += frameHeaderSize * ((b + maxFramePayload - 1) / maxFramePayload)
+	}
+	return b
+}
+
 // poolWorker is a session's pool goroutine: persistent, started by the
 // session's first job and stopped by close. It runs the pool work a run
 // hands off its own goroutine — an in-run fill, or the writes of a

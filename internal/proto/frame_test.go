@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
+
+	"haac/internal/ot"
 )
 
 // TestFrameRoundtrip: bytes written through the codec come back
@@ -131,4 +134,56 @@ func TestFrameOverheadBound(t *testing.T) {
 	if overhead >= 0.02 {
 		t.Fatalf("framing overhead %.4f%% breaches the 2%% budget", overhead*100)
 	}
+}
+
+// TestFillWireBytesMatchesFramedFill pins FillWireBytes to what a fill
+// writes through a FramedConn and, unframed, to ot.FillBytes, for sizes
+// on and off the byte, frame and chunk boundaries.
+func TestFillWireBytesMatchesFramedFill(t *testing.T) {
+	ga, ev := net.Pipe()
+	defer ga.Close()
+	defer ev.Close()
+	var sp *ot.Pool
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		sp, err = ot.NewSenderPool(ga, ot.Insecure)
+		errc <- err
+	}()
+	rp, err := ot.NewReceiverPool(ev, ot.Insecure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	var wrote countingWriter
+	send := NewFramedConn(ga)
+	recv := NewFramedConn(struct {
+		io.Reader
+		io.Writer
+	}{ev, io.MultiWriter(ev, &wrote)})
+	for _, n := range []int{1, 13, 128, 1024, 1025, 1 << 14, 1<<14 + 3, 2<<14 + 64} {
+		wrote.n = 0
+		go func() { errc <- sp.Fill(send, n) }()
+		if err := rp.Fill(recv, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if got := FillWireBytes(n, true); got != wrote.n {
+			t.Errorf("FillWireBytes(%d, framed) = %d, the framed fill wrote %d", n, got, wrote.n)
+		}
+		if got, want := FillWireBytes(n, false), ot.FillBytes(n); got != want {
+			t.Errorf("FillWireBytes(%d, unframed) = %d, want ot.FillBytes %d", n, got, want)
+		}
+	}
+}
+
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }

@@ -124,7 +124,7 @@ func (s *GarblerSession) SetPool(p *ot.Pool) { s.pool = p }
 // NextFill returns the correlations the next Run's in-run fill adds to
 // the attached pool (ot.Pool.Decide): 0 on a miss, without a pool
 // target, or while the pool is near it. The serving layer makes room
-// for the fill's ot.FillBytes in that run's byte budget.
+// for the fill's FillWireBytes in that run's byte budget.
 func (s *GarblerSession) NextFill() int {
 	_, n := s.pool.Decide(s.c.EvaluatorInputs)
 	return n

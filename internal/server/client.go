@@ -663,7 +663,7 @@ func (s *Session) runOnce(evalBits []bool) ([]bool, error) {
 		return nil, err
 	}
 	if s.bb != nil {
-		s.bb.raise(ot.FillBytes(fill))
+		s.bb.raise(proto.FillWireBytes(fill, s.integrity))
 	}
 	if s.integrity {
 		// The integrity-tier ack carries the run's resume token: the

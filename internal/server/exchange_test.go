@@ -374,12 +374,84 @@ func TestClientRunBudget(t *testing.T) {
 // the result's last byte, which the client has already sent, so there
 // the failure shows in the server's counters.) The pieced rows run a
 // batch of three ot.DerandPiece pieces, whose correction and masked
-// pairs cross in pieces and count the same.
+// pairs cross in pieces and count the same. The integrity rows hold the
+// checksummed-frame tier to the same promise, with the fill's frame
+// headers counted (proto.FillWireBytes).
 func TestRunBudgetMakesRoomForFill(t *testing.T) {
 	// Their run bytes exceed the connect-time fill's (base OTs + the
 	// first fill, inside the handshake), which the budget also bounds.
 	runBudgetRows(t, workloads.DotProduct(4, 16), "")
 	runBudgetRows(t, workloads.AddN(2*ot.DerandPiece+5), "pieced-")
+	integrityBudgetRows(t)
+}
+
+// integrityBudgetRows run on the checksummed-frame tier, where the
+// budget sits under the frame codec and so also counts the frame
+// headers of the fill's writes. With a pool of 4m the first run leaves
+// it above half its target and carries no fill; the second carries a
+// fill of 2m (ot.Pool.Decide). A budget of the fill-free first run's
+// bytes holds both runs on whichever end carries it.
+func integrityBudgetRows(t *testing.T) {
+	w := workloads.DotProduct(4, 16)
+	c := w.Build()
+	pool := 4 * c.EvaluatorInputs
+	garblerBits, evalBits := w.Inputs(1)
+	spec := []CircuitSpec{{ID: w.Name, Circuit: c, Inputs: func() []bool { return garblerBits }}}
+
+	_, addr := startServer(t, Config{Circuits: spec, Seed: 61, MaxPoolSize: pool})
+	st := &proto.Stats{}
+	probe, err := Dial(addr, w.Name, c, Options{Integrity: true, PoolSize: pool, Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probe.Integrity() {
+		t.Fatal("probe session did not negotiate the integrity tier")
+	}
+	before := st.BytesSent.Load() + st.BytesReceived.Load()
+	if _, err := probe.Run(evalBits); err != nil {
+		t.Fatal(err)
+	}
+	twin := st.BytesSent.Load() + st.BytesReceived.Load() - before
+	if cs := probe.Stats(); cs.PoolRefills != 1 {
+		t.Fatalf("the first run carried a fill (refills %d)", cs.PoolRefills)
+	}
+	if _, err := probe.Run(evalBits); err != nil {
+		t.Fatal(err)
+	}
+	if cs := probe.Stats(); cs.PoolRefills != 2 {
+		t.Fatalf("the second run carried no fill (refills %d)", cs.PoolRefills)
+	}
+	probe.Close()
+
+	for _, tc := range []struct {
+		name           string
+		server, client int64 // MaxRunBytes on each end
+	}{
+		{"integrity-client-only", 0, twin},
+		{"integrity-server-only", twin, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Circuits: spec, Seed: 67, MaxRunBytes: tc.server, MaxPoolSize: pool})
+			sess, err := Dial(addr, w.Name, c, Options{Integrity: true, PoolSize: pool, MaxRunBytes: tc.client})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			for run := 0; run < 2; run++ {
+				if _, err := sess.Run(evalBits); err != nil {
+					t.Fatalf("run %d under a budget of the fill-free run's %d bytes: %v", run, twin, err)
+				}
+			}
+			if cs := sess.Stats(); cs.PoolRefills != 2 {
+				t.Fatalf("pool refills %d, want 2: the second run carries the fill", cs.PoolRefills)
+			}
+			sess.Close()
+			srv.Close()
+			if st := srv.Stats(); st.RunsOverBudget != 0 || st.RunsServed != 2 {
+				t.Fatalf("server runs over budget/served = %d/%d, want 0/2", st.RunsOverBudget, st.RunsServed)
+			}
+		})
+	}
 }
 
 func runBudgetRows(t *testing.T, w workloads.Workload, prefix string) {

@@ -82,8 +82,9 @@ func (rs *resumeStore) drop(token uint64) {
 // budget. A run that carries an in-run pool fill moves the fill's bytes
 // on a second goroutine while the run's own go the other way, so the
 // count is atomic; the op's limit is raised by exactly those bytes,
-// which both ends know, so a run that fit the budget without its fill
-// still fits with it.
+// which both ends know (proto.FillWireBytes: on the integrity tier with
+// their frame headers, since the budget sits under the codec), so a run
+// that fit the budget without its fill still fits with it.
 type byteBudget struct {
 	inner io.ReadWriter
 	limit int64 // the configured per-op bound

@@ -731,7 +731,7 @@ func (s *Server) serveRun(st *session) bool {
 	}
 	fill := st.gs.NextFill()
 	if st.bb != nil {
-		st.bb.raise(ot.FillBytes(fill))
+		st.bb.raise(proto.FillWireBytes(fill, st.integrity))
 	}
 	if !s.garble(st, func() error { _, err := st.gs.Run(bits); return err }) {
 		return false
